@@ -1,513 +1,33 @@
-(** The benchmark harness: regenerates every table and figure of the paper
-    (Table 1, Figures 1-3), the ablations, the §5 mitigation experiment, and
-    the bechamel microbenchmarks.
+(** The paper-figure regenerator: Table 1, Figures 1-3, the ablations and
+    the §5 mitigation experiment. The machine benchmark (wall time and
+    allocation per op, per-layer costs) is [perfbench/], not this.
 
     Usage:
       bench/main.exe                  run everything (full parameters)
       bench/main.exe --quick          run everything with small parameters
       bench/main.exe fig1 [--quick]   one experiment (table1 | fig1 | fig2 |
-                                      fig3 | ablation | mitigation | micro)
-      bench/main.exe micro fig1 --quick --json
-                                      machine-readable smoke run: writes
-                                      BENCH_core.json with the micro results
-                                      and a trace-on vs trace-off DepFastRaft
-                                      throughput comparison instead of the
-                                      full fig1 sweep *)
+                                      fig3 | ablation | mitigation) *)
 
 let params quick = if quick then Harness.Params.quick else Harness.Params.full
 
-(* --json collectors: single-writer CLI accumulators. Atomic rather than
-   plain refs so the domains pass certifies them shared-safe outright —
-   the harness now spawns domains (parallel explorer, shard pool), so
-   "never shared" is no longer a structural guarantee worth a pragma. *)
-let micro_results : Micro.result list Atomic.t = Atomic.make []
-let trace_cmp : (float * float) option Atomic.t = Atomic.make None
-let lint_stats : (int * float * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings *)
-type macro_row = {
-  mr_tput : float;
-  mr_p50 : float;
-  mr_p99 : float;
-  mr_cpu : float;
-  mr_mean_batch : float;  (* committed ops per leader fsync *)
-  mr_shed_rate : float;
-  mr_fsyncs_per_op : float;
-}
-
-let macro_stats : macro_row option Atomic.t = Atomic.make None
-let macro_nobatch_stats : macro_row option Atomic.t = Atomic.make None
-let check_stats : (int * int * float * int) option Atomic.t = Atomic.make None
-(* schedules, pruned, wall ms, findings *)
-let bounds_stats : (int * float * int * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings, certificates *)
-let domains_stats : (int * float * int * int * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings, cells, unsafe *)
-let spg_stats : (int * float * int * int * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings, wait sites, propagation edges *)
-let nofeed_stats : (int * int) option Atomic.t = Atomic.make None
-(* schedules, pruned with the DPOR independence feed off *)
-let check_par_stats : (int * int * float) list Atomic.t = Atomic.make []
-(* (jobs, schedules, wall ms) per explorer domain count *)
-let shard_stats : (int * float * int * float * float) list Atomic.t = Atomic.make []
-(* (jobs, wall ms, total ops, virtual ops/s, p99 ms) per shard-pool domain count *)
-
-(* static-analysis probe: wall time of the per-file lint plus the
-   whole-project interprocedural pass over the library sources — the
-   lint must stay cheap enough to run on every build *)
-let run_lint_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "lint probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs =
-      List.concat_map Analysis.Source_lint.lint_file files
-      @ Analysis.Interproc.analyze_files files
-    in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    Atomic.set lint_stats @@ Some (List.length files, ms, List.length fs);
-    Printf.printf "lint probe: %d file(s), %d finding(s) in %.1f ms\n%!" (List.length files)
-      (List.length fs) ms
-
-(* boundedness probe: wall time of the depfast-bounds pass (growth,
-   timeout coverage, retry coverage plus certificate emission) over the
-   library sources — certificates feed the gauge cross-check, so this
-   pass too must stay build-cheap *)
-let run_bounds_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "bounds probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs, certs = Analysis.Bounds.analyze_files files in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    Atomic.set bounds_stats @@ Some (List.length files, ms, List.length fs, List.length certs);
-    Printf.printf
-      "bounds probe: %d file(s), %d finding(s), %d certificate(s) in %.1f ms\n%!"
-      (List.length files) (List.length fs) (List.length certs) ms
-
-(* domain-safety probe: wall time of the depfast-domains pass (mutable
-   state inventory, effect fixpoint, ownership verdicts, footprints)
-   over the library sources — it runs on every strict lint and inside
-   every certificate build, so it too must stay build-cheap *)
-let run_domains_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "domains probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs, certs, _footprints = Analysis.Domains.analyze_files files in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let unsafe =
-      List.length
-        (List.filter (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged) certs)
-    in
-    Atomic.set domains_stats @@ Some (List.length files, ms, List.length fs, List.length certs, unsafe);
-    Printf.printf
-      "domains probe: %d file(s), %d finding(s), %d cell(s), %d unsafe in %.1f ms\n%!"
-      (List.length files) (List.length fs) (List.length certs) unsafe ms
-
-(* slowness-propagation probe: wall time of the depfast-spg pass (taint
-   seeding, callee->caller fixpoint, wait classification, certificate
-   emission) over the library sources — its exposure map feeds the
-   explorer's SPG cross-check, so it must stay build-cheap too *)
-let run_spg_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "spg probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs, certs, _exposures = Analysis.Spg_static.analyze_files files in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let count k =
-      List.length (List.filter (fun c -> c.Analysis.Growth.c_kind = k) certs)
-    in
-    let waits = count "wait" and edges = count "propagation" in
-    Atomic.set spg_stats @@ Some (List.length files, ms, List.length fs, waits, edges);
-    Printf.printf
-      "spg probe: %d file(s), %d finding(s), %d wait site(s), %d propagation edge(s) in \
-       %.1f ms\n%!"
-      (List.length files) (List.length fs) waits edges ms
-
-(* trace overhead probe: the same DepFastRaft quick cell with the wait-trace
-   ring disabled and enabled; tracing must cost well under 10% throughput *)
-let run_fig1_json quick =
-  let params = params quick in
-  let tput trace =
-    let cell =
-      Harness.Runner.run_cell ~trace ~params ~system:Harness.Runner.Depfast_raft ~n:3
-        ~slow_count:1 ~fault:None ()
-    in
-    Workload.Metrics.throughput cell.Harness.Runner.metrics
-  in
-  let off = tput false in
-  let on = tput true in
-  Atomic.set trace_cmp @@ Some (off, on);
-  Printf.printf "fig1 trace probe: trace-off %.0f ops/s, trace-on %.0f ops/s (%.1f%%)\n%!"
-    off on
-    (100.0 *. on /. off)
-
-(* schedule-space probe: the gating scenario registry under its default
-   per-scenario budgets, certificates included when the sources are
-   reachable — the explored-schedule count and wall time the checker is
-   accountable to (DESIGN.md §"Schedule-space checking") *)
-let run_check_json () =
-  (* start from a compacted heap so the probe measures the checker, not
-     the GC debt of whatever ran before it (the smoke rule also orders
-     this probe before the bechamel run, whose measurement loops leave
-     the allocator in a state that inflates re-execution wall time) *)
-  Gc.compact ();
-  let certs =
-    match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-    | None -> None
-    | Some root -> Some (Check.Certificate.build ~roots:[ root ] ())
-  in
-  let t0 = Unix.gettimeofday () in
-  let results =
-    List.map
-      (fun (sc : Check.Scenario.t) ->
-        let budget =
-          {
-            Check.Explore.default_budget with
-            Check.Explore.max_schedules = sc.Check.Scenario.default_schedules;
-          }
-        in
-        Check.Explore.explore ~budget ?certs sc)
-      Check.Registry.gating_scenarios
-  in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  let schedules = List.fold_left (fun a r -> a + r.Check.Explore.schedules) 0 results in
-  let pruned = List.fold_left (fun a r -> a + r.Check.Explore.pruned) 0 results in
-  let findings =
-    List.fold_left (fun a r -> a + List.length r.Check.Explore.findings) 0 results
-  in
-  Atomic.set check_stats @@ Some (schedules, pruned, ms, findings);
-  Printf.printf
-    "check probe: %d schedule(s) explored, %d pruned, %d finding(s) in %.0f ms\n%!"
-    schedules pruned findings ms;
-  (* the same registry with no certificates, hence no depfast-domains
-     independence feed: the schedule-count delta is the feed's rent *)
-  let nofeed =
-    List.map
-      (fun (sc : Check.Scenario.t) ->
-        let budget =
-          {
-            Check.Explore.default_budget with
-            Check.Explore.max_schedules = sc.Check.Scenario.default_schedules;
-          }
-        in
-        Check.Explore.explore ~budget sc)
-      Check.Registry.gating_scenarios
-  in
-  let s0 = List.fold_left (fun a r -> a + r.Check.Explore.schedules) 0 nofeed in
-  let p0 = List.fold_left (fun a r -> a + r.Check.Explore.pruned) 0 nofeed in
-  Atomic.set nofeed_stats @@ Some (s0, p0);
-  Printf.printf "check probe (feed off): %d schedule(s) explored, %d pruned\n%!" s0 p0
-
-(* parallel-explorer probe: the same gating registry at 1, 2 and 4
-   domains. Determinism makes the runs comparable schedule-for-schedule
-   (identical totals by construction); the wall-clock ratio is bounded
-   by the cores the host actually exposes, so the row records the
-   measured speedup, whatever it is, next to the schedule count. *)
-let run_check_par_json () =
-  Gc.compact ();
-  let certs =
-    match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-    | None -> None
-    | Some root -> Some (Check.Certificate.build ~roots:[ root ] ())
-  in
-  let one jobs =
-    let t0 = Unix.gettimeofday () in
-    let results =
-      List.map
-        (fun (sc : Check.Scenario.t) ->
-          let budget =
-            {
-              Check.Explore.default_budget with
-              Check.Explore.max_schedules = sc.Check.Scenario.default_schedules;
-            }
-          in
-          Check.Explore.explore ~budget ?certs ~jobs sc)
-        Check.Registry.gating_scenarios
-    in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let schedules = List.fold_left (fun a r -> a + r.Check.Explore.schedules) 0 results in
-    (jobs, schedules, ms)
-  in
-  let rows = List.map one [ 1; 2; 4 ] in
-  Atomic.set check_par_stats rows;
-  let base = match rows with (_, _, ms) :: _ -> ms | [] -> 0.0 in
-  List.iter
-    (fun (jobs, schedules, ms) ->
-      Printf.printf
-        "check-par probe: jobs=%d, %d schedule(s) in %.0f ms (speedup %.2fx)\n%!" jobs
-        schedules ms
-        (if ms > 0.0 then base /. ms else 0.0))
-    rows
-
-(* shard-pool probe: four per-domain Raft shards under closed-loop write
-   load with 10% cross-shard traffic, on one domain and on four. The two
-   runs report identical per-shard stats (the barrier-quantum merge is
-   deterministic in the domain count); the wall-clock ratio records what
-   the host's cores deliver. *)
-let run_shard_json quick =
-  let quanta = if quick then 12 else 40 in
-  let one jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = Raft.Shardpool.run ~shards:4 ~jobs ~quanta () in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let ops = Raft.Shardpool.total_ops r in
-    let tput = float_of_int ops /. Sim.Time.to_sec_f r.Raft.Shardpool.r_virtual in
-    let p99 = Sim.Time.to_ms_f (Sim.Hist.p99 (Raft.Shardpool.merged_latency r)) in
-    (jobs, ms, ops, tput, p99)
-  in
-  let rows = List.map one [ 1; 4 ] in
-  Atomic.set shard_stats rows;
-  let base = match rows with (_, ms, _, _, _) :: _ -> ms | [] -> 0.0 in
-  List.iter
-    (fun (jobs, ms, ops, tput, p99) ->
-      Printf.printf
-        "shard probe: jobs=%d, %d op(s), %.0f virtual ops/s, p99 %.2f ms, %.0f ms wall \
-         (speedup %.2fx)\n\
-         %!"
-        jobs ops tput p99 ms
-        (if ms > 0.0 then base /. ms else 0.0))
-    rows
-
-(* macro throughput probe: the fig1-shaped healthy cell (3-replica
-   DepFastRaft under the closed-loop YCSB-style write workload, no fault
-   injected) — the replication-path number the zero-copy/pooled/pipelined
-   overhaul and now the group-commit batcher are accountable to. Runs the
-   cell twice: with the adaptive batcher (default config) and with batching
-   forced off ([max_batch = 1]), so the JSON records the amortization
-   (mean batch size, fsyncs per op) next to its throughput effect. *)
-let run_macro_json quick =
-  let params = params quick in
-  let row ~cfg =
-    let cell =
-      Harness.Runner.run_cell ~cfg ~trace:false ~params ~system:Harness.Runner.Depfast_raft
-        ~n:3 ~slow_count:1 ~fault:None ()
-    in
-    let m = cell.Harness.Runner.metrics in
-    {
-      mr_tput = Workload.Metrics.throughput m;
-      mr_p50 = Workload.Metrics.p50_latency_ms m;
-      mr_p99 = Workload.Metrics.p99_latency_ms m;
-      mr_cpu = m.Workload.Metrics.leader_utilization;
-      mr_mean_batch =
-        (if m.Workload.Metrics.leader_fsyncs = 0 then 0.0
-         else
-           float_of_int m.Workload.Metrics.completed
-           /. float_of_int m.Workload.Metrics.leader_fsyncs);
-      mr_shed_rate = Workload.Metrics.shed_rate m;
-      mr_fsyncs_per_op = Workload.Metrics.fsyncs_per_op m;
-    }
-  in
-  let pr label r =
-    Printf.printf
-      "macro probe (%s): %.0f ops/s, p50 %.2f ms, p99 %.2f ms, leader CPU %.0f%%, mean \
-       batch %.1f, %.2f fsyncs/op, shed %.1f%%\n\
-       %!"
-      label r.mr_tput r.mr_p50 r.mr_p99 (100.0 *. r.mr_cpu) r.mr_mean_batch
-      r.mr_fsyncs_per_op (100.0 *. r.mr_shed_rate)
-  in
-  let on = row ~cfg:Raft.Config.default in
-  Atomic.set macro_stats @@ Some on;
-  pr "batching" on;
-  let off = row ~cfg:{ Raft.Config.default with Raft.Config.max_batch = 1 } in
-  Atomic.set macro_nobatch_stats @@ Some off;
-  pr "no batching" off
-
-let run_experiment ~json quick = function
+let run_experiment quick = function
   | "table1" -> Harness.Table1.print ()
-  | "fig1" -> if json then run_fig1_json quick else Harness.Fig1.print ~params:(params quick) ()
+  | "fig1" -> Harness.Fig1.print ~params:(params quick) ()
   | "fig2" -> Harness.Fig2.print ()
   | "fig3" -> Harness.Fig3.print ~params:(params quick) ()
   | "ablation" -> Harness.Ablation.print ~params:(params quick) ()
   | "mitigation" -> Harness.Mitigation.print ~params:(params quick) ()
-  | "micro" ->
-    (* bechamel's stabilization sets Gc.max_overhead (compaction off)
-       and never restores it; put the parameters back afterwards *)
-    let gc = Gc.get () in
-    let rs = Micro.results () in
-    Gc.set gc;
-    if json then Atomic.set micro_results @@ rs;
-    Micro.print rs
-  | "lint" -> run_lint_json ()
-  | "bounds" -> run_bounds_json ()
-  | "domains" -> run_domains_json ()
-  | "spg" -> run_spg_json ()
-  | "macro" -> run_macro_json quick
-  | "check" -> run_check_json ()
-  | "check_par" -> run_check_par_json ()
-  | "shard" -> run_shard_json quick
   | other ->
     Printf.eprintf
-      "unknown experiment %S (expected \
-       table1|fig1|fig2|fig3|ablation|mitigation|micro|lint|bounds|domains|spg|macro|check|check_par|shard)\n"
-      other;
+      "unknown experiment %S (expected table1|fig1|fig2|fig3|ablation|mitigation)\n" other;
     exit 2
 
-let all =
-  [
-    "table1"; "fig1"; "fig2"; "fig3"; "ablation"; "mitigation"; "micro"; "lint";
-    "bounds"; "domains"; "spg"; "macro"; "check"; "check_par"; "shard";
-  ]
-
-(* hand-rolled JSON: two flat sections, no escaping needed beyond labels
-   (which are ASCII without quotes/backslashes) *)
-let write_json path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"micro\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"label\": %S, \"ns_per_run\": %.2f, \
-            \"minor_words_per_run\": %.2f}%s\n"
-           r.Micro.key r.Micro.label r.Micro.ns_per_run r.Micro.minor_words_per_run
-           (if i = List.length (Atomic.get micro_results) - 1 then "" else ",")))
-    (Atomic.get micro_results);
-  Buffer.add_string buf "  ]";
-  (match (Atomic.get trace_cmp) with
-  | Some (off, on) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"fig1_trace\": {\"trace_off_tput\": %.2f, \"trace_on_tput\": %.2f, \
-          \"ratio\": %.4f}"
-         off on (on /. off))
-  | None -> ());
-  let macro_fields r =
-    Printf.sprintf
-      "{\"tput_ops_s\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f, \"leader_cpu\": \
-       %.4f, \"mean_batch\": %.2f, \"fsyncs_per_op\": %.4f, \"shed_rate\": %.4f}"
-      r.mr_tput r.mr_p50 r.mr_p99 r.mr_cpu r.mr_mean_batch r.mr_fsyncs_per_op
-      r.mr_shed_rate
-  in
-  (match (Atomic.get macro_stats) with
-  | Some r -> Buffer.add_string buf (",\n  \"fig1_macro\": " ^ macro_fields r)
-  | None -> ());
-  (match (Atomic.get macro_nobatch_stats) with
-  | Some r -> Buffer.add_string buf (",\n  \"fig1_macro_nobatch\": " ^ macro_fields r)
-  | None -> ());
-  (match (Atomic.get lint_stats) with
-  | Some (files, ms, findings) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"lint\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d}" files ms
-         findings)
-  | None -> ());
-  (match (Atomic.get bounds_stats) with
-  | Some (files, ms, findings, certs) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"bounds\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d, \
-          \"certificates\": %d}"
-         files ms findings certs)
-  | None -> ());
-  (match (Atomic.get domains_stats) with
-  | Some (files, ms, findings, cells, unsafe) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"domains\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d, \
-          \"cells\": %d, \"unsafe\": %d}"
-         files ms findings cells unsafe)
-  | None -> ());
-  (match (Atomic.get spg_stats) with
-  | Some (files, ms, findings, waits, edges) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"spg\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d, \
-          \"wait_sites\": %d, \"edges\": %d}"
-         files ms findings waits edges)
-  | None -> ());
-  (match (Atomic.get check_stats) with
-  | Some (schedules, pruned, ms, findings) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"check_smoke\": {\"schedules\": %d, \"pruned\": %d, \"wall_ms\": %.2f, \
-          \"findings\": %d%s}"
-         schedules pruned ms findings
-         (match (Atomic.get nofeed_stats) with
-         | Some (s0, p0) ->
-           Printf.sprintf ", \"schedules_nofeed\": %d, \"pruned_nofeed\": %d" s0 p0
-         | None -> ""))
-  | None -> ());
-  (match Atomic.get check_par_stats with
-  | [] -> ()
-  | rows ->
-    let base = match rows with (_, _, ms) :: _ -> ms | [] -> 0.0 in
-    List.iter
-      (fun (jobs, schedules, ms) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             ",\n  \"check_par_%d\": {\"jobs\": %d, \"schedules\": %d, \"wall_ms\": \
-              %.2f, \"speedup\": %.3f}"
-             jobs jobs schedules ms
-             (if ms > 0.0 then base /. ms else 0.0)))
-      rows);
-  (match Atomic.get shard_stats with
-  | [] -> ()
-  | rows ->
-    let base = match rows with (_, ms, _, _, _) :: _ -> ms | [] -> 0.0 in
-    List.iter
-      (fun (jobs, ms, ops, tput, p99) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             ",\n  \"fig1_macro_domains_%d\": {\"jobs\": %d, \"wall_ms\": %.2f, \
-              \"ops\": %d, \"tput_ops_s\": %.2f, \"p99_ms\": %.2f, \"speedup\": %.3f}"
-             jobs jobs ms ops tput p99
-             (if ms > 0.0 then base /. ms else 0.0)))
-      rows);
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let all = [ "table1"; "fig1"; "fig2"; "fig3"; "ablation"; "mitigation" ]
 
 let () =
   let quick = ref false in
-  let json = ref false in
   let names = ref [] in
-  let spec =
-    [
-      ("--quick", Arg.Set quick, " use small parameters (CI-friendly)");
-      ("--json", Arg.Set json, " write BENCH_core.json (micro + fig1 trace probe)");
-    ]
-  in
-  Arg.parse spec (fun a -> names := a :: !names) "bench/main.exe [--quick] [--json] [experiment...]";
+  let spec = [ ("--quick", Arg.Set quick, " use small parameters (CI-friendly)") ] in
+  Arg.parse spec (fun a -> names := a :: !names) "bench/main.exe [--quick] [experiment...]";
   let names = if !names = [] then all else List.rev !names in
-  List.iter (run_experiment ~json:!json !quick) names;
-  if !json then write_json "BENCH_core.json"
+  List.iter (run_experiment !quick) names

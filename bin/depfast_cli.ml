@@ -4,7 +4,7 @@
 
      dune exec bin/depfast_cli.exe -- run --nodes 3 --clients 64 \
          --fault cpu-slow --seconds 5
-     dune exec bin/depfast_cli.exe -- spg --shards 3
+     dune exec bin/depfast_cli.exe -- spg [--dot]
      dune exec bin/depfast_cli.exe -- faults
 *)
 
@@ -71,10 +71,8 @@ let run_cmd =
 (* ---- spg ---- *)
 
 let spg_cmd =
-  let shards = Arg.(value & opt int 3 & info [ "shards" ] ~doc:"Raft groups (3 replicas each).") in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Print Graphviz only.") in
-  let action shards dot =
-    ignore shards;
+  let action dot =
     let r = Harness.Fig2.run () in
     if dot then print_string r.Harness.Fig2.dot
     else begin
@@ -85,7 +83,7 @@ let spg_cmd =
   in
   Cmd.v
     (Cmd.info "spg" ~doc:"Record a trace and print the slowness propagation graph.")
-    Term.(const action $ shards $ dot)
+    Term.(const action $ dot)
 
 (* ---- faults ---- *)
 

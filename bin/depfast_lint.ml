@@ -23,18 +23,6 @@ let usage =
   "usage: depfast_lint [--quiet] [--strict] [--interproc] [--bounds] [--domains] \
    [--spg] [--format text|json] [--rules] [path ...]"
 
-let rec walk path acc =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if entry = "_build" || entry = ".git" then acc
-           else walk (Filename.concat path entry) acc)
-         acc
-  else if Filename.check_suffix path ".ml" && not (Filename.check_suffix path ".pp.ml") then
-    path :: acc
-  else acc
-
 let () =
   let quiet = ref false in
   let strict = ref false in
@@ -92,7 +80,7 @@ let () =
     Printf.eprintf "depfast_lint: no such path: %s\n" (String.concat ", " missing);
     exit 2
   end;
-  let files = List.rev (List.fold_left (fun acc p -> walk p acc) [] roots) in
+  let files = Analysis.Source_lint.ml_files roots in
   (* each finding is tagged with its originating pass; identical findings
      reported by more than one pass are deduplicated, first pass wins *)
   let tagged =

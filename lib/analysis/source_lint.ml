@@ -569,3 +569,18 @@ let lint_file path =
   let src = really_input_string ic len in
   close_in ic;
   lint_string ~path src
+
+let ml_files roots =
+  let rec walk acc path =
+    if Sys.is_directory path then
+      Sys.readdir path |> Array.to_list |> List.sort compare
+      |> List.fold_left
+           (fun acc entry ->
+             if entry = "_build" || entry = ".git" then acc
+             else walk acc (Filename.concat path entry))
+           acc
+    else if Filename.check_suffix path ".ml" && not (Filename.check_suffix path ".pp.ml") then
+      path :: acc
+    else acc
+  in
+  List.rev (List.fold_left walk [] roots)

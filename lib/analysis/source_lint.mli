@@ -37,6 +37,13 @@ val lint_string : ?path:string -> string -> Finding.t list
 
 val lint_file : string -> Finding.t list
 
+val ml_files : string list -> string list
+(** The [.ml] sources under the given paths, in order: each directory
+    is walked depth-first with its entries sorted, skipping [_build] and
+    [.git] and the generated [.pp.ml] files; a path naming a file is
+    kept if it is an [.ml] source. Every static-pass front end walks
+    the tree through this. *)
+
 (** {2 Token-stream toolkit}
 
     Shared with the interprocedural pass ({!Interproc}); stable only

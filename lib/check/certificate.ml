@@ -74,19 +74,8 @@ let read_file path =
   close_in ic;
   src
 
-let rec walk acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if entry = "_build" || entry = ".git" then acc
-           else walk acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
 let build ~roots () =
-  let files = List.rev (List.fold_left walk [] roots) in
+  let files = Analysis.Source_lint.ml_files roots in
   let sources = List.map (fun p -> (p, read_file p)) files in
   let bounds_findings, _certs = Analysis.Bounds.analyze_sources sources in
   let domains_findings, _dcerts, footprints = Analysis.Domains.analyze_sources sources in

@@ -14,9 +14,10 @@
 type t
 
 val build : roots:string list -> unit -> t
-(** Walk the given directories for [.ml] files (skipping [_build] and
-    [.git]), run the static passes (including {!Analysis.Bounds} and
-    {!Analysis.Domains}), and record per-file verdicts plus the per-file
+(** Walk the given directories for [.ml] sources
+    ({!Analysis.Source_lint.ml_files}), run the static passes
+    (including {!Analysis.Bounds} and {!Analysis.Domains}), and record
+    per-file verdicts plus the per-file
     effect footprints feeding {!independent}. *)
 
 val of_findings :

@@ -1,9 +1,8 @@
-(* Domain-pool plumbing shared by the parallel explorer and the
-   per-domain Raft shard pool: job sizing, a scatter/join helper, a
-   blocking gate for idle workers (spinning wastes whole timeslices on
-   small boxes), and a reusable generation barrier for quantum-stepped
-   simulations. Everything here is instance state owned by the caller;
-   the module keeps no top-level mutable cells. *)
+(* Domain-pool plumbing for the parallel explorer: job sizing, a
+   scatter/join helper, and a blocking gate for idle workers (spinning
+   wastes whole timeslices on small boxes). Everything here is instance
+   state owned by the caller; the module keeps no top-level mutable
+   cells. *)
 
 let default_cap = 8
 
@@ -65,38 +64,4 @@ module Gate = struct
       Condition.wait g.c g.m
     done;
     Mutex.unlock g.m
-end
-
-module Barrier = struct
-  (* Classic generation barrier: the last arrival flips the generation
-     and wakes everyone; earlier arrivals sleep on the old generation so
-     reuse across rounds is safe. Returns whether this arrival was the
-     one that tripped the barrier. *)
-  type t = {
-    m : Mutex.t;
-    c : Condition.t;
-    parties : int;
-    mutable waiting : int;
-    mutable gen : int;
-  }
-
-  let create parties =
-    { m = Mutex.create (); c = Condition.create (); parties; waiting = 0; gen = 0 }
-
-  let wait b =
-    Mutex.lock b.m;
-    let g = b.gen in
-    b.waiting <- b.waiting + 1;
-    let tripped = b.waiting = b.parties in
-    if tripped then begin
-      b.waiting <- 0;
-      b.gen <- b.gen + 1;
-      Condition.broadcast b.c
-    end
-    else
-      while b.gen = g do
-        Condition.wait b.c b.m
-      done;
-    Mutex.unlock b.m;
-    tripped
 end

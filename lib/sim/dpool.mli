@@ -1,6 +1,6 @@
-(** Domain-pool plumbing for the parallel explorer and the Raft shard
-    pool: job sizing, scatter/join, a blocking wakeup gate, and a
-    generation barrier. No top-level mutable state. *)
+(** Domain-pool plumbing for the parallel explorer: job sizing,
+    scatter/join, and a blocking wakeup gate. No top-level mutable
+    state. *)
 
 val recommended_jobs : ?cap:int -> unit -> int
 (** Pool size: [Domain.recommended_domain_count ()] overridden by the
@@ -32,19 +32,4 @@ module Gate : sig
   val await : t -> seen:int -> unit
   (** Sleep until the epoch differs from [seen]; returns immediately if
       it already does. *)
-end
-
-(** Reusable generation barrier for quantum-stepped parallel
-    simulation: all parties run a quantum, meet, one merges cross-shard
-    state, all meet again, repeat. *)
-module Barrier : sig
-  type t
-
-  val create : int -> t
-  (** [create parties] — every round needs exactly [parties] waiters. *)
-
-  val wait : t -> bool
-  (** Block until all parties arrive. Returns [true] on the single
-      arrival that tripped the barrier this round (any party may be
-      the one), [false] on the rest. *)
 end

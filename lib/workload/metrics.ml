@@ -25,45 +25,6 @@ let fsyncs_per_op t =
   if t.completed = 0 then 0.0
   else float_of_int t.leader_fsyncs /. float_of_int t.completed
 
-(* Cross-domain aggregation: one report for a workload whose shards ran
-   on separate domains. Counters sum; histograms merge exactly
-   (bucket-wise, [Hist.merge]); the window is the longest shard window
-   (shards run concurrently, not back to back); utilization is weighted
-   by completed ops so idle shards don't dilute a hot leader. *)
-let merge = function
-  | [] ->
-    {
-      duration = 0;
-      completed = 0;
-      failed = 0;
-      shed = 0;
-      latency = Sim.Hist.create ();
-      leader_utilization = 0.0;
-      leader_crashed = false;
-      leader_fsyncs = 0;
-    }
-  | first :: rest as all ->
-    let total = List.fold_left (fun a m -> a + m.completed) 0 all in
-    let weighted =
-      List.fold_left
-        (fun a m -> a +. (m.leader_utilization *. float_of_int m.completed))
-        0.0 all
-    in
-    List.fold_left
-      (fun acc m ->
-        {
-          duration = max acc.duration m.duration;
-          completed = acc.completed + m.completed;
-          failed = acc.failed + m.failed;
-          shed = acc.shed + m.shed;
-          latency = Sim.Hist.merge acc.latency m.latency;
-          leader_utilization =
-            (if total = 0 then 0.0 else weighted /. float_of_int total);
-          leader_crashed = acc.leader_crashed || m.leader_crashed;
-          leader_fsyncs = acc.leader_fsyncs + m.leader_fsyncs;
-        })
-      first rest
-
 let ratio a b = if b = 0.0 then 0.0 else a /. b
 
 let normalize t ~baseline =

@@ -26,14 +26,6 @@ val fsyncs_per_op : t -> float
 (** Leader fsyncs per completed op — below 1 means group commit is
     amortizing durability across batched commands. *)
 
-val merge : t list -> t
-(** Aggregate per-domain (per-shard) reports into one: counters and
-    fsyncs sum, latency histograms merge exactly ({!Sim.Hist.merge} is
-    bucket-wise, so merging equals re-recording the concatenated
-    samples), [duration] is the longest window (shards run
-    concurrently), utilization is weighted by completed ops, and
-    [leader_crashed] is true if any shard's leader crashed. *)
-
 val normalize : t -> baseline:t -> float * float * float
 (** [(throughput, mean latency, p99 latency)] of [t] relative to
     [baseline] — the Figure 1 normalization. *)

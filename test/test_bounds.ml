@@ -134,19 +134,10 @@ let test_capped_backoff_retry_certified () =
    the pooled Net outbox rings certify clean, and the library violates
    none of its own bounds rules — lib/check included *)
 
-let rec ml_files_under dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.concat_map (fun name ->
-         let p = Filename.concat dir name in
-         if Sys.is_directory p then ml_files_under p
-         else if Filename.check_suffix name ".ml" && not (Filename.check_suffix name ".pp.ml")
-         then [ p ]
-         else [])
-
 let tree () =
   match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
   | None -> None (* sources not materialized in this sandbox *)
-  | Some root -> Some (B.analyze_files (List.sort compare (ml_files_under root)))
+  | Some root -> Some (B.analyze_files (Analysis.Source_lint.ml_files [ root ]))
 
 let flagged_in fs suffix =
   List.exists

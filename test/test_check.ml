@@ -168,6 +168,46 @@ let test_broken_fixture_needs_exploration () =
   check_bool "and the degenerate rewiring" true
     (has_rule F.dynamic_red_wait res.E.findings)
 
+let tree_certs =
+  lazy
+    (match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
+    | None -> None (* sources not materialized in this sandbox *)
+    | Some root -> Some (Check.Certificate.build ~roots:[ root ] ()))
+
+(* the source walker behind every static front end: sorted, no build
+   or VCS directories, and no generated .pp.ml files. The test sandbox's
+   ../lib holds ppx output (marshalled ASTs, not source) next to the
+   sources, and a certificate built over it must not lex them. *)
+let test_walker_skips_generated () =
+  let dir = Filename.temp_dir "walker" "" in
+  let touch rel =
+    let p = Filename.concat dir rel in
+    if not (Sys.file_exists (Filename.dirname p)) then Sys.mkdir (Filename.dirname p) 0o755;
+    close_out (open_out p);
+    p
+  in
+  let made = List.map touch [ "b.ml"; "a/x.ml"; "_build/y.ml"; ".git/z.ml"; "c.pp.ml"; "d.mli" ] in
+  let found = Analysis.Source_lint.ml_files [ dir ] in
+  List.iter Sys.remove made;
+  List.iter (fun d -> Sys.rmdir (Filename.concat dir d)) [ "a"; "_build"; ".git" ];
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "sources only, in sorted walk order"
+    [ Filename.concat dir "a/x.ml"; Filename.concat dir "b.ml" ]
+    found;
+  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
+  | None -> ()
+  | Some root ->
+    let files = Analysis.Source_lint.ml_files [ root ] in
+    check_bool "tree walk sorted" true (files = List.sort compare files);
+    check_bool "no _build entries" false
+      (List.exists (fun p -> List.mem "_build" (String.split_on_char '/' p)) files);
+    (match Lazy.force tree_certs with
+    | None -> ()
+    | Some t ->
+      check_bool "sources covered" true (Check.Certificate.covered t "lib/raft/kv.ml");
+      check_bool "generated kv.pp.ml not lexed as source" false
+        (Check.Certificate.covered t "lib/raft/kv.pp.ml"))
+
 let test_certificate_mismatch_on_broken_fixture () =
   (* the fixture's waits are quorum-shaped, so the static passes (and
      hence the certificate) hold the file clean; dynamic evidence to the
@@ -198,12 +238,6 @@ let test_flagged_file_is_not_clean () =
    what the serial explorer reports — same schedule and prune totals,
    same findings in the same order — at every domain count, certificates
    included (ISSUE 9 tentpole contract) *)
-
-let tree_certs =
-  lazy
-    (match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-    | None -> None (* sources not materialized in this sandbox *)
-    | Some root -> Some (Check.Certificate.build ~roots:[ root ] ()))
 
 let check_parallel_matches_serial ?(schedules = 300) name () =
   let sc = scenario name in
@@ -311,6 +345,8 @@ let suite =
         Alcotest.test_case "mismatch on broken fixture" `Quick
           test_certificate_mismatch_on_broken_fixture;
         Alcotest.test_case "flagged file not clean" `Quick test_flagged_file_is_not_clean;
+        Alcotest.test_case "walker skips generated sources" `Quick
+          test_walker_skips_generated;
       ] );
     ( "check.multicore",
       [

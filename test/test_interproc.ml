@@ -174,20 +174,11 @@ let test_red_wait_via_argument () =
 (* ------------------------------------------------------------------ *)
 (* self-lint: the library must hold itself to the whole-project rules *)
 
-let rec ml_files_under dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.concat_map (fun name ->
-         let p = Filename.concat dir name in
-         if Sys.is_directory p then ml_files_under p
-         else if Filename.check_suffix name ".ml" && not (Filename.check_suffix name ".pp.ml")
-         then [ p ]
-         else [])
-
 let test_self_lint () =
   match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
   | None -> ()  (* sources not materialized in this sandbox: nothing to check *)
   | Some root ->
-    let files = List.sort compare (ml_files_under root) in
+    let files = Analysis.Source_lint.ml_files [ root ] in
     check_bool "found the library sources" true (List.length files > 10);
     let fs = IP.analyze_files files in
     let bad = F.gating ~strict:true fs in

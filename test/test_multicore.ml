@@ -1,8 +1,7 @@
-(* Tests for the multicore scale-out layer (ISSUE 9): the Chase–Lev
-   work-stealing deque (sequential contracts plus real steal/push/pop
-   races across domains), the domain-pool plumbing, exact histogram and
-   metrics merging, and the per-domain Raft shard pool's determinism in
-   the domain count. *)
+(* Tests for the multicore layer under the parallel explorer: the
+   Chase–Lev work-stealing deque (sequential contracts plus real
+   steal/push/pop races across domains), the domain-pool plumbing, and
+   exact histogram merging. *)
 
 module W = Sim.Wsq
 module P = Sim.Dpool
@@ -157,68 +156,6 @@ let test_hist_merge_concat =
            (fun q -> Sim.Hist.quantile merged q = Sim.Hist.quantile concat q)
            [ 0.0; 0.5; 0.9; 0.99; 1.0 ])
 
-let test_metrics_merge () =
-  let mk ~completed ~failed ~shed ~util ~fsyncs ~lat ~dur =
-    {
-      Workload.Metrics.duration = dur;
-      completed;
-      failed;
-      shed;
-      latency = hist_of lat;
-      leader_utilization = util;
-      leader_crashed = false;
-      leader_fsyncs = fsyncs;
-    }
-  in
-  let a =
-    mk ~completed:300 ~failed:2 ~shed:1 ~util:0.9 ~fsyncs:60
-      ~lat:[ 1000; 2000; 3000 ] ~dur:(Sim.Time.ms 500)
-  in
-  let b =
-    mk ~completed:100 ~failed:0 ~shed:3 ~util:0.1 ~fsyncs:40 ~lat:[ 9000 ]
-      ~dur:(Sim.Time.ms 400)
-  in
-  let m = Workload.Metrics.merge [ a; b ] in
-  check_int "ops sum" 400 m.Workload.Metrics.completed;
-  check_int "failures sum" 2 m.Workload.Metrics.failed;
-  check_int "sheds sum" 4 m.Workload.Metrics.shed;
-  check_int "fsyncs sum" 100 m.Workload.Metrics.leader_fsyncs;
-  check_int "window is the longest shard window (concurrent shards)"
-    (Sim.Time.ms 500) m.Workload.Metrics.duration;
-  check_int "latency histogram merged exactly" 4
-    (Sim.Hist.count m.Workload.Metrics.latency);
-  Alcotest.(check (float 1e-9)) "utilization weighted by completed ops" 0.7
-    m.Workload.Metrics.leader_utilization;
-  check_bool "empty merge is the zero report" true
-    ((Workload.Metrics.merge []).Workload.Metrics.completed = 0)
-
-(* ------------------------------------------------------------------ *)
-(* shard pool: per-shard stats are a pure function of the seed and the
-   merged cross-shard traffic — identical on one domain and on two *)
-
-let test_shardpool_deterministic_in_jobs () =
-  let run jobs =
-    Raft.Shardpool.run ~shards:2 ~jobs ~quanta:6 ~clients:2 ~seed:7 ()
-  in
-  let r1 = run 1 in
-  let r2 = run 2 in
-  let show r =
-    r.Raft.Shardpool.r_shards |> Array.to_list
-    |> List.map (fun (s : Raft.Shardpool.stats) ->
-           Printf.sprintf "sh%d ops=%d failed=%d shed=%d out=%d in=%d p99=%d n=%d t=%d"
-             s.Raft.Shardpool.st_shard s.Raft.Shardpool.st_ops
-             s.Raft.Shardpool.st_failed s.Raft.Shardpool.st_shed
-             s.Raft.Shardpool.st_cross_out s.Raft.Shardpool.st_cross_in
-             (Sim.Hist.p99 s.Raft.Shardpool.st_latency)
-             (Sim.Hist.count s.Raft.Shardpool.st_latency)
-             s.Raft.Shardpool.st_time)
-  in
-  check_bool "load actually ran" true (Raft.Shardpool.total_ops r1 > 0);
-  check_bool "cross-shard traffic actually crossed" true
-    (Raft.Shardpool.total_cross r1 > 0);
-  Alcotest.(check (list string)) "per-shard stats identical at jobs=1 and jobs=2"
-    (show r1) (show r2)
-
 let suite =
   [
     ( "multicore.wsq",
@@ -235,14 +172,5 @@ let suite =
         Alcotest.test_case "recommended jobs" `Quick test_recommended_jobs_env;
         Alcotest.test_case "gate epoch" `Quick test_gate_epoch;
       ] );
-    ( "multicore.merge",
-      [
-        QCheck_alcotest.to_alcotest test_hist_merge_concat;
-        Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
-      ] );
-    ( "multicore.shardpool",
-      [
-        Alcotest.test_case "deterministic in jobs" `Quick
-          test_shardpool_deterministic_in_jobs;
-      ] );
+    ("multicore.merge", [ QCheck_alcotest.to_alcotest test_hist_merge_concat ]);
   ]

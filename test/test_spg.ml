@@ -120,20 +120,11 @@ let test_or_timer_escape_clean () =
 (* ------------------------------------------------------------------ *)
 (* the real tree: pins over lib/ *)
 
-let rec ml_files_under dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.concat_map (fun name ->
-         let p = Filename.concat dir name in
-         if Sys.is_directory p then ml_files_under p
-         else if Filename.check_suffix name ".ml" && not (Filename.check_suffix name ".pp.ml")
-         then [ p ]
-         else [])
-
 let tree =
   lazy
     (match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
     | None -> None (* sources not materialized in this sandbox *)
-    | Some root -> Some (S.analyze_files (List.sort compare (ml_files_under root))))
+    | Some root -> Some (S.analyze_files (Analysis.Source_lint.ml_files [ root ])))
 
 let exposure_for exposures base =
   List.find_opt (fun (p, _) -> Filename.basename p = base) exposures
@@ -185,7 +176,7 @@ let test_tree_deterministic_output () =
   match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
   | None -> ()
   | Some root ->
-    let files = List.sort compare (ml_files_under root) in
+    let files = Analysis.Source_lint.ml_files [ root ] in
     let dump () =
       let _, certs, _ = S.analyze_files files in
       String.concat "\n" (List.map G.cert_to_json certs)
