@@ -461,10 +461,11 @@ let compute p =
             match Hashtbl.find_opt summaries callee with
             | None -> ()
             | Some cs ->
-              let before = Summary.fingerprint s in
-              List.iter (Summary.add_read s) cs.Summary.reads;
-              List.iter (Summary.add_write s) cs.Summary.writes;
-              if Summary.fingerprint s <> before then changed := true)
+              let r = Summary.union s.Summary.reads cs.Summary.reads
+              and w = Summary.union s.Summary.writes cs.Summary.writes in
+              if r != s.Summary.reads || w != s.Summary.writes then changed := true;
+              s.Summary.reads <- r;
+              s.Summary.writes <- w)
           (Growth.callees p q))
       summaries
   done;

@@ -27,17 +27,20 @@ let create ~qname ~file ~line ~params =
     writes = [];
   }
 
-let add_wait_param t i =
-  if not (List.mem i t.wait_params) then t.wait_params <- List.sort compare (i :: t.wait_params)
+let rec union a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: xs, y :: ys ->
+    let c = compare x y in
+    if c > 0 then y :: union a ys
+    else
+      let r = union xs (if c = 0 then ys else b) in
+      if r == xs then a else x :: r
 
-let add_acquire t l =
-  if not (List.mem l t.acquires) then t.acquires <- List.sort compare (l :: t.acquires)
-
-let add_read t c =
-  if not (List.mem c t.reads) then t.reads <- List.sort compare (c :: t.reads)
-
-let add_write t c =
-  if not (List.mem c t.writes) then t.writes <- List.sort compare (c :: t.writes)
+let add_wait_param t i = t.wait_params <- union t.wait_params [ i ]
+let add_acquire t l = t.acquires <- union t.acquires [ l ]
+let add_read t c = t.reads <- union t.reads [ c ]
+let add_write t c = t.writes <- union t.writes [ c ]
 
 (* Fingerprint of the mutable facts, for fixpoint change detection. *)
 let fingerprint t = (t.ret, t.suspends, t.wait_params, t.acquires, t.reads, t.writes)

@@ -33,6 +33,9 @@ type t = {
 }
 
 val create : qname:string -> file:string -> line:int -> params:string list -> t
+val union : 'a list -> 'a list -> 'a list
+(** Sorted-set union; the first list itself when the second adds nothing. *)
+
 val add_wait_param : t -> int -> unit
 val add_acquire : t -> string -> unit
 val add_read : t -> string -> unit

@@ -82,6 +82,11 @@ let serve t ~node ~handler =
   attach t node;
   Hashtbl.replace t.handlers (Node.id node) handler
 
+(* completion labels, built once for the small node ids of a cluster *)
+let rpc_labels = Array.init 64 (Printf.sprintf "rpc->%d")
+let label_of dst =
+  if dst >= 0 && dst < Array.length rpc_labels then rpc_labels.(dst) else Printf.sprintf "rpc->%d" dst
+
 let call t ~src ~dst ?bytes body =
   t.next_id <- t.next_id + 1;
   let id = t.next_id in
@@ -98,7 +103,7 @@ let call t ~src ~dst ?bytes body =
     end
   in
   let ev =
-    Depfast.Event.rpc_completion ~label:(Printf.sprintf "rpc->%d" dst) ~peer:dst ()
+    Depfast.Event.rpc_completion ~label:(label_of dst) ~peer:dst ()
   in
   let c = { call_id = id; call_dst = dst; ev; resp = None; done_ = false; release } in
   Hashtbl.replace t.calls id c;

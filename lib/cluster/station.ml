@@ -2,6 +2,8 @@ open Sim
 
 type job = { work : Time.span; event : Depfast.Event.t }
 
+type integral = { mutable busy_integral : float }  (* server-us; all-float, so unboxed *)
+
 type t = {
   sched : Depfast.Sched.t;
   name : string;
@@ -11,7 +13,7 @@ type t = {
   queue : job Queue.t;
   mutable busy : int;
   (* utilization accounting *)
-  mutable busy_integral : float;  (* server-microseconds *)
+  acc : integral;
   mutable last_change : Time.t;
   mutable window_start : Time.t;
   mutable completed : int;
@@ -27,7 +29,7 @@ let create sched ?(servers = 1) ~name () =
     penalty = (fun () -> 1.0);
     queue = Queue.create ();
     busy = 0;
-    busy_integral = 0.0;
+    acc = { busy_integral = 0.0 };
     last_change = now;
     window_start = now;
     completed = 0;
@@ -45,7 +47,7 @@ let engine t = Depfast.Sched.engine t.sched
 
 let account t =
   let now = Engine.now (engine t) in
-  t.busy_integral <- t.busy_integral +. (float_of_int t.busy *. float_of_int (Time.diff now t.last_change));
+  t.acc.busy_integral <- t.acc.busy_integral +. (float_of_int t.busy *. float_of_int (Time.diff now t.last_change));
   t.last_change <- now
 
 let rec start_job t job =
@@ -76,11 +78,11 @@ let utilization t =
   account t;
   let window = Time.diff t.last_change t.window_start in
   if window <= 0 then 0.0
-  else t.busy_integral /. (float_of_int t.servers *. float_of_int window)
+  else t.acc.busy_integral /. (float_of_int t.servers *. float_of_int window)
 
 let reset_stats t =
   account t;
-  t.busy_integral <- 0.0;
+  t.acc.busy_integral <- 0.0;
   t.window_start <- t.last_change;
   t.completed <- 0
 

@@ -39,6 +39,8 @@ val id : t -> int
 val kind : t -> kind
 val label : t -> string
 
+val dummy : t (** An already-fired placeholder (id 0) for empty slots. *)
+
 val signal : ?label:string -> unit -> t
 (** A basic event, fired later by whoever created it. *)
 

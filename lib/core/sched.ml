@@ -1,7 +1,5 @@
 open Sim
 
-type ctx = { cid : int; node : int; name : string }
-
 (* Runtime observation hooks for the schedule-space sanitizer (lib/check):
    coroutine lifecycle and the park/wake/resume protocol around every wait.
    [None] in steady state — each call site pays one match. *)
@@ -17,44 +15,82 @@ type monitor = {
   on_done : cid:int -> unit;  (** the body returned *)
 }
 
+type outcome = Ready | Timed_out
+
+(* A coroutine and its parking slot: it parks on at most one event, so the
+   tag and the resume thunk are built at spawn and every wait reuses the
+   slot. [park_gen] counts ended parks; a park's wakeups carry its value and
+   the first to run bumps it, so a later one (the loser of fire vs timeout,
+   a cancelled timer explore mode hoisted, a fire of an event an earlier
+   park timed out on) is a no-op. *)
+type ctx = {
+  cid : int;
+  node : int;
+  name : string;
+  tag : Engine.tag;
+  resume_ready : unit -> unit;
+  mutable park_ev : Event.t;
+  mutable park_span : Time.span;  (* -1 = untimed *)
+  mutable park_start : Time.t;
+  mutable park_k : (outcome, unit) Effect.Deep.continuation;
+  mutable park_timer : Engine.timer option;
+  mutable park_gen : int;
+}
+
 type t = {
   engine : Engine.t;
   trace_rec : Trace.t;
-  mutable current : ctx option;
+  mutable current : ctx;  (* [no_ctx] outside coroutines *)
   mutable next_cid : int;
   mutable monitor : monitor option;
+  wake : ctx -> unit;  (* builds each coroutine's resume thunk *)
+  mutable coro_handler : (unit, unit) Effect.Deep.handler;  (* built at the first spawn *)
 }
 
-type outcome = Ready | Timed_out
-
 type _ Effect.t +=
-  | E_wait : (t * Event.t * Time.span option) -> outcome Effect.t
-  | E_sleep : (t * Time.span) -> unit Effect.t
-  | E_yield : t -> unit Effect.t
+  | E_park : outcome Effect.t  (* the running coroutine's slot holds the wait *)
+  | E_sleep : Time.span -> unit Effect.t
+  | E_yield : unit Effect.t
 
-let create ?trace engine =
-  let trace_rec = match trace with Some tr -> tr | None -> Trace.create () in
-  { engine; trace_rec; current = None; next_cid = 0; monitor = None }
+(* a never-resumed continuation: what an empty slot holds, so no option box *)
+let no_k : (outcome, unit) Effect.Deep.continuation =
+  let got : (outcome, unit) Effect.Deep.continuation option ref = ref None in
+  let effc (type a) (e : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option =
+    match e with E_park -> Some (fun k -> got := Some k) | _ -> None
+  in
+  Effect.Deep.match_with (fun () -> ignore (Effect.perform E_park)) () { retc = ignore; exnc = raise; effc };
+  Option.get !got
+
+let make_ctx ~cid ~node ~name resume_ready =
+  let rec ctx =
+    { cid; node; name; tag = Engine.Coro (cid, node); resume_ready = (fun () -> resume_ready ctx);
+      park_ev = Event.dummy; park_span = -1; park_start = Time.zero; park_k = no_k;
+      park_timer = None; park_gen = 0 }
+  in
+  ctx
+
+let no_ctx = make_ctx ~cid:0 ~node:(-1) ~name:"" ignore
+let no_handler : (unit, unit) Effect.Deep.handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let engine t = t.engine
 let trace t = t.trace_rec
 let now t = Engine.now t.engine
 let set_monitor t m = t.monitor <- m
-
-let current_node t = match t.current with Some c -> c.node | None -> -1
-let current_coroutine t = match t.current with Some c -> c.name | None -> ""
+let current_node t = t.current.node
+let current_coroutine t = t.current.name
 
 let resume : type a. t -> ctx -> (a, unit) Effect.Deep.continuation -> a -> unit =
  fun t ctx k v ->
   let saved = t.current in
-  t.current <- Some ctx;
+  t.current <- ctx;
   Effect.Deep.continue k v;
   t.current <- saved
 
 (* O(1): arity fields are counters on the event, and peer/staller analysis
    is deferred to whoever consumes the record (Trace is lazy) *)
-let record_wait t ctx ev ~t_start ~outcome =
+let record_wait t ctx ~outcome =
   if Trace.is_enabled t.trace_rec then
+    let ev = ctx.park_ev in
     let k, n =
       match Event.kind ev with
       | Event.Quorum | Event.And_ | Event.Or_ ->
@@ -69,118 +105,112 @@ let record_wait t ctx ev ~t_start ~outcome =
         event = ev;
         quorum_k = k;
         quorum_n = n;
-        t_start;
+        t_start = ctx.park_start;
         t_end = now t;
         outcome = (match outcome with Ready -> Trace.Ready | Timed_out -> Trace.Timed_out);
         stallers_memo = None;
       }
 
-let rec spawn_ctx t ctx f =
-  (match t.monitor with
-  | Some m -> m.on_spawn ~cid:ctx.cid ~node:ctx.node ~name:ctx.name
-  | None -> ());
-  Engine.post_tag t.engine (Engine.Coro (ctx.cid, ctx.node)) (fun () ->
-      let open Effect.Deep in
-      let saved = t.current in
-      t.current <- Some ctx;
-      match_with f ()
-        {
-          retc =
-            (fun () ->
-              match t.monitor with Some m -> m.on_done ~cid:ctx.cid | None -> ());
-          exnc = (fun e -> raise e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | E_wait (st, ev, timeout) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    wait_impl st ctx ev timeout k;
-                    st.current <- None)
-              | E_sleep (st, d) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    ignore
-                      (Engine.schedule_tag st.engine ~delay:d
-                         (Engine.Coro (ctx.cid, ctx.node)) (fun () ->
-                           resume st ctx k ()));
-                    st.current <- None)
-              | E_yield st ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    Engine.post_tag st.engine
-                      (Engine.Coro (ctx.cid, ctx.node))
-                      (fun () -> resume st ctx k ());
-                    st.current <- None)
-              | _ -> None);
-        };
-      t.current <- saved)
+let resume_ready t ctx =
+  (match t.monitor with Some m -> m.on_resume ~cid:ctx.cid | None -> ());
+  record_wait t ctx ~outcome:Ready;
+  resume t ctx ctx.park_k Ready
 
-and wait_impl :
-    t -> ctx -> Event.t -> Time.span option -> (outcome, unit) Effect.Deep.continuation -> unit
-    =
- fun t ctx ev timeout k ->
-  let t_start = now t in
-  if Event.is_ready ev then begin
-    record_wait t ctx ev ~t_start ~outcome:Ready;
+(* only the generation-stamped wakeup closures are built per park *)
+let park t ctx k =
+  ctx.park_start <- now t;
+  if Event.is_ready ctx.park_ev then begin
+    record_wait t ctx ~outcome:Ready;
     resume t ctx k Ready
   end
   else begin
     (match t.monitor with
-    | Some m -> m.on_park ~cid:ctx.cid ~node:ctx.node ~name:ctx.name ev
+    | Some m -> m.on_park ~cid:ctx.cid ~node:ctx.node ~name:ctx.name ctx.park_ev
     | None -> ());
-    let resumed = ref false in
-    let timer_h = ref None in
-    Event.on_fire ev (fun () ->
-        if not !resumed then begin
-          resumed := true;
-          (match !timer_h with Some h -> Engine.cancel t.engine h | None -> ());
+    ctx.park_k <- k;
+    let gen = ctx.park_gen in
+    Event.on_fire ctx.park_ev (fun () ->
+        if ctx.park_gen = gen then begin
+          ctx.park_gen <- gen + 1;
+          (match ctx.park_timer with Some h -> Engine.cancel t.engine h | None -> ());
+          ctx.park_timer <- None;
           (match t.monitor with
-          | Some m -> m.on_wake ~cid:ctx.cid ev Wake_fire
+          | Some m -> m.on_wake ~cid:ctx.cid ctx.park_ev Wake_fire
           | None -> ());
-          Engine.post_tag t.engine
-            (Engine.Coro (ctx.cid, ctx.node))
-            (fun () ->
-              (match t.monitor with Some m -> m.on_resume ~cid:ctx.cid | None -> ());
-              record_wait t ctx ev ~t_start ~outcome:Ready;
-              resume t ctx k Ready)
+          Engine.post_tag t.engine ctx.tag ctx.resume_ready
         end);
-    match timeout with
-    | None -> ()
-    | Some d ->
-      if not !resumed then
-        timer_h :=
-          Some
-            (Engine.schedule_tag t.engine ~delay:d
-               (Engine.Coro (ctx.cid, ctx.node))
-               (fun () ->
-                 if not !resumed then begin
-                   resumed := true;
-                   (match t.monitor with
-                   | Some m ->
-                     m.on_wake ~cid:ctx.cid ev Wake_timeout;
-                     m.on_resume ~cid:ctx.cid
-                   | None -> ());
-                   record_wait t ctx ev ~t_start ~outcome:Timed_out;
-                   resume t ctx k Timed_out
-                 end))
+    if ctx.park_span >= 0 then
+      let on_timeout () =
+        if ctx.park_gen = gen then begin
+          ctx.park_gen <- gen + 1;
+          ctx.park_timer <- None;
+          (match t.monitor with
+          | Some m ->
+            m.on_wake ~cid:ctx.cid ctx.park_ev Wake_timeout;
+            m.on_resume ~cid:ctx.cid
+          | None -> ());
+          record_wait t ctx ~outcome:Timed_out;
+          resume t ctx ctx.park_k Timed_out
+        end
+      in
+      ctx.park_timer <- Some (Engine.schedule_tag t.engine ~delay:ctx.park_span ctx.tag on_timeout)
   end
 
+(* one handler serves every coroutine of [t]: it runs while [current] is
+   the coroutine that performed the effect (or returned) *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
+  let on_park = Some (fun k -> park t t.current k) in
+  {
+    retc = (fun () -> match t.monitor with Some m -> m.on_done ~cid:t.current.cid | None -> ());
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+        let ctx = t.current in
+        match eff with
+        | E_park -> on_park
+        | E_sleep d ->
+          Some (fun k ->
+            ignore (Engine.schedule_tag t.engine ~delay:d ctx.tag (fun () -> resume t ctx k ())))
+        | E_yield -> Some (fun k -> Engine.post_tag t.engine ctx.tag (fun () -> resume t ctx k ()))
+        | _ -> None);
+  }
+
+let create ?trace engine =
+  let trace_rec = match trace with Some tr -> tr | None -> Trace.create () in
+  let rec t =
+    { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None;
+      wake = (fun ctx -> resume_ready t ctx); coro_handler = no_handler }
+  in
+  t
+
 let spawn t ?(node = -1) ?(name = "coroutine") f =
+  if t.coro_handler == no_handler then t.coro_handler <- make_handler t;
   t.next_cid <- t.next_cid + 1;
-  spawn_ctx t { cid = t.next_cid; node; name } f
+  let ctx = make_ctx ~cid:t.next_cid ~node ~name t.wake in
+  (match t.monitor with Some m -> m.on_spawn ~cid:ctx.cid ~node ~name | None -> ());
+  Engine.post_tag t.engine ctx.tag (fun () ->
+      let saved = t.current in
+      t.current <- ctx;
+      Effect.Deep.match_with f () t.coro_handler;
+      t.current <- saved)
 
 let spawn_here t ?name f =
   let node = current_node t in
   let name = match name with Some n -> n | None -> current_coroutine t ^ "/child" in
   spawn t ~node ~name f
 
-let wait t ev =
-  match Effect.perform (E_wait (t, ev, None)) with Ready -> () | Timed_out -> assert false
+(* fill the running coroutine's slot, then suspend on it *)
+let park_current t ev span =
+  let c = t.current in
+  if c == no_ctx then invalid_arg "Sched: wait outside a coroutine";
+  c.park_ev <- ev;
+  c.park_span <- span;
+  Effect.perform E_park
 
-let wait_timeout t ev span = Effect.perform (E_wait (t, ev, Some span))
-let sleep t span = Effect.perform (E_sleep (t, span))
-let yield t = Effect.perform (E_yield t)
+let wait t ev = match park_current t ev (-1) with Ready -> () | Timed_out -> assert false
+let wait_timeout t ev span = park_current t ev (max 0 span)
+let sleep _ span = Effect.perform (E_sleep span)
+let yield _ = Effect.perform E_yield
 
 let timer t span =
   let ev = Event.timer_kind ~label:"timer" () in

@@ -27,6 +27,8 @@ type follower_state = {
   mutable watchers : (index * Depfast.Event.t) list;
 }
 
+type ewma = { mutable commit_latency_ewma : float }  (* us, -1 until first sample; unboxed *)
+
 type t = {
   rpc : rpc;
   node : Cluster.Node.t;
@@ -52,7 +54,7 @@ type t = {
   work_cv : Depfast.Condvar.t;
   commit_cv : Depfast.Condvar.t;
   mutable epoch : int;  (* bumped on every role/term transition *)
-  mutable commit_latency_ewma : float;  (* us; -1 until first sample *)
+  ewma : ewma;
   mutable wal_done_index : index;  (* highest locally durable log index *)
   mutable rounds_inflight : int;  (* pipelined replication rounds *)
   round_cv : Depfast.Condvar.t;
@@ -460,9 +462,9 @@ let fire_reply t p value =
   p.p_value <- value;
   p.p_ok <- true;
   let lat = float_of_int (Time.diff (now t) p.p_t0) in
-  t.commit_latency_ewma <-
-    (if t.commit_latency_ewma < 0.0 then lat
-     else (0.95 *. t.commit_latency_ewma) +. (0.05 *. lat));
+  t.ewma.commit_latency_ewma <-
+    (if t.ewma.commit_latency_ewma < 0.0 then lat
+     else (0.95 *. t.ewma.commit_latency_ewma) +. (0.05 *. lat));
   Depfast.Event.fire p.p_done
 
 let applier_loop t =
@@ -884,7 +886,7 @@ let create rpc node ~peers ~cfg =
       work_cv = Depfast.Condvar.create ~label:"work" ();
       commit_cv = Depfast.Condvar.create ~label:"commit" ();
       epoch = 0;
-      commit_latency_ewma = -1.0;
+      ewma = { commit_latency_ewma = -1.0 };
       wal_done_index = 0;
       rounds_inflight = 0;
       round_cv = Depfast.Condvar.create ~label:"rounds" ();
@@ -906,7 +908,7 @@ let start t =
 
 let become_leader_now t = if t.role <> Leader then run_election t ~transfer:true
 
-let commit_latency_ewma t = t.commit_latency_ewma
+let commit_latency_ewma t = t.ewma.commit_latency_ewma
 
 (* load gauges — the admission queue's live depth (the check scenarios
    register this with the sanitizer against Config.admission_depth), the

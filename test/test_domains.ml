@@ -143,12 +143,16 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    (* 162 since the shard pool and the domain-pool barrier went: their
-       fields .sh_seq .sh_ops .sh_failed .sh_shed .sh_cross_out
-       .sh_cross_in .waiting .gen, plus Registry.condvar_handshake, a
-       record literal inventoried only because its local [gen] shared a
-       name with the barrier's mutable field *)
-    check_int "every top-level mutable cell carries a certificate" 162
+    (* 169 since the scheduler's per-coroutine parking slot added its six
+       fields .park_ev .park_span .park_start .park_k .park_timer
+       .park_gen, and the scheduler's shared effect handler its field
+       .coro_handler; 162 before, after the shard pool and the domain-pool
+       barrier went: their fields .sh_seq .sh_ops .sh_failed .sh_shed
+       .sh_cross_out .sh_cross_in .waiting .gen, plus
+       Registry.condvar_handshake, a record literal inventoried only
+       because its local [gen] shared a name with the barrier's mutable
+       field *)
+    check_int "every top-level mutable cell carries a certificate" 169
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"

@@ -370,6 +370,118 @@ let test_audit_dedup_escape_hatch () =
   check_int "raw list keeps every occurrence" 3 (List.length raw);
   List.iter (fun v -> check_int "raw entries count 1 each" 1 v.Spg.v_count) raw
 
+(* ------------------------------------------------------------------ *)
+(* the parking slot: one slot per coroutine, reused by every wait; a
+   wakeup stamped with an ended park's generation is a no-op *)
+
+(* a monitor that logs every hook, in order *)
+let logging_monitor s =
+  let log = ref [] in
+  let add x = log := x :: !log in
+  Sched.set_monitor s
+    (Some
+       {
+         Sched.on_spawn = (fun ~cid:_ ~node:_ ~name:_ -> add "spawn");
+         on_park = (fun ~cid:_ ~node:_ ~name:_ _ -> add "park");
+         on_wake =
+           (fun ~cid:_ _ w ->
+             add (match w with Sched.Wake_fire -> "wake:fire" | Sched.Wake_timeout -> "wake:timeout"));
+         on_resume = (fun ~cid:_ -> add "resume");
+         on_done = (fun ~cid:_ -> add "done");
+       });
+  fun () -> List.rev !log
+
+let at s ms f = ignore (Sim.Engine.schedule (Sched.engine s) ~delay:(Sim.Time.ms ms) f)
+
+let test_late_fire_after_timeout_other_event () =
+  let s = make_sched () in
+  let old_ev = Event.signal () and next = Event.signal () in
+  let outcome = ref Sched.Ready and resumed_at = ref (-1) in
+  Sched.spawn s (fun () ->
+      outcome := Sched.wait_timeout s old_ev (Sim.Time.ms 1);
+      Sched.wait s next;
+      resumed_at := Sched.now s);
+  at s 2 (fun () -> Event.fire old_ev);
+  at s 5 (fun () -> Event.fire next);
+  Sched.run s;
+  check_bool "first park timed out" true (!outcome = Sched.Timed_out);
+  check_int "the old event's late fire did not end the new park" (Sim.Time.ms 5) !resumed_at
+
+let test_late_fire_after_timeout_same_event () =
+  (* a condvar generation that nobody broadcast is the same event on the
+     second wait: the first park's stale observer stays registered on it *)
+  let s = make_sched () in
+  let hooks = logging_monitor s in
+  let cv = Condvar.create () in
+  let outcomes = ref [] and resumed_at = ref (-1) in
+  Sched.spawn s (fun () ->
+      let o1 = Condvar.wait_timeout s cv (Sim.Time.ms 1) in
+      let o2 = Condvar.wait_timeout s cv (Sim.Time.ms 10) in
+      outcomes := [ o1; o2 ];
+      resumed_at := Sched.now s);
+  at s 3 (fun () -> Condvar.broadcast cv);
+  Sched.run s;
+  check_bool "timed out, then ready" true (!outcomes = [ Sched.Timed_out; Sched.Ready ]);
+  check_int "resumed by the broadcast" (Sim.Time.ms 3) !resumed_at;
+  Alcotest.(check (list string))
+    "hooks in order, one wakeup per park"
+    [ "spawn"; "park"; "wake:timeout"; "resume"; "park"; "wake:fire"; "resume"; "done" ]
+    (hooks ())
+
+let test_fire_and_timeout_same_instant_explore () =
+  (* with a chooser the fire's timer and the wait's timeout are hoisted
+     into one choice set, and the loser still runs: either order must
+     resume the coroutine exactly once *)
+  let run_with choose =
+    let engine = Sim.Engine.create () in
+    Sim.Engine.set_chooser engine choose;
+    let s = Sched.create engine in
+    let hooks = logging_monitor s in
+    let ev = Event.signal () in
+    let outcomes = ref [] in
+    ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 5) (fun () -> Event.fire ev));
+    Sched.spawn s (fun () -> outcomes := Sched.wait_timeout s ev (Sim.Time.ms 5) :: !outcomes);
+    Sched.run s;
+    check_int "resumed exactly once" 1 (List.length !outcomes);
+    Alcotest.(check (list string))
+      "one wake, one resume" [ "spawn"; "park"; "wake"; "resume"; "done" ]
+      (List.map (fun h -> List.hd (String.split_on_char ':' h)) (hooks ()));
+    List.hd !outcomes
+  in
+  let first = run_with (fun _ -> 0) and last = run_with (fun tags -> Array.length tags - 1) in
+  check_bool "fire first: ready" true (first = Sched.Ready);
+  check_bool "timeout first: timed out" true (last = Sched.Timed_out)
+
+(* Allocation guard: exact minor words per spawn+park+fire+resume cycle,
+   untimed and timed (the fire wins and cancels the timeout). Closure-built
+   waits cost 95.4 and 120.4 words here (108 in the benchmark ladder's
+   core.switch_ns_words, which also allocates the event); the parking slot
+   brought them to 65.4 and 82.4. The ceilings sit well below the former,
+   so a change that brings back per-wait closure graphs fails here. *)
+let cycle_words ~timed =
+  let s = make_sched () in
+  let n = 1_000 in
+  let evs = Array.init n (fun _ -> Event.signal ()) in
+  let body ev () =
+    if timed then ignore (Sched.wait_timeout s ev (Sim.Time.ms 1)) else Sched.wait s ev
+  in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  Array.iter (fun ev -> Sched.spawn s (body ev)) evs;
+  Sched.run ~until:0 s;
+  Array.iter Event.fire evs;
+  Sched.run s;
+  Gc.minor ();
+  check_int "every timeout cancelled" 0 (Sim.Engine.pending (Sched.engine s));
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_alloc_cycle () =
+  let guard what ceiling words =
+    if words > ceiling then Alcotest.failf "%s cycle: %.1f words > ceiling %.0f" what words ceiling
+  in
+  guard "untimed" 72.0 (cycle_words ~timed:false);
+  guard "timed" 90.0 (cycle_words ~timed:true)
+
 let suite =
   [
     ( "sched.coroutine",
@@ -385,6 +497,16 @@ let suite =
         Alcotest.test_case "spawn_here inherits node" `Quick test_spawn_here_inherits_node;
         Alcotest.test_case "timer event" `Quick test_timer_event;
         Alcotest.test_case "10k coroutines" `Quick test_many_coroutines_scale;
+      ] );
+    ( "sched.slot",
+      [
+        Alcotest.test_case "late fire after timeout, other event" `Quick
+          test_late_fire_after_timeout_other_event;
+        Alcotest.test_case "late fire after timeout, same event; hook order" `Quick
+          test_late_fire_after_timeout_same_event;
+        Alcotest.test_case "fire and timeout tie under a chooser" `Quick
+          test_fire_and_timeout_same_instant_explore;
+        Alcotest.test_case "allocation guard" `Quick test_alloc_cycle;
       ] );
     ( "sched.edge-cases",
       [
