@@ -94,18 +94,13 @@ let run_one (scenario : Scenario.t) ~prefix ~budget =
   let engine = Engine.create ~seed:1L () in
   let trace = Depfast.Trace.create ~enabled:true () in
   let sched = Depfast.Sched.create ~trace engine in
-  let san = Sanitizer.create sched in
+  let san = Sanitizer.create ~provenance:scenario.Scenario.provenance sched in
   let nsteps = ref 0 in
   let truncated = ref false in
   let steps = ref [] in
   let plen = Array.length prefix in
   let tag_file tag =
-    match tag with
-    | Engine.Coro (cid, _) -> (
-      match Sanitizer.coro_name san cid with
-      | Some name -> scenario.Scenario.provenance name
-      | None -> None)
-    | _ -> None
+    match tag with Engine.Coro (cid, _) -> Sanitizer.coro_file san cid | _ -> None
   in
   let last_writer = ref None in
   Engine.set_chooser engine (fun tags ->
@@ -121,7 +116,8 @@ let run_one (scenario : Scenario.t) ~prefix ~budget =
         if c < Array.length tags then c else 0
       end
       else begin
-        steps := Array.copy tags :: !steps;
+        (* the engine hands every chooser call a fresh array *)
+        steps := tags :: !steps;
         0
       end);
   (* probe attribution rides the step observer, not the chooser: it sees

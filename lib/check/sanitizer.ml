@@ -9,6 +9,7 @@ type coro = {
   c_cid : int;
   c_node : int;
   c_name : string;
+  c_file : string option;  (* scenario provenance of [c_name], resolved once *)
   mutable c_state : state;
   mutable c_event : Depfast.Event.t option;  (* event parked on, when Parked/Woken *)
 }
@@ -50,7 +51,8 @@ type probe = {
   p_label : string;
   p_file : string;  (* file owning the probed cell *)
   p_read : unit -> int;
-  mutable p_last : int option;
+  mutable p_last : int;  (* the last sampled value, once [p_seen] *)
+  mutable p_seen : bool;
   mutable p_writers : string list;  (* files observed changing the value *)
 }
 
@@ -113,26 +115,31 @@ let sample_gauges t =
 
 let add_probe t ~label ~file read =
   t.probes <-
-    { p_label = label; p_file = file; p_read = read; p_last = None; p_writers = [] }
+    { p_label = label; p_file = file; p_read = read; p_last = 0; p_seen = false; p_writers = [] }
     :: t.probes
 
-let sample_probes t ~writer =
-  List.iter
-    (fun p ->
-      let v = p.p_read () in
-      (match (p.p_last, writer) with
-      | Some old, Some f when v <> old ->
-        if not (List.mem f p.p_writers) then p.p_writers <- f :: p.p_writers
-      | _ -> ());
-      p.p_last <- Some v)
-    t.probes
+(* a loop rather than [List.iter]: sampled at every engine step, so it
+   builds no closure *)
+let rec sample_each writer = function
+  | [] -> ()
+  | p :: rest ->
+    let v = p.p_read () in
+    (match writer with
+    | Some f when p.p_seen && v <> p.p_last ->
+      if not (List.mem f p.p_writers) then p.p_writers <- f :: p.p_writers
+    | _ -> ());
+    p.p_last <- v;
+    p.p_seen <- true;
+    sample_each writer rest
+
+let sample_probes t ~writer = sample_each writer t.probes
 
 let probe_writers t =
   List.map (fun p -> (p.p_label, p.p_file, List.sort compare p.p_writers)) t.probes
   |> List.sort compare
 
-let coro_name t cid =
-  match Hashtbl.find_opt t.coros cid with Some c -> Some c.c_name | None -> None
+let coro_file t cid =
+  match Hashtbl.find t.coros cid with c -> c.c_file | exception Not_found -> None
 
 let gauge_overflows t =
   List.filter_map
@@ -144,7 +151,7 @@ let gauge_overflows t =
     t.gauges
   |> List.sort compare
 
-let create sched =
+let create ?(provenance = fun _ -> None) sched =
   let t =
     {
       sched;
@@ -159,7 +166,16 @@ let create sched =
     match Hashtbl.find_opt t.coros cid with
     | Some c -> c
     | None ->
-      let c = { c_cid = cid; c_node = node; c_name = name; c_state = Running; c_event = None } in
+      let c =
+        {
+          c_cid = cid;
+          c_node = node;
+          c_name = name;
+          c_file = provenance name;
+          c_state = Running;
+          c_event = None;
+        }
+      in
       Hashtbl.replace t.coros cid c;
       c
   in

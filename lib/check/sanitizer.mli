@@ -28,9 +28,12 @@ type overflow = {
   o_watermark : int;  (** highest sampled depth *)
 }
 
-val create : Depfast.Sched.t -> t
+val create : ?provenance:(string -> string option) -> Depfast.Sched.t -> t
 (** Installs the monitor on the scheduler (replacing any previous one).
-    Use a fresh scheduler per explored run. *)
+    Use a fresh scheduler per explored run. [provenance] maps a coroutine
+    name to its source file (default: none); it is applied once per
+    coroutine, when the monitor first sees it, and read by
+    {!coro_file}. *)
 
 val add_gauge :
   t -> label:string -> file:string -> cap:int -> (unit -> int) -> unit
@@ -65,9 +68,10 @@ val probe_writers : t -> (string * string * string list) list
     static effect footprints hold independent must never both mutate
     one probed cell. *)
 
-val coro_name : t -> int -> string option
-(** The registered name of a coroutine id, from the monitor's shadow —
-    lets the explorer map transition tags back to scenario provenance. *)
+val coro_file : t -> int -> string option
+(** The provenance of a coroutine id, resolved when the monitor first saw
+    it — lets the explorer map transition tags back to source files at
+    every step without allocating. *)
 
 val report :
   t ->

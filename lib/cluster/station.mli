@@ -28,7 +28,9 @@ val set_penalty : t -> (unit -> float) -> unit
 val submit : t -> ?event:Depfast.Event.t -> work:Sim.Time.span -> unit -> Depfast.Event.t
 (** Enqueue a job of nominal duration [work]; the returned event fires when
     it completes. [event] lets the caller supply the completion event (e.g.
-    a [Disk]-kind event for tracing); default is a fresh signal. *)
+    a [Disk]-kind event for tracing); default is a fresh signal. Jobs start
+    in submission order and at most [servers] are in service at once,
+    including jobs submitted from a completion event's observers. *)
 
 val queue_length : t -> int
 (** Jobs waiting (excluding those in service). *)

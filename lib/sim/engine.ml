@@ -31,7 +31,11 @@ type explore = {
 
 type t = {
   mutable clock : Time.t;
-  ready : (unit -> unit) Queue.t;
+  mutable r_ring : (unit -> unit) array;
+      (* the ready FIFO as a ring: power-of-two capacity, empty until the
+         first post (an engine is built per explored schedule) *)
+  mutable r_head : int;  (* index of the oldest posted thunk *)
+  mutable r_len : int;
   timers : (unit -> unit) Wheel.t;
   root_rng : Rng.t;
   mutable ex : explore option;
@@ -40,7 +44,9 @@ type t = {
 let create ?(seed = 1L) () =
   {
     clock = Time.zero;
-    ready = Queue.create ();
+    r_ring = [||];
+    r_head = 0;
+    r_len = 0;
     timers = Wheel.create ();
     root_rng = Rng.create seed;
     ex = None;
@@ -51,6 +57,29 @@ let rng t = t.root_rng
 let split_rng t = Rng.split t.root_rng
 
 let no_fn () = ()
+
+(* double the ring, unrolling it so the oldest thunk lands at index 0 *)
+let ready_grow t =
+  let cap = Array.length t.r_ring in
+  let ring = Array.make (if cap = 0 then 16 else 2 * cap) no_fn in
+  for i = 0 to t.r_len - 1 do
+    ring.(i) <- t.r_ring.((t.r_head + i) land (cap - 1))
+  done;
+  t.r_ring <- ring;
+  t.r_head <- 0
+
+let ready_add t f =
+  if t.r_len = Array.length t.r_ring then ready_grow t;
+  t.r_ring.((t.r_head + t.r_len) land (Array.length t.r_ring - 1)) <- f;
+  t.r_len <- t.r_len + 1
+
+(* oldest posted thunk; the ring must be non-empty *)
+let ready_take t =
+  let f = t.r_ring.(t.r_head) in
+  t.r_ring.(t.r_head) <- no_fn;
+  t.r_head <- (t.r_head + 1) land (Array.length t.r_ring - 1);
+  t.r_len <- t.r_len - 1;
+  f
 
 let ex_push ex tag f =
   let cap = Array.length ex.ex_fns in
@@ -95,8 +124,9 @@ let set_chooser t choose =
     }
   in
   (* adopt anything already posted (setup work queued before exploration) *)
-  Queue.iter (fun f -> ex_push ex Anon f) t.ready;
-  Queue.clear t.ready;
+  while t.r_len > 0 do
+    ex_push ex Anon (ready_take t)
+  done;
   t.ex <- Some ex
 
 let set_step_observer t observe =
@@ -107,9 +137,7 @@ let set_step_observer t observe =
 let exploring t = t.ex <> None
 
 let post_tag t tag f =
-  (* depfast-lint: allow unbounded-growth — the engine's ready queue:
-     drained every step by the run loop, which no handler can reach *)
-  match t.ex with None -> Queue.add f t.ready | Some ex -> ex_push ex tag f
+  match t.ex with None -> ready_add t f | Some ex -> ex_push ex tag f
 
 let post t f = post_tag t Anon f
 
@@ -117,7 +145,7 @@ let schedule_tag t ~delay tag f =
   let delay = if delay < 0 then 0 else delay in
   let h = Wheel.push t.timers ~time:(Time.add t.clock delay) f in
   (match t.ex with
-  | Some ex when tag <> Anon -> Hashtbl.replace ex.timer_tags (Wheel.seq h) tag
+  | Some ex when tag != Anon -> Hashtbl.replace ex.timer_tags (Wheel.seq h) tag
   | _ -> ());
   h
 
@@ -130,7 +158,7 @@ let schedule_at t ~time f =
 let cancel t h = Wheel.cancel t.timers h
 
 let ready_count t =
-  match t.ex with None -> Queue.length t.ready | Some ex -> ex.ex_n
+  match t.ex with None -> t.r_len | Some ex -> ex.ex_n
 
 let pending t = ready_count t + Wheel.size t.timers
 
@@ -139,8 +167,8 @@ let pending t = ready_count t + Wheel.size t.timers
 let no_timer () = ()
 
 let step_default t =
-  if not (Queue.is_empty t.ready) then begin
-    (Queue.pop t.ready) ();
+  if t.r_len > 0 then begin
+    (ready_take t) ();
     true
   end
   else begin
@@ -161,28 +189,24 @@ let step_default t =
    wakeups (e.g. a wait's [resumed] flag) make that a visible no-op, which
    is exactly what the sanitizer wants to observe. *)
 let hoist_due t ex =
-  match Wheel.peek_time t.timers with
-  | None -> ()
-  | Some tmin ->
+  let tmin = Wheel.next_time_or t.timers ~default:(-1) in
+  if tmin >= 0 then begin
     t.clock <- tmin;
-    let continue = ref true in
-    while !continue do
-      match Wheel.peek_time t.timers with
-      | Some tm when tm = tmin -> (
-        match Wheel.pop_handle t.timers with
-        | Some h ->
-          let seq = Wheel.seq h in
-          let tag =
-            match Hashtbl.find_opt ex.timer_tags seq with
-            | Some tg ->
-              Hashtbl.remove ex.timer_tags seq;
-              tg
-            | None -> Anon
-          in
-          ex_push ex tag (Wheel.value h)
-        | None -> continue := false)
-      | _ -> continue := false
+    while Wheel.next_time_or t.timers ~default:(-1) = tmin do
+      match Wheel.pop_handle t.timers with
+      | Some h ->
+        let seq = Wheel.seq h in
+        let tag =
+          match Hashtbl.find ex.timer_tags seq with
+          | tg ->
+            Hashtbl.remove ex.timer_tags seq;
+            tg
+          | exception Not_found -> Anon
+        in
+        ex_push ex tag (Wheel.value h)
+      | None -> () (* unreachable: a live entry is due at [tmin] *)
     done
+  end
 
 let step_explore t ex =
   if ex.ex_n = 0 then hoist_due t ex;
@@ -203,22 +227,23 @@ let step_explore t ex =
 
 let step t = match t.ex with None -> step_default t | Some ex -> step_explore t ex
 
+(* only advance past the deadline if posted (same-instant) work remains;
+   timers beyond the deadline stay pending *)
+let work_by t deadline =
+  if ready_count t > 0 then t.clock <= deadline
+  else begin
+    let time = Wheel.next_time_or t.timers ~default:(-1) in
+    time >= 0 && time <= deadline
+  end
+
 let run ?until t =
-  let continue () =
-    match until with
-    | None -> true
-    | Some deadline -> (
-      (* only advance past the deadline if posted (same-instant) work
-         remains; timers beyond the deadline stay pending *)
-      if ready_count t > 0 then t.clock <= deadline
-      else
-        match Wheel.peek_time t.timers with
-        | None -> false
-        | Some time -> time <= deadline)
-  in
-  while continue () && step t do
-    ()
-  done;
   match until with
-  | Some deadline when t.clock < deadline && ready_count t = 0 -> t.clock <- deadline
-  | _ -> ()
+  | None ->
+    while step t do
+      ()
+    done
+  | Some deadline ->
+    while work_by t deadline && step t do
+      ()
+    done;
+    if t.clock < deadline && ready_count t = 0 then t.clock <- deadline

@@ -35,7 +35,9 @@ type chooser = tag array -> int
 (** Called at every step where more than one transition is enabled, with
     the tags of the enabled set (ready thunks, or — when no ready work
     remains — every timer tied at the minimum deadline, hoisted). Must
-    return an index into the array; the engine runs that transition. *)
+    return an index into the array; the engine runs that transition. The
+    array is fresh on every call and never touched by the engine again,
+    so the chooser may keep it. *)
 
 val set_chooser : t -> chooser -> unit
 (** Switch the engine into explore mode. Anything already posted is

@@ -91,6 +91,10 @@ let peek t =
     let e = get t 0 in
     Some (e.time, e.value)
 
+let peek_or t ~default =
+  drop_dead t;
+  if t.len = 0 then default else (get t 0).value
+
 let pop t =
   drop_dead t;
   if t.len = 0 then None
@@ -99,4 +103,14 @@ let pop t =
     e.h.live <- false;
     t.alive <- t.alive - 1;
     Some (e.time, e.value)
+  end
+
+let take_or t ~default =
+  drop_dead t;
+  if t.len = 0 then default
+  else begin
+    let e = pop_root t in
+    e.h.live <- false;
+    t.alive <- t.alive - 1;
+    e.value
   end

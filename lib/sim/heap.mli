@@ -26,5 +26,11 @@ val peek_time : 'a t -> Time.t option
 val peek : 'a t -> (Time.t * 'a) option
 (** Earliest live entry without removing it. *)
 
+val peek_or : 'a t -> default:'a -> 'a
+(** {!peek}'s value, or [default] when empty; allocates nothing. *)
+
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live entry. *)
+
+val take_or : 'a t -> default:'a -> 'a
+(** {!pop}'s value, or [default] when empty; allocates nothing. *)

@@ -1,25 +1,40 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh int64 on every draw. With [mix64] and [bits64]
+   inlined, the arithmetic below stays in registers, so a draw that ends in
+   an [int] or [bool] allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* native-endian and unchecked: the state is only ever read back by the
+   same primitives, and every [t] is exactly 8 bytes *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] state t = get64 t 0
+
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (state t) golden_gamma in
+  set64 t 0 s;
+  mix64 s
 
 let split t =
   let seed = bits64 t in
   (* re-mix with a distinct constant so split streams do not collide with
      the parent's own output stream *)
-  { state = mix64 (Int64.logxor seed 0xA5A5A5A5DEADBEEFL) }
+  create (mix64 (Int64.logxor seed 0xA5A5A5A5DEADBEEFL))
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
 let int t bound =
   assert (bound > 0);

@@ -12,7 +12,10 @@
    Peeks never cascade — they only scan and lazily drop cancelled entries — so
    a peek can never misplace an entry that a later push would have outrun.
 
-   Two memoisations keep steady-state pops cheap and allocation-free:
+   The lists are intrusive: every entry carries the [next] link of the one
+   list it is on (a slot or the due queue), so a push allocates the entry and
+   nothing else, and pops, peeks and cascades allocate nothing. Two
+   memoisations keep steady-state pops cheap:
 
    - Each level memoises its minimum entry (its slot is derivable from its
      time). The memo survives pops from *other* levels: a pop only moves
@@ -22,14 +25,15 @@
 
    - A level-0 slot is a single microsecond, so its entries all share the
      current minimum time and pop in seq order. The first pop from such a
-     slot moves the surviving siblings into the [due] queue in seq order;
+     slot relinks the surviving siblings into the [due] queue in seq order;
      while the queue holds a live entry, its head is the global minimum and
-     a pop is O(1). Same-instant pushes append (their seq is the largest
-     yet), keeping the queue sorted.
+     a pop is O(1). Same-instant pushes append at [due_last] (their seq is
+     the largest yet), keeping the queue sorted.
 
-   Dead entries (popped or cancelled) are skipped in place rather than
-   filtered out; a slot's storage is reclaimed when a scan finds it fully
-   dead, when its level empties, or at cascade time.
+   Cancellation is lazy: a dead entry (popped or cancelled) stays linked
+   until a scan of its slot unlinks it, its level empties, or its slot
+   cascades or drains. Far-heap entries are cancelled lazily too: they stay
+   in the heap and are dropped when they surface.
 
    Determinism: entries carry a global sequence number and every comparison
    (within a slot, across levels, and against the far heap) is on
@@ -40,38 +44,39 @@ let slots_per_level = 1 lsl bits
 let levels = 6
 let mask = slots_per_level - 1
 
-(* the handle is the entry itself: one allocation per push *)
-type 'a handle = {
-  time : Time.t;
-  seq : int;
-  value : 'a;
-  mutable level : int;
-      (* 0..levels-1 = wheel level, [levels] = far heap, -1 = dead *)
-  mutable heap_h : Heap.handle option;  (* set only for far-heap entries *)
-}
+(* the handle is the entry itself: one allocation per push. [Nil] ends a
+   list and stands for "no entry" wherever an option would allocate. *)
+type 'a node =
+  | Nil
+  | Entry of {
+      time : Time.t;
+      seq : int;
+      value : 'a;
+      mutable level : int;
+          (* 0..levels-1 = wheel level, [levels] = far heap, -1 = dead *)
+      mutable next : 'a node;  (* link in the slot or due list holding it *)
+    }
+
+type 'a handle = 'a node
 
 type 'a t = {
   mutable seq : int;
   mutable alive : int;
   mutable pos : Time.t;  (* time of the last pop; pushes are clamped to it *)
-  slots : 'a handle list array array;
+  slots : 'a node array array;
       (* level rows start as the shared [empty] row and materialise on first
          placement, keeping [create] cheap (an engine is created per
          simulation, and most only ever touch one or two levels) *)
-  empty : 'a handle list array;
+  empty : 'a node array;
   counts : int array;  (* live entries per level, to skip empty levels *)
-  cands : 'a handle option array;
-      (* per-level memo: the level's min live entry; None = stale *)
-  mutable due : 'a handle list;
-      (* current-microsecond drain, ascending seq; head = next pop *)
-  mutable due_tail : 'a handle list;
-      (* same-instant pushes while draining, newest first; reversed onto
-         [due] when it empties (two-list queue) *)
-  far : 'a handle Heap.t;
+  cands : 'a node array;  (* per-level memo: the level's min live entry; Nil = stale *)
+  mutable due : 'a node;  (* current-microsecond drain, ascending seq; head = next pop *)
+  mutable due_last : 'a node;  (* last entry of [due]; Nil iff [due] is *)
+  far : 'a node Heap.t;
 }
 
 let create () =
-  let empty = Array.make slots_per_level [] in
+  let empty = Array.make slots_per_level Nil in
   {
     seq = 0;
     alive = 0;
@@ -79,304 +84,330 @@ let create () =
     slots = Array.make levels empty;
     empty;
     counts = Array.make levels 0;
-    cands = Array.make levels None;
-    due = [];
-    due_tail = [];
+    cands = Array.make levels Nil;
+    due = Nil;
+    due_last = Nil;
     far = Heap.create ();
   }
 
 let is_empty t = t.alive = 0
 let size t = t.alive
 let pos t = t.pos
-let cancelled h = h.level < 0
-let live h = h.level >= 0
-let entry_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let cancelled = function Entry e -> e.level < 0 | Nil -> true
+
+(* [(time, seq)] order; [Nil] sorts after every entry *)
+let entry_lt a b =
+  match (a, b) with
+  | Entry a, Entry b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  | Entry _, Nil -> true
+  | Nil, _ -> false
+
 let slot_of time l = (time lsr (bits * l)) land mask
 
-let rec place t e l =
-  if l = levels then begin
-    e.level <- levels;
-    e.heap_h <- Some (Heap.push t.far ~time:e.time e)
-  end
-  else if (e.time lsr (bits * l)) - (t.pos lsr (bits * l)) <= mask then begin
-    e.level <- l;
-    let row = t.slots.(l) in
-    let row =
-      if row != t.empty then row
-      else begin
-        let r = Array.make slots_per_level [] in
-        t.slots.(l) <- r;
-        r
-      end
-    in
-    let idx = slot_of e.time l in
-    row.(idx) <- e :: row.(idx);
-    t.counts.(l) <- t.counts.(l) + 1;
-    (* a valid memo only improves: [e] smaller means [e] is the new min;
-       a stale memo stays stale (nothing cheap to compare against) *)
-    match t.cands.(l) with
-    | Some b when entry_lt e b -> t.cands.(l) <- Some e
-    | _ -> ()
-  end
-  else place t e (l + 1)
-
-let due_active t =
-  match t.due with
-  | _ :: _ -> true
-  | [] -> ( match t.due_tail with _ :: _ -> true | [] -> false)
+let rec place t n l =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    if l = levels then begin
+      e.level <- levels;
+      e.next <- Nil;
+      ignore (Heap.push t.far ~time:e.time n)
+    end
+    else if (e.time lsr (bits * l)) - (t.pos lsr (bits * l)) <= mask then begin
+      e.level <- l;
+      let row = t.slots.(l) in
+      let row =
+        if row != t.empty then row
+        else begin
+          let r = Array.make slots_per_level Nil in
+          t.slots.(l) <- r;
+          r
+        end
+      in
+      let idx = slot_of e.time l in
+      e.next <- row.(idx);
+      row.(idx) <- n;
+      t.counts.(l) <- t.counts.(l) + 1;
+      (* a valid memo only improves: [n] smaller means [n] is the new min;
+         a stale memo stays stale (nothing cheap to compare against) *)
+      match t.cands.(l) with
+      | Entry _ as b when entry_lt n b -> t.cands.(l) <- n
+      | _ -> ()
+    end
+    else place t n (l + 1)
 
 let push t ~time value =
   let time = if time < t.pos then t.pos else time in
-  let e = { time; seq = t.seq; value; level = 0; heap_h = None } in
+  let n = Entry { time; seq = t.seq; value; level = 0; next = Nil } in
   t.seq <- t.seq + 1;
   t.alive <- t.alive + 1;
-  if time = t.pos && due_active t then begin
+  (match t.due_last with
+  | Entry last when time = t.pos ->
     (* same-instant push while the current microsecond drains: this entry's
-       seq is the largest yet, so it pops after everything queued — it goes
-       on the tail list, reversed in when the head list empties. Due
+       seq is the largest yet, so it pops after everything queued. Due
        entries stay accounted to level 0 (drain/cancel decrement there). *)
-    (* depfast-lint: allow unbounded-growth — same-instant tail: reversed
-       into the head list and drained before the microsecond advances *)
-    t.due_tail <- e :: t.due_tail;
+    last.next <- n;
+    t.due_last <- n;
     t.counts.(0) <- t.counts.(0) + 1
-  end
-  else place t e 0;
-  e
+  | _ -> place t n 0);
+  n
 
 let cancel t h =
-  if live h then begin
-    let l = h.level in
-    h.level <- -1;
+  match h with
+  | Entry e when e.level >= 0 ->
+    let l = e.level in
+    e.level <- -1;
     t.alive <- t.alive - 1;
-    match h.heap_h with
-    | Some hh ->
-      h.heap_h <- None;
-      Heap.cancel t.far hh
-    | None ->
+    (* a far entry stays in the heap until it surfaces ([far_top]) *)
+    if l < levels then begin
       t.counts.(l) <- t.counts.(l) - 1;
       if t.counts.(l) = 0 then begin
         (* a level with no live entries can shed its dead ones eagerly *)
-        Array.fill t.slots.(l) 0 slots_per_level [];
-        t.cands.(l) <- None
+        Array.fill t.slots.(l) 0 slots_per_level Nil;
+        t.cands.(l) <- Nil
       end
-      else begin
-        match t.cands.(l) with
-        | Some b when b == h -> t.cands.(l) <- None
-        | _ -> ()
-      end
+      else if t.cands.(l) == h then t.cands.(l) <- Nil
+    end
+  | _ -> ()
+
+(* the far heap's earliest live entry, dropping cancelled ones as they
+   surface; Nil if none *)
+let rec far_top t =
+  match Heap.peek_or t.far ~default:Nil with
+  | Entry e when e.level < 0 ->
+    ignore (Heap.take_or t.far ~default:Nil);
+    far_top t
+  | n -> n
+
+(* skip dead entries at the front of [n], clearing their links *)
+let rec live_prefix n =
+  match n with
+  | Entry e when e.level < 0 ->
+    let nx = e.next in
+    e.next <- Nil;
+    live_prefix nx
+  | _ -> n
+
+(* unlink every dead entry after the live entry [n] *)
+let rec unlink_dead n =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    let nx = e.next in
+    let live_nx = live_prefix nx in
+    if live_nx != nx then e.next <- live_nx;
+    unlink_dead live_nx
+
+(* list [n] with its dead entries unlinked: its first live entry, or Nil *)
+let compact n =
+  let head = live_prefix n in
+  unlink_dead head;
+  head
+
+let rec slot_min best n =
+  match n with Nil -> best | Entry e -> slot_min (if entry_lt n best then n else best) e.next
+
+(* min of the first slot with a live entry, in tick order from slot [c + d].
+   Each slot scanned is compacted: a slot is rescanned every time its
+   level's memo goes stale, and would otherwise walk the cancelled
+   timeouts it collects over and over. Only called when the level has at
+   least one live entry, so it always finds one. *)
+let rec scan_row row c d =
+  if d > mask then Nil
+  else begin
+    let idx = (c + d) land mask in
+    let es = row.(idx) in
+    let head = compact es in
+    if head != es then row.(idx) <- head;
+    match head with Nil -> scan_row row c (d + 1) | _ -> slot_min Nil head
   end
 
-(* min live entry of a slot, skipping dead entries in place (no rebuild and
-   no allocation until the final [Some]); [None] if it holds none *)
-let rec slot_min_from best = function
-  | [] -> best
-  | e :: tl -> slot_min_from (if live e && entry_lt e best then e else best) tl
-
-let rec slot_min es =
-  match es with
-  | [] -> None
-  | e :: tl -> if live e then Some (slot_min_from e tl) else slot_min tl
-
-(* min of the first slot with a live entry, in tick order from the current
-   position; fully-dead slots met on the way are emptied. Only called when
-   the level has at least one live entry, so it always finds one. *)
-let level_candidate t l =
-  let c = (t.pos lsr (bits * l)) land mask in
-  let found = ref None in
-  let d = ref 0 in
-  while (match !found with None -> true | Some _ -> false) && !d <= mask do
-    let idx = (c + !d) land mask in
-    (match t.slots.(l).(idx) with
-    | [] -> ()
-    | es -> (
-      match slot_min es with
-      | Some _ as m -> found := m
-      | None -> t.slots.(l).(idx) <- []));
-    incr d
-  done;
-  !found
+let level_candidate t l = scan_row t.slots.(l) ((t.pos lsr (bits * l)) land mask) 0
 
 (* level of the minimum slot entry, or -1 if all levels are empty; tracks
-   the running best as a plain int so the scan allocates nothing (the memo
-   array holds the entries), refreshing stale memos as it goes *)
+   the running best as a plain int (the memo array holds the entries),
+   refreshing stale memos as it goes *)
 let rec best_slot_level t l bl =
   if l >= levels then bl
   else begin
     let bl =
       if t.counts.(l) = 0 then bl
       else begin
-        (match t.cands.(l) with
-        | Some _ -> ()
-        | None -> t.cands.(l) <- level_candidate t l);
-        match (t.cands.(l), if bl < 0 then None else t.cands.(bl)) with
-        | Some e, Some b -> if entry_lt e b then l else bl
-        | Some _, None -> l
-        | None, _ -> bl (* unreachable: the level has live entries *)
+        (match t.cands.(l) with Nil -> t.cands.(l) <- level_candidate t l | Entry _ -> ());
+        match t.cands.(l) with
+        | Nil -> bl (* unreachable: the level has live entries *)
+        | c -> if bl < 0 || entry_lt c t.cands.(bl) then l else bl
       end
     in
     best_slot_level t (l + 1) bl
   end
 
-(* drop dead (cancelled) entries from the front of the due queue, folding the
-   tail list in when the head list runs out; afterwards a non-empty [t.due]
-   starts with a live entry and [t.due_tail] is empty or unreachable-first *)
+(* drop dead (cancelled) entries from the front of the due queue;
+   afterwards [t.due] is Nil or starts with a live entry *)
 let rec settle_due t =
   match t.due with
-  | e :: tl ->
-    if not (live e) then begin
-      t.due <- tl;
-      settle_due t
-    end
-  | [] -> (
-    match t.due_tail with
-    | [] -> ()
-    | tail ->
-      t.due_tail <- [];
-      t.due <- List.rev tail;
-      settle_due t)
+  | Entry e when e.level < 0 ->
+    t.due <- e.next;
+    e.next <- Nil;
+    (match t.due with Nil -> t.due_last <- Nil | Entry _ -> ());
+    settle_due t
+  | _ -> ()
 
-let peek_time t =
+let next_time_or t ~default =
   settle_due t;
   match t.due with
-  | e :: _ -> Some e.time
-  | [] -> begin
+  | Entry e -> e.time
+  | Nil -> (
     let bl = best_slot_level t 0 (-1) in
-    match ((if bl < 0 then None else t.cands.(bl)), Heap.peek_time t.far) with
-    | Some e, Some ft -> Some (if ft < e.time then ft else e.time)
-    | Some e, None -> Some e.time
-    | None, (Some _ as ft) -> ft
-    | None, None -> None
+    match ((if bl < 0 then Nil else t.cands.(bl)), far_top t) with
+    | Entry e, Entry f -> if f.time < e.time then f.time else e.time
+    | Entry e, Nil | Nil, Entry e -> e.time
+    | Nil, Nil -> default)
+
+(* ---- in-place list surgery for the due queue; nothing here allocates ---- *)
+
+let rec length acc = function Nil -> acc | Entry e -> length (acc + 1) e.next
+let rec last_of n = match n with Entry { next = Entry _ as nx; _ } -> last_of nx | _ -> n
+let set_next n x = match n with Entry e -> e.next <- x | Nil -> ()
+
+(* append the seq-merge of [a] and [b] after [tail] *)
+let rec merge_after tail a b =
+  match (a, b) with
+  | Nil, rest | rest, Nil -> set_next tail rest
+  | Entry ea, Entry eb ->
+    if ea.seq < eb.seq then begin
+      set_next tail a;
+      merge_after a ea.next b
+    end
+    else begin
+      set_next tail b;
+      merge_after b a eb.next
+    end
+
+let merge a b =
+  match (a, b) with
+  | Nil, rest | rest, Nil -> rest
+  | Entry ea, Entry eb ->
+    if ea.seq < eb.seq then begin
+      merge_after a ea.next b;
+      a
+    end
+    else begin
+      merge_after b a eb.next;
+      b
+    end
+
+(* detach the list after its first [k] >= 1 entries and return it *)
+let rec cut n k =
+  match n with
+  | Nil -> Nil
+  | Entry e ->
+    if k <= 1 then begin
+      let rest = e.next in
+      e.next <- Nil;
+      rest
+    end
+    else cut e.next (k - 1)
+
+(* merge sort on seq of a [len]-entry list *)
+let rec sort_seq n len =
+  if len <= 1 then n
+  else begin
+    let half = len / 2 in
+    let rest = cut n half in
+    merge (sort_seq n half) (sort_seq rest (len - half))
   end
-
-(* [true] if the slot list is in strictly descending seq order — direct
-   pushes prepend with monotonically increasing seq *)
-let rec seq_descending : 'a handle list -> bool = function
-  | a :: (b :: _ as tl) -> a.seq > b.seq && seq_descending tl
-  | _ -> true
-
-(* [true] for strictly ascending seq order — a cascade re-places a
-   descending slot by prepending, which reverses it *)
-let rec seq_ascending : 'a handle list -> bool = function
-  | a :: (b :: _ as tl) -> a.seq < b.seq && seq_ascending tl
-  | _ -> true
-
-(* reverse, keeping only live entries; one cons per survivor *)
-let rec rev_live acc = function
-  | [] -> acc
-  | x :: tl -> rev_live (if live x then x :: acc else acc) tl
 
 (* hand the current microsecond's entries (all sharing the popped time) to
-   the due queue in seq order. An ascending slot — the cascade case — is
-   adopted as-is, allocating nothing; dead entries in it are dropped lazily
-   by [settle_due]. The queue is empty here: [pop] only reaches the slot
-   scan once it is. *)
+   the due queue in seq order. Slots mix pushes (prepended, so newest
+   first) with cascaded entries, but rarely hold more than the popped
+   entry, so a plain sort is enough. The queue is empty here: [take] only
+   reaches the slot scan once it is. *)
 let activate_due t es =
-  if seq_ascending es then t.due <- es
-  else if seq_descending es then t.due <- rev_live [] es
-  else
-    t.due <-
-      List.sort
-        (fun (a : _ handle) b -> compare a.seq b.seq)
-        (List.filter (fun x -> live x) es)
+  let es = compact es in
+  let es = sort_seq es (length 0 es) in
+  t.due <- es;
+  t.due_last <- last_of es
 
-(* bookkeeping for removing entry [e]; callers then read e.time/e.value *)
+(* bookkeeping for removing entry [n]; callers then read its time/value *)
 
-let drain_due t e tl =
-  t.due <- tl;
-  e.level <- -1;
-  t.alive <- t.alive - 1;
-  t.counts.(0) <- t.counts.(0) - 1;
-  t.pos <- e.time
+let drain_due t n =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    t.due <- e.next;
+    (match e.next with Nil -> t.due_last <- Nil | Entry _ -> ());
+    e.next <- Nil;
+    e.level <- -1;
+    t.alive <- t.alive - 1;
+    t.counts.(0) <- t.counts.(0) - 1;
+    t.pos <- e.time
 
-let drain_far t e =
-  e.level <- -1;
-  e.heap_h <- None;
-  t.alive <- t.alive - 1;
-  t.pos <- e.time
+let drain_far t n =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    ignore (Heap.take_or t.far ~default:Nil);
+    e.level <- -1;
+    t.alive <- t.alive - 1;
+    t.pos <- e.time
 
-let drain_slot t e l =
-  e.level <- -1;
-  t.alive <- t.alive - 1;
-  t.counts.(l) <- t.counts.(l) - 1;
-  t.pos <- e.time;
-  t.cands.(l) <- None;
-  let idx = slot_of e.time l in
-  if l > 0 then begin
-    (* cascade: the live siblings share the popped entry's level-[l] tick,
-       which is now the current one, so each re-places at a strictly lower
-       level; [place] keeps the destination levels' memos consistent. Dead
-       entries are skipped inline — no intermediate list. *)
+(* cascade: the live siblings share the popped entry's level-[l] tick,
+   which is now the current one, so each re-places at a strictly lower
+   level; [place] keeps the destination levels' memos consistent *)
+let rec cascade t l n =
+  match n with
+  | Nil -> ()
+  | Entry x ->
+    let nx = x.next in
+    if x.level >= 0 then begin
+      t.counts.(l) <- t.counts.(l) - 1;
+      place t n 0
+    end
+    else x.next <- Nil;
+    cascade t l nx
+
+let drain_slot t n l =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    e.level <- -1;
+    t.alive <- t.alive - 1;
+    t.counts.(l) <- t.counts.(l) - 1;
+    t.pos <- e.time;
+    t.cands.(l) <- Nil;
+    let idx = slot_of e.time l in
     let es = t.slots.(l).(idx) in
-    t.slots.(l).(idx) <- [];
-    List.iter
-      (fun x ->
-        if live x then begin
-          t.counts.(l) <- t.counts.(l) - 1;
-          place t x 0
-        end)
-      es
-  end
-  else begin
-    match t.slots.(0).(idx) with
-    | [] -> ()
-    | es ->
-      t.slots.(0).(idx) <- [];
-      activate_due t es
-  end
+    t.slots.(l).(idx) <- Nil;
+    if l > 0 then cascade t l es else activate_due t es
 
 (* the next slot-or-far entry, with ties broken on (time, seq): a far entry
    left beyond the horizon at push time can come due as [pos] advances and
    tie with a younger wheel entry *)
 let take_scan t =
   let bl = best_slot_level t 0 (-1) in
-  match (if bl < 0 then None else t.cands.(bl)) with
-  | None -> (
-    match Heap.pop t.far with
-    | None -> None
-    | Some (_, e) ->
-      drain_far t e;
-      Some e)
-  | Some e -> (
-    match Heap.peek t.far with
-    | Some (_, fe) when entry_lt fe e -> (
-      match Heap.pop t.far with
-      | None -> None (* unreachable: just peeked *)
-      | Some (_, fe) ->
-        drain_far t fe;
-        Some fe)
-    | _ ->
-      drain_slot t e bl;
-      Some e)
+  let c = if bl < 0 then Nil else t.cands.(bl) in
+  let f = far_top t in
+  match c with
+  | Entry _ when not (entry_lt f c) ->
+    drain_slot t c bl;
+    c
+  | _ ->
+    drain_far t f;
+    f
 
-let pop t =
+(* remove and return the earliest live entry, or Nil *)
+let take t =
   settle_due t;
   match t.due with
-  | e :: tl ->
-    drain_due t e tl;
-    Some (e.time, e.value)
-  | [] -> (
-    match take_scan t with None -> None | Some e -> Some (e.time, e.value))
+  | Entry _ as n ->
+    drain_due t n;
+    n
+  | Nil -> take_scan t
 
-(* [pop] returning the whole entry, for callers (the engine's schedule
-   explorer) that need the payload together with its identity *)
-let pop_handle t =
-  settle_due t;
-  match t.due with
-  | e :: tl ->
-    drain_due t e tl;
-    Some e
-  | [] -> take_scan t
-
-let seq (h : 'a handle) = h.seq
-let value (h : 'a handle) = h.value
-let time (h : 'a handle) = h.time
-
-(* allocation-free pop for the scheduler hot loop: returns [default] when
-   empty; the popped entry's time is left in [pos] *)
-let take_or t ~default =
-  settle_due t;
-  match t.due with
-  | e :: tl ->
-    drain_due t e tl;
-    e.value
-  | [] -> ( match take_scan t with None -> default | Some e -> e.value)
+let pop t = match take t with Entry e -> Some (e.time, e.value) | Nil -> None
+let pop_handle t = match take t with Nil -> None | n -> Some n
+let take_or t ~default = match take t with Entry e -> e.value | Nil -> default
+let seq = function Entry e -> e.seq | Nil -> invalid_arg "Wheel.seq"
+let value = function Entry e -> e.value | Nil -> invalid_arg "Wheel.value"
+let time = function Entry e -> e.time | Nil -> invalid_arg "Wheel.time"

@@ -31,18 +31,19 @@ val pos : 'a t -> Time.t
 (** Time of the last popped entry ({!Time.zero} initially). *)
 
 val push : 'a t -> time:Time.t -> 'a -> 'a handle
-(** O(1), one allocation. [time] earlier than the last popped time is
-    clamped to it. *)
+(** O(1); allocates exactly the entry, which is also the handle. [time]
+    earlier than the last popped time is clamped to it. *)
 
 val cancel : 'a t -> 'a handle -> unit
 (** O(1); cancelling twice or after the entry fired is a no-op. *)
 
 val cancelled : 'a handle -> bool
 
-val peek_time : 'a t -> Time.t option
-(** Earliest live entry's time. Never re-buckets entries (safe to call
-    between pushes); the scan result is memoised until the next
-    push/cancel/pop that could change it. *)
+val next_time_or : 'a t -> default:Time.t -> Time.t
+(** Earliest live entry's time, or [default] when empty; allocates
+    nothing. Never re-buckets entries (safe to call between pushes); the
+    scan result is memoised until the next push/cancel/pop that could
+    change it. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live entry, cascading its level's
@@ -61,5 +62,5 @@ val time : 'a handle -> Time.t
 
 val take_or : 'a t -> default:'a -> 'a
 (** {!pop} for the scheduler hot loop: returns the earliest live entry's
-    value, or [default] when empty, allocating nothing in steady state. The
-    popped entry's time is readable from {!pos}. *)
+    value, or [default] when empty, allocating nothing. The popped
+    entry's time is readable from {!pos}. *)

@@ -65,6 +65,87 @@ let test_station_queue_length () =
   check_int "one busy" 1 (Cluster.Station.busy_servers st);
   Depfast.Sched.run s
 
+(* a completion observer that resubmits synchronously runs while its
+   server is free but the queue still holds a job: the station must keep
+   one job per server and serve the queued job first *)
+let test_station_resubmit_from_completion () =
+  List.iter
+    (fun servers ->
+      let s = make_sched () in
+      let engine = Depfast.Sched.engine s in
+      let st = Cluster.Station.create s ~servers ~name:"cpu" () in
+      let order = ref [] in
+      let over = ref 0 in
+      let watch () =
+        if Cluster.Station.busy_servers st > servers then incr over
+      in
+      let rec submit tag ~resubmit =
+        let ev = Cluster.Station.submit st ~work:100 () in
+        watch ();
+        Depfast.Event.on_fire ev (fun () ->
+            watch ();
+            order := tag :: !order;
+            if resubmit then submit (tag ^ "'") ~resubmit:false)
+      in
+      for i = 1 to servers do
+        submit (Printf.sprintf "a%d" i) ~resubmit:true
+      done;
+      for i = 1 to servers do
+        submit (Printf.sprintf "b%d" i) ~resubmit:false
+      done;
+      while Sim.Engine.step engine do
+        watch ()
+      done;
+      check_int
+        (Printf.sprintf "busy never above %d servers" servers)
+        0 !over;
+      check_int "every job completed" (3 * servers) (Cluster.Station.completed_jobs st);
+      let pos tag =
+        let rec go i = function
+          | [] -> Alcotest.failf "%s never completed" tag
+          | x :: rest -> if x = tag then i else go (i + 1) rest
+        in
+        go 0 (List.rev !order)
+      in
+      for i = 1 to servers do
+        check_bool "queued job served before the resubmission" true
+          (pos (Printf.sprintf "b%d" i) < pos (Printf.sprintf "a%d'" i))
+      done;
+      check_int "finishes in three rounds" 300 (Sim.Engine.now engine))
+    [ 1; 2; 3 ]
+
+(* Allocation pin: a job costs its completion event and one timer entry,
+   nothing else *)
+let test_station_alloc () =
+  let words_per n f =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let s = make_sched () in
+  let engine = Depfast.Sched.engine s in
+  let name = String.concat "" [ "c"; "pu" ] in
+  let st = Cluster.Station.create s ~servers:2 ~name () in
+  let job () =
+    ignore (Cluster.Station.submit st ~work:10 ());
+    ignore (Cluster.Station.submit st ~work:10 ());
+    ignore (Cluster.Station.submit st ~work:10 ());
+    while Sim.Engine.step engine do
+      ()
+    done
+  in
+  (* build both server slots and the wait ring: one-offs *)
+  job ();
+  let per_job = words_per 1_000 job /. 3.0 in
+  let event = words_per 3_000 (fun () -> ignore (Depfast.Event.signal ~label:name ())) in
+  let timer_entry = 6.0 in
+  if Float.abs (per_job -. (event +. timer_entry)) > 0.01 then
+    Alcotest.failf "submit + completion: %.2f words, expected %.2f (event) + %.0f (timer entry)"
+      per_job event timer_entry
+
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
@@ -419,6 +500,10 @@ let suite =
         Alcotest.test_case "speed factor" `Quick test_station_speed_factor;
         Alcotest.test_case "utilization" `Quick test_station_utilization;
         Alcotest.test_case "queue length" `Quick test_station_queue_length;
+        Alcotest.test_case "resubmit from a completion observer" `Quick
+          test_station_resubmit_from_completion;
+        Alcotest.test_case "allocation: event + timer entry per job" `Quick
+          test_station_alloc;
       ] );
     ( "cluster.memory",
       [

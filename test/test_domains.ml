@@ -143,7 +143,13 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    (* 169 since the scheduler's per-coroutine parking slot added its six
+    (* 182 since the allocation-free engine containers: the engine's ready
+       ring .r_ring .r_head .r_len, the intrusive wheel's .next and
+       .due_last (replacing .due_tail; the far heap's .heap_h went), the
+       station's server slots .slots .n_slots .s_event .s_busy .s_done and
+       wait ring .q_work .q_ev .q_head .q_len, and the sanitizer probe's
+       .p_seen. 169 before, since the scheduler's per-coroutine parking
+       slot added its six
        fields .park_ev .park_span .park_start .park_k .park_timer
        .park_gen, and the scheduler's shared effect handler its field
        .coro_handler; 162 before, after the shard pool and the domain-pool
@@ -152,7 +158,7 @@ let test_tree_inventory_pinned () =
        Registry.condvar_handshake, a record literal inventoried only
        because its local [gen] shared a name with the barrier's mutable
        field *)
-    check_int "every top-level mutable cell carries a certificate" 169
+    check_int "every top-level mutable cell carries a certificate" 182
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"

@@ -34,6 +34,30 @@ let test_runner_depfast_cell () =
   check_bool "no crash" false m.Workload.Metrics.leader_crashed;
   check_bool "latency sane" true (Workload.Metrics.mean_latency_ms m > 0.1)
 
+(* End-to-end allocation ceiling: minor words per committed op of a small
+   healthy DepFastRaft cell ([Params.quick]'s keyspace and clients over a
+   short window), set-up included. 1 043.8 with a list-slot timer wheel,
+   a [Queue] ready queue, per-job station closures and a boxed RNG state;
+   740.9 without them. *)
+let cell_words_per_op () =
+  let params =
+    { Harness.Params.quick with warmup = Sim.Time.ms 100; duration = Sim.Time.ms 400 }
+  in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let cell =
+    Harness.Runner.run_cell ~params ~system:Harness.Runner.Depfast_raft ~n:3 ~slow_count:0
+      ~fault:None ()
+  in
+  let words = Gc.minor_words () -. w0 in
+  let m = cell.Harness.Runner.metrics in
+  check_bool "ops committed" true (m.Workload.Metrics.completed > 1_000);
+  words /. float_of_int m.Workload.Metrics.completed
+
+let test_cell_alloc_ceiling () =
+  let w = cell_words_per_op () in
+  if w > 800.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 800" w
+
 let test_runner_all_systems_build () =
   List.iter
     (fun system ->
@@ -88,6 +112,7 @@ let suite =
       [
         Alcotest.test_case "table1 rows" `Quick test_table1_rows;
         Alcotest.test_case "depfast cell runs" `Quick test_runner_depfast_cell;
+        Alcotest.test_case "cell allocation ceiling" `Quick test_cell_alloc_ceiling;
         Alcotest.test_case "all systems build" `Slow test_runner_all_systems_build;
         Alcotest.test_case "fig2 structure" `Quick test_fig2_structure;
         Alcotest.test_case "fig3 drift (quick)" `Slow test_fig3_drift_band_quick;

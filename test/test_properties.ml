@@ -287,11 +287,16 @@ let test_hist_quantile_monotone =
       mono vals && Sim.Hist.quantile h 1.0 = Sim.Hist.max_value h)
 
 (* ------------------------------------------------------------------ *)
-(* Timer wheel: any random push/pop/cancel sequence pops in exactly the
-   binary heap's order. Deltas mix duplicates (same-instant bursts that
+(* Timer wheel: any random sequence of pushes, cancels and removals pops in
+   exactly the binary heap's order, through every removal entry point
+   ([pop], [take_or], [pop_handle]), and the next-deadline queries agree
+   with the heap's peek. Deltas mix duplicates (same-instant bursts that
    exercise the due queue), mid-range values (slot scans and cascades) and
-   far-future jumps (the heap fallback); cancellation hits live and
-   already-popped handles alike. *)
+   far-future jumps (the heap fallback). Cancellation hits live and
+   already-popped handles alike; [Cancel_recent] aims at the newest
+   handles, which a burst followed by a removal has just put on the due
+   queue, so cancels land mid-drain, and a [Push 0] after a removal is a
+   push at [pos] while the due queue drains. *)
 
 let wheel_ops_gen =
   QCheck.Gen.(
@@ -302,8 +307,13 @@ let wheel_ops_gen =
            (6, map (fun d -> `Push d) (int_range 0 40));
            (3, map (fun d -> `Push d) (int_range 0 5_000));
            (1, map (fun d -> `Push (d + (1 lsl 31))) (int_range 0 1000));
-           (4, return `Pop);
+           (2, map2 (fun k d -> `Burst (k, d)) (int_range 2 6) (int_range 0 40));
+           (2, return `Pop);
+           (1, return `Take);
+           (1, return `Pop_handle);
+           (1, return `Next);
            (2, map (fun k -> `Cancel k) (int_range 0 1_000_000));
+           (2, map (fun k -> `Cancel_recent k) (int_range 0 5));
          ]))
 
 let test_wheel_matches_heap =
@@ -314,38 +324,61 @@ let test_wheel_matches_heap =
       let handles = ref [||] and n_handles = ref 0 in
       let id = ref 0 in
       let ok = ref true in
+      let push d =
+        (* both structures see times >= the last popped time, matching
+           the engine's clock discipline *)
+        let time = Sim.Wheel.pos w + d in
+        incr id;
+        let wh = Sim.Wheel.push w ~time !id in
+        let hh = Sim.Heap.push h ~time !id in
+        if !n_handles = Array.length !handles then begin
+          let bigger = Array.make (max 8 (2 * !n_handles)) None in
+          Array.blit !handles 0 bigger 0 !n_handles;
+          handles := bigger
+        end;
+        !handles.(!n_handles) <- Some (wh, hh);
+        incr n_handles
+      in
+      let cancel i =
+        match !handles.(i) with
+        | Some (wh, hh) ->
+          Sim.Wheel.cancel w wh;
+          Sim.Heap.cancel h hh
+        | None -> ()
+      in
+      let same got = function
+        | Some (th, vh) -> ( match got with Some (tw, vw) -> tw = th && vw = vh | None -> false)
+        | None -> got = None
+      in
+      let next_agrees () =
+        Sim.Wheel.next_time_or w ~default:(-1)
+        = Option.value (Sim.Heap.peek_time h) ~default:(-1)
+      in
       List.iter
         (fun op ->
           match op with
-          | `Push d ->
-            (* both structures see times >= the last popped time, matching
-               the engine's clock discipline *)
-            let time = Sim.Wheel.pos w + d in
-            incr id;
-            let wh = Sim.Wheel.push w ~time !id in
-            let hh = Sim.Heap.push h ~time !id in
-            if !n_handles = Array.length !handles then begin
-              let bigger = Array.make (max 8 (2 * !n_handles)) None in
-              Array.blit !handles 0 bigger 0 !n_handles;
-              handles := bigger
-            end;
-            !handles.(!n_handles) <- Some (wh, hh);
-            incr n_handles
-          | `Pop -> (
-            match (Sim.Wheel.pop w, Sim.Heap.pop h) with
-            | Some (tw, vw), Some (th, vh) -> ok := !ok && tw = th && vw = vh
-            | None, None -> ()
-            | Some _, None | None, Some _ -> ok := false)
-          | `Cancel k ->
-            if !n_handles > 0 then begin
-              match !handles.(k mod !n_handles) with
-              | Some (wh, hh) ->
-                Sim.Wheel.cancel w wh;
-                Sim.Heap.cancel h hh
-              | None -> ()
-            end)
+          | `Push d -> push d
+          | `Burst (k, d) ->
+            for _ = 1 to k do
+              push d
+            done
+          | `Pop -> ok := !ok && same (Sim.Wheel.pop w) (Sim.Heap.pop h)
+          | `Take ->
+            let v = Sim.Wheel.take_or w ~default:(-1) in
+            let expect = Sim.Heap.pop h in
+            let got = if v < 0 then None else Some (Sim.Wheel.pos w, v) in
+            ok := !ok && same got expect
+          | `Pop_handle ->
+            let got =
+              Option.map (fun wh -> (Sim.Wheel.time wh, Sim.Wheel.value wh)) (Sim.Wheel.pop_handle w)
+            in
+            ok := !ok && same got (Sim.Heap.pop h)
+          | `Next -> ok := !ok && next_agrees ()
+          | `Cancel k -> if !n_handles > 0 then cancel (k mod !n_handles)
+          | `Cancel_recent k -> if k < !n_handles then cancel (!n_handles - 1 - k))
         ops;
       let rec drain () =
+        ok := !ok && next_agrees ();
         match (Sim.Wheel.pop w, Sim.Heap.pop h) with
         | Some (tw, vw), Some (th, vh) ->
           ok := !ok && tw = th && vw = vh;

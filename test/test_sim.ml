@@ -336,6 +336,105 @@ let test_engine_periodic_chain () =
   check_int "100 ticks" 100 !count;
   check_int "clock 100us" 100 (Engine.now e)
 
+(* the ready ring wraps before it grows: posts after a partial drain land
+   behind the head, and growth must unroll them in FIFO order *)
+let test_engine_ring_fifo_growth () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let post i = Engine.post e (fun () -> log := i :: !log) in
+  for i = 0 to 9 do
+    post i
+  done;
+  for _ = 1 to 6 do
+    ignore (Engine.step e)
+  done;
+  (* 4 left at the ring's tail; 60 more wrap it and then grow it twice *)
+  for i = 10 to 69 do
+    post i
+  done;
+  (* a thunk that posts keeps its successor behind everything queued *)
+  Engine.post e (fun () -> post 71);
+  post 70;
+  Engine.run e;
+  Alcotest.(check (list int)) "fifo across wrap and growth" (List.init 72 Fun.id) (List.rev !log)
+
+let test_engine_chooser_adopts_ring () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let post i = Engine.post e (fun () -> log := i :: !log) in
+  for i = 0 to 19 do
+    post i
+  done;
+  for _ = 1 to 5 do
+    ignore (Engine.step e)
+  done;
+  for i = 20 to 39 do
+    post i
+  done;
+  let sizes = ref [] in
+  Engine.set_chooser e (fun tags ->
+      sizes := Array.length tags :: !sizes;
+      if not (Array.for_all (fun t -> t = Engine.Anon) tags) then
+        Alcotest.fail "adopted work is tagged Anon";
+      0);
+  check_int "pending adopted" 35 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "adopted in posting order" (List.init 40 Fun.id) (List.rev !log);
+  Alcotest.(check (list int)) "choice sets shrink by one" (List.init 34 (fun i -> 35 - i))
+    (List.rev !sizes)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation pins: exact minor words of the engine's hot containers *)
+
+let words_per n f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* the measurement itself boxes a float or two: allow 0.01 word per op *)
+let check_words what expected got =
+  if Float.abs (got -. expected) > 0.01 then Alcotest.failf "%s: %.2f words, expected %.2f" what got expected
+
+let noop () = ()
+
+let test_alloc_post_step () =
+  let e = Engine.create () in
+  (* size the ring first: its growth is a one-off, not per post *)
+  Engine.post e noop;
+  ignore (Engine.step e);
+  check_words "post + step" 0.0
+    (words_per 10_000 (fun _ ->
+         Engine.post e noop;
+         ignore (Engine.step e)))
+
+let test_alloc_wheel () =
+  let w = Wheel.create () in
+  let push i = ignore (Wheel.push w ~time:(Wheel.pos w + (i * 37 mod 5_000)) noop) in
+  (* materialise the level rows these delays reach: a one-off *)
+  for i = 1 to 100 do
+    push i
+  done;
+  (* exactly one timer entry: five fields (time, seq, value, level, next)
+     and a header *)
+  check_words "push" 6.0 (words_per 10_000 push);
+  let acc = ref 0 in
+  check_words "next_time_or" 0.0
+    (words_per 1_000 (fun _ -> acc := !acc + Wheel.next_time_or w ~default:0));
+  check_words "take_or" 0.0
+    (words_per 10_100 (fun _ -> if Wheel.take_or w ~default:noop == noop then incr acc));
+  check_bool "drained" true (Wheel.is_empty w);
+  check_words "next_time_or, empty" 0.0
+    (words_per 1_000 (fun _ -> acc := !acc + Wheel.next_time_or w ~default:0))
+
+let test_alloc_rng () =
+  let r = Rng.create 3L in
+  let acc = ref 0 in
+  check_words "Rng.int" 0.0 (words_per 10_000 (fun i -> acc := !acc + Rng.int r i));
+  check_words "Rng.bool" 0.0 (words_per 10_000 (fun _ -> if Rng.bool r then incr acc))
+
 let suite =
   [
     ( "sim.time",
@@ -383,5 +482,14 @@ let suite =
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
         Alcotest.test_case "run ~until" `Quick test_engine_until;
         Alcotest.test_case "periodic chain" `Quick test_engine_periodic_chain;
+        Alcotest.test_case "ready ring FIFO across growth" `Quick test_engine_ring_fifo_growth;
+        Alcotest.test_case "set_chooser adopts posted work in order" `Quick
+          test_engine_chooser_adopts_ring;
+      ] );
+    ( "sim.alloc",
+      [
+        Alcotest.test_case "engine post + step" `Quick test_alloc_post_step;
+        Alcotest.test_case "wheel push, next_time_or, take_or" `Quick test_alloc_wheel;
+        Alcotest.test_case "rng draws" `Quick test_alloc_rng;
       ] );
   ]
