@@ -1,9 +1,9 @@
 (* depfast-lint: static fail-slow analysis over OCaml sources.
 
-   Walks the given paths (default: lib examples bench), runs the
-   per-file lint over every .ml file, — with [--interproc] — the
-   whole-project pass (module summaries, cross-module red waits,
-   lock-order cycles, quorum arity) over all of them together, and —
+   Loads the given paths (default: lib bin examples bench) as one
+   project model and runs over it the per-file lint, — with
+   [--interproc] — the whole-project pass (module summaries,
+   cross-module red waits, lock-order cycles, quorum arity), and —
    with [--bounds] — the boundedness & timeout-coverage pass
    (unbounded-growth, missing-deadline, unbounded-retry) plus its
    boundedness certificates, and — with [--domains] — the domain-safety
@@ -74,43 +74,27 @@ let () =
       Analysis.Finding.rules;
     exit 0
   end;
-  let roots = match List.rev !paths with [] -> [ "lib"; "examples"; "bench" ] | ps -> ps in
+  let roots = match List.rev !paths with [] -> [ "lib"; "bin"; "examples"; "bench" ] | ps -> ps in
   let missing = List.filter (fun p -> not (Sys.file_exists p)) roots in
   if missing <> [] then begin
     Printf.eprintf "depfast_lint: no such path: %s\n" (String.concat ", " missing);
     exit 2
   end;
   let files = Analysis.Source_lint.ml_files roots in
-  (* each finding is tagged with its originating pass; identical findings
-     reported by more than one pass are deduplicated, first pass wins *)
+  (* one project model for every pass; each finding is tagged with its
+     originating pass, and identical findings reported by more than one
+     pass are deduplicated, first pass wins *)
+  let p = Analysis.Growth.load_files files in
+  let run on f = if on then f p else ([], []) in
+  let ifs, _ = run !interproc (fun p -> (Analysis.Interproc.analyze p, [])) in
+  let bfs, bcerts = run !bounds Analysis.Bounds.analyze in
+  let dfs, dcerts = run !domains (fun p -> let fs, c, _ = Analysis.Domains.analyze p in (fs, c)) in
+  let sfs, scerts = run !spg (fun p -> let fs, c, _ = Analysis.Spg_static.analyze p in (fs, c)) in
   let tagged =
-    List.map (fun f -> ("source-lint", f)) (List.concat_map Analysis.Source_lint.lint_file files)
-  in
-  let tagged =
-    if !interproc then
-      tagged @ List.map (fun f -> ("interproc", f)) (Analysis.Interproc.analyze_files files)
-    else tagged
-  in
-  let tagged, bcerts =
-    if !bounds then begin
-      let fs, certs = Analysis.Bounds.analyze_files files in
-      (tagged @ List.map (fun f -> ("bounds", f)) fs, certs)
-    end
-    else (tagged, [])
-  in
-  let tagged, dcerts =
-    if !domains then begin
-      let fs, certs, _footprints = Analysis.Domains.analyze_files files in
-      (tagged @ List.map (fun f -> ("domains", f)) fs, certs)
-    end
-    else (tagged, [])
-  in
-  let tagged, scerts =
-    if !spg then begin
-      let fs, certs, _exposures = Analysis.Spg_static.analyze_files files in
-      (tagged @ List.map (fun f -> ("spg", f)) fs, certs)
-    end
-    else (tagged, [])
+    List.concat_map
+      (fun (pass, fs) -> List.map (fun f -> (pass, f)) fs)
+      [ ("source-lint", Analysis.Growth.lint p); ("interproc", ifs); ("bounds", bfs);
+        ("domains", dfs); ("spg", sfs) ]
   in
   let certs = bcerts @ dcerts @ scerts in
   let tagged =

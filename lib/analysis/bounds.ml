@@ -12,111 +12,41 @@ type cert = Growth.cert = {
 
 (* ---- timeout coverage ------------------------------------------------ *)
 
-(* Per function: quorums bound to local names, whether a timer escape
-   was wired in ([Event.add q ~child:(Sched.timer ...)] or rebinding
-   through [Event.or_]), and how each one is waited on. The per-file
-   lint already covers bare remote completions (red-wait/unbounded-wait);
-   quorum waits are green to it, so the untimed ones are exactly the
-   uncovered gap this rule closes. *)
+(* Waits on a quorum bound by [Event.quorum] in this function, judged by
+   how each is waited on. The per-file lint already covers bare remote
+   completions (red-wait/unbounded-wait); quorum waits are green to it,
+   so the untimed ones are exactly the uncovered gap this rule closes. *)
 let scan_waits p (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
-  let a = fc.Growth.fc_toks in
-  let pm = fc.Growth.fc_pm in
-  let n = f.Growth.g_e in
-  let quorums = Hashtbl.create 4 in
-  let timered = Hashtbl.create 4 in
-  let i = ref f.Growth.g_b in
-  while !i < n do
-    (match SL.binding_at a pm !i with
-    | Some (SL.PVar name, SL.RHead (Some h), _) ->
-      let l2 = SL.last2 h in
-      if l2 = "Event.quorum" then Hashtbl.replace quorums name a.(!i).Lexer.line
-      else begin
-        Hashtbl.remove quorums name;
-        Hashtbl.remove timered name
-      end;
-      if l2 = "Event.or_" then Hashtbl.replace timered name ()
-    | Some (SL.PVar name, _, _) ->
-      Hashtbl.remove quorums name;
-      Hashtbl.remove timered name
-    | _ -> ());
-    if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
-      (match SL.last2 name with
-      | "Event.add" -> (
-        (* [Event.add q ~child:<atom>]: a timer child is an escape *)
-        let parent, i1 = SL.parse_atom a pm ni in
-        match parent with
-        | SL.AName q when SL.is_simple q && Hashtbl.mem quorums q ->
-          if
-            i1 + 3 < n
-            && a.(i1).Lexer.text = "~"
-            && a.(i1 + 1).Lexer.text = "child"
-            && a.(i1 + 2).Lexer.text = ":"
-          then begin
-            let child, _ = SL.parse_atom a pm (i1 + 3) in
-            let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ] in
-            match child with
-            | SL.AName h when timerish h -> Hashtbl.replace timered q ()
-            | SL.AParen (Some h) when timerish h -> Hashtbl.replace timered q ()
-            | _ -> ()
-          end
-        | _ -> ())
-      | "Sched.wait" -> (
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
-        match ev with
-        | SL.AName q when SL.is_simple q && Hashtbl.mem quorums q ->
-          if Hashtbl.mem timered q then
-            cert
-              {
-                c_rule = Finding.missing_deadline;
-                c_kind = "quorum-wait";
-                c_file = fc.Growth.fc_path;
-                c_line = line;
-                c_site = q;
-                c_verdict = Growth.Bounded;
-                c_evidence = "timer escape wired into the quorum";
-              }
-          else if Growth.remote_reachable p f.Growth.g_qname then begin
-            emit ~line
-              (Printf.sprintf
-                 "untimed wait on quorum %S with no timer/or_ escape: green to the \
-                  wait-structure rules, but a fail-slow minority still delays it \
-                  without bound — use Sched.wait_timeout or add a Sched.timer child"
-                 q);
-            cert
-              {
-                c_rule = Finding.missing_deadline;
-                c_kind = "quorum-wait";
-                c_file = fc.Growth.fc_path;
-                c_line = line;
-                c_site = q;
-                c_verdict = Growth.Flagged;
-                c_evidence = "no deadline or timer escape on any path";
-              }
-          end
-        | _ -> ())
-      | "Sched.wait_timeout" -> (
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
-        match ev with
-        | SL.AName q when SL.is_simple q && Hashtbl.mem quorums q ->
+  List.iter
+    (fun (w : Growth.wait) ->
+      match (w.Growth.w_head, w.Growth.w_binding, w.Growth.w_event) with
+      | ("Sched.wait" | "Sched.wait_timeout"), Some (Growth.Quorum "Event.quorum"), SL.AName q ->
+        let cert verdict evidence =
           cert
             {
               c_rule = Finding.missing_deadline;
               c_kind = "quorum-wait";
               c_file = fc.Growth.fc_path;
-              c_line = line;
+              c_line = w.Growth.w_line;
               c_site = q;
-              c_verdict = Growth.Bounded;
-              c_evidence = "deadline via Sched.wait_timeout";
+              c_verdict = verdict;
+              c_evidence = evidence;
             }
-        | _ -> ())
-      | _ -> ());
-      i := ni
-    end
-    else incr i
-  done
+        in
+        if w.Growth.w_head = "Sched.wait_timeout" then
+          cert Growth.Bounded "deadline via Sched.wait_timeout"
+        else if w.Growth.w_timered then cert Growth.Bounded "timer escape wired into the quorum"
+        else if Growth.remote_reachable p f.Growth.g_qname then begin
+          emit ~line:w.Growth.w_line
+            (Printf.sprintf
+               "untimed wait on quorum %S with no timer/or_ escape: green to the \
+                wait-structure rules, but a fail-slow minority still delays it \
+                without bound — use Sched.wait_timeout or add a Sched.timer child"
+               q);
+          cert Growth.Flagged "no deadline or timer escape on any path"
+        end
+      | _ -> ())
+    (Growth.waits fc f)
 
 (* ---- retry coverage -------------------------------------------------- *)
 
@@ -218,14 +148,7 @@ let scan_retries (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
 
 (* ---- driver ---------------------------------------------------------- *)
 
-let allowed_at pragmas rule line =
-  List.exists
-    (fun (p : Lexer.pragma) ->
-      p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-    pragmas
-
-let analyze_sources sources =
-  let p = Growth.load sources in
+let analyze p =
   let growth_findings, growth_certs = Growth.analyze p in
   let findings = ref [] in
   let certs = ref growth_certs in
@@ -245,23 +168,7 @@ let analyze_sources sources =
           scan_retries fc f ~emit:(emit_rule Finding.unbounded_retry) ~cert)
         fc.Growth.fc_fns)
     (Growth.files p);
-  let pragmas_of = Hashtbl.create 16 in
-  List.iter (fun fc -> Hashtbl.replace pragmas_of fc.Growth.fc_path fc.Growth.fc_pragmas) (Growth.files p);
-  let apply (f : Finding.t) =
-    match f.Finding.loc with
-    | Finding.File { file; line } ->
-      let ps = try Hashtbl.find pragmas_of file with Not_found -> [] in
-      if allowed_at ps f.Finding.rule line then { f with Finding.allowed = true } else f
-    | _ -> f
-  in
-  let all = List.map apply (growth_findings @ !findings) in
-  (List.sort_uniq Finding.by_location all, List.sort_uniq Growth.by_site !certs)
+  ( List.sort_uniq Finding.by_location (Growth.allow p (growth_findings @ !findings)),
+    List.sort_uniq Growth.by_site !certs )
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+let analyze_files paths = analyze (Growth.load_files paths)

@@ -37,8 +37,9 @@ type cert = Growth.cert = {
   c_evidence : string;
 }
 
-val analyze_sources : (string * string) list -> Finding.t list * cert list
-(** [(path, contents)] pairs — the whole project at once. Findings are
-    pragma-applied and sorted by location; certificates by site. *)
+val analyze : Growth.project -> Finding.t list * cert list
+(** Findings are pragma-applied and sorted by location; certificates by
+    site. *)
 
 val analyze_files : string list -> Finding.t list * cert list
+(** {!analyze} over the project loaded from these files. *)

@@ -130,40 +130,8 @@ let analyze p =
         (fc.Growth.fc_path, (List.sort compare !reads, List.sort compare !wrs)))
       (Growth.files p)
   in
-  ( List.sort_uniq Finding.by_location !findings,
+  ( List.sort_uniq Finding.by_location (Growth.allow p !findings),
     List.sort_uniq Growth.by_site !certs,
     footprints )
 
-(* ---- driver ---------------------------------------------------------- *)
-
-let allowed_at pragmas rule line =
-  List.exists
-    (fun (p : Lexer.pragma) ->
-      p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-    pragmas
-
-let analyze_sources sources =
-  let p = Growth.load sources in
-  let findings, certs, footprints = analyze p in
-  let pragmas_of = Hashtbl.create 16 in
-  List.iter
-    (fun (fc : Growth.file_ctx) ->
-      Hashtbl.replace pragmas_of fc.Growth.fc_path fc.Growth.fc_pragmas)
-    (Growth.files p);
-  let apply (f : Finding.t) =
-    match f.Finding.loc with
-    | Finding.File { file; line } ->
-      let ps = try Hashtbl.find pragmas_of file with Not_found -> [] in
-      if allowed_at ps f.Finding.rule line then { f with Finding.allowed = true } else f
-    | _ -> f
-  in
-  (List.map apply findings, certs, footprints)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+let analyze_files paths = analyze (Growth.load_files paths)

@@ -50,12 +50,9 @@ val class_guarded : string
 val class_unsafe : string
 
 val analyze : Growth.project -> Finding.t list * cert list * footprint list
-(** Findings are pragma-unapplied; certificates sorted by site, one per
-    inventory cell; footprints in project file order. *)
-
-val analyze_sources :
-  (string * string) list -> Finding.t list * cert list * footprint list
-(** [(path, contents)] pairs — the whole project at once; findings are
-    pragma-applied and sorted by location. *)
+(** Findings are pragma-applied and sorted by location; certificates
+    sorted by site, one per inventory cell; footprints in project file
+    order. *)
 
 val analyze_files : string list -> Finding.t list * cert list * footprint list
+(** {!analyze} over the project loaded from these files. *)

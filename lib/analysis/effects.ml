@@ -182,16 +182,13 @@ type target =
   | TField of string * string option  (* field cell, top-level base if any *)
   | TNone
 
-let segments name = String.split_on_char '.' name
-let last_segment name = List.nth (segments name) (List.length (segments name) - 1)
-
 let target cells (fc : Growth.file_ctx) name =
   if SL.is_simple name then begin
     let q = fc.Growth.fc_mdl ^ "." ^ name in
     if Hashtbl.mem cells q then TGlobal q else TNone
   end
   else
-    let segs = segments name in
+    let segs = String.split_on_char '.' name in
     let first = List.hd segs in
     if first <> "" && first.[0] >= 'A' && first.[0] <= 'Z' then begin
       let l2 = SL.last2 name in
@@ -210,7 +207,7 @@ let target cells (fc : Growth.file_ctx) name =
         | _ -> TNone
     end
     else begin
-      let fieldc = "." ^ last_segment name in
+      let fieldc = "." ^ SL.last_segment name in
       let baseq = fc.Growth.fc_mdl ^ "." ^ first in
       let base = if Hashtbl.mem cells baseq then Some baseq else None in
       if Hashtbl.mem cells fieldc then TField (fieldc, base)
@@ -271,55 +268,12 @@ let read_ops =
     ("Atomic.get", [ 0 ]);
   ]
 
-(* [nth_arg] with the argument's start token, so the mention scan can
-   skip arguments the operation tables already consumed. *)
-let rec nth_arg_pos (a : Lexer.token array) i k =
-  let n = Array.length a in
-  if i >= n then None
-  else if a.(i).Lexer.text = "~" && i + 2 < n && a.(i + 2).Lexer.text = ":" then
-    nth_arg_pos a (Growth.skip_group a (i + 3)) k
-  else if k = 0 then
-    if Lexer.is_ident a.(i).Lexer.text then
-      let name, _, _ = SL.qualified a i in
-      Some (name, i)
-    else None
-  else nth_arg_pos a (Growth.skip_group a i) (k - 1)
-
 let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
   let a = fc.Growth.fc_toks in
   let pm = fc.Growth.fc_pm in
   let hi = f.Growth.g_e in
-  (* lock regions: [Mutex.with_lock sched m (fun ...)] bodies, and
-     [Mutex.lock]..[Mutex.unlock] spans within the item *)
-  let spans = ref [] in
-  let i = ref f.Growth.g_b in
-  while !i < hi do
-    if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, _, ni = SL.qualified a !i in
-      (match SL.last2 name with
-      | "Mutex.with_lock" ->
-        let _, i1 = SL.parse_atom a pm ni in
-        let _, i2 = SL.parse_atom a pm i1 in
-        if i2 < hi && a.(i2).Lexer.text = "(" && pm.(i2) >= 0 then
-          spans := (i2, pm.(i2)) :: !spans
-        else spans := (i2, hi) :: !spans
-      | "Mutex.lock" ->
-        let j = ref ni and stop = ref hi in
-        while !stop = hi && !j < hi do
-          if Lexer.is_ident a.(!j).Lexer.text then begin
-            let nm, _, nj = SL.qualified a !j in
-            if SL.last2 nm = "Mutex.unlock" then stop := !j;
-            j := nj
-          end
-          else incr j
-        done;
-        spans := (ni, !stop) :: !spans
-      | _ -> ());
-      i := ni
-    end
-    else incr i
-  done;
-  let locked k = List.exists (fun (b, e) -> b <= k && k <= e) !spans in
+  let spans = SL.lock_regions a pm f.Growth.g_b hi in
+  let locked k = List.exists (fun (_, b, e) -> b <= k && k <= e) spans in
   (* pass 1: container/atomic operations; the container argument token
      is marked consumed so pass 2 does not read it a second time *)
   let consumed = Hashtbl.create 16 in
@@ -331,7 +285,7 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
       let hit write poss =
         List.iter
           (fun p ->
-            match nth_arg_pos a ni p with
+            match Growth.nth_arg a ni p with
             | None -> ()
             | Some (arg, argstart) -> (
               Hashtbl.replace consumed argstart ();

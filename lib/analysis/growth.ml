@@ -37,11 +37,15 @@ let by_site a b =
 
 (* ---- project model --------------------------------------------------- *)
 
+type shape = Fun of string list | Value | Other
+
 type fn = {
   g_qname : string;  (* Module.name; "Module.<unit:L>" for anonymous items *)
   g_line : int;
-  g_b : int;  (* first token of the item (the [let]) *)
+  g_b : int;  (* first token of the item (the [let]/[and]) *)
+  g_body : int;  (* first token after the binding's [=] *)
   g_e : int;  (* exclusive *)
+  g_shape : shape;
 }
 
 type file_ctx = {
@@ -54,34 +58,27 @@ type file_ctx = {
   fc_stores : (string, unit) Hashtbl.t;  (* module-level containers *)
 }
 
-type project = {
-  files : file_ctx list;
-  defs : (string, file_ctx * fn) Hashtbl.t;  (* qname -> definition, first wins *)
+(* the call-edge, root and reachability closure, computed on first use *)
+type closure = {
   calls : (string, string list) Hashtbl.t;  (* qname -> resolved callees *)
   roots : (string, string) Hashtbl.t;  (* root qname -> why it is a root *)
   reach : (string, (string, unit) Hashtbl.t) Hashtbl.t;  (* root -> reachable set *)
 }
 
-let is_upper c = c >= 'A' && c <= 'Z'
-let segments name = String.split_on_char '.' name
-let last_segment name = List.nth (segments name) (List.length (segments name) - 1)
+type project = {
+  files : file_ctx list;
+  defs : (string, file_ctx * fn) Hashtbl.t;  (* qname -> definition, first wins *)
+  by_path : (string, file_ctx) Hashtbl.t;
+  closure : closure Lazy.t;
+  growth : (Finding.t list * cert list) Lazy.t;
+}
 
 let module_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-(* Canonical name of a container/counter expression, mirroring the
-   interprocedural pass's lock canonicalization: [Module.x] for
-   module-level stores, [.field] for record fields (same-named fields
-   merge across types — an accepted over-approximation), ["?"]-prefixed
-   when identity is unknowable (locals, parameters). *)
-let canon ctx raw =
-  if SL.is_simple raw then
-    if Hashtbl.mem ctx.fc_stores raw then ctx.fc_mdl ^ "." ^ raw else "?" ^ raw
-  else
-    let first = List.hd (segments raw) in
-    if first <> "" && is_upper first.[0] then SL.last2 raw else "." ^ last_segment raw
-
-let canonical s = String.length s > 0 && s.[0] <> '?'
+(* canonical name of a container/counter expression; module-level
+   stores are the [Module.x] ones *)
+let canon ctx raw = SL.canon ~mdl:ctx.fc_mdl ~top:(Hashtbl.mem ctx.fc_stores) raw
 
 (* Skip one argument-shaped token group: a dotted name, a balanced
    ()/[]/{} group, or a single token. Labels are skipped transparently
@@ -108,8 +105,8 @@ let skip_group (a : Lexer.token array) i =
     j
   | _ -> i + 1
 
-(* The [k]-th positional argument after token [i], as a dotted name;
-   [~label:] arguments are skipped. *)
+(* The [k]-th positional argument after token [i], as a dotted name with
+   its first token; [~label:] arguments are skipped. *)
 let rec nth_arg (a : Lexer.token array) i k =
   let n = Array.length a in
   if i >= n then None
@@ -118,7 +115,7 @@ let rec nth_arg (a : Lexer.token array) i k =
   else if k = 0 then
     if Lexer.is_ident a.(i).Lexer.text then
       let name, _, _ = SL.qualified a i in
-      Some name
+      Some (name, i)
     else None
   else nth_arg a (skip_group a i) (k - 1)
 
@@ -126,41 +123,82 @@ let rec nth_arg (a : Lexer.token array) i k =
 
 let store_heads = [ "Queue.create"; "Hashtbl.create"; "Buffer.create"; "Rlog.create" ]
 
+(* The shape of a binding whose pattern starts at token [j] of an item
+   ending at [e], and the first token of its body: [let () = ...] and
+   [let (a, b) = ...] and [let x = ...] are values; otherwise the
+   positional parameters before the [=] make a function (labels are not
+   positional; a [: ty] annotation runs to the [=]). *)
+let item_shape (a : Lexer.token array) pm j e =
+  if a.(j).Lexer.text = "(" && pm.(j) >= 0 && pm.(j) + 1 < e && a.(pm.(j) + 1).Lexer.text = "="
+  then (Value, pm.(j) + 2)
+  else if not (Lexer.is_ident a.(j).Lexer.text) then (Other, e)
+  else if j + 1 < e && a.(j + 1).Lexer.text = "=" then (Value, j + 2)
+  else begin
+    let params = ref [] in
+    let eq = ref (-1) in
+    let k = ref (j + 1) in
+    while !eq < 0 && !k < e do
+      let t = a.(!k).Lexer.text in
+      if t = "=" then eq := !k
+      else if t = "(" then begin
+        params := "_" :: !params;
+        k := if pm.(!k) >= 0 then pm.(!k) + 1 else e
+      end
+      else if t = "~" || t = "?" then begin
+        (* labeled parameter: skip [~x] or [~x:pat] *)
+        k := !k + 2;
+        if !k < e && a.(!k).Lexer.text = ":" then begin
+          let _, k' = SL.parse_atom a pm (!k + 1) in
+          k := k'
+        end
+      end
+      else if t = ":" then begin
+        while !k < e && a.(!k).Lexer.text <> "=" do
+          incr k
+        done;
+        if !k < e then eq := !k
+      end
+      else begin
+        if Lexer.is_ident t then params := t :: !params;
+        incr k
+      end
+    done;
+    if !eq >= 0 && !eq + 1 < e then (Fun (List.rev !params), !eq + 1) else (Other, e)
+  end
+
+(* Every [let] item, and every [and] item continuing one ([type ... and]
+   items are not bindings), becomes a [fn]. *)
 let parse_file (path, src) =
   let { Lexer.tokens = a; pragmas } = Lexer.scan src in
   let pm = SL.paren_matches a in
   let mdl = module_of_path path in
-  let bounds = SL.boundaries a in
-  let n = Array.length a in
-  let rec pairs = function
-    | b :: rest ->
-      let e = match rest with b2 :: _ -> b2 | [] -> n in
-      (b, e) :: pairs rest
-    | [] -> []
-  in
   let stores = Hashtbl.create 8 in
   let fns = ref [] in
+  let binding = ref false in
   List.iter
     (fun (b, e) ->
       let kw = a.(b).Lexer.text in
-      if (kw = "let" || kw = "and") && e > b + 1 then begin
+      if kw <> "and" then binding := kw = "let";
+      if !binding && e > b + 1 then begin
         let j = if a.(b + 1).Lexer.text = "rec" && b + 2 < e then b + 2 else b + 1 in
         let line = a.(b).Lexer.line in
+        let shape, body = item_shape a pm j e in
         let qname =
-          if j < e && Lexer.is_ident a.(j).Lexer.text then begin
+          if Lexer.is_ident a.(j).Lexer.text then begin
             (* module-level store? [let name = Queue.create ...] *)
-            (if j + 2 < e && a.(j + 1).Lexer.text = "=" && Lexer.is_ident a.(j + 2).Lexer.text
-             then
-               let h, _, _ = SL.qualified a (j + 2) in
+            (if shape = Value && body < e && Lexer.is_ident a.(body).Lexer.text then
+               let h, _, _ = SL.qualified a body in
                if List.mem (SL.last2 h) store_heads then
                  Hashtbl.replace stores a.(j).Lexer.text ());
             mdl ^ "." ^ a.(j).Lexer.text
           end
           else Printf.sprintf "%s.<unit:%d>" mdl line
         in
-        fns := { g_qname = qname; g_line = line; g_b = b; g_e = e } :: !fns
+        fns :=
+          { g_qname = qname; g_line = line; g_b = b; g_body = body; g_e = e; g_shape = shape }
+          :: !fns
       end)
-    (pairs bounds);
+    (SL.spans a);
   {
     fc_path = path;
     fc_mdl = mdl;
@@ -188,23 +226,11 @@ let trigger_heads =
   ]
 
 let resolve p ~mdl name =
-  if SL.is_simple name then
-    let q = mdl ^ "." ^ name in
-    if Hashtbl.mem p.defs q then Some q else None
-  else
-    let q = SL.last2 name in
-    if Hashtbl.mem p.defs q then Some q else None
+  let q = if SL.is_simple name then mdl ^ "." ^ name else SL.last2 name in
+  if Hashtbl.mem p.defs q then Some q else None
 
-let load sources =
-  let files = List.map parse_file sources in
-  let defs = Hashtbl.create 256 in
-  List.iter
-    (fun fc ->
-      List.iter
-        (fun f -> if not (Hashtbl.mem defs f.g_qname) then Hashtbl.add defs f.g_qname (fc, f))
-        fc.fc_fns)
-    files;
-  let p = { files; defs; calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
+let close p =
+  let c = { calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
   (* call edges: any resolvable name mentioned in a body is an edge —
      closures are treated as invoked, so a pump thunk stored in a record
      still connects its installer to the drain *)
@@ -225,9 +251,9 @@ let load sources =
             end
             else incr i
           done;
-          Hashtbl.replace p.calls f.g_qname (List.sort_uniq compare !callees))
+          Hashtbl.replace c.calls f.g_qname (List.sort_uniq compare !callees))
         fc.fc_fns)
-    files;
+    p.files;
   (* roots: resolvable names inside the first [(fun ...)] closure
      following a trigger head ([~handler:(fun ...)], spawn thunks,
      completion callbacks) *)
@@ -258,7 +284,7 @@ let load sources =
                   if Lexer.is_ident a.(!k).Lexer.text then begin
                     let cname, _, kn = SL.qualified a !k in
                     (match resolve p ~mdl:fc.fc_mdl cname with
-                    | Some q -> if not (Hashtbl.mem p.roots q) then Hashtbl.add p.roots q why
+                    | Some q -> if not (Hashtbl.mem c.roots q) then Hashtbl.add c.roots q why
                     | None -> ());
                     k := kn
                   end
@@ -272,7 +298,7 @@ let load sources =
         end
         else incr i
       done)
-    files;
+    p.files;
   (* reachability closure per root *)
   Hashtbl.iter
     (fun root _ ->
@@ -280,31 +306,143 @@ let load sources =
       let rec go q =
         if not (Hashtbl.mem seen q) then begin
           Hashtbl.add seen q ();
-          match Hashtbl.find_opt p.calls q with
+          match Hashtbl.find_opt c.calls q with
           | Some cs -> List.iter go cs
           | None -> ()
         end
       in
       go root;
-      Hashtbl.replace p.reach root seen)
-    p.roots;
-  p
+      Hashtbl.replace c.reach root seen)
+    c.roots;
+  c
 
 let files p = p.files
-let callees p q = try Hashtbl.find p.calls q with Not_found -> []
-
-let fn_of_token fc i =
-  List.find_opt (fun f -> f.g_b <= i && i < f.g_e) fc.fc_fns
+let callees p q = try Hashtbl.find (Lazy.force p.closure).calls q with Not_found -> []
 
 let remote_reachable p qname =
-  Hashtbl.fold (fun _ set acc -> acc || Hashtbl.mem set qname) p.reach false
+  Hashtbl.fold (fun _ set acc -> acc || Hashtbl.mem set qname) (Lazy.force p.closure).reach false
 
 (* roots whose reachable set contains [qname], with the reason *)
 let roots_reaching p qname =
+  let c = Lazy.force p.closure in
   Hashtbl.fold
-    (fun root set acc -> if Hashtbl.mem set qname then (root, Hashtbl.find p.roots root) :: acc else acc)
-    p.reach []
+    (fun root set acc -> if Hashtbl.mem set qname then (root, Hashtbl.find c.roots root) :: acc else acc)
+    c.reach []
   |> List.sort compare
+
+let allow p findings =
+  SL.allow_pragmas
+    (fun path -> match Hashtbl.find_opt p.by_path path with Some fc -> fc.fc_pragmas | None -> [])
+    findings
+
+let lint p =
+  List.concat_map
+    (fun fc -> SL.lint_tokens ~path:fc.fc_path fc.fc_toks fc.fc_pm fc.fc_pragmas)
+    p.files
+
+(* ---- wait sites ------------------------------------------------------- *)
+
+type binding = Quorum of string | Or_ | And_
+
+type wait = {
+  w_line : int;
+  w_head : string;
+  w_event : SL.atom;
+  w_binding : binding option;
+  w_timered : bool;
+  w_arity : (string * string) option;
+}
+
+let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ]
+
+(* One program-order scan per function: quorum/or_/and_ bindings, the
+   timer escapes wired into quorums via [Event.add q ~child:(Sched.timer
+   ...)], and which simple variable a quorum's [Count] arity came from
+   and which head each local was bound to. *)
+let waits fc f =
+  let a = fc.fc_toks and pm = fc.fc_pm and n = f.g_e in
+  let bound = Hashtbl.create 4 in
+  let timered = Hashtbl.create 4 in
+  let arity = Hashtbl.create 4 in
+  let heads = Hashtbl.create 8 in
+  (* the Count arity of a quorum binding, when it is a simple variable *)
+  let record_arity q eq =
+    let limit = min n (eq + 60) in
+    let j = ref (eq + 1) in
+    while !j < limit && a.(!j).Lexer.text <> "in" do
+      if a.(!j).Lexer.text = "Count" then begin
+        let k = ref (!j + 1) in
+        while !k < limit && a.(!k).Lexer.text = "(" do
+          incr k
+        done;
+        (if !k < limit then
+           let t = a.(!k).Lexer.text in
+           if Lexer.is_ident t && SL.is_simple t then Hashtbl.replace arity q t);
+        j := limit
+      end
+      else incr j
+    done
+  in
+  let out = ref [] in
+  let i = ref f.g_b in
+  while !i < n do
+    (match SL.binding_at a pm !i with
+    (* [let quorum, calls = Rpc.broadcast ...]: the first component is
+       an [Event.quorum arity] built by the rpc layer *)
+    | Some (SL.PTuple (q :: _), SL.RHead (Some h), _) when SL.last2 h = "Rpc.broadcast" ->
+      Hashtbl.replace bound q (Quorum "Rpc.broadcast")
+    | Some (SL.PVar name, rhs, eq) -> (
+      Hashtbl.remove bound name;
+      Hashtbl.remove timered name;
+      Hashtbl.remove arity name;
+      Hashtbl.remove heads name;
+      match rhs with
+      | SL.RHead (Some h) -> (
+        match SL.last2 h with
+        | "Event.quorum" ->
+          Hashtbl.replace bound name (Quorum "Event.quorum");
+          record_arity name eq
+        | "Event.or_" -> Hashtbl.replace bound name Or_
+        | "Event.and_" -> Hashtbl.replace bound name And_
+        | _ -> Hashtbl.replace heads name h)
+      | _ -> ())
+    | _ -> ());
+    if Lexer.is_ident a.(!i).Lexer.text then begin
+      let name, line, ni = SL.qualified a !i in
+      (match SL.last2 name with
+      | "Event.add" -> (
+        let parent, i1 = SL.parse_atom a pm ni in
+        match parent with
+        | SL.AName q when SL.is_simple q && i1 + 3 < n && a.(i1).Lexer.text = "~"
+                          && a.(i1 + 1).Lexer.text = "child" && a.(i1 + 2).Lexer.text = ":" -> (
+          match (Hashtbl.find_opt bound q, SL.parse_atom a pm (i1 + 3)) with
+          | Some (Quorum _), ((SL.AName h | SL.AParen (Some h)), _) when timerish h ->
+            Hashtbl.replace timered q ()
+          | _ -> ())
+        | _ -> ())
+      | ("Sched.wait" | "Sched.wait_timeout" | "Condvar.wait" | "Condvar.wait_timeout") as head
+        ->
+        let _sched, i1 = SL.parse_atom a pm ni in
+        let ev, _ = SL.parse_atom a pm i1 in
+        let q = match ev with SL.AName q when SL.is_simple q -> q | _ -> "" in
+        out :=
+          {
+            w_line = line;
+            w_head = head;
+            w_event = ev;
+            w_binding = Hashtbl.find_opt bound q;
+            w_timered = Hashtbl.mem timered q;
+            w_arity =
+              Option.bind (Hashtbl.find_opt arity q) (fun v ->
+                  Option.map (fun h -> (v, h)) (Hashtbl.find_opt heads v));
+          }
+          :: !out
+      | _ -> ());
+      i := ni
+    end
+    else incr i
+  done;
+  List.rev !out
 
 (* ---- growth sites and bound evidence --------------------------------- *)
 
@@ -390,7 +528,7 @@ let scan_fn fc (f : fn) (facts : facts) =
   let a = fc.fc_toks in
   let n = f.g_e in
   let add_site line container kind op =
-    if canonical container then
+    if SL.canonical container then
       facts.sites <-
         {
           s_fn = f.g_qname;
@@ -403,7 +541,7 @@ let scan_fn fc (f : fn) (facts : facts) =
         :: facts.sites
   in
   let add_ev line container kind what =
-    if canonical container then
+    if SL.canonical container then
       facts.evidence <-
         { e_fn = f.g_qname; e_line = line; e_container = container; e_kind = kind; e_what = what }
         :: facts.evidence
@@ -417,20 +555,20 @@ let scan_fn fc (f : fn) (facts : facts) =
       (match List.assoc_opt l2 growth_ops with
       | Some (argpos, kind) -> (
         match nth_arg a ni argpos with
-        | Some arg -> add_site line (canon fc arg) kind l2
+        | Some (arg, _) -> add_site line (canon fc arg) kind l2
         | None -> ())
       | None -> ());
       (match List.assoc_opt l2 drain_ops with
       | Some kind -> (
         match nth_arg a ni 0 with
-        | Some arg ->
+        | Some (arg, _) ->
           add_ev line (canon fc arg) kind (Printf.sprintf "drained via %s at line %d" l2 line)
         | None -> ())
       | None -> ());
       (match List.assoc_opt l2 length_ops with
       | Some kind -> (
         match nth_arg a ni 0 with
-        | Some arg ->
+        | Some (arg, _) ->
           if near_comparison a (!i) ni then
             add_ev line (canon fc arg) kind
               (Printf.sprintf "capacity check on %s at line %d" l2 line)
@@ -441,13 +579,13 @@ let scan_fn fc (f : fn) (facts : facts) =
          comparison on [x.f] bound it; [x.f <- e :: x.f] grows a list;
          any other [x.f <- rhs] is a reset (evidence for cons only). *)
       if ni + 1 < n && a.(ni).Lexer.text = "<" && a.(ni + 1).Lexer.text = "-" then begin
-        let field = last_segment name in
+        let field = SL.last_segment name in
         let c = canon fc name in
         let rhs = ni + 2 in
         let handled = ref false in
         if rhs < n && Lexer.is_ident a.(rhs).Lexer.text then begin
           let rname, _, rn = SL.qualified a rhs in
-          if last_segment rname = field && rn < n then
+          if SL.last_segment rname = field && rn < n then
             match a.(rn).Lexer.text with
             | "+" ->
               handled := true;
@@ -469,7 +607,7 @@ let scan_fn fc (f : fn) (facts : facts) =
               && Lexer.is_ident a.(!k + 2).Lexer.text
             then begin
               let rname, _, _ = SL.qualified a (!k + 2) in
-              if last_segment rname = field then found_cons := true
+              if SL.last_segment rname = field then found_cons := true
             end;
             incr k
           done;
@@ -488,14 +626,15 @@ let scan_fn fc (f : fn) (facts : facts) =
 
 (* ---- the growth analysis --------------------------------------------- *)
 
-let analyze p =
+let growth_analysis p =
+  let reach = (Lazy.force p.closure).reach in
   let facts = { sites = []; evidence = [] } in
   List.iter (fun fc -> List.iter (fun f -> scan_fn fc f facts) fc.fc_fns) p.files;
   (* index evidence by (function, container, kind) for component lookup *)
   let ev_by_fn = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.add ev_by_fn (e.e_fn, e.e_container, e.e_kind) e) facts.evidence;
   let component_evidence root site =
-    match Hashtbl.find_opt p.reach root with
+    match Hashtbl.find_opt reach root with
     | None -> None
     | Some set ->
       (* deterministic witness: the least (function, line) match, so
@@ -571,3 +710,22 @@ let analyze p =
       end)
     (List.rev facts.sites);
   (!findings, !certs)
+
+let load sources =
+  let files = List.map parse_file sources in
+  let defs = Hashtbl.create 256 in
+  let by_path = Hashtbl.create 64 in
+  List.iter
+    (fun fc ->
+      Hashtbl.replace by_path fc.fc_path fc;
+      List.iter
+        (fun f -> if not (Hashtbl.mem defs f.g_qname) then Hashtbl.add defs f.g_qname (fc, f))
+        fc.fc_fns)
+    files;
+  let rec p =
+    { files; defs; by_path; closure = lazy (close p); growth = lazy (growth_analysis p) }
+  in
+  p
+
+let load_files paths = load (List.map (fun path -> (path, SL.read_source path)) paths)
+let analyze p = Lazy.force p.growth

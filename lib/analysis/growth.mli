@@ -1,10 +1,16 @@
-(** The project model and growth analysis behind the depfast-bounds
-    pass ({!Bounds}).
+(** The project model every whole-project pass runs over, and the
+    growth analysis behind the depfast-bounds pass ({!Bounds}).
 
-    Builds, from every source at once: a per-file token context, a
-    table of top-level items, a call graph where {e any} resolvable
-    name mentioned in a body is an edge (closures are treated as
-    invoked, so a pump thunk stored in a record still connects its
+    {!load} is the only place where sources are lexed, paren-matched,
+    pragma-collected, split into top-level items and indexed by name:
+    {!Interproc}, {!Bounds}, {!Domains} and {!Spg_static} are each a
+    function over one {!project}. Every [let] item, and every [and] item
+    continuing one, becomes a {!fn} named [Module.name] (module from the
+    file's basename; the first definition wins on a collision).
+
+    On first use the model also closes a call graph where {e any}
+    resolvable name mentioned in a body is an edge (closures are treated
+    as invoked, so a pump thunk stored in a record still connects its
     installer to the drain), and the set of {e remote-triggered roots}
     — functions named inside the closure argument of [Rpc.serve]/
     [Net.register] handlers, [spawn] thunks, and [Event.on_fire]
@@ -49,11 +55,18 @@ val by_site : cert -> cert -> int
 
 (** {2 Project model} *)
 
+type shape =
+  | Fun of string list  (** a function: its positional parameters, in order *)
+  | Value  (** [let x = ...], [let () = ...], [let (a, b) = ...] *)
+  | Other  (** operator definitions and other patterns *)
+
 type fn = {
   g_qname : string;  (** [Module.name]; [Module.<unit:L>] for anonymous items *)
   g_line : int;
   g_b : int;  (** first token of the item *)
+  g_body : int;  (** first token after the binding's [=] *)
   g_e : int;  (** exclusive *)
+  g_shape : shape;
 }
 
 type file_ctx = {
@@ -69,27 +82,63 @@ type file_ctx = {
 type project
 
 val load : (string * string) list -> project
-(** Parse every [(path, contents)] pair and close call edges, roots and
-    per-root reachability. *)
+(** Parse every [(path, contents)] pair and index the items by name. The
+    call graph, roots and reachability are closed on first use. *)
+
+val load_files : string list -> project
+(** {!load} over the files read with {!Source_lint.read_source}. *)
 
 val files : project -> file_ctx list
-val fn_of_token : file_ctx -> int -> fn option
+
+val resolve : project -> mdl:string -> string -> string option
+(** Resolve a name as written in module [mdl] ([f], [M.f], [Lib.M.f]): a
+    simple name in its own module, a dotted one on its last two
+    segments. [None] when nothing of that name is defined. *)
+
+val allow : project -> Finding.t list -> Finding.t list
+(** Apply the pragmas of each finding's file ({!Lexer.allows}). *)
+
+val lint : project -> Finding.t list
+(** The per-file lint ({!Source_lint}) over every file of the project. *)
 
 val callees : project -> string -> string list
 (** Resolved call edges out of a function, sorted; [[]] if unknown. *)
 
-val skip_group : Lexer.token array -> int -> int
-(** Index past one argument-shaped token group: a dotted name, a
-    balanced ()/[]/{} group, or a single token. *)
+val nth_arg : Lexer.token array -> int -> int -> (string * int) option
+(** [nth_arg a i k]: the [k]-th positional argument after token [i] as
+    a dotted name, with its first token; [~label:] arguments skipped. *)
 
 val remote_reachable : project -> string -> bool
 (** Is the function with this qualified name reachable from any
     remote-triggered root? *)
 
-val roots_reaching : project -> string -> (string * string) list
-(** The remote-triggered roots whose components contain the function:
-    [(root qname, why it is a root)], sorted. *)
+(** {2 Wait sites} *)
+
+type binding =
+  | Quorum of string
+      (** a quorum, with the head that built it: ["Event.quorum"] or
+          ["Rpc.broadcast"] *)
+  | Or_
+  | And_
+
+type wait = {
+  w_line : int;
+  w_head : string;
+      (** [Sched.wait | Sched.wait_timeout | Condvar.wait | Condvar.wait_timeout] *)
+  w_event : Source_lint.atom;  (** the waited event or condvar *)
+  w_binding : binding option;  (** what a simple event name is bound to *)
+  w_timered : bool;  (** a [Sched.timer] child was wired into that quorum *)
+  w_arity : (string * string) option;
+      (** the variable the quorum's [Count] arity came from, and the
+          head that variable was bound to *)
+}
+
+val waits : file_ctx -> fn -> wait list
+(** The wait sites of a function in program order, each with the
+    bindings in scope: the one quorum/timer-escape scan behind {!Bounds}'
+    [missing-deadline] and {!Spg_static}'s colouring. *)
 
 val analyze : project -> Finding.t list * cert list
-(** The growth analysis: {!Finding.unbounded_growth} findings (pragmas
-    not yet applied) and a certificate per remote-reachable site. *)
+(** The growth analysis, computed once per project:
+    {!Finding.unbounded_growth} findings (pragmas not yet applied) and a
+    certificate per remote-reachable site. *)

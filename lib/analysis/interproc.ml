@@ -20,67 +20,164 @@ type vfact =
   | VQuorum of qcell
   | VNone
 
-type fn = {
-  f_qname : string;  (* "" for anonymous top-level units *)
-  f_params : string list;
-  f_line : int;
-  f_body : int;  (* first token of the body *)
-  f_end : int;  (* exclusive *)
-}
+(* ---- the mutex acquisition-order graph: a digraph with cycle reporting *)
 
-type fctx = {
-  path : string;
-  mdl : string;
-  toks : Lexer.token array;
-  pm : int array;
-  pragmas : Lexer.pragma list;
-  mutable fns : fn list;  (* named functions, with summaries *)
-  mutable units : fn list;  (* value bindings, walked for findings only *)
-  consts : (string, int) Hashtbl.t;  (* module-level int constants *)
-  lens : (string, int) Hashtbl.t;  (* module-level list-literal lengths *)
-  aliases : (string, string) Hashtbl.t;  (* module-level name -> name aliases *)
-  mlocks : (string, unit) Hashtbl.t;  (* module-level mutexes *)
-  mvals : (string, SL.kind) Hashtbl.t;  (* module-level bare remote completions *)
-}
+module Digraph = struct
+  type edge = { src : string; dst : string; witness : string }
+
+  type g = {
+    succ : (string, edge list ref) Hashtbl.t;
+    mutable nodes : string list;
+  }
+
+  let create () = { succ = Hashtbl.create 32; nodes = [] }
+
+  let node g n =
+    if not (List.mem n g.nodes) then g.nodes <- n :: g.nodes;
+    match Hashtbl.find_opt g.succ n with
+    | Some r -> r
+    | None ->
+      let r = ref [] in
+      Hashtbl.add g.succ n r;
+      r
+
+  let add_edge g ~src ~dst ~witness =
+    let r = node g src in
+    ignore (node g dst);
+    if not (List.exists (fun e -> e.dst = dst) !r) then r := { src; dst; witness } :: !r
+
+  let successors g n = match Hashtbl.find_opt g.succ n with Some r -> !r | None -> []
+
+  (* Tarjan's strongly connected components. *)
+  let sccs g =
+    let index = Hashtbl.create 32 in
+    let lowlink = Hashtbl.create 32 in
+    let on_stack = Hashtbl.create 32 in
+    let stack = ref [] in
+    let counter = ref 0 in
+    let out = ref [] in
+    let rec strong v =
+      Hashtbl.replace index v !counter;
+      Hashtbl.replace lowlink v !counter;
+      incr counter;
+      stack := v :: !stack;
+      Hashtbl.replace on_stack v ();
+      List.iter
+        (fun e ->
+          let w = e.dst in
+          if not (Hashtbl.mem index w) then begin
+            strong w;
+            Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+          end
+          else if Hashtbl.mem on_stack w then
+            Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+        (successors g v);
+      if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        let comp = ref [] in
+        let fin = ref false in
+        while not !fin do
+          match !stack with
+          | w :: rest ->
+            stack := rest;
+            Hashtbl.remove on_stack w;
+            comp := w :: !comp;
+            if w = v then fin := true
+          | [] -> fin := true
+        done;
+        out := !comp :: !out
+      end
+    in
+    List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) (List.sort compare g.nodes);
+    !out
+
+  (* One witness cycle per cyclic SCC: the edge path [n1 -> n2 -> ... -> n1]
+     found by BFS inside the component from its smallest node. *)
+  let cycles g =
+    let in_comp comp n = List.mem n comp in
+    List.filter_map
+      (fun comp ->
+        let cyclic =
+          match comp with
+          | [ n ] -> List.exists (fun e -> e.dst = n) (successors g n)
+          | _ :: _ :: _ -> true
+          | [] -> false
+        in
+        if not cyclic then None
+        else begin
+          let s = List.fold_left min (List.hd comp) comp in
+          (* BFS from s within the component back to s *)
+          let parent : (string, edge) Hashtbl.t = Hashtbl.create 8 in
+          let q = Queue.create () in
+          let found = ref None in
+          List.iter
+            (fun e ->
+              if !found = None && in_comp comp e.dst then
+                if e.dst = s then found := Some [ e ]
+                else if not (Hashtbl.mem parent e.dst) then begin
+                  Hashtbl.replace parent e.dst e;
+                  Queue.add e.dst q
+                end)
+            (successors g s);
+          while !found = None && not (Queue.is_empty q) do
+            let v = Queue.pop q in
+            List.iter
+              (fun e ->
+                if !found = None && in_comp comp e.dst then
+                  if e.dst = s then begin
+                    (* reconstruct s -> ... -> v -> s *)
+                    let rec back n acc =
+                      if n = s then acc
+                      else
+                        let pe = Hashtbl.find parent n in
+                        back pe.src (pe :: acc)
+                    in
+                    found := Some (back v [] @ [ e ])
+                  end
+                  else if not (Hashtbl.mem parent e.dst) then begin
+                    Hashtbl.replace parent e.dst e;
+                    Queue.add e.dst q
+                  end)
+              (successors g v)
+          done;
+          match !found with
+          | Some path -> Some (s :: List.map (fun e -> e.dst) path, path)
+          | None -> None
+        end)
+      (sccs g)
+end
+
+(* Module-level value facts: an int constant, a list literal's length,
+   an alias of another name (chased for constants), a mutex, or a bare
+   remote completion. *)
+type mval = MInt of int | MLen of int | MAlias of string | MLock | MRemote of SL.kind
 
 type state = {
-  cg : Callgraph.t;
-  modmap : (string, fctx) Hashtbl.t;  (* module name -> defining file, first wins *)
+  p : Growth.project;
+  sums : (string, Summary.t) Hashtbl.t;  (* function qname -> summary, first wins *)
+  values : (string, string * mval) Hashtbl.t;  (* "Module.x" -> defining file, fact *)
   fields : (string, SL.kind * string) Hashtbl.t;  (* record field -> kind, set-in file *)
   (* lock-order graph: canonical-name edges with their witness site *)
   edge_locs : (string * string, string * int) Hashtbl.t;
-  lock_graph : Callgraph.Digraph.g;
+  lock_graph : Digraph.g;
 }
 
-let iter_heads = [ "List.iter"; "List.iteri"; "List.map"; "List.mapi"; "Array.iter"; "Array.iteri" ]
-
-let is_upper c = c >= 'A' && c <= 'Z'
 let is_ident_at (a : Lexer.token array) i = i < Array.length a && Lexer.is_ident a.(i).Lexer.text
 
 let int_of_token txt =
   int_of_string_opt (String.concat "" (String.split_on_char '_' txt))
 
-let segments name = String.split_on_char '.' name
-let last_segment name = List.nth (segments name) (List.length (segments name) - 1)
+(* Canonical name of a mutex expression ({!SL.canon}; module-level
+   mutexes are the [Module.x] ones). Unknowable locks (parameters,
+   complex expressions) still count as "a lock is held" but join no
+   order graph. *)
+let canon_lock st (fc : Growth.file_ctx) = function
+  | None -> "?"
+  | Some raw ->
+    let mdl = fc.Growth.fc_mdl in
+    SL.canon ~mdl raw ~top:(fun x ->
+        match Hashtbl.find_opt st.values (mdl ^ "." ^ x) with Some (_, MLock) -> true | _ -> false)
 
-(* Canonical name of a mutex expression: [Module.x] for module-level
-   mutexes, [.field] for record fields (merging same-named fields of
-   different types — an accepted over-approximation), ["?"...]-prefixed
-   when identity is unknowable (parameters, complex expressions); the
-   latter still count as "a lock is held" but join no order graph. *)
-let canon_lock ctx raw =
-  if SL.is_simple raw then
-    if Hashtbl.mem ctx.mlocks raw then ctx.mdl ^ "." ^ raw else "?" ^ raw
-  else
-    let first = List.hd (segments raw) in
-    if first <> "" && is_upper first.[0] then SL.last2 raw else "." ^ last_segment raw
-
-let canonical l = String.length l > 0 && l.[0] <> '?'
-
-(* ---- per-file extraction -------------------------------------------- *)
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+(* ---- module-level value facts ---------------------------------------- *)
 
 (* Length of a list literal starting at a "[" token: depth-0 [;] count. *)
 let list_literal_length (a : Lexer.token array) i =
@@ -108,207 +205,41 @@ let list_literal_length (a : Lexer.token array) i =
     else Some (if !semis > 0 then !semis + 1 else if !items then 1 else 0)
   end
 
-(* Parse one top-level [let] item spanning tokens [b, e): either a named
-   function (params before the [=]), a named value binding (facts are
-   harvested from its right-hand side), or an anonymous unit. *)
-let parse_item ctx b e =
-  let a = ctx.toks in
-  let j = if b + 1 < e && a.(b + 1).Lexer.text = "rec" then b + 2 else b + 1 in
-  if j >= e then ()
-  else if a.(j).Lexer.text = "(" && ctx.pm.(j) >= 0 && ctx.pm.(j) + 1 < e
-          && a.(ctx.pm.(j) + 1).Lexer.text = "=" then
-    (* [let () = ...], [let (a, b) = ...]: anonymous walk unit *)
-    ctx.units <-
-      { f_qname = ""; f_params = []; f_line = a.(b).Lexer.line;
-        f_body = ctx.pm.(j) + 2; f_end = e }
-      :: ctx.units
-  else if is_ident_at a j && j < e then begin
-    let name = a.(j).Lexer.text in
-    if j + 1 < e && a.(j + 1).Lexer.text = "=" then begin
-      (* value binding: harvest module-level facts, and walk the body *)
-      let r = j + 2 in
-      (if r < e then
-         let t = a.(r).Lexer.text in
-         if t = "[" then (
-           match list_literal_length a r with
-           | Some l -> Hashtbl.replace ctx.lens name l
-           | None -> ())
-         else
-           match int_of_token t with
-           | Some v when not (Lexer.is_ident t) -> Hashtbl.replace ctx.consts name v
-           | _ ->
-             if Lexer.is_ident t then begin
-               let h, _, hn = SL.qualified a r in
-               let l2 = SL.last2 h in
-               if l2 = "Mutex.create" then Hashtbl.replace ctx.mlocks name ()
-               else
-                 match List.assoc_opt l2 SL.builtin_producers with
-                 | Some k -> Hashtbl.replace ctx.mvals name k
-                 | None ->
-                   (* a lone name is an alias worth chasing for constants *)
-                   if hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line then
-                     Hashtbl.replace ctx.aliases name h
-             end);
-      ctx.units <-
-        { f_qname = ""; f_params = []; f_line = a.(b).Lexer.line; f_body = r; f_end = e }
-        :: ctx.units
-    end
-    else begin
-      (* look for the [=] at paren depth 0, collecting positional params *)
-      let params = ref [] in
-      let eq = ref (-1) in
-      let k = ref (j + 1) in
-      while !eq < 0 && !k < e do
-        let t = a.(!k).Lexer.text in
-        if t = "=" then eq := !k
-        else if t = "(" then begin
-          params := "_" :: !params;
-          k := if ctx.pm.(!k) >= 0 then ctx.pm.(!k) + 1 else e
-        end
-        else if t = "~" || t = "?" then begin
-          (* labeled parameter: not positional; skip [~x] or [~x:pat] *)
-          k := !k + 2;
-          if !k < e && a.(!k).Lexer.text = ":" then begin
-            let _, k' = SL.parse_atom a ctx.pm (!k + 1) in
-            k := k'
-          end
-        end
-        else if t = ":" then begin
-          (* return-type annotation: scan directly to the [=] *)
-          while !k < e && a.(!k).Lexer.text <> "=" do
-            incr k
-          done;
-          if !k < e then eq := !k
-        end
-        else if Lexer.is_ident t then begin
-          params := t :: !params;
-          incr k
-        end
-        else incr k
-      done;
-      if !eq >= 0 && !eq + 1 < e then
-        ctx.fns <-
-          { f_qname = ctx.mdl ^ "." ^ name; f_params = List.rev !params;
-            f_line = a.(b).Lexer.line; f_body = !eq + 1; f_end = e }
-          :: ctx.fns
-    end
-  end
-
-let build_fctx (path, src) =
-  let { Lexer.tokens = toks; pragmas } = Lexer.scan src in
-  let ctx =
-    {
-      path; mdl = module_of_path path; toks; pm = SL.paren_matches toks; pragmas;
-      fns = []; units = [];
-      consts = Hashtbl.create 8; lens = Hashtbl.create 8; aliases = Hashtbl.create 8;
-      mlocks = Hashtbl.create 4; mvals = Hashtbl.create 4;
-    }
-  in
-  let bounds = SL.boundaries toks in
-  let n = Array.length toks in
-  let rec pairs = function
-    | b :: rest ->
-      let e = match rest with b2 :: _ -> b2 | [] -> n in
-      (b, e) :: pairs rest
-    | [] -> []
-  in
-  List.iter
-    (fun (b, e) -> if toks.(b).Lexer.text = "let" then parse_item ctx b e)
-    (pairs bounds);
-  ctx.fns <- List.rev ctx.fns;
-  ctx.units <- List.rev ctx.units;
-  ctx
-
-(* ---- cross-module constant / length resolution ----------------------- *)
-
-let rec lookup_const st ctx name depth =
-  if depth > 4 then None
-  else if SL.is_simple name then
-    match Hashtbl.find_opt ctx.consts name with
-    | Some v -> Some v
-    | None -> (
-      match Hashtbl.find_opt ctx.aliases name with
-      | Some d -> lookup_const st ctx d (depth + 1)
-      | None -> None)
+(* The fact a module-level value binding [x = <rhs>] records, if any. *)
+let value_fact (a : Lexer.token array) r e =
+  if r >= e then None
   else
-    let l2 = SL.last2 name in
-    match String.index_opt l2 '.' with
-    | Some j -> (
-      let m = String.sub l2 0 j in
-      let x = String.sub l2 (j + 1) (String.length l2 - j - 1) in
-      match Hashtbl.find_opt st.modmap m with
-      | Some c -> lookup_const st c x (depth + 1)
-      | None -> None)
-    | None -> None
+    let t = a.(r).Lexer.text in
+    if t = "[" then Option.map (fun l -> MLen l) (list_literal_length a r)
+    else
+      match int_of_token t with
+      | Some v when not (Lexer.is_ident t) -> Some (MInt v)
+      | _ ->
+        if not (Lexer.is_ident t) then None
+        else
+          let h, _, hn = SL.qualified a r in
+          let l2 = SL.last2 h in
+          if l2 = "Mutex.create" then Some MLock
+          else
+            match List.assoc_opt l2 SL.builtin_producers with
+            | Some k -> Some (MRemote k)
+            | None ->
+              (* a lone name is an alias worth chasing for constants *)
+              if hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line then Some (MAlias h)
+              else None
 
-let rec lookup_len st ctx name depth =
+(* A qualified mention [M.x] (or [Lib.M.x]) of a module-level constant or
+   list, aliases chased a few hops so the arity rule can read a [Count]
+   through a config module. *)
+let rec lookup st name depth =
   if depth > 4 then None
-  else if SL.is_simple name then
-    match Hashtbl.find_opt ctx.lens name with
-    | Some v -> Some v
-    | None -> (
-      match Hashtbl.find_opt ctx.aliases name with
-      | Some d -> lookup_len st ctx d (depth + 1)
-      | None -> None)
   else
-    let l2 = SL.last2 name in
-    match String.index_opt l2 '.' with
-    | Some j -> (
-      let m = String.sub l2 0 j in
-      let x = String.sub l2 (j + 1) (String.length l2 - j - 1) in
-      match Hashtbl.find_opt st.modmap m with
-      | Some c -> lookup_len st c x (depth + 1)
-      | None -> None)
-    | None -> None
-
-(* ---- named lock regions / iteration regions per function ------------ *)
-
-(* (canonical lock name, start token, end token) — [with_lock sched mu
-   (...)], [with_lock sched mu @@ fun ... -> <to end of item>], and
-   explicit [lock sched mu] ... [unlock mu] pairs. *)
-let lock_regions ctx (fn : fn) =
-  let a = ctx.toks and pm = ctx.pm in
-  let regions = ref [] in
-  let open_locks = ref [] in
-  let atom_name at = match at with SL.AName s -> Some s | _ -> None in
-  let i = ref fn.f_body in
-  while !i < fn.f_end do
-    if is_ident_at a !i then begin
-      let name, _, ni = SL.qualified a !i in
-      (match SL.last2 name with
-      | "Mutex.with_lock" ->
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let mu, i2 = SL.parse_atom a pm i1 in
-        let lname =
-          match atom_name mu with Some s -> canon_lock ctx s | None -> "?with_lock"
-        in
-        if i2 < fn.f_end && a.(i2).Lexer.text = "(" then
-          regions := (lname, i2, if pm.(i2) >= 0 then pm.(i2) else fn.f_end - 1) :: !regions
-        else if i2 < fn.f_end && a.(i2).Lexer.text = "@" then
-          regions := (lname, i2, fn.f_end - 1) :: !regions
-      | "Mutex.lock" ->
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let mu, _ = SL.parse_atom a pm i1 in
-        let lname = match atom_name mu with Some s -> canon_lock ctx s | None -> "?lock" in
-        open_locks := (lname, !i) :: !open_locks
-      | "Mutex.unlock" -> (
-        let mu, _ = SL.parse_atom a pm ni in
-        let lname = match atom_name mu with Some s -> canon_lock ctx s | None -> "" in
-        match List.partition (fun (l, _) -> l = lname) !open_locks with
-        | (l, s) :: _, rest ->
-          regions := ((l, s, !i) : string * int * int) :: !regions;
-          open_locks := rest
-        | [], (l, s) :: rest ->
-          regions := (l, s, !i) :: !regions;
-          open_locks := rest
-        | [], [] -> ())
-      | _ -> ());
-      i := ni
-    end
-    else incr i
-  done;
-  List.iter (fun (l, s) -> regions := (l, s, fn.f_end - 1) :: !regions) !open_locks;
-  !regions
+    let q = SL.last2 name in
+    match Hashtbl.find_opt st.values q with
+    | Some (_, MAlias d) ->
+      let mdl = String.sub q 0 (String.index q '.') in
+      lookup st (if SL.is_simple d then mdl ^ "." ^ d else d) (depth + 1)
+    | found -> found
 
 (* Iteration regions [(start, end, length source)] for inline-closure
    iterations; the length is resolved lazily at each [Event.add] so
@@ -316,12 +247,12 @@ let lock_regions ctx (fn : fn) =
    [for]/[while] bodies get an unknown length. *)
 type len_src = LUnknown | LLit of int | LName of string
 
-let iter_regions ctx (fn : fn) =
-  let a = ctx.toks and pm = ctx.pm in
+let iter_regions (fc : Growth.file_ctx) (fn : Growth.fn) =
+  let a = fc.Growth.fc_toks and pm = fc.Growth.fc_pm in
   let regions = ref [] in
   let loop_stack = ref [] in
-  let i = ref fn.f_body in
-  while !i < fn.f_end do
+  let i = ref fn.Growth.g_body in
+  while !i < fn.Growth.g_e do
     if is_ident_at a !i then begin
       let name, _, ni = SL.qualified a !i in
       (if name = "for" || name = "while" then loop_stack := !i :: !loop_stack
@@ -331,11 +262,11 @@ let iter_regions ctx (fn : fn) =
            regions := (s, !i, LUnknown) :: !regions;
            loop_stack := rest
          | [] -> ()
-       else if List.mem (SL.last2 name) iter_heads then
-         if ni < fn.f_end && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
+       else if List.mem (SL.last2 name) SL.iter_names then
+         if ni < fn.Growth.g_e && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
            let close = pm.(ni) in
            let len =
-             if close + 1 < fn.f_end && a.(close + 1).Lexer.text = "[" then
+             if close + 1 < fn.Growth.g_e && a.(close + 1).Lexer.text = "[" then
                match list_literal_length a (close + 1) with
                | Some l -> LLit l
                | None -> LUnknown
@@ -354,24 +285,36 @@ let iter_regions ctx (fn : fn) =
 
 (* ---- the per-function walk ------------------------------------------ *)
 
-let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit) option) =
-  let a = ctx.toks and pm = ctx.pm in
+(* the summary of the function a name resolves to, as written in [mdl] *)
+let resolve st ~mdl name =
+  Option.bind (Growth.resolve st.p ~mdl name) (Hashtbl.find_opt st.sums)
+
+let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
+    ~(emit : (Finding.t -> unit) option) =
+  let a = fc.Growth.fc_toks and pm = fc.Growth.fc_pm in
+  let path = fc.Growth.fc_path and mdl = fc.Growth.fc_mdl in
+  let f_body = fn.Growth.g_body and f_end = fn.Growth.g_e in
   let env : (string, vfact) Hashtbl.t = Hashtbl.create 16 in
-  List.iteri (fun i p -> if p <> "_" then Hashtbl.replace env p (VParam i)) fn.f_params;
+  (match fn.Growth.g_shape with
+  | Growth.Fun params ->
+    List.iteri (fun i p -> if p <> "_" then Hashtbl.replace env p (VParam i)) params
+  | Growth.Value | Growth.Other -> ());
   let quorums = ref [] in
-  let lregions = lock_regions ctx fn in
-  let iregions = iter_regions ctx fn in
+  let lregions =
+    List.map (fun (m, s, e) -> (canon_lock st fc m, s, e)) (SL.lock_regions a pm f_body f_end)
+  in
+  let iregions = iter_regions fc fn in
   (match own with
   | Some o ->
-    List.iter (fun (l, _, _) -> if canonical l then Summary.add_acquire o l) lregions
+    List.iter (fun (l, _, _) -> if SL.canonical l then Summary.add_acquire o l) lregions
   | None -> ());
   let held i = List.filter_map (fun (l, s, e) -> if s <= i && i <= e then Some l else None) lregions in
   let add_lock_edge src dst line =
-    if canonical src && canonical dst && src <> dst then begin
+    if SL.canonical src && SL.canonical dst && src <> dst then begin
       if not (Hashtbl.mem st.edge_locs (src, dst)) then
-        Hashtbl.replace st.edge_locs (src, dst) (ctx.path, line);
-      Callgraph.Digraph.add_edge st.lock_graph ~src ~dst
-        ~witness:(Printf.sprintf "%s:%d" ctx.path line)
+        Hashtbl.replace st.edge_locs (src, dst) (path, line);
+      Digraph.add_edge st.lock_graph ~src ~dst
+        ~witness:(Printf.sprintf "%s:%d" path line)
     end
   in
   (* intra-function nesting: acquiring B inside A's region orders A -> B *)
@@ -383,7 +326,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     lregions;
   let set_suspends () = match own with Some o -> o.Summary.suspends <- true | None -> () in
   let set_field f k =
-    if not (Hashtbl.mem st.fields f) then Hashtbl.replace st.fields f (k, ctx.path)
+    if not (Hashtbl.mem st.fields f) then Hashtbl.replace st.fields f (k, path)
   in
   (* value fact of a name in value position (variable, module value,
      record-field access) *)
@@ -392,39 +335,25 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       match Hashtbl.find_opt env name with
       | Some f -> f
       | None -> (
-        match Hashtbl.find_opt ctx.mvals name with
-        | Some k -> VRemote (k, PLocal)
-        | None -> (
-          match Hashtbl.find_opt ctx.consts name with
-          | Some v -> VInt v
-          | None -> (
-            match Hashtbl.find_opt ctx.lens name with
-            | Some v -> VList v
-            | None -> VNone)))
+        match Hashtbl.find_opt st.values (mdl ^ "." ^ name) with
+        | Some (_, MRemote k) -> VRemote (k, PLocal)
+        | Some (_, MInt v) -> VInt v
+        | Some (_, MLen v) -> VList v
+        | _ -> VNone)
     else
-      let first = List.hd (segments name) in
-      if first = "" || not (is_upper first.[0]) then (
+      if not (name.[0] >= 'A' && name.[0] <= 'Z') then (
         (* record-field path x.f / x.M.f *)
-        match Hashtbl.find_opt st.fields (last_segment name) with
+        match Hashtbl.find_opt st.fields (SL.last_segment name) with
         | Some (k, src) -> VRemote (k, PField src)
         | None -> VNone)
       else
-        let l2 = SL.last2 name in
-        match String.index_opt l2 '.' with
-        | Some j -> (
-          let m = String.sub l2 0 j in
-          let x = String.sub l2 (j + 1) (String.length l2 - j - 1) in
-          match Hashtbl.find_opt st.modmap m with
-          | Some c -> (
-            match Hashtbl.find_opt c.mvals x with
-            | Some k -> VRemote (k, if c.path = ctx.path then PLocal else PCross c.path)
-            | None -> (
-              match lookup_const st ctx name 0 with
-              | Some v -> VInt v
-              | None -> (
-                match lookup_len st ctx name 0 with Some v -> VList v | None -> VNone)))
-          | None -> VNone)
-        | None -> VNone
+        match Hashtbl.find_opt st.values (SL.last2 name) with
+        | Some (src, MRemote k) -> VRemote (k, if src = path then PLocal else PCross src)
+        | _ -> (
+          match lookup st name 0 with
+          | Some (_, MInt v) -> VInt v
+          | Some (_, MLen v) -> VList v
+          | _ -> VNone)
   in
   (* value fact of an applied (or copied) head *)
   let head_fact h =
@@ -438,11 +367,11 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
          call graph could prove they carry one *)
       if List.mem l2 SL.local_constructors || l2 = "Disk.write" || l2 = "Disk.fsync" then VNone
       else (
-        match Callgraph.resolve st.cg ~current_module:ctx.mdl h with
+        match resolve st ~mdl h with
         | Some callee -> (
           match callee.Summary.ret with
           | [ Some k ] ->
-            VRemote (k, if callee.Summary.file = ctx.path then PLocal else PCross callee.Summary.file)
+            VRemote (k, if callee.Summary.file = path then PLocal else PCross callee.Summary.file)
           | _ -> VNone)
         | None -> fact_of_name h)
   in
@@ -462,7 +391,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     in
     emit_finding
       (Finding.v ~rule:Finding.cross_module_red_wait ~severity
-         ~loc:(Finding.File { file = ctx.path; line })
+         ~loc:(Finding.File { file = path; line })
          (Printf.sprintf
             "wait on a bare %s completion %s: no per-file pass can see this; wrap it in \
              Event.quorum or race it against a timer via Event.or_ at the producer or here"
@@ -487,7 +416,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   (* parse an [Event.quorum (Event.Count k)] argument following the head *)
   let quorum_cell line ni =
     let count =
-      if ni < fn.f_end && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
+      if ni < f_end && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
         let close = pm.(ni) in
         let c = ref None in
         let j = ref (ni + 1) in
@@ -541,24 +470,24 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         if callee.Summary.suspends then
           emit_finding
             (Finding.v ~rule:Finding.lock_across_call ~severity:Finding.Error
-               ~loc:(Finding.File { file = ctx.path; line })
+               ~loc:(Finding.File { file = path; line })
                (Printf.sprintf
                   "call to %s while holding %s: the callee (transitively) suspends on an \
                    event, so one slow firer blocks every contender on the lock (the \
                    RethinkDB hazard, paper §2, across a call boundary)"
                   callee.Summary.qname
                   (String.concat ", "
-                     (List.map (fun l -> if canonical l then l else "a mutex") held_here)))))
+                     (List.map (fun l -> if SL.canonical l then l else "a mutex") held_here)))))
       held_here;
     (* positional arguments, labels skipped; stop at the first non-atom *)
     let j = ref ni in
     let pos = ref 0 in
     let stop = ref false in
-    while (not !stop) && !j < fn.f_end && !pos < 8 do
+    while (not !stop) && !j < f_end && !pos < 8 do
       let t = a.(!j).Lexer.text in
       if t = "~" || t = "?" then begin
         j := !j + 2;
-        if !j < fn.f_end && a.(!j).Lexer.text = ":" then begin
+        if !j < f_end && a.(!j).Lexer.text = ":" then begin
           let at, j' = SL.parse_atom a pm (!j + 1) in
           mark_escaped at;
           j := j'
@@ -572,11 +501,11 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
           mark_escaped at;
           if List.mem !pos callee.Summary.wait_params then begin
             match atom_fact at with
-            | VRemote (k, _) when callee.Summary.file <> ctx.path ->
+            | VRemote (k, _) when callee.Summary.file <> path ->
               let severity = match k with SL.Rpc -> Finding.Error | SL.Disk -> Finding.Warning in
               emit_finding
                 (Finding.v ~rule:Finding.cross_module_red_wait ~severity
-                   ~loc:(Finding.File { file = ctx.path; line })
+                   ~loc:(Finding.File { file = path; line })
                    (Printf.sprintf
                       "bare %s completion passed to %s, which waits on its argument: a \
                        cross-module red wait split between caller and callee"
@@ -600,7 +529,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       if SL.last2 h = "Event.quorum" then begin
         (* the head token follows the [=]; find it to parse the arity *)
         let k = ref (eq + 1) in
-        while !k < fn.f_end && a.(!k).Lexer.text = "(" do
+        while !k < f_end && a.(!k).Lexer.text = "(" do
           incr k
         done;
         if is_ident_at a !k then begin
@@ -610,20 +539,20 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       end
       else if
         (* local list literals feed iteration lengths *)
-        eq + 1 < fn.f_end && a.(eq + 1).Lexer.text = "["
+        eq + 1 < f_end && a.(eq + 1).Lexer.text = "["
       then
         match list_literal_length a (eq + 1) with
         | Some l -> bind1 name (VList l)
         | None -> bind1 name VNone
       else bind1 name (head_fact h)
     | SL.PVar name, SL.RHead None ->
-      if eq + 1 < fn.f_end && a.(eq + 1).Lexer.text = "[" then (
+      if eq + 1 < f_end && a.(eq + 1).Lexer.text = "[" then (
         match list_literal_length a (eq + 1) with
         | Some l -> bind1 name (VList l)
         | None -> bind1 name VNone)
       else (
         match int_of_token a.(eq + 1).Lexer.text with
-        | Some v when eq + 1 < fn.f_end -> bind1 name (VInt v)
+        | Some v when eq + 1 < f_end -> bind1 name (VInt v)
         | _ -> bind1 name VNone)
     | SL.PVar name, SL.RTuple _ -> bind1 name VNone
     | SL.PTuple names, SL.RTuple comps ->
@@ -635,14 +564,14 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         names
     | SL.PTuple names, SL.RHead (Some h) ->
       let comps =
-        match Callgraph.resolve st.cg ~current_module:ctx.mdl h with
+        match resolve st ~mdl h with
         | Some callee ->
           List.map
             (fun c ->
               match c with
               | Some k ->
                 VRemote
-                  (k, if callee.Summary.file = ctx.path then PLocal else PCross callee.Summary.file)
+                  (k, if callee.Summary.file = path then PLocal else PCross callee.Summary.file)
               | None -> VNone)
             callee.Summary.ret
         | None -> []
@@ -660,7 +589,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     let j = ref i in
     let expect_field = ref true in
     let fin = ref false in
-    while (not !fin) && !j < fn.f_end do
+    while (not !fin) && !j < f_end do
       let t = a.(!j).Lexer.text in
       (match t with
       | "{" | "(" | "[" ->
@@ -675,7 +604,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         if !expect_field && !j > i + 1 && Lexer.is_ident a.(!j - 1).Lexer.text then begin
           let field = a.(!j - 1).Lexer.text in
           let k = ref (!j + 1) in
-          while !k < fn.f_end && a.(!k).Lexer.text = "(" do
+          while !k < f_end && a.(!k).Lexer.text = "(" do
             incr k
           done;
           if is_ident_at a !k then begin
@@ -691,8 +620,8 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     done
   in
   (* ---- linear scan in program order ---- *)
-  let i = ref fn.f_body in
-  while !i < fn.f_end do
+  let i = ref f_body in
+  while !i < f_end do
     (match SL.binding_at a pm !i with
     | Some (pat, rhs, eq) -> handle_binding pat rhs a.(!i).Lexer.line eq
     | None -> ());
@@ -728,20 +657,20 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         | _ -> ())
       | "Mutex.lock" | "Mutex.unlock" | "Mutex.with_lock" -> ()
       | _ -> (
-        match Callgraph.resolve st.cg ~current_module:ctx.mdl name with
+        match resolve st ~mdl name with
         | Some callee -> handle_call callee line !i ni
         | None -> ()));
       (* field assignment [x.f <- <head>] *)
-      (if (not (SL.is_simple name)) && ni + 1 < fn.f_end && a.(ni).Lexer.text = "<"
+      (if (not (SL.is_simple name)) && ni + 1 < f_end && a.(ni).Lexer.text = "<"
           && a.(ni + 1).Lexer.text = "-" then begin
          let k = ref (ni + 2) in
-         while !k < fn.f_end && a.(!k).Lexer.text = "(" do
+         while !k < f_end && a.(!k).Lexer.text = "(" do
            incr k
          done;
          if is_ident_at a !k then begin
            let h, _, _ = SL.qualified a !k in
            match head_fact h with
-           | VRemote (kk, _) -> set_field (last_segment name) kk
+           | VRemote (kk, _) -> set_field (SL.last_segment name) kk
            | _ -> ()
          end
        end);
@@ -757,13 +686,13 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
      application of a producer *)
   (match own with
   | Some o ->
-    let e = fn.f_end in
+    let e = f_end in
     let last_line = a.(e - 1).Lexer.line in
     let lo = ref (e - 1) in
-    while !lo > fn.f_body && a.(!lo - 1).Lexer.line = last_line do
+    while !lo > f_body && a.(!lo - 1).Lexer.line = last_line do
       decr lo
     done;
-    let start = if !lo <= fn.f_body then fn.f_body else !lo in
+    let start = if !lo <= f_body then f_body else !lo in
     let ret =
       if start >= e then []
       else if start = e - 1 && is_ident_at a start && SL.is_simple a.(start).Lexer.text then (
@@ -807,7 +736,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       | Some k when (not qc.q_unknown) && qc.q_adds > 0 && k > qc.q_adds ->
         emit_finding
           (Finding.v ~rule:Finding.quorum_arity_mismatch ~severity:Finding.Error
-             ~loc:(Finding.File { file = ctx.path; line = qc.q_line })
+             ~loc:(Finding.File { file = path; line = qc.q_line })
              (Printf.sprintf
                 "quorum requires Count %d but only %d child event(s) statically flow into \
                  it: it can never fire (constants resolved across modules)"
@@ -817,33 +746,48 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
 
 (* ---- the whole-project pass ----------------------------------------- *)
 
-let analyze_sources sources =
-  let ctxs = List.map build_fctx sources in
+let analyze p =
   let st =
     {
-      cg = Callgraph.create ();
-      modmap = Hashtbl.create 64;
+      p;
+      sums = Hashtbl.create 256;
+      values = Hashtbl.create 64;
       fields = Hashtbl.create 32;
       edge_locs = Hashtbl.create 16;
-      lock_graph = Callgraph.Digraph.create ();
+      lock_graph = Digraph.create ();
     }
   in
+  (* functions get summaries; value bindings are walked for findings
+     and harvested for module-level facts *)
+  let summaries = ref [] and units = ref [] in
   List.iter
-    (fun ctx -> if not (Hashtbl.mem st.modmap ctx.mdl) then Hashtbl.add st.modmap ctx.mdl ctx)
-    ctxs;
-  let summaries =
-    List.concat_map
-      (fun ctx ->
-        List.map
-          (fun (fn : fn) ->
+    (fun (fc : Growth.file_ctx) ->
+      let a = fc.Growth.fc_toks in
+      List.iter
+        (fun (fn : Growth.fn) ->
+          match fn.Growth.g_shape with
+          | Growth.Fun params ->
             let s =
-              Summary.create ~qname:fn.f_qname ~file:ctx.path ~line:fn.f_line
-                ~params:fn.f_params
+              Summary.create ~qname:fn.Growth.g_qname ~file:fc.Growth.fc_path
+                ~line:fn.Growth.g_line ~params
             in
-            Callgraph.define st.cg s;
-            (ctx, fn, s))
-          ctx.fns)
-      ctxs
+            if not (Hashtbl.mem st.sums s.Summary.qname) then Hashtbl.add st.sums s.Summary.qname s;
+            summaries := (fc, fn, s) :: !summaries
+          | Growth.Value ->
+            (* a named value [let x = ...] has its name just before the [=] *)
+            let named = is_ident_at a (fn.Growth.g_body - 2) in
+            (if named && not (Hashtbl.mem st.values fn.Growth.g_qname) then
+               match value_fact a fn.Growth.g_body fn.Growth.g_e with
+               | Some m -> Hashtbl.add st.values fn.Growth.g_qname (fc.Growth.fc_path, m)
+               | None -> ());
+            units := (fc, fn) :: !units
+          | Growth.Other -> ())
+        fc.Growth.fc_fns)
+    (Growth.files p);
+  let summaries = List.rev !summaries and units = List.rev !units in
+  let walk_all st ~emit =
+    List.iter (fun (fc, fn, s) -> walk st fc fn ~own:(Some s) ~emit) summaries;
+    List.iter (fun (fc, u) -> walk st fc u ~own:None ~emit) units
   in
   (* fixpoint: summaries and field facts feed each other across files *)
   let changed = ref true in
@@ -853,10 +797,7 @@ let analyze_sources sources =
     let before =
       List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
     in
-    List.iter (fun (ctx, fn, s) -> walk st ctx fn ~own:(Some s) ~emit:None) summaries;
-    List.iter
-      (fun ctx -> List.iter (fun u -> walk st ctx u ~own:None ~emit:None) ctx.units)
-      ctxs;
+    walk_all st ~emit:None;
     let after =
       List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
     in
@@ -865,13 +806,10 @@ let analyze_sources sources =
   (* reporting round: rebuild the lock graph from scratch so every edge
      reflects fixpoint facts, then emit findings *)
   Hashtbl.reset st.edge_locs;
-  let st = { st with lock_graph = Callgraph.Digraph.create () } in
+  let st = { st with lock_graph = Digraph.create () } in
   let findings = ref [] in
   let emit f = findings := f :: !findings in
-  List.iter (fun (ctx, fn, s) -> walk st ctx fn ~own:(Some s) ~emit:(Some emit)) summaries;
-  List.iter
-    (fun ctx -> List.iter (fun u -> walk st ctx u ~own:None ~emit:(Some emit)) ctx.units)
-    ctxs;
+  walk_all st ~emit:(Some emit);
   (* lock-order cycles *)
   List.iter
     (fun (path, edges) ->
@@ -879,16 +817,15 @@ let analyze_sources sources =
       | [] -> ()
       | first :: _ ->
         let loc =
-          match Hashtbl.find_opt st.edge_locs (first.Callgraph.Digraph.src, first.Callgraph.Digraph.dst) with
+          match Hashtbl.find_opt st.edge_locs (first.Digraph.src, first.Digraph.dst) with
           | Some (file, line) -> Finding.File { file; line }
           | None -> Finding.File { file = "<unknown>"; line = 0 }
         in
         let sites =
           String.concat "; "
             (List.map
-               (fun (e : Callgraph.Digraph.edge) ->
-                 Printf.sprintf "%s -> %s at %s" e.Callgraph.Digraph.src e.Callgraph.Digraph.dst
-                   e.Callgraph.Digraph.witness)
+               (fun (e : Digraph.edge) ->
+                 Printf.sprintf "%s -> %s at %s" e.Digraph.src e.Digraph.dst e.Digraph.witness)
                edges)
         in
         emit
@@ -898,34 +835,10 @@ let analyze_sources sources =
                  deadlock outright — and under fail-slow faults even the non-deadlocked \
                  interleavings convoy (acquisition sites: %s)"
                 (String.concat " -> " path) sites)))
-    (Callgraph.Digraph.cycles st.lock_graph);
-  (* pragma exemptions, per finding file *)
-  let pragmas_of =
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun ctx -> Hashtbl.replace tbl ctx.path ctx.pragmas) ctxs;
-    fun path -> try Hashtbl.find tbl path with Not_found -> []
-  in
-  let allowed_at path rule line =
-    List.exists
-      (fun (p : Lexer.pragma) ->
-        p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-      (pragmas_of path)
-  in
-  !findings
-  |> List.map (fun (f : Finding.t) ->
-         match f.Finding.loc with
-         | Finding.File { file; line } when allowed_at file f.Finding.rule line ->
-           { f with Finding.allowed = true }
-         | _ -> f)
+    (Digraph.cycles st.lock_graph);
+  Growth.allow p !findings
   |> List.sort_uniq (fun a b ->
          let c = Finding.by_location a b in
          if c <> 0 then c else compare a b)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+let analyze_files paths = analyze (Growth.load_files paths)

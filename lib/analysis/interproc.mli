@@ -3,10 +3,11 @@
     The per-file lint ({!Source_lint}) stops at module boundaries: a
     bare remote completion returned from another file, smuggled through
     a record field, or a suspension hidden behind a call are all
-    invisible to it. This pass scans {e every} source together, builds a
-    {!Summary.t} per top-level function (returns/accepts a remote
-    completion event, suspends, acquires mutexes), resolves calls
-    through a {!Callgraph.t} keyed on [Module.fn], and iterates the
+    invisible to it. This pass runs over the whole {!Growth.project},
+    builds a {!Summary.t} per top-level function (including the [and]
+    halves of [let rec]: returns/accepts a remote completion event,
+    suspends, acquires mutexes), resolves calls through the project's
+    [Module.fn] index ({!Growth.resolve}), and iterates the
     summaries to a fixpoint so facts flow through returns, tuple
     components, record fields and arguments. Whole-program rules:
 
@@ -32,7 +33,8 @@
     same [(* depfast-lint: allow rule-id *)] pragmas as the per-file
     pass. *)
 
-val analyze_sources : (string * string) list -> Finding.t list
-(** [(path, contents)] pairs — the whole project at once. *)
+val analyze : Growth.project -> Finding.t list
+(** Findings are pragma-applied and sorted by location. *)
 
 val analyze_files : string list -> Finding.t list
+(** {!analyze} over the project loaded from these files. *)

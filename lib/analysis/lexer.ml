@@ -9,6 +9,12 @@ let is_ident_char c =
 
 let is_ident s = String.length s > 0 && is_ident_start s.[0]
 
+(* The one pragma window: a pragma on lines L-3..L allows [rule] at L. *)
+let allows pragmas rule line =
+  List.exists
+    (fun p -> p.p_line <= line && p.p_line >= line - 3 && List.mem rule p.p_rules)
+    pragmas
+
 (* Words of a comment body, split on anything outside [a-z0-9-]; if the
    comment reads "... depfast-lint : allow <words...>" the words after
    "allow" are the allowed rule ids (trailing prose is harmless — only

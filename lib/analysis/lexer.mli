@@ -20,3 +20,8 @@ val scan : string -> result
 
 val is_ident : string -> bool
 (** True for identifier-shaped tokens (starts with a letter or [_]). *)
+
+val allows : pragma list -> string -> int -> bool
+(** [allows pragmas rule line]: does a pragma starting on [line] or on
+    one of the three lines above it allow [rule]? Every pass exempts
+    findings through this one rule. *)

@@ -136,21 +136,15 @@ let analyze (p : Growth.project) =
      as unbounded (a bounded queue is not a slowness source) and no
      pragma exempted — an [allow unbounded-growth] means a human
      certified the site bounded in practice, so it does not radiate *)
-  let allowed_growth fc line =
-    List.exists
-      (fun (pr : Lexer.pragma) ->
-        pr.Lexer.p_line <= line
-        && pr.Lexer.p_line >= line - 3
-        && List.mem "unbounded-growth" pr.Lexer.p_rules)
-      fc.Growth.fc_pragmas
-  in
   let _, gcerts = Growth.analyze p in
   List.iter
     (fun (c : Growth.cert) ->
       if c.Growth.c_verdict = Growth.Flagged then
         List.iter
           (fun fc ->
-            if fc.Growth.fc_path = c.Growth.c_file && not (allowed_growth fc c.Growth.c_line)
+            if
+              fc.Growth.fc_path = c.Growth.c_file
+              && not (Lexer.allows fc.Growth.fc_pragmas Finding.unbounded_growth c.Growth.c_line)
             then
               match fn_at_line fc c.Growth.c_line with
               | Some fn ->

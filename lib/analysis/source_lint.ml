@@ -33,6 +33,23 @@ let last2 name =
 
 let is_simple name = not (String.contains name '.')
 
+let last_segment name =
+  match String.rindex_opt name '.' with
+  | None -> name
+  | Some j -> String.sub name (j + 1) (String.length name - j - 1)
+
+(* Canonical name of a cell or mutex mention written in module [mdl]:
+   [Module.x] for a module-level one ([top x]), [.field] for record
+   fields (same-named fields merge across types — an accepted
+   over-approximation), ["?"]-prefixed when identity is unknowable
+   (locals, parameters). *)
+let canon ~mdl ~top raw =
+  if is_simple raw then if top raw then mdl ^ "." ^ raw else "?" ^ raw
+  else if raw.[0] >= 'A' && raw.[0] <= 'Z' then last2 raw
+  else "." ^ last_segment raw
+
+let canonical s = s <> "" && s.[0] <> '?'
+
 (* ---- token-stream helpers ------------------------------------------- *)
 
 let qualified (a : Lexer.token array) i =
@@ -106,10 +123,28 @@ let boundaries (a : Lexer.token array) =
     a;
   List.rev !out
 
-let next_boundary bounds i =
-  match List.find_opt (fun b -> b > i) bounds with
-  | Some b -> b
-  | None -> max_int
+(* Top-level items as [(first token, end)] spans, end exclusive: each
+   runs from one boundary to the next. *)
+let spans (a : Lexer.token array) =
+  let rec pairs = function
+    | b :: (b2 :: _ as rest) -> (b, b2) :: pairs rest
+    | [ b ] -> [ (b, Array.length a) ]
+    | [] -> []
+  in
+  pairs (boundaries a)
+
+let read_source path = In_channel.with_open_bin path In_channel.input_all
+
+(* Mark the findings a pragma allows; [pragmas_of] maps a finding's file
+   to that file's pragmas. *)
+let allow_pragmas pragmas_of findings =
+  List.map
+    (fun (f : Finding.t) ->
+      match f.Finding.loc with
+      | Finding.File { file; line } when Lexer.allows (pragmas_of file) f.Finding.rule line ->
+        { f with Finding.allowed = true }
+      | _ -> f)
+    findings
 
 (* ---- per-file environment ------------------------------------------- *)
 
@@ -301,14 +336,7 @@ let record_binding env ~and_line pat rhs line =
    application of a producer, or a literal tuple whose components are
    learnt positionally. Iterated with the binding pass so producer
    facts and variable facts can feed each other. *)
-let learn_producers (a : Lexer.token array) pm bounds env =
-  let n = Array.length a in
-  let rec pairs = function
-    | b :: rest ->
-      let e = match rest with b2 :: _ -> b2 | [] -> n in
-      (b, e) :: pairs rest
-    | [] -> []
-  in
+let learn_producers (a : Lexer.token array) pm items env =
   List.iter
     (fun (b, e) ->
       if a.(b).Lexer.text = "let" && e > b + 1 then begin
@@ -364,49 +392,47 @@ let learn_producers (a : Lexer.token array) pm bounds env =
           end
         end
       end)
-    (pairs bounds)
+    items
 
 (* ---- locked / iterating regions ------------------------------------- *)
 
-let lock_regions (a : Lexer.token array) pm bounds =
-  let n = Array.length a in
-  let bset = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace bset b ()) bounds;
+(* The Mutex regions among tokens [lo, hi): a [with_lock sched mu
+   (fun ...)] body, a [with_lock sched mu @@ fun ...] tail up to
+   [hi - 1], and a [lock sched mu] .. [unlock mu] span (an unclosed one
+   runs to [hi - 1]); each with its mutex when that is a plain name. *)
+let lock_regions (a : Lexer.token array) pm lo hi =
   let regions = ref [] in
-  let open_lock = ref None in
-  let i = ref 0 in
-  while !i < n do
-    (if Hashtbl.mem bset !i then
-       match !open_lock with
-       | Some s ->
-         regions := (s, !i - 1) :: !regions;
-         open_lock := None
-       | None -> ());
+  let open_locks = ref [] in
+  let mutex = function AName s -> Some s | _ -> None in
+  let i = ref lo in
+  while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
       let name, _, ni = qualified a !i in
       (match last2 name with
       | "Mutex.with_lock" ->
-        let _, i1 = parse_atom a pm ni in
-        let _, i2 = parse_atom a pm i1 in
-        if i2 < n && a.(i2).Lexer.text = "(" then
-          regions := (i2, if pm.(i2) >= 0 then pm.(i2) else n - 1) :: !regions
-        else if i2 < n && a.(i2).Lexer.text = "@" then begin
-          let e = next_boundary bounds i2 in
-          regions := (i2, min (e - 1) (n - 1)) :: !regions
-        end
-      | "Mutex.lock" -> if !open_lock = None then open_lock := Some !i
+        let _sched, i1 = parse_atom a pm ni in
+        let mu, i2 = parse_atom a pm i1 in
+        if i2 < hi && a.(i2).Lexer.text = "(" then
+          regions := (mutex mu, i2, if pm.(i2) >= 0 then pm.(i2) else hi - 1) :: !regions
+        else if i2 < hi && a.(i2).Lexer.text = "@" then
+          regions := (mutex mu, i2, hi - 1) :: !regions
+      | "Mutex.lock" ->
+        let _sched, i1 = parse_atom a pm ni in
+        let mu, _ = parse_atom a pm i1 in
+        open_locks := (mutex mu, !i) :: !open_locks
       | "Mutex.unlock" -> (
-        match !open_lock with
-        | Some s ->
-          regions := (s, !i) :: !regions;
-          open_lock := None
-        | None -> ())
+        let mu, _ = parse_atom a pm ni in
+        match List.partition (fun (m, _) -> m = mutex mu) !open_locks with
+        | (m, s) :: _, rest | [], (m, s) :: rest ->
+          regions := (m, s, !i) :: !regions;
+          open_locks := rest
+        | [], [] -> ())
       | _ -> ());
       i := ni
     end
     else incr i
   done;
-  (match !open_lock with Some s -> regions := (s, n - 1) :: !regions | None -> ());
+  List.iter (fun (m, s) -> regions := (m, s, hi - 1) :: !regions) !open_locks;
   !regions
 
 let iter_regions (a : Lexer.token array) pm =
@@ -437,13 +463,11 @@ let in_region regions i = List.exists (fun (s, e) -> s <= i && i <= e) regions
 
 (* ---- the lint proper ------------------------------------------------ *)
 
-let lint_string ?(path = "<string>") src =
-  let { Lexer.tokens = a; pragmas } = Lexer.scan src in
+let lint_tokens ~path a pm pragmas =
   let n = Array.length a in
   if n = 0 then []
   else begin
-    let pm = paren_matches a in
-    let bounds = boundaries a in
+    let items = spans a in
     let env = { remote = Hashtbl.create 16; producers = Hashtbl.create 16 } in
     let and_line = Hashtbl.create 8 in
     (* fixpoint: variable facts and producer facts feed each other *)
@@ -454,11 +478,15 @@ let lint_string ?(path = "<string>") src =
           | Some (pat, rhs, _) -> record_binding env ~and_line pat rhs a.(i).Lexer.line
           | None -> ())
         a;
-      learn_producers a pm bounds env
+      learn_producers a pm items env
     done;
     Hashtbl.reset env.remote;
     Hashtbl.reset and_line;
-    let locked = lock_regions a pm bounds in
+    let locked =
+      List.concat_map
+        (fun (b, e) -> List.map (fun (_, s, e) -> (s, e)) (lock_regions a pm b e))
+        items
+    in
     let iters = iter_regions a pm in
     let findings = ref [] in
     let emit ~rule ~severity ~line message =
@@ -545,30 +573,14 @@ let lint_string ?(path = "<string>") src =
                 Event.or_ with a timer escape"
                p))
       and_adds;
-    (* pragma exemptions: a pragma on lines L-3..L allows a finding at L *)
-    let allowed_at rule line =
-      List.exists
-        (fun (p : Lexer.pragma) ->
-          p.Lexer.p_line <= line
-          && p.Lexer.p_line >= line - 3
-          && List.mem rule p.Lexer.p_rules)
-        pragmas
-    in
-    !findings
-    |> List.map (fun (f : Finding.t) ->
-           match f.Finding.loc with
-           | Finding.File { line; _ } when allowed_at f.Finding.rule line ->
-             { f with Finding.allowed = true }
-           | _ -> f)
-    |> List.sort Finding.by_location
+    allow_pragmas (fun _ -> pragmas) !findings |> List.sort Finding.by_location
   end
 
-let lint_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  lint_string ~path src
+let lint_string ?(path = "<string>") src =
+  let { Lexer.tokens = a; pragmas } = Lexer.scan src in
+  lint_tokens ~path a (paren_matches a) pragmas
+
+let lint_file path = lint_string ~path (read_source path)
 
 let ml_files roots =
   let rec walk acc path =

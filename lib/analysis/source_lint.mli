@@ -37,6 +37,18 @@ val lint_string : ?path:string -> string -> Finding.t list
 
 val lint_file : string -> Finding.t list
 
+val lint_tokens :
+  path:string -> Lexer.token array -> int array -> Lexer.pragma list -> Finding.t list
+(** Lint an already lexed file: its tokens, their {!paren_matches} and
+    its pragmas. {!Growth.lint} runs this over a loaded project. *)
+
+val read_source : string -> string
+(** The contents of a file: the one reader every front end uses. *)
+
+val allow_pragmas : (string -> Lexer.pragma list) -> Finding.t list -> Finding.t list
+(** Mark as allowed the findings that a pragma of their file allows
+    ({!Lexer.allows}); the argument maps a path to its pragmas. *)
+
 val ml_files : string list -> string list
 (** The [.ml] sources under the given paths, in order: each directory
     is walked depth-first with its entries sorted, skipping [_build] and
@@ -61,11 +73,27 @@ val local_constructors : string list
 (** Heads constructing a local or compound event — binding one cancels
     any remote-completion fact. *)
 
+val iter_names : string list
+(** Iteration heads ([List.iter], [Array.iteri], ...) whose closure body
+    runs once per element. *)
+
 val last2 : string -> string
 (** The last two dot-segments of a qualified name. *)
 
 val is_simple : string -> bool
 (** True when the name has no dot. *)
+
+val last_segment : string -> string
+
+val canon : mdl:string -> top:(string -> bool) -> string -> string
+(** [canon ~mdl ~top raw]: the canonical name of a cell or mutex mention
+    written in module [mdl] — [Module.x] for a simple name [top] holds
+    module-level, [M.x] for a qualified one, [.field] for a record
+    field (same-named fields merge across types), and a ["?"]-prefixed
+    name when its identity is unknowable (locals, parameters). *)
+
+val canonical : string -> bool
+(** Is this a canonical name rather than a ["?"]-prefixed unknown? *)
 
 type atom = AName of string | AParen of string option | AOther
 
@@ -83,6 +111,18 @@ val paren_matches : Lexer.token array -> int array
 val boundaries : Lexer.token array -> int list
 (** Indices of column-0 structure keywords ([let], [module], ...) —
     top-level item boundaries. *)
+
+val spans : Lexer.token array -> (int * int) list
+(** Top-level items as [(first token, end)] spans, end exclusive. *)
+
+val lock_regions :
+  Lexer.token array -> int array -> int -> int -> (string option * int * int) list
+(** [lock_regions a pm lo hi]: the [Depfast.Mutex] regions among tokens
+    [lo, hi), as [(mutex, first, last)] — a [with_lock sched mu (fun
+    ...)] body, a [with_lock sched mu @@ fun ...] tail up to [hi - 1],
+    and a [lock sched mu] .. [unlock mu] span (unclosed: to [hi - 1]).
+    [mutex] is the lock's name when it is written as a plain name. The
+    per-file lint, {!Interproc} and {!Effects} share this scanner. *)
 
 val tuple_components : Lexer.token array -> int array -> int -> string option list option
 (** Head names of the components of a literal tuple [(e1, e2, ...)]

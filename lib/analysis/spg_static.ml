@@ -2,8 +2,8 @@
    exposure — which fail-slow resource kinds can delay it, in which
    role — and its color in the {!Spg.color} sense (quorum-k green vs
    fate-sharing red). Taint comes from {!Propagation}; wait shapes and
-   timeout escapes mirror {!Bounds.scan_waits} so the two passes agree
-   on what "covered" means. Every wait yields a certificate; every
+   timeout escapes come from {!Growth.waits}, the scan {!Bounds} judges
+   too, so the two passes agree on what "covered" means. Every wait yields a certificate; every
    (wait x exposure) pair yields a propagation certificate carrying the
    least-(fn, line) witness path. *)
 
@@ -40,187 +40,79 @@ let path_string (t : Propagation.taint) =
 let exposure_string x =
   Printf.sprintf "%s x %s" (Propagation.fault_name x.x_fault) x.x_role
 
-(* ---- per-function wait scan ------------------------------------------ *)
+(* ---- per-function wait colouring ----------------------------------- *)
 
-(* Tracks, like {!Bounds.scan_waits}: quorum/or_/and_ bindings, timer
-   escapes wired via [Event.add q ~child:(Sched.timer ...)], plus —
-   for the unreached-mitigation rule — which simple variable a quorum's
-   [Count] arity came from and which head each local was bound to. *)
-let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
-  ignore pr;
-  let a = fc.Growth.fc_toks in
-  let pm = fc.Growth.fc_pm in
-  let n = f.Growth.g_e in
-  let quorums = Hashtbl.create 4 in
-  let ors = Hashtbl.create 4 in
-  let ands = Hashtbl.create 4 in
-  let timered = Hashtbl.create 4 in
-  let arity_var = Hashtbl.create 4 in
-  let var_head = Hashtbl.create 8 in
+(* Colours the waits of {!Growth.waits}: quorum and or_ bindings are
+   green, everything else red; a quorum wait whose [Count] arity came
+   from a call also goes to [arity], for the unreached-mitigation rule. *)
+let scan_fn taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
   let exposures =
     List.map
       (fun (k, t) -> { x_fault = k; x_role = role_of k t ~file:fc.Growth.fc_path; x_taint = t })
       (Propagation.taints taint f.Growth.g_qname)
   in
-  (* the Count arity of a quorum binding, when it is a simple variable *)
-  let record_arity q eq =
-    let limit = min n (eq + 60) in
-    let j = ref (eq + 1) in
-    while !j < limit && a.(!j).Lexer.text <> "in" do
-      if a.(!j).Lexer.text = "Count" then begin
-        let k = ref (!j + 1) in
-        while !k < limit && a.(!k).Lexer.text = "(" do
-          incr k
-        done;
-        (if !k < limit then
-           let t = a.(!k).Lexer.text in
-           if Lexer.is_ident t && SL.is_simple t && not (t.[0] >= '0' && t.[0] <= '9') then
-             Hashtbl.replace arity_var q t);
-        j := limit
-      end
-      else incr j
-    done
-  in
-  let emit_wait ~line ~site ~color ~covered =
-    wait
-      {
-        w_file = fc.Growth.fc_path;
-        w_line = line;
-        w_fn = f.Growth.g_qname;
-        w_site = site;
-        w_color = color;
-        w_covered = covered;
-        w_exposures = exposures;
-      }
-  in
   (* green-quorum wait whose Count arity flows from a tainted call *)
-  let check_arity q line =
-    match Hashtbl.find_opt arity_var q with
+  let check_arity q line = function
     | None -> ()
-    | Some v -> (
-      match Hashtbl.find_opt var_head v with
-      | None -> ()
-      | Some h ->
-        let candidates =
-          if SL.is_simple h then [ fc.Growth.fc_mdl ^ "." ^ h ]
-          else
-            [ SL.last2 h ]
-            @
-            (match String.rindex_opt h '.' with
-            | Some j ->
-              [ fc.Growth.fc_mdl ^ "." ^ String.sub h (j + 1) (String.length h - j - 1) ]
-            | None -> [])
-        in
-        let tainted =
-          List.find_map
-            (fun q ->
-              match Propagation.taints taint q with [] -> None | (k, t) :: _ -> Some (q, k, t))
-            candidates
-        in
-        (match tainted with
-        | Some (callee, k, t) ->
-          arity ~line ~q ~v ~callee ~fault:k ~taint:t
-        | None -> ()))
+    | Some (v, h) -> (
+      let candidates =
+        if SL.is_simple h then [ fc.Growth.fc_mdl ^ "." ^ h ]
+        else
+          [ SL.last2 h ]
+          @
+          match String.rindex_opt h '.' with
+          | Some j -> [ fc.Growth.fc_mdl ^ "." ^ String.sub h (j + 1) (String.length h - j - 1) ]
+          | None -> []
+      in
+      match
+        List.find_map
+          (fun q ->
+            match Propagation.taints taint q with [] -> None | (k, t) :: _ -> Some (q, k, t))
+          candidates
+      with
+      | Some (callee, k, t) -> arity ~line ~q ~v ~callee ~fault:k ~taint:t
+      | None -> ())
   in
   let classify_head h =
     match SL.last2 h with
     | "Event.quorum" | "Event.or_" -> Green
     | _ -> Red
   in
-  let wait_on ~line ~covered ev =
-    match ev with
-    | SL.AName q when SL.is_simple q ->
-      if Hashtbl.mem quorums q then begin
-        emit_wait ~line ~site:("quorum " ^ q) ~color:Green
-          ~covered:(covered || Hashtbl.mem timered q);
-        check_arity q line
-      end
-      else if Hashtbl.mem ors q then emit_wait ~line ~site:("or_ " ^ q) ~color:Green ~covered:true
-      else if Hashtbl.mem ands q then emit_wait ~line ~site:("and_ " ^ q) ~color:Red ~covered
-      else emit_wait ~line ~site:q ~color:Red ~covered
-    | SL.AName q -> emit_wait ~line ~site:q ~color:Red ~covered
-    | SL.AParen (Some h) -> emit_wait ~line ~site:(SL.last2 h) ~color:(classify_head h) ~covered
-    | SL.AParen None | SL.AOther -> emit_wait ~line ~site:"<expr>" ~color:Red ~covered
-  in
-  let i = ref f.Growth.g_b in
-  while !i < n do
-    (match SL.binding_at a pm !i with
-    (* [let quorum, calls = Rpc.broadcast ...]: the first component is
-       an [Event.quorum arity] built by the rpc layer — green *)
-    | Some (SL.PTuple (q :: _), SL.RHead (Some h), _) when SL.last2 h = "Rpc.broadcast" ->
-      Hashtbl.replace quorums q a.(!i).Lexer.line
-    | Some (SL.PVar name, SL.RHead (Some h), eq) ->
-      let l2 = SL.last2 h in
-      Hashtbl.remove quorums name;
-      Hashtbl.remove ors name;
-      Hashtbl.remove ands name;
-      Hashtbl.remove timered name;
-      (match l2 with
-      | "Event.quorum" ->
-        Hashtbl.replace quorums name a.(!i).Lexer.line;
-        record_arity name eq
-      | "Event.or_" -> Hashtbl.replace ors name ()
-      | "Event.and_" -> Hashtbl.replace ands name ()
-      | _ -> Hashtbl.replace var_head name h)
-    | Some (SL.PVar name, _, _) ->
-      Hashtbl.remove quorums name;
-      Hashtbl.remove ors name;
-      Hashtbl.remove ands name;
-      Hashtbl.remove timered name;
-      Hashtbl.remove var_head name
-    | _ -> ());
-    if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
-      (match SL.last2 name with
-      | "Event.add" -> (
-        let parent, i1 = SL.parse_atom a pm ni in
-        match parent with
-        | SL.AName q when SL.is_simple q && Hashtbl.mem quorums q ->
-          if
-            i1 + 3 < n
-            && a.(i1).Lexer.text = "~"
-            && a.(i1 + 1).Lexer.text = "child"
-            && a.(i1 + 2).Lexer.text = ":"
-          then begin
-            let child, _ = SL.parse_atom a pm (i1 + 3) in
-            let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ] in
-            match child with
-            | SL.AName h when timerish h -> Hashtbl.replace timered q ()
-            | SL.AParen (Some h) when timerish h -> Hashtbl.replace timered q ()
-            | _ -> ()
-          end
-        | _ -> ())
-      | "Sched.wait" | "Sched.wait_timeout" ->
-        let covered = SL.last2 name = "Sched.wait_timeout" in
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
-        wait_on ~line ~covered ev
-      | "Condvar.wait" | "Condvar.wait_timeout" ->
-        (* a condvar handoff fate-shares with its (single) signaller *)
-        let covered = SL.last2 name = "Condvar.wait_timeout" in
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let cv, _ = SL.parse_atom a pm i1 in
-        let site =
-          match cv with
-          | SL.AName c -> "condvar " ^ c
-          | _ -> "condvar"
-        in
-        emit_wait ~line ~site ~color:Red ~covered
-      | _ -> ());
-      i := ni
-    end
-    else incr i
-  done
+  List.iter
+    (fun (w : Growth.wait) ->
+      let line = w.Growth.w_line in
+      let emit site color covered =
+        wait
+          {
+            w_file = fc.Growth.fc_path;
+            w_line = line;
+            w_fn = f.Growth.g_qname;
+            w_site = site;
+            w_color = color;
+            w_covered = covered;
+            w_exposures = exposures;
+          }
+      in
+      let covered =
+        w.Growth.w_head = "Sched.wait_timeout" || w.Growth.w_head = "Condvar.wait_timeout"
+      in
+      match (w.Growth.w_head, w.Growth.w_event, w.Growth.w_binding) with
+      (* a condvar handoff fate-shares with its (single) signaller *)
+      | ("Condvar.wait" | "Condvar.wait_timeout"), ev, _ ->
+        emit (match ev with SL.AName c -> "condvar " ^ c | _ -> "condvar") Red covered
+      | _, SL.AName q, Some (Growth.Quorum _) ->
+        emit ("quorum " ^ q) Green (covered || w.Growth.w_timered);
+        check_arity q line w.Growth.w_arity
+      | _, SL.AName q, Some Growth.Or_ -> emit ("or_ " ^ q) Green true
+      | _, SL.AName q, Some Growth.And_ -> emit ("and_ " ^ q) Red covered
+      | _, SL.AName q, None -> emit q Red covered
+      | _, SL.AParen (Some h), _ -> emit (SL.last2 h) (classify_head h) covered
+      | _, (SL.AParen None | SL.AOther), _ -> emit "<expr>" Red covered)
+    (Growth.waits fc f)
 
 (* ---- driver ---------------------------------------------------------- *)
 
-let allowed_at pragmas rule line =
-  List.exists
-    (fun (p : Lexer.pragma) ->
-      p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-    pragmas
-
-let analyze_project p =
+let analyze p =
   let taint = Propagation.analyze p in
   let findings = ref [] in
   let certs = ref [] in
@@ -230,7 +122,7 @@ let analyze_project p =
     (fun fc ->
       List.iter
         (fun f ->
-          scan_fn p taint fc f
+          scan_fn taint fc f
             ~wait:(fun w -> waits := w :: !waits)
             ~arity:(fun ~line ~q ~v ~callee ~fault ~taint:t ->
               emit
@@ -302,18 +194,6 @@ let analyze_project p =
                 (String.concat ", " (List.map exposure_string w.w_exposures))
                 (path_string (List.hd w.w_exposures).x_taint))))
     !waits;
-  (* pragma exemptions, same window as the other passes *)
-  let pragmas_of = Hashtbl.create 16 in
-  List.iter
-    (fun fc -> Hashtbl.replace pragmas_of fc.Growth.fc_path fc.Growth.fc_pragmas)
-    (Growth.files p);
-  let apply (f : Finding.t) =
-    match f.Finding.loc with
-    | Finding.File { file; line } ->
-      let ps = try Hashtbl.find pragmas_of file with Not_found -> [] in
-      if allowed_at ps f.Finding.rule line then { f with Finding.allowed = true } else f
-    | _ -> f
-  in
   let exposures =
     let tbl = Hashtbl.create 16 in
     List.iter
@@ -328,17 +208,8 @@ let analyze_project p =
     Hashtbl.fold (fun file l acc -> (file, List.sort_uniq compare l) :: acc) tbl []
     |> List.sort compare
   in
-  ( List.sort_uniq Finding.by_location (List.map apply !findings),
+  ( List.sort_uniq Finding.by_location (Growth.allow p !findings),
     List.sort_uniq Growth.by_site !certs,
     exposures )
 
-let analyze_sources sources = analyze_project (Growth.load sources)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+let analyze_files paths = analyze (Growth.load_files paths)

@@ -7,9 +7,9 @@
     resource) — and its {e color} in the {!Spg.color} sense: quorum-k
     waits ([Event.quorum]/[or_] bindings) are green, everything
     fate-sharing (bare events, [and_], condvar handoffs) is red.
-    Timeout coverage mirrors {!Bounds}: [wait_timeout], an [or_]
-    binding, or an [Event.add ~child:(Sched.timer ...)] escape marks
-    the wait covered.
+    Timeout coverage comes from {!Growth.waits}, as in {!Bounds}:
+    [wait_timeout], an [or_] binding, or an [Event.add ~child:(Sched.timer
+    ...)] escape marks the wait covered.
 
     Findings: {!Finding.red_exposure} for a red, exposed, uncovered
     wait; {!Finding.unreached_mitigation} for a green quorum whose
@@ -41,7 +41,7 @@ type wait = {
   w_exposures : exposure list;
 }
 
-val analyze_project :
+val analyze :
   Growth.project ->
   Finding.t list * Growth.cert list * (string * (string * string) list) list
 (** Findings (pragmas applied, sorted), certificates (sorted by site),
@@ -49,10 +49,7 @@ val analyze_project :
     pairs)] — the static blast radius the dynamic cross-check in
     [lib/check] compares observed SPG edges against. *)
 
-val analyze_sources :
-  (string * string) list ->
-  Finding.t list * Growth.cert list * (string * (string * string) list) list
-
 val analyze_files :
   string list ->
   Finding.t list * Growth.cert list * (string * (string * string) list) list
+(** {!analyze} over the project loaded from these files. *)

@@ -67,24 +67,14 @@ let of_findings ?(exposures = []) ~files findings =
     findings;
   t
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
 let build ~roots () =
   let files = Analysis.Source_lint.ml_files roots in
-  let sources = List.map (fun p -> (p, read_file p)) files in
-  let bounds_findings, _certs = Analysis.Bounds.analyze_sources sources in
-  let domains_findings, _dcerts, footprints = Analysis.Domains.analyze_sources sources in
-  let spg_findings, _scerts, exposures = Analysis.Spg_static.analyze_sources sources in
+  let p = Analysis.Growth.load_files files in
+  let bounds_findings, _certs = Analysis.Bounds.analyze p in
+  let domains_findings, _dcerts, footprints = Analysis.Domains.analyze p in
+  let spg_findings, _scerts, exposures = Analysis.Spg_static.analyze p in
   let findings =
-    Analysis.Interproc.analyze_sources sources
-    @ List.concat_map
-        (fun (p, src) -> Analysis.Source_lint.lint_string ~path:p src)
-        sources
+    Analysis.Interproc.analyze p @ Analysis.Growth.lint p
     @ bounds_findings @ domains_findings @ spg_findings
   in
   let t = of_findings ~exposures ~files findings in

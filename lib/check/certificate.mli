@@ -15,10 +15,10 @@ type t
 
 val build : roots:string list -> unit -> t
 (** Walk the given directories for [.ml] sources
-    ({!Analysis.Source_lint.ml_files}), run the static passes
-    (including {!Analysis.Bounds} and {!Analysis.Domains}), and record
-    per-file verdicts plus the per-file
-    effect footprints feeding {!independent}. *)
+    ({!Analysis.Source_lint.ml_files}), load them once as one
+    {!Analysis.Growth.project}, run every static pass over it, and
+    record per-file verdicts plus the per-file effect footprints feeding
+    {!independent}. *)
 
 val of_findings :
   ?exposures:(string * (string * string) list) list ->
@@ -27,7 +27,7 @@ val of_findings :
   t
 (** Assemble a certificate from already-computed findings (for tests).
     [exposures] is the per-file static SPG exposure map in
-    {!Analysis.Spg_static.analyze_sources} shape: [(path, (fault-name,
+    {!Analysis.Spg_static.analyze} shape: [(path, (fault-name,
     color) pairs)]. *)
 
 val covered : t -> string -> bool

@@ -289,8 +289,9 @@ let sync sched = Depfast.Mutex.with_lock sched snap_mu (fun () -> Left.flush sch
 |}
   in
   let show fs = List.map F.to_string fs in
-  let fs1 = Analysis.Interproc.analyze_sources [ ("left.ml", left); ("right.ml", right) ] in
-  let fs2 = Analysis.Interproc.analyze_sources [ ("right.ml", right); ("left.ml", left) ] in
+  let analyze sources = Analysis.Interproc.analyze (Analysis.Growth.load sources) in
+  let fs1 = analyze [ ("left.ml", left); ("right.ml", right) ] in
+  let fs2 = analyze [ ("right.ml", right); ("left.ml", left) ] in
   check_bool "fixture produces findings" true (fs1 <> []);
   Alcotest.(check (list string)) "same report either way" (show fs1) (show fs2)
 

@@ -6,6 +6,7 @@
 module F = Analysis.Finding
 module SL = Analysis.Source_lint
 module IP = Analysis.Interproc
+module G = Analysis.Growth
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -21,6 +22,7 @@ let fixture name =
   | None -> Alcotest.fail ("fixture not found: " ^ name)
 
 let pair a b = IP.analyze_files [ fixture a; fixture b ]
+let ip_sources sources = IP.analyze (Analysis.Growth.load sources)
 
 let per_file_clean name =
   check_rules (name ^ " clean per-file") [] (rules (SL.lint_file (fixture name)))
@@ -82,7 +84,7 @@ let sync sched = Depfast.Mutex.with_lock sched snap_mu (fun () -> ())
 let archive sched = Left.flush sched
 |}
   in
-  let fs = IP.analyze_sources [ ("left.ml", left); ("right.ml", right) ] in
+  let fs = ip_sources [ ("left.ml", left); ("right.ml", right) ] in
   check_rules "consistent order is clean" [] (rules fs)
 
 (* ------------------------------------------------------------------ *)
@@ -106,24 +108,30 @@ let test_quorum_arity_satisfied () =
   Depfast.Sched.wait sched q
 |}
   in
-  let fs = IP.analyze_sources [ ("cfg.ml", cfg); ("use.ml", use) ] in
+  let fs = ip_sources [ ("cfg.ml", cfg); ("use.ml", use) ] in
   check_rules "Count 2 over 3 children is fine" [] (rules fs)
 
 (* ------------------------------------------------------------------ *)
 (* suspension under a lock, across a call *)
 
-let test_lock_across_call () =
-  per_file_clean "iplock_callee.ml";
-  per_file_clean "iplock_caller.ml";
-  let fs = pair "iplock_callee.ml" "iplock_caller.ml" in
+let lock_across_call callee caller =
+  per_file_clean callee;
+  per_file_clean caller;
+  let fs = pair callee caller in
   check_rules "hidden suspension under the lock" [ "lock-across-call" ] (unallowed_rules fs);
   match fs with
   | [ f ] ->
     check_bool "located at the call site" true
       (match f.F.loc with
-      | F.File { file; _ } -> Filename.basename file = "iplock_caller.ml"
+      | F.File { file; _ } -> Filename.basename file = caller
       | F.Node _ -> false)
   | l -> Alcotest.failf "expected one finding, got %d" (List.length l)
+
+let test_lock_across_call () = lock_across_call "iplock_callee.ml" "iplock_caller.ml"
+
+(* the callee's suspension lives in the [and] half of a [let rec] *)
+let test_lock_across_call_and () =
+  lock_across_call "iplock_and_callee.ml" "iplock_and_caller.ml"
 
 let test_lock_across_call_pragma () =
   let caller =
@@ -143,7 +151,7 @@ let commit sched ~peers =
   Depfast.Sched.wait sched q
 |}
   in
-  let fs = IP.analyze_sources [ ("caller.ml", caller); ("callee.ml", callee) ] in
+  let fs = ip_sources [ ("caller.ml", caller); ("callee.ml", callee) ] in
   check_int "finding still reported" 1
     (List.length (List.filter (fun f -> f.F.rule = F.lock_across_call) fs));
   check_rules "but exempted by the pragma" [] (unallowed_rules fs)
@@ -161,7 +169,7 @@ let test_red_wait_via_argument () =
 |}
   in
   let fs =
-    IP.analyze_sources
+    ip_sources
       [ ("producer.ml", producer); ("waiter.ml", waiter); ("glue.ml", glue) ]
   in
   check_bool "caller hands a bare completion to a waiting callee" true
@@ -186,6 +194,54 @@ let test_self_lint () =
       Alcotest.failf "library violates its own interprocedural rules:\n%s"
         (String.concat "\n" (List.map F.to_string bad))
 
+(* ------------------------------------------------------------------ *)
+(* the shared project model *)
+
+let test_type_and_is_not_a_function () =
+  let src =
+    {|type a = { id : int }
+and 'm b = { pump : unit -> unit; last : 'm option }
+
+let pump () = ()
+|}
+  in
+  let p = G.load [ ("net.ml", src) ] in
+  Alcotest.(check (list string))
+    "only the let item is a function" [ "Net.pump" ]
+    (List.concat_map (fun fc -> List.map (fun f -> f.G.g_qname) fc.G.fc_fns) (G.files p));
+  check_bool "no call edge to pump" false
+    (List.exists (fun q -> List.mem "Net.pump" (G.callees p q)) [ "Net.m"; "Net.b"; "Net.a" ])
+
+(* The drivers run every pass over one shared project, in any order;
+   each pass must return exactly what it returns over a project of its
+   own, so neither the cached growth result nor the lazily closed call
+   graph may be mutated by a pass or depend on which pass came first. *)
+let test_shared_model_equivalence () =
+  let base = if Sys.file_exists "../lib" then ".." else "." in
+  let roots =
+    List.filter Sys.file_exists
+      (List.map (Filename.concat base) [ "lib"; "bin"; "examples"; "bench" ])
+  in
+  if List.length roots = 4 then begin
+    let files = SL.ml_files roots in
+    let own_ip = IP.analyze_files files
+    and own_b = Analysis.Bounds.analyze_files files
+    and own_d = Analysis.Domains.analyze_files files
+    and own_s = Analysis.Spg_static.analyze_files files in
+    let shared order name =
+      let p = G.load_files files in
+      List.iter
+        (function
+          | `Interproc -> check_bool (name ^ ": interproc") true (IP.analyze p = own_ip)
+          | `Bounds -> check_bool (name ^ ": bounds") true (Analysis.Bounds.analyze p = own_b)
+          | `Domains -> check_bool (name ^ ": domains") true (Analysis.Domains.analyze p = own_d)
+          | `Spg -> check_bool (name ^ ": spg") true (Analysis.Spg_static.analyze p = own_s))
+        order
+    in
+    shared [ `Interproc; `Bounds; `Domains; `Spg ] "forward";
+    shared [ `Spg; `Domains; `Bounds; `Interproc ] "reverse"
+  end
+
 let suite =
   [
     ( "interproc",
@@ -197,8 +253,16 @@ let suite =
         Alcotest.test_case "quorum arity mismatch" `Quick test_quorum_arity_mismatch;
         Alcotest.test_case "quorum arity (negative)" `Quick test_quorum_arity_satisfied;
         Alcotest.test_case "lock across call" `Quick test_lock_across_call;
+        Alcotest.test_case "lock across call (and-bound callee)" `Quick
+          test_lock_across_call_and;
         Alcotest.test_case "lock across call (pragma)" `Quick test_lock_across_call_pragma;
         Alcotest.test_case "red wait via argument" `Quick test_red_wait_via_argument;
         Alcotest.test_case "self-lint lib/" `Quick test_self_lint;
+      ] );
+    ( "project",
+      [
+        Alcotest.test_case "type ... and is not a function" `Quick
+          test_type_and_is_not_a_function;
+        Alcotest.test_case "one model, any pass order" `Quick test_shared_model_equivalence;
       ] );
   ]

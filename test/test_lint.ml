@@ -255,6 +255,92 @@ let test_pragma_too_far () =
   in
   check_int "pragma out of its 3-line window" 2 (List.length (F.unallowed fs))
 
+(* The same window through every whole-project pass: [block gap] is a
+   pragma line followed by [gap] blank lines, so the finding right after
+   it sits on line L = pragma line + gap + 1. *)
+let pass_pragma_cases =
+  let callee =
+    {|let await_majority sched ~peers =
+  let q = Depfast.Event.quorum Depfast.Event.Majority in
+  List.iter
+    (fun peer -> Depfast.Event.add q ~child:(Depfast.Event.rpc_completion ~peer ()))
+    peers;
+  Depfast.Sched.wait sched q
+|}
+  in
+  [
+    ( F.lock_across_call,
+      (fun block ->
+        [
+          ( "caller.ml",
+            {|let mu = Depfast.Mutex.create ()
+let commit sched ~peers =
+  Depfast.Mutex.with_lock sched mu (fun () ->
+|}
+            ^ block ^ {|      Callee.await_majority sched ~peers)
+|} );
+          ("callee.ml", callee);
+        ]),
+      Analysis.Interproc.analyze );
+    ( F.missing_deadline,
+      (fun block ->
+        [
+          ( "replica.ml",
+            {|let replicate sched peers =
+  let q = Depfast.Event.quorum Depfast.Event.Majority in
+  List.iter
+    (fun peer -> Depfast.Event.add q ~child:(Depfast.Event.rpc_completion ~peer ()))
+    peers;
+|}
+            ^ block
+            ^ {|  Depfast.Sched.wait sched q
+
+let serve rpc node sched peers =
+  Cluster.Rpc.serve rpc ~node ~handler:(fun ~src _ -> ignore src; replicate sched peers)
+|} );
+        ]),
+      fun p -> fst (Analysis.Bounds.analyze p) );
+    ( F.unsafe_shared_state,
+      (fun block ->
+        [ ("tally.ml", block ^ {|let total = ref 0
+
+let add n = total := !total + n
+|}) ]),
+      fun p ->
+        let fs, _, _ = Analysis.Domains.analyze p in
+        fs );
+    ( F.red_exposure,
+      (fun block ->
+        [
+          ( "wal.ml",
+            {|let append sched disk payload =
+  let done_ = Disk.write disk payload in
+|}
+            ^ block ^ {|  Sched.wait sched done_
+|} );
+        ]),
+      fun p ->
+        let fs, _, _ = Analysis.Spg_static.analyze p in
+        fs );
+  ]
+
+let pass_pragma ~gap =
+  List.iter
+    (fun (rule, sources, run) ->
+      let block = Printf.sprintf "(* depfast-lint: allow %s *)\n%s" rule (String.make gap '\n') in
+      let fs =
+        List.filter (fun f -> f.F.rule = rule) (run (Analysis.Growth.load (sources block)))
+      in
+      check_bool (rule ^ " reported") true (fs <> []);
+      check_bool
+        (Printf.sprintf "%s allowed with the pragma %d line(s) above" rule (gap + 1))
+        (gap + 1 <= 3)
+        (List.for_all (fun f -> f.F.allowed) fs))
+    pass_pragma_cases
+
+let test_pass_pragma_window () = pass_pragma ~gap:2
+let test_pass_pragma_too_far () = pass_pragma ~gap:3
+
 (* ------------------------------------------------------------------ *)
 (* fixture files *)
 
@@ -383,6 +469,10 @@ let suite =
         Alcotest.test_case "lock across wait (negative)" `Quick test_lock_across_wait_negative;
         Alcotest.test_case "pragma window" `Quick test_pragma_window;
         Alcotest.test_case "pragma out of window" `Quick test_pragma_too_far;
+        Alcotest.test_case "pragma window (whole-project passes)" `Quick
+          test_pass_pragma_window;
+        Alcotest.test_case "pragma out of window (whole-project passes)" `Quick
+          test_pass_pragma_too_far;
       ] );
     ( "lint.fixtures",
       [
