@@ -90,9 +90,12 @@ let persistent_set_by conflict tags chosen =
 
 let persistent_set tags chosen = persistent_set_by conflicts tags chosen
 
-let run_one (scenario : Scenario.t) ~prefix ~budget =
+(* A driver passes one [trace] for all its runs: each run records into it
+   and clears it before returning, so the ring grows once per exploration
+   and no run's events outlive the run. *)
+let run_one ?(trace = Depfast.Trace.create ~enabled:true ()) (scenario : Scenario.t) ~prefix
+    ~budget =
   let engine = Engine.create ~seed:1L () in
-  let trace = Depfast.Trace.create ~enabled:true () in
   let sched = Depfast.Sched.create ~trace engine in
   let san = Sanitizer.create ~provenance:scenario.Scenario.provenance sched in
   let nsteps = ref 0 in
@@ -162,6 +165,7 @@ let run_one (scenario : Scenario.t) ~prefix ~budget =
           | None -> None)
         (Depfast.Spg.waiter_edges ~allow:scenario.Scenario.allow trace)
   in
+  Depfast.Trace.clear trace;
   {
     r_steps = Array.of_list (List.rev !steps);
     r_nsteps = !nsteps;
@@ -293,8 +297,8 @@ let overflow_beats (o : Sanitizer.overflow) (p : Sanitizer.overflow) =
    backtracks to. The children depend only on the item (runs re-execute
    deterministically), so the frontier reached from the root is one fixed
    tree no matter which worker visits which node in what order. *)
-let process_item (scenario : Scenario.t) ~budget acc (prefix, lineage) =
-  let run = run_one scenario ~prefix ~budget in
+let process_item (scenario : Scenario.t) ~budget ~trace acc (prefix, lineage) =
+  let run = run_one ~trace scenario ~prefix ~budget in
   acc.a_schedules <- acc.a_schedules + 1;
   acc.a_prefixes <- prefix :: acc.a_prefixes;
   if run.r_truncated then acc.a_truncated <- acc.a_truncated + 1;
@@ -594,13 +598,14 @@ let finalize (scenario : Scenario.t) ~certs ~indep ~complete acc =
 
 let explore_serial ~budget ~certs scenario =
   let acc = fresh_acc ~indep:(make_indep certs) () in
+  let trace = Depfast.Trace.create ~enabled:true () in
   let stack = ref [ ([||], 0) ] in
   while !stack <> [] && acc.a_schedules < budget.max_schedules do
     match !stack with
     | [] -> ()
     | item :: rest ->
       stack := rest;
-      stack := process_item scenario ~budget acc item @ !stack
+      stack := process_item scenario ~budget ~trace acc item @ !stack
   done;
   finalize scenario ~certs ~indep:acc.a_indep
     ~complete:(!stack = [] && acc.a_truncated = 0)
@@ -626,6 +631,7 @@ let explore_parallel ~budget ~certs ~jobs scenario =
   let gate = Dpool.Gate.create () in
   let worker w =
     let acc = fresh_acc ~indep:(make_indep certs) () in
+    let trace = Depfast.Trace.create ~enabled:true () in
     let my = deques.(w) in
     let steal_any () =
       let rec scan tries =
@@ -656,7 +662,7 @@ let explore_parallel ~budget ~certs ~jobs scenario =
           Atomic.set dropped true;
           []
         end
-        else process_item scenario ~budget acc item
+        else process_item scenario ~budget ~trace acc item
       in
       let n = List.length pushes in
       List.iter (Wsq.push my) pushes;

@@ -52,10 +52,13 @@ type run = {
       (** scenario provenance of a transition tag, via this run's monitor *)
 }
 
-val run_one : Scenario.t -> prefix:int array -> budget:budget -> run
+val run_one :
+  ?trace:Depfast.Trace.t -> Scenario.t -> prefix:int array -> budget:budget -> run
 (** Execute a single schedule: replay [prefix], then default decisions.
     [prefix = [||]] is the program-order schedule — what a plain test run
-    would see. *)
+    would see. The run records its waits into [trace] (default: a fresh
+    one) and clears it before returning, so a driver reuses one trace for
+    every run. [trace] must be enabled. *)
 
 type result = {
   scenario : string;
@@ -86,8 +89,8 @@ val explore :
     [jobs > 1] explores the frontier on that many OCaml 5 domains with
     work-stealing deques of schedule prefixes; every run already builds
     its own engine/scheduler/sanitizer, and each worker keeps its own
-    accumulators and independence memo, merged deterministically at
-    join. Because the frontier reachable from the root is one fixed
+    wait trace, accumulators and independence memo, the latter merged
+    deterministically at join. Because the frontier reachable from the root is one fixed
     tree and every aggregate is order-independent (sums, maxima, keyed
     unions, canonical "first" ranks over the explored-prefix set),
     parallel and serial runs report identical schedule totals and

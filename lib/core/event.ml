@@ -211,6 +211,8 @@ let on_abandon t f =
      bounded by registrations on one live event *)
   if t.state land abandoned_bit <> 0 then f () else t.abandon_obs <- f :: t.abandon_obs
 
+let rec mem_peer p = function [] -> false | q :: rest -> q = p || mem_peer p rest
+
 let rec peers t =
   match t.peers_cache with
   | Some l -> l
@@ -219,21 +221,12 @@ let rec peers t =
       if not (is_compound t) then (if t.peer_node < 0 then [] else [ t.peer_node ])
       else begin
         (* merge the children's (cached) peer lists, deduplicating by
-           first occurrence — identical to a DFS pre-order of the tree *)
-        let seen = Hashtbl.create 8 in
-        let out = ref [] in
-        if t.peer_node >= 0 then begin
-          Hashtbl.add seen t.peer_node ();
-          out := [ t.peer_node ]
-        end;
+           first occurrence — identical to a DFS pre-order of the tree.
+           A compound has a handful of peers, so a scan of those gathered
+           so far beats building a table *)
+        let out = ref (if t.peer_node >= 0 then [ t.peer_node ] else []) in
         for i = 0 to n_children_of t - 1 do
-          List.iter
-            (fun p ->
-              if not (Hashtbl.mem seen p) then begin
-                Hashtbl.add seen p ();
-                out := p :: !out
-              end)
-            (peers t.children.(i))
+          List.iter (fun p -> if not (mem_peer p !out) then out := p :: !out) (peers t.children.(i))
         done;
         List.rev !out
       end
@@ -241,28 +234,27 @@ let rec peers t =
     t.peers_cache <- Some l;
     l
 
-let stallers t =
-  (* a-priori structural analysis: readiness is ignored, the question is
-     whether the wait's shape gave node [p] the power to stall it. One
-     refinement: a child abandoned while its parent is still pending can
-     never fire, so it weakens the parent's quorum exactly like a child
-     [p] controls. Abandonment observed under an already-fired parent
-     (straggler discard after a quorum fired) is ignored — for completed
-     waits the analysis stays purely structural. *)
-  let rec can_stall p e =
-    if not (is_compound e) then e.peer_node = p
-    else begin
-      let stallable = ref 0 in
-      let e_pending = e.state land ready_bit = 0 in
-      for i = 0 to n_children_of e - 1 do
-        let c = e.children.(i) in
-        if (e_pending && c.state land live_mask = abandoned_bit) || can_stall p c then
-          incr stallable
-      done;
-      n_children_of e - !stallable < required e
-    end
-  in
-  List.filter (fun p -> can_stall p t) (peers t)
+(* a-priori structural analysis: readiness is ignored, the question is
+   whether the wait's shape gave node [p] the power to stall it. One
+   refinement: a child abandoned while its parent is still pending can
+   never fire, so it weakens the parent's quorum exactly like a child [p]
+   controls. Abandonment observed under an already-fired parent (straggler
+   discard after a quorum fired) is ignored — for completed waits the
+   analysis stays purely structural. *)
+let rec can_stall e p =
+  if not (is_compound e) then e.peer_node = p
+  else begin
+    let stallable = ref 0 in
+    let e_pending = e.state land ready_bit = 0 in
+    for i = 0 to n_children_of e - 1 do
+      let c = e.children.(i) in
+      if (e_pending && c.state land live_mask = abandoned_bit) || can_stall c p then
+        incr stallable
+    done;
+    n_children_of e - !stallable < required e
+  end
+
+let stallers t = List.filter (can_stall t) (peers t)
 
 let kind_name = function
   | Signal -> "signal"

@@ -103,6 +103,10 @@ val stallers : t -> int list
     fault-tolerant iff this list is empty (local waits aside) — the
     quantitative version of the paper's "only QuorumEvent waits" rule. *)
 
+val can_stall : t -> int -> bool
+(** [can_stall t p], for [p] among [peers t]: whether [p] is among
+    [stallers t]. Allocates nothing, for folds over many waits. *)
+
 val is_ready : t -> bool
 
 val ready_children : t -> int

@@ -86,8 +86,9 @@ let resume : type a. t -> ctx -> (a, unit) Effect.Deep.continuation -> a -> unit
   Effect.Deep.continue k v;
   t.current <- saved
 
-(* O(1): arity fields are counters on the event, and peer/staller analysis
-   is deferred to whoever consumes the record (Trace is lazy) *)
+(* O(1) and allocation-free: arity fields are counters on the event, the
+   fields go straight into the trace's columns, and peer/staller analysis
+   is deferred to whoever reads the record (Trace is lazy) *)
 let record_wait t ctx ~outcome =
   if Trace.is_enabled t.trace_rec then
     let ev = ctx.park_ev in
@@ -97,19 +98,9 @@ let record_wait t ctx ~outcome =
         (Event.required ev, Event.child_count ev)
       | Event.Signal | Event.Timer | Event.Rpc | Event.Disk -> (1, 1)
     in
-    Trace.record_wait t.trace_rec
-      {
-        Trace.cid = ctx.cid;
-        node = ctx.node;
-        coroutine = ctx.name;
-        event = ev;
-        quorum_k = k;
-        quorum_n = n;
-        t_start = ctx.park_start;
-        t_end = now t;
-        outcome = (match outcome with Ready -> Trace.Ready | Timed_out -> Trace.Timed_out);
-        stallers_memo = None;
-      }
+    Trace.record t.trace_rec ~cid:ctx.cid ~node:ctx.node ~coroutine:ctx.name ev ~quorum_k:k
+      ~quorum_n:n ~t_start:ctx.park_start ~t_end:(now t)
+      (match outcome with Ready -> Trace.Ready | Timed_out -> Trace.Timed_out)
 
 let resume_ready t ctx =
   (match t.monitor with Some m -> m.on_resume ~cid:ctx.cid | None -> ());

@@ -9,67 +9,111 @@ type edge = {
   count : int;
 }
 
-type t = { edge_tbl : (int * int * int * int, int) Hashtbl.t }
+type t = { edges : edge list }
+
+(* Folds over the trace's columns. A fold keys each pair of a record [i]
+   and a remote peer [p] of its event by [key]'s fields; keys are hashed
+   and compared in place, so a fold allocates one cell per distinct key,
+   not one per wait. A cell remembers the first record that carried its
+   key. *)
+type key =
+  | Arity  (* waiter node, peer, quorum arity *)
+  | Waiter  (* and the waiting coroutine *)
+  | Site  (* and the event's label *)
+
+type cell = { first : int; peer : int; mutable hits : int }
+
+let mix h x = (h * 31) + x
+let coroutine_hash trace i = Hashtbl.hash (Trace.coroutine trace i)
+let label trace i = Event.label (Trace.event trace i)
+
+let hash key trace i p =
+  let h = mix (mix (Trace.node trace i) p) (Trace.quorum_k trace i) in
+  let h = mix h (Trace.quorum_n trace i) in
+  match key with
+  | Arity -> h
+  | Waiter -> mix h (coroutine_hash trace i)
+  | Site -> mix (mix h (coroutine_hash trace i)) (Hashtbl.hash (label trace i))
+
+let same key trace c i p =
+  let j = c.first in
+  c.peer = p
+  && Trace.node trace j = Trace.node trace i
+  && Trace.quorum_k trace j = Trace.quorum_k trace i
+  && Trace.quorum_n trace j = Trace.quorum_n trace i
+  &&
+  match key with
+  | Arity -> true
+  | Waiter -> String.equal (Trace.coroutine trace j) (Trace.coroutine trace i)
+  | Site ->
+    String.equal (Trace.coroutine trace j) (Trace.coroutine trace i)
+    && String.equal (label trace j) (label trace i)
+
+let rec bump_bucket key trace i p = function
+  | [] -> false
+  | c :: rest ->
+    if same key trace c i p then begin
+      c.hits <- c.hits + 1;
+      true
+    end
+    else bump_bucket key trace i p rest
+
+let bump tbl key trace i p =
+  let h = hash key trace i p in
+  let bucket = match Hashtbl.find tbl h with b -> b | exception Not_found -> [] in
+  if not (bump_bucket key trace i p bucket) then
+    Hashtbl.replace tbl h ({ first = i; peer = p; hits = 1 } :: bucket)
+
+let rec bump_peers tbl key ~stallers trace i node = function
+  | [] -> ()
+  | p :: rest ->
+    if p <> node && ((not stallers) || Event.can_stall (Trace.event trace i) p) then
+      bump tbl key trace i p;
+    bump_peers tbl key ~stallers trace i node rest
+
+let allow_none ~node:_ = false
+
+(* every record whose waiter [allow] does not exempt, paired with each
+   remote peer of its event — only the stallers among them if [stallers] *)
+let tally ?(allow = allow_none) ?(stallers = false) key trace =
+  let tbl = Hashtbl.create 8 in
+  for i = 0 to Trace.wait_count trace - 1 do
+    let node = Trace.node trace i in
+    if not (allow ~node) then
+      bump_peers tbl key ~stallers trace i node (Event.peers (Trace.event trace i))
+  done;
+  Hashtbl.fold (fun _ bucket acc -> List.rev_append bucket acc) tbl []
+
+let edge_of trace c =
+  let quorum_k = Trace.quorum_k trace c.first and quorum_n = Trace.quorum_n trace c.first in
+  {
+    src = Trace.node trace c.first;
+    dst = c.peer;
+    quorum_k;
+    quorum_n;
+    color = (if quorum_k >= quorum_n then Red else Green);
+    count = c.hits;
+  }
+
+let edge_key e = (e.src, e.dst, e.quorum_k, e.quorum_n)
 
 let of_trace trace =
-  let edge_tbl = Hashtbl.create 64 in
-  Trace.iter trace (fun w ->
-      let k = w.Trace.quorum_k and n = w.Trace.quorum_n in
-      List.iter
-        (fun peer ->
-          if peer <> w.Trace.node then begin
-            let key = (w.Trace.node, peer, k, n) in
-            let prev = Option.value ~default:0 (Hashtbl.find_opt edge_tbl key) in
-            Hashtbl.replace edge_tbl key (prev + 1)
-          end)
-        (Trace.peers w));
-  { edge_tbl }
+  let edges = List.map (edge_of trace) (tally Arity trace) in
+  { edges = List.sort (fun a b -> compare (edge_key a) (edge_key b)) edges }
 
-let edges t =
-  Hashtbl.fold
-    (fun (src, dst, quorum_k, quorum_n) count acc ->
-      let color = if quorum_k >= quorum_n then Red else Green in
-      { src; dst; quorum_k; quorum_n; color; count } :: acc)
-    t.edge_tbl []
-  |> List.sort (fun a b ->
-         compare (a.src, a.dst, a.quorum_k, a.quorum_n) (b.src, b.dst, b.quorum_k, b.quorum_n))
+let edges t = t.edges
 
 (* Per-waiter edges: the same aggregation as {!of_trace}/{!edges}, but
    keyed by the waiting coroutine's name so a checker can attribute an
    observed propagation edge back to the code that waited. [allow]
    exempts waiter nodes exactly as in {!audit}. *)
-let waiter_edges ?(allow = fun ~node:_ -> false) trace =
-  let tbl = Hashtbl.create 64 in
-  Trace.iter trace (fun w ->
-      if not (allow ~node:w.Trace.node) then begin
-        let k = w.Trace.quorum_k and n = w.Trace.quorum_n in
-        List.iter
-          (fun peer ->
-            if peer <> w.Trace.node then begin
-              let key = (w.Trace.coroutine, w.Trace.node, peer, k, n) in
-              let prev = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-              Hashtbl.replace tbl key (prev + 1)
-            end)
-          (Trace.peers w)
-      end);
-  Hashtbl.fold
-    (fun (coroutine, src, dst, quorum_k, quorum_n) count acc ->
-      let color = if quorum_k >= quorum_n then Red else Green in
-      (coroutine, { src; dst; quorum_k; quorum_n; color; count }) :: acc)
-    tbl []
-  |> List.sort (fun (ca, a) (cb, b) ->
-         compare
-           (ca, a.src, a.dst, a.quorum_k, a.quorum_n)
-           (cb, b.src, b.dst, b.quorum_k, b.quorum_n))
+let waiter_edges ?allow trace =
+  tally ?allow Waiter trace
+  |> List.map (fun c -> (Trace.coroutine trace c.first, edge_of trace c))
+  |> List.sort (fun (ca, a) (cb, b) -> compare (ca, edge_key a) (cb, edge_key b))
 
 let nodes t =
-  let seen = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (src, dst, _, _) _ ->
-      Hashtbl.replace seen src ();
-      Hashtbl.replace seen dst ())
-    t.edge_tbl;
-  List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) seen [])
+  List.sort_uniq compare (List.concat_map (fun e -> [ e.src; e.dst ]) t.edges)
 
 let default_name n = "n" ^ string_of_int n
 
@@ -111,28 +155,21 @@ let site v =
     w.Trace.quorum_n,
     v.v_peer )
 
-let audit ?(allow = fun ~node:_ -> false) ?(dedup = true) trace =
-  let out = ref [] in
-  Trace.iter trace (fun w ->
-      if not (allow ~node:w.Trace.node) then
-        List.iter
-          (fun p ->
-            if p <> w.Trace.node then
-              out := { v_wait = w; v_peer = p; v_count = 1 } :: !out)
-          (Trace.stallers w));
-  let raw = List.rev !out in
-  if not dedup then raw
-  else begin
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun v ->
-        let key = site v in
-        match Hashtbl.find_opt tbl key with
-        | Some r -> r := { !r with v_count = !r.v_count + 1 }
-        | None -> Hashtbl.add tbl key (ref v))
-      raw;
-    Hashtbl.fold (fun _ r acc -> !r :: acc) tbl []
+let violation trace i p count = { v_wait = Trace.get trace i; v_peer = p; v_count = count }
+
+let audit ?(allow = allow_none) ?(dedup = true) trace =
+  if dedup then
+    tally ~allow ~stallers:true Site trace
+    |> List.map (fun c -> violation trace c.first c.peer c.hits)
     |> List.sort (fun a b -> compare (site a) (site b))
-  end
+  else
+    List.concat
+      (List.init (Trace.wait_count trace) (fun i ->
+           let node = Trace.node trace i in
+           if allow ~node then []
+           else
+             List.filter_map
+               (fun p -> if p <> node then Some (violation trace i p 1) else None)
+               (Event.stallers (Trace.event trace i))))
 
 let is_fail_slow_tolerant ?allow trace = audit ?allow trace = []

@@ -27,7 +27,9 @@ type t
 
 val of_trace : Trace.t -> t
 (** Build the SPG from all recorded waits. Waits with no remote peers
-    (timers, local conditions) contribute no edges. *)
+    (timers, local conditions) contribute no edges. Like {!waiter_edges}
+    and {!audit}, it folds over the trace's columns and allocates per
+    distinct edge, not per wait. *)
 
 val edges : t -> edge list
 (** Sorted by [(src, dst, quorum_k, quorum_n)]. *)
@@ -62,7 +64,8 @@ val audit : ?allow:(node:int -> bool) -> ?dedup:bool -> Trace.t -> violation lis
     By default repeated offences from one site — same
     [(node, coroutine, event label, quorum arity, peer)] — are folded into a
     single violation whose [v_count] is the occurrence count, sorted by that
-    site key. [~dedup:false] returns every occurrence in trace order. *)
+    site key; only a reported site's representative is copied out of the
+    trace. [~dedup:false] returns every occurrence in trace order. *)
 
 val is_fail_slow_tolerant : ?allow:(node:int -> bool) -> Trace.t -> bool
 (** [audit] is empty. *)

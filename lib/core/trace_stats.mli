@@ -6,7 +6,9 @@
     histograms — by event label, by waiting node, or by (node, peer) pair —
     the raw material for dashboards, detectors, and the per-RPC latency
     matrices that tools like IASO build. Works online (subscribe to a live
-    trace) or offline (fold over a recorded one). *)
+    trace) or offline (fold over a recorded one), with the same result.
+    A wait is folded in straight from the trace's columns; a key's name is
+    rendered once, when the key is first seen. *)
 
 type t
 
@@ -16,9 +18,6 @@ type key =
   | By_edge  (** (waiting node, remote peer) pairs — per-link latency *)
 
 val create : key -> t
-
-val observe : t -> Trace.wait -> unit
-(** Fold one record in. *)
 
 val attach : t -> Trace.t -> unit
 (** Subscribe to a live trace: every future wait is folded in. *)

@@ -129,6 +129,27 @@ let test_quorum_majority_exhausts_clean () =
   check_bool "hundreds of interleavings" true (res.E.schedules > 100);
   check_int "no findings" 0 (List.length res.E.findings)
 
+(* Allocation guard: minor and promoted words per explored schedule of
+   quorum-majority (1 134 schedules). The explorer records every run into
+   one trace, cleared per schedule, with no per-wait record: 1 386.9
+   minor and 13.2 promoted words here, where a fresh 65 536-slot ring per
+   run promoted 363 (the major-heap ring dragged each run's records and
+   event graph along at the next minor collection). The ceilings sit just
+   above, so a per-run ring or a per-wait record fails here. *)
+let test_quorum_majority_words () =
+  let sc = scenario "quorum-majority" in
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let res = E.explore ~budget:(budget ~schedules:2500 ()) sc in
+  let s1 = Gc.quick_stat () in
+  let per f = (f s1 -. f s0) /. float_of_int res.E.schedules in
+  let guard what ceiling words =
+    if words > ceiling then
+      Alcotest.failf "%s words per schedule: %.1f > ceiling %.0f" what words ceiling
+  in
+  guard "minor" 1400.0 (per (fun s -> s.Gc.minor_words));
+  guard "promoted" 20.0 (per (fun s -> s.Gc.promoted_words))
+
 let test_dpor_prunes_raft () =
   let res = E.explore ~budget:(budget ~schedules:60 ()) (scenario "raft-elect-3") in
   check_bool "independent alternatives pruned" true (res.E.pruned > 0);
@@ -327,6 +348,8 @@ let suite =
         Alcotest.test_case "link footprint" `Quick test_link_footprint_is_destination;
         Alcotest.test_case "quorum-majority exhausts clean" `Quick
           test_quorum_majority_exhausts_clean;
+        Alcotest.test_case "quorum-majority words per schedule" `Quick
+          test_quorum_majority_words;
         Alcotest.test_case "DPOR prunes raft" `Quick test_dpor_prunes_raft;
         Alcotest.test_case "slow-disk admission stays bounded" `Quick
           test_slow_disk_admission_bounded;

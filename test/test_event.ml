@@ -168,6 +168,28 @@ let test_peers () =
   List.iter (fun p -> Event.add q ~child:(Event.rpc_completion ~peer:p ())) [ 3; 1; 3; 2 ];
   Alcotest.(check (list int)) "deduplicated in order" [ 3; 1; 2 ] (Event.peers q)
 
+(* peers of a nested compound whose children repeat peers: first
+   occurrence wins, in DFS pre-order over the children *)
+let test_peers_nested_order () =
+  let rpc p = Event.rpc_completion ~peer:p () in
+  let group ev ps = List.iter (fun p -> Event.add ev ~child:(rpc p)) ps in
+  let a = Event.and_ () in
+  group a [ 3; 1; 3 ];
+  let inner = Event.quorum Event.Majority in
+  group inner [ 2; 3 ];
+  let o = Event.or_ () in
+  Event.add o ~child:inner;
+  group o [ 0; 1; 4 ];
+  let root = Event.quorum Event.Majority in
+  Event.add root ~child:a;
+  Event.add root ~child:(rpc 1);
+  Event.add root ~child:o;
+  Event.add root ~child:(rpc 5);
+  Event.add root ~child:(rpc 0);
+  Alcotest.(check (list int)) "DFS pre-order, first occurrence" [ 3; 1; 2; 0; 4; 5 ]
+    (Event.peers root);
+  Alcotest.(check (list int)) "a child's own order" [ 2; 3; 0; 1; 4 ] (Event.peers o)
+
 let test_stallers_basic () =
   let rpc = Event.rpc_completion ~peer:7 () in
   Alcotest.(check (list int)) "basic rpc staller" [ 7 ] (Event.stallers rpc);
@@ -332,6 +354,7 @@ let suite =
         Alcotest.test_case "fire compound rejected" `Quick test_fire_compound_rejected;
         Alcotest.test_case "add to basic rejected" `Quick test_add_to_basic_rejected;
         Alcotest.test_case "peers deduplicated" `Quick test_peers;
+        Alcotest.test_case "nested peers keep DFS order" `Quick test_peers_nested_order;
         Alcotest.test_case "children keep attachment order" `Quick test_children_order;
         Alcotest.test_case "observers keep registration order" `Quick test_observer_order;
       ] );

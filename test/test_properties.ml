@@ -390,47 +390,112 @@ let test_wheel_matches_heap =
       !ok && Sim.Wheel.is_empty w && Sim.Heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
-(* Trace ring buffer: capacity bound, drop-oldest policy, dropped counter *)
+(* Trace ring: growth by doubling, capacity bound, drop-oldest policy,
+   dropped counter, clear *)
 
-let mk_wait cid : Depfast.Trace.wait =
-  {
-    cid;
-    node = 0;
-    coroutine = "c";
-    event = Depfast.Event.signal ();
-    quorum_k = 1;
-    quorum_n = 1;
-    t_start = Sim.Time.zero;
-    t_end = Sim.Time.zero;
-    outcome = Depfast.Trace.Ready;
-    stallers_memo = Some [];
-  }
+module Tr = Depfast.Trace
+
+let record ?(ev = Depfast.Event.signal ()) tr cid =
+  Tr.record tr ~cid ~node:(cid mod 3) ~coroutine:"c" ev ~quorum_k:1 ~quorum_n:1
+    ~t_start:cid ~t_end:(cid + 1) (if cid mod 2 = 0 then Tr.Ready else Tr.Timed_out)
+
+let cids tr = List.map (fun (w : Tr.wait) -> w.cid) (Tr.waits tr)
+let range a b = List.init (b - a + 1) (fun i -> a + i)
 
 let test_trace_ring_drop_oldest () =
-  let tr = Depfast.Trace.create ~capacity:4 ~enabled:true () in
+  let tr = Tr.create ~capacity:4 ~enabled:true () in
   for i = 1 to 6 do
-    Depfast.Trace.record_wait tr (mk_wait i)
+    record tr i
   done;
-  Alcotest.(check int) "bounded by capacity" 4 (Depfast.Trace.wait_count tr);
-  Alcotest.(check int) "two overwritten" 2 (Depfast.Trace.dropped tr);
-  Alcotest.(check (list int))
-    "oldest dropped, order kept" [ 3; 4; 5; 6 ]
-    (List.map (fun (w : Depfast.Trace.wait) -> w.cid) (Depfast.Trace.waits tr));
-  Depfast.Trace.clear tr;
-  Alcotest.(check int) "clear empties" 0 (Depfast.Trace.wait_count tr);
-  Alcotest.(check int) "clear resets dropped" 0 (Depfast.Trace.dropped tr);
-  Depfast.Trace.record_wait tr (mk_wait 9);
-  Alcotest.(check (list int))
-    "records again after clear" [ 9 ]
-    (List.map (fun (w : Depfast.Trace.wait) -> w.cid) (Depfast.Trace.waits tr))
+  Alcotest.(check int) "bounded by capacity" 4 (Tr.wait_count tr);
+  Alcotest.(check int) "two overwritten" 2 (Tr.dropped tr);
+  Alcotest.(check (list int)) "oldest dropped, order kept" [ 3; 4; 5; 6 ] (cids tr);
+  Tr.clear tr;
+  Alcotest.(check int) "clear empties" 0 (Tr.wait_count tr);
+  Alcotest.(check int) "clear resets dropped" 0 (Tr.dropped tr);
+  record tr 9;
+  Alcotest.(check (list int)) "records again after clear" [ 9 ] (cids tr)
 
 let test_trace_ring_disabled () =
-  let tr = Depfast.Trace.create ~capacity:4 () in
-  Depfast.Trace.record_wait tr (mk_wait 1);
-  Alcotest.(check int) "disabled records nothing" 0 (Depfast.Trace.wait_count tr);
-  Depfast.Trace.enable tr;
-  Depfast.Trace.record_wait tr (mk_wait 2);
-  Alcotest.(check int) "enabled records" 1 (Depfast.Trace.wait_count tr)
+  let tr = Tr.create ~capacity:4 () in
+  record tr 1;
+  Alcotest.(check int) "disabled records nothing" 0 (Tr.wait_count tr);
+  Tr.enable tr;
+  record tr 2;
+  Alcotest.(check int) "enabled records" 1 (Tr.wait_count tr)
+
+(* every record, at every step, across each doubling of the columns and
+   past capacity, reads back whole through the index accessors *)
+let test_trace_ring_growth () =
+  List.iter
+    (fun cap ->
+      let tr = Tr.create ~capacity:cap ~enabled:true () in
+      for n = 1 to (3 * cap) + 5 do
+        record tr n;
+        let lo = max 1 (n - cap + 1) in
+        let what = Printf.sprintf "capacity %d after %d" cap n in
+        Alcotest.(check (list int)) what (range lo n) (cids tr);
+        Alcotest.(check int) (what ^ ": dropped") (lo - 1) (Tr.dropped tr);
+        for i = 0 to Tr.wait_count tr - 1 do
+          let c = lo + i in
+          let ok =
+            Tr.cid tr i = c
+            && Tr.node tr i = c mod 3
+            && Tr.coroutine tr i = "c"
+            && Tr.quorum_k tr i = 1
+            && Tr.quorum_n tr i = 1
+            && Tr.t_start tr i = c
+            && Tr.t_end tr i = c + 1
+            && Tr.outcome tr i = if c mod 2 = 0 then Tr.Ready else Tr.Timed_out
+          in
+          if not ok then Alcotest.failf "%s: record %d garbled" what i
+        done
+      done)
+    [ 5; 31; 32; 33; 100; 200 ]
+
+let test_trace_ring_capacity_one () =
+  let tr = Tr.create ~capacity:1 ~enabled:true () in
+  record tr 1;
+  Alcotest.(check (list int)) "one record" [ 1 ] (cids tr);
+  record tr 2;
+  record tr 3;
+  Alcotest.(check (list int)) "only the newest" [ 3 ] (cids tr);
+  Alcotest.(check int) "two overwritten" 2 (Tr.dropped tr)
+
+let test_trace_ring_clear_after_growth () =
+  let tr = Tr.create ~capacity:100 ~enabled:true () in
+  for i = 1 to 250 do
+    record tr i
+  done;
+  Tr.clear tr;
+  for i = 1 to 80 do
+    record tr i
+  done;
+  Alcotest.(check (list int)) "in order after clear" (range 1 80) (cids tr);
+  Alcotest.(check int) "nothing dropped yet" 0 (Tr.dropped tr);
+  for i = 81 to 110 do
+    record tr i
+  done;
+  Alcotest.(check (list int)) "drop-oldest again at capacity" (range 11 110) (cids tr);
+  Alcotest.(check int) "ten overwritten" 10 (Tr.dropped tr)
+
+(* the event is built here, so after the call the weak slot and the trace
+   hold the only references *)
+let record_weak tr weak =
+  let ev = Depfast.Event.signal ~label:"weak" () in
+  Weak.set weak 0 (Some ev);
+  record ~ev tr 1
+
+let test_trace_clear_releases_events () =
+  let tr = Tr.create ~enabled:true () in
+  let weak = Weak.create 1 in
+  record_weak tr weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "the trace keeps its event alive" true (Weak.check weak 0);
+  Tr.clear tr;
+  Gc.full_major ();
+  Alcotest.(check bool) "clear released the event" false (Weak.check weak 0);
+  Alcotest.(check int) "trace still usable" 0 (Tr.wait_count tr)
 
 let suite =
   [
@@ -451,5 +516,9 @@ let suite =
       [
         Alcotest.test_case "drop-oldest policy" `Quick test_trace_ring_drop_oldest;
         Alcotest.test_case "disabled is a no-op" `Quick test_trace_ring_disabled;
+        Alcotest.test_case "growth across doublings" `Quick test_trace_ring_growth;
+        Alcotest.test_case "capacity 1" `Quick test_trace_ring_capacity_one;
+        Alcotest.test_case "clear after growth" `Quick test_trace_ring_clear_after_growth;
+        Alcotest.test_case "clear releases events" `Quick test_trace_clear_releases_events;
       ] );
   ]

@@ -274,6 +274,71 @@ let test_trace_stats_online () =
   check_bool "online records" true (Depfast.Trace_stats.histogram stats "n3" <> None);
   check_int "timeout counted" 1 (Depfast.Trace_stats.timeouts stats "n3")
 
+(* online (attach) and offline (of_trace) aggregation fold the same
+   columns, so they agree on every key, count and timeout *)
+let test_trace_stats_online_matches_offline () =
+  let engine = Sim.Engine.create () in
+  let trace = Trace.create ~enabled:true () in
+  let s = Sched.create ~trace engine in
+  let kinds = [ Trace_stats.By_label; Trace_stats.By_node; Trace_stats.By_edge ] in
+  let online =
+    List.map
+      (fun k ->
+        let st = Trace_stats.create k in
+        Trace_stats.attach st trace;
+        st)
+      kinds
+  in
+  for node = 0 to 3 do
+    Sched.spawn s ~node ~name:(Printf.sprintf "w%d" node) (fun () ->
+        for round = 1 to 3 do
+          let q = Event.quorum ~label:"replicate" Event.Majority in
+          List.iter
+            (fun peer ->
+              let ev = Event.rpc_completion ~peer () in
+              Event.add q ~child:ev;
+              ignore
+                (Sim.Engine.schedule engine ~delay:((peer * 3) + round) (fun () -> Event.fire ev)))
+            [ (node + 1) mod 4; (node + 2) mod 4; node ];
+          Sched.wait s q;
+          (* never fired: every one of these waits times out *)
+          let label = if round = 2 then "" else "lone" in
+          let lone = Event.rpc_completion ~label ~peer:((node + 3) mod 4) () in
+          ignore (Sched.wait_timeout s lone (Sim.Time.us (5 * node)))
+        done)
+  done;
+  Sched.run s;
+  check_int "every wait traced" 24 (Trace.wait_count trace);
+  List.iter2
+    (fun kind on ->
+      let off = Trace_stats.of_trace kind trace in
+      let keys = Trace_stats.keys off in
+      Alcotest.(check (list string)) "same keys" keys (Trace_stats.keys on);
+      let summary st k =
+        match Trace_stats.histogram st k with
+        | Some h ->
+          (Sim.Hist.count h, Sim.Hist.min_value h, Sim.Hist.max_value h, Trace_stats.timeouts st k)
+        | None -> Alcotest.failf "no histogram for %s" k
+      in
+      List.iter
+        (fun k ->
+          let c, lo, hi, tmo = summary off k and c', lo', hi', tmo' = summary on k in
+          check_int (k ^ " count") c c';
+          check_int (k ^ " min") lo lo';
+          check_int (k ^ " max") hi hi';
+          check_int (k ^ " timeouts") tmo tmo')
+        keys)
+    kinds online;
+  let by_label = Trace_stats.of_trace Trace_stats.By_label trace in
+  Alcotest.(check (list string)) "label keys" [ "(unnamed)"; "lone"; "replicate" ]
+    (Trace_stats.keys by_label);
+  check_int "lone waits time out" 8 (Trace_stats.timeouts by_label "lone");
+  check_int "unnamed waits time out" 4 (Trace_stats.timeouts by_label "(unnamed)");
+  Alcotest.(check (list string)) "node keys" [ "n0"; "n1"; "n2"; "n3" ]
+    (Trace_stats.keys (Trace_stats.of_trace Trace_stats.By_node trace));
+  check_int "edge keys: two quorum peers and one lone peer per node" 12
+    (List.length (Trace_stats.keys (Trace_stats.of_trace Trace_stats.By_edge trace)))
+
 (* ------------------------------------------------------------------ *)
 (* condvar / mutex edge cases: pin the current semantics *)
 
@@ -461,29 +526,44 @@ let test_fire_and_timeout_same_instant_explore () =
    ceilings sit just above the latter, so a change that brings back a
    per-post queue cell, a per-timer list cell or per-wait closure graphs
    fails here. *)
-let cycle_words ~timed =
-  let s = make_sched () in
+let cycle_words ?(traced = false) ~timed () =
+  let s = make_sched ~trace:traced () in
   let n = 1_000 in
-  let evs = Array.init n (fun _ -> Event.signal ()) in
-  let body ev () =
-    if timed then ignore (Sched.wait_timeout s ev (Sim.Time.ms 1)) else Sched.wait s ev
+  let batch () =
+    let evs = Array.init n (fun _ -> Event.signal ()) in
+    let body ev () =
+      if timed then ignore (Sched.wait_timeout s ev (Sim.Time.ms 1)) else Sched.wait s ev
+    in
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    Array.iter (fun ev -> Sched.spawn s (body ev)) evs;
+    Sched.run ~until:(Sched.now s) s;
+    Array.iter Event.fire evs;
+    Sched.run s;
+    Gc.minor ();
+    check_int "every timeout cancelled" 0 (Sim.Engine.pending (Sched.engine s));
+    (Gc.minor_words () -. w0) /. float_of_int n
   in
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  Array.iter (fun ev -> Sched.spawn s (body ev)) evs;
-  Sched.run ~until:0 s;
-  Array.iter Event.fire evs;
-  Sched.run s;
-  Gc.minor ();
-  check_int "every timeout cancelled" 0 (Sim.Engine.pending (Sched.engine s));
-  (Gc.minor_words () -. w0) /. float_of_int n
+  if traced then begin
+    (* a first batch grows the ring; the measured one records into it *)
+    ignore (batch ());
+    check_int "first batch traced" n (Trace.wait_count (Sched.trace s));
+    Trace.clear (Sched.trace s)
+  end;
+  let words = batch () in
+  if traced then check_int "measured batch traced" n (Trace.wait_count (Sched.trace s));
+  words
 
+(* a traced wait writes the trace's columns in place, so once the ring has
+   grown it costs no more than an untraced one: no per-wait record *)
 let test_alloc_cycle () =
   let guard what ceiling words =
     if words > ceiling then Alcotest.failf "%s cycle: %.1f words > ceiling %.0f" what words ceiling
   in
-  guard "untimed" 62.0 (cycle_words ~timed:false);
-  guard "timed" 76.0 (cycle_words ~timed:true)
+  guard "untimed" 62.0 (cycle_words ~timed:false ());
+  guard "timed" 76.0 (cycle_words ~timed:true ());
+  guard "traced untimed" 62.0 (cycle_words ~traced:true ~timed:false ());
+  guard "traced timed" 76.0 (cycle_words ~traced:true ~timed:true ())
 
 let suite =
   [
@@ -534,6 +614,8 @@ let suite =
         Alcotest.test_case "by label" `Quick test_trace_stats_by_label;
         Alcotest.test_case "by edge" `Quick test_trace_stats_by_edge;
         Alcotest.test_case "online subscription" `Quick test_trace_stats_online;
+        Alcotest.test_case "online matches offline" `Quick
+          test_trace_stats_online_matches_offline;
       ] );
     ( "spg",
       [
