@@ -1,35 +1,27 @@
 (* depfast-lint: static fail-slow analysis over OCaml sources.
 
    Loads the given paths (default: lib bin examples bench) as one
-   project model and runs over it the per-file lint, — with
-   [--interproc] — the whole-project pass (module summaries,
-   cross-module red waits, lock-order cycles, quorum arity), and —
-   with [--bounds] — the boundedness & timeout-coverage pass
-   (unbounded-growth, missing-deadline, unbounded-retry) plus its
-   boundedness certificates, and — with [--domains] — the domain-safety
-   pass (the mutable-state inventory, ownership verdicts, and
-   [unsafe-shared-state]) plus its domain-safety certificates, and —
-   with [--spg] — the slowness-propagation pass (static exposure of
-   every wait site to fail-slow resources: [red-exposure],
-   [unreached-mitigation]) plus its propagation certificates.
+   project model and runs every pass over it: pragma hygiene
+   ([unknown-pragma]), the interprocedural pass (locks held across
+   suspensions, lock-order cycles, quorum arity), the boundedness &
+   timeout-coverage pass (unbounded-growth, missing-deadline,
+   unbounded-retry), the domain-safety pass (the mutable-state
+   inventory and [unsafe-shared-state]), and the slowness-propagation
+   pass (static exposure of every wait site to fail-slow resources:
+   [red-exposure]), with the certificates of the last three.
 
    Exit discipline: 0 when nothing gates, 1 when findings gate, 2 on
    usage errors. By default only unallowed [error]-severity findings
    gate; [--strict] escalates every unallowed finding (warnings and
-   infos included). [(* depfast-lint: allow rule-id *)] pragmas exempt
-   findings either way. *)
+   infos included). An allow pragma comment naming the rule id exempts
+   a finding either way. *)
 
 let usage =
-  "usage: depfast_lint [--quiet] [--strict] [--interproc] [--bounds] [--domains] \
-   [--spg] [--format text|json] [--rules] [path ...]"
+  "usage: depfast_lint [--quiet] [--strict] [--format text|json] [--rules] [path ...]"
 
 let () =
   let quiet = ref false in
   let strict = ref false in
-  let interproc = ref false in
-  let bounds = ref false in
-  let domains = ref false in
-  let spg = ref false in
   let format = ref `Text in
   let paths = ref [] in
   let show_rules = ref false in
@@ -50,10 +42,6 @@ let () =
           match arg with
           | "--quiet" | "-q" -> quiet := true
           | "--strict" -> strict := true
-          | "--interproc" -> interproc := true
-          | "--bounds" -> bounds := true
-          | "--domains" -> domains := true
-          | "--spg" -> spg := true
           | "--format" -> expect_format := true
           | "--rules" -> show_rules := true
           | "--help" | "-h" ->
@@ -85,16 +73,14 @@ let () =
      originating pass, and identical findings reported by more than one
      pass are deduplicated, first pass wins *)
   let p = Analysis.Growth.load_files files in
-  let run on f = if on then f p else ([], []) in
-  let ifs, _ = run !interproc (fun p -> (Analysis.Interproc.analyze p, [])) in
-  let bfs, bcerts = run !bounds Analysis.Bounds.analyze in
-  let dfs, dcerts = run !domains (fun p -> let fs, c, _ = Analysis.Domains.analyze p in (fs, c)) in
-  let sfs, scerts = run !spg (fun p -> let fs, c, _ = Analysis.Spg_static.analyze p in (fs, c)) in
+  let bfs, bcerts = Analysis.Bounds.analyze p in
+  let dfs, dcerts, _ = Analysis.Domains.analyze p in
+  let sfs, scerts, _ = Analysis.Spg_static.analyze p in
   let tagged =
     List.concat_map
       (fun (pass, fs) -> List.map (fun f -> (pass, f)) fs)
-      [ ("source-lint", Analysis.Growth.lint p); ("interproc", ifs); ("bounds", bfs);
-        ("domains", dfs); ("spg", sfs) ]
+      [ ("source-lint", Analysis.Growth.lint p); ("interproc", Analysis.Interproc.analyze p);
+        ("bounds", bfs); ("domains", dfs); ("spg", sfs) ]
   in
   let certs = bcerts @ dcerts @ scerts in
   let tagged =
@@ -125,38 +111,22 @@ let () =
         if not (!quiet && f.Analysis.Finding.allowed) then
           print_endline (Analysis.Finding.to_string f))
       findings;
-    Printf.printf "depfast-lint: %d file(s), %d finding(s), %d unallowed, %d gating%s%s%s%s\n"
-      (List.length files) (List.length findings) (List.length unallowed)
-      (List.length gating)
-      (if !interproc then " [interproc]" else "")
-      (if !bounds then
-         Printf.sprintf " [bounds: %d site(s) certified, %d flagged]" (List.length bounded)
-           (List.length flagged)
-       else "")
-      (if !domains then
-         Printf.sprintf " [domains: %d cell(s), %d unsafe]" (List.length dcerts)
-           (List.length unsafe_cells)
-       else "")
-      (if !spg then
-         let waits, props =
-           List.partition (fun c -> c.Analysis.Growth.c_kind = "wait") scerts
-         in
-         let red =
-           List.filter
-             (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged)
-             waits
-         in
-         Printf.sprintf " [spg: %d wait site(s), %d propagation edge(s), %d red-uncovered]"
-           (List.length waits) (List.length props) (List.length red)
-       else "")
+    let waits, props = List.partition (fun c -> c.Analysis.Growth.c_kind = "wait") scerts in
+    let red = List.filter (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged) waits in
+    Printf.printf
+      "depfast-lint: %d file(s), %d finding(s), %d unallowed, %d gating [bounds: %d site(s) \
+       certified, %d flagged] [domains: %d cell(s), %d unsafe] [spg: %d wait site(s), %d \
+       propagation edge(s), %d red-uncovered]\n"
+      (List.length files) (List.length findings) (List.length unallowed) (List.length gating)
+      (List.length bounded) (List.length flagged) (List.length dcerts)
+      (List.length unsafe_cells) (List.length waits) (List.length props) (List.length red)
   | `Json ->
     (* one JSON document: summary + findings array, one finding per line *)
     Printf.printf
-      "{ \"files\": %d, \"findings\": %d, \"unallowed\": %d, \"gating\": %d, \
-       \"interproc\": %b, \"bounds\": %b, \"domains\": %b, \"spg\": %b, \"strict\": %b, \
+      "{ \"files\": %d, \"findings\": %d, \"unallowed\": %d, \"gating\": %d, \"strict\": %b, \
        \"results\": [\n"
       (List.length files) (List.length findings) (List.length unallowed)
-      (List.length gating) !interproc !bounds !domains !spg !strict;
+      (List.length gating) !strict;
     let shown =
       if !quiet then
         List.filter (fun ((_, f) : _ * Analysis.Finding.t) -> not f.Analysis.Finding.allowed) tagged
@@ -172,14 +142,11 @@ let () =
           pass body
           (if i < List.length shown - 1 then "," else ""))
       shown;
-    if !bounds || !domains || !spg then begin
-      Printf.printf "], \"certificates\": [\n";
-      List.iteri
-        (fun i c ->
-          Printf.printf "  %s%s\n" (Analysis.Growth.cert_to_json c)
-            (if i < List.length certs - 1 then "," else ""))
-        certs;
-      print_string "] }\n"
-    end
-    else print_string "] }\n");
+    Printf.printf "], \"certificates\": [\n";
+    List.iteri
+      (fun i c ->
+        Printf.printf "  %s%s\n" (Analysis.Growth.cert_to_json c)
+          (if i < List.length certs - 1 then "," else ""))
+      certs;
+    print_string "] }\n");
   exit (if gating = [] then 0 else 1)

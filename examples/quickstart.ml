@@ -30,7 +30,7 @@ let () =
           let rpc_event = replica sched ~peer ~delay in
           (* the next line bears possible slowness; kept on purpose as the
              "before" half of the demo — the quorum loop below is the fix.
-             depfast-lint: allow red-wait unbounded-wait red-exposure *)
+             depfast-lint: allow red-exposure *)
           Depfast.Sched.wait sched rpc_event)
         delays;
       Printf.printf "naive loop finished at %6.0f ms  <- dragged by the slow replica\n"

@@ -54,7 +54,7 @@ let () =
   Depfast.Sched.spawn sched ~node:0 ~name:"bad-code" (fun () ->
       let ev = Depfast.Event.rpc_completion ~label:"lone-rpc" ~peer:1 () in
       ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 5) (fun () -> Depfast.Event.fire ev));
-      (* depfast-lint: allow red-wait unbounded-wait red-exposure — this red
+      (* depfast-lint: allow red-exposure — this red
          wait exists so the runtime audit below has something to flag *)
       Depfast.Sched.wait sched ev);
   Depfast.Sched.run ~until:(Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 50)) sched;

@@ -13,9 +13,9 @@ type cert = Growth.cert = {
 (* ---- timeout coverage ------------------------------------------------ *)
 
 (* Waits on a quorum bound by [Event.quorum] in this function, judged by
-   how each is waited on. The per-file lint already covers bare remote
-   completions (red-wait/unbounded-wait); quorum waits are green to it,
-   so the untimed ones are exactly the uncovered gap this rule closes. *)
+   how each is waited on. red-exposure already covers fate-sharing
+   waits on bare completions; quorum waits are green to it, so the
+   untimed ones are exactly the uncovered gap this rule closes. *)
 let scan_waits p (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
   List.iter
     (fun (w : Growth.wait) ->

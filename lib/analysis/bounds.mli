@@ -1,7 +1,7 @@
 (** Front end 4: depfast-bounds — interprocedural boundedness and
     timeout coverage.
 
-    The wait-structure passes ({!Source_lint}, {!Interproc}) certify
+    The wait-structure passes ({!Spg_static}, {!Interproc}) certify
     {e which} events a coroutine may block on; this pass certifies the
     two obligations they leave open, the ones behind the paper's
     fail-slow root causes (b) and (c):

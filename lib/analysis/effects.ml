@@ -393,7 +393,7 @@ let compute p =
           if not (Hashtbl.mem summaries f.Growth.g_qname) then
             Hashtbl.replace summaries f.Growth.g_qname
               (Summary.create ~qname:f.Growth.g_qname ~file:fc.Growth.fc_path
-                 ~line:f.Growth.g_line ~params:[]))
+                 ~line:f.Growth.g_line))
         fc.Growth.fc_fns)
     files;
   List.iter

@@ -12,13 +12,10 @@ type t = {
   allowed : bool;
 }
 
-let red_wait = "red-wait"
-let unbounded_wait = "unbounded-wait"
-let degenerate_quorum = "degenerate-quorum"
-let lock_across_wait = "lock-across-wait"
-let orphan_wait = "orphan-wait"
-let vacuous_quorum = "vacuous-quorum"
-let cross_module_red_wait = "cross-module-red-wait"
+(* pragma hygiene (the one per-file check) *)
+let unknown_pragma = "unknown-pragma"
+
+(* lock and arity rules (the interprocedural pass) *)
 let lock_across_call = "lock-across-call"
 let lock_order_cycle = "lock-order-cycle"
 let quorum_arity_mismatch = "quorum-arity-mismatch"
@@ -33,7 +30,6 @@ let unsafe_shared_state = "unsafe-shared-state"
 
 (* slowness-propagation rules (the depfast-spg pass) *)
 let red_exposure = "red-exposure"
-let unreached_mitigation = "unreached-mitigation"
 let spg_stale_edge = "spg-stale-edge"
 
 (* dynamic rules, reported by the schedule-space checker (lib/check) *)
@@ -51,18 +47,14 @@ let queue_gauge_overflow = "queue-gauge-overflow"
 
 let rules =
   [
-    (red_wait, "wait on a single remote completion outside a quorum/or_ wrapper");
-    (unbounded_wait, "untimed wait on a remote completion with no or_/timer escape");
-    (degenerate_quorum, "and_ over multiple remote completions (k = n: every peer stalls)");
-    (lock_across_wait, "suspension point reached while a Depfast.Mutex is held");
-    (orphan_wait, "wait on an event no registered firer can ever fire");
-    (vacuous_quorum, "quorum requiring more ready children than it can ever have");
-    (cross_module_red_wait,
-     "wait on a bare remote completion produced in another module (via a \
-      function return, tuple component, record field, or argument)");
-    (lock_across_call, "call into a (transitively) suspending function while a Depfast.Mutex is held");
+    (unknown_pragma, "depfast-lint pragma naming a rule id that no pass reports");
+    (lock_across_call,
+     "suspension point, or call into a (transitively) suspending function, while a \
+      Depfast.Mutex is held");
     (lock_order_cycle, "mutex acquisition-order cycle across functions/modules (static deadlock)");
-    (quorum_arity_mismatch, "quorum Count k inconsistent with the peer count flowing into it");
+    (quorum_arity_mismatch,
+     "quorum Count k that the children flowing into it cannot satisfy, or that comes \
+      from a value tainted by a fail-slow resource");
     (unbounded_growth,
      "remote-triggered accumulation with no drain, truncation, or capacity check \
       in the same call-graph component");
@@ -74,9 +66,6 @@ let rules =
     (red_exposure,
      "fate-sharing wait statically reachable from a fail-slow resource site \
       with no timeout escape on the waiting function");
-    (unreached_mitigation,
-     "wait claims quorum-k green but its Count arity flows from a value \
-      tainted by a fail-slow resource");
     (spg_stale_edge,
      "static red exposure for the injected fault kind never observed as a \
       red SPG edge across the explored schedules (possible stale certificate)");
@@ -97,8 +86,7 @@ let rules =
      "a registered queue/log depth gauge grew monotonically past its declared cap");
   ]
 
-let v ?(allowed = false) ~rule ~severity ~loc message =
-  { rule; severity; loc; message; allowed }
+let v ~rule ~severity ~loc message = { rule; severity; loc; message; allowed = false }
 
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
 

@@ -1,7 +1,7 @@
-(** Machine-readable findings shared by the source lint and the DAG
-    checker. A finding is a rule violation at a location; [allowed]
-    findings were exempted by a pragma (sources) or an [~allow]
-    predicate (DAGs) and do not gate CI. *)
+(** Machine-readable findings shared by the static passes and the
+    schedule-space checker. A finding is a rule violation at a source
+    location or at an event; [allowed] findings were exempted by a
+    pragma and do not gate CI. *)
 
 type severity = Error | Warning | Info
 
@@ -19,37 +19,16 @@ type t = {
 
 (** {2 Rule identifiers} *)
 
-val red_wait : string
-(** [Sched.wait] applied to a single remote completion outside a
-    quorum/or_ wrapper — a statically fail-slow-intolerant wait. *)
-
-val unbounded_wait : string
-(** An untimed wait on a remote completion with no [or_]/timer escape. *)
-
-val degenerate_quorum : string
-(** [and_] composed over multiple remote completions: k = n, so every
-    peer stalls it. *)
-
-val lock_across_wait : string
-(** A suspension point reached while a [Depfast.Mutex] is held — the
-    scheduler hazard behind RethinkDB's fail-slow leader (paper, §2). *)
-
-val orphan_wait : string
-(** An event no registered firer can ever fire. *)
-
-val vacuous_quorum : string
-(** A quorum requiring more ready children than it can ever have
-    ([Count k] with k > n). *)
-
-val cross_module_red_wait : string
-(** Interprocedural: a bare remote completion produced in one module
-    (via a function return, tuple component, record field, or argument)
-    and [Sched.wait]ed in another — invisible to any per-file pass. *)
+val unknown_pragma : string
+(** A [(* depfast-lint: allow ... *)] pragma naming a rule id that is
+    not in {!rules}: a retired or misspelt id would otherwise silently
+    allow nothing. *)
 
 val lock_across_call : string
-(** Interprocedural generalization of {!lock_across_wait}: a call made
-    while holding a [Depfast.Mutex] into a function that (transitively)
-    suspends on an event. *)
+(** A suspension point reached while a [Depfast.Mutex] is held — a
+    direct [Sched.wait]/[Condvar.wait] in the locked region, or a call
+    into a function that (transitively) suspends on an event: the
+    scheduler hazard behind RethinkDB's fail-slow leader (paper, §2). *)
 
 val lock_order_cycle : string
 (** A cycle in the static mutex acquisition-order graph, including
@@ -58,7 +37,9 @@ val lock_order_cycle : string
 val quorum_arity_mismatch : string
 (** A [Quorum (Count k)] whose k (resolved through constants, possibly
     cross-module) exceeds the number of children that statically flow
-    into it. *)
+    into it; or whose k flows from a function tainted by a fail-slow
+    resource, so the mitigation (waiting for only k of n) is itself
+    controlled by the slow resource. *)
 
 val unbounded_growth : string
 (** Boundedness (the depfast-bounds pass): an accumulation site
@@ -89,13 +70,9 @@ val red_exposure : string
     statically reachable from a fail-slow resource site (disk, net,
     declared CPU cost, or remote-triggered growth) and carries no
     timeout escape: the static blast radius of that resource includes
-    this wait, with nothing bounding the delay. *)
-
-val unreached_mitigation : string
-(** A wait whose certificate claims quorum-k green, but whose
-    [Count k] arity flows from a value produced by a tainted function:
-    the mitigation (waiting for only k of n) is itself controlled by
-    the slow resource, so the green claim is unreached. *)
+    this wait, with nothing bounding the delay. An [Error] when the
+    waited event is an rpc completion ([Event.rpc_completion],
+    [Rpc.event]), a [Warning] otherwise. *)
 
 val spg_stale_edge : string
 (** Dynamic staleness cross-check: a module carries a static red
@@ -121,7 +98,7 @@ val parked_on_abandoned : string
 val unsatisfiable_wait : string
 (** A parked compound wait that can no longer gather enough ready
     children (e.g. a [Count k] quorum wired to fewer than [k] live
-    children) — the dynamic cousin of {!vacuous_quorum}. *)
+    children) — the dynamic cousin of {!quorum_arity_mismatch}. *)
 
 val quorum_overcount : string
 (** A compound event's packed ready counter disagrees with a recount of
@@ -159,7 +136,7 @@ val queue_gauge_overflow : string
 val rules : (string * string) list
 (** All rule ids with one-line descriptions. *)
 
-val v : ?allowed:bool -> rule:string -> severity:severity -> loc:location -> string -> t
+val v : rule:string -> severity:severity -> loc:location -> string -> t
 
 val severity_name : severity -> string
 val loc_string : location -> string
@@ -167,7 +144,7 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val unallowed : t list -> t list
-(** The findings not exempted by a pragma or allow predicate. *)
+(** The findings not exempted by a pragma. *)
 
 val gating : strict:bool -> t list -> t list
 (** The unallowed findings that should fail the build: [Error]s only by

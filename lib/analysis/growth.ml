@@ -331,14 +331,18 @@ let roots_reaching p qname =
   |> List.sort compare
 
 let allow p findings =
-  SL.allow_pragmas
-    (fun path -> match Hashtbl.find_opt p.by_path path with Some fc -> fc.fc_pragmas | None -> [])
+  List.map
+    (fun (f : Finding.t) ->
+      match f.Finding.loc with
+      | Finding.File { file; line } -> (
+        match Hashtbl.find_opt p.by_path file with
+        | Some fc when Lexer.allows fc.fc_pragmas f.Finding.rule line ->
+          { f with Finding.allowed = true }
+        | _ -> f)
+      | Finding.Node _ -> f)
     findings
 
-let lint p =
-  List.concat_map
-    (fun fc -> SL.lint_tokens ~path:fc.fc_path fc.fc_toks fc.fc_pm fc.fc_pragmas)
-    p.files
+let lint p = List.concat_map (fun fc -> SL.check_pragmas ~path:fc.fc_path fc.fc_pragmas) p.files
 
 (* ---- wait sites ------------------------------------------------------- *)
 
@@ -351,6 +355,7 @@ type wait = {
   w_binding : binding option;
   w_timered : bool;
   w_arity : (string * string) option;
+  w_from : string option;
 }
 
 let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ]
@@ -425,6 +430,7 @@ let waits fc f =
         let _sched, i1 = SL.parse_atom a pm ni in
         let ev, _ = SL.parse_atom a pm i1 in
         let q = match ev with SL.AName q when SL.is_simple q -> q | _ -> "" in
+        let from = match ev with SL.AParen h -> h | _ -> Hashtbl.find_opt heads q in
         out :=
           {
             w_line = line;
@@ -435,6 +441,7 @@ let waits fc f =
             w_arity =
               Option.bind (Hashtbl.find_opt arity q) (fun v ->
                   Option.map (fun h -> (v, h)) (Hashtbl.find_opt heads v));
+            w_from = from;
           }
           :: !out
       | _ -> ());

@@ -99,7 +99,8 @@ val allow : project -> Finding.t list -> Finding.t list
 (** Apply the pragmas of each finding's file ({!Lexer.allows}). *)
 
 val lint : project -> Finding.t list
-(** The per-file lint ({!Source_lint}) over every file of the project. *)
+(** The one per-file check, pragma hygiene ({!Source_lint.check_pragmas}),
+    over every file of the project. *)
 
 val callees : project -> string -> string list
 (** Resolved call edges out of a function, sorted; [[]] if unknown. *)
@@ -131,6 +132,10 @@ type wait = {
   w_arity : (string * string) option;
       (** the variable the quorum's [Count] arity came from, and the
           head that variable was bound to *)
+  w_from : string option;
+      (** the head the waited event came from: the head of a
+          parenthesised event, or the head its simple name was last bound
+          to ([None] for quorum/or_/and_ bindings and unknown names) *)
 }
 
 val waits : file_ctx -> fn -> wait list

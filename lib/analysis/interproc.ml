@@ -1,10 +1,5 @@
 module SL = Source_lint
 
-(* Where a remote-completion fact came from; only facts that crossed a
-   boundary the per-file lint cannot see (another module, a record
-   field) are reported here — same-file facts are Source_lint's job. *)
-type prov = PLocal | PCross of string | PField of string
-
 type qcell = {
   q_line : int;
   q_count : int option;
@@ -13,8 +8,6 @@ type qcell = {
 }
 
 type vfact =
-  | VRemote of SL.kind * prov
-  | VParam of int
   | VInt of int
   | VList of int
   | VQuorum of qcell
@@ -147,15 +140,13 @@ module Digraph = struct
 end
 
 (* Module-level value facts: an int constant, a list literal's length,
-   an alias of another name (chased for constants), a mutex, or a bare
-   remote completion. *)
-type mval = MInt of int | MLen of int | MAlias of string | MLock | MRemote of SL.kind
+   an alias of another name (chased for constants), or a mutex. *)
+type mval = MInt of int | MLen of int | MAlias of string | MLock
 
 type state = {
   p : Growth.project;
   sums : (string, Summary.t) Hashtbl.t;  (* function qname -> summary, first wins *)
-  values : (string, string * mval) Hashtbl.t;  (* "Module.x" -> defining file, fact *)
-  fields : (string, SL.kind * string) Hashtbl.t;  (* record field -> kind, set-in file *)
+  values : (string, mval) Hashtbl.t;  (* "Module.x" -> fact *)
   (* lock-order graph: canonical-name edges with their witness site *)
   edge_locs : (string * string, string * int) Hashtbl.t;
   lock_graph : Digraph.g;
@@ -175,7 +166,7 @@ let canon_lock st (fc : Growth.file_ctx) = function
   | Some raw ->
     let mdl = fc.Growth.fc_mdl in
     SL.canon ~mdl raw ~top:(fun x ->
-        match Hashtbl.find_opt st.values (mdl ^ "." ^ x) with Some (_, MLock) -> true | _ -> false)
+        Hashtbl.find_opt st.values (mdl ^ "." ^ x) = Some MLock)
 
 (* ---- module-level value facts ---------------------------------------- *)
 
@@ -218,15 +209,12 @@ let value_fact (a : Lexer.token array) r e =
         if not (Lexer.is_ident t) then None
         else
           let h, _, hn = SL.qualified a r in
-          let l2 = SL.last2 h in
-          if l2 = "Mutex.create" then Some MLock
-          else
-            match List.assoc_opt l2 SL.builtin_producers with
-            | Some k -> Some (MRemote k)
-            | None ->
-              (* a lone name is an alias worth chasing for constants *)
-              if hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line then Some (MAlias h)
-              else None
+          if SL.last2 h = "Mutex.create" then Some MLock
+          else if
+            (* a lone name is an alias worth chasing for constants *)
+            hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line
+          then Some (MAlias h)
+          else None
 
 (* A qualified mention [M.x] (or [Lib.M.x]) of a module-level constant or
    list, aliases chased a few hops so the arity rule can read a [Count]
@@ -236,7 +224,7 @@ let rec lookup st name depth =
   else
     let q = SL.last2 name in
     match Hashtbl.find_opt st.values q with
-    | Some (_, MAlias d) ->
+    | Some (MAlias d) ->
       let mdl = String.sub q 0 (String.index q '.') in
       lookup st (if SL.is_simple d then mdl ^ "." ^ d else d) (depth + 1)
     | found -> found
@@ -295,10 +283,6 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
   let path = fc.Growth.fc_path and mdl = fc.Growth.fc_mdl in
   let f_body = fn.Growth.g_body and f_end = fn.Growth.g_e in
   let env : (string, vfact) Hashtbl.t = Hashtbl.create 16 in
-  (match fn.Growth.g_shape with
-  | Growth.Fun params ->
-    List.iteri (fun i p -> if p <> "_" then Hashtbl.replace env p (VParam i)) params
-  | Growth.Value | Growth.Other -> ());
   let quorums = ref [] in
   let lregions =
     List.map (fun (m, s, e) -> (canon_lock st fc m, s, e)) (SL.lock_regions a pm f_body f_end)
@@ -309,6 +293,9 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     List.iter (fun (l, _, _) -> if SL.canonical l then Summary.add_acquire o l) lregions
   | None -> ());
   let held i = List.filter_map (fun (l, s, e) -> if s <= i && i <= e then Some l else None) lregions in
+  let held_names held =
+    String.concat ", " (List.map (fun l -> if SL.canonical l then l else "a mutex") held)
+  in
   let add_lock_edge src dst line =
     if SL.canonical src && SL.canonical dst && src <> dst then begin
       if not (Hashtbl.mem st.edge_locs (src, dst)) then
@@ -324,79 +311,40 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
         (fun (la, sa, ea) -> if sa < sb && sb <= ea then add_lock_edge la lb a.(sb).Lexer.line)
         lregions)
     lregions;
-  let set_suspends () = match own with Some o -> o.Summary.suspends <- true | None -> () in
-  let set_field f k =
-    if not (Hashtbl.mem st.fields f) then Hashtbl.replace st.fields f (k, path)
+  let emit_finding f = match emit with Some e -> e f | None -> () in
+  let lock_across_call line message =
+    emit_finding
+      (Finding.v ~rule:Finding.lock_across_call ~severity:Finding.Error
+         ~loc:(Finding.File { file = path; line })
+         message)
   in
-  (* value fact of a name in value position (variable, module value,
-     record-field access) *)
+  (* a direct suspension point: the callee-less half of lock-across-call *)
+  let suspend i line what =
+    (match own with Some o -> o.Summary.suspends <- true | None -> ());
+    match held i with
+    | [] -> ()
+    | held_here ->
+      lock_across_call line
+        (Printf.sprintf "%s while holding %s: %s" what (held_names held_here)
+           (if String.starts_with ~prefix:"Condvar" what then
+              "Depfast.Condvar does not release the mutex, so this deadlocks or \
+               serialises every contender behind one slow firer"
+            else
+              "a single slow firer blocks every coroutine contending on the lock (the \
+               RethinkDB hazard, paper §2)"))
+  in
+  (* value fact of a name in value position (variable, module value) *)
   let fact_of_name name =
+    let of_mval = function Some (MInt v) -> VInt v | Some (MLen v) -> VList v | _ -> VNone in
     if SL.is_simple name then
       match Hashtbl.find_opt env name with
       | Some f -> f
-      | None -> (
-        match Hashtbl.find_opt st.values (mdl ^ "." ^ name) with
-        | Some (_, MRemote k) -> VRemote (k, PLocal)
-        | Some (_, MInt v) -> VInt v
-        | Some (_, MLen v) -> VList v
-        | _ -> VNone)
-    else
-      if not (name.[0] >= 'A' && name.[0] <= 'Z') then (
-        (* record-field path x.f / x.M.f *)
-        match Hashtbl.find_opt st.fields (SL.last_segment name) with
-        | Some (k, src) -> VRemote (k, PField src)
-        | None -> VNone)
-      else
-        match Hashtbl.find_opt st.values (SL.last2 name) with
-        | Some (src, MRemote k) -> VRemote (k, if src = path then PLocal else PCross src)
-        | _ -> (
-          match lookup st name 0 with
-          | Some (_, MInt v) -> VInt v
-          | Some (_, MLen v) -> VList v
-          | _ -> VNone)
+      | None -> of_mval (Hashtbl.find_opt st.values (mdl ^ "." ^ name))
+    else if name.[0] >= 'A' && name.[0] <= 'Z' then of_mval (lookup st name 0)
+    else VNone
   in
-  (* value fact of an applied (or copied) head *)
-  let head_fact h =
-    let l2 = SL.last2 h in
-    match List.assoc_opt l2 SL.builtin_producers with
-    | Some k -> VRemote (k, PLocal)
-    | None ->
-      (* same policy as the per-file pass: awaiting your own WAL
-         durability is protocol-inherent, so [Disk.write]/[fsync]
-         results are not remote-completion facts — even though the
-         call graph could prove they carry one *)
-      if List.mem l2 SL.local_constructors || l2 = "Disk.write" || l2 = "Disk.fsync" then VNone
-      else (
-        match resolve st ~mdl h with
-        | Some callee -> (
-          match callee.Summary.ret with
-          | [ Some k ] ->
-            VRemote (k, if callee.Summary.file = path then PLocal else PCross callee.Summary.file)
-          | _ -> VNone)
-        | None -> fact_of_name h)
-  in
-  let atom_fact = function
-    | SL.AName s -> fact_of_name s
-    | SL.AParen (Some h) -> head_fact h
-    | SL.AParen None | SL.AOther -> VNone
-  in
-  let emit_finding f = match emit with Some e -> e f | None -> () in
-  let emit_xmod line k p =
-    let severity = match k with SL.Rpc -> Finding.Error | SL.Disk -> Finding.Warning in
-    let where =
-      match p with
-      | PCross file -> Printf.sprintf "produced in %s" file
-      | PField src -> Printf.sprintf "carried by a record field set in %s" src
-      | PLocal -> "produced locally"
-    in
-    emit_finding
-      (Finding.v ~rule:Finding.cross_module_red_wait ~severity
-         ~loc:(Finding.File { file = path; line })
-         (Printf.sprintf
-            "wait on a bare %s completion %s: no per-file pass can see this; wrap it in \
-             Event.quorum or race it against a timer via Event.or_ at the producer or here"
-            (SL.kind_name k) where))
-  in
+  (* value fact of an applied (or copied) head: a call yields nothing *)
+  let head_fact h = match resolve st ~mdl h with Some _ -> VNone | None -> fact_of_name h in
   (* weight of one Event.add at token [i]: product of the lengths of the
      iteration regions covering it; None when any is unknown *)
   let add_weight i =
@@ -456,7 +404,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     | _ -> ()
   in
   (* a resolvable call: propagate suspension/lock facts, check held
-     locks, thread arguments into the callee's waited parameters *)
+     locks, and let a quorum passed as an argument escape *)
   let handle_call (callee : Summary.t) line i ni =
     let held_here = held i in
     (match own with
@@ -465,20 +413,15 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
       List.iter (fun l -> Summary.add_acquire o l) callee.Summary.acquires
     | None -> ());
     List.iter
-      (fun h ->
-        List.iter (fun acq -> add_lock_edge h acq line) callee.Summary.acquires;
-        if callee.Summary.suspends then
-          emit_finding
-            (Finding.v ~rule:Finding.lock_across_call ~severity:Finding.Error
-               ~loc:(Finding.File { file = path; line })
-               (Printf.sprintf
-                  "call to %s while holding %s: the callee (transitively) suspends on an \
-                   event, so one slow firer blocks every contender on the lock (the \
-                   RethinkDB hazard, paper §2, across a call boundary)"
-                  callee.Summary.qname
-                  (String.concat ", "
-                     (List.map (fun l -> if SL.canonical l then l else "a mutex") held_here)))))
+      (fun h -> List.iter (fun acq -> add_lock_edge h acq line) callee.Summary.acquires)
       held_here;
+    if callee.Summary.suspends && held_here <> [] then
+      lock_across_call line
+        (Printf.sprintf
+           "call to %s while holding %s: the callee (transitively) suspends on an event, so \
+            one slow firer blocks every contender on the lock (the RethinkDB hazard, paper \
+            §2, across a call boundary)"
+           callee.Summary.qname (held_names held_here));
     (* positional arguments, labels skipped; stop at the first non-atom *)
     let j = ref ni in
     let pos = ref 0 in
@@ -499,21 +442,6 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
         | SL.AOther -> stop := true
         | _ ->
           mark_escaped at;
-          if List.mem !pos callee.Summary.wait_params then begin
-            match atom_fact at with
-            | VRemote (k, _) when callee.Summary.file <> path ->
-              let severity = match k with SL.Rpc -> Finding.Error | SL.Disk -> Finding.Warning in
-              emit_finding
-                (Finding.v ~rule:Finding.cross_module_red_wait ~severity
-                   ~loc:(Finding.File { file = path; line })
-                   (Printf.sprintf
-                      "bare %s completion passed to %s, which waits on its argument: a \
-                       cross-module red wait split between caller and callee"
-                      (SL.kind_name k) callee.Summary.qname))
-            | VParam idx -> (
-              match own with Some o -> Summary.add_wait_param o idx | None -> ())
-            | _ -> ()
-          end;
           incr pos;
           j := j'
       end
@@ -537,19 +465,12 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
           bind1 name (VQuorum (quorum_cell line hend))
         end
       end
-      else if
-        (* local list literals feed iteration lengths *)
-        eq + 1 < f_end && a.(eq + 1).Lexer.text = "["
-      then
-        match list_literal_length a (eq + 1) with
-        | Some l -> bind1 name (VList l)
-        | None -> bind1 name VNone
       else bind1 name (head_fact h)
     | SL.PVar name, SL.RHead None ->
-      if eq + 1 < f_end && a.(eq + 1).Lexer.text = "[" then (
-        match list_literal_length a (eq + 1) with
-        | Some l -> bind1 name (VList l)
-        | None -> bind1 name VNone)
+      if eq + 1 < f_end && a.(eq + 1).Lexer.text = "[" then
+        (* local list literals feed iteration lengths *)
+        bind1 name
+          (match list_literal_length a (eq + 1) with Some l -> VList l | None -> VNone)
       else (
         match int_of_token a.(eq + 1).Lexer.text with
         | Some v when eq + 1 < f_end -> bind1 name (VInt v)
@@ -562,62 +483,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
           | Some (Some h) -> bind1 name (head_fact h)
           | _ -> bind1 name VNone)
         names
-    | SL.PTuple names, SL.RHead (Some h) ->
-      let comps =
-        match resolve st ~mdl h with
-        | Some callee ->
-          List.map
-            (fun c ->
-              match c with
-              | Some k ->
-                VRemote
-                  (k, if callee.Summary.file = path then PLocal else PCross callee.Summary.file)
-              | None -> VNone)
-            callee.Summary.ret
-        | None -> []
-      in
-      List.iteri
-        (fun i name ->
-          match List.nth_opt comps i with Some f -> bind1 name f | None -> bind1 name VNone)
-        names
-    | SL.PTuple names, SL.RHead None -> List.iter (fun n -> bind1 n VNone) names
-  in
-  (* record literal at token [i]: each [field = <head>] with a remote
-     head registers a field fact *)
-  let handle_record i =
-    let depth = ref 0 in
-    let j = ref i in
-    let expect_field = ref true in
-    let fin = ref false in
-    while (not !fin) && !j < f_end do
-      let t = a.(!j).Lexer.text in
-      (match t with
-      | "{" | "(" | "[" ->
-        incr depth;
-        if t = "{" && !j > i then expect_field := false
-      | "}" | ")" | "]" ->
-        decr depth;
-        if !depth = 0 then fin := true
-      | ";" when !depth = 1 -> expect_field := true
-      | "=" when !depth = 1 ->
-        (* token before [=] is the field, head after it is the value *)
-        if !expect_field && !j > i + 1 && Lexer.is_ident a.(!j - 1).Lexer.text then begin
-          let field = a.(!j - 1).Lexer.text in
-          let k = ref (!j + 1) in
-          while !k < f_end && a.(!k).Lexer.text = "(" do
-            incr k
-          done;
-          if is_ident_at a !k then begin
-            let h, _, _ = SL.qualified a !k in
-            match head_fact h with
-            | VRemote (kk, _) -> set_field field kk
-            | _ -> ()
-          end
-        end;
-        expect_field := false
-      | _ -> ());
-      incr j
-    done
+    | SL.PTuple names, SL.RHead _ -> List.iter (fun n -> bind1 n VNone) names
   in
   (* ---- linear scan in program order ---- *)
   let i = ref f_body in
@@ -628,22 +494,8 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     if is_ident_at a !i then begin
       let name, line, ni = SL.qualified a !i in
       (match SL.last2 name with
-      | "Sched.wait" | "Sched.wait_timeout" ->
-        set_suspends ();
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
-        (match ev with
-        | SL.AName s -> (
-          match fact_of_name s with
-          | VRemote (k, ((PCross _ | PField _) as p)) -> emit_xmod line k p
-          | VParam idx -> ( match own with Some o -> Summary.add_wait_param o idx | None -> ())
-          | _ -> ())
-        | SL.AParen (Some h) -> (
-          match head_fact h with
-          | VRemote (k, ((PCross _ | PField _) as p)) -> emit_xmod line k p
-          | _ -> ())
-        | _ -> ())
-      | "Condvar.wait" | "Condvar.wait_timeout" -> set_suspends ()
+      | ("Sched.wait" | "Sched.wait_timeout" | "Condvar.wait" | "Condvar.wait_timeout") as w ->
+        suspend !i line w
       | "Event.add" -> (
         let parent, _ = SL.parse_atom a pm ni in
         match parent with
@@ -660,75 +512,21 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
         match resolve st ~mdl name with
         | Some callee -> handle_call callee line !i ni
         | None -> ()));
-      (* field assignment [x.f <- <head>] *)
-      (if (not (SL.is_simple name)) && ni + 1 < f_end && a.(ni).Lexer.text = "<"
-          && a.(ni + 1).Lexer.text = "-" then begin
-         let k = ref (ni + 2) in
-         while !k < f_end && a.(!k).Lexer.text = "(" do
-           incr k
-         done;
-         if is_ident_at a !k then begin
-           let h, _, _ = SL.qualified a !k in
-           match head_fact h with
-           | VRemote (kk, _) -> set_field (SL.last_segment name) kk
-           | _ -> ()
-         end
-       end);
       i := ni
     end
-    else begin
-      if a.(!i).Lexer.text = "{" then handle_record !i;
-      incr i
-    end
+    else incr i
   done;
-  (* return shape: the last line of the body (or everything after the
-     [=] for one-liners) — lone known variable, literal tuple, or an
-     application of a producer *)
-  (match own with
-  | Some o ->
-    let e = f_end in
-    let last_line = a.(e - 1).Lexer.line in
-    let lo = ref (e - 1) in
-    while !lo > f_body && a.(!lo - 1).Lexer.line = last_line do
-      decr lo
-    done;
-    let start = if !lo <= f_body then f_body else !lo in
-    let ret =
-      if start >= e then []
-      else if start = e - 1 && is_ident_at a start && SL.is_simple a.(start).Lexer.text then (
-        match Hashtbl.find_opt env a.(start).Lexer.text with
-        | Some (VRemote (k, _)) -> [ Some k ]
-        | Some (VQuorum qc) ->
-          qc.q_unknown <- true;
-          []
-        | _ -> [])
-      else if a.(start).Lexer.text = "(" && pm.(start) = e - 1 then (
-        match SL.tuple_components a pm start with
-        | Some comps ->
-          let facts =
-            List.map
-              (fun h ->
-                match h with
-                | Some h -> (
-                  match head_fact h with VRemote (k, _) -> Some k | _ -> None)
-                | None -> None)
-              comps
-          in
-          if List.exists Option.is_some facts then facts else []
-        | None -> [])
-      else begin
-        let k = ref start in
-        while !k < e && not (is_ident_at a !k) do
-          incr k
-        done;
-        if !k < e then (
-          let h, _, _ = SL.qualified a !k in
-          match head_fact h with VRemote (kk, _) -> [ Some kk ] | _ -> [])
-        else []
-      end
-    in
-    if ret <> [] then o.Summary.ret <- ret
-  | None -> ());
+  (* a quorum a function returns (its body's last line is the lone
+     name) escapes: children may be added elsewhere *)
+  (if own <> None && f_end > f_body then
+     let last = f_end - 1 in
+     if
+       (last = f_body || a.(last - 1).Lexer.line <> a.(last).Lexer.line)
+       && is_ident_at a last && SL.is_simple a.(last).Lexer.text
+     then
+       match Hashtbl.find_opt env a.(last).Lexer.text with
+       | Some (VQuorum qc) -> qc.q_unknown <- true
+       | _ -> ());
   (* quorum arity verdicts *)
   List.iter
     (fun qc ->
@@ -752,7 +550,6 @@ let analyze p =
       p;
       sums = Hashtbl.create 256;
       values = Hashtbl.create 64;
-      fields = Hashtbl.create 32;
       edge_locs = Hashtbl.create 16;
       lock_graph = Digraph.create ();
     }
@@ -766,10 +563,10 @@ let analyze p =
       List.iter
         (fun (fn : Growth.fn) ->
           match fn.Growth.g_shape with
-          | Growth.Fun params ->
+          | Growth.Fun _ ->
             let s =
               Summary.create ~qname:fn.Growth.g_qname ~file:fc.Growth.fc_path
-                ~line:fn.Growth.g_line ~params
+                ~line:fn.Growth.g_line
             in
             if not (Hashtbl.mem st.sums s.Summary.qname) then Hashtbl.add st.sums s.Summary.qname s;
             summaries := (fc, fn, s) :: !summaries
@@ -778,7 +575,7 @@ let analyze p =
             let named = is_ident_at a (fn.Growth.g_body - 2) in
             (if named && not (Hashtbl.mem st.values fn.Growth.g_qname) then
                match value_fact a fn.Growth.g_body fn.Growth.g_e with
-               | Some m -> Hashtbl.add st.values fn.Growth.g_qname (fc.Growth.fc_path, m)
+               | Some m -> Hashtbl.add st.values fn.Growth.g_qname m
                | None -> ());
             units := (fc, fn) :: !units
           | Growth.Other -> ())
@@ -789,19 +586,14 @@ let analyze p =
     List.iter (fun (fc, fn, s) -> walk st fc fn ~own:(Some s) ~emit) summaries;
     List.iter (fun (fc, u) -> walk st fc u ~own:None ~emit) units
   in
-  (* fixpoint: summaries and field facts feed each other across files *)
+  (* fixpoint: summaries feed each other across files *)
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 10 do
     incr rounds;
-    let before =
-      List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
-    in
+    let before = List.map (fun (_, _, s) -> Summary.fingerprint s) summaries in
     walk_all st ~emit:None;
-    let after =
-      List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
-    in
-    changed := before <> after
+    changed := before <> List.map (fun (_, _, s) -> Summary.fingerprint s) summaries
   done;
   (* reporting round: rebuild the lock graph from scratch so every edge
      reflects fixpoint facts, then emit findings *)

@@ -15,28 +15,36 @@ let allows pragmas rule line =
     (fun p -> p.p_line <= line && p.p_line >= line - 3 && List.mem rule p.p_rules)
     pragmas
 
-(* Words of a comment body, split on anything outside [a-z0-9-]; if the
-   comment reads "... depfast-lint : allow <words...>" the words after
-   "allow" are the allowed rule ids (trailing prose is harmless — only
-   known rule ids are ever looked up). *)
+(* Words of a comment body, maximal runs of [a-z0-9-], each with the
+   text separating it from the previous word. If the comment reads
+   "... depfast-lint: allow <ids> ..." the allowed rule ids are the words
+   after "allow" up to the first one not separated by blanks alone, so
+   "allow red-exposure lock-across-call — prose" allows two ids. *)
 let parse_pragma ~line body =
   let words = ref [] in
   let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      words := Buffer.contents buf :: !words;
-      Buffer.clear buf
-    end
-  in
+  let sep = Buffer.create 4 in
   String.iter
     (fun c ->
       if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' then
         Buffer.add_char buf c
-      else flush ())
+      else begin
+        if Buffer.length buf > 0 then begin
+          words := (Buffer.contents buf, Buffer.contents sep) :: !words;
+          Buffer.clear buf;
+          Buffer.clear sep
+        end;
+        Buffer.add_char sep c
+      end)
     body;
-  flush ();
+  if Buffer.length buf > 0 then words := (Buffer.contents buf, Buffer.contents sep) :: !words;
+  let blank s = s <> "" && String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s in
+  let rec ids = function
+    | (w, sep) :: rest when blank sep -> w :: ids rest
+    | _ -> []
+  in
   let rec find = function
-    | "depfast-lint" :: "allow" :: rest -> Some { p_line = line; p_rules = rest }
+    | ("depfast-lint", _) :: ("allow", _) :: rest -> Some { p_line = line; p_rules = ids rest }
     | _ :: rest -> find rest
     | [] -> None
   in

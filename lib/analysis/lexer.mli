@@ -11,7 +11,9 @@ type token = {
 
 type pragma = {
   p_line : int;  (** line the pragma comment starts on *)
-  p_rules : string list;  (** words following "allow" in the comment *)
+  p_rules : string list;
+      (** the rule ids following "allow": blank-separated [a-z0-9-] words,
+          up to the first other separator (the "—" before prose) *)
 }
 
 type result = { tokens : token array; pragmas : pragma list }

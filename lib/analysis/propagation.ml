@@ -36,10 +36,10 @@ type t = {
 
 (* Heads seeding each fault kind, matched on the last two dot-segments
    of a qualified mention (so [Cluster.Disk.write] and [Disk.write]
-   both hit). [Disk.write]/[fsync] are slowness {e sources} here even
-   though {!Source_lint} does not treat them as remote producers: a
-   red-wait on one's own WAL is protocol-inherent, but a slow disk
-   still delays whoever awaits it — exactly the exposure we chart. *)
+   both hit). [Disk.write]/[fsync] are slowness sources like any other:
+   awaiting one's own WAL is protocol-inherent, but a slow disk still
+   delays whoever awaits it — exactly the exposure we chart, and why
+   such a wait carries a pragma rather than no finding. *)
 let seed_heads =
   [
     ("Disk.write", Disk_slow);

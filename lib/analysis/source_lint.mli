@@ -1,53 +1,30 @@
-(** Front end 1: call-site lint over OCaml sources.
+(** The token-stream toolkit every static pass shares, and the one
+    check that needs only a single file: pragma hygiene.
 
-    A token-level scanner (no type information) that tracks, per file:
-    which let-bound variables hold bare remote completion events, which
-    top-level functions return one, which compounds are [and_]s, and
-    which regions run under a [Depfast.Mutex]. Rules:
+    The rules themselves run over the whole project ({!Growth.project}):
+    {!Spg_static} judges every wait site, {!Interproc} every locked
+    region and quorum arity, {!Bounds} and {!Domains} growth and shared
+    state. What is left here is {b unknown-pragma}: a
+    [(* depfast-lint: allow rule-id ... *)] comment naming an id that is
+    not in {!Finding.rules}. A retired or misspelt id would otherwise
+    exempt nothing, silently.
 
-    - {b red-wait}: [Sched.wait]/[wait_timeout] applied directly to an
-      [Event.rpc_completion]/[disk_completion] (or a local function
-      returning one) outside a quorum/or_ wrapper.
-    - {b unbounded-wait}: a plain [Sched.wait] (no timeout) on a bare
-      rpc completion — no [or_]/timer escape at all.
-    - {b degenerate-quorum}: an [Event.and_] that accumulates two or
-      more remote completions via [Event.add] (k = n).
-    - {b lock-across-wait}: any suspension point ([Sched.wait],
-      [Condvar.wait], ...) inside a [Mutex.with_lock] body or between
-      [Mutex.lock]/[unlock].
-
-    Findings at a line L are exempted by a pragma comment
-    [(* depfast-lint: allow rule-id ... *)] starting on lines L-3..L.
-
-    Remote completions are tracked through plain and flat-tuple [let]
-    bindings ([let ev, meta = begin_call peer in ...]) and through
-    local functions returning them, scalar or tuple-shaped. Remaining
-    blind spots, accepted for a {e per-file} pass: events crossing
-    module boundaries (other than the built-in
-    [Cluster.Rpc.event]/[Cluster.Disk.read] producers), record fields,
-    and lock/suspension facts hidden behind calls — all of which
-    {!Interproc} closes with whole-project summaries.
-    [Disk.write]/[fsync] are deliberately {e not} treated as remote
-    producers: awaiting one's own WAL durability is protocol-inherent,
-    while a blocking [Disk.read] on the request path is the TiDB
-    anti-pattern (§2). *)
+    Findings at a line L are exempted by a pragma comment starting on
+    lines L-3..L ({!Lexer.allows}). *)
 
 val lint_string : ?path:string -> string -> Finding.t list
-(** Lint source text; [path] names the file in locations. *)
+(** Check the pragmas of source text; [path] names the file in
+    locations. *)
 
 val lint_file : string -> Finding.t list
 
-val lint_tokens :
-  path:string -> Lexer.token array -> int array -> Lexer.pragma list -> Finding.t list
-(** Lint an already lexed file: its tokens, their {!paren_matches} and
-    its pragmas. {!Growth.lint} runs this over a loaded project. *)
+val check_pragmas : path:string -> Lexer.pragma list -> Finding.t list
+(** The {!Finding.unknown_pragma} findings of one file's pragmas, at the
+    line each pragma comment starts on. {!Growth.lint} runs this over a
+    loaded project. *)
 
 val read_source : string -> string
 (** The contents of a file: the one reader every front end uses. *)
-
-val allow_pragmas : (string -> Lexer.pragma list) -> Finding.t list -> Finding.t list
-(** Mark as allowed the findings that a pragma of their file allows
-    ({!Lexer.allows}); the argument maps a path to its pragmas. *)
 
 val ml_files : string list -> string list
 (** The [.ml] sources under the given paths, in order: each directory
@@ -58,20 +35,8 @@ val ml_files : string list -> string list
 
 (** {2 Token-stream toolkit}
 
-    Shared with the interprocedural pass ({!Interproc}); stable only
-    within this library. *)
-
-type kind = Rpc | Disk
-
-val kind_name : kind -> string
-
-val builtin_producers : (string * kind) list
-(** Qualified names (matched on their last two segments) constructing a
-    bare remote-completion event. *)
-
-val local_constructors : string list
-(** Heads constructing a local or compound event — binding one cancels
-    any remote-completion fact. *)
+    Shared by the whole-project passes; stable only within this
+    library. *)
 
 val iter_names : string list
 (** Iteration heads ([List.iter], [Array.iteri], ...) whose closure body
@@ -122,7 +87,7 @@ val lock_regions :
     ...)] body, a [with_lock sched mu @@ fun ...] tail up to [hi - 1],
     and a [lock sched mu] .. [unlock mu] span (unclosed: to [hi - 1]).
     [mutex] is the lock's name when it is written as a plain name. The
-    per-file lint, {!Interproc} and {!Effects} share this scanner. *)
+    {!Interproc} and {!Effects} share this scanner. *)
 
 val tuple_components : Lexer.token array -> int array -> int -> string option list option
 (** Head names of the components of a literal tuple [(e1, e2, ...)]

@@ -26,8 +26,13 @@ type wait = {
   w_site : string;  (** the waited event: binding name or head *)
   w_color : color;
   w_covered : bool;  (** wait_timeout, or_-escape, or timer child *)
+  w_rpc : bool;  (** the event is an rpc completion: flagged as an error *)
   w_exposures : exposure list;
 }
+
+(* Heads (matched on their last two segments) that build an rpc
+   completion: a red wait on one is the paper's §3.1 hazard outright. *)
+let rpc_heads = [ "Event.rpc_completion"; "Rpc.event" ]
 
 let role_of fault (t : Propagation.taint) ~file =
   match fault with
@@ -44,7 +49,8 @@ let exposure_string x =
 
 (* Colours the waits of {!Growth.waits}: quorum and or_ bindings are
    green, everything else red; a quorum wait whose [Count] arity came
-   from a call also goes to [arity], for the unreached-mitigation rule. *)
+   from a call also goes to [arity], for the tainted-arity half of
+   quorum-arity-mismatch. *)
 let scan_fn taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
   let exposures =
     List.map
@@ -90,6 +96,10 @@ let scan_fn taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
             w_site = site;
             w_color = color;
             w_covered = covered;
+            w_rpc =
+              (match w.Growth.w_from with
+              | Some h -> List.mem (SL.last2 h) rpc_heads
+              | None -> false);
             w_exposures = exposures;
           }
       in
@@ -126,7 +136,7 @@ let analyze p =
             ~wait:(fun w -> waits := w :: !waits)
             ~arity:(fun ~line ~q ~v ~callee ~fault ~taint:t ->
               emit
-                (Finding.v ~rule:Finding.unreached_mitigation ~severity:Finding.Warning
+                (Finding.v ~rule:Finding.quorum_arity_mismatch ~severity:Finding.Warning
                    ~loc:(Finding.File { file = fc.Growth.fc_path; line })
                    (Printf.sprintf
                       "quorum %S claims green but its Count arity %S comes from %s, which \
@@ -185,7 +195,8 @@ let analyze p =
         w.w_exposures;
       if flagged then
         emit
-          (Finding.v ~rule:Finding.red_exposure ~severity:Finding.Warning
+          (Finding.v ~rule:Finding.red_exposure
+             ~severity:(if w.w_rpc then Finding.Error else Finding.Warning)
              ~loc:(Finding.File { file = w.w_file; line = w.w_line })
              (Printf.sprintf
                 "fate-sharing wait on %s is exposed to %s (via %s) with no timeout \

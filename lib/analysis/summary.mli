@@ -3,45 +3,32 @@
     A summary holds the facts that flow across call boundaries, refined
     to a fixpoint over the whole project:
 
-    - [ret]: whether the function returns a bare remote-completion
-      event, componentwise — a 1-element list for a scalar return, one
-      slot per component for a tuple return, [[]] when unknown/none;
     - [suspends]: the function (transitively) suspends on an event
       ([Sched.wait]/[wait_timeout], [Condvar.wait]/[wait_timeout]) —
       bounded local pauses ([sleep], [yield]) deliberately excluded;
-    - [wait_params]: positional parameters that (transitively) reach a
-      wait inside the function;
     - [acquires]: canonical mutex names the function may acquire,
       including through its callees;
     - [reads]/[writes]: canonical mutable cells ({!Effects}) the
       function may read or write, including through its callees — the
       effect footprint behind the depfast-domains pass. *)
 
-type ret = Source_lint.kind option list
-
 type t = {
   qname : string;  (** [Module.fn], module from the file basename *)
   file : string;
   line : int;
-  params : string list;  (** positional parameter names, in order *)
-  mutable ret : ret;
   mutable suspends : bool;
-  mutable wait_params : int list;  (** sorted positions *)
   mutable acquires : string list;  (** sorted canonical lock names *)
   mutable reads : string list;  (** sorted canonical cells read *)
   mutable writes : string list;  (** sorted canonical cells written *)
 }
 
-val create : qname:string -> file:string -> line:int -> params:string list -> t
+val create : qname:string -> file:string -> line:int -> t
 val union : 'a list -> 'a list -> 'a list
 (** Sorted-set union; the first list itself when the second adds nothing. *)
 
-val add_wait_param : t -> int -> unit
 val add_acquire : t -> string -> unit
 val add_read : t -> string -> unit
 val add_write : t -> string -> unit
 
-val fingerprint : t -> ret * bool * int list * string list * string list * string list
+val fingerprint : t -> bool * string list * string list * string list
 (** Snapshot of the mutable facts, for fixpoint change detection. *)
-
-val to_string : t -> string

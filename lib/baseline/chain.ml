@@ -73,7 +73,7 @@ let handle_append t b ~entries ~commit =
         (cfg.Raft.Config.cost_follower_fixed + (n * cfg.Raft.Config.cost_follower_entry));
       Common.follower_append_a b entries;
       if n > 0 then
-        (* depfast-lint: allow lock-across-wait red-exposure — deliberate
+        (* depfast-lint: allow lock-across-call red-exposure — deliberate
            baseline defect: the chain holds its append lock across WAL
            durability (Table 1), fate-sharing with its own slow disk *)
         Depfast.Sched.wait b.Common.sched

@@ -49,7 +49,7 @@ let handle_pull t b ~from =
       t.cold_pulls <- t.cold_pulls + 1;
       let stop = min last (from + t.catchup_max - 1) in
       let bytes = (stop - from + 1) * entry_size_estimate in
-      (* depfast-lint: allow red-wait red-exposure — deliberate baseline
+      (* depfast-lint: allow red-exposure — deliberate baseline
          defect: cold catch-up reads block on the data disk (§2's
          contention source) *)
       Depfast.Sched.wait b.Common.sched
@@ -165,8 +165,8 @@ let puller_loop t b =
           (Pull_oplog { from; follower = Cluster.Node.id b.Common.node })
       in
       match
-        (* depfast-lint: allow red-wait — pull replication: a follower tails
-           exactly one sync source by design, so this wait is single-peer *)
+        (* pull replication: a follower tails exactly one sync source by
+           design, so this wait is single-peer, bounded by the timeout *)
         Depfast.Sched.wait_timeout b.Common.sched (Cluster.Rpc.event call)
           cfg.Raft.Config.rpc_timeout
       with

@@ -53,7 +53,7 @@ let handle_append_entries b ~prev_index ~entries ~commit =
       else begin
         Common.follower_append_a b entries;
         if Array.length entries > 0 then
-          (* depfast-lint: allow lock-across-wait red-exposure — deliberate
+          (* depfast-lint: allow lock-across-call red-exposure — deliberate
              baseline defect: the RethinkDB coroutine-lock hazard from §2,
              fate-sharing the lock holder with its own slow WAL *)
           Depfast.Sched.wait b.Common.sched

@@ -52,7 +52,7 @@ let handle_append_entries b ~prev_index ~entries ~commit =
       else begin
         Common.follower_append_a b entries;
         if Array.length entries > 0 then
-          (* depfast-lint: allow lock-across-wait red-exposure — deliberate
+          (* depfast-lint: allow lock-across-call red-exposure — deliberate
              baseline defect: raftstore holds the region lock across WAL
              fsync, fate-sharing every contender with the local disk *)
           Depfast.Sched.wait b.Common.sched
@@ -107,7 +107,7 @@ let prep_and_send t f =
          from disk, blocking the whole region thread (the bug) *)
       t.blocked_disk_reads <- t.blocked_disk_reads + 1;
       let bytes = (stop - from + 1) * entry_size_estimate in
-      (* depfast-lint: allow red-wait red-exposure — deliberate baseline
+      (* depfast-lint: allow red-exposure — deliberate baseline
          defect: the TiDB EntryCache miss blocks message prep on a disk
          read (§2) *)
       Depfast.Sched.wait b.Common.sched

@@ -1,23 +1,12 @@
 (* Static wait-structure certificates: which source files did the static
-   passes (per-file lint + whole-project interprocedural analysis) certify
-   as free of fail-slow wait hazards? The schedule explorer cross-checks
+   passes certify as free of fail-slow wait hazards? The schedule explorer cross-checks
    these against its dynamic evidence: a dynamic violation inside a
    certified-clean module means one of the two analyses is wrong — either
    the static pass missed a flow or the runtime broke an assumption — and
    is reported as [certificate-mismatch]. *)
 
 (* the static rules that speak about wait structure *)
-let wait_rules =
-  Analysis.Finding.
-    [
-      red_wait;
-      cross_module_red_wait;
-      unbounded_wait;
-      degenerate_quorum;
-      vacuous_quorum;
-      quorum_arity_mismatch;
-      orphan_wait;
-    ]
+let wait_rules = Analysis.Finding.[ red_exposure; quorum_arity_mismatch ]
 
 type t = {
   files : (string, unit) Hashtbl.t;  (* every file covered by the certificate *)
@@ -74,8 +63,7 @@ let build ~roots () =
   let domains_findings, _dcerts, footprints = Analysis.Domains.analyze p in
   let spg_findings, _scerts, exposures = Analysis.Spg_static.analyze p in
   let findings =
-    Analysis.Interproc.analyze p @ Analysis.Growth.lint p
-    @ bounds_findings @ domains_findings @ spg_findings
+    Analysis.Interproc.analyze p @ bounds_findings @ domains_findings @ spg_findings
   in
   let t = of_findings ~exposures ~files findings in
   List.iter (fun (path, fp) -> Hashtbl.replace t.footprints path fp) footprints;

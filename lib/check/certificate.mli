@@ -1,12 +1,11 @@
 (** Static wait-structure certificates for the dynamic cross-check.
 
-    Built by running the static passes ({!Analysis.Source_lint} per file,
-    {!Analysis.Interproc} whole-project) over a set of sources and
+    Built by running the whole-project passes over a set of sources and
     recording, per file, whether any {e unallowed} wait-structure finding
-    ([red-wait], [cross-module-red-wait], [unbounded-wait],
-    [degenerate-quorum], [vacuous-quorum], [quorum-arity-mismatch],
-    [orphan-wait]) was reported. A file with none is {e certified clean}:
-    statically, its waits are all quorum-shaped. The schedule explorer
+    ([red-exposure], [quorum-arity-mismatch]) was reported. A file with
+    none is {e certified clean}: statically, none of its waits is both
+    fate-sharing and exposed to a slow resource without a deadline, and
+    none of its quorums has an arity it cannot meet. The schedule explorer
     treats a dynamic violation inside a certified-clean file as a
     [certificate-mismatch] — evidence that one of the two analyses is
     wrong, and a reportable bug either way. *)
@@ -16,7 +15,7 @@ type t
 val build : roots:string list -> unit -> t
 (** Walk the given directories for [.ml] sources
     ({!Analysis.Source_lint.ml_files}), load them once as one
-    {!Analysis.Growth.project}, run every static pass over it, and
+    {!Analysis.Growth.project}, run the whole-project passes over it, and
     record per-file verdicts plus the per-file effect footprints feeding
     {!independent}. *)
 

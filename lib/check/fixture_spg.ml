@@ -33,9 +33,9 @@ let waiter_loop sched =
   match Queue.take_opt mailbox with
   | None -> ()
   | Some ev ->
-    (* depfast-lint: allow red-wait unbounded-wait orphan-wait — the
-       statically invisible net wait; the dynamic cross-check must
-       catch what the pragma acknowledges the static pass cannot *)
+    (* the statically invisible net wait: no static exposure reaches
+       it, so the dynamic cross-check must catch what the static pass
+       cannot *)
     Depfast.Sched.wait sched ev
 
 let spawn sched =

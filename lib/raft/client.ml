@@ -66,9 +66,9 @@ let submit t cmd =
          timeouts has likely crashed or lost its quorum; retrying elsewhere
          is safe because the sequence number deduplicates *)
       match
-        (* depfast-lint: allow red-wait — the Figure-2 exemption: a client
-           waits on the leader it is talking to; bounded by the timeout and
-           retried against another node, mirroring Spg.audit's ~allow *)
+        (* the Figure-2 exemption: a client waits on the leader it is
+           talking to; bounded by the timeout and retried against another
+           node, mirroring Spg.audit's ~allow *)
         Depfast.Sched.wait_timeout t.sched (Cluster.Rpc.event call)
           (2 * t.cfg.Config.rpc_timeout)
       with

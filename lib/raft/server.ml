@@ -766,7 +766,7 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commi
         let bytes =
           entries_bytes_a entries + (Array.length entries * cfg.Config.wal_entry_overhead)
         in
-        (* depfast-lint: allow lock-across-wait red-exposure — the append
+        (* depfast-lint: allow lock-across-call red-exposure — the append
            lock is the documented FIFO-stream substitution (DESIGN §5):
            appends serialise, and the wait is on the node's own WAL *)
         Depfast.Sched.wait t.sched (wal_append t ~bytes)

@@ -118,9 +118,9 @@ let txn s ~writes =
     let txid = fresh_txid s in
     (* phase 1: prepare everywhere in parallel; wait on the §3.2 nest:
        Or( And(all ok), Or(any reject) ) *)
-    (* depfast-lint: allow degenerate-quorum — 2PC phase 1 inherently needs
-       every participant; the and_ is raced against any_bad under
-       wait_timeout below, which bounds the stall *)
+    (* 2PC phase 1 inherently needs every participant; the and_ is
+       raced against any_bad under wait_timeout below, which bounds the
+       stall *)
     let all_ok = Depfast.Event.and_ ~label:"prepared" () in
     let any_bad = Depfast.Event.or_ ~label:"rejected" () in
     List.iter

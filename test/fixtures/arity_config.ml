@@ -1,4 +1,4 @@
-(* fixture: deployment constants for arity_use.ml — a per-file pass
-   cannot resolve either of these from the consuming module *)
+(* fixture: deployment constants for arity_use.ml — only a
+   whole-project pass resolves these from the consuming module *)
 let replicas = [ "a"; "b"; "c" ]
 let needed = 5

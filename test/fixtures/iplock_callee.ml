@@ -1,4 +1,4 @@
-(* fixture: a perfectly green quorum wait — per-file this module is
+(* fixture: a perfectly green quorum wait — on its own this module is
    clean, but it does suspend, which matters to anyone calling it with
    a lock held *)
 let await_majority sched ~peers =

@@ -1,6 +1,6 @@
 (* fixture: the RethinkDB hazard hidden behind a call boundary — the
-   suspension happens two frames down in Iplock_callee, so the per-file
-   lock-across-wait rule sees nothing here *)
+   suspension happens two frames down in Iplock_callee, so only the
+   callee's summary shows that this locked region suspends *)
 let state_mu = Depfast.Mutex.create ~label:"state" ()
 
 let commit sched ~peers =

@@ -1,5 +1,5 @@
-(* fixture: naked wait on a single rpc completion — red-wait, and since it
-   is untimed, unbounded-wait too *)
+(* fixture: naked wait on a single rpc completion — red, exposed to a
+   slow peer, and untimed, so red-exposure flags it as an error *)
 let replicate sched ~peer =
   let ack = Depfast.Event.rpc_completion ~peer () in
   Depfast.Sched.wait sched ack;

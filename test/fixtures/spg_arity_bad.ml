@@ -1,7 +1,7 @@
 (* depfast-spg fixture: a quorum that claims green but whose Count
    arity flows from a net-tainted callee — the slow resource controls
    the mitigation's own k, so the pass must report
-   [unreached-mitigation]. *)
+   [quorum-arity-mismatch]. *)
 
 let count_live rpc =
   let probe = Rpc.call rpc ~peer:0 "ping" in

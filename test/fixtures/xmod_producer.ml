@@ -1,6 +1,6 @@
-(* fixture: the producing half of a cross-module red wait — this file is
-   spotless to a per-file lint (it never waits), but the completion it
-   returns is bare *)
+(* fixture: the producing half of a cross-module red wait — this file
+   never waits, but the completion it returns is bare, and the net
+   exposure it seeds reaches whoever calls it *)
 let begin_append sched ~peer =
   ignore sched;
   Depfast.Event.rpc_completion ~peer ()

@@ -105,9 +105,8 @@ let test_deadline_guarded_wait_certified () =
   Alcotest.(check string) "evidence" "deadline via Sched.wait_timeout" c.B.c_evidence
 
 (* ------------------------------------------------------------------ *)
-(* retry coverage: tight resend loop vs capped backoff twin.  Both
-   fixtures draw the per-file red-wait (wait_timeout on a bare rpc
-   completion), so assertions stay on the Bounds pass output alone. *)
+(* retry coverage: tight resend loop vs capped backoff twin; assertions
+   stay on the Bounds pass output alone. *)
 
 let test_unbounded_retry_flagged () =
   let fs, certs = analyze "bounds_retry_bad.ml" in

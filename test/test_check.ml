@@ -75,15 +75,31 @@ let test_sanitizer_parked_at_quiescence () =
   let san = Check.Sanitizer.create sched in
   Depfast.Sched.spawn sched ~name:"stuck" (fun () ->
       Depfast.Sched.wait sched (Depfast.Event.signal ~label:"never-fired" ()));
+  (* two more hangs, each named by its more specific rule: a Count 5
+     quorum over three children can never fire, and neither can an
+     abandoned rpc completion *)
+  let vacuous = Depfast.Event.quorum (Depfast.Event.Count 5) in
+  List.iter
+    (fun p -> Depfast.Event.add vacuous ~child:(Depfast.Event.rpc_completion ~peer:p ()))
+    [ 0; 1; 2 ];
+  Depfast.Sched.spawn sched ~name:"vacuous" (fun () -> Depfast.Sched.wait sched vacuous);
+  let orphan = Depfast.Event.rpc_completion ~peer:7 () in
+  Depfast.Sched.spawn sched ~name:"orphaned" (fun () -> Depfast.Sched.wait sched orphan);
+  Depfast.Sched.spawn sched ~name:"abandoner" (fun () -> Depfast.Event.abandon orphan);
   Depfast.Sched.run sched;
-  check_int "one coroutine parked" 1 (Check.Sanitizer.parked_count san);
+  check_int "three coroutines parked" 3 (Check.Sanitizer.parked_count san);
   Check.Sanitizer.check_quiescent san;
   let vs = Check.Sanitizer.violations san in
-  check_bool "hang detected" true
-    (List.exists (fun v -> v.Check.Sanitizer.rule = F.parked_at_quiescence) vs);
-  match List.find_opt (fun v -> v.Check.Sanitizer.rule = F.parked_at_quiescence) vs with
-  | Some v -> Alcotest.(check string) "attributed" "stuck" v.Check.Sanitizer.coroutine
-  | None -> ()
+  let attributed rule =
+    List.filter_map
+      (fun v -> if v.Check.Sanitizer.rule = rule then Some v.Check.Sanitizer.coroutine else None)
+      vs
+  in
+  Alcotest.(check (list string)) "hang detected" [ "stuck" ] (attributed F.parked_at_quiescence);
+  Alcotest.(check (list string)) "count 5 of 3 unsatisfiable" [ "vacuous" ]
+    (attributed F.unsatisfiable_wait);
+  Alcotest.(check (list string)) "abandoned completion" [ "orphaned" ]
+    (attributed F.parked_on_abandoned)
 
 let test_sanitizer_clean_run_is_silent () =
   let engine = Sim.Engine.create () in
@@ -92,6 +108,16 @@ let test_sanitizer_clean_run_is_silent () =
   let ev = Depfast.Event.signal () in
   Depfast.Sched.spawn sched ~name:"waiter" (fun () -> Depfast.Sched.wait sched ev);
   Depfast.Sched.spawn sched ~name:"firer" (fun () -> Depfast.Event.fire ev);
+  (* a majority fired before its straggler was abandoned resumes its
+     waiter: the abandoned child is no hang *)
+  let q = Depfast.Event.quorum Depfast.Event.Majority in
+  let cs = List.map (fun p -> Depfast.Event.rpc_completion ~peer:p ()) [ 0; 1; 2 ] in
+  List.iter (fun c -> Depfast.Event.add q ~child:c) cs;
+  Depfast.Sched.spawn sched ~name:"quorum-waiter" (fun () -> Depfast.Sched.wait sched q);
+  Depfast.Sched.spawn sched ~name:"replies" (fun () ->
+      Depfast.Event.fire (List.nth cs 0);
+      Depfast.Event.fire (List.nth cs 1);
+      Depfast.Event.abandon (List.nth cs 2));
   Depfast.Sched.run sched;
   Check.Sanitizer.check_quiescent san;
   check_int "no violations" 0 (List.length (Check.Sanitizer.violations san))
@@ -244,7 +270,7 @@ let test_certificate_mismatch_on_broken_fixture () =
 
 let test_flagged_file_is_not_clean () =
   let finding =
-    F.v ~rule:F.red_wait ~severity:F.Error
+    F.v ~rule:F.red_exposure ~severity:F.Error
       ~loc:(F.File { file = "lib/raft/client.ml"; line = 3 })
       "bare wait"
   in
@@ -320,10 +346,10 @@ let test_by_location_total_order () =
   let f ~file ~line ~rule ~sev msg = F.v ~rule ~severity:sev ~loc:(F.File { file; line }) msg in
   let fs =
     [
-      f ~file:"b.ml" ~line:1 ~rule:"red-wait" ~sev:F.Error "m";
-      f ~file:"a.ml" ~line:9 ~rule:"red-wait" ~sev:F.Error "m";
-      f ~file:"a.ml" ~line:2 ~rule:"unbounded-wait" ~sev:F.Warning "m";
-      f ~file:"a.ml" ~line:2 ~rule:"red-wait" ~sev:F.Error "m";
+      f ~file:"b.ml" ~line:1 ~rule:"lock-across-call" ~sev:F.Error "m";
+      f ~file:"a.ml" ~line:9 ~rule:"lock-across-call" ~sev:F.Error "m";
+      f ~file:"a.ml" ~line:2 ~rule:"red-exposure" ~sev:F.Warning "m";
+      f ~file:"a.ml" ~line:2 ~rule:"lock-across-call" ~sev:F.Error "m";
     ]
   in
   let sorted l = List.map F.to_string (List.sort F.by_location l) in
@@ -332,8 +358,8 @@ let test_by_location_total_order () =
   match List.sort F.by_location fs with
   | a :: b :: _ ->
     check_bool "file then line then rule" true
-      (F.loc_string a.F.loc = "a.ml:2" && a.F.rule = "red-wait"
-      && F.loc_string b.F.loc = "a.ml:2" && b.F.rule = "unbounded-wait")
+      (F.loc_string a.F.loc = "a.ml:2" && a.F.rule = "lock-across-call"
+      && F.loc_string b.F.loc = "a.ml:2" && b.F.rule = "red-exposure")
   | _ -> Alcotest.fail "unreachable"
 
 let suite =

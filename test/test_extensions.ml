@@ -212,7 +212,7 @@ let test_audit_allow_exempts_client () =
       ignore
         (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 2) (fun () ->
              Depfast.Event.fire reply));
-      (* depfast-lint: allow red-wait unbounded-wait — the wait under test *)
+      (* depfast-lint: allow red-exposure — the wait under test *)
       Depfast.Sched.wait sched reply);
   Depfast.Sched.run ~until:(Sim.Time.ms 10) sched;
   (match Depfast.Spg.audit trace with
@@ -239,7 +239,7 @@ let test_audit_allow_is_per_waiter () =
       ignore
         (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 2) (fun () ->
              Depfast.Event.fire reply));
-      (* depfast-lint: allow red-wait unbounded-wait — the wait under test *)
+      (* depfast-lint: allow red-exposure — the wait under test *)
       Depfast.Sched.wait sched reply);
   Depfast.Sched.run ~until:(Sim.Time.ms 10) sched;
   check_int "allowing a different node changes nothing" 1

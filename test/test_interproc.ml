@@ -1,7 +1,7 @@
-(* Self-tests for the whole-project interprocedural pass: each fixture
-   pair is clean to the per-file lint and flagged only when analyzed
-   together, plus negatives, the no-double-reporting contract, and a
-   self-lint of the library sources. *)
+(* Self-tests for the whole-project passes on fixture pairs: each half is
+   clean on its own and flagged only when analyzed together, plus
+   negatives, the one-rule-per-site contract, and a self-lint of the
+   library sources. *)
 
 module F = Analysis.Finding
 module SL = Analysis.Source_lint
@@ -25,7 +25,7 @@ let pair a b = IP.analyze_files [ fixture a; fixture b ]
 let ip_sources sources = IP.analyze (Analysis.Growth.load sources)
 
 let per_file_clean name =
-  check_rules (name ^ " clean per-file") [] (rules (SL.lint_file (fixture name)))
+  check_rules (name ^ " clean on its own") [] (rules (Test_lint.lint_files [ fixture name ]))
 
 (* ------------------------------------------------------------------ *)
 (* cross-module red wait *)
@@ -33,12 +33,13 @@ let per_file_clean name =
 let test_xmod_red_wait () =
   per_file_clean "xmod_producer.ml";
   per_file_clean "xmod_consumer.ml";
-  let fs = pair "xmod_producer.ml" "xmod_consumer.ml" in
-  check_rules "red wait seen only whole-project" [ "cross-module-red-wait" ]
-    (unallowed_rules fs);
-  match List.filter (fun f -> f.F.rule = F.cross_module_red_wait) fs with
+  let fs = Test_lint.lint_files [ fixture "xmod_producer.ml"; fixture "xmod_consumer.ml" ] in
+  check_rules "red wait seen only whole-project" [ F.red_exposure ] (unallowed_rules fs);
+  match fs with
   | [ f ] ->
-    check_bool "error severity" true (f.F.severity = F.Error);
+    check_bool "net exposure through the producer" true
+      (String.starts_with ~prefix:"fate-sharing wait on ack is exposed to net-slow x peer"
+         f.F.message);
     check_bool "located in the consumer" true
       (match f.F.loc with
       | F.File { file; _ } -> Filename.basename file = "xmod_consumer.ml"
@@ -46,11 +47,15 @@ let test_xmod_red_wait () =
   | l -> Alcotest.failf "expected one cross-module finding, got %d" (List.length l)
 
 let test_no_double_reporting () =
-  (* a same-file red wait belongs to the per-file lint; the
-     interprocedural pass must stay silent about it *)
-  let fs = IP.analyze_files [ fixture "red_wait_bad.ml" ] in
-  check_bool "local facts are Source_lint's domain" false
-    (List.mem F.cross_module_red_wait (rules fs))
+  (* one paper claim, one rule: the naked rpc wait is reported once, by
+     red-exposure, not again by a per-file or cross-module twin *)
+  let fs = Test_lint.lint_files [ fixture "red_wait_bad.ml" ] in
+  match fs with
+  | [ f ] ->
+    check_bool "the one finding is red-exposure at the wait" true
+      (f.F.rule = F.red_exposure
+      && match f.F.loc with F.File { line; _ } -> line = 5 | F.Node _ -> false)
+  | l -> Alcotest.failf "expected one finding, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* lock-order cycle *)
@@ -168,16 +173,20 @@ let test_red_wait_via_argument () =
   Waiter.settle sched ack
 |}
   in
-  let fs =
-    ip_sources
-      [ ("producer.ml", producer); ("waiter.ml", waiter); ("glue.ml", glue) ]
+  let fs, certs, _ =
+    Analysis.Spg_static.analyze
+      (G.load [ ("producer.ml", producer); ("waiter.ml", waiter); ("glue.ml", glue) ])
   in
-  check_bool "caller hands a bare completion to a waiting callee" true
-    (List.exists
-       (fun f ->
-         f.F.rule = F.cross_module_red_wait
-         && match f.F.loc with F.File { file; _ } -> file = "glue.ml" | F.Node _ -> false)
-       fs)
+  (* exposure flows callee -> caller, so the waiting callee is red but
+     unexposed: a wait split across an argument is a known blind spot *)
+  check_rules "no red-exposure across an argument" [] (rules fs);
+  match List.filter (fun c -> c.G.c_kind = "wait") certs with
+  | [ c ] ->
+    check_bool "the callee's wait is certified red, unexposed" true
+      (c.G.c_file = "waiter.ml"
+      && c.G.c_evidence
+         = "red wait in Waiter.settle: no slow-resource exposure reaches this wait")
+  | l -> Alcotest.failf "expected one wait certificate, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* self-lint: the library must hold itself to the whole-project rules *)

@@ -1,12 +1,14 @@
-(* Self-tests for the static fail-slow lint: tokenizer, source rules
-   (positive and negative for each), pragma allowlisting, and the
-   trace-free DAG checker. Fixture files live under test/fixtures/ and
-   are scanned but never compiled. *)
+(* Self-tests for the static fail-slow lint: tokenizer, the one rule
+   per paper claim (red-exposure for waits, lock-across-call for locks,
+   quorum-arity-mismatch for arity; positive and negative for each) run
+   as depfast_lint runs them, over a project built from the source under
+   test, pragma allowlisting and pragma hygiene. Fixture files live under
+   test/fixtures/ and are scanned but never compiled. *)
 
 module F = Analysis.Finding
 module L = Analysis.Lexer
 module SL = Analysis.Source_lint
-module DL = Analysis.Dag_lint
+module G = Analysis.Growth
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -20,6 +22,24 @@ let fixture name =
   match List.find_opt Sys.file_exists cands with
   | Some p -> p
   | None -> Alcotest.fail ("fixture not found: " ^ name)
+
+(* Every static pass over one project, as depfast_lint runs them:
+   findings, and the slowness-propagation certificates. *)
+let passes p =
+  let bfs, _ = Analysis.Bounds.analyze p in
+  let dfs, _, _ = Analysis.Domains.analyze p in
+  let sfs, scerts, _ = Analysis.Spg_static.analyze p in
+  (G.lint p @ Analysis.Interproc.analyze p @ bfs @ dfs @ sfs, scerts)
+
+let lint_string src = fst (passes (G.load [ ("snippet.ml", src) ]))
+let lint_files paths = fst (passes (G.load_files paths))
+
+let wait_cert src =
+  match snd (passes (G.load [ ("snippet.ml", src) ])) with
+  | c :: _ when c.G.c_kind = "wait" -> c
+  | _ -> Alcotest.fail "expected a wait certificate"
+
+let severities fs = List.sort_uniq compare (List.map (fun f -> F.severity_name f.F.severity) fs)
 
 (* ------------------------------------------------------------------ *)
 (* lexer *)
@@ -38,39 +58,42 @@ let test_lexer_skips_noise () =
   check_rules "only code survives" [ "f"; "g" ] texts
 
 let test_lexer_pragma () =
-  let r = L.scan "let a = 1\n(* depfast-lint: allow red-wait lock-across-wait — prose *)\nlet b = 2\n" in
+  let r =
+    L.scan "let a = 1\n(* depfast-lint: allow red-exposure lock-across-call — the prose *)\nlet b = 2\n"
+  in
   match r.L.pragmas with
   | [ p ] ->
     check_int "pragma line" 2 p.L.p_line;
-    check_bool "rules captured" true
-      (List.mem "red-wait" p.L.p_rules && List.mem "lock-across-wait" p.L.p_rules)
+    check_rules "ids captured, prose after the dash is not" [ "red-exposure"; "lock-across-call" ]
+      p.L.p_rules
   | ps -> Alcotest.failf "expected one pragma, got %d" (List.length ps)
 
 (* ------------------------------------------------------------------ *)
-(* source lint: red / unbounded waits *)
+(* claim 1 (paper §3.1): a wait outside a quorum — red-exposure *)
 
 let test_red_wait_positive () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched =
   let ev = Depfast.Event.rpc_completion ~peer:3 () in
   Depfast.Sched.wait sched ev
 |}
   in
-  check_rules "naked rpc wait is red and unbounded" [ "red-wait"; "unbounded-wait" ]
-    (unallowed_rules fs)
+  check_rules "naked rpc wait is red and exposed" [ F.red_exposure ] (unallowed_rules fs);
+  check_rules "an rpc completion gates the default lint" [ "error" ] (severities fs)
 
 let test_red_wait_direct_call () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched call = Depfast.Sched.wait sched (Cluster.Rpc.event call)
 |}
   in
-  check_rules "direct Rpc.event wait" [ "red-wait"; "unbounded-wait" ] (unallowed_rules fs)
+  check_rules "direct Rpc.event wait" [ F.red_exposure ] (unallowed_rules fs);
+  check_rules "error severity" [ "error" ] (severities fs)
 
 let test_red_wait_negative_quorum () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched =
   let q = Depfast.Event.quorum Depfast.Event.Majority in
   Depfast.Sched.wait sched q
@@ -80,38 +103,45 @@ let test_red_wait_negative_quorum () =
 
 let test_disk_wait_is_warning () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched d = Depfast.Sched.wait sched (Cluster.Disk.read d ~bytes:4096)
 |}
   in
-  check_rules "blocking disk read" [ "red-wait" ] (rules fs);
+  check_rules "blocking disk read" [ F.red_exposure ] (rules fs);
   match fs with
   | [ f ] -> check_bool "warning severity" true (f.F.severity = F.Warning)
   | _ -> Alcotest.fail "expected exactly one finding"
 
 let test_unbounded_negative_timeout () =
-  let fs =
-    SL.lint_string
-      {|let f sched call span =
+  let src =
+    {|let f sched call span =
   ignore (Depfast.Sched.wait_timeout sched (Cluster.Rpc.event call) span)
 |}
   in
-  check_rules "timed wait is still red but bounded" [ "red-wait" ] (rules fs)
+  check_rules "a timed wait is covered" [] (rules (lint_string src));
+  let c = wait_cert src in
+  check_bool "still red, but deadline-covered" true
+    (c.G.c_verdict = G.Bounded
+    && String.starts_with ~prefix:"red wait" c.G.c_evidence
+    && String.ends_with ~suffix:"deadline-covered" c.G.c_evidence)
 
 let test_shadowing_clears_fact () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched =
   let ev = Depfast.Event.rpc_completion ~peer:1 () in
   let ev = Depfast.Event.signal () in
   Depfast.Sched.wait sched ev
 |}
   in
-  check_rules "rebinding to a local event clears the remote fact" [] (rules fs)
+  (* the signal still fate-shares inside an exposed function, but it is
+     no longer an rpc completion: a warning, not a gating error *)
+  check_rules "exposed local wait" [ F.red_exposure ] (rules fs);
+  check_rules "rebinding to a local event clears the rpc fact" [ "warning" ] (severities fs)
 
 let test_producer_propagation () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let replica sched ~peer =
   let reply = Depfast.Event.rpc_completion ~peer () in
   ignore sched;
@@ -120,24 +150,26 @@ let test_producer_propagation () =
 let f sched ~peer = Depfast.Sched.wait sched (replica sched ~peer)
 |}
   in
-  check_rules "wait on a local producer function"
-    [ "red-wait"; "unbounded-wait" ] (unallowed_rules fs)
+  check_rules "wait on a local producer function" [ F.red_exposure ] (unallowed_rules fs);
+  check_bool "exposure reaches the waiter through the producer" true
+    (List.exists
+       (fun f -> f.F.loc = F.File { file = "snippet.ml"; line = 6 })
+       fs)
 
 let test_tuple_binding_tracked () =
   (* regression: [let ev, meta = ...] used to launder the completion *)
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched ~peer =
   let ack, _meta = (Depfast.Event.rpc_completion ~peer (), peer) in
   Depfast.Sched.wait sched ack
 |}
   in
-  check_rules "tuple literal binding tracked" [ "red-wait"; "unbounded-wait" ]
-    (unallowed_rules fs)
+  check_rules "tuple literal binding tracked" [ F.red_exposure ] (unallowed_rules fs)
 
 let test_tuple_binding_other_component () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched ~peer =
   let _meta, ack = (peer, Depfast.Event.signal ()) in
   let ev, _ = (Depfast.Event.rpc_completion ~peer (), peer) in
@@ -145,11 +177,12 @@ let test_tuple_binding_other_component () =
   Depfast.Sched.wait sched ack
 |}
   in
-  check_rules "non-remote component stays green" [] (rules fs)
+  check_rules "the local signal is no rpc wait: nothing gates by default" []
+    (rules (F.gating ~strict:false fs))
 
 let test_tuple_producer_function () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let begin_call ~peer = (Depfast.Event.rpc_completion ~peer (), peer)
 
 let f sched ~peer =
@@ -157,15 +190,12 @@ let f sched ~peer =
   Depfast.Sched.wait sched ack
 |}
   in
-  check_rules "completion tracked through a tuple-returning function"
-    [ "red-wait"; "unbounded-wait" ] (unallowed_rules fs)
-
-(* ------------------------------------------------------------------ *)
-(* source lint: degenerate quorum *)
+  check_rules "completion tracked through a tuple-returning function" [ F.red_exposure ]
+    (unallowed_rules fs)
 
 let test_degenerate_quorum_positive () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched ~peers =
   let all = Depfast.Event.and_ () in
   List.iter
@@ -174,11 +204,13 @@ let test_degenerate_quorum_positive () =
   Depfast.Sched.wait sched all
 |}
   in
-  check_rules "and_ over rpc completions" [ "degenerate-quorum" ] (rules fs)
+  check_rules "and_ over rpc completions is a red wait" [ F.red_exposure ] (rules fs);
+  check_bool "named as the and_" true
+    (List.exists (fun f -> String.starts_with ~prefix:"fate-sharing wait on and_ all" f.F.message) fs)
 
 let test_degenerate_quorum_negative () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched ~peers =
   let q = Depfast.Event.quorum Depfast.Event.Majority in
   List.iter
@@ -190,34 +222,45 @@ let test_degenerate_quorum_negative () =
   check_rules "majority quorum is fine" [] (rules fs)
 
 (* ------------------------------------------------------------------ *)
-(* source lint: lock across wait *)
+(* claim 2 (paper §2): a lock held across a suspension — lock-across-call *)
 
 let test_lock_across_wait_positive_applied () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched mu ~peer =
   Depfast.Mutex.with_lock sched mu @@ fun () ->
   let ev = Depfast.Event.rpc_completion ~peer () in
   Depfast.Sched.wait sched ev
 |}
   in
-  check_bool "with_lock @@ form caught" true
-    (List.mem "lock-across-wait" (rules fs))
+  check_bool "with_lock @@ form caught" true (List.mem F.lock_across_call (rules fs))
 
 let test_lock_across_wait_positive_explicit () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched mu ev =
   Depfast.Mutex.lock sched mu;
   Depfast.Sched.wait sched ev;
   Depfast.Mutex.unlock mu
 |}
   in
-  check_rules "explicit lock/unlock caught" [ "lock-across-wait" ] (rules fs)
+  check_rules "explicit lock/unlock caught" [ F.lock_across_call ] (rules fs);
+  let fs =
+    lint_string
+      {|let f sched mu cv =
+  Depfast.Mutex.with_lock sched mu (fun () -> Depfast.Condvar.wait sched cv)
+|}
+  in
+  check_bool "a condition wait under the lock too" true
+    (List.exists
+       (fun f ->
+         f.F.rule = F.lock_across_call
+         && String.starts_with ~prefix:"Condvar.wait while holding a mutex" f.F.message)
+       fs)
 
 let test_lock_across_wait_negative () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched mu ev =
   Depfast.Mutex.lock sched mu;
   Depfast.Mutex.unlock mu;
@@ -231,21 +274,21 @@ let test_lock_across_wait_negative () =
 
 let test_pragma_window () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched =
-  (* depfast-lint: allow red-wait unbounded-wait *)
+  (* depfast-lint: allow red-exposure *)
   let ev = Depfast.Event.rpc_completion ~peer:1 () in
   Depfast.Sched.wait sched ev
 |}
   in
-  check_int "findings still reported" 2 (List.length fs);
-  check_int "but all allowed" 0 (List.length (F.unallowed fs))
+  check_int "finding still reported" 1 (List.length fs);
+  check_int "but allowed" 0 (List.length (F.unallowed fs))
 
 let test_pragma_too_far () =
   let fs =
-    SL.lint_string
+    lint_string
       {|let f sched =
-  (* depfast-lint: allow red-wait unbounded-wait *)
+  (* depfast-lint: allow red-exposure *)
   let a = 1 in
   let b = a in
   let c = b in
@@ -253,7 +296,25 @@ let test_pragma_too_far () =
   Depfast.Sched.wait sched ev
 |}
   in
-  check_int "pragma out of its 3-line window" 2 (List.length (F.unallowed fs))
+  check_int "pragma out of its 3-line window" 1 (List.length (F.unallowed fs))
+
+(* pragma hygiene: an id no pass reports is itself a gating finding *)
+let test_unknown_pragma () =
+  let fs =
+    SL.lint_string ~path:"retired.ml"
+      {|let f sched ev =
+  (* depfast-lint: allow red-wait — a retired id *)
+  Depfast.Sched.wait sched ev
+|}
+  in
+  check_rules "retired id reported" [ F.unknown_pragma ] (rules fs);
+  check_bool "at the pragma, as an error" true
+    (List.for_all
+       (fun f -> f.F.loc = F.File { file = "retired.ml"; line = 2 } && f.F.severity = F.Error)
+       fs);
+  check_rules "known ids pass" []
+    (rules
+       (SL.lint_string "(* depfast-lint: allow red-exposure lock-across-call — prose *)\n"))
 
 (* The same window through every whole-project pass: [block gap] is a
    pragma line followed by [gap] blank lines, so the finding right after
@@ -345,100 +406,25 @@ let test_pass_pragma_too_far () = pass_pragma ~gap:3
 (* fixture files *)
 
 let test_fixture_red_wait () =
-  let bad = SL.lint_file (fixture "red_wait_bad.ml") in
-  check_rules "bad fixture flagged" [ "red-wait"; "unbounded-wait" ] (unallowed_rules bad);
-  let ok = SL.lint_file (fixture "red_wait_ok.ml") in
+  let bad = lint_files [ fixture "red_wait_bad.ml" ] in
+  check_rules "bad fixture flagged" [ F.red_exposure ] (unallowed_rules bad);
+  let ok = lint_files [ fixture "red_wait_ok.ml" ] in
   check_rules "quorum fixture clean" [] (rules ok)
 
 let test_fixture_lock_across_wait () =
-  let bad = SL.lint_file (fixture "lock_across_wait_bad.ml") in
-  check_bool "bad fixture flagged" true (List.mem "lock-across-wait" (unallowed_rules bad));
-  let ok = SL.lint_file (fixture "lock_across_wait_ok.ml") in
+  let bad = lint_files [ fixture "lock_across_wait_bad.ml" ] in
+  check_bool "bad fixture flagged" true (List.mem F.lock_across_call (unallowed_rules bad));
+  let ok = lint_files [ fixture "lock_across_wait_ok.ml" ] in
   check_rules "disciplined fixture clean" [] (rules ok)
 
 let test_fixture_tuple_red_wait () =
-  let fs = SL.lint_file (fixture "tuple_red_wait.ml") in
-  check_rules "tuple fixture flagged" [ "red-wait"; "unbounded-wait" ] (unallowed_rules fs)
+  let fs = lint_files [ fixture "tuple_red_wait.ml" ] in
+  check_rules "tuple fixture flagged" [ F.red_exposure ] (unallowed_rules fs)
 
 let test_fixture_pragma () =
-  let fs = SL.lint_file (fixture "pragma_allowed.ml") in
-  check_int "findings reported" 2 (List.length fs);
+  let fs = lint_files [ fixture "pragma_allowed.ml" ] in
+  check_int "findings reported" 1 (List.length fs);
   check_int "all allowed" 0 (List.length (F.unallowed fs))
-
-(* ------------------------------------------------------------------ *)
-(* DAG checker *)
-
-let quorum_over peers =
-  let q = Depfast.Event.quorum Depfast.Event.Majority in
-  let cs =
-    List.map
-      (fun p ->
-        let c = Depfast.Event.rpc_completion ~peer:p () in
-        Depfast.Event.add q ~child:c;
-        c)
-      peers
-  in
-  (q, cs)
-
-let test_dag_classify () =
-  let q, _ = quorum_over [ 0; 1; 2 ] in
-  check_bool "majority quorum green" true (DL.classify q = `Green);
-  let lone = Depfast.Event.rpc_completion ~peer:7 () in
-  check_bool "lone rpc red" true (DL.classify lone = `Red [ 7 ])
-
-let test_dag_red_wait () =
-  let lone = Depfast.Event.rpc_completion ~peer:7 () in
-  check_rules "red wait reported" [ "red-wait" ] (rules (DL.analyze lone));
-  let q, _ = quorum_over [ 0; 1; 2 ] in
-  check_rules "quorum clean" [] (rules (DL.analyze q))
-
-let test_dag_orphan_positive () =
-  (* an abandoned child can never fire *)
-  let q, cs = quorum_over [ 0; 1; 2 ] in
-  Depfast.Event.abandon (List.nth cs 2);
-  check_bool "abandoned child is an orphan" true (List.mem "orphan-wait" (rules (DL.analyze q)));
-  (* with an explicit firer list, unregistered events are orphans and a
-     2-of-3 quorum with one live firer cannot fire either *)
-  let q2, cs2 = quorum_over [ 0; 1; 2 ] in
-  let fs = DL.analyze ~firers:[ List.nth cs2 0 ] q2 in
-  check_bool "unfirable children are orphans" true (List.mem "orphan-wait" (rules fs));
-  check_bool "quorum itself cannot fire" true
-    (List.exists
-       (fun f -> f.F.rule = "orphan-wait" && f.F.loc = F.Node
-          { event_id = Depfast.Event.id q2; event_label = Depfast.Event.label q2 })
-       fs)
-
-let test_dag_orphan_negative () =
-  let q, cs = quorum_over [ 0; 1; 2 ] in
-  let fs = DL.analyze ~firers:cs q in
-  check_bool "fully registered quorum has no orphans" false
-    (List.mem "orphan-wait" (rules fs));
-  (* a fired quorum with a discarded straggler is not an orphan *)
-  let q2, cs2 = quorum_over [ 0; 1; 2 ] in
-  Depfast.Event.fire (List.nth cs2 0);
-  Depfast.Event.fire (List.nth cs2 1);
-  Depfast.Event.abandon (List.nth cs2 2);
-  check_bool "straggler under a fired quorum ignored" false
-    (List.mem "orphan-wait" (rules (DL.analyze ~firers:cs2 q2)))
-
-let test_dag_vacuous () =
-  let q = Depfast.Event.quorum (Depfast.Event.Count 5) in
-  List.iter
-    (fun p -> Depfast.Event.add q ~child:(Depfast.Event.rpc_completion ~peer:p ()))
-    [ 0; 1; 2 ];
-  check_bool "count 5 of 3 is vacuous" true (List.mem "vacuous-quorum" (rules (DL.analyze q)));
-  let ok = Depfast.Event.quorum (Depfast.Event.Count 2) in
-  List.iter
-    (fun p -> Depfast.Event.add ok ~child:(Depfast.Event.rpc_completion ~peer:p ()))
-    [ 0; 1; 2 ];
-  check_bool "count 2 of 3 is fine" false (List.mem "vacuous-quorum" (rules (DL.analyze ok)))
-
-let test_dag_allow () =
-  let lone = Depfast.Event.rpc_completion ~label:"client->leader" ~peer:0 () in
-  let allow ~rule e = rule = "red-wait" && Depfast.Event.label e = "client->leader" in
-  let fs = DL.analyze ~allow lone in
-  check_int "finding still reported" 1 (List.length fs);
-  check_int "but allowed" 0 (List.length (F.unallowed fs))
 
 let suite =
   [
@@ -469,6 +455,7 @@ let suite =
         Alcotest.test_case "lock across wait (negative)" `Quick test_lock_across_wait_negative;
         Alcotest.test_case "pragma window" `Quick test_pragma_window;
         Alcotest.test_case "pragma out of window" `Quick test_pragma_too_far;
+        Alcotest.test_case "unknown pragma id" `Quick test_unknown_pragma;
         Alcotest.test_case "pragma window (whole-project passes)" `Quick
           test_pass_pragma_window;
         Alcotest.test_case "pragma out of window (whole-project passes)" `Quick
@@ -480,14 +467,5 @@ let suite =
         Alcotest.test_case "lock pair" `Quick test_fixture_lock_across_wait;
         Alcotest.test_case "tuple red wait" `Quick test_fixture_tuple_red_wait;
         Alcotest.test_case "pragma" `Quick test_fixture_pragma;
-      ] );
-    ( "lint.dag",
-      [
-        Alcotest.test_case "classify" `Quick test_dag_classify;
-        Alcotest.test_case "red wait" `Quick test_dag_red_wait;
-        Alcotest.test_case "orphan (positive)" `Quick test_dag_orphan_positive;
-        Alcotest.test_case "orphan (negative)" `Quick test_dag_orphan_negative;
-        Alcotest.test_case "vacuous quorum" `Quick test_dag_vacuous;
-        Alcotest.test_case "allow predicate" `Quick test_dag_allow;
       ] );
   ]

@@ -415,7 +415,7 @@ let audit_dedup_trace () =
         ignore
           (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) (fun () ->
                Event.fire reply));
-        (* depfast-lint: allow red-wait unbounded-wait — the wait under test *)
+        (* depfast-lint: allow red-exposure — the wait under test *)
         Sched.wait s reply
       done);
   Sched.run s;

@@ -92,12 +92,13 @@ let test_net_broadcast_quorum_green () =
 
 (* ------------------------------------------------------------------ *)
 (* tainted arity: the mitigation's own k controlled by the slow
-   resource, vs an untainted constant *)
+   resource, vs an untainted constant — the quorum-arity-mismatch claim
+   seen through the exposure map *)
 
 let test_tainted_arity_flagged () =
   let fs, _, _ = analyze "spg_arity_bad.ml" in
   check_rules "Count arity flows from a net-tainted callee"
-    [ F.unreached_mitigation ] (rules fs);
+    [ F.quorum_arity_mismatch ] (rules fs);
   check_bool "names the tainted callee" true (message_contains fs "count_live")
 
 let test_untainted_arity_clean () =
