@@ -2,7 +2,8 @@
    per paper claim (red-exposure for waits, lock-across-call for locks,
    quorum-arity-mismatch for arity; positive and negative for each) run
    as depfast_lint runs them, over a project built from the source under
-   test, pragma allowlisting and pragma hygiene. Fixture files live under
+   test, pragma allowlisting, pragma hygiene, and the wait-DAG defect
+   shapes through the dynamic checks that own them. Fixture files live under
    test/fixtures/ and are scanned but never compiled. *)
 
 module F = Analysis.Finding
@@ -426,6 +427,110 @@ let test_fixture_pragma () =
   check_int "findings reported" 1 (List.length fs);
   check_int "all allowed" 0 (List.length (F.unallowed fs))
 
+(* ------------------------------------------------------------------ *)
+(* DAG shapes: the wait-DAG defects a trace-free checker once reported,
+   now caught by the checks that own each claim — Event.stallers for
+   classification, Spg.audit over a recorded run for red waits, and the
+   sanitizer at quiescence for waits that can never fire *)
+
+let quorum_over ?(q = Depfast.Event.quorum Depfast.Event.Majority) peers =
+  let cs =
+    List.map
+      (fun p ->
+        let c = Depfast.Event.rpc_completion ~peer:p () in
+        Depfast.Event.add q ~child:c;
+        c)
+      peers
+  in
+  (q, cs)
+
+(* Spg.audit over one recorded wait by node 9 on [ev]; [leaves] are
+   fired 2 ms in so the wait completes *)
+let audit_wait ?allow (ev, leaves) =
+  let engine = Sim.Engine.create ~seed:5L () in
+  let trace = Depfast.Trace.create () in
+  let sched = Depfast.Sched.create ~trace engine in
+  Depfast.Trace.enable trace;
+  Depfast.Sched.spawn sched ~node:9 ~name:"waiter" (fun () ->
+      ignore
+        (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 2) (fun () ->
+             List.iter Depfast.Event.fire leaves));
+      Depfast.Sched.wait sched ev);
+  Depfast.Sched.run ~until:(Sim.Time.ms 10) sched;
+  Depfast.Spg.audit ?allow trace
+
+(* sanitizer rules at quiescence after [setup] spawns its coroutines *)
+let hang_rules setup =
+  let engine = Sim.Engine.create () in
+  let sched = Depfast.Sched.create engine in
+  let san = Check.Sanitizer.create sched in
+  setup sched;
+  Depfast.Sched.run sched;
+  Check.Sanitizer.check_quiescent san;
+  List.map (fun v -> v.Check.Sanitizer.rule) (Check.Sanitizer.violations san)
+
+let wait_on ev sched = Depfast.Sched.spawn sched ~name:"waiter" (fun () -> Depfast.Sched.wait sched ev)
+
+let test_dag_classify () =
+  let q, _ = quorum_over [ 0; 1; 2 ] in
+  Alcotest.(check (list int)) "majority quorum green" [] (Depfast.Event.stallers q);
+  let lone = Depfast.Event.rpc_completion ~peer:7 () in
+  Alcotest.(check (list int)) "lone rpc red" [ 7 ] (Depfast.Event.stallers lone)
+
+let test_dag_red_wait () =
+  let lone = Depfast.Event.rpc_completion ~peer:7 () in
+  (match audit_wait (lone, [ lone ]) with
+  | [ v ] -> check_int "red wait reported, stalled by its peer" 7 v.Depfast.Spg.v_peer
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
+  let q, cs = quorum_over [ 0; 1; 2 ] in
+  check_int "quorum clean" 0 (List.length (audit_wait (q, cs)))
+
+let test_dag_orphan_positive () =
+  (* an abandoned child can never fire *)
+  let abandoned = Depfast.Event.rpc_completion ~peer:7 () in
+  Depfast.Event.abandon abandoned;
+  check_rules "abandoned completion is an orphan" [ F.parked_on_abandoned ]
+    (hang_rules (wait_on abandoned));
+  (* a 2-of-3 quorum with one live child cannot fire either *)
+  let q, cs = quorum_over [ 0; 1; 2 ] in
+  Depfast.Event.abandon (List.nth cs 1);
+  Depfast.Event.abandon (List.nth cs 2);
+  check_rules "quorum itself cannot fire" [ F.unsatisfiable_wait ] (hang_rules (wait_on q))
+
+let test_dag_orphan_negative () =
+  let q, cs = quorum_over [ 0; 1; 2 ] in
+  check_rules "fully fired quorum has no orphans" []
+    (hang_rules (fun sched ->
+         wait_on q sched;
+         Depfast.Sched.spawn sched ~name:"replies" (fun () -> List.iter Depfast.Event.fire cs)));
+  (* a fired quorum with a discarded straggler is not an orphan *)
+  let q2, cs2 = quorum_over [ 0; 1; 2 ] in
+  check_rules "straggler under a fired quorum ignored" []
+    (hang_rules (fun sched ->
+         wait_on q2 sched;
+         Depfast.Sched.spawn sched ~name:"replies" (fun () ->
+             Depfast.Event.fire (List.nth cs2 0);
+             Depfast.Event.fire (List.nth cs2 1);
+             Depfast.Event.abandon (List.nth cs2 2))))
+
+let test_dag_vacuous () =
+  let q, _ = quorum_over ~q:(Depfast.Event.quorum (Depfast.Event.Count 5)) [ 0; 1; 2 ] in
+  check_rules "count 5 of 3 is vacuous" [ F.unsatisfiable_wait ] (hang_rules (wait_on q));
+  let ok, cs = quorum_over ~q:(Depfast.Event.quorum (Depfast.Event.Count 2)) [ 0; 1; 2 ] in
+  check_rules "count 2 of 3 is fine" []
+    (hang_rules (fun sched ->
+         wait_on ok sched;
+         Depfast.Sched.spawn sched ~name:"replies" (fun () ->
+             Depfast.Event.fire (List.nth cs 0);
+             Depfast.Event.fire (List.nth cs 2))))
+
+let test_dag_allow () =
+  let lone () = Depfast.Event.rpc_completion ~label:"client->leader" ~peer:0 () in
+  let ev = lone () in
+  check_int "finding reported" 1 (List.length (audit_wait (ev, [ ev ])));
+  let ev = lone () in
+  check_int "but allowed" 0 (List.length (audit_wait ~allow:(fun ~node -> node = 9) (ev, [ ev ])))
+
 let suite =
   [
     ( "lint.lexer",
@@ -467,5 +572,14 @@ let suite =
         Alcotest.test_case "lock pair" `Quick test_fixture_lock_across_wait;
         Alcotest.test_case "tuple red wait" `Quick test_fixture_tuple_red_wait;
         Alcotest.test_case "pragma" `Quick test_fixture_pragma;
+      ] );
+    ( "lint.dag",
+      [
+        Alcotest.test_case "classify" `Quick test_dag_classify;
+        Alcotest.test_case "red wait" `Quick test_dag_red_wait;
+        Alcotest.test_case "orphan (positive)" `Quick test_dag_orphan_positive;
+        Alcotest.test_case "orphan (negative)" `Quick test_dag_orphan_negative;
+        Alcotest.test_case "vacuous quorum" `Quick test_dag_vacuous;
+        Alcotest.test_case "allow predicate" `Quick test_dag_allow;
       ] );
   ]
