@@ -69,33 +69,12 @@ let () =
     exit 2
   end;
   let files = Analysis.Source_lint.ml_files roots in
-  (* one project model for every pass; each finding is tagged with its
-     originating pass, and identical findings reported by more than one
-     pass are deduplicated, first pass wins *)
-  let p = Analysis.Growth.load_files files in
-  let bfs, bcerts = Analysis.Bounds.analyze p in
-  let dfs, dcerts, _ = Analysis.Domains.analyze p in
-  let sfs, scerts, _ = Analysis.Spg_static.analyze p in
-  let tagged =
-    List.concat_map
-      (fun (pass, fs) -> List.map (fun f -> (pass, f)) fs)
-      [ ("source-lint", Analysis.Growth.lint p); ("interproc", Analysis.Interproc.analyze p);
-        ("bounds", bfs); ("domains", dfs); ("spg", sfs) ]
-  in
+  let r = Analysis.Passes.run (Analysis.Growth.load_files files) in
+  let tagged = r.Analysis.Passes.tagged in
+  let bcerts = r.Analysis.Passes.bounds and dcerts = r.Analysis.Passes.domains in
+  let scerts = r.Analysis.Passes.spg in
   let certs = bcerts @ dcerts @ scerts in
-  let tagged =
-    List.stable_sort (fun (_, a) (_, b) -> Analysis.Finding.by_location a b) tagged
-  in
-  let tagged =
-    let rec dedup = function
-      | (p1, f1) :: (_, f2) :: rest when Analysis.Finding.by_location f1 f2 = 0 ->
-        dedup ((p1, f1) :: rest)
-      | x :: rest -> x :: dedup rest
-      | [] -> []
-    in
-    dedup tagged
-  in
-  let findings = List.map snd tagged in
+  let findings = Analysis.Passes.findings r in
   let gating = Analysis.Finding.gating ~strict:!strict findings in
   let unallowed = Analysis.Finding.unallowed findings in
   let bounded, flagged =

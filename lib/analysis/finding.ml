@@ -45,9 +45,11 @@ let invariant_violation = "invariant-violation"
 let certificate_mismatch = "certificate-mismatch"
 let queue_gauge_overflow = "queue-gauge-overflow"
 
-let rules =
+(* the ids a source pragma can exempt: the static passes read pragmas,
+   the schedule-space checker does not *)
+let static_rules =
   [
-    (unknown_pragma, "depfast-lint pragma naming a rule id that no pass reports");
+    (unknown_pragma, "depfast-lint pragma naming a rule id that no static pass reports");
     (lock_across_call,
      "suspension point, or call into a (transitively) suspending function, while a \
       Depfast.Mutex is held");
@@ -66,6 +68,11 @@ let rules =
     (red_exposure,
      "fate-sharing wait statically reachable from a fail-slow resource site \
       with no timeout escape on the waiting function");
+  ]
+
+let rules =
+  static_rules
+  @ [
     (spg_stale_edge,
      "static red exposure for the injected fault kind never observed as a \
       red SPG edge across the explored schedules (possible stale certificate)");

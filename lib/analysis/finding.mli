@@ -21,8 +21,8 @@ type t = {
 
 val unknown_pragma : string
 (** A [(* depfast-lint: allow ... *)] pragma naming a rule id that is
-    not in {!rules}: a retired or misspelt id would otherwise silently
-    allow nothing. *)
+    not in {!static_rules}: a retired or misspelt id, or one only the
+    dynamic checker reports, would otherwise silently allow nothing. *)
 
 val lock_across_call : string
 (** A suspension point reached while a [Depfast.Mutex] is held — a
@@ -134,7 +134,12 @@ val queue_gauge_overflow : string
     evidence of an unbounded (or under-provisioned) accumulation. *)
 
 val rules : (string * string) list
-(** All rule ids with one-line descriptions. *)
+(** All rule ids with one-line descriptions: {!static_rules}, then the
+    dynamic checker's. *)
+
+val static_rules : (string * string) list
+(** The ids the static passes report, and so the only ones an allow
+    pragma can exempt. *)
 
 val v : rule:string -> severity:severity -> loc:location -> string -> t
 

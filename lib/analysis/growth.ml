@@ -105,19 +105,22 @@ let skip_group (a : Lexer.token array) i =
     j
   | _ -> i + 1
 
-(* The [k]-th positional argument after token [i], as a dotted name with
-   its first token; [~label:] arguments are skipped. *)
-let rec nth_arg (a : Lexer.token array) i k =
+(* The first token of the [k]-th positional argument after token [i];
+   [~label:] arguments are skipped. *)
+let rec arg_at (a : Lexer.token array) i k =
   let n = Array.length a in
   if i >= n then None
   else if a.(i).Lexer.text = "~" && i + 2 < n && a.(i + 2).Lexer.text = ":" then
-    nth_arg a (skip_group a (i + 3)) k
-  else if k = 0 then
-    if Lexer.is_ident a.(i).Lexer.text then
-      let name, _, _ = SL.qualified a i in
-      Some (name, i)
-    else None
-  else nth_arg a (skip_group a i) (k - 1)
+    arg_at a (skip_group a (i + 3)) k
+  else if k = 0 then Some i
+  else arg_at a (skip_group a i) (k - 1)
+
+let nth_arg a i k =
+  match arg_at a i k with
+  | Some j when Lexer.is_ident a.(j).Lexer.text ->
+    let name, _, _ = SL.qualified a j in
+    Some (name, j)
+  | _ -> None
 
 (* ---- parsing one file ------------------------------------------------ *)
 
@@ -356,20 +359,35 @@ type wait = {
   w_timered : bool;
   w_arity : (string * string) option;
   w_from : string option;
+  w_part : int option;
 }
+
+let wait_heads = [ "Sched.wait"; "Sched.wait_timeout"; "Condvar.wait"; "Condvar.wait_timeout" ]
 
 let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ]
 
+(* words that can follow a call but are no argument of it *)
+let keywords =
+  [ "in"; "then"; "else"; "do"; "done"; "with"; "when"; "end"; "begin"; "let"; "and";
+    "match"; "fun"; "function"; "if"; "of"; "to"; "downto"; "or"; "not" ]
+
 (* One program-order scan per function: quorum/or_/and_ bindings, the
    timer escapes wired into quorums via [Event.add q ~child:(Sched.timer
-   ...)], and which simple variable a quorum's [Count] arity came from
-   and which head each local was bound to. *)
-let waits fc f =
+   ...)], which simple variable a quorum's [Count] arity came from, and
+   which head (and tuple component) each local was bound to. Returns the
+   waits and that last table. *)
+let scan ?(via = fun _ -> None) fc f =
   let a = fc.fc_toks and pm = fc.fc_pm and n = f.g_e in
   let bound = Hashtbl.create 4 in
   let timered = Hashtbl.create 4 in
   let arity = Hashtbl.create 4 in
   let heads = Hashtbl.create 8 in
+  let forget name =
+    Hashtbl.remove bound name;
+    Hashtbl.remove timered name;
+    Hashtbl.remove arity name;
+    Hashtbl.remove heads name
+  in
   (* the Count arity of a quorum binding, when it is a simple variable *)
   let record_arity q eq =
     let limit = min n (eq + 60) in
@@ -389,6 +407,29 @@ let waits fc f =
     done
   in
   let out = ref [] in
+  let wait line head ev =
+    let q = match ev with SL.AName q when SL.is_simple q -> q | _ -> "" in
+    let from, part =
+      match ev with
+      | SL.AParen h -> (h, None)
+      | _ -> (
+        match Hashtbl.find_opt heads q with Some (h, k) -> (Some h, k) | None -> (None, None))
+    in
+    out :=
+      {
+        w_line = line;
+        w_head = head;
+        w_event = ev;
+        w_binding = Hashtbl.find_opt bound q;
+        w_timered = Hashtbl.mem timered q;
+        w_arity =
+          Option.bind (Hashtbl.find_opt arity q) (fun v ->
+              match Hashtbl.find_opt heads v with Some (h, None) -> Some (v, h) | _ -> None);
+        w_from = from;
+        w_part = part;
+      }
+      :: !out
+  in
   let i = ref f.g_b in
   while !i < n do
     (match SL.binding_at a pm !i with
@@ -396,11 +437,20 @@ let waits fc f =
        an [Event.quorum arity] built by the rpc layer *)
     | Some (SL.PTuple (q :: _), SL.RHead (Some h), _) when SL.last2 h = "Rpc.broadcast" ->
       Hashtbl.replace bound q (Quorum "Rpc.broadcast")
+    | Some (SL.PTuple names, rhs, _) ->
+      List.iteri
+        (fun k name ->
+          forget name;
+          match rhs with
+          | SL.RHead (Some h) -> Hashtbl.replace heads name (h, Some k)
+          | SL.RTuple comps -> (
+            match List.nth_opt comps k with
+            | Some (Some h) -> Hashtbl.replace heads name (h, None)
+            | _ -> ())
+          | SL.RHead None -> ())
+        names
     | Some (SL.PVar name, rhs, eq) -> (
-      Hashtbl.remove bound name;
-      Hashtbl.remove timered name;
-      Hashtbl.remove arity name;
-      Hashtbl.remove heads name;
+      forget name;
       match rhs with
       | SL.RHead (Some h) -> (
         match SL.last2 h with
@@ -409,7 +459,7 @@ let waits fc f =
           record_arity name eq
         | "Event.or_" -> Hashtbl.replace bound name Or_
         | "Event.and_" -> Hashtbl.replace bound name And_
-        | _ -> Hashtbl.replace heads name h)
+        | _ -> Hashtbl.replace heads name (h, None))
       | _ -> ())
     | _ -> ());
     if Lexer.is_ident a.(!i).Lexer.text then begin
@@ -425,31 +475,60 @@ let waits fc f =
             Hashtbl.replace timered q ()
           | _ -> ())
         | _ -> ())
-      | ("Sched.wait" | "Sched.wait_timeout" | "Condvar.wait" | "Condvar.wait_timeout") as head
-        ->
+      | head when List.mem head wait_heads ->
         let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
-        let q = match ev with SL.AName q when SL.is_simple q -> q | _ -> "" in
-        let from = match ev with SL.AParen h -> h | _ -> Hashtbl.find_opt heads q in
-        out :=
-          {
-            w_line = line;
-            w_head = head;
-            w_event = ev;
-            w_binding = Hashtbl.find_opt bound q;
-            w_timered = Hashtbl.mem timered q;
-            w_arity =
-              Option.bind (Hashtbl.find_opt arity q) (fun v ->
-                  Option.map (fun h -> (v, h)) (Hashtbl.find_opt heads v));
-            w_from = from;
-          }
-          :: !out
-      | _ -> ());
+        wait line head (fst (SL.parse_atom a pm i1))
+      | _ -> (
+        (* a call handing the event a callee waits on: judged here *)
+        match Option.bind (via name) (arg_at a ni) with
+        | Some j when j < n && a.(j).Lexer.line = line && not (List.mem a.(j).Lexer.text keywords)
+          -> (
+          match SL.parse_atom a pm j with
+          | ((SL.AName _ | SL.AParen _) as ev), _ -> wait line name ev
+          | _ -> ())
+        | _ -> ()));
       i := ni
     end
     else incr i
   done;
-  List.rev !out
+  (List.rev !out, heads)
+
+let waits ?via fc f = fst (scan ?via fc f)
+
+(* The last line of the body (everything after the [=] for a one-liner):
+   a literal tuple gives one head per component, a lone local the head it
+   was bound to, anything else its first name. *)
+let returns p qname =
+  match Hashtbl.find_opt p.defs qname with
+  | None -> []
+  | Some (fc, f) ->
+    let a = fc.fc_toks and pm = fc.fc_pm and e = f.g_e in
+    if f.g_body >= e then []
+    else begin
+      let last_line = a.(e - 1).Lexer.line in
+      let lo = ref (e - 1) in
+      while !lo > f.g_body && a.(!lo - 1).Lexer.line = last_line do
+        decr lo
+      done;
+      let start = !lo in
+      let t = a.(start).Lexer.text in
+      if start = e - 1 && Lexer.is_ident t && SL.is_simple t then
+        match Hashtbl.find_opt (snd (scan fc f)) t with
+        | Some (h, None) -> [ Some h ]
+        | _ -> []
+      else
+        match if t = "(" && pm.(start) = e - 1 then SL.tuple_components a pm start else None with
+        | Some comps -> comps
+        | None ->
+          let k = ref start in
+          while !k < e && not (Lexer.is_ident a.(!k).Lexer.text) do
+            incr k
+          done;
+          if !k < e then
+            let h, _, _ = SL.qualified a !k in
+            [ Some h ]
+          else []
+    end
 
 (* ---- growth sites and bound evidence --------------------------------- *)
 

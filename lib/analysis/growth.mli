@@ -125,7 +125,9 @@ type binding =
 type wait = {
   w_line : int;
   w_head : string;
-      (** [Sched.wait | Sched.wait_timeout | Condvar.wait | Condvar.wait_timeout] *)
+      (** [Sched.wait | Sched.wait_timeout | Condvar.wait |
+          Condvar.wait_timeout], or, for a call handing its argument to a
+          callee that waits on it ([?via]), the callee as written *)
   w_event : Source_lint.atom;  (** the waited event or condvar *)
   w_binding : binding option;  (** what a simple event name is bound to *)
   w_timered : bool;  (** a [Sched.timer] child was wired into that quorum *)
@@ -136,12 +138,28 @@ type wait = {
       (** the head the waited event came from: the head of a
           parenthesised event, or the head its simple name was last bound
           to ([None] for quorum/or_/and_ bindings and unknown names) *)
+  w_part : int option;
+      (** [Some k] when that name was the [k]-th component of a tuple
+          pattern bound to [w_from] *)
 }
 
-val waits : file_ctx -> fn -> wait list
+val wait_heads : string list
+(** The suspension heads a wait site starts with, on their last two
+    segments. *)
+
+val waits : ?via:(string -> int option) -> file_ctx -> fn -> wait list
 (** The wait sites of a function in program order, each with the
     bindings in scope: the one quorum/timer-escape scan behind {!Bounds}'
-    [missing-deadline] and {!Spg_static}'s colouring. *)
+    [missing-deadline] and {!Spg_static}'s colouring. [via name] is
+    [Some k] when the function a call names (as written) waits on its
+    [k]-th positional parameter: a same-line call to it is a wait site
+    on that argument too. *)
+
+val returns : project -> string -> string option list
+(** The heads a function (by qualified name) returns on the last line of
+    its body, as written in its module: one per component of a literal
+    tuple, else one — an application's head, or the head a lone local
+    was bound to. [[]] when unknown. *)
 
 val analyze : project -> Finding.t list * cert list
 (** The growth analysis, computed once per project:

@@ -39,7 +39,10 @@ type t = {
    both hit). [Disk.write]/[fsync] are slowness sources like any other:
    awaiting one's own WAL is protocol-inherent, but a slow disk still
    delays whoever awaits it — exactly the exposure we chart, and why
-   such a wait carries a pragma rather than no finding. *)
+   such a wait carries a pragma rather than no finding. The net seeds
+   that hand back a waitable event are the rpc completions. *)
+let rpc_completions = [ "Rpc.event"; "Event.rpc_completion" ]
+
 let seed_heads =
   [
     ("Disk.write", Disk_slow);
@@ -48,13 +51,12 @@ let seed_heads =
     ("Event.disk_completion", Disk_slow);
     ("Rpc.call", Net_slow);
     ("Rpc.broadcast", Net_slow);
-    ("Rpc.event", Net_slow);
     ("Rpc.serve", Net_slow);
     ("Net.send", Net_slow);
     ("Net.register", Net_slow);
-    ("Event.rpc_completion", Net_slow);
     ("Node.cpu_work", Cpu_slow);
   ]
+  @ List.map (fun h -> (h, Net_slow)) rpc_completions
 
 let source_key s = (s.s_file, s.s_line, s.s_head, fault_rank s.s_fault)
 

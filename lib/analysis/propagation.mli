@@ -45,5 +45,9 @@ val taints : t -> string -> (fault * taint) list
 (** Taints of a function by qualified name, in {!all} order; [[]] when
     untainted. *)
 
+val rpc_completions : string list
+(** The net-slow seed heads that build a waitable rpc completion
+    ([Rpc.event], [Event.rpc_completion]), on their last two segments. *)
+
 val sources : t -> source list
 (** Every seed site found, sorted by (file, line, head). *)

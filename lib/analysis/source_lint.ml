@@ -265,14 +265,14 @@ let check_pragmas ~path pragmas =
     (fun (p : Lexer.pragma) ->
       List.filter_map
         (fun id ->
-          if List.mem_assoc id Finding.rules then None
+          if List.mem_assoc id Finding.static_rules then None
           else
             Some
               (Finding.v ~rule:Finding.unknown_pragma ~severity:Finding.Error
                  ~loc:(Finding.File { file = path; line = p.Lexer.p_line })
                  (Printf.sprintf
-                    "pragma allows %S, which no pass reports (see depfast_lint --rules): it \
-                     exempts nothing"
+                    "pragma allows %S, which no static pass reports (see depfast_lint --rules): \
+                     it exempts nothing"
                     id)))
         p.Lexer.p_rules)
     pragmas

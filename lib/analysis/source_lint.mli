@@ -6,8 +6,8 @@
     region and quorum arity, {!Bounds} and {!Domains} growth and shared
     state. What is left here is {b unknown-pragma}: a
     [(* depfast-lint: allow rule-id ... *)] comment naming an id that is
-    not in {!Finding.rules}. A retired or misspelt id would otherwise
-    exempt nothing, silently.
+    not in {!Finding.static_rules}. A retired or misspelt id, or a
+    dynamic checker's id, would otherwise exempt nothing, silently.
 
     Findings at a line L are exempted by a pragma comment starting on
     lines L-3..L ({!Lexer.allows}). *)

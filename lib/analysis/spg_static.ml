@@ -30,9 +30,26 @@ type wait = {
   w_exposures : exposure list;
 }
 
-(* Heads (matched on their last two segments) that build an rpc
-   completion: a red wait on one is the paper's §3.1 hazard outright. *)
-let rpc_heads = [ "Event.rpc_completion"; "Rpc.event" ]
+(* Does an event come from an rpc completion — built by one directly,
+   or returned by a project function (its last line, or component [part]
+   of the literal tuple it returns), followed through at most [hops]
+   such functions? A red wait on one is the paper's §3.1 hazard
+   outright. *)
+let rec rpc_origin p ~mdl ~hops h part =
+  (part = None && List.mem (SL.last2 h) Propagation.rpc_completions)
+  || hops > 0
+     &&
+     match Growth.resolve p ~mdl h with
+     | None -> false
+     | Some q -> (
+       let mdl = String.sub q 0 (String.rindex q '.') in
+       match (Growth.returns p q, part) with
+       | [ Some h' ], _ -> rpc_origin p ~mdl ~hops:(hops - 1) h' part
+       | rets, Some k -> (
+         match List.nth_opt rets k with
+         | Some (Some h') -> rpc_origin p ~mdl ~hops:(hops - 1) h' None
+         | _ -> false)
+       | _ -> false)
 
 let role_of fault (t : Propagation.taint) ~file =
   match fault with
@@ -50,8 +67,9 @@ let exposure_string x =
 (* Colours the waits of {!Growth.waits}: quorum and or_ bindings are
    green, everything else red; a quorum wait whose [Count] arity came
    from a call also goes to [arity], for the tainted-arity half of
-   quorum-arity-mismatch. *)
-let scan_fn taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
+   quorum-arity-mismatch. A call handing its argument to a callee that
+   waits on it ([?via]) is coloured by what the caller passes. *)
+let scan_fn p taint (fc : Growth.file_ctx) (f : Growth.fn) ws ~wait ~arity =
   let exposures =
     List.map
       (fun (k, t) -> { x_fault = k; x_role = role_of k t ~file:fc.Growth.fc_path; x_taint = t })
@@ -87,18 +105,19 @@ let scan_fn taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
   List.iter
     (fun (w : Growth.wait) ->
       let line = w.Growth.w_line in
+      let via = not (List.mem w.Growth.w_head Growth.wait_heads) in
       let emit site color covered =
         wait
           {
             w_file = fc.Growth.fc_path;
             w_line = line;
             w_fn = f.Growth.g_qname;
-            w_site = site;
+            w_site = (if via then Printf.sprintf "%s (waited on in %s)" site w.Growth.w_head else site);
             w_color = color;
             w_covered = covered;
             w_rpc =
               (match w.Growth.w_from with
-              | Some h -> List.mem (SL.last2 h) rpc_heads
+              | Some h -> rpc_origin p ~mdl:fc.Growth.fc_mdl ~hops:3 h w.Growth.w_part
               | None -> false);
             w_exposures = exposures;
           }
@@ -112,13 +131,29 @@ let scan_fn taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
         emit (match ev with SL.AName c -> "condvar " ^ c | _ -> "condvar") Red covered
       | _, SL.AName q, Some (Growth.Quorum _) ->
         emit ("quorum " ^ q) Green (covered || w.Growth.w_timered);
-        check_arity q line w.Growth.w_arity
+        if not via then check_arity q line w.Growth.w_arity
       | _, SL.AName q, Some Growth.Or_ -> emit ("or_ " ^ q) Green true
       | _, SL.AName q, Some Growth.And_ -> emit ("and_ " ^ q) Red covered
       | _, SL.AName q, None -> emit q Red covered
       | _, SL.AParen (Some h), _ -> emit (SL.last2 h) (classify_head h) covered
       | _, (SL.AParen None | SL.AOther), _ -> emit "<expr>" Red covered)
-    (Growth.waits fc f)
+    ws
+
+(* The position of the parameter an unexposed function waits on,
+   untimed, as it was passed: such a wait is red but its slowness
+   arrives with the argument, so each caller is judged instead. *)
+let param_wait taint (f : Growth.fn) ws =
+  match f.Growth.g_shape with
+  | Growth.Fun params when Propagation.taints taint f.Growth.g_qname = [] ->
+    List.find_map
+      (fun (w : Growth.wait) ->
+        match w with
+        | { Growth.w_head = "Sched.wait"; w_event = SL.AName q; w_binding = None; w_from = None; _ }
+          ->
+          List.find_index (String.equal q) params
+        | _ -> None)
+      ws
+  | _ -> None
 
 (* ---- driver ---------------------------------------------------------- *)
 
@@ -128,11 +163,14 @@ let analyze p =
   let certs = ref [] in
   let waits = ref [] in
   let emit f = findings := f :: !findings in
+  let param_waits = Hashtbl.create 8 in
   List.iter
     (fun fc ->
       List.iter
         (fun f ->
-          scan_fn taint fc f
+          let ws = Growth.waits fc f in
+          Option.iter (Hashtbl.replace param_waits f.Growth.g_qname) (param_wait taint f ws);
+          scan_fn p taint fc f ws
             ~wait:(fun w -> waits := w :: !waits)
             ~arity:(fun ~line ~q ~v ~callee ~fault ~taint:t ->
               emit
@@ -149,6 +187,24 @@ let analyze p =
                       t.Propagation.t_source.Propagation.s_line))))
         fc.Growth.fc_fns)
     (Growth.files p);
+  (* the callers of those functions, at the calls that hand them an event *)
+  if Hashtbl.length param_waits > 0 then
+    List.iter
+      (fun fc ->
+        let via name =
+          Option.bind (Growth.resolve p ~mdl:fc.Growth.fc_mdl name) (Hashtbl.find_opt param_waits)
+        in
+        List.iter
+          (fun (f : Growth.fn) ->
+            if List.exists (Hashtbl.mem param_waits) (Growth.callees p f.Growth.g_qname) then
+              scan_fn p taint fc f
+                (List.filter
+                   (fun w -> not (List.mem w.Growth.w_head Growth.wait_heads))
+                   (Growth.waits ~via fc f))
+                ~wait:(fun w -> waits := w :: !waits)
+                ~arity:(fun ~line:_ ~q:_ ~v:_ ~callee:_ ~fault:_ ~taint:_ -> ()))
+          fc.Growth.fc_fns)
+      (Growth.files p);
   (* certificates + red-exposure findings per wait *)
   List.iter
     (fun w ->

@@ -13,10 +13,16 @@
     [wait_timeout], an [or_] binding, or an [Event.add ~child:(Sched.timer
     ...)] escape marks the wait covered.
 
+    A function with no exposure that waits untimed on its own parameter
+    is judged at its callers instead: each call handing it an event is a
+    wait site there, coloured by what is passed and exposed by the
+    caller's taint.
+
     Findings: {!Finding.red_exposure} for a red, exposed, uncovered wait
     — an [Error] when the waited event is an rpc completion
-    ([Event.rpc_completion]/[Rpc.event], directly or through the name it
-    was bound to), a [Warning] otherwise; {!Finding.quorum_arity_mismatch}
+    ({!Propagation.rpc_completions}: directly, through the name or tuple
+    component it was bound to, or returned by up to three project
+    functions, {!Growth.returns}), a [Warning] otherwise; {!Finding.quorum_arity_mismatch}
     (a [Warning]) for a green quorum whose [Count] arity flows from a
     tainted call. Certificates: one ["wait"] certificate per site and
     one ["propagation"] certificate per (wait x exposure) pair, each

@@ -58,15 +58,11 @@ let of_findings ?(exposures = []) ~files findings =
 
 let build ~roots () =
   let files = Analysis.Source_lint.ml_files roots in
-  let p = Analysis.Growth.load_files files in
-  let bounds_findings, _certs = Analysis.Bounds.analyze p in
-  let domains_findings, _dcerts, footprints = Analysis.Domains.analyze p in
-  let spg_findings, _scerts, exposures = Analysis.Spg_static.analyze p in
-  let findings =
-    Analysis.Interproc.analyze p @ bounds_findings @ domains_findings @ spg_findings
+  let r = Analysis.Passes.run (Analysis.Growth.load_files files) in
+  let t =
+    of_findings ~exposures:r.Analysis.Passes.exposures ~files (Analysis.Passes.findings r)
   in
-  let t = of_findings ~exposures ~files findings in
-  List.iter (fun (path, fp) -> Hashtbl.replace t.footprints path fp) footprints;
+  List.iter (fun (path, fp) -> Hashtbl.replace t.footprints path fp) r.Analysis.Passes.footprints;
   t
 
 (* Paths from different origins (repo-relative, test-sandbox-relative,

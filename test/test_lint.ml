@@ -27,10 +27,8 @@ let fixture name =
 (* Every static pass over one project, as depfast_lint runs them:
    findings, and the slowness-propagation certificates. *)
 let passes p =
-  let bfs, _ = Analysis.Bounds.analyze p in
-  let dfs, _, _ = Analysis.Domains.analyze p in
-  let sfs, scerts, _ = Analysis.Spg_static.analyze p in
-  (G.lint p @ Analysis.Interproc.analyze p @ bfs @ dfs @ sfs, scerts)
+  let r = Analysis.Passes.run p in
+  (Analysis.Passes.findings r, r.Analysis.Passes.spg)
 
 let lint_string src = fst (passes (G.load [ ("snippet.ml", src) ]))
 let lint_files paths = fst (passes (G.load_files paths))
@@ -152,6 +150,7 @@ let f sched ~peer = Depfast.Sched.wait sched (replica sched ~peer)
 |}
   in
   check_rules "wait on a local producer function" [ F.red_exposure ] (unallowed_rules fs);
+  check_rules "the producer returns an rpc completion: an error" [ "error" ] (severities fs);
   check_bool "exposure reaches the waiter through the producer" true
     (List.exists
        (fun f -> f.F.loc = F.File { file = "snippet.ml"; line = 6 })
@@ -166,7 +165,8 @@ let test_tuple_binding_tracked () =
   Depfast.Sched.wait sched ack
 |}
   in
-  check_rules "tuple literal binding tracked" [ F.red_exposure ] (unallowed_rules fs)
+  check_rules "tuple literal binding tracked" [ F.red_exposure ] (unallowed_rules fs);
+  check_rules "its component is an rpc completion: an error" [ "error" ] (severities fs)
 
 let test_tuple_binding_other_component () =
   let fs =
@@ -299,7 +299,8 @@ let test_pragma_too_far () =
   in
   check_int "pragma out of its 3-line window" 1 (List.length (F.unallowed fs))
 
-(* pragma hygiene: an id no pass reports is itself a gating finding *)
+(* pragma hygiene: an id no static pass reports is itself a gating
+   finding *)
 let test_unknown_pragma () =
   let fs =
     SL.lint_string ~path:"retired.ml"
@@ -313,6 +314,8 @@ let test_unknown_pragma () =
     (List.for_all
        (fun f -> f.F.loc = F.File { file = "retired.ml"; line = 2 } && f.F.severity = F.Error)
        fs);
+  check_rules "a dynamic checker's id exempts nothing either" [ F.unknown_pragma ]
+    (rules (SL.lint_string "(* depfast-lint: allow dynamic-red-wait *)\n"));
   check_rules "known ids pass" []
     (rules
        (SL.lint_string "(* depfast-lint: allow red-exposure lock-across-call — prose *)\n"))
@@ -420,7 +423,9 @@ let test_fixture_lock_across_wait () =
 
 let test_fixture_tuple_red_wait () =
   let fs = lint_files [ fixture "tuple_red_wait.ml" ] in
-  check_rules "tuple fixture flagged" [ F.red_exposure ] (unallowed_rules fs)
+  check_rules "tuple fixture flagged" [ F.red_exposure ] (unallowed_rules fs);
+  check_rules "the component begin_call returns is an rpc completion" [ "error" ]
+    (severities fs)
 
 let test_fixture_pragma () =
   let fs = lint_files [ fixture "pragma_allowed.ml" ] in
