@@ -52,7 +52,8 @@ type run = {
          injects a fault, for the static-exposure cross-check *)
   r_tag_file : Engine.tag -> string option;
       (* scenario provenance of a transition tag, via this run's monitor
-         (coroutine ids are run-local, so the mapping is too) *)
+         (coroutine ids are run-local, so the mapping holds until the
+         state's next run) *)
 }
 
 let footprint = function
@@ -90,37 +91,53 @@ let persistent_set_by conflict tags chosen =
 
 let persistent_set tags chosen = persistent_set_by conflicts tags chosen
 
-(* A driver passes one [trace] for all its runs: each run records into it
-   and clears it before returning, so the ring grows once per exploration
-   and no run's events outlive the run. *)
-let run_one ?(trace = Depfast.Trace.create ~enabled:true ()) (scenario : Scenario.t) ~prefix
-    ~budget =
+(* The run state an exploration driver reuses for every schedule: one
+   engine, scheduler, sanitizer and wait trace, all reset when a run
+   starts (even if the run before raised), so a run allocates what its
+   scenario allocates and no run's events outlive the next run's start.
+   The trace is cleared again once the run is judged, so its events do
+   not wait that long. The chooser and the step observer are installed
+   once and read the run's cursor from here. *)
+type state = {
+  engine : Engine.t;
+  sched : Depfast.Sched.t;
+  san : Sanitizer.t;
+  trace : Depfast.Trace.t;
+  tag_file : Engine.tag -> string option;
+  mutable st_prefix : int array;  (* the decisions this run replays *)
+  mutable st_max_steps : int;
+  mutable st_nsteps : int;  (* choice points seen this run *)
+  mutable st_steps : Engine.tag array list;  (* enabled sets past the prefix, newest first *)
+  mutable st_last_writer : string option;  (* file of the transition that ran last *)
+}
+
+let fresh_state () =
   let engine = Engine.create ~seed:1L () in
+  let trace = Depfast.Trace.create ~enabled:true () in
   let sched = Depfast.Sched.create ~trace engine in
-  let san = Sanitizer.create ~provenance:scenario.Scenario.provenance sched in
-  let nsteps = ref 0 in
-  let truncated = ref false in
-  let steps = ref [] in
-  let plen = Array.length prefix in
+  let san = Sanitizer.create sched in
   let tag_file tag =
     match tag with Engine.Coro (cid, _) -> Sanitizer.coro_file san cid | _ -> None
   in
-  let last_writer = ref None in
+  let st =
+    { engine; sched; san; trace; tag_file; st_prefix = [||]; st_max_steps = 0; st_nsteps = 0;
+      st_steps = []; st_last_writer = None }
+  in
   Engine.set_chooser engine (fun tags ->
       (* queue-depth watermarks: every choice point is a reachable
          state, so the gauges see the containers mid-interleaving, not
          just at the end of the run *)
       Sanitizer.sample_gauges san;
-      let i = !nsteps in
-      if i >= budget.max_steps then raise Out_of_steps;
-      incr nsteps;
-      if i < plen then begin
-        let c = prefix.(i) in
+      let i = st.st_nsteps in
+      if i >= st.st_max_steps then raise Out_of_steps;
+      st.st_nsteps <- i + 1;
+      if i < Array.length st.st_prefix then begin
+        let c = st.st_prefix.(i) in
         if c < Array.length tags then c else 0
       end
       else begin
         (* the engine hands every chooser call a fresh array *)
-        steps := tags :: !steps;
+        st.st_steps <- tags :: st.st_steps;
         0
       end);
   (* probe attribution rides the step observer, not the chooser: it sees
@@ -130,17 +147,31 @@ let run_one ?(trace = Depfast.Trace.create ~enabled:true ()) (scenario : Scenari
   Engine.set_step_observer engine
     (Some
        (fun tag ->
-         Sanitizer.sample_probes san ~writer:!last_writer;
-         last_writer := tag_file tag));
-  let inst = scenario.Scenario.make san sched in
-  (try Depfast.Sched.run ?until:inst.Scenario.until sched with
+         Sanitizer.sample_probes san ~writer:st.st_last_writer;
+         st.st_last_writer <- tag_file tag));
+  st
+
+let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budget : budget) =
+  let san = st.san and trace = st.trace in
+  Engine.reset st.engine;
+  Depfast.Sched.reset st.sched;
+  Sanitizer.reset san ~provenance:scenario.Scenario.provenance;
+  Depfast.Trace.clear trace;
+  st.st_prefix <- prefix;
+  st.st_max_steps <- budget.max_steps;
+  st.st_nsteps <- 0;
+  st.st_steps <- [];
+  st.st_last_writer <- None;
+  let truncated = ref false in
+  let inst = scenario.Scenario.make san st.sched in
+  (try Depfast.Sched.run ?until:inst.Scenario.until st.sched with
   | Out_of_steps -> truncated := true
   | e ->
     Sanitizer.report san ~rule:Analysis.Finding.invariant_violation
       ("uncaught exception: " ^ Printexc.to_string e));
-  let quiescent = (not !truncated) && Engine.pending engine = 0 in
+  let quiescent = (not !truncated) && Engine.pending st.engine = 0 in
   Sanitizer.sample_gauges san;
-  Sanitizer.sample_probes san ~writer:!last_writer;
+  Sanitizer.sample_probes san ~writer:st.st_last_writer;
   if quiescent then Sanitizer.check_quiescent san else Sanitizer.check_live san;
   List.iter
     (fun msg -> Sanitizer.report san ~rule:Analysis.Finding.invariant_violation msg)
@@ -167,15 +198,15 @@ let run_one ?(trace = Depfast.Trace.create ~enabled:true ()) (scenario : Scenari
   in
   Depfast.Trace.clear trace;
   {
-    r_steps = Array.of_list (List.rev !steps);
-    r_nsteps = !nsteps;
+    r_steps = Array.of_list (List.rev st.st_steps);
+    r_nsteps = st.st_nsteps;
     r_truncated = !truncated;
     r_quiescent = quiescent;
     r_violations = Sanitizer.violations san;
     r_overflows = Sanitizer.gauge_overflows san;
     r_probes = Sanitizer.probe_writers san;
     r_spg_edges = spg_edges;
-    r_tag_file = tag_file;
+    r_tag_file = st.tag_file;
   }
 
 (* Canonical prefix order: shorter first, then lexicographic. Schedule
@@ -221,7 +252,7 @@ type result = {
 }
 
 let finding_of_site scenario ~first s =
-  (* the event id is run-local (global counter, fresh engine per run):
+  (* the event id is run-local (a process-wide counter, new events per run):
      zeroed so reports are stable across runs and invocations *)
   let loc = Analysis.Finding.Node { event_id = 0; event_label = s.s_event_label } in
   let context =
@@ -297,8 +328,8 @@ let overflow_beats (o : Sanitizer.overflow) (p : Sanitizer.overflow) =
    backtracks to. The children depend only on the item (runs re-execute
    deterministically), so the frontier reached from the root is one fixed
    tree no matter which worker visits which node in what order. *)
-let process_item (scenario : Scenario.t) ~budget ~trace acc (prefix, lineage) =
-  let run = run_one ~trace scenario ~prefix ~budget in
+let process_item (scenario : Scenario.t) ~budget ~state acc (prefix, lineage) =
+  let run = run_one ~state scenario ~prefix ~budget in
   acc.a_schedules <- acc.a_schedules + 1;
   acc.a_prefixes <- prefix :: acc.a_prefixes;
   if run.r_truncated then acc.a_truncated <- acc.a_truncated + 1;
@@ -598,14 +629,14 @@ let finalize (scenario : Scenario.t) ~certs ~indep ~complete acc =
 
 let explore_serial ~budget ~certs scenario =
   let acc = fresh_acc ~indep:(make_indep certs) () in
-  let trace = Depfast.Trace.create ~enabled:true () in
+  let state = fresh_state () in
   let stack = ref [ ([||], 0) ] in
   while !stack <> [] && acc.a_schedules < budget.max_schedules do
     match !stack with
     | [] -> ()
     | item :: rest ->
       stack := rest;
-      stack := process_item scenario ~budget ~trace acc item @ !stack
+      stack := process_item scenario ~budget ~state acc item @ !stack
   done;
   finalize scenario ~certs ~indep:acc.a_indep
     ~complete:(!stack = [] && acc.a_truncated = 0)
@@ -631,7 +662,7 @@ let explore_parallel ~budget ~certs ~jobs scenario =
   let gate = Dpool.Gate.create () in
   let worker w =
     let acc = fresh_acc ~indep:(make_indep certs) () in
-    let trace = Depfast.Trace.create ~enabled:true () in
+    let state = fresh_state () in
     let my = deques.(w) in
     let steal_any () =
       let rec scan tries =
@@ -662,7 +693,7 @@ let explore_parallel ~budget ~certs ~jobs scenario =
           Atomic.set dropped true;
           []
         end
-        else process_item scenario ~budget ~trace acc item
+        else process_item scenario ~budget ~state acc item
       in
       let n = List.length pushes in
       List.iter (Wsq.push my) pushes;

@@ -49,16 +49,25 @@ type run = {
           scenario's provenance map) to the waiter's source file; only
           collected when the scenario injects a fault *)
   r_tag_file : Sim.Engine.tag -> string option;
-      (** scenario provenance of a transition tag, via this run's monitor *)
+      (** scenario provenance of a transition tag, via this run's monitor;
+          valid until the state's next run *)
 }
 
-val run_one :
-  ?trace:Depfast.Trace.t -> Scenario.t -> prefix:int array -> budget:budget -> run
+type state
+(** What a run executes on: one engine (with the explorer's chooser
+    installed), scheduler, sanitizer and wait trace. A driver builds one
+    per exploration (per worker, in parallel) and every run resets it, so
+    re-running a schedule allocates only what the scenario does. *)
+
+val fresh_state : unit -> state
+
+val run_one : ?state:state -> Scenario.t -> prefix:int array -> budget:budget -> run
 (** Execute a single schedule: replay [prefix], then default decisions.
     [prefix = [||]] is the program-order schedule — what a plain test run
-    would see. The run records its waits into [trace] (default: a fresh
-    one) and clears it before returning, so a driver reuses one trace for
-    every run. [trace] must be enabled. *)
+    would see. The run starts by resetting [state] (default: a fresh
+    one), which drops everything the previous run left in it, even if
+    that run raised; the result is the same on a fresh state as on one
+    reused after any other scenario's runs. *)
 
 type result = {
   scenario : string;
@@ -87,9 +96,8 @@ val explore :
     to the pure node heuristic.
 
     [jobs > 1] explores the frontier on that many OCaml 5 domains with
-    work-stealing deques of schedule prefixes; every run already builds
-    its own engine/scheduler/sanitizer, and each worker keeps its own
-    wait trace, accumulators and independence memo, the latter merged
+    work-stealing deques of schedule prefixes; each worker keeps its own
+    run {!state}, accumulators and independence memo, the latter merged
     deterministically at join. Because the frontier reachable from the root is one fixed
     tree and every aggregate is order-independent (sums, maxima, keyed
     unions, canonical "first" ranks over the explored-prefix set),

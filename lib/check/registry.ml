@@ -16,25 +16,25 @@ let fixture_dom_b_file = "lib/check/fixture_dom_b.ml"
 let fixture_spg_file = "lib/check/fixture_spg.ml"
 
 let core_provenance name =
-  if has_prefix ~prefix:"fx." name then Some fixtures_file
-  else if has_prefix ~prefix:"sg." name then Some fixture_spg_file
+  if String.starts_with ~prefix:"fx." name then Some fixtures_file
+  else if String.starts_with ~prefix:"sg." name then Some fixture_spg_file
   else if
     List.exists
-      (fun p -> has_prefix ~prefix:p name)
+      (fun prefix -> String.starts_with ~prefix name)
       [ "ys."; "mx."; "cv."; "sig."; "qr."; "drv." ]
   then Some reg_file
   else None
 
 let dom_provenance name =
-  if has_prefix ~prefix:"da." name then Some fixture_dom_a_file
-  else if has_prefix ~prefix:"db." name then Some fixture_dom_b_file
+  if String.starts_with ~prefix:"da." name then Some fixture_dom_a_file
+  else if String.starts_with ~prefix:"db." name then Some fixture_dom_b_file
   else core_provenance name
 
 let raft_provenance name =
-  if has_prefix ~prefix:"raft." name then Some "lib/raft/server.ml"
-  else if has_prefix ~prefix:"rpc." name then Some "lib/cluster/rpc.ml"
-  else if has_prefix ~prefix:"client" name then Some "lib/raft/client.ml"
-  else if has_prefix ~prefix:"drv." name then Some reg_file
+  if String.starts_with ~prefix:"raft." name then Some "lib/raft/server.ml"
+  else if String.starts_with ~prefix:"rpc." name then Some "lib/cluster/rpc.ml"
+  else if String.starts_with ~prefix:"client" name then Some "lib/raft/client.ml"
+  else if String.starts_with ~prefix:"drv." name then Some reg_file
   else None
 
 (* ---------- core runtime scenarios (exhaustive) ---------- *)

@@ -1,17 +1,20 @@
 (* The fail-slow sanitizer: runtime invariants checked at every explored
-   state. One instance per explored run; [create] installs a Sched monitor
-   that shadows the park/wake/resume protocol of every coroutine, and the
-   checks below compare that shadow against the event structures. *)
+   state. [create] installs a Sched monitor that shadows the park/wake/
+   resume protocol of every coroutine, and the checks below compare that
+   shadow against the event structures. The shadow is flat — coroutines in
+   an array indexed by cid, parked events appended to another — so the
+   hooks allocate nothing past a coroutine's first sight, and [reset]
+   readies one instance for the next run of an exploration. *)
 
 type state = Running | Parked | Woken | Finished
 
 type coro = {
-  c_cid : int;
   c_node : int;
   c_name : string;
   c_file : string option;  (* scenario provenance of [c_name], resolved once *)
   mutable c_state : state;
-  mutable c_event : Depfast.Event.t option;  (* event parked on, when Parked/Woken *)
+  mutable c_event : Depfast.Event.t;
+      (* event parked on when Parked/Woken, [Event.dummy] otherwise *)
 }
 
 type violation = {
@@ -58,8 +61,14 @@ type probe = {
 
 type t = {
   sched : Depfast.Sched.t;
-  coros : (int, coro) Hashtbl.t;
-  events : (int, Depfast.Event.t) Hashtbl.t;  (* every event seen at a park *)
+  mutable file_of : string -> string option;  (* the scenario's provenance map *)
+  no_coro : coro;  (* fills the cid slots not spawned this run *)
+  mutable coros : coro array;  (* indexed by cid *)
+  mutable parked : Depfast.Event.t array;
+      (* every event parked on this run, in park order, repeats included;
+         the checks walk their children and dedup *)
+  mutable n_parked : int;
+  visited : (int, unit) Hashtbl.t;  (* [check_counters]' dedup, by event id *)
   mutable gauges : gauge list;
   mutable probes : probe list;
   mutable violations : violation list;  (* reverse report order *)
@@ -74,13 +83,6 @@ let violations t = List.rev t.violations
 let report_for t ~rule (c : coro) ev message =
   report t ~rule ~coroutine:c.c_name ~node:c.c_node ~event_id:(Depfast.Event.id ev)
     ~event_label:(Depfast.Event.label ev) message
-
-let rec remember_event t ev =
-  let id = Depfast.Event.id ev in
-  if not (Hashtbl.mem t.events id) then begin
-    Hashtbl.replace t.events id ev;
-    Depfast.Event.iter_children ev (remember_event t)
-  end
 
 let add_gauge t ~label ~file ~cap read =
   t.gauges <-
@@ -138,8 +140,10 @@ let probe_writers t =
   List.map (fun p -> (p.p_label, p.p_file, List.sort compare p.p_writers)) t.probes
   |> List.sort compare
 
-let coro_file t cid =
-  match Hashtbl.find t.coros cid with c -> c.c_file | exception Not_found -> None
+(* the coroutine [cid], or [t.no_coro] if this run never saw it *)
+let find t cid = if cid < Array.length t.coros then t.coros.(cid) else t.no_coro
+
+let coro_file t cid = (find t cid).c_file
 
 let gauge_overflows t =
   List.filter_map
@@ -151,67 +155,90 @@ let gauge_overflows t =
     t.gauges
   |> List.sort compare
 
-let create ?(provenance = fun _ -> None) sched =
+(* [a] copied into twice the room (16 at first), padded with [fill] *)
+let grown a fill =
+  let b = Array.make (max 16 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let coro_of t cid ~node ~name =
+  let c = find t cid in
+  if c != t.no_coro then c
+  else begin
+    let c =
+      { c_node = node; c_name = name; c_file = t.file_of name; c_state = Running;
+        c_event = Depfast.Event.dummy }
+    in
+    while cid >= Array.length t.coros do
+      t.coros <- grown t.coros t.no_coro
+    done;
+    t.coros.(cid) <- c;
+    c
+  end
+
+let add_parked t ev =
+  if t.n_parked = Array.length t.parked then t.parked <- grown t.parked Depfast.Event.dummy;
+  t.parked.(t.n_parked) <- ev;
+  t.n_parked <- t.n_parked + 1
+
+let reset t ~provenance =
+  t.file_of <- provenance;
+  Array.fill t.coros 0 (Array.length t.coros) t.no_coro;
+  while t.n_parked > 0 do
+    t.n_parked <- t.n_parked - 1;
+    t.parked.(t.n_parked) <- Depfast.Event.dummy
+  done;
+  t.gauges <- [];
+  t.probes <- [];
+  t.violations <- []
+
+let create sched =
   let t =
     {
       sched;
-      coros = Hashtbl.create 64;
-      events = Hashtbl.create 64;
+      file_of = (fun _ -> None);
+      no_coro =
+        { c_node = -1; c_name = ""; c_file = None; c_state = Running;
+          c_event = Depfast.Event.dummy };
+      coros = [||];
+      parked = [||];
+      n_parked = 0;
+      visited = Hashtbl.create 64;
       gauges = [];
       probes = [];
       violations = [];
     }
   in
-  let coro_of cid ~node ~name =
-    match Hashtbl.find_opt t.coros cid with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          c_cid = cid;
-          c_node = node;
-          c_name = name;
-          c_file = provenance name;
-          c_state = Running;
-          c_event = None;
-        }
-      in
-      Hashtbl.replace t.coros cid c;
-      c
-  in
   Depfast.Sched.set_monitor sched
     (Some
        {
-         Depfast.Sched.on_spawn =
-           (fun ~cid ~node ~name -> ignore (coro_of cid ~node ~name));
+         Depfast.Sched.on_spawn = (fun ~cid ~node ~name -> ignore (coro_of t cid ~node ~name));
          on_park =
            (fun ~cid ~node ~name ev ->
-             let c = coro_of cid ~node ~name in
+             let c = coro_of t cid ~node ~name in
              c.c_state <- Parked;
-             c.c_event <- Some ev;
-             remember_event t ev);
+             c.c_event <- ev;
+             add_parked t ev);
          on_wake =
            (fun ~cid ev _wake ->
-             match Hashtbl.find_opt t.coros cid with
-             | None -> ()
-             | Some c -> (
+             let c = find t cid in
+             if c != t.no_coro then
                match c.c_state with
                | Parked -> c.c_state <- Woken
                | Running | Woken | Finished ->
                  report_for t ~rule:Analysis.Finding.double_wake c ev
-                   "second wakeup delivered for a single park"));
+                   "second wakeup delivered for a single park");
          on_resume =
            (fun ~cid ->
-             match Hashtbl.find_opt t.coros cid with
-             | None -> ()
-             | Some c ->
+             let c = find t cid in
+             if c != t.no_coro then begin
                c.c_state <- Running;
-               c.c_event <- None);
+               c.c_event <- Depfast.Event.dummy
+             end);
          on_done =
            (fun ~cid ->
-             match Hashtbl.find_opt t.coros cid with
-             | None -> ()
-             | Some c -> c.c_state <- Finished);
+             let c = find t cid in
+             if c != t.no_coro then c.c_state <- Finished);
        });
   t
 
@@ -236,12 +263,12 @@ let rec can_fire ev =
    compound has fired, late-firing children legitimately outrun the
    counter, so only the arity bound is checked. *)
 let check_counters t =
-  let visited = Hashtbl.create 32 in
+  Hashtbl.clear t.visited;
   let rec go ev =
     let open Depfast.Event in
     let id = Depfast.Event.id ev in
-    if not (Hashtbl.mem visited id) then begin
-      Hashtbl.replace visited id ();
+    if not (Hashtbl.mem t.visited id) then begin
+      Hashtbl.replace t.visited id ();
       (match kind ev with
       | Signal | Timer | Rpc | Disk -> ()
       | Quorum | And_ | Or_ ->
@@ -259,20 +286,20 @@ let check_counters t =
       iter_children ev go
     end
   in
-  Hashtbl.iter (fun _ ev -> go ev) t.events
+  for i = 0 to t.n_parked - 1 do
+    go t.parked.(i)
+  done
 
 (* Lost wakeup — sound at any point: firing an event runs its observers
    synchronously, so a coroutine parked on a *ready* event without a
    delivered wakeup can only mean the park/wake protocol broke. *)
 let check_live t =
   check_counters t;
-  Hashtbl.iter
-    (fun _ c ->
-      match (c.c_state, c.c_event) with
-      | Parked, Some ev when Depfast.Event.is_ready ev ->
-        report_for t ~rule:Analysis.Finding.lost_wakeup c ev
-          "parked on a ready event with no wakeup delivered"
-      | _ -> ())
+  Array.iter
+    (fun c ->
+      if c.c_state = Parked && Depfast.Event.is_ready c.c_event then
+        report_for t ~rule:Analysis.Finding.lost_wakeup c c.c_event
+          "parked on a ready event with no wakeup delivered")
     t.coros
 
 (* Terminal checks — only sound when the engine is truly quiescent (no
@@ -281,10 +308,11 @@ let check_live t =
    forever. *)
 let check_quiescent t =
   check_live t;
-  Hashtbl.iter
-    (fun _ c ->
-      match (c.c_state, c.c_event) with
-      | Parked, Some ev when not (Depfast.Event.is_ready ev) ->
+  Array.iter
+    (fun c ->
+      let ev = c.c_event in
+      match c.c_state with
+      | Parked when not (Depfast.Event.is_ready ev) ->
         if Depfast.Event.is_abandoned ev then
           report_for t ~rule:Analysis.Finding.parked_on_abandoned c ev
             "parked forever on an abandoned event"
@@ -302,4 +330,4 @@ let check_quiescent t =
     t.coros
 
 let parked_count t =
-  Hashtbl.fold (fun _ c acc -> if c.c_state = Parked then acc + 1 else acc) t.coros 0
+  Array.fold_left (fun acc c -> if c.c_state = Parked then acc + 1 else acc) 0 t.coros

@@ -1,8 +1,9 @@
 (** The fail-slow sanitizer: runtime invariants checked over explored
     schedules.
 
-    One instance shadows one run: {!create} installs a {!Depfast.Sched}
-    monitor that mirrors every coroutine's park/wake/resume protocol, and
+    One instance shadows one run at a time ({!reset} starts the next):
+    {!create} installs a {!Depfast.Sched} monitor that mirrors every
+    coroutine's park/wake/resume protocol, and
     the check entry points compare that mirror against the event
     structures. Violations are reported under {!Analysis.Finding} rule ids
     ([lost-wakeup], [double-wake], [parked-on-abandoned],
@@ -28,12 +29,20 @@ type overflow = {
   o_watermark : int;  (** highest sampled depth *)
 }
 
-val create : ?provenance:(string -> string option) -> Depfast.Sched.t -> t
+val create : Depfast.Sched.t -> t
 (** Installs the monitor on the scheduler (replacing any previous one).
-    Use a fresh scheduler per explored run. [provenance] maps a coroutine
-    name to its source file (default: none); it is applied once per
-    coroutine, when the monitor first sees it, and read by
-    {!coro_file}. *)
+    The shadow is flat (coroutines by cid, parked events in park order);
+    the checks walk the parked events' children when they run. Until a
+    {!reset} names a provenance map, {!coro_file} knows no files. *)
+
+val reset : t -> provenance:(string -> string option) -> unit
+(** Ready the instance for another run on its scheduler, after
+    {!Depfast.Sched.reset}: forget every coroutine, parked event, gauge,
+    probe and violation (none of the previous run's events stays
+    reachable). [provenance] maps a coroutine name to its source file; it
+    is applied once per coroutine, when the monitor first sees it, and
+    read by {!coro_file}. The explorer resets one sanitizer per
+    exploration instead of building one per run. *)
 
 val add_gauge :
   t -> label:string -> file:string -> cap:int -> (unit -> int) -> unit

@@ -1,6 +1,6 @@
 (* A scenario is a small closed world the schedule explorer re-executes
-   once per explored interleaving. [make] builds all state against a fresh
-   scheduler (and wires any network it creates into choice mode + the
+   once per explored interleaving. [make] builds all state against a freshly
+   reset scheduler (and wires any network it creates into choice mode + the
    sanitizer); the returned instance tells the explorer how long to run
    and how to judge the terminal state. *)
 
@@ -40,7 +40,3 @@ type t = {
 let no_provenance (_ : string) : string option = None
 let allow_none ~node:(_ : int) = false
 let allow_all ~node:(_ : int) = true
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix

@@ -1,7 +1,7 @@
 (** A scenario: a small closed world the schedule explorer re-executes
     once per explored interleaving.
 
-    [make] builds all state against a fresh scheduler (wiring any
+    [make] builds all state against a freshly reset scheduler (wiring any
     network it creates into choice mode and the sanitizer, and
     registering any queue-depth gauges); the returned instance tells
     the explorer how long to run and how to judge the terminal state. *)
@@ -47,7 +47,3 @@ type t = {
 val no_provenance : string -> string option
 val allow_none : node:int -> bool
 val allow_all : node:int -> bool
-
-val has_prefix : prefix:string -> string -> bool
-(** [has_prefix ~prefix s] — does [s] start with [prefix]? Used by the
-    registry's provenance maps over coroutine-name prefixes. *)

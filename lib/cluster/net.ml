@@ -13,6 +13,7 @@ type 'msg endpoint = {
 and 'msg link = {
   link_src : int;
   link_dst : int;
+  link_tag : Engine.tag;  (* [Link (src, dst)], built once *)
   mutable ring : 'msg array;  (* lazily sized from the first message *)
   mutable times : Time.t array;  (* parallel: absolute arrival per slot *)
   mutable units : int array;  (* parallel: bytes-equivalent per slot *)
@@ -147,13 +148,10 @@ let arm t link =
   if t.choice then
     (* delivery order across links is a chooser decision: one enabled
        transition per non-empty link, delivering exactly the head *)
-    Engine.post_tag engine (Engine.Link (link.link_src, link.link_dst)) link.cpump
+    Engine.post_tag engine link.link_tag link.cpump
   else begin
     let delay = Time.diff link.times.(link.head) (Engine.now engine) in
-    ignore
-      (Engine.schedule_tag engine ~delay
-         (Engine.Link (link.link_src, link.link_dst))
-         link.pump)
+    ignore (Engine.schedule_tag engine ~delay link.link_tag link.pump)
   end
 
 let rec pump t link () =
@@ -183,6 +181,7 @@ and make_link t ~src ~dst =
     {
       link_src = src;
       link_dst = dst;
+      link_tag = Engine.Link (src, dst);
       ring = [||];
       times = [||];
       units = [||];

@@ -174,6 +174,10 @@ let create ?trace engine =
   in
   t
 
+let reset t =
+  t.current <- no_ctx;
+  t.next_cid <- 0
+
 let spawn t ?(node = -1) ?(name = "coroutine") f =
   if t.coro_handler == no_handler then t.coro_handler <- make_handler t;
   t.next_cid <- t.next_cid + 1;

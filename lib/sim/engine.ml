@@ -26,7 +26,11 @@ type explore = {
   mutable ex_tags : tag array;
   mutable ex_fns : (unit -> unit) array;
   mutable ex_n : int;
-  timer_tags : (int, tag) Hashtbl.t;  (* wheel seq -> tag *)
+  mutable tt_seqs : int array;
+      (* pending tagged timers, unordered: wheel seq here, tag in
+         [tt_tags]. A tag leaves when its timer is hoisted or cancelled *)
+  mutable tt_tags : tag array;
+  mutable tt_n : int;
 }
 
 type t = {
@@ -37,9 +41,12 @@ type t = {
   mutable r_head : int;  (* index of the oldest posted thunk *)
   mutable r_len : int;
   timers : (unit -> unit) Wheel.t;
+  seed : int64;
   root_rng : Rng.t;
   mutable ex : explore option;
 }
+
+let no_fn () = ()
 
 let create ?(seed = 1L) () =
   {
@@ -48,15 +55,27 @@ let create ?(seed = 1L) () =
     r_head = 0;
     r_len = 0;
     timers = Wheel.create ();
+    seed;
     root_rng = Rng.create seed;
     ex = None;
   }
 
+let reset t =
+  t.clock <- Time.zero;
+  Array.fill t.r_ring 0 (Array.length t.r_ring) no_fn;
+  t.r_len <- 0;
+  Wheel.clear t.timers;
+  Rng.reseed t.root_rng t.seed;
+  match t.ex with
+  | None -> ()
+  | Some ex ->
+    Array.fill ex.ex_fns 0 ex.ex_n no_fn;
+    ex.ex_n <- 0;
+    ex.tt_n <- 0
+
 let now t = t.clock
 let rng t = t.root_rng
 let split_rng t = Rng.split t.root_rng
-
-let no_fn () = ()
 
 (* double the ring, unrolling it so the oldest thunk lands at index 0 *)
 let ready_grow t =
@@ -81,16 +100,16 @@ let ready_take t =
   t.r_len <- t.r_len - 1;
   f
 
+(* [a] copied into twice the room (16 at first), padded with [fill] *)
+let grown a fill =
+  let b = Array.make (max 16 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let ex_push ex tag f =
-  let cap = Array.length ex.ex_fns in
-  if ex.ex_n = cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let fns = Array.make ncap no_fn in
-    let tags = Array.make ncap Anon in
-    Array.blit ex.ex_fns 0 fns 0 ex.ex_n;
-    Array.blit ex.ex_tags 0 tags 0 ex.ex_n;
-    ex.ex_fns <- fns;
-    ex.ex_tags <- tags
+  if ex.ex_n = Array.length ex.ex_fns then begin
+    ex.ex_fns <- grown ex.ex_fns no_fn;
+    ex.ex_tags <- grown ex.ex_tags Anon
   end;
   ex.ex_fns.(ex.ex_n) <- f;
   ex.ex_tags.(ex.ex_n) <- tag;
@@ -109,19 +128,40 @@ let ex_take ex i =
   ex.ex_tags.(ex.ex_n) <- Anon;
   f
 
+let tag_timer ex seq tag =
+  if ex.tt_n = Array.length ex.tt_seqs then begin
+    ex.tt_seqs <- grown ex.tt_seqs 0;
+    ex.tt_tags <- grown ex.tt_tags Anon
+  end;
+  ex.tt_seqs.(ex.tt_n) <- seq;
+  ex.tt_tags.(ex.tt_n) <- tag;
+  ex.tt_n <- ex.tt_n + 1
+
+(* forget timer [seq]'s tag and return it ([Anon] if it had none),
+   scanning down from index [i]; no closure, so a cancel allocates nothing *)
+let rec untag_from ex seq i =
+  if i < 0 then Anon
+  else if ex.tt_seqs.(i) <> seq then untag_from ex seq (i - 1)
+  else begin
+    let tag = ex.tt_tags.(i) in
+    let last = ex.tt_n - 1 in
+    ex.tt_seqs.(i) <- ex.tt_seqs.(last);
+    ex.tt_tags.(i) <- ex.tt_tags.(last);
+    ex.tt_n <- last;
+    tag
+  end
+
+(* from the newest: the timeout a firing wait cancels is usually among
+   the last armed *)
+let untag_timer ex seq = untag_from ex seq (ex.tt_n - 1)
+
 let set_chooser t choose =
   (match t.ex with
   | Some _ -> invalid_arg "Engine.set_chooser: a chooser is already installed"
   | None -> ());
   let ex =
-    {
-      choose;
-      observe = None;
-      ex_tags = [||];
-      ex_fns = [||];
-      ex_n = 0;
-      timer_tags = Hashtbl.create 64;
-    }
+    { choose; observe = None; ex_tags = [||]; ex_fns = [||]; ex_n = 0; tt_seqs = [||];
+      tt_tags = [||]; tt_n = 0 }
   in
   (* adopt anything already posted (setup work queued before exploration) *)
   while t.r_len > 0 do
@@ -145,7 +185,7 @@ let schedule_tag t ~delay tag f =
   let delay = if delay < 0 then 0 else delay in
   let h = Wheel.push t.timers ~time:(Time.add t.clock delay) f in
   (match t.ex with
-  | Some ex when tag != Anon -> Hashtbl.replace ex.timer_tags (Wheel.seq h) tag
+  | Some ex when tag != Anon -> tag_timer ex (Wheel.seq h) tag
   | _ -> ());
   h
 
@@ -155,7 +195,9 @@ let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in
   Wheel.push t.timers ~time f
 
-let cancel t h = Wheel.cancel t.timers h
+let cancel t h =
+  Wheel.cancel t.timers h;
+  match t.ex with Some ex -> ignore (untag_timer ex (Wheel.seq h)) | None -> ()
 
 let ready_count t =
   match t.ex with None -> t.r_len | Some ex -> ex.ex_n
@@ -193,18 +235,8 @@ let hoist_due t ex =
   if tmin >= 0 then begin
     t.clock <- tmin;
     while Wheel.next_time_or t.timers ~default:(-1) = tmin do
-      match Wheel.pop_handle t.timers with
-      | Some h ->
-        let seq = Wheel.seq h in
-        let tag =
-          match Hashtbl.find ex.timer_tags seq with
-          | tg ->
-            Hashtbl.remove ex.timer_tags seq;
-            tg
-          | exception Not_found -> Anon
-        in
-        ex_push ex tag (Wheel.value h)
-      | None -> () (* unreachable: a live entry is due at [tmin] *)
+      let h = Wheel.take_handle t.timers in
+      ex_push ex (untag_timer ex (Wheel.seq h)) (Wheel.value h)
     done
   end
 

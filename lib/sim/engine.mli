@@ -41,8 +41,9 @@ type chooser = tag array -> int
 
 val set_chooser : t -> chooser -> unit
 (** Switch the engine into explore mode. Anything already posted is
-    adopted (tagged {!Anon}). Install at most once per engine; engines are
-    cheap — the explorer builds a fresh one per run.
+    adopted (tagged {!Anon}). Install at most once per engine; {!reset}
+    keeps it installed, so the explorer drives every run of an
+    exploration through one engine.
 
     Explore-mode caveat: timers tied at the minimum deadline are hoisted
     into the choice set together, so a same-instant [cancel] of a tied
@@ -60,6 +61,13 @@ val exploring : t -> bool
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time 0. [seed] (default [1L]) roots all derived RNG
     streams. *)
+
+val reset : t -> unit
+(** Return to the state {!create} left it in — clock at 0, no posted
+    work, no timers, root RNG back at its seed — keeping the storage
+    already grown and any installed chooser and step observer. Nothing
+    posted or scheduled before the reset stays reachable from the
+    engine. *)
 
 val now : t -> Time.t
 

@@ -18,9 +18,11 @@ let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let reseed t seed = set64 t 0 seed
+
 let create seed =
   let t = Bytes.create 8 in
-  set64 t 0 seed;
+  reseed t seed;
   t
 
 let[@inline] bits64 t =

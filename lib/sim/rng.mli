@@ -9,6 +9,9 @@ type t
 val create : int64 -> t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
 
+val reseed : t -> int64 -> unit
+(** [reseed t seed] puts [t] back in [create seed]'s state. *)
+
 val split : t -> t
 (** [split t] derives a new independent generator from [t], advancing [t].
     Used to give each node / client / distribution its own stream. *)

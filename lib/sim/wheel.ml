@@ -406,8 +406,47 @@ let take t =
   | Nil -> take_scan t
 
 let pop t = match take t with Entry e -> Some (e.time, e.value) | Nil -> None
-let pop_handle t = match take t with Nil -> None | n -> Some n
+let take_handle t = match take t with Nil -> invalid_arg "Wheel.take_handle: empty" | n -> n
 let take_or t ~default = match take t with Entry e -> e.value | Nil -> default
 let seq = function Entry e -> e.seq | Nil -> invalid_arg "Wheel.seq"
 let value = function Entry e -> e.value | Nil -> invalid_arg "Wheel.value"
 let time = function Entry e -> e.time | Nil -> invalid_arg "Wheel.time"
+
+(* mark every entry of list [n] dead and unlink it, so cancelling a
+   handle that survived a [clear] is a no-op *)
+let rec kill n =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    let nx = e.next in
+    e.level <- -1;
+    e.next <- Nil;
+    kill nx
+
+let rec kill_far t =
+  match Heap.take_or t.far ~default:Nil with
+  | Nil -> ()
+  | n ->
+    kill n;
+    kill_far t
+
+(* back to [create]'s state, keeping the level rows already materialised;
+   nothing the wheel held stays reachable from it *)
+let clear t =
+  for l = 0 to levels - 1 do
+    let row = t.slots.(l) in
+    if row != t.empty then
+      for i = 0 to mask do
+        kill row.(i);
+        row.(i) <- Nil
+      done
+  done;
+  kill t.due;
+  kill_far t;
+  Array.fill t.counts 0 levels 0;
+  Array.fill t.cands 0 levels Nil;
+  t.seq <- 0;
+  t.alive <- 0;
+  t.pos <- Time.zero;
+  t.due <- Nil;
+  t.due_last <- Nil

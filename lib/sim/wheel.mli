@@ -49,16 +49,22 @@ val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live entry, cascading its level's
     surviving siblings to lower levels. *)
 
-val pop_handle : 'a t -> 'a handle option
-(** {!pop}, but returning the popped entry itself so its identity
-    ({!seq}) is available alongside the payload. Used by the engine's
-    schedule explorer to hoist same-deadline ties into the choice set. *)
+val take_handle : 'a t -> 'a handle
+(** {!take_or}, but returning the popped entry itself so its identity
+    ({!seq}) is available alongside the payload; allocates nothing. The
+    wheel must not be empty. Used by the engine's schedule explorer to
+    hoist same-deadline ties into the choice set. *)
 
 val seq : 'a handle -> int
 (** The entry's global insertion sequence number (the pop tiebreaker). *)
 
 val value : 'a handle -> 'a
 val time : 'a handle -> Time.t
+
+val clear : 'a t -> unit
+(** Drop every entry and return to {!create}'s state (sequence numbers
+    restart at 0), keeping the storage already grown. Handles taken
+    before the clear count as cancelled. *)
 
 val take_or : 'a t -> default:'a -> 'a
 (** {!pop} for the scheduler hot loop: returns the earliest live entry's

@@ -155,26 +155,168 @@ let test_quorum_majority_exhausts_clean () =
   check_bool "hundreds of interleavings" true (res.E.schedules > 100);
   check_int "no findings" 0 (List.length res.E.findings)
 
-(* Allocation guard: minor and promoted words per explored schedule of
-   quorum-majority (1 134 schedules). The explorer records every run into
-   one trace, cleared per schedule, with no per-wait record: 1 386.9
-   minor and 13.2 promoted words here, where a fresh 65 536-slot ring per
-   run promoted 363 (the major-heap ring dragged each run's records and
-   event graph along at the next minor collection). The ceilings sit just
-   above, so a per-run ring or a per-wait record fails here. *)
-let test_quorum_majority_words () =
-  let sc = scenario "quorum-majority" in
+(* Allocation guards: minor and promoted words per explored schedule,
+   the checker's own machinery included. The explorer records every run
+   into one trace and resets one engine, scheduler and sanitizer per
+   exploration; the sanitizer's shadow is flat. A minor collection
+   closes the window, so the minor count is exact (a bare [quick_stat]
+   stops at the last collection). Minor words: quorum-majority (1 134
+   schedules) 1 542.1 with a fresh engine, scheduler, sanitizer and
+   chooser per run, 1 066.1 reusing them; raft-elect-3 (200 schedules)
+   14 180.3 and 12 230.3. The minor ceilings sit between, so rebuilding
+   run state per schedule, a per-run ring or a per-wait record fails
+   here. Promoted words: quorum-majority 17.9 and 15.4 (a fresh
+   65 536-slot ring per run once promoted 363). raft-elect-3's depend on
+   the major heap the test inherits: 534–1 351 per run built afresh and
+   380–931 reused, across this suite, a filtered run and a first
+   exploration in a fresh process, so no ceiling separates them and its
+   promoted ceiling only catches gross regressions. *)
+let words_per_schedule ~schedules name =
+  let sc = scenario name in
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
-  let res = E.explore ~budget:(budget ~schedules:2500 ()) sc in
+  let res = E.explore ~budget:(budget ~schedules ()) sc in
+  Gc.minor ();
   let s1 = Gc.quick_stat () in
   let per f = (f s1 -. f s0) /. float_of_int res.E.schedules in
+  (per (fun s -> s.Gc.minor_words), per (fun s -> s.Gc.promoted_words))
+
+let guard_words ~schedules name ~minor ~promoted () =
+  let m, p = words_per_schedule ~schedules name in
   let guard what ceiling words =
     if words > ceiling then
-      Alcotest.failf "%s words per schedule: %.1f > ceiling %.0f" what words ceiling
+      Alcotest.failf "%s: %s words per schedule: %.1f > ceiling %.0f" name what words ceiling
   in
-  guard "minor" 1400.0 (per (fun s -> s.Gc.minor_words));
-  guard "promoted" 20.0 (per (fun s -> s.Gc.promoted_words))
+  guard "minor" minor m;
+  guard "promoted" promoted p
+
+let test_quorum_majority_words =
+  guard_words ~schedules:2500 "quorum-majority" ~minor:1300.0 ~promoted:20.0
+
+let test_raft_elect_words =
+  guard_words ~schedules:200 "raft-elect-3" ~minor:13200.0 ~promoted:1100.0
+
+(* One run state serves a whole exploration, so its reset must make a
+   reused state indistinguishable from a fresh one. For every registry
+   scenario, the program-order run and its first three backtrack
+   prefixes must give the same steps (and their provenance), violations
+   (event ids aside: they come from a process-wide counter), overflows,
+   probes and SPG edges on a fresh state as on one that just ran a
+   different scenario to the end, then to a terminal check that raises
+   out of [run_one], then cut off halfway (leaving posted work, timers
+   and parked coroutines behind). The cut-off run itself must match a
+   fresh one too: it follows the run that raised. *)
+let run_summary (r : E.run) =
+  ( r.E.r_nsteps,
+    r.E.r_steps,
+    Array.map (Array.map r.E.r_tag_file) r.E.r_steps,
+    r.E.r_truncated,
+    r.E.r_quiescent,
+    List.map
+      (fun (v : Check.Sanitizer.violation) ->
+        Check.Sanitizer.(v.rule, v.coroutine, v.node, v.event_label, v.message))
+      r.E.r_violations,
+    r.E.r_overflows,
+    r.E.r_probes,
+    r.E.r_spg_edges )
+
+let backtrack_prefixes (r : E.run) =
+  List.concat
+    (List.mapi
+       (fun j tags ->
+         List.init
+           (Array.length tags - 1)
+           (fun alt ->
+             let p = Array.make (j + 1) 0 in
+             p.(j) <- alt + 1;
+             p))
+       (Array.to_list r.E.r_steps))
+  |> List.filteri (fun i _ -> i < 3)
+
+let aborting (sc : Check.Scenario.t) =
+  {
+    sc with
+    Check.Scenario.make =
+      (fun san sched ->
+        let inst = sc.Check.Scenario.make san sched in
+        { inst with Check.Scenario.check = (fun () -> failwith "abort") });
+  }
+
+let test_reused_state_equals_fresh () =
+  let budget = budget () in
+  let reused = E.fresh_state () in
+  let all = Check.Registry.all in
+  let n = List.length all in
+  List.iteri
+    (fun i (sc : Check.Scenario.t) ->
+      let other = List.nth all ((i + 1) mod n) in
+      let r0 = E.run_one sc ~prefix:[||] ~budget in
+      List.iter
+        (fun prefix ->
+          let fresh = E.run_one sc ~prefix ~budget in
+          let whole = E.run_one ~state:reused other ~prefix:[||] ~budget in
+          (match E.run_one ~state:reused (aborting other) ~prefix:[||] ~budget with
+          | _ -> Alcotest.fail "the aborting check did not raise"
+          | exception Failure _ -> ());
+          let cut_short = { budget with E.max_steps = whole.E.r_nsteps / 2 } in
+          let cut = E.run_one ~state:reused other ~prefix:[||] ~budget:cut_short in
+          check_bool "the cut-short run is truncated" true cut.E.r_truncated;
+          check_bool
+            (Printf.sprintf "%s cut short after a raise = fresh" other.Check.Scenario.name)
+            true
+            (run_summary cut
+            = run_summary (E.run_one other ~prefix:[||] ~budget:cut_short));
+          let again = E.run_one ~state:reused sc ~prefix ~budget in
+          check_bool
+            (Printf.sprintf "%s [%s]: reused after %s = fresh" sc.Check.Scenario.name
+               (String.concat ";" (Array.to_list (Array.map string_of_int prefix)))
+               other.Check.Scenario.name)
+            true
+            (run_summary fresh = run_summary again))
+        ([||] :: backtrack_prefixes r0))
+    all
+
+(* ... and keep nothing of the run before. A run cut off while a
+   coroutine is parked on an event — the sanitizer has seen the park, the
+   engine still holds a posted thunk, a timer and a far-future timer
+   that would fire it — leaves that event garbage once the state has run
+   again, even a run of a scenario that does nothing. *)
+let test_reset_drops_previous_run () =
+  let base = scenario "signal-fanout" in
+  let seen = Weak.create 1 in
+  let parked = ref false and fired = ref false in
+  let sc =
+    {
+      base with
+      Check.Scenario.make =
+        (fun san sched ->
+          let ev = Depfast.Event.signal ~label:"watched" () in
+          Weak.set seen 0 (Some ev);
+          Depfast.Sched.spawn sched ~name:"watcher" (fun () ->
+              parked := true;
+              Depfast.Sched.wait sched ev);
+          let fire () =
+            fired := true;
+            Depfast.Event.fire ev
+          in
+          Depfast.Sched.spawn sched ~name:"firer" fire;
+          let engine = Depfast.Sched.engine sched in
+          ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 5) fire);
+          ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 3_600_000) fire);
+          base.Check.Scenario.make san sched);
+    }
+  in
+  let cut_at steps = { (budget ()) with E.max_steps = steps } in
+  let state = E.fresh_state () in
+  let first = E.run_one ~state sc ~prefix:[||] ~budget:(cut_at 1) in
+  check_bool "first run cut off with the watcher parked" true
+    (first.E.r_truncated && !parked && not !fired);
+  let nothing _ _ = { Check.Scenario.until = None; check = (fun () -> []) } in
+  let idle = { base with Check.Scenario.make = nothing } in
+  ignore (E.run_one ~state idle ~prefix:[||] ~budget:(budget ()));
+  Gc.full_major ();
+  check_bool "the first run's event is unreachable" true (Weak.get seen 0 = None);
+  ignore (Sys.opaque_identity state)
 
 let test_dpor_prunes_raft () =
   let res = E.explore ~budget:(budget ~schedules:60 ()) (scenario "raft-elect-3") in
@@ -376,6 +518,10 @@ let suite =
           test_quorum_majority_exhausts_clean;
         Alcotest.test_case "quorum-majority words per schedule" `Quick
           test_quorum_majority_words;
+        Alcotest.test_case "raft-elect-3 words per schedule" `Quick test_raft_elect_words;
+        Alcotest.test_case "reused run state equals fresh" `Quick
+          test_reused_state_equals_fresh;
+        Alcotest.test_case "reset drops the previous run" `Quick test_reset_drops_previous_run;
         Alcotest.test_case "DPOR prunes raft" `Quick test_dpor_prunes_raft;
         Alcotest.test_case "slow-disk admission stays bounded" `Quick
           test_slow_disk_admission_bounded;

@@ -143,7 +143,13 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    (* 177 since each paper claim kept one static rule: the
+    (* 189 since the explorer reuses one run state per exploration: the
+       engine's live timer tags .tt_seqs .tt_tags .tt_n (replacing the
+       seq-keyed table), the sanitizer's flat shadow .coros .parked
+       .n_parked and its per-run provenance map .file_of, and the
+       explorer state's per-run cursor .st_prefix .st_max_steps
+       .st_nsteps .st_steps .st_last_writer came. 177 before, since each
+       paper claim kept one static rule: the
        interprocedural summary's remote-completion facts .ret and
        .wait_params went. 179 before, since the wait trace went flat:
        its ring field .buf, the
@@ -169,7 +175,7 @@ let test_tree_inventory_pinned () =
        Registry.condvar_handshake, a record literal inventoried only
        because its local [gen] shared a name with the barrier's mutable
        field *)
-    check_int "every top-level mutable cell carries a certificate" 177
+    check_int "every top-level mutable cell carries a certificate" 189
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"

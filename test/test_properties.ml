@@ -289,14 +289,15 @@ let test_hist_quantile_monotone =
 (* ------------------------------------------------------------------ *)
 (* Timer wheel: any random sequence of pushes, cancels and removals pops in
    exactly the binary heap's order, through every removal entry point
-   ([pop], [take_or], [pop_handle]), and the next-deadline queries agree
+   ([pop], [take_or], [take_handle]), and the next-deadline queries agree
    with the heap's peek. Deltas mix duplicates (same-instant bursts that
    exercise the due queue), mid-range values (slot scans and cascades) and
    far-future jumps (the heap fallback). Cancellation hits live and
    already-popped handles alike; [Cancel_recent] aims at the newest
    handles, which a burst followed by a removal has just put on the due
    queue, so cancels land mid-drain, and a [Push 0] after a removal is a
-   push at [pos] while the due queue drains. *)
+   push at [pos] while the due queue drains. [Clear] empties both (the
+   heap by popping), after which old handles cancel as no-ops. *)
 
 let wheel_ops_gen =
   QCheck.Gen.(
@@ -310,8 +311,9 @@ let wheel_ops_gen =
            (2, map2 (fun k d -> `Burst (k, d)) (int_range 2 6) (int_range 0 40));
            (2, return `Pop);
            (1, return `Take);
-           (1, return `Pop_handle);
+           (1, return `Take_handle);
            (1, return `Next);
+           (1, return `Clear);
            (2, map (fun k -> `Cancel k) (int_range 0 1_000_000));
            (2, map (fun k -> `Cancel_recent k) (int_range 0 5));
          ]))
@@ -368,12 +370,21 @@ let test_wheel_matches_heap =
             let expect = Sim.Heap.pop h in
             let got = if v < 0 then None else Some (Sim.Wheel.pos w, v) in
             ok := !ok && same got expect
-          | `Pop_handle ->
+          | `Take_handle ->
             let got =
-              Option.map (fun wh -> (Sim.Wheel.time wh, Sim.Wheel.value wh)) (Sim.Wheel.pop_handle w)
+              if Sim.Wheel.is_empty w then None
+              else
+                let wh = Sim.Wheel.take_handle w in
+                Some (Sim.Wheel.time wh, Sim.Wheel.value wh)
             in
             ok := !ok && same got (Sim.Heap.pop h)
           | `Next -> ok := !ok && next_agrees ()
+          | `Clear ->
+            Sim.Wheel.clear w;
+            while Sim.Heap.pop h <> None do
+              ()
+            done;
+            ok := !ok && Sim.Wheel.is_empty w && Sim.Wheel.pos w = 0
           | `Cancel k -> if !n_handles > 0 then cancel (k mod !n_handles)
           | `Cancel_recent k -> if k < !n_handles then cancel (!n_handles - 1 - k))
         ops;

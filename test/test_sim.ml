@@ -276,6 +276,45 @@ let test_heap_cancel_property =
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
+(* [reset] returns an engine to [create]'s state: a reset engine that
+   had posted work, near and far-future timers and a used RNG behaves as
+   a fresh one — nothing stale runs or stays reachable, the clock
+   restarts at 0, the RNG replays its seed's stream and timer sequence
+   numbers restart *)
+let post_watched e seen =
+  let v = ref 0 in
+  Weak.set seen 0 (Some v);
+  Engine.post e (fun () -> incr v)
+
+let test_engine_reset_is_fresh () =
+  let e = Engine.create ~seed:7L () in
+  let seen = Weak.create 1 in
+  let stale = ref 0 in
+  ignore (Engine.schedule e ~delay:(Time.ms 5) (fun () -> incr stale));
+  ignore (Engine.schedule e ~delay:(Time.ms 3_600_000) (fun () -> incr stale));
+  Engine.run ~until:(Time.ms 1) e;
+  for _ = 1 to 20 do
+    Engine.post e (fun () -> incr stale)
+  done;
+  post_watched e seen;
+  ignore (Rng.bits64 (Engine.rng e));
+  Engine.reset e;
+  Gc.full_major ();
+  check_bool "posted work unreachable" true (Weak.get seen 0 = None);
+  check_int "clock restarts" 0 (Engine.now e);
+  check_int "nothing pending" 0 (Engine.pending e);
+  check_bool "rng replays the seed" true
+    (Rng.bits64 (Engine.rng e) = Rng.bits64 (Rng.create 7L));
+  let fired_at = ref (-1) in
+  ignore (Engine.schedule e ~delay:(Time.ms 2) (fun () -> fired_at := Engine.now e));
+  Engine.run e;
+  check_int "no stale work ran" 0 !stale;
+  check_int "new timer fired on the restarted clock" (Time.ms 2) !fired_at;
+  let w = Wheel.create () in
+  ignore (Wheel.push w ~time:3 "a");
+  Wheel.clear w;
+  check_int "wheel seq restarts" 0 (Wheel.seq (Wheel.push w ~time:1 "b"))
+
 let test_engine_post_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -485,6 +524,7 @@ let suite =
         Alcotest.test_case "ready ring FIFO across growth" `Quick test_engine_ring_fifo_growth;
         Alcotest.test_case "set_chooser adopts posted work in order" `Quick
           test_engine_chooser_adopts_ring;
+        Alcotest.test_case "reset is fresh" `Quick test_engine_reset_is_fresh;
       ] );
     ( "sim.alloc",
       [
