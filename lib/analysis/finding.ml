@@ -108,7 +108,6 @@ let to_string f =
     f.rule f.message
     (if f.allowed then "  (allowed)" else "")
 
-let pp fmt f = Format.pp_print_string fmt (to_string f)
 let unallowed fs = List.filter (fun f -> not f.allowed) fs
 let gating ~strict fs = List.filter (fun f -> strict || f.severity = Error) (unallowed fs)
 

@@ -146,7 +146,6 @@ val v : rule:string -> severity:severity -> loc:location -> string -> t
 val severity_name : severity -> string
 val loc_string : location -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val unallowed : t list -> t list
 (** The findings not exempted by a pragma. *)

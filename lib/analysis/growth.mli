@@ -49,7 +49,6 @@ type cert = {
   c_evidence : string;  (** witness: what bounds it, or why it is flagged *)
 }
 
-val verdict_name : verdict -> string
 val cert_to_json : cert -> string
 val by_site : cert -> cert -> int
 

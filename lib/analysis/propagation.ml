@@ -203,5 +203,3 @@ let taints t qname =
       | Some taint -> Some (k, taint)
       | None -> None)
     all
-
-let sources t = t.sources

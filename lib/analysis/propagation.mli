@@ -22,9 +22,6 @@ val fault_name : fault -> string
 (** ["cpu-slow" | "disk-slow" | "net-slow" | "memory"] — matched by
     name against [Cluster.Fault.kind] in [lib/check]. *)
 
-val all : fault list
-val fault_rank : fault -> int
-
 type source = {
   s_fault : fault;
   s_head : string;  (** seeding head, e.g. ["Disk.write"], or growth kind *)
@@ -42,12 +39,9 @@ type t
 val analyze : Growth.project -> t
 
 val taints : t -> string -> (fault * taint) list
-(** Taints of a function by qualified name, in {!all} order; [[]] when
-    untainted. *)
+(** Taints of a function by qualified name, in the declaration order of
+    {!fault}; [[]] when untainted. *)
 
 val rpc_completions : string list
 (** The net-slow seed heads that build a waitable rpc completion
     ([Rpc.event], [Event.rpc_completion]), on their last two segments. *)
-
-val sources : t -> source list
-(** Every seed site found, sorted by (file, line, head). *)

@@ -73,10 +73,6 @@ val parse_atom : Lexer.token array -> int array -> int -> atom * int
 val paren_matches : Lexer.token array -> int array
 (** [pm.(i)] is the index of the [')'] matching an ['('] at [i], or -1. *)
 
-val boundaries : Lexer.token array -> int list
-(** Indices of column-0 structure keywords ([let], [module], ...) —
-    top-level item boundaries. *)
-
 val spans : Lexer.token array -> (int * int) list
 (** Top-level items as [(first token, end)] spans, end exclusive. *)
 

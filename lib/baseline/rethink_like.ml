@@ -295,6 +295,4 @@ let sut c ~cfg =
   }
 
 let buffer_bytes c f = (Hashtbl.find c.t.buffers f).bytes
-let match_of c f = Hashtbl.find c.t.match_index f
-let log_len c node = Raft.Rlog.last_index (List.nth c.bases node).Common.rlog
 let commit c = (List.hd c.bases).Common.commit_index

@@ -239,8 +239,6 @@ let sut c ~cfg =
   }
 
 let blocked_disk_reads c = c.t.blocked_disk_reads
-let match_of c f = Hashtbl.find c.t.match_index f
-let leader_log_len c = Raft.Rlog.last_index c.t.base.Common.rlog
 
 (** Ablation knob: a cache large enough never to evict removes the blocking
     disk reads (and with them, most of the fail-slow propagation). *)

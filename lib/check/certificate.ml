@@ -145,7 +145,4 @@ let flagged_files t =
 let growth_flagged_files t =
   List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) t.growth_flagged [])
 
-let unsafe_shared_files t =
-  List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) t.unsafe_shared [])
-
 let covered_count t = Hashtbl.length t.files

@@ -85,8 +85,4 @@ val growth_flagged_files : t -> string list
 (** Certified-set files carrying at least one unbounded-growth finding
     (allowed or not), sorted. *)
 
-val unsafe_shared_files : t -> string list
-(** Files carrying at least one unsafe-shared-state finding (allowed or
-    not), sorted. *)
-
 val covered_count : t -> int

@@ -110,6 +110,5 @@ val explore :
 
 (**/**)
 
-val footprint : Sim.Engine.tag -> int option
 val conflicts : Sim.Engine.tag -> Sim.Engine.tag -> bool
 val persistent_set : Sim.Engine.tag array -> int -> bool array

@@ -4,9 +4,9 @@
     explorer's independence cross-check. *)
 
 val export : unit -> int Queue.t
-(** The shared queue itself — handing it to {!Fixture_dom_b.relay} is
-    how the seeded false-independence scenario routes statically
-    invisible writes into it. *)
+(** The shared queue itself — handing it to
+    {!Fixture_dom_b.spawn_relay} is how the seeded false-independence
+    scenario routes statically invisible writes into it. *)
 
 val depth : unit -> int
 (** Live queue depth, for probes and checks. *)
@@ -14,11 +14,5 @@ val depth : unit -> int
 val reset : unit -> unit
 (** Clear the queue — call at [make] time; module state persists across
     the explorer's re-executions. *)
-
-val bump : int -> unit
-val drain : unit -> unit
-
-val worker_loop : Depfast.Sched.t -> rounds:int -> unit
-(** [rounds] bump/yield iterations, then a full drain. *)
 
 val spawn_worker : Depfast.Sched.t -> name:string -> rounds:int -> unit

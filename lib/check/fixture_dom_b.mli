@@ -6,14 +6,9 @@
 
 val value : unit -> int
 val reset : unit -> unit
-val bump : unit -> unit
 
 val spawn_worker : Depfast.Sched.t -> name:string -> rounds:int -> unit
 (** [rounds] atomic increments with a yield between each. *)
-
-val relay : int Queue.t -> int -> unit
-(** Write [n] into whatever queue it is handed — the statically
-    invisible alias write. *)
 
 val spawn_relay :
   Depfast.Sched.t -> name:string -> int Queue.t -> rounds:int -> unit

@@ -3,16 +3,6 @@
     never connects it to — the seeded [certificate-mismatch] for the
     slowness-propagation cross-check. *)
 
-val reset : unit -> unit
-(** Clear the mailbox — module state persists across re-executions. *)
-
-val post : peer:int -> Depfast.Event.t
-(** Mint a remote completion (the net-slow source) and enqueue it. *)
-
-val waiter_loop : Depfast.Sched.t -> unit
-(** Take the escaped event and park on it bare — the statically
-    invisible fate-sharing wait. *)
-
 val spawn : Depfast.Sched.t -> unit
 (** Wire one poster/waiter/firer round: waiter on node 0 parks on a
     completion attributed to node 1, which fires it after a yield. *)

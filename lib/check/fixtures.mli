@@ -8,9 +8,6 @@ val spawn_broken_quorum : Depfast.Sched.t -> unit
     clean to the static wait-structure passes (the wait is
     quorum-shaped), caught only by exploration. *)
 
-val backlog_cap : int
-(** The declared bound on {!spawn_leaky_backlog}'s queue. *)
-
 val spawn_leaky_backlog : Sanitizer.t -> Depfast.Sched.t -> unit
 (** The seeded boundedness-certificate mismatch: a producer grows a
     module-level queue past [backlog_cap] while the consumer carrying

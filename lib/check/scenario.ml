@@ -37,6 +37,5 @@ type t = {
   make : Sanitizer.t -> Depfast.Sched.t -> instance;
 }
 
-let no_provenance (_ : string) : string option = None
 let allow_none ~node:(_ : int) = false
 let allow_all ~node:(_ : int) = true

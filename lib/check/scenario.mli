@@ -44,6 +44,5 @@ type t = {
   make : Sanitizer.t -> Depfast.Sched.t -> instance;
 }
 
-val no_provenance : string -> string option
 val allow_none : node:int -> bool
 val allow_all : node:int -> bool

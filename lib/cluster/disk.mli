@@ -38,9 +38,6 @@ val station : t -> Station.t
 (** The underlying station — exposed so the contention fault injector can
     submit a competing write stream. *)
 
-val bytes_per_us : t -> float
-(** Effective transfer rate, after the bandwidth factor. *)
-
 val write_count : t -> int
 (** Writes submitted since creation (or the last {!reset_stats}). *)
 

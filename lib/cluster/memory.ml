@@ -18,8 +18,6 @@ let set_caps t ~soft_cap ~hard_cap =
   t.soft <- soft_cap;
   t.hard <- hard_cap
 
-let over_hard_cap t = t.used > t.hard
-
 let fire_oom t =
   if not t.oom_fired then begin
     t.oom_fired <- true;

@@ -21,15 +21,10 @@ val soft_cap : t -> int
 val set_caps : t -> soft_cap:int -> hard_cap:int -> unit
 (** Used by the memory-contention fault injector. *)
 
-val pressure : t -> float
-(** [used / soft_cap]; > 1.0 means thrashing. *)
-
 val penalty : t -> float
 (** Multiplicative latency penalty for CPU/disk work under the current
     pressure: 1.0 below the soft cap, growing linearly to [1 + 4 * excess]
     above it. *)
-
-val over_hard_cap : t -> bool
 
 val on_oom : t -> (unit -> unit) -> unit
 (** Invoked (once) by {!alloc} when usage first exceeds the hard cap. *)

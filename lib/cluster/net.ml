@@ -70,7 +70,6 @@ let create sched ?(latency = Dist.Shifted (120.0, Dist.Exponential 30.0)) ?rng (
   }
 
 let set_choice_mode t b = t.choice <- b
-let choice_mode t = t.choice
 let set_sanitizer t f = t.on_violation <- Some f
 
 let grow_slots arr want =
@@ -89,9 +88,6 @@ let register t node ~handler =
   t.sorted_valid <- false
 
 let ep_opt t id = if id < 0 || id >= Array.length t.eps then None else t.eps.(id)
-
-let node t id =
-  match ep_opt t id with Some ep -> ep.node | None -> raise Not_found
 
 let nodes t =
   if not t.sorted_valid then begin
@@ -287,7 +283,6 @@ let send t ?(units = 0) ~src ~dst msg =
   | _ -> t.dropped <- t.dropped + 1
 
 let delivered_count t = t.delivered
-let dropped_count t = t.dropped
 let totals t = { delivered = t.delivered; dropped = t.dropped; units = t.units_total }
 
 let stats t ~src ~dst =

@@ -30,9 +30,6 @@ val register : 'msg t -> Node.t -> handler:(src:int -> 'msg -> unit) -> unit
 (** Attach a node and its delivery handler. The handler runs as an engine
     callback (not a coroutine); it should hand off to coroutines quickly. *)
 
-val node : 'msg t -> int -> Node.t
-(** @raise Not_found for unknown ids. *)
-
 val nodes : 'msg t -> Node.t list
 (** Registered nodes in id order. The sorted list is cached and only
     rebuilt after a {!register}. *)
@@ -48,11 +45,7 @@ val partition : 'msg t -> int -> int -> unit
 
 val heal : 'msg t -> int -> int -> unit
 
-val partitioned : 'msg t -> int -> int -> bool
-
 val delivered_count : 'msg t -> int
-
-val dropped_count : 'msg t -> int
 
 val totals : 'msg t -> stats
 (** Network-wide delivery counters. *)
@@ -70,8 +63,6 @@ val set_choice_mode : 'msg t -> bool -> unit
     engine's chooser decides the interleaving of deliveries across links —
     while per-link FIFO order is preserved. Flip before any traffic flows;
     intended for the schedule-space checker's per-run engines. *)
-
-val choice_mode : 'msg t -> bool
 
 val set_sanitizer : 'msg t -> (string -> unit) -> unit
 (** Install a violation reporter. The network self-checks the per-link FIFO

@@ -7,14 +7,9 @@ type t = {
   memory : Memory.t;
   mutable nic_delay : Sim.Time.span;
   mutable alive : bool;
-  mutable crash_hooks : (unit -> unit) list;
 }
 
-let crash t =
-  if t.alive then begin
-    t.alive <- false;
-    List.iter (fun f -> f ()) (List.rev t.crash_hooks)
-  end
+let crash t = t.alive <- false
 
 let create sched ~id ~name ?(cpu_cores = 4) ?mem_soft_cap ?mem_hard_cap
     ?(resident_bytes = 200 * 1024 * 1024) () =
@@ -26,13 +21,12 @@ let create sched ~id ~name ?(cpu_cores = 4) ?mem_soft_cap ?mem_hard_cap
   Station.set_penalty cpu (fun () -> Memory.penalty memory);
   Disk.set_penalty disk (fun () -> Memory.penalty memory);
   let t =
-    { id; name; sched; cpu; disk; memory; nic_delay = 0; alive = true; crash_hooks = [] }
+    { id; name; sched; cpu; disk; memory; nic_delay = 0; alive = true }
   in
   Memory.on_oom memory (fun () -> crash t);
   t
 
 let id t = t.id
-let name t = t.name
 let sched t = t.sched
 let cpu t = t.cpu
 let disk t = t.disk
@@ -40,8 +34,6 @@ let memory t = t.memory
 let nic_delay t = t.nic_delay
 let set_nic_delay t d = t.nic_delay <- d
 let alive t = t.alive
-let on_crash t f = t.crash_hooks <- f :: t.crash_hooks
-
 let cpu_work_event t work =
   if not t.alive then Depfast.Event.signal ~label:"dead" ()
   else Station.submit t.cpu ~work ()

@@ -22,7 +22,6 @@ val create :
     pre-charged to {!memory} so memory-cap faults create real pressure. *)
 
 val id : t -> int
-val name : t -> string
 val sched : t -> Depfast.Sched.t
 val cpu : t -> Station.t
 val disk : t -> Disk.t
@@ -36,19 +35,14 @@ val set_nic_delay : t -> Sim.Time.span -> unit
 val alive : t -> bool
 
 val crash : t -> unit
-(** Mark the node dead and run crash hooks. Dead nodes drop all traffic and
-    process nothing. Memory OOM calls this automatically. *)
-
-val on_crash : t -> (unit -> unit) -> unit
+(** Mark the node dead. Dead nodes drop all traffic and process nothing.
+    Memory OOM calls this automatically. *)
 
 val cpu_work : t -> Sim.Time.span -> unit
 (** Coroutine-context helper: occupy one CPU core for the given nominal
     work (inflated by the CPU speed factor and memory-pressure penalty) and
     wait for it. No-op if the node is dead (the caller's coroutine simply
     never resumes — dead machines do not return). *)
-
-val cpu_work_event : t -> Sim.Time.span -> Depfast.Event.t
-(** Non-blocking variant: returns the completion event. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Spawn a coroutine tagged with this node's id. *)

@@ -3,8 +3,6 @@ type ('req, 'resp) frame =
   | Resp of { id : int; body : 'resp }
 
 type 'resp call = {
-  call_id : int;
-  call_dst : int;
   ev : Depfast.Event.t;
   mutable resp : 'resp option;
   mutable done_ : bool;  (* responded or abandoned: buffer released *)
@@ -36,14 +34,12 @@ let create sched ?latency ?(request_bytes = 512) () =
     outstanding = Hashtbl.create 16;
   }
 
-let sched t = t.sched
 let partition t a b = Net.partition t.net a b
 let heal t a b = Net.heal t.net a b
 let set_discard_stragglers t b = t.discard_stragglers <- b
 let discarded_responses t = t.discarded
 
 let outstanding_bytes t ~node = Option.value ~default:0 (Hashtbl.find_opt t.outstanding node)
-let link_stats t ~src ~dst = Net.stats t.net ~src ~dst
 let net_totals t = Net.totals t.net
 let set_choice_mode t b = Net.set_choice_mode t.net b
 let set_net_sanitizer t f = Net.set_sanitizer t.net f
@@ -105,7 +101,7 @@ let call t ~src ~dst ?bytes body =
   let ev =
     Depfast.Event.rpc_completion ~label:(label_of dst) ~peer:dst ()
   in
-  let c = { call_id = id; call_dst = dst; ev; resp = None; done_ = false; release } in
+  let c = { ev; resp = None; done_ = false; release } in
   Hashtbl.replace t.calls id c;
   (* abandoning the event (e.g. enclosing quorum satisfied) frees the call *)
   Depfast.Event.on_abandon ev (fun () ->
@@ -118,8 +114,6 @@ let call t ~src ~dst ?bytes body =
 
 let event c = c.ev
 let response c = c.resp
-let dst c = c.call_dst
-
 let abandon c =
   if not c.done_ then begin
     c.done_ <- true;

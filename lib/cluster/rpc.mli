@@ -24,8 +24,6 @@ val create :
 (** [request_bytes] (default 512) is the per-call buffer size charged to the
     caller's memory until the call completes or is abandoned. *)
 
-val sched : ('req, 'resp) t -> Depfast.Sched.t
-
 val attach : ('req, 'resp) t -> Node.t -> unit
 (** Register a node that only issues calls (a client): its responses are
     routed but it serves no requests. *)
@@ -45,7 +43,6 @@ val call :
 
 val event : 'resp call -> Depfast.Event.t
 val response : 'resp call -> 'resp option
-val dst : 'resp call -> int
 
 val abandon : 'resp call -> unit
 (** Give up on the call: its buffer is freed, a late response is dropped. *)
@@ -70,10 +67,6 @@ val discarded_responses : ('req, 'resp) t -> int
 
 val outstanding_bytes : ('req, 'resp) t -> node:int -> int
 (** Call-buffer bytes currently charged to [node]. *)
-
-val link_stats : ('req, 'resp) t -> src:int -> dst:int -> Net.stats
-(** Delivered/dropped message counts and request bytes shipped on one
-    directed link of the underlying network. *)
 
 val net_totals : ('req, 'resp) t -> Net.stats
 (** Network-wide counters for the underlying network. *)

@@ -54,8 +54,6 @@ let create sched ?(servers = 1) ~name () =
     completed = 0;
   }
 
-let name t = t.name
-let servers t = t.servers
 let set_speed t f = t.speed <- f
 let speed t = t.speed
 let set_penalty t f = t.penalty <- f

@@ -13,9 +13,6 @@ type t
 val create : Depfast.Sched.t -> ?servers:int -> name:string -> unit -> t
 (** [servers] defaults to 1. *)
 
-val name : t -> string
-val servers : t -> int
-
 val set_speed : t -> float -> unit
 (** Service-time multiplier for jobs {e starting} from now on. *)
 

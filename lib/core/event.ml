@@ -94,8 +94,6 @@ let iter_children t f =
   done
 
 let ready_children t = n_ready_of t
-let peer t = if t.peer_node < 0 then None else Some t.peer_node
-
 let is_compound t =
   match t.kind with Quorum | And_ | Or_ -> true | Signal | Timer | Rpc | Disk -> false
 
@@ -255,20 +253,3 @@ let rec can_stall e p =
   end
 
 let stallers t = List.filter (can_stall t) (peers t)
-
-let kind_name = function
-  | Signal -> "signal"
-  | Timer -> "timer"
-  | Rpc -> "rpc"
-  | Disk -> "disk"
-  | Quorum -> "quorum"
-  | And_ -> "and"
-  | Or_ -> "or"
-
-let pp fmt t =
-  Format.fprintf fmt "#%d:%s%s%s%s" t.id (kind_name t.kind)
-    (if t.label = "" then "" else "(" ^ t.label ^ ")")
-    (if is_compound t then
-       Printf.sprintf "[%d/%d ready, need %d]" (n_ready_of t) (n_children_of t) (required t)
-     else "")
-    (if is_ready t then "!" else if is_abandoned t then "x" else "?")

@@ -84,9 +84,6 @@ val required : t -> int
 (** Number of ready children needed for a compound to fire, resolved
     against the current child count; [1] for basic events. *)
 
-val peer : t -> int option
-(** Remote node this basic event depends on, if any. *)
-
 val peers : t -> int list
 (** All remote nodes the event transitively depends on (deduplicated, DFS
     pre-order). The result is cached on the event and invalidated when the
@@ -131,5 +128,3 @@ val on_abandon : t -> (unit -> unit) -> unit
     slow replica when the enclosing broadcast is abandoned (§2.3). *)
 
 val is_abandoned : t -> bool
-
-val pp : Format.formatter -> t -> unit

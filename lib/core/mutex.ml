@@ -29,4 +29,3 @@ let with_lock sched t f =
     raise e
 
 let locked t = t.held
-let waiters t = Queue.length t.queue

@@ -20,5 +20,3 @@ val with_lock : Sched.t -> t -> (unit -> 'a) -> 'a
     exception. *)
 
 val locked : t -> bool
-
-val waiters : t -> int

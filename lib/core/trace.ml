@@ -46,7 +46,6 @@ let create ?(capacity = default_capacity) ?(enabled = false) () =
 let enable t = t.enabled <- true
 let disable t = t.enabled <- false
 let is_enabled t = t.enabled
-let capacity t = t.capacity
 let dropped t = t.dropped
 let wait_count t = t.len
 
@@ -159,10 +158,3 @@ let event_kind (w : wait) = Event.kind w.event
 let event_label (w : wait) = Event.label w.event
 let peers (w : wait) = Event.peers w.event
 let stallers (w : wait) = Event.stallers w.event
-
-let pp_wait fmt (w : wait) =
-  Format.fprintf fmt "[%a-%a] c%d@n%d %s waits #%d %s %d/%d peers=[%s] %s" Sim.Time.pp
-    w.t_start Sim.Time.pp w.t_end w.cid w.node w.coroutine (event_id w) (event_label w)
-    w.quorum_k w.quorum_n
-    (String.concat "," (List.map string_of_int (peers w)))
-    (match w.outcome with Ready -> "ready" | Timed_out -> "timeout")

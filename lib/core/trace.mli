@@ -33,8 +33,6 @@ val enable : t -> unit
 val disable : t -> unit
 val is_enabled : t -> bool
 
-val capacity : t -> int
-
 val record :
   t ->
   cid:int ->
@@ -114,5 +112,3 @@ val peers : wait -> int list
 val stallers : wait -> int list
 (** Remote nodes able to single-handedly stall the wait
     (see {!Event.stallers}); analysed on each call. *)
-
-val pp_wait : Format.formatter -> wait -> unit

@@ -66,12 +66,3 @@ let of_trace key trace =
 let keys t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.cells [])
 let histogram t name = Option.map (fun c -> c.hist) (Hashtbl.find_opt t.cells name)
 let timeouts t name = match Hashtbl.find_opt t.cells name with Some c -> c.timeouts | None -> 0
-
-let pp fmt t =
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt t.cells name with
-      | None -> ()
-      | Some c ->
-        Format.fprintf fmt "%-24s %a timeouts=%d@." name Sim.Hist.pp_summary c.hist c.timeouts)
-    (keys t)

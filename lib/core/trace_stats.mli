@@ -32,6 +32,3 @@ val histogram : t -> string -> Sim.Hist.t option
 
 val timeouts : t -> string -> int
 (** Waits under this key that ended in [Timed_out]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One summary line per key: count, mean, p99, max, timeouts. *)

@@ -17,20 +17,4 @@
     the same three nodes, workload, and CPU fail-slow fault, but writes
     flow through a chain whose every link is a 1/1 wait. *)
 
-type row = { label : string; fault : string; metrics : Workload.Metrics.t }
-
-val quorum_vs_all : ?params:Params.t -> unit -> row list
-(** A1: majority vs wait-for-all arity, no-fault and CPU-slow cells. *)
-
-val entry_cache : ?params:Params.t -> unit -> row list
-(** A2: TiDB-like with default (evicting) vs effectively infinite cache;
-    each row's label carries the observed blocking disk-read count. *)
-
-val discard_stragglers : ?params:Params.t -> unit -> (string * int * int) list
-(** A3: [(label, peak outstanding bytes, discarded responses)] for a
-    stream of majority broadcasts with one fail-slow replica. *)
-
-val chain_vs_quorum : ?params:Params.t -> unit -> row list
-(** A4: chain replication vs DepFastRaft under a fail-slow middle node. *)
-
 val print : ?params:Params.t -> unit -> unit

@@ -9,10 +9,10 @@
 type row = {
   system : Runner.system;
   fault : Cluster.Fault.kind option;
-  throughput_norm : float;
+  throughput_norm : float;  (** relative to the system's no-fault cell *)
   mean_latency_norm : float;
   p99_latency_norm : float;
-  crashed : bool;
+  crashed : bool;  (** leader made no progress during the window *)
   raw : Workload.Metrics.t;
 }
 

@@ -6,20 +6,4 @@
     increases, 1.6-3.46x P99 increases, and RethinkDB leader crashes
     under CPU fail-slow faults. *)
 
-type row = {
-  system : Runner.system;
-  fault : Cluster.Fault.kind option;
-  throughput_norm : float;  (** relative to the system's no-fault cell *)
-  mean_latency_norm : float;
-  p99_latency_norm : float;
-  crashed : bool;  (** leader made no progress during the window *)
-  raw : Workload.Metrics.t;
-}
-
-val run : ?params:Params.t -> ?systems:Runner.system list -> unit -> row list
-(** One no-fault baseline cell plus one cell per fault kind for each
-    system, on fresh engines; defaults to {!Params.full} over
-    {!Runner.baseline_systems}. *)
-
-val print_rows : row list -> unit
 val print : ?params:Params.t -> ?systems:Runner.system list -> unit -> unit

@@ -22,8 +22,4 @@ val run_setup :
 (** The no-fault baseline row plus one row per fault kind, all injected
     into a minority of followers of an [n]-node group. *)
 
-val run : ?params:Params.t -> ?cfg:Raft.Config.t -> unit -> row list
-(** {!run_setup} for the paper's 3-node and 5-node deployments. *)
-
-val print_rows : row list -> unit
 val print : ?params:Params.t -> ?cfg:Raft.Config.t -> unit -> unit

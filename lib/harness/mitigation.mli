@@ -8,18 +8,4 @@
     to a healthy follower, and throughput recovers; the fail-slow node keeps
     serving as a follower, which DepFastRaft tolerates. *)
 
-type phase = { label : string; metrics : Workload.Metrics.t }
-
-type result = {
-  variant : string;
-  phases : phase list;  (** before / during+after fault *)
-  mitigated : int;  (** leadership transfers triggered *)
-  detect_ms : float;  (** fault injection -> transfer, ms (-1 if none) *)
-}
-
-val run_variant : ?params:Params.t -> with_detector:bool -> unit -> result
-
-val run : ?params:Params.t -> unit -> result list
-(** The unmitigated variant followed by the detector variant. *)
-
 val print : ?params:Params.t -> unit -> unit

@@ -9,9 +9,6 @@ val all_systems : system list
 val baseline_systems : system list
 val system_name : system -> string
 
-val outcome_of_submit : Raft.Client.outcome -> Workload.Driver.outcome
-(** Map a Raft client submit result onto the driver's ledger. *)
-
 val clients_of_group :
   Raft.Group.t -> count:int -> Workload.Driver.client list
 (** Closed-loop driver clients wrapping a Raft group's RPC clients. *)

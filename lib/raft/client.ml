@@ -10,8 +10,6 @@ type t = {
   rng : Sim.Rng.t;
   mutable seq : int;
   mutable leader_hint : int option;
-  mutable attempted : int;
-  mutable failed : int;
   mutable shed : int;
 }
 
@@ -28,12 +26,9 @@ let create rpc node ~servers ?(cfg = Config.default) ~id () =
     rng = Sim.Engine.split_rng (Depfast.Sched.engine (Cluster.Node.sched node));
     seq = 0;
     leader_hint = None;
-    attempted = 0;
-    failed = 0;
     shed = 0;
   }
 
-let id t = t.client_id
 let node t = t.node
 
 let target t =
@@ -48,14 +43,10 @@ let target t =
    overload the shed exists to relieve. Fail fast; the caller decides. *)
 let submit t cmd =
   t.seq <- t.seq + 1;
-  t.attempted <- t.attempted + 1;
   let seq = t.seq in
   let max_attempts = 8 in
   let rec attempt k =
-    if k >= max_attempts then begin
-      t.failed <- t.failed + 1;
-      Failed
-    end
+    if k >= max_attempts then Failed
     else begin
       let dst = target t in
       let call =
@@ -107,6 +98,4 @@ let put t ~key ~value =
 let get t ~key =
   match submit t (Get { key }) with Committed v -> Some v | Shed | Failed -> None
 
-let ops_attempted t = t.attempted
-let ops_failed t = t.failed
 let ops_shed t = t.shed

@@ -27,8 +27,6 @@ val create :
 (** The client node must already be attached to the RPC fabric
     ([Cluster.Rpc.attach]). *)
 
-val id : t -> int
-
 val node : t -> Cluster.Node.t
 (** The node hosting this client's coroutines. *)
 
@@ -50,9 +48,6 @@ val put : t -> key:string -> value:string -> bool
 val get : t -> key:string -> string option option
 (** Blocking linearizable read through the log. [None] = failed;
     [Some v] = committed, [v] is the value (or [None] if key absent). *)
-
-val ops_attempted : t -> int
-val ops_failed : t -> int
 
 val ops_shed : t -> int
 (** Commands that ended in a fail-fast shed reply. *)

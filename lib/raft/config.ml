@@ -1,10 +1,10 @@
 (** Timing and cost model for the RSM implementations.
 
-    The CPU costs are calibrated (see DESIGN.md §6) so that a 3-node
-    DepFastRaft under the paper's YCSB-style closed-loop write workload
-    serves ≈5K requests/second with the leader around 75% CPU — the §3.4
-    operating point. All implementations share this model; they differ only
-    in {e how they wait}. *)
+    The CPU costs are calibrated (see DESIGN.md §6) against the paper's
+    YCSB-style closed-loop write workload on a 3-node cluster; the
+    operating point they produce (throughput and leader CPU) is recorded
+    in EXPERIMENTS.md, not here. All implementations share this model;
+    they differ only in {e how they wait}. *)
 
 open Sim
 
@@ -41,9 +41,6 @@ type t = {
       (** per client request, at the leader, on the pooled/indexed
           connection path: the request resolves through a direct-indexed
           connection slot — no hash traffic, no per-request closure *)
-  cost_client_reply_pooled : Time.span;
-      (** per client reply on the pooled path: the reply is written straight
-          out of the connection slot's reusable buffer *)
   cost_round_fixed : Time.span;  (** per replication round, leader serial *)
   cost_marshal_entry : Time.span;
       (** per entry per round, leader serial: WAL encode {e plus} the wire
@@ -91,8 +88,8 @@ type t = {
           shared per-batch flush ([cost_reply_flush]) *)
   cost_reply_flush : Time.span;
       (** per commit batch, leader serial: one vectored flush pushing every
-          reply of the batch out — the syscall half of what
-          [cost_client_reply_pooled] paid per reply *)
+          reply of the batch out — the syscall each reply would otherwise
+          pay on its own *)
   cost_vote : Time.span;
   (* storage *)
   wal_entry_overhead : int;  (** bytes per entry beyond payload *)
@@ -121,7 +118,6 @@ let default =
     cost_client_parse = Time.us 250;
     cost_client_reply = Time.us 120;
     cost_client_parse_pooled = Time.us 200;
-    cost_client_reply_pooled = Time.us 100;
     cost_round_fixed = Time.us 240;
     cost_marshal_entry = Time.us 80;
     cost_wal_entry = Time.us 40;

@@ -7,11 +7,9 @@ type t = {
   mutable samples : float list;  (* baseline collection, newest first *)
   mutable baseline : float;
   mutable strikes : int;
-  mutable suspected : bool;
   mutable mitigations : int;
 }
 
-let suspected t = t.suspected
 let mitigations t = t.mitigations
 let baseline t = t.baseline
 
@@ -26,26 +24,20 @@ let check t =
     end
     else if lat > t.threshold *. t.baseline then begin
       t.strikes <- t.strikes + 1;
-      t.suspected <- t.strikes >= t.confirmations;
-      if t.suspected then begin
+      if t.strikes >= t.confirmations then begin
         match Server.best_follower t.server with
         | Some target ->
           t.mitigations <- t.mitigations + 1;
           t.strikes <- 0;
-          t.suspected <- false;
           Server.transfer_leadership t.server ~target
         | None -> ()
       end
     end
-    else begin
-      t.strikes <- 0;
-      t.suspected <- false
-    end
+    else t.strikes <- 0
   end
   else begin
     (* not leading: reset the episode (a new leadership learns afresh) *)
     t.strikes <- 0;
-    t.suspected <- false;
     t.samples <- [];
     t.baseline <- 0.0
   end
@@ -62,7 +54,6 @@ let attach server ?(check_interval = Sim.Time.ms 200) ?(baseline_samples = 10)
       samples = [];
       baseline = 0.0;
       strikes = 0;
-      suspected = false;
       mitigations = 0;
     }
   in

@@ -26,9 +26,6 @@ val attach :
     check every 200 ms, 10 baseline samples, threshold 4.0, 2
     confirmations. *)
 
-val suspected : t -> bool
-(** Currently past threshold. *)
-
 val mitigations : t -> int
 (** Number of leadership transfers this detector has triggered. *)
 

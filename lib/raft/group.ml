@@ -76,10 +76,3 @@ let make_clients t ~count ?first_node_id () =
       in
       Cluster.Rpc.attach t.rpc node;
       Client.create t.rpc node ~servers:server_ids ~cfg:t.cfg ~id:(first + j) ())
-
-let node_name t id =
-  match List.find_opt (fun n -> Cluster.Node.id n = id) t.nodes with
-  | Some n -> Cluster.Node.name n
-  | None ->
-    let max_server = List.fold_left (fun m n -> max m (Cluster.Node.id n)) 0 t.nodes in
-    if id > max_server then Printf.sprintf "c%d" (id - max_server) else Printf.sprintf "n%d" id

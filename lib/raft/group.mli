@@ -34,6 +34,3 @@ val elect : t -> int -> unit
 val make_clients :
   t -> count:int -> ?first_node_id:int -> unit -> Client.t list
 (** Client nodes ids default to starting right after the servers'. *)
-
-val node_name : t -> int -> string
-(** [s<i>] for servers, [c<j>] for clients created via {!make_clients}. *)

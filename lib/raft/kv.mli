@@ -29,9 +29,6 @@ val size : t -> int
 val applied_count : t -> int
 (** Entries actually applied (excludes deduplicated retries and Nops). *)
 
-val last_seq : t -> client_id:int -> int
-(** Highest applied sequence number for a client; -1 if none. *)
-
 val locked : t -> string -> int option
 (** The transaction currently holding a 2PC lock on the key, if any. *)
 

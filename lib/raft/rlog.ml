@@ -73,20 +73,6 @@ module View = struct
   let bytes v =
     if not (valid v) then raise Stale;
     Types.view_bytes v
-
-  let to_array v =
-    match Types.view_materialize v with Some a -> a | None -> raise Stale
-
-  let get v i =
-    if not (valid v) then raise Stale;
-    if i < 0 || i >= v.Types.v_len then invalid_arg "Rlog.View.get";
-    v.Types.v_store.(v.Types.v_off + i)
-
-  let iter f v =
-    if not (valid v) then raise Stale;
-    for i = v.Types.v_off to v.Types.v_off + v.Types.v_len - 1 do
-      f (Array.unsafe_get v.Types.v_store i)
-    done
 end
 
 let view t ~from ~max =

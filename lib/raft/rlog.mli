@@ -50,16 +50,6 @@ module View : sig
   (** Wire/WAL size of the window ({!Types.entry_bytes} summed), computed
       in place — no copy.
       @raise Stale on an invalidated view (it walks the store). *)
-
-  val to_array : t -> Types.entry array
-  (** Materialize the window — the one copy on the replication path, paid
-      by the receiver. @raise Stale if the log truncated since. *)
-
-  val get : t -> int -> Types.entry
-  (** 0-based within the window. @raise Stale if invalidated. *)
-
-  val iter : (Types.entry -> unit) -> t -> unit
-  (** In-place iteration, no copy. @raise Stale if invalidated. *)
 end
 
 val view : t -> from:Types.index -> max:int -> View.t

@@ -67,12 +67,9 @@ type t = {
 
 let id t = Cluster.Node.id t.node
 let node t = t.node
-let role t = t.role
 let term t = t.term
 let is_leader t = t.role = Leader
-let leader_hint t = t.leader
 let commit_index t = t.commit_index
-let last_applied t = t.last_applied
 let log t = t.rlog
 let kv t = t.kv
 let now t = Depfast.Sched.now t.sched

@@ -32,12 +32,9 @@ type role = Follower | Candidate | Leader
 
 val id : t -> int
 val node : t -> Cluster.Node.t
-val role : t -> role
 val term : t -> Types.term
 val is_leader : t -> bool
-val leader_hint : t -> int option
 val commit_index : t -> Types.index
-val last_applied : t -> Types.index
 val log : t -> Rlog.t
 val kv : t -> Kv.t
 

@@ -25,7 +25,6 @@ let bootstrap t =
     t.groups;
   Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now t.sched) (Sim.Time.sec 1)) t.sched
 
-let shards t = Array.length t.groups
 let groups t = Array.to_list t.groups
 let shard_of t key = Hashtbl.hash key mod Array.length t.groups
 
@@ -152,7 +151,3 @@ let txn s ~writes =
 let read s ~key =
   let shard = shard_of s.store key in
   Client.get s.clients.(shard) ~key
-
-let put s ~key ~value =
-  let shard = shard_of s.store key in
-  Client.put s.clients.(shard) ~key ~value

@@ -21,7 +21,6 @@ val create : Depfast.Sched.t -> shards:int -> replicas:int -> ?cfg:Config.t -> u
 val bootstrap : t -> unit
 (** Elect the first replica of each shard (drives the engine ~1 s). *)
 
-val shards : t -> int
 val groups : t -> Group.t list
 val shard_of : t -> string -> int
 
@@ -40,6 +39,3 @@ val txn : session -> writes:(string * string) list -> outcome
 
 val read : session -> key:string -> string option option
 (** Linearizable single-key read through the owning shard's log. *)
-
-val put : session -> key:string -> value:string -> bool
-(** Single-key fast path (no 2PC). *)

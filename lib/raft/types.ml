@@ -51,8 +51,6 @@ let pp_eview fmt v =
   Format.fprintf fmt "<view %d entries @@%d gen %d%s>" v.v_len v.v_off v.v_gen
     (if !(v.v_live) = v.v_gen then "" else " STALE")
 
-let show_eview v = Format.asprintf "%a" pp_eview v
-
 let view_of_array a =
   (* a self-owned copy wrapped as a view (always valid): the path baseline
      systems take — they still pay the copy this wrapper carries *)

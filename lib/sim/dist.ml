@@ -67,15 +67,3 @@ let make_zipfian ~n ~theta =
       let rank = float_of_int n *. (((eta *. u) -. eta +. 1.0) ** alpha) in
       let r = int_of_float rank in
       if r >= n then n - 1 else r
-
-let zipfian rng ~n ~theta = (make_zipfian ~n ~theta) rng
-
-let rec pp fmt = function
-  | Constant x -> Format.fprintf fmt "const(%g)" x
-  | Uniform (lo, hi) -> Format.fprintf fmt "uniform(%g,%g)" lo hi
-  | Exponential m -> Format.fprintf fmt "exp(mean=%g)" m
-  | Normal (m, s) -> Format.fprintf fmt "normal(%g,%g)" m s
-  | Lognormal (mu, s) -> Format.fprintf fmt "lognormal(%g,%g)" mu s
-  | Pareto (sc, sh) -> Format.fprintf fmt "pareto(%g,%g)" sc sh
-  | Shifted (off, d) -> Format.fprintf fmt "%g+%a" off pp d
-  | Scaled (k, d) -> Format.fprintf fmt "%g*%a" k pp d

@@ -25,14 +25,6 @@ val sample_span : Rng.t -> t -> Time.span
 val mean : t -> float
 (** Analytic mean (for Pareto with shape <= 1, returns infinity). *)
 
-val zipfian : Rng.t -> n:int -> theta:float -> int
-(** [zipfian rng ~n ~theta] draws a rank in [\[0, n)] from a zipfian
-    distribution with skew [theta] (YCSB uses [theta = 0.99]). Uses the
-    Gray et al. rejection-free method, recomputing constants per call is
-    avoided via {!make_zipfian}. *)
-
 val make_zipfian : n:int -> theta:float -> Rng.t -> int
 (** [make_zipfian ~n ~theta] precomputes the zipfian constants and returns a
     sampling function (preferred in hot paths). *)
-
-val pp : Format.formatter -> t -> unit

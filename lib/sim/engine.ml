@@ -174,8 +174,6 @@ let set_step_observer t observe =
   | None -> invalid_arg "Engine.set_step_observer: no chooser installed"
   | Some ex -> ex.observe <- observe
 
-let exploring t = t.ex <> None
-
 let post_tag t tag f =
   match t.ex with None -> ready_add t f | Some ex -> ex_push ex tag f
 

@@ -56,8 +56,6 @@ val set_step_observer : t -> (tag -> unit) option -> unit
     The explorer's probe cross-check uses this for exact per-transition
     attribution of shared-cell mutations. *)
 
-val exploring : t -> bool
-
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time 0. [seed] (default [1L]) roots all derived RNG
     streams. *)

@@ -84,13 +84,6 @@ let peek_time t =
   drop_dead t;
   if t.len = 0 then None else Some (get t 0).time
 
-let peek t =
-  drop_dead t;
-  if t.len = 0 then None
-  else
-    let e = get t 0 in
-    Some (e.time, e.value)
-
 let peek_or t ~default =
   drop_dead t;
   if t.len = 0 then default else (get t 0).value

@@ -23,11 +23,9 @@ val cancelled : handle -> bool
 val peek_time : 'a t -> Time.t option
 (** Earliest live entry's time, skipping cancelled entries. *)
 
-val peek : 'a t -> (Time.t * 'a) option
-(** Earliest live entry without removing it. *)
-
 val peek_or : 'a t -> default:'a -> 'a
-(** {!peek}'s value, or [default] when empty; allocates nothing. *)
+(** Earliest live entry's value without removing it, or [default] when
+    empty; allocates nothing. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live entry. *)

@@ -2,8 +2,8 @@
    two is split into 32 sub-buckets (top 6 significant bits), giving <= ~3%
    relative quantile error, plenty for latency reporting.
 
-   [add] is O(1) and allocation-free: the running sum / sum-of-squares live
-   in a flat float array (unboxed stores — a mutable float field in a mixed
+   [add] is O(1) and allocation-free: the running sum lives in a one-slot
+   flat float array (unboxed stores — a mutable float field in a mixed
    record would box on every assignment), and the msb is found by a
    five-step branchless binary search rather than a shift loop. *)
 
@@ -14,7 +14,7 @@ let nbuckets = sub + ((max_exp - 6 + 1) * 32)
 type t = {
   buckets : int array;
   mutable count : int;
-  sums : float array;  (* [| sum; sum of squares |], kept unboxed *)
+  sum : float array;  (* [| sum |], kept unboxed *)
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -23,7 +23,7 @@ let create () =
   {
     buckets = Array.make nbuckets 0;
     count = 0;
-    sums = Array.make 2 0.0;
+    sum = Array.make 1 0.0;
     min_v = max_int;
     max_v = 0;
   }
@@ -76,23 +76,14 @@ let add t v =
   let i = index_of v in
   Array.unsafe_set t.buckets i (Array.unsafe_get t.buckets i + 1);
   t.count <- t.count + 1;
-  let f = float_of_int v in
-  Array.unsafe_set t.sums 0 (Array.unsafe_get t.sums 0 +. f);
-  Array.unsafe_set t.sums 1 (Array.unsafe_get t.sums 1 +. (f *. f));
+  Array.unsafe_set t.sum 0 (Array.unsafe_get t.sum 0 +. float_of_int v);
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
 let count t = t.count
 let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = t.max_v
-let mean t = if t.count = 0 then 0.0 else t.sums.(0) /. float_of_int t.count
-
-let stddev t =
-  if t.count = 0 then 0.0
-  else
-    let m = mean t in
-    let var = (t.sums.(1) /. float_of_int t.count) -. (m *. m) in
-    sqrt (Float.max 0.0 var)
+let mean t = if t.count = 0 then 0.0 else t.sum.(0) /. float_of_int t.count
 
 let quantile t q =
   if t.count = 0 then 0
@@ -109,18 +100,13 @@ let quantile t q =
     in
     go 0 0
 
-let p50 t = quantile t 0.50
-let p95 t = quantile t 0.95
 let p99 t = quantile t 0.99
-let p999 t = quantile t 0.999
-
 let merge a b =
   let t = create () in
   Array.blit a.buckets 0 t.buckets 0 nbuckets;
   Array.iteri (fun i v -> t.buckets.(i) <- t.buckets.(i) + v) b.buckets;
   t.count <- a.count + b.count;
-  t.sums.(0) <- a.sums.(0) +. b.sums.(0);
-  t.sums.(1) <- a.sums.(1) +. b.sums.(1);
+  t.sum.(0) <- a.sum.(0) +. b.sum.(0);
   t.min_v <- min a.min_v b.min_v;
   t.max_v <- max a.max_v b.max_v;
   t
@@ -128,12 +114,6 @@ let merge a b =
 let clear t =
   Array.fill t.buckets 0 nbuckets 0;
   t.count <- 0;
-  t.sums.(0) <- 0.0;
-  t.sums.(1) <- 0.0;
+  t.sum.(0) <- 0.0;
   t.min_v <- max_int;
   t.max_v <- 0
-
-let pp_summary fmt t =
-  Format.fprintf fmt "n=%d mean=%a p50=%a p99=%a max=%a" t.count Time.pp
-    (int_of_float (mean t))
-    Time.pp (p50 t) Time.pp (p99 t) Time.pp (max_value t)

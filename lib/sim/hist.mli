@@ -22,21 +22,13 @@ val max_value : t -> Time.span
 val mean : t -> float
 (** Mean in microseconds; 0 when empty. *)
 
-val stddev : t -> float
-
 val quantile : t -> float -> Time.span
 (** [quantile t q] with [q] in [\[0, 1\]]: smallest recorded bucket upper
     bound covering fraction [q] of samples. 0 when empty. *)
 
-val p50 : t -> Time.span
-val p95 : t -> Time.span
 val p99 : t -> Time.span
-val p999 : t -> Time.span
 
 val merge : t -> t -> t
 (** Combined histogram; inputs unchanged. *)
 
 val clear : t -> unit
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [count/mean/p50/p99/max] summary. *)

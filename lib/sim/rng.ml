@@ -36,8 +36,6 @@ let split t =
      the parent's own output stream *)
   create (mix64 (Int64.logxor seed 0xA5A5A5A5DEADBEEFL))
 
-let copy t = Bytes.copy t
-
 let int t bound =
   assert (bound > 0);
   (* keep 62 bits so the value fits a native int on 64-bit platforms *)

@@ -16,9 +16,6 @@ val split : t -> t
 (** [split t] derives a new independent generator from [t], advancing [t].
     Used to give each node / client / distribution its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

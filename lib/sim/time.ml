@@ -11,9 +11,3 @@ let to_ms_f s = float_of_int s /. 1_000.
 let to_sec_f s = float_of_int s /. 1_000_000.
 let add t s = t + s
 let diff a b = a - b
-let compare = Int.compare
-
-let pp fmt t =
-  if t >= 1_000_000 then Format.fprintf fmt "%.3fs" (to_sec_f t)
-  else if t >= 1_000 then Format.fprintf fmt "%.3fms" (to_ms_f t)
-  else Format.fprintf fmt "%dus" t

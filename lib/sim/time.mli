@@ -38,8 +38,3 @@ val add : t -> span -> t
 
 val diff : t -> t -> span
 (** [diff a b] is [a - b]. *)
-
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-(** Prints a time with an adaptive unit, e.g. ["1.500ms"] or ["2.000s"]. *)

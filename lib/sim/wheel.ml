@@ -93,8 +93,6 @@ let create () =
 let is_empty t = t.alive = 0
 let size t = t.alive
 let pos t = t.pos
-let cancelled = function Entry e -> e.level < 0 | Nil -> true
-
 (* [(time, seq)] order; [Nil] sorts after every entry *)
 let entry_lt a b =
   match (a, b) with

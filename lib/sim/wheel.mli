@@ -37,8 +37,6 @@ val push : 'a t -> time:Time.t -> 'a -> 'a handle
 val cancel : 'a t -> 'a handle -> unit
 (** O(1); cancelling twice or after the entry fired is a no-op. *)
 
-val cancelled : 'a handle -> bool
-
 val next_time_or : 'a t -> default:Time.t -> Time.t
 (** Earliest live entry's time, or [default] when empty; allocates
     nothing. Never re-buckets entries (safe to call between pushes); the

@@ -15,8 +15,6 @@ let throughput t =
 
 let mean_latency_ms t = Sim.Hist.mean t.latency /. 1000.0
 let p99_latency_ms t = Sim.Time.to_ms_f (Sim.Hist.p99 t.latency)
-let p50_latency_ms t = Sim.Time.to_ms_f (Sim.Hist.p50 t.latency)
-
 let shed_rate t =
   let offered = t.completed + t.failed + t.shed in
   if offered = 0 then 0.0 else float_of_int t.shed /. float_of_int offered

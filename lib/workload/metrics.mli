@@ -17,7 +17,6 @@ val throughput : t -> float
 
 val mean_latency_ms : t -> float
 val p99_latency_ms : t -> float
-val p50_latency_ms : t -> float
 
 val shed_rate : t -> float
 (** Shed fraction of the offered load ([shed / (completed+failed+shed)]). *)

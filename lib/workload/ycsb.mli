@@ -21,9 +21,6 @@ type op =
   | Update of { key : string; value : string }
   | Read of { key : string }
 
-val key_of_rank : t -> int -> string
-(** YCSB-style key name for a record rank, e.g. ["user3342"]. *)
-
 type gen
 (** Per-client operation generator (owns its RNG stream). *)
 

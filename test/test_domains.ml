@@ -143,7 +143,10 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    (* 189 since the explorer reuses one run state per exploration: the
+    (* 185 since the dead exports went, and with them the state only they
+       read: the client's .attempted and .failed, the node's
+       .crash_hooks and the detector's .suspected. 189 before, since the
+       explorer reuses one run state per exploration: the
        engine's live timer tags .tt_seqs .tt_tags .tt_n (replacing the
        seq-keyed table), the sanitizer's flat shadow .coros .parked
        .n_parked and its per-run provenance map .file_of, and the
@@ -175,7 +178,7 @@ let test_tree_inventory_pinned () =
        Registry.condvar_handshake, a record literal inventoried only
        because its local [gen] shared a name with the barrier's mutable
        field *)
-    check_int "every top-level mutable cell carries a certificate" 189
+    check_int "every top-level mutable cell carries a certificate" 185
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"

@@ -536,6 +536,108 @@ let test_dag_allow () =
   let ev = lone () in
   check_int "but allowed" 0 (List.length (audit_wait ~allow:(fun ~node -> node = 9) (ev, [ ev ])))
 
+(* Dead exports: every top-level [val] of an interface that no .ml outside
+   its own module mentions, as ["file:line M.v"]. Uses are over-approximated
+   so that it never raises a false alarm: a dotted [M.v] (behind any
+   prefix), and a bare [v] or [X.v] in a file that opens [M] ([open M],
+   [let open M], [M.( ... )]) or aliases it ([module X = ...M]). Values of
+   nested signatures are out of scope. *)
+let unused_exports ~mlis ~mls =
+  let texts src = Array.map (fun t -> t.L.text) (L.scan src).L.tokens in
+  let is_mod s = L.is_ident s && Char.uppercase_ascii s.[0] = s.[0] && s.[0] <> '_' in
+  (* the last module name of the dotted path starting at [i] *)
+  let rec path_end tk i =
+    if i + 2 < Array.length tk && tk.(i + 1) = "." && is_mod tk.(i + 2) then path_end tk (i + 2)
+    else tk.(i)
+  in
+  let uses =
+    List.map
+      (fun (path, src) ->
+        let tk = texts src in
+        let n = Array.length tk in
+        let dotted = Hashtbl.create 64 and bare = Hashtbl.create 256 in
+        let opened = Hashtbl.create 8 and alias = Hashtbl.create 8 in
+        Array.iteri
+          (fun i s ->
+            Hashtbl.replace bare s ();
+            if is_mod s && i + 2 < n && tk.(i + 1) = "." then begin
+              if tk.(i + 2) = "(" then Hashtbl.replace opened s ()
+              else Hashtbl.replace dotted (s, tk.(i + 2)) ()
+            end;
+            if s = "open" || s = "include" then begin
+              let j = if i + 1 < n && tk.(i + 1) = "!" then i + 2 else i + 1 in
+              if j < n && is_mod tk.(j) then Hashtbl.replace opened (path_end tk j) ()
+            end;
+            if s = "module" && i + 3 < n && is_mod tk.(i + 1) && tk.(i + 2) = "=" && is_mod tk.(i + 3)
+            then Hashtbl.add alias (path_end tk (i + 3)) tk.(i + 1))
+          tk;
+        (path, fun m v ->
+          Hashtbl.mem dotted (m, v)
+          || (Hashtbl.mem opened m && Hashtbl.mem bare v)
+          || List.exists (fun x -> Hashtbl.mem dotted (x, v)) (Hashtbl.find_all alias m)))
+      mls
+  in
+  List.concat_map
+    (fun (mli, src) ->
+      let own = Filename.remove_extension mli ^ ".ml" in
+      let m = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
+      let toks = (L.scan src).L.tokens in
+      let depth = ref 0 and out = ref [] in
+      Array.iteri
+        (fun i t ->
+          match t.L.text with
+          | "sig" | "object" -> incr depth
+          | "end" -> decr depth
+          | "val" when !depth = 0 && i + 1 < Array.length toks && L.is_ident toks.(i + 1).L.text ->
+            let v = toks.(i + 1).L.text in
+            if not (List.exists (fun (path, used) -> path <> own && used m v) uses) then
+              out := Printf.sprintf "%s:%d %s.%s" mli t.L.line m v :: !out
+          | _ -> ())
+        toks;
+      List.rev !out)
+    mlis
+
+(* The guard over the tree: lib's interfaces against every .ml of lib,
+   bin, bench, examples, perfbench and test (test/fixtures/ are lint
+   inputs, not uses). The synthetic set pins the guard's own rules. *)
+let test_no_dead_exports () =
+  check_rules "only the export used nowhere"
+    [ "m.mli:4 M.dead" ]
+    (unused_exports
+       ~mlis:
+         [ ("m.mli", "val via_alias : int\nval via_open : int\nval via_local_open : int\nval dead : int\n\
+                      module V : sig\n  val nested : int\nend\n") ]
+       ~mls:
+         [
+           ("m.ml", "let via_alias = 1 let via_open = 2 let via_local_open = 3 let dead = 4 let _ = dead");
+           ("a.ml", "module X = Lib.M\nlet _ = X.via_alias");
+           ("b.ml", "open M\nlet _ = via_open");
+           ("c.ml", "let _ = M.(via_local_open + 1)");
+         ]);
+  let base = if Sys.file_exists "../lib" then ".." else "." in
+  let roots =
+    List.filter Sys.file_exists
+      (List.map (Filename.concat base) [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ])
+  in
+  if List.length roots = 6 then begin
+    let mls =
+      List.filter
+        (fun p -> not (List.mem "fixtures" (String.split_on_char '/' p)))
+        (SL.ml_files roots)
+    in
+    let mlis =
+      List.filter_map
+        (fun ml ->
+          let mli = ml ^ "i" in
+          if Sys.file_exists mli then Some mli else None)
+        (SL.ml_files [ Filename.concat base "lib" ])
+    in
+    check_bool "interfaces found" true (List.length mlis > 50);
+    let read = List.map (fun p -> (p, In_channel.with_open_bin p In_channel.input_all)) in
+    check_rules "exports nothing outside their module uses" []
+      (unused_exports ~mlis:(read mlis) ~mls:(read mls))
+  end
+
 let suite =
   [
     ( "lint.lexer",
@@ -587,4 +689,5 @@ let suite =
         Alcotest.test_case "vacuous quorum" `Quick test_dag_vacuous;
         Alcotest.test_case "allow predicate" `Quick test_dag_allow;
       ] );
+    ("lint.exports", [ Alcotest.test_case "no dead exports" `Quick test_no_dead_exports ]);
   ]
