@@ -93,7 +93,7 @@ let scan_retries (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
     let t = a.(!i).Lexer.text in
     if t = "rec" || t = "while" then has_rec := true;
     if Lexer.is_ident t then begin
-      let name, _, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
       (* the constructor is usually spelled qualified
          ([Depfast.Sched.Timed_out]), so match its last segment *)
       if lastseg name = "Timed_out" then has_timeout_arm := true;

@@ -145,10 +145,8 @@ let global_inventory files fields =
                     done;
                     if !m then Some Record else None
                   end
-                  else if Lexer.is_ident t then begin
-                    let h, _, _ = SL.qualified a r in
-                    List.assoc_opt (SL.last2 h) rhs_heads
-                  end
+                  else if Lexer.is_ident t then
+                    List.assoc_opt (SL.last2 a.(r).Lexer.dotted) rhs_heads
                   else None
                 in
                 match kind with
@@ -280,7 +278,7 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
   let i = ref f.Growth.g_b in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and line = a.(!i).Lexer.line and ni = SL.after a !i in
       let l2 = SL.last2 name in
       let hit write poss =
         List.iter
@@ -320,7 +318,7 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
   let i = ref f.Growth.g_b in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and line = a.(!i).Lexer.line and ni = SL.after a !i in
       if not (Hashtbl.mem consumed !i) then begin
         let assign =
           ni + 1 < n

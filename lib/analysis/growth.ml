@@ -100,9 +100,7 @@ let skip_group (a : Lexer.token array) i =
       incr j
     done;
     if !stop >= 0 then !stop + 1 else n
-  | t when Lexer.is_ident t ->
-    let _, _, j = SL.qualified a i in
-    j
+  | t when Lexer.is_ident t -> SL.after a i
   | _ -> i + 1
 
 (* The first token of the [k]-th positional argument after token [i];
@@ -118,8 +116,7 @@ let rec arg_at (a : Lexer.token array) i k =
 let nth_arg a i k =
   match arg_at a i k with
   | Some j when Lexer.is_ident a.(j).Lexer.text ->
-    let name, _, _ = SL.qualified a j in
-    Some (name, j)
+    Some (a.(j).Lexer.dotted, j)
   | _ -> None
 
 (* ---- parsing one file ------------------------------------------------ *)
@@ -189,10 +186,11 @@ let parse_file (path, src) =
         let qname =
           if Lexer.is_ident a.(j).Lexer.text then begin
             (* module-level store? [let name = Queue.create ...] *)
-            (if shape = Value && body < e && Lexer.is_ident a.(body).Lexer.text then
-               let h, _, _ = SL.qualified a body in
-               if List.mem (SL.last2 h) store_heads then
-                 Hashtbl.replace stores a.(j).Lexer.text ());
+            if
+              shape = Value && body < e
+              && Lexer.is_ident a.(body).Lexer.text
+              && List.mem (SL.last2 a.(body).Lexer.dotted) store_heads
+            then Hashtbl.replace stores a.(j).Lexer.text ();
             mdl ^ "." ^ a.(j).Lexer.text
           end
           else Printf.sprintf "%s.<unit:%d>" mdl line
@@ -246,7 +244,7 @@ let close p =
           let i = ref f.g_b in
           while !i < f.g_e do
             if Lexer.is_ident a.(!i).Lexer.text then begin
-              let name, _, ni = SL.qualified a !i in
+              let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
               (match resolve p ~mdl:fc.fc_mdl name with
               | Some q when q <> f.g_qname -> callees := q :: !callees
               | _ -> ());
@@ -267,7 +265,7 @@ let close p =
       let i = ref 0 in
       while !i < n do
         if Lexer.is_ident a.(!i).Lexer.text then begin
-          let name, _, ni = SL.qualified a !i in
+          let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
           (match List.assoc_opt (SL.last2 name) trigger_heads with
           | Some why ->
             (* find the first [(fun] within the next tokens *)
@@ -285,7 +283,7 @@ let close p =
                 let k = ref (!j + 2) in
                 while !k < close do
                   if Lexer.is_ident a.(!k).Lexer.text then begin
-                    let cname, _, kn = SL.qualified a !k in
+                    let cname = a.(!k).Lexer.dotted and kn = SL.after a !k in
                     (match resolve p ~mdl:fc.fc_mdl cname with
                     | Some q -> if not (Hashtbl.mem c.roots q) then Hashtbl.add c.roots q why
                     | None -> ());
@@ -463,7 +461,7 @@ let scan ?(via = fun _ -> None) fc f =
       | _ -> ())
     | _ -> ());
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and line = a.(!i).Lexer.line and ni = SL.after a !i in
       (match SL.last2 name with
       | "Event.add" -> (
         let parent, i1 = SL.parse_atom a pm ni in
@@ -524,10 +522,7 @@ let returns p qname =
           while !k < e && not (Lexer.is_ident a.(!k).Lexer.text) do
             incr k
           done;
-          if !k < e then
-            let h, _, _ = SL.qualified a !k in
-            [ Some h ]
-          else []
+          if !k < e then [ Some a.(!k).Lexer.dotted ] else []
     end
 
 (* ---- growth sites and bound evidence --------------------------------- *)
@@ -635,7 +630,7 @@ let scan_fn fc (f : fn) (facts : facts) =
   let i = ref f.g_b in
   while !i < n do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and line = a.(!i).Lexer.line and ni = SL.after a !i in
       let l2 = SL.last2 name in
       (* container operations *)
       (match List.assoc_opt l2 growth_ops with
@@ -670,7 +665,7 @@ let scan_fn fc (f : fn) (facts : facts) =
         let rhs = ni + 2 in
         let handled = ref false in
         if rhs < n && Lexer.is_ident a.(rhs).Lexer.text then begin
-          let rname, _, rn = SL.qualified a rhs in
+          let rname = a.(rhs).Lexer.dotted and rn = SL.after a rhs in
           if SL.last_segment rname = field && rn < n then
             match a.(rn).Lexer.text with
             | "+" ->
@@ -691,10 +686,8 @@ let scan_fn fc (f : fn) (facts : facts) =
               a.(!k).Lexer.text = ":"
               && a.(!k + 1).Lexer.text = ":"
               && Lexer.is_ident a.(!k + 2).Lexer.text
-            then begin
-              let rname, _, _ = SL.qualified a (!k + 2) in
-              if SL.last_segment rname = field then found_cons := true
-            end;
+              && SL.last_segment a.(!k + 2).Lexer.dotted = field
+            then found_cons := true;
             incr k
           done;
           if !found_cons then add_site line c Cons "cons"

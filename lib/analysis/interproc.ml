@@ -208,7 +208,7 @@ let value_fact (a : Lexer.token array) r e =
       | _ ->
         if not (Lexer.is_ident t) then None
         else
-          let h, _, hn = SL.qualified a r in
+          let h = a.(r).Lexer.dotted and hn = SL.after a r in
           if SL.last2 h = "Mutex.create" then Some MLock
           else if
             (* a lone name is an alias worth chasing for constants *)
@@ -242,7 +242,7 @@ let iter_regions (fc : Growth.file_ctx) (fn : Growth.fn) =
   let i = ref fn.Growth.g_body in
   while !i < fn.Growth.g_e do
     if is_ident_at a !i then begin
-      let name, _, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
       (if name = "for" || name = "while" then loop_stack := !i :: !loop_stack
        else if name = "done" then
          match !loop_stack with
@@ -377,8 +377,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
             (if !k < close then
                let t = a.(!k).Lexer.text in
                if Lexer.is_ident t then begin
-                 let cn, _, _ = SL.qualified a !k in
-                 match fact_of_name cn with
+                 match fact_of_name a.(!k).Lexer.dotted with
                  | VInt v -> c := Some v
                  | _ -> c := Some (-1) (* Count of something unresolvable: give up *)
                end
@@ -460,10 +459,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
         while !k < f_end && a.(!k).Lexer.text = "(" do
           incr k
         done;
-        if is_ident_at a !k then begin
-          let _, _, hend = SL.qualified a !k in
-          bind1 name (VQuorum (quorum_cell line hend))
-        end
+        if is_ident_at a !k then bind1 name (VQuorum (quorum_cell line (SL.after a !k)))
       end
       else bind1 name (head_fact h)
     | SL.PVar name, SL.RHead None ->
@@ -492,7 +488,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     | Some (pat, rhs, eq) -> handle_binding pat rhs a.(!i).Lexer.line eq
     | None -> ());
     if is_ident_at a !i then begin
-      let name, line, ni = SL.qualified a !i in
+      let name = a.(!i).Lexer.dotted and line = a.(!i).Lexer.line and ni = SL.after a !i in
       (match SL.last2 name with
       | ("Sched.wait" | "Sched.wait_timeout" | "Condvar.wait" | "Condvar.wait_timeout") as w ->
         suspend !i line w

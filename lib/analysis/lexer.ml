@@ -1,4 +1,4 @@
-type token = { line : int; col : int; text : string }
+type token = { line : int; col : int; text : string; dotted : string }
 type pragma = { p_line : int; p_rules : string list }
 type result = { tokens : token array; pragmas : pragma list }
 
@@ -50,10 +50,26 @@ let parse_pragma ~line body =
   in
   find (List.rev !words)
 
-let scan src =
+(* Does [buf] hold the string [w] at index [i] or later? A pragma's
+   words include "depfast-lint", so a comment body without that string
+   is not parsed. *)
+let rec holds buf w i =
+  i + String.length w <= Buffer.length buf && (holds_at buf w i 0 || holds buf w (i + 1))
+
+and holds_at buf w i k =
+  k = String.length w || (Buffer.nth buf (i + k) = w.[k] && holds_at buf w i (k + 1))
+
+(* [len] characters of [src] at [p] and at [q] agree. *)
+let rec same_run src p q len =
+  len = 0 || (src.[p] = src.[q] && same_run src (p + 1) (q + 1) (len - 1))
+
+(* The loop [scan] and [pragmas] share: it consumes comments, strings
+   and char literals, returns the pragmas in source order, and hands
+   each token to [emit line col start length] as a span of [src]. *)
+let lex src emit =
   let n = String.length src in
-  let tokens = ref [] in
   let pragmas = ref [] in
+  let body = Buffer.create 256 in
   let i = ref 0 in
   let line = ref 1 in
   let col = ref 0 in
@@ -65,36 +81,38 @@ let scan src =
      else incr col);
     incr i
   in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
+  (* the character [k] ahead, or NUL past the end *)
+  let peek k = if !i + k < n then src.[!i + k] else '\000' in
   while !i < n do
     let c = src.[!i] in
     if c = ' ' || c = '\t' || c = '\r' || c = '\n' then adv ()
-    else if c = '(' && peek 1 = Some '*' then begin
+    else if c = '(' && peek 1 = '*' then begin
       (* comment, possibly nested; collect body for pragma parsing *)
       let start_line = !line in
-      let buf = Buffer.create 64 in
+      Buffer.clear body;
       adv ();
       adv ();
       let depth = ref 1 in
       while !depth > 0 && !i < n do
-        if src.[!i] = '(' && peek 1 = Some '*' then begin
+        if src.[!i] = '(' && peek 1 = '*' then begin
           incr depth;
           adv ();
           adv ()
         end
-        else if src.[!i] = '*' && peek 1 = Some ')' then begin
+        else if src.[!i] = '*' && peek 1 = ')' then begin
           decr depth;
           adv ();
           adv ()
         end
         else begin
-          Buffer.add_char buf src.[!i];
+          Buffer.add_char body src.[!i];
           adv ()
         end
       done;
-      match parse_pragma ~line:start_line (Buffer.contents buf) with
-      | Some p -> pragmas := p :: !pragmas
-      | None -> ()
+      if holds body "depfast-lint" 0 then
+        match parse_pragma ~line:start_line (Buffer.contents body) with
+        | Some p -> pragmas := p :: !pragmas
+        | None -> ()
     end
     else if c = '"' then begin
       adv ();
@@ -111,22 +129,23 @@ let scan src =
         else adv ()
       done
     end
-    else if c = '{' && (match peek 1 with Some ('a' .. 'z' | '_' | '|') -> true | _ -> false)
-    then begin
+    else if c = '{' && (match peek 1 with 'a' .. 'z' | '_' | '|' -> true | _ -> false) then begin
       (* quoted string {id|...|id} — find the opening bar, then the close *)
       let j = ref (!i + 1) in
       while !j < n && (match src.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
         incr j
       done;
       if !j < n && src.[!j] = '|' then begin
-        let id = String.sub src (!i + 1) (!j - !i - 1) in
-        let close = "|" ^ id ^ "}" in
-        let cl = String.length close in
-        (* consume through the matching close *)
+        (* the close is "|id}", compared in place against the opening id *)
+        let id = !i + 1 and idl = !j - !i - 1 in
+        let closes k =
+          k > !j && k + idl + 2 <= n && src.[k] = '|' && src.[k + idl + 1] = '}'
+          && same_run src id (k + 1) idl
+        in
         let fin = ref false in
         while (not !fin) && !i < n do
-          if !i + cl <= n && String.sub src !i cl = close && !i > !j then begin
-            for _ = 1 to cl do
+          if closes !i then begin
+            for _ = 1 to idl + 2 do
               adv ()
             done;
             fin := true
@@ -135,14 +154,13 @@ let scan src =
         done
       end
       else begin
-        tokens := { line = !line; col = !col; text = "{" } :: !tokens;
+        emit !line !col !i 1;
         adv ()
       end
     end
     else if c = '\'' then begin
       (* char literal or type variable *)
-      match (peek 1, peek 2) with
-      | Some '\\', _ ->
+      if peek 1 = '\\' then begin
         adv ();
         adv ();
         let fin = ref false in
@@ -153,38 +171,67 @@ let scan src =
           end
           else adv ()
         done
-      | Some _, Some '\'' ->
+      end
+      else if peek 2 = '\'' then begin
         adv ();
         adv ();
         adv ()
-      | _ -> adv () (* type variable quote: drop it *)
+      end
+      else adv () (* type variable quote: drop it *)
     end
     else if is_ident_start c then begin
-      let l = !line and cl = !col in
-      let buf = Buffer.create 16 in
+      let l = !line and cl = !col and s = !i in
       while !i < n && is_ident_char src.[!i] do
-        Buffer.add_char buf src.[!i];
         adv ()
       done;
-      tokens := { line = l; col = cl; text = Buffer.contents buf } :: !tokens
+      emit l cl s (!i - s)
     end
     else if c >= '0' && c <= '9' then begin
-      let l = !line and cl = !col in
-      let buf = Buffer.create 8 in
+      let l = !line and cl = !col and s = !i in
       while
         !i < n
         && (match src.[!i] with
            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' | 'x' | 'o' | '_' | '.' -> true
            | _ -> false)
       do
-        Buffer.add_char buf src.[!i];
         adv ()
       done;
-      tokens := { line = l; col = cl; text = Buffer.contents buf } :: !tokens
+      emit l cl s (!i - s)
     end
     else begin
-      tokens := { line = !line; col = !col; text = String.make 1 c } :: !tokens;
+      emit !line !col !i 1;
       adv ()
     end
   done;
-  { tokens = Array.of_list (List.rev !tokens); pragmas = List.rev !pragmas }
+  List.rev !pragmas
+
+let pragmas src = lex src (fun _ _ _ _ -> ())
+
+(* One string per character, shared by every one-character token. *)
+let single = Array.init 256 (fun c -> String.make 1 (Char.chr c))
+
+let none = { line = 0; col = 0; text = ""; dotted = "" }
+
+let scan src =
+  (* about one token per four bytes of source; doubled if short *)
+  let toks = ref (Array.make ((String.length src / 4) + 16) none) and count = ref 0 in
+  let emit line col start len =
+    let text = if len = 1 then single.(Char.code src.[start]) else String.sub src start len in
+    if !count = Array.length !toks then begin
+      let grown = Array.make (2 * !count) none in
+      Array.blit !toks 0 grown 0 !count;
+      toks := grown
+    end;
+    !toks.(!count) <- { line; col; text; dotted = text };
+    incr count
+  in
+  let pragmas = lex src emit in
+  let a = Array.sub !toks 0 !count in
+  (* [x . y] joins as [x.y] when [y] is an identifier; going backward,
+     each name extends the already-joined one after its dot *)
+  for k = !count - 3 downto 0 do
+    let t = a.(k) in
+    if is_ident t.text && a.(k + 1).text = "." && is_ident a.(k + 2).text then
+      a.(k) <- { t with dotted = t.text ^ "." ^ a.(k + 2).dotted }
+  done;
+  { tokens = a; pragmas }

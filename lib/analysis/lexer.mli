@@ -7,6 +7,12 @@ type token = {
   line : int;  (** 1-based line of the token's first character *)
   col : int;  (** 0-based column — [col = 0] marks top-level items *)
   text : string;
+  dotted : string;
+      (** the dotted name starting at this token: for an identifier
+          followed by [. ident] (across blanks and newlines), the joined
+          segments, [Depfast.Sched.wait] at [Depfast]; otherwise [text]
+          itself. A name stops at a [.] not followed by an identifier,
+          so [M.(x)] names [M]. *)
 }
 
 type pragma = {
@@ -19,6 +25,9 @@ type pragma = {
 type result = { tokens : token array; pragmas : pragma list }
 
 val scan : string -> result
+
+val pragmas : string -> pragma list
+(** [(scan src).pragmas] without building the tokens. *)
 
 val is_ident : string -> bool
 (** True for identifier-shaped tokens (starts with a letter or [_]). *)

@@ -72,11 +72,11 @@ let scan_seeds (fc : Growth.file_ctx) (fn : Growth.fn) =
   let i = ref fn.Growth.g_b in
   while !i < fn.Growth.g_e do
     let t = toks.(!i) in
-    (* module segments start uppercase; [SL.qualified] joins the dotted
-       mention across the lexer's separate "." tokens *)
+    (* module segments start uppercase; the lexer joins the dotted
+       mention across its separate "." tokens *)
     if Lexer.is_ident t.Lexer.text && t.Lexer.text.[0] >= 'A' && t.Lexer.text.[0] <= 'Z'
     then begin
-      let name, line, j = SL.qualified toks !i in
+      let name = t.Lexer.dotted and line = t.Lexer.line and j = SL.after toks !i in
       (if String.contains name '.' then
          match List.assoc_opt (SL.last2 name) seed_heads with
          | Some k ->

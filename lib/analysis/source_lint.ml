@@ -31,21 +31,15 @@ let canonical s = s <> "" && s.[0] <> '?'
 
 (* ---- token-stream helpers ------------------------------------------- *)
 
-let qualified (a : Lexer.token array) i =
+(* The index past the dotted name starting at token [i]: the tokens
+   [a.(i).dotted] joins. *)
+let after (a : Lexer.token array) i =
   let n = Array.length a in
-  let buf = Buffer.create 24 in
-  Buffer.add_string buf a.(i).Lexer.text;
   let j = ref (i + 1) in
-  let continue = ref true in
-  while !continue do
-    if !j + 1 < n && a.(!j).Lexer.text = "." && Lexer.is_ident a.(!j + 1).Lexer.text then begin
-      Buffer.add_char buf '.';
-      Buffer.add_string buf a.(!j + 1).Lexer.text;
-      j := !j + 2
-    end
-    else continue := false
+  while !j + 1 < n && a.(!j).Lexer.text = "." && Lexer.is_ident a.(!j + 1).Lexer.text do
+    j := !j + 2
   done;
-  (Buffer.contents buf, a.(i).Lexer.line, !j)
+  !j
 
 type atom = AName of string | AParen of string option | AOther
 
@@ -63,14 +57,13 @@ let parse_atom (a : Lexer.token array) (pm : int array) i =
     done;
     let head =
       if !j < close && Lexer.is_ident a.(!j).Lexer.text then
-        let name, _, _ = qualified a !j in
-        Some name
+        Some a.(!j).Lexer.dotted
       else None
     in
     (AParen head, close + 1)
   end
   else if Lexer.is_ident a.(i).Lexer.text then begin
-    let name, _, next = qualified a i in
+    let name = a.(i).Lexer.dotted and next = after a i in
     (AName name, next)
   end
   else (AOther, i + 1)
@@ -136,10 +129,7 @@ let tuple_components (a : Lexer.token array) pm s =
         comps := !head :: !comps;
         head := None
       | _ ->
-        if !head = None && Lexer.is_ident t then begin
-          let name, _, _ = qualified a !i in
-          head := Some name
-        end);
+        if !head = None && Lexer.is_ident t then head := Some a.(!i).Lexer.dotted);
       incr i
     done;
     if !ncommas = 0 then None
@@ -211,8 +201,7 @@ let binding_at (a : Lexer.token array) pm i =
           done;
           RHead
             (if !k < n && Lexer.is_ident a.(!k).Lexer.text then
-               let name, _, _ = qualified a !k in
-               Some name
+               Some a.(!k).Lexer.dotted
              else None)
       in
       Some (pat, rhs, eq)
@@ -230,7 +219,7 @@ let lock_regions (a : Lexer.token array) pm lo hi =
   let i = ref lo in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, _, ni = qualified a !i in
+      let name = a.(!i).Lexer.dotted and ni = after a !i in
       (match last2 name with
       | "Mutex.with_lock" ->
         let _sched, i1 = parse_atom a pm ni in
@@ -277,7 +266,7 @@ let check_pragmas ~path pragmas =
         p.Lexer.p_rules)
     pragmas
 
-let lint_string ?(path = "<string>") src = check_pragmas ~path (Lexer.scan src).Lexer.pragmas
+let lint_string ?(path = "<string>") src = check_pragmas ~path (Lexer.pragmas src)
 
 let lint_file path = lint_string ~path (read_source path)
 

@@ -62,9 +62,9 @@ val canonical : string -> bool
 
 type atom = AName of string | AParen of string option | AOther
 
-val qualified : Lexer.token array -> int -> string * int * int
-(** [qualified a i] reads the dotted name starting at token [i]:
-    (name, line, index past it). *)
+val after : Lexer.token array -> int -> int
+(** [after a i]: the index past the dotted name starting at token [i],
+    the one [a.(i).dotted] spells. *)
 
 val parse_atom : Lexer.token array -> int array -> int -> atom * int
 (** Consume one argument-shaped expression: a dotted name, or a

@@ -40,6 +40,9 @@ let wait_cert src =
 
 let severities fs = List.sort_uniq compare (List.map (fun f -> F.severity_name f.F.severity) fs)
 
+(* The source tree: the parent directory under dune, else the current one. *)
+let base = if Sys.file_exists "../lib" then ".." else "."
+
 (* ------------------------------------------------------------------ *)
 (* lexer *)
 
@@ -52,9 +55,53 @@ let test_lexer_positions () =
   check_bool "second line tracked" true ((tok 4).L.text = "let" && (tok 4).L.line = 2)
 
 let test_lexer_skips_noise () =
-  let r = L.scan "(* comment (* nested *) more *) \"a string (\" f {|quoted )|} 'c' g" in
+  let r =
+    L.scan "(* comment (* nested *) more *) \"a string (\" f {|quoted )|} 'c' g {ab|x |a} |ac} y|ab} h"
+  in
   let texts = Array.to_list (Array.map (fun (t : L.token) -> t.L.text) r.L.tokens) in
-  check_rules "only code survives" [ "f"; "g" ] texts
+  check_rules "only code survives" [ "f"; "g"; "h" ] texts
+
+(* Each identifier carries the dotted name starting at it, and
+   [SL.after] the index past that name. *)
+let test_lexer_dotted () =
+  let check_name what src i dotted after =
+    let a = (L.scan src).L.tokens in
+    Alcotest.(check string) (what ^ ": name") dotted a.(i).L.dotted;
+    check_int (what ^ ": index past it") after (SL.after a i)
+  in
+  check_name "module path" "Depfast.Sched.wait s" 0 "Depfast.Sched.wait" 5;
+  check_name "suffix of a path" "Depfast.Sched.wait s" 2 "Sched.wait" 5;
+  check_name "last segment" "Depfast.Sched.wait s" 4 "wait" 5;
+  check_name "field chain" "t.node.cpu" 0 "t.node.cpu" 5;
+  check_name "local open stops before (" "M.(x)" 0 "M" 1;
+  check_name "array index stops the name" "a.(i).f" 0 "a" 1;
+  check_name "field after an index" "a.(i).f" 6 "f" 7;
+  check_name "float literal is one token" "1.5" 0 "1.5" 1;
+  check_name "assigned field" "x.y <- v" 0 "x.y" 3;
+  check_name "chain across a newline" "Depfast.\n  Sched.wait s" 0 "Depfast.Sched.wait" 5;
+  let t = (L.scan "f x").L.tokens.(0) in
+  check_bool "a lone name shares its text" true (t.L.dotted == t.L.text)
+
+(* [L.pragmas] reads what [L.scan] reads, over every source of the tree
+   and the lint fixtures. *)
+let test_lexer_pragmas_only () =
+  let files =
+    SL.ml_files
+      (List.filter Sys.file_exists
+         (List.map (Filename.concat base)
+            [ "lib"; "bin"; "examples"; "bench"; Filename.concat "test" "fixtures" ]))
+  in
+  let pragmas =
+    List.concat_map
+      (fun path ->
+        let src = SL.read_source path in
+        let ps = L.pragmas src in
+        if ps <> (L.scan src).L.pragmas then Alcotest.failf "%s: pragmas differ from scan's" path;
+        ps)
+      files
+  in
+  check_bool "sources found" true (List.length files > 50);
+  check_bool "pragmas found" true (List.length pragmas > 20)
 
 let test_lexer_pragma () =
   let r =
@@ -614,7 +661,6 @@ let test_no_dead_exports () =
            ("b.ml", "open M\nlet _ = via_open");
            ("c.ml", "let _ = M.(via_local_open + 1)");
          ]);
-  let base = if Sys.file_exists "../lib" then ".." else "." in
   let roots =
     List.filter Sys.file_exists
       (List.map (Filename.concat base) [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ])
@@ -638,6 +684,24 @@ let test_no_dead_exports () =
       (unused_exports ~mlis:(read mlis) ~mls:(read mls))
   end
 
+(* Allocation ceiling for the static passes: minor words per file of
+   [Passes.run] over lib/ (70 files), the project loaded beforehand.
+   280 555 when every visit rebuilt its dotted name, 90 051 with the
+   names joined once by the lexer. *)
+let test_passes_alloc_ceiling () =
+  let files = SL.ml_files [ Filename.concat base "lib" ] in
+  check_bool "sources found" true (List.length files > 50);
+  let p = G.load_files files in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let r = Analysis.Passes.run p in
+  Gc.minor ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int (List.length files) in
+  Printf.printf "passes over lib: %d file(s), %.0f minor words per file\n" (List.length files)
+    words;
+  check_bool "findings" true (Analysis.Passes.findings r <> []);
+  if words > 150_000. then Alcotest.failf "%.0f minor words per file > ceiling 150000" words
+
 let suite =
   [
     ( "lint.lexer",
@@ -645,6 +709,8 @@ let suite =
         Alcotest.test_case "positions" `Quick test_lexer_positions;
         Alcotest.test_case "comments/strings skipped" `Quick test_lexer_skips_noise;
         Alcotest.test_case "pragma parsing" `Quick test_lexer_pragma;
+        Alcotest.test_case "dotted names" `Quick test_lexer_dotted;
+        Alcotest.test_case "pragmas without tokens" `Quick test_lexer_pragmas_only;
       ] );
     ( "lint.source",
       [
@@ -690,4 +756,5 @@ let suite =
         Alcotest.test_case "allow predicate" `Quick test_dag_allow;
       ] );
     ("lint.exports", [ Alcotest.test_case "no dead exports" `Quick test_no_dead_exports ]);
+    ("lint.alloc", [ Alcotest.test_case "passes words per file" `Quick test_passes_alloc_ceiling ]);
   ]
