@@ -18,48 +18,17 @@
 open Raft.Types
 
 type t = {
-  bases : Common.base list;  (** in chain order; head first *)
-  chain : int list;  (** node ids, head first *)
+  head : Common.base;
+  tail : int;  (** the chain is in node-id order: head 0, tail [n - 1] *)
   mutable tail_acked : index;
 }
 
-let head t = List.hd t.bases
-let tail_id t = List.nth t.chain (List.length t.chain - 1)
-
-let successor t id =
-  let rec go = function
-    | a :: b :: _ when a = id -> Some b
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go t.chain
-
 (* forward a batch down the chain; runs in the handler/propagator coroutine
-   of node [b] *)
+   of node [b]. The head's commit point equals [tail_acked], so every link
+   ships the head's. *)
 let forward t b entries =
-  match successor t (Cluster.Node.id b.Common.node) with
-  | None -> ()
-  | Some next ->
-    let cfg = b.Common.cfg in
-    let n = Array.length entries in
-    if n > 0 then begin
-      Cluster.Node.cpu_work b.Common.node
-        (cfg.Raft.Config.cost_per_follower + (n * cfg.Raft.Config.cost_send_entry));
-      let prev_index = entries.(0).index - 1 in
-      ignore
-        (Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:next
-           ~bytes:(256 + entries_bytes_a entries)
-           (Append_entries
-              {
-                term = 1;
-                leader = Cluster.Node.id (head t).Common.node;
-                prev_index;
-                prev_term = 1;
-                (* baselines ship a copied batch, wrapped as an owned view *)
-                entries = view_of_array entries;
-                commit = t.tail_acked;
-              }))
-    end
+  if Common.id b < t.tail && Array.length entries > 0 then
+    ignore (Common.send_append b ~leader:t.head ~dst:(Common.id b + 1) entries)
 
 (* every node: append, persist, forward; the tail additionally reports its
    position straight back to the head *)
@@ -71,32 +40,26 @@ let handle_append t b ~entries ~commit =
          per-entry CPU work runs inside the append lock *)
       Cluster.Node.cpu_work b.Common.node
         (cfg.Raft.Config.cost_follower_fixed + (n * cfg.Raft.Config.cost_follower_entry));
-      Common.follower_append_a b entries;
+      Common.follower_append b entries;
       if n > 0 then
-        (* depfast-lint: allow lock-across-call red-exposure — deliberate
-           baseline defect: the chain holds its append lock across WAL
-           durability (Table 1), fate-sharing with its own slow disk *)
-        Depfast.Sched.wait b.Common.sched
-          (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
+        (* depfast-lint: allow lock-across-call — deliberate baseline defect:
+           the chain holds its append lock across WAL durability (Table 1),
+           fate-sharing with its own slow disk *)
+        Common.persist b entries;
       Common.set_commit b commit;
       (* depfast-lint: allow lock-across-call — deliberate baseline defect:
          the chain forwards downstream (CPU + rpc) without releasing the
          append lock, so one slow successor stalls the whole segment *)
       forward t b entries;
-      if Cluster.Node.id b.Common.node = tail_id t && n > 0 then
+      if Common.id b = t.tail && n > 0 then
         ignore
-          (Cluster.Rpc.call b.Common.rpc ~src:b.Common.node
-             ~dst:(Cluster.Node.id (head t).Common.node)
+          (Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:(Common.id t.head)
              (Update_position
-                {
-                  follower = Cluster.Node.id b.Common.node;
-                  match_index = Raft.Rlog.last_index b.Common.rlog;
-                  term = 1;
-                })));
+                { follower = Common.id b; match_index = Common.last_index b; term = 1 })));
   None
 
 let handle_tail_ack t ~match_index =
-  let b = head t in
+  let b = t.head in
   Common.cpu_charge b b.Common.cfg.Raft.Config.cost_ack_process;
   if match_index > t.tail_acked then begin
     t.tail_acked <- match_index;
@@ -107,24 +70,13 @@ let handle_tail_ack t ~match_index =
 (* head write path: batch, append, persist, push down the chain; requests
    complete when the tail's ack brings the commit point past them *)
 let head_loop t =
-  let b = head t in
-  let cfg = b.Common.cfg in
+  let b = t.head in
   let rec loop () =
     if Common.alive b then begin
-      if Queue.is_empty b.Common.pending_q then
-        ignore
-          (Depfast.Condvar.wait_timeout b.Common.sched b.Common.work_cv
-             cfg.Raft.Config.group_commit_window);
-      let batch = Common.take_batch b cfg.Raft.Config.batch_max in
-      let entries = Array.of_list (Common.append_batch b batch) in
-      let n = Array.length entries in
-      if n > 0 then begin
-        Cluster.Node.cpu_work b.Common.node
-          (cfg.Raft.Config.cost_round_fixed + (n * cfg.Raft.Config.cost_marshal_entry));
-        (* depfast-lint: allow red-exposure — own-WAL durability wait:
-           synchronous commit is the chain baseline's protocol *)
-        Depfast.Sched.wait b.Common.sched
-          (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
+      Common.await_work b;
+      let entries = Common.seal_batch b in
+      if Array.length entries > 0 then begin
+        Common.persist b entries;
         forward t b entries
       end;
       loop ()
@@ -134,50 +86,24 @@ let head_loop t =
 
 (* ---------- construction ---------- *)
 
-type cluster = { t : t; rpc : Common.rpc }
-
-let handle t b ~src:_ req =
+let handle t b req =
   match req with
-  | Client_request { cmd; client_id; seq } ->
-    Some (Common.handle_client_request b ~cmd ~client_id ~seq)
   | Append_entries { entries; commit; _ } -> (
     match view_materialize entries with
     | None -> None
     | Some entries -> handle_append t b ~entries ~commit)
   | Update_position { match_index; _ } -> handle_tail_ack t ~match_index
-  | Request_vote _ | Pull_oplog _ | Transfer_leadership _ | Timeout_now -> Some Ack
+  | Client_request _ | Request_vote _ | Pull_oplog _ | Transfer_leadership _ | Timeout_now ->
+    Some Ack
 
 let create sched ~n ?(cfg = Raft.Config.default) () =
-  let rpc, nodes = Common.make_cluster sched ~n () in
-  let ids = List.map Cluster.Node.id nodes in
-  let bases =
-    List.map
-      (fun node ->
-        let peers = List.filter (fun p -> p <> Cluster.Node.id node) ids in
-        Common.make_base rpc node ~peers ~leader_id:0 ~cfg)
-      nodes
-  in
-  let t = { bases; chain = ids; tail_acked = 0 } in
-  List.iter
-    (fun b ->
-      Cluster.Rpc.serve rpc ~node:b.Common.node ~handler:(fun ~src req ->
-          handle t b ~src req);
-      Common.start_common b)
-    bases;
-  Cluster.Node.spawn (head t).Common.node ~name:"chain-head" (fun () -> head_loop t);
-  { t; rpc }
+  let make bases = { head = List.hd bases; tail = n - 1; tail_acked = 0 } in
+  let c = Common.build sched ~n ~cfg ~make ~handle () in
+  Cluster.Node.spawn c.t.head.Common.node ~name:"chain-head" (fun () -> head_loop c.t);
+  c
 
+(* clients address the head only *)
 let sut c ~cfg =
-  let head_base = head c.t and rest = List.tl c.t.bases in
-  {
-    Workload.Sut.name = "Chain replication";
-    leader_node = head_base.Common.node;
-    follower_nodes = List.map (fun b -> b.Common.node) rest;
-    make_clients =
-      (fun ~count ->
-        Common.make_clients c.rpc ~sched:head_base.Common.sched
-          ~server_ids:[ Cluster.Node.id head_base.Common.node ]
-          ~cfg ~count);
-  }
+  Common.sut c ~name:"Chain replication" ~servers:[ Common.id c.Common.t.head ] ~cfg
 
-let tail_acked c = c.t.tail_acked
+let tail_acked (c : t Common.cluster) = c.t.tail_acked

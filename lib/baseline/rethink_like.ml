@@ -28,7 +28,6 @@ type buffer = {
 type t = {
   base : Common.base;
   buffers : (int, buffer) Hashtbl.t;
-  match_index : (int, index) Hashtbl.t;
   (* per-round progress watchers, as in DepFastRaft *)
   watchers : (int, (index * Depfast.Event.t) list ref) Hashtbl.t;
 }
@@ -36,47 +35,9 @@ type t = {
 let soft_headroom = 16 * 1024 * 1024
 let hard_headroom = 40 * 1024 * 1024
 
-(* ---------- follower ---------- *)
-
-let handle_append_entries b ~prev_index ~entries ~commit =
-  (* the replication stream is processed serially, in delivery order *)
-  Depfast.Mutex.with_lock b.Common.sched b.Common.append_mu (fun () ->
-      let cfg = b.Common.cfg in
-      (* depfast-lint: allow lock-across-call — deliberate baseline defect:
-         per-entry CPU work runs inside the append lock *)
-      Cluster.Node.cpu_work b.Common.node
-        (cfg.Raft.Config.cost_follower_fixed
-        + (Array.length entries * cfg.Raft.Config.cost_follower_entry));
-      if prev_index > Raft.Rlog.last_index b.Common.rlog then
-        Append_resp
-          { term = 1; success = false; match_index = Raft.Rlog.last_index b.Common.rlog }
-      else begin
-        Common.follower_append_a b entries;
-        if Array.length entries > 0 then
-          (* depfast-lint: allow lock-across-call red-exposure — deliberate
-             baseline defect: the RethinkDB coroutine-lock hazard from §2,
-             fate-sharing the lock holder with its own slow WAL *)
-          Depfast.Sched.wait b.Common.sched
-            (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
-        Common.set_commit b commit;
-        Append_resp
-          { term = 1; success = true; match_index = Raft.Rlog.last_index b.Common.rlog }
-      end)
-
-(* ---------- leader ---------- *)
-
-let advance_commit t =
-  let b = t.base in
-  let matches =
-    Raft.Rlog.last_index b.Common.rlog
-    :: List.map (fun f -> Hashtbl.find t.match_index f) b.Common.peers
-  in
-  let sorted = List.sort (fun a b -> compare b a) matches in
-  Common.set_commit b (List.nth sorted (Raft.Config.majority b.Common.n_voters - 1))
-
 let fire_watchers t f =
   let ws = Hashtbl.find t.watchers f in
-  let m = Hashtbl.find t.match_index f in
+  let m = Common.match_of t.base f in
   let ready, rest = List.partition (fun (idx, _) -> idx <= m) !ws in
   ws := rest;
   List.iter (fun (_, ev) -> Depfast.Event.fire ev) ready
@@ -88,7 +49,7 @@ let buffer_entries t entries =
   List.iter
     (fun f ->
       let buf = Hashtbl.find t.buffers f in
-      List.iter
+      Array.iter
         (fun e ->
           (* depfast-lint: allow unbounded-growth — deliberate baseline
              defect: the paper's RethinkDB per-follower backlog (§2);
@@ -111,82 +72,51 @@ let window_bytes = 8 * 1024 * 1024
 
 let drainer_loop t f =
   let b = t.base in
-  let cfg = b.Common.cfg in
   let buf = Hashtbl.find t.buffers f in
   let outstanding = ref 0 in
   let rec loop () =
     if Common.alive b then begin
-      if Queue.is_empty buf.entries || !outstanding >= window_bytes then begin
+      if Queue.is_empty buf.entries || !outstanding >= window_bytes then
         (* depfast-lint: allow red-exposure — drain handoff signalled by the
            local buffer producer; idling here is the intended backpressure *)
-        Depfast.Condvar.wait b.Common.sched buf.drain_cv;
-        loop ()
-      end
+        Depfast.Condvar.wait b.Common.sched buf.drain_cv
       else begin
-        let batch = ref [] in
-        let n = ref 0 in
-        while (not (Queue.is_empty buf.entries)) && !n < cfg.Raft.Config.batch_max do
-          batch := Queue.pop buf.entries :: !batch;
-          incr n
-        done;
-        let entries = Array.of_list (List.rev !batch) in
-        Cluster.Node.cpu_work b.Common.node
-          (cfg.Raft.Config.cost_per_follower
-          + (Array.length entries * cfg.Raft.Config.cost_send_entry));
-        let prev_index = entries.(0).index - 1 in
-        let bytes = entries_bytes_a entries in
-        outstanding := !outstanding + bytes;
-        let call =
-          Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:f
-            ~bytes:(256 + bytes)
-            (Append_entries
-               {
-                 term = 1;
-                 leader = Cluster.Node.id b.Common.node;
-                 prev_index;
-                 prev_term = 1;
-                 (* baselines ship a copied batch, wrapped as an owned view *)
-                 entries = view_of_array entries;
-                 commit = b.Common.commit_index;
-               })
+        let entries =
+          Array.init
+            (min b.Common.cfg.Raft.Config.batch_max (Queue.length buf.entries))
+            (fun _ -> Queue.pop buf.entries)
         in
+        let bytes = entries_bytes entries in
+        outstanding := !outstanding + bytes;
+        let call = Common.send_append b ~dst:f entries in
         Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-            Common.cpu_charge b cfg.Raft.Config.cost_ack_process;
+            Common.cpu_charge b b.Common.cfg.Raft.Config.cost_ack_process;
             outstanding := !outstanding - bytes;
             (match Cluster.Rpc.response call with
             | Some (Append_resp { success = true; match_index; _ }) ->
               (* acknowledged: finally release the buffered bytes *)
               buf.bytes <- buf.bytes - bytes;
               Cluster.Memory.free (Cluster.Node.memory b.Common.node) bytes;
-              Hashtbl.replace t.match_index f
-                (max match_index (Hashtbl.find t.match_index f));
+              Common.note_match b f match_index;
               fire_watchers t f;
-              advance_commit t
+              Common.commit_majority b
             | Some _ | None -> ());
-            Depfast.Condvar.broadcast buf.drain_cv);
-        loop ()
-      end
+            Depfast.Condvar.broadcast buf.drain_cv)
+      end;
+      loop ()
     end
   in
   loop ()
 
 let replicator_loop t =
   let b = t.base in
-  let cfg = b.Common.cfg in
   let rec loop () =
     if Common.alive b then begin
-      if Queue.is_empty b.Common.pending_q then
-        ignore
-          (Depfast.Condvar.wait_timeout b.Common.sched b.Common.work_cv
-             cfg.Raft.Config.group_commit_window);
-      let batch = Common.take_batch b cfg.Raft.Config.batch_max in
-      let entries = Common.append_batch b batch in
-      let n = List.length entries in
-      if n > 0 then begin
-        Cluster.Node.cpu_work b.Common.node
-          (cfg.Raft.Config.cost_round_fixed + (n * cfg.Raft.Config.cost_marshal_entry));
-        let last = Raft.Rlog.last_index b.Common.rlog in
-        let wal_ev = Common.wal_append b ~bytes:(Common.wal_bytes b entries) in
+      Common.await_work b;
+      let entries = Common.seal_batch b in
+      if Array.length entries > 0 then begin
+        let last = Common.last_index b in
+        let wal_ev = Common.wal_append b entries in
         let quorum =
           Depfast.Event.quorum ~label:"rethink-majority"
             (Depfast.Event.Count (Raft.Config.majority b.Common.n_voters))
@@ -203,96 +133,48 @@ let replicator_loop t =
           b.Common.peers;
         List.iter (fun f -> fire_watchers t f) b.Common.peers;
         buffer_entries t entries;
-        (match
-           Depfast.Sched.wait_timeout b.Common.sched quorum cfg.Raft.Config.rpc_timeout
-         with
-        | Depfast.Sched.Ready -> advance_commit t
-        | Depfast.Sched.Timed_out -> ());
-        loop ()
-      end
-      else loop ()
+        match
+          Depfast.Sched.wait_timeout b.Common.sched quorum
+            b.Common.cfg.Raft.Config.rpc_timeout
+        with
+        | Depfast.Sched.Ready -> Common.commit_majority b
+        | Depfast.Sched.Timed_out -> ()
+      end;
+      loop ()
     end
   in
   loop ()
 
-(* ---------- construction ---------- *)
-
-type cluster = { t : t; bases : Common.base list; rpc : Common.rpc }
-
-let handle b ~src:_ req =
-  match req with
-  | Client_request { cmd; client_id; seq } ->
-    Some (Common.handle_client_request b ~cmd ~client_id ~seq)
-  | Append_entries { prev_index; entries; commit; _ } -> (
-    match view_materialize entries with
-    | None -> None
-    | Some entries -> Some (handle_append_entries b ~prev_index ~entries ~commit))
-  | Request_vote _ | Pull_oplog _ | Update_position _ | Transfer_leadership _
-  | Timeout_now ->
-    Some Ack
-
 let create sched ~n ?(cfg = Raft.Config.default) () =
   let resident = 200 * 1024 * 1024 in
-  let rpc, nodes =
-    Common.make_cluster sched ~n
+  let make bases =
+    let base = List.hd bases in
+    let t = { base; buffers = Hashtbl.create 8; watchers = Hashtbl.create 8 } in
+    List.iter
+      (fun f ->
+        Hashtbl.replace t.buffers f
+          {
+            entries = Queue.create ();
+            bytes = 0;
+            drain_cv = Depfast.Condvar.create ~label:"drain" ();
+          };
+        Hashtbl.replace t.watchers f (ref []))
+      base.Common.peers;
+    t
+  in
+  let c =
+    Common.build sched ~n ~cfg
       ~mem_soft_cap:(resident + soft_headroom)
-      ~mem_hard_cap:(resident + hard_headroom) ()
+      ~mem_hard_cap:(resident + hard_headroom) ~make ~handle:Common.handle_append_entries ()
   in
-  let ids = List.map Cluster.Node.id nodes in
-  let bases =
-    List.map
-      (fun node ->
-        let peers = List.filter (fun p -> p <> Cluster.Node.id node) ids in
-        Common.make_base rpc node ~peers ~leader_id:0 ~cfg)
-      nodes
-  in
-  let leader_base = List.hd bases in
-  let t =
-    {
-      base = leader_base;
-      buffers = Hashtbl.create 8;
-      match_index = Hashtbl.create 8;
-      watchers = Hashtbl.create 8;
-    }
-  in
+  let leader = c.t.base.Common.node in
+  Cluster.Node.spawn leader ~name:"replicator" (fun () -> replicator_loop c.t);
   List.iter
     (fun f ->
-      Hashtbl.replace t.buffers f
-        {
-          entries = Queue.create ();
-          bytes = 0;
-          drain_cv = Depfast.Condvar.create ~label:"drain" ();
-        };
-      Hashtbl.replace t.match_index f 0;
-      Hashtbl.replace t.watchers f (ref []))
-    leader_base.Common.peers;
-  List.iter
-    (fun b ->
-      Cluster.Rpc.serve rpc ~node:b.Common.node ~handler:(fun ~src req -> handle b ~src req);
-      Common.start_common b)
-    bases;
-  Cluster.Node.spawn leader_base.Common.node ~name:"replicator" (fun () ->
-      replicator_loop t);
-  List.iter
-    (fun f ->
-      Cluster.Node.spawn leader_base.Common.node
-        ~name:(Printf.sprintf "drainer.%d" f)
-        (fun () -> drainer_loop t f))
-    leader_base.Common.peers;
-  { t; bases; rpc }
+      Cluster.Node.spawn leader ~name:(Printf.sprintf "drainer.%d" f) (fun () ->
+          drainer_loop c.t f))
+    c.t.base.Common.peers;
+  c
 
-let sut c ~cfg =
-  let leader = List.hd c.bases and followers = List.tl c.bases in
-  {
-    Workload.Sut.name = "RethinkDB-like";
-    leader_node = leader.Common.node;
-    follower_nodes = List.map (fun b -> b.Common.node) followers;
-    make_clients =
-      (fun ~count ->
-        Common.make_clients c.rpc ~sched:leader.Common.sched
-          ~server_ids:(List.map (fun b -> Cluster.Node.id b.Common.node) c.bases)
-          ~cfg ~count);
-  }
-
-let buffer_bytes c f = (Hashtbl.find c.t.buffers f).bytes
-let commit c = (List.hd c.bases).Common.commit_index
+let sut c ~cfg = Common.sut c ~name:"RethinkDB-like" ~cfg
+let buffer_bytes (c : t Common.cluster) f = (Hashtbl.find c.t.buffers f).bytes

@@ -43,7 +43,6 @@ let yield_storm =
   {
     name = "yield-storm";
     descr = "three coroutines interleave three yields each; pure scheduler choice";
-    exhaustive = false;
     (* 12 steps over 3 equal coroutines: more interleavings than the
        default budget — intentionally a truncation workout *)
     gating = true;
@@ -78,7 +77,6 @@ let mutex_handoff =
   {
     name = "mutex-handoff";
     descr = "three coroutines contend on one mutex, suspending inside the section";
-    exhaustive = true;
     gating = true;
     modules = [ reg_file; "lib/core/mutex.ml" ];
     par_safe = true;
@@ -120,7 +118,6 @@ let condvar_handshake =
   {
     name = "condvar-handshake";
     descr = "two consumers wait for a flag under a mutex; producer broadcasts";
-    exhaustive = true;
     gating = true;
     modules = [ reg_file; "lib/core/condvar.ml"; "lib/core/mutex.ml" ];
     par_safe = true;
@@ -170,7 +167,6 @@ let signal_fanout =
   {
     name = "signal-fanout";
     descr = "two bounded waiters on one signal; firer races the parks";
-    exhaustive = true;
     gating = true;
     modules = [ reg_file; "lib/core/sched.ml" ];
     par_safe = true;
@@ -213,7 +209,6 @@ let quorum_majority =
   {
     name = "quorum-majority";
     descr = "correctly-wired majority quorum over three racing responders";
-    exhaustive = true;
     gating = true;
     modules = [ reg_file; "lib/core/event.ml" ];
     par_safe = true;
@@ -257,7 +252,6 @@ let broken_quorum =
     descr =
       "deliberately broken fixture: ready replies are dropped from the quorum \
        wiring; only some interleavings hang";
-    exhaustive = true;
     gating = false;
     (* a known-bad fixture: explored on demand and by the test suite, but
        not part of the CI gate *)
@@ -280,7 +274,6 @@ let leaky_backlog =
       "deliberately seeded certificate mismatch: a producer overflows a queue \
        whose drain the static boundedness pass certified, while the consumer \
        is parked on a gate nobody fires";
-    exhaustive = true;
     gating = false;
     (* a known-bad fixture for the queue-depth gauge sanitizer: explored
        on demand and by the test suite, not part of the CI gate *)
@@ -307,7 +300,6 @@ let spg_alias_blindspot =
        escapes through a module-level mailbox to a bare waiter the static \
        call graph never connects to the source, so the observed propagation \
        edge lands outside the static exposure set";
-    exhaustive = true;
     gating = false;
     (* a known-bad fixture for the SPG cross-check: explored on demand
        and by the test suite, not part of the CI gate *)
@@ -333,7 +325,6 @@ let domains_disjoint =
       "two fixture workers on one node touch disjoint module state; the \
        depfast-domains footprints license pruning their interleavings, and \
        probes confirm neither file touches the other's cell";
-    exhaustive = true;
     gating = true;
     modules = [ fixture_dom_a_file; fixture_dom_b_file ];
     par_safe = false;
@@ -372,7 +363,6 @@ let domains_false_independence =
       "deliberately seeded certificate mismatch: fixture B writes fixture A's \
        queue through a parameter alias the static effect footprints cannot \
        see, so the probe cross-check must catch the false independence claim";
-    exhaustive = true;
     gating = false;
     (* a known-bad fixture for the independence cross-check: explored on
        demand and by the test suite, not part of the CI gate *)
@@ -462,7 +452,6 @@ let raft_elect ~n ~name ~schedules ~until_ms =
   {
     name;
     descr = Printf.sprintf "%d-replica leader election under delivery reordering" n;
-    exhaustive = false;
     gating = true;
     modules = [ "lib/raft/server.ml"; "lib/cluster/rpc.ml" ];
     par_safe = true;
@@ -485,7 +474,6 @@ let raft_replicate_3 =
   {
     name = "raft-replicate-3";
     descr = "elect, then one client write replicates to a 3-replica group";
-    exhaustive = false;
     gating = true;
     modules = [ "lib/raft/server.ml"; "lib/raft/client.ml"; "lib/cluster/rpc.ml" ];
     par_safe = true;
@@ -507,7 +495,6 @@ let raft_partition_heal_3 =
   {
     name = "raft-partition-heal-3";
     descr = "leader isolated, survivors re-elect, partition heals";
-    exhaustive = false;
     gating = true;
     modules = [ "lib/raft/server.ml"; "lib/cluster/rpc.ml"; "lib/cluster/net.ml" ];
     par_safe = true;
@@ -535,7 +522,6 @@ let raft_rewind_3 =
     descr =
       "writes continue while a follower is cut off; on heal the pipelined \
        AppendEntries stream is rejected and rewound";
-    exhaustive = false;
     gating = true;
     modules = [ "lib/raft/server.ml"; "lib/raft/client.ml"; "lib/cluster/rpc.ml" ];
     par_safe = true;
@@ -570,7 +556,6 @@ let raft_slow_disk_admission_3 =
     descr =
       "slow leader disk under offered load: the admission-queue gauge stays \
        within its certified bound while requests shed fail-fast";
-    exhaustive = false;
     gating = true;
     modules = [ "lib/raft/server.ml"; "lib/raft/client.ml"; "lib/cluster/rpc.ml" ];
     par_safe = true;

@@ -17,8 +17,6 @@ type instance = {
 type t = {
   name : string;
   descr : string;
-  exhaustive : bool;
-      (* small enough that the default budget fully enumerates it *)
   gating : bool;  (* part of the default registry run (CI) *)
   modules : string list;  (* source files exercised — certificate domain *)
   par_safe : bool;

@@ -84,6 +84,10 @@ let grow_slots arr want =
 let register t node ~handler =
   let id = Node.id node in
   t.eps <- grow_slots t.eps id;
+  (match t.eps.(id) with
+  | Some ep when ep.node != node ->
+    invalid_arg (Printf.sprintf "Net.register: node id %d is already taken" id)
+  | Some _ | None -> ());
   t.eps.(id) <- Some { node; handler; out = [||] };
   t.sorted_valid <- false
 

@@ -28,7 +28,9 @@ val create :
 
 val register : 'msg t -> Node.t -> handler:(src:int -> 'msg -> unit) -> unit
 (** Attach a node and its delivery handler. The handler runs as an engine
-    callback (not a coroutine); it should hand off to coroutines quickly. *)
+    callback (not a coroutine); it should hand off to coroutines quickly.
+    Registering the same node again replaces its handler.
+    @raise Invalid_argument if a different node already holds the id. *)
 
 val nodes : 'msg t -> Node.t list
 (** Registered nodes in id order. The sorted list is cached and only

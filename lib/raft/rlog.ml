@@ -55,8 +55,6 @@ let slice_array t ~from ~max =
     let stop = min t.len (from + max - 1) in
     Array.sub t.entries (from - 1) (stop - from + 1)
 
-let slice t ~from ~max = Array.to_list (slice_array t ~from ~max)
-
 let length t = t.len
 
 let matches t ~prev_index ~prev_term =

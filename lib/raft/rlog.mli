@@ -60,9 +60,6 @@ val slice_array : t -> from:Types.index -> max:int -> Types.entry array
 (** Copying variant ([Array.sub]) kept for the baseline systems, which
     model copy-per-send replication. *)
 
-val slice : t -> from:Types.index -> max:int -> Types.entry list
-(** {!slice_array} as a list, for callers that want one. *)
-
 val length : t -> int
 (** Number of real entries ([last_index]). *)
 

@@ -761,7 +761,7 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commi
       let match_index = prev_index + Array.length entries in
       if Array.length entries > 0 then begin
         let bytes =
-          entries_bytes_a entries + (Array.length entries * cfg.Config.wal_entry_overhead)
+          entries_bytes entries + (Array.length entries * cfg.Config.wal_entry_overhead)
         in
         (* depfast-lint: allow lock-across-call red-exposure — the append
            lock is the documented FIFO-stream substitution (DESIGN §5):

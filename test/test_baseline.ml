@@ -1,4 +1,4 @@
-(* Behavioural tests for the three baseline RSM implementations: each must
+(* Behavioural tests for the four baseline RSM implementations: each must
    work correctly when healthy, and exhibit its diagnosed fail-slow
    pathology when a follower is slowed. Runs use shrunk workloads to stay
    fast. *)
@@ -11,20 +11,27 @@ let small_workload = Workload.Ycsb.scaled ~records:1_000 Workload.Ycsb.update_he
 type built = {
   sut : Workload.Sut.t;
   sched : Depfast.Sched.t;
+  bases : Baseline.Common.base list;  (** leader first *)
 }
 
-let build_system which ?(seed = 7L) () =
-  let engine = Sim.Engine.create ~seed () in
-  let sched = Depfast.Sched.create engine in
+(* build a system through its cluster record *)
+let build_system which =
+  let sched = Depfast.Sched.create (Sim.Engine.create ~seed:7L ()) in
   let cfg = Raft.Config.default in
-  let sut =
-    match which with
-    | `Mongo -> Baseline.Mongo_like.sut (Baseline.Mongo_like.create sched ~n:3 ~cfg ()) ~cfg
-    | `Tidb -> Baseline.Tidb_like.sut (Baseline.Tidb_like.create sched ~n:3 ~cfg ()) ~cfg
-    | `Rethink ->
-      Baseline.Rethink_like.sut (Baseline.Rethink_like.create sched ~n:3 ~cfg ()) ~cfg
-  in
-  { sut; sched }
+  let built c sut = { sut; sched; bases = c.Baseline.Common.bases } in
+  match which with
+  | `Mongo ->
+    let c = Baseline.Mongo_like.create sched ~n:3 ~cfg () in
+    built c (Baseline.Mongo_like.sut c ~cfg)
+  | `Tidb ->
+    let c = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
+    built c (Baseline.Tidb_like.sut c ~cfg)
+  | `Rethink ->
+    let c = Baseline.Rethink_like.create sched ~n:3 ~cfg () in
+    built c (Baseline.Rethink_like.sut c ~cfg)
+  | `Chain ->
+    let c = Baseline.Chain.create sched ~n:3 ~cfg () in
+    built c (Baseline.Chain.sut c ~cfg)
 
 let run_load b ~clients ~seconds =
   Workload.Driver.run b.sched
@@ -33,7 +40,7 @@ let run_load b ~clients ~seconds =
     ~duration:(Sim.Time.sec seconds) ~leader_node:b.sut.Workload.Sut.leader_node ()
 
 let healthy_serves which () =
-  let b = build_system which () in
+  let b = build_system which in
   let m = run_load b ~clients:32 ~seconds:3 in
   check_bool "serves thousands of ops"
     true
@@ -132,19 +139,30 @@ let test_mongo_lag_mode_engages () =
   check_bool "cold catch-up pulls observed" true (Baseline.Mongo_like.cold_pulls cluster > 0);
   check_bool "cache-interference mode engaged" true (Baseline.Mongo_like.in_lag_mode cluster)
 
+(* after the load and a drain, every follower holds the leader's log entry
+   for entry and has applied a non-empty prefix of what the leader applied *)
 let test_replicas_converge which () =
-  let b = build_system which () in
+  let b = build_system which in
   ignore (run_load b ~clients:16 ~seconds:2);
-  (* drain in-flight replication, then compare state-machine digests of the
-     leader and the healthy follower *)
   let engine = Depfast.Sched.engine b.sched in
   Sim.Engine.run ~until:(Sim.Time.add (Sim.Engine.now engine) (Sim.Time.sec 2)) engine;
-  ignore b.sut.Workload.Sut.name
+  let leader = List.hd b.bases in
+  let last = Raft.Rlog.last_index leader.Baseline.Common.rlog in
+  check_bool "leader logged writes" true (last > 1000);
+  List.iter
+    (fun (f : Baseline.Common.base) ->
+      check_int "same last index" last (Raft.Rlog.last_index f.rlog);
+      for i = 1 to last do
+        if Raft.Rlog.get f.rlog i <> Raft.Rlog.get leader.rlog i then
+          Alcotest.failf "%s: entry %d differs" b.sut.Workload.Sut.name i
+      done;
+      check_bool "follower applied" true (f.last_applied >= 1);
+      check_bool "no more than the leader" true
+        (f.last_applied <= leader.Baseline.Common.last_applied))
+    (List.tl b.bases)
 
 let test_convergence_all () =
-  (* digests compared through the generic KV invariant: run each system,
-     then check that followers applied a prefix of the leader's log *)
-  List.iter (fun which -> test_replicas_converge which ()) [ `Mongo; `Tidb; `Rethink ]
+  List.iter (fun which -> test_replicas_converge which ()) [ `Mongo; `Tidb; `Rethink; `Chain ]
 
 (* ------------------------------------------------------------------ *)
 (* Chain replication (§3.3 tradeoff substrate) *)
@@ -182,8 +200,13 @@ let test_chain_fail_slow_propagates () =
          ~leader_node:sut.Workload.Sut.leader_node ())
   in
   let healthy = run None in
-  let slowed = run (Some Cluster.Fault.Cpu_slow) in
-  check_bool "chain collapses under one slow node" true (slowed < healthy /. 2.0)
+  List.iter
+    (fun k ->
+      check_bool
+        (Printf.sprintf "chain collapses under one %s node" (Cluster.Fault.name k))
+        true
+        (run (Some k) < healthy /. 2.0))
+    [ Cluster.Fault.Cpu_slow; Cluster.Fault.Net_slow ]
 
 let suite =
   [

@@ -329,6 +329,24 @@ let test_net_nodes_cached_sorted () =
   ignore (Cluster.Net.register net (mk 2) ~handler:(fun ~src:_ () -> ()));
   check_bool "cache refreshed after register" true (ids () = [ 1; 2; 3; 5 ])
 
+(* a second node under a taken id is refused; the same node may re-register *)
+let test_net_duplicate_id () =
+  let s = make_sched () in
+  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) () in
+  let a = Cluster.Node.create s ~id:1 ~name:"a" () in
+  let got = ref 0 in
+  Cluster.Net.register net a ~handler:(fun ~src:_ () -> ());
+  Cluster.Net.register net a ~handler:(fun ~src:_ () -> incr got);
+  let b = Cluster.Node.create s ~id:0 ~name:"b" () in
+  Cluster.Net.register net b ~handler:(fun ~src:_ () -> ());
+  Alcotest.check_raises "taken id"
+    (Invalid_argument "Net.register: node id 1 is already taken") (fun () ->
+      Cluster.Net.register net (Cluster.Node.create s ~id:1 ~name:"c" ())
+        ~handler:(fun ~src:_ () -> ()));
+  Cluster.Net.send net ~src:0 ~dst:1 ();
+  Depfast.Sched.run s;
+  check_int "first node kept, its new handler runs" 1 !got
+
 (* ------------------------------------------------------------------ *)
 (* RPC *)
 
@@ -526,6 +544,7 @@ let suite =
         Alcotest.test_case "partition/heal mid-flight" `Quick
           test_net_partition_heal_mid_flight;
         Alcotest.test_case "nodes cached sorted" `Quick test_net_nodes_cached_sorted;
+        Alcotest.test_case "duplicate id refused" `Quick test_net_duplicate_id;
       ] );
     ( "cluster.rpc",
       [

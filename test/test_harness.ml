@@ -101,6 +101,50 @@ let test_fig3_drift_band_quick () =
         (Float.abs r.Harness.Fig3.drift_tput < 0.25))
     rows
 
+(* The paper's Figure 1 shape (§2.2): every baseline degrades under some
+   Table-1 fault, and TiDB-like shows the largest worst-case p99 ratio,
+   inside the paper's 1.6-3.46x band. The short window (about 0.8 s of
+   wall time) keeps the shape on seeds 3, 5, 7 and 11; [Params.quick]
+   (fig1 --quick) reads worst tput 0.89 for MongoDB-like and worst p99
+   2.26 for TiDB-like and 1.29 for RethinkDB-like. *)
+let test_fig1_shape () =
+  let params =
+    {
+      Harness.Params.quick with
+      clients = 32;
+      warmup = Sim.Time.ms 200;
+      duration = Sim.Time.ms 600;
+      records = 2_000;
+    }
+  in
+  let rows = Harness.Fig1.run ~params () in
+  let worst_p99 system =
+    List.fold_left
+      (fun acc (r : Harness.Fig1.row) ->
+        if r.system = system && r.fault <> None then max acc r.p99_latency_norm else acc)
+      0.0 rows
+  in
+  List.iter
+    (fun system ->
+      check_bool
+        (Harness.Runner.system_name system ^ " degrades under some fault")
+        true
+        (List.exists
+           (fun (r : Harness.Fig1.row) ->
+             r.system = system && r.fault <> None
+             && (r.throughput_norm <= 0.95 || r.p99_latency_norm >= 1.10))
+           rows))
+    Harness.Runner.baseline_systems;
+  let tidb = worst_p99 Harness.Runner.Tidb_like in
+  check_bool "TiDB-like worst p99 within 1.6-3.46x" true (tidb >= 1.6 && tidb <= 3.46);
+  List.iter
+    (fun system ->
+      check_bool
+        (Harness.Runner.system_name system ^ " worst p99 below TiDB-like's")
+        true
+        (worst_p99 system < tidb))
+    [ Harness.Runner.Mongo_like; Harness.Runner.Rethink_like ]
+
 let test_minority_counts () =
   check_int "3 nodes -> 1 slow" 1 (Harness.Fig3.minority 3);
   check_int "5 nodes -> 2 slow" 2 (Harness.Fig3.minority 5);
@@ -117,5 +161,6 @@ let suite =
         Alcotest.test_case "fig2 structure" `Quick test_fig2_structure;
         Alcotest.test_case "fig3 drift (quick)" `Slow test_fig3_drift_band_quick;
         Alcotest.test_case "minority sizing" `Quick test_minority_counts;
+        Alcotest.test_case "fig1 shape" `Quick test_fig1_shape;
       ] );
   ]

@@ -47,14 +47,12 @@ let test_rlog_slice_coherent =
         Raft.Rlog.append log
           { term = 1; index = i; cmd = Raft.Types.Nop; client_id = -1; seq = 0 }
       done;
-      let s = Raft.Rlog.slice log ~from ~max:max_n in
-      if from > len then s = []
+      let s = Raft.Rlog.slice_array log ~from ~max:max_n in
+      if from > len then s = [||]
       else
-        List.length s = min max_n (len - from + 1)
-        && List.for_all2
-             (fun (e : Raft.Types.entry) k -> e.index = from + k)
-             s
-             (List.init (List.length s) Fun.id))
+        Array.length s = min max_n (len - from + 1)
+        && Array.for_all Fun.id
+             (Array.mapi (fun k (e : Raft.Types.entry) -> e.index = from + k) s))
 
 (* a view over any window materializes to exactly the copying slice *)
 let test_rlog_view_matches_slice =
