@@ -20,12 +20,13 @@ open Raft.Types
 type rpc = (Raft.Types.req, Raft.Types.resp) Cluster.Rpc.t
 
 type pending = {
+  p_cmd : command;  (* with [p_client] and [p_seq], the entry it seals into *)
+  p_client : int;
+  p_seq : int;
   mutable p_ok : bool;
   mutable p_value : string option;
   p_done : Depfast.Event.t;
 }
-
-type queued = { q_cmd : command; q_client : int; q_seq : int; q_pending : pending }
 
 (** Per-server state common to all baselines. *)
 type base = {
@@ -42,7 +43,7 @@ type base = {
   mutable last_applied : index;
   match_index : (int, index) Hashtbl.t;
       (** the leader's view of each follower's log; absent reads as 0 *)
-  pending_q : queued Queue.t;
+  pending_q : pending Queue.t;
   by_index : (index, pending) Hashtbl.t;
   work_cv : Depfast.Condvar.t;
   commit_cv : Depfast.Condvar.t;
@@ -98,12 +99,13 @@ let persist b entries =
 
 let enqueue b ~cmd ~client ~seq =
   let p =
-    { p_ok = false; p_value = None; p_done = Depfast.Event.signal ~label:"committed" () }
+    { p_cmd = cmd; p_client = client; p_seq = seq; p_ok = false; p_value = None;
+      p_done = Depfast.Event.signal ~label:"committed" () }
   in
   (* depfast-lint: allow unbounded-growth — deliberate baseline defect: no
      admission control on the client->leader path; the only drain is a
      sibling replicator loop (ROADMAP: bounded backpressure) *)
-  Queue.add { q_cmd = cmd; q_client = client; q_seq = seq; q_pending = p } b.pending_q;
+  Queue.add p b.pending_q;
   Depfast.Condvar.broadcast b.work_cv;
   p
 
@@ -122,20 +124,14 @@ let seal_batch b =
     Array.init
       (min cfg.Raft.Config.batch_max (Queue.length b.pending_q))
       (fun _ ->
-        let q = Queue.pop b.pending_q in
+        let p = Queue.pop b.pending_q in
         let e =
-          {
-            term = 1;
-            index = last_index b + 1;
-            cmd = q.q_cmd;
-            client_id = q.q_client;
-            seq = q.q_seq;
-          }
+          { term = 1; index = last_index b + 1; cmd = p.p_cmd; client_id = p.p_client; seq = p.p_seq }
         in
         (* depfast-lint: allow unbounded-growth — known-unbounded log: the
            baselines never truncate (ROADMAP: log compaction / snapshots) *)
         Raft.Rlog.append b.rlog e;
-        Hashtbl.replace b.by_index e.index q.q_pending;
+        Hashtbl.replace b.by_index e.index p;
         e)
   in
   let n = Array.length entries in

@@ -6,7 +6,9 @@ type 'resp call = {
   ev : Depfast.Event.t;
   mutable resp : 'resp option;
   mutable done_ : bool;  (* responded or abandoned: buffer released *)
-  release : unit -> unit;
+  src : Node.t;  (* charged [bytes] until [done_] *)
+  bytes : int;
+  outstanding : (int, int) Hashtbl.t;  (* the rpc's per-node charges *)
 }
 
 type ('req, 'resp) t = {
@@ -39,35 +41,43 @@ let heal t a b = Net.heal t.net a b
 let set_discard_stragglers t b = t.discard_stragglers <- b
 let discarded_responses t = t.discarded
 
-let outstanding_bytes t ~node = Option.value ~default:0 (Hashtbl.find_opt t.outstanding node)
+let charged outstanding node =
+  match Hashtbl.find outstanding node with b -> b | exception Not_found -> 0
+
+let outstanding_bytes t ~node = charged t.outstanding node
 let net_totals t = Net.totals t.net
 let set_choice_mode t b = Net.set_choice_mode t.net b
 let set_net_sanitizer t f = Net.set_sanitizer t.net f
 
-let charge t node bytes =
-  Hashtbl.replace t.outstanding node (outstanding_bytes t ~node + bytes)
+let charge outstanding node bytes =
+  Hashtbl.replace outstanding node (charged outstanding node + bytes)
+
+(* the call is over (responded or abandoned): free its buffer, once *)
+let finish c =
+  c.done_ <- true;
+  Memory.free (Node.memory c.src) c.bytes;
+  charge c.outstanding (Node.id c.src) (-c.bytes)
 
 let handle_frame t me ~src frame =
   match frame with
   | Req { id; body } -> (
-    match Hashtbl.find_opt t.handlers (Node.id me) with
-    | None -> ()
-    | Some handler ->
+    match Hashtbl.find t.handlers (Node.id me) with
+    | exception Not_found -> ()
+    | handler ->
       Node.spawn me ~name:"rpc.handler" (fun () ->
           match handler ~src body with
           | None -> ()
           | Some resp ->
             Net.send t.net ~src:(Node.id me) ~dst:src (Resp { id; body = resp })))
   | Resp { id; body } -> (
-    match Hashtbl.find_opt t.calls id with
-    | None -> ()
-    | Some call ->
+    match Hashtbl.find t.calls id with
+    | exception Not_found -> ()
+    | call ->
       Hashtbl.remove t.calls id;
       if call.done_ then t.discarded <- t.discarded + 1
       else begin
         call.resp <- Some body;
-        call.done_ <- true;
-        call.release ();
+        finish call;
         Depfast.Event.fire call.ev
       end)
 
@@ -89,37 +99,20 @@ let call t ~src ~dst ?bytes body =
   let bytes = Option.value ~default:t.request_bytes bytes in
   let src_id = Node.id src in
   Memory.alloc (Node.memory src) bytes;
-  charge t src_id bytes;
-  let released = ref false in
-  let release () =
-    if not !released then begin
-      released := true;
-      Memory.free (Node.memory src) bytes;
-      charge t src_id (-bytes)
-    end
-  in
+  charge t.outstanding src_id bytes;
   let ev =
     Depfast.Event.rpc_completion ~label:(label_of dst) ~peer:dst ()
   in
-  let c = { ev; resp = None; done_ = false; release } in
+  let c = { ev; resp = None; done_ = false; src; bytes; outstanding = t.outstanding } in
   Hashtbl.replace t.calls id c;
-  (* abandoning the event (e.g. enclosing quorum satisfied) frees the call *)
-  Depfast.Event.on_abandon ev (fun () ->
-      if not c.done_ then begin
-        c.done_ <- true;
-        release ()
-      end);
+  (* abandoning the event (enclosing quorum satisfied, [abandon]) frees the call *)
+  Depfast.Event.on_abandon ev (fun () -> if not c.done_ then finish c);
   Net.send t.net ~units:bytes ~src:src_id ~dst (Req { id; body });
   c
 
 let event c = c.ev
 let response c = c.resp
-let abandon c =
-  if not c.done_ then begin
-    c.done_ <- true;
-    c.release ();
-    Depfast.Event.abandon c.ev
-  end
+let abandon c = Depfast.Event.abandon c.ev
 
 let broadcast t ~src ~dsts ~arity ?bytes ?(label = "broadcast") body =
   let q = Depfast.Event.quorum ~label arity in

@@ -4,24 +4,27 @@ type arity = Count of int | Majority | All | Any
 
 (* Children live in a growable array so the steady-state hot paths (fire
    propagation, quorum counting, staller analysis) neither allocate nor
-   re-traverse lists. Observers are reverse-order lists run by recursing to
-   the tail first, so registration is one cons and firing allocates
-   nothing. The whole mutable lifecycle — the ready and abandoned bits, the
+   re-traverse lists. The first fire observer sits in the [waiter] slot,
+   the rest in a reverse-order list run by recursing to the tail first, so
+   registration allocates at most one cons and firing allocates nothing.
+   The whole mutable lifecycle — the ready and abandoned bits, the
    ready-child count, and the attached-child count (the children array's
-   live prefix length) — packs into the single [state] word, and
-   [peer_node] is [-1] when absent, keeping the record at 12 words with no
-   option boxes. *)
+   live prefix length) — packs into the single [state] word, and the kind
+   and peer node into the immutable [shape] word, keeping the record at
+   12 words with no option boxes. *)
 type t = {
   id : int;
-  kind : kind;
+  shape : int;  (* bits 0..2 = kind, bits 3.. = peer node + 1 (0 = none) *)
   label : string;
   arity : arity;
-  peer_node : int;  (* -1 = none *)
   mutable state : int;
       (* bit 0 = ready, bit 1 = abandoned,
          bits 2..31 = ready children, bits 32.. = attached children *)
   mutable children : t array;  (* attachment order; live prefix only *)
   mutable parents : t list;
+  mutable waiter : unit -> unit;
+      (* the first fire observer, [no_waiter] when free; taken only while
+         [fire_obs] is empty, so it always precedes the list *)
   mutable fire_obs : (unit -> unit) list;  (* reverse registration order *)
   mutable abandon_obs : (unit -> unit) list;
   mutable peers_cache : int list option;
@@ -38,16 +41,25 @@ let one_child = 1 lsl 32
 let n_children_of t = t.state lsr 32
 let n_ready_of t = (t.state lsr 2) land 0x3FFFFFFF
 
+(* [shape]'s kind codes follow the constructor order; compounds are 4.. *)
+let kinds = [| Signal; Timer; Rpc; Disk; Quorum; And_; Or_ |]
+let code_of = function
+  | Signal -> 0 | Timer -> 1 | Rpc -> 2 | Disk -> 3 | Quorum -> 4 | And_ -> 5 | Or_ -> 6
+let peer_of t = (t.shape lsr 3) - 1
+
+(* compared physically: the free slot's sentinel, never a real observer *)
+let no_waiter () = ()
+
 let dummy =
   {
     id = 0;
-    kind = Signal;
+    shape = 0;
     label = "";
     arity = Any;
-    peer_node = -1;
     state = ready_bit;
     children = [||];
     parents = [];
+    waiter = no_waiter;
     fire_obs = [];
     abandon_obs = [];
     peers_cache = None;
@@ -60,13 +72,13 @@ let next_id = Atomic.make 0
 let make_p label peer kind arity =
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
-    kind;
+    shape = ((peer + 1) lsl 3) lor code_of kind;
     label;
     arity;
-    peer_node = peer;
     state = 0;
     children = [||];
     parents = [];
+    waiter = no_waiter;
     fire_obs = [];
     abandon_obs = [];
     peers_cache = None;
@@ -74,7 +86,7 @@ let make_p label peer kind arity =
 
 let make ?(label = "") kind arity = make_p label (-1) kind arity
 let id t = t.id
-let kind t = t.kind
+let kind t = kinds.(t.shape land 7)
 let label t = t.label
 let signal ?label () = make ?label Signal Any
 let rpc_completion ?(label = "") ~peer () = make_p label peer Rpc Any
@@ -94,8 +106,7 @@ let iter_children t f =
   done
 
 let ready_children t = n_ready_of t
-let is_compound t =
-  match t.kind with Quorum | And_ | Or_ -> true | Signal | Timer | Rpc | Disk -> false
+let is_compound t = t.shape land 7 >= 4
 
 let required t =
   if not (is_compound t) then 1
@@ -119,8 +130,10 @@ let rec run_obs = function
 let rec become_ready t =
   if t.state land ready_bit = 0 then begin
     t.state <- t.state lor ready_bit;
-    let obs = t.fire_obs in
+    let w = t.waiter and obs = t.fire_obs in
+    t.waiter <- no_waiter;
     t.fire_obs <- [];
+    w ();
     run_obs obs;
     List.iter child_became_ready t.parents
   end
@@ -179,10 +192,21 @@ let add parent ~child =
   if child.state land ready_bit <> 0 then parent.state <- parent.state + one_ready;
   check_compound parent
 
+let take_waiter t f =
+  match t.fire_obs with
+  | [] when t.state land ready_bit = 0 && t.waiter == no_waiter ->
+    t.waiter <- f;
+    true
+  | _ -> false
+
+let drop_waiter t f = if t.waiter == f then t.waiter <- no_waiter
+
 let on_fire t f =
-  (* depfast-lint: allow unbounded-growth — observers run and are freed at
-     the fire; the list is bounded by registrations on one live event *)
-  if t.state land ready_bit <> 0 then f () else t.fire_obs <- f :: t.fire_obs
+  if t.state land ready_bit <> 0 then f ()
+  else if not (take_waiter t f) then
+    (* depfast-lint: allow unbounded-growth — observers run and are freed at
+       the fire; the list is bounded by registrations on one live event *)
+    t.fire_obs <- f :: t.fire_obs
 
 let live_mask = ready_bit lor abandoned_bit
 
@@ -216,13 +240,13 @@ let rec peers t =
   | Some l -> l
   | None ->
     let l =
-      if not (is_compound t) then (if t.peer_node < 0 then [] else [ t.peer_node ])
+      if not (is_compound t) then (if peer_of t < 0 then [] else [ peer_of t ])
       else begin
         (* merge the children's (cached) peer lists, deduplicating by
            first occurrence — identical to a DFS pre-order of the tree.
            A compound has a handful of peers, so a scan of those gathered
            so far beats building a table *)
-        let out = ref (if t.peer_node >= 0 then [ t.peer_node ] else []) in
+        let out = ref (if peer_of t >= 0 then [ peer_of t ] else []) in
         for i = 0 to n_children_of t - 1 do
           List.iter (fun p -> if not (mem_peer p !out) then out := p :: !out) (peers t.children.(i))
         done;
@@ -240,7 +264,7 @@ let rec peers t =
    discard after a quorum fired) is ignored — for completed waits the
    analysis stays purely structural. *)
 let rec can_stall e p =
-  if not (is_compound e) then e.peer_node = p
+  if not (is_compound e) then peer_of e = p
   else begin
     let stallable = ref 0 in
     let e_pending = e.state land ready_bit = 0 in

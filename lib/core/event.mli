@@ -116,7 +116,17 @@ val fire : t -> unit
 val on_fire : t -> (unit -> unit) -> unit
 (** [on_fire t f]: run [f] when [t] fires (immediately if already ready).
     Used by the scheduler to resume waiters and by the framework to cancel
-    straggler work once a quorum is met. *)
+    straggler work once a quorum is met. Observers run in registration
+    order; the first one registered takes the event's waiter slot, so it
+    costs no allocation. *)
+
+val take_waiter : t -> (unit -> unit) -> bool
+(** {!on_fire} if [f] can take the waiter slot ([t] pending, no observer
+    registered); [false], registering nothing, otherwise. The scheduler
+    parks a coroutine's once-built wake here and drops it on timeout. *)
+
+val drop_waiter : t -> (unit -> unit) -> unit
+(** Free the waiter slot if it holds [f] (physically). *)
 
 val abandon : t -> unit
 (** Mark the event as no longer awaited (quorum satisfied elsewhere or wait

@@ -18,22 +18,26 @@ type monitor = {
 type outcome = Ready | Timed_out
 
 (* A coroutine and its parking slot: it parks on at most one event, so the
-   tag and the resume thunk are built at spawn and every wait reuses the
-   slot. [park_gen] counts ended parks; a park's wakeups carry its value and
-   the first to run bumps it, so a later one (the loser of fire vs timeout,
-   a cancelled timer explore mode hoisted, a fire of an event an earlier
-   park timed out on) is a no-op. *)
+   tag, the resume thunk and the fire wake are built at spawn and every
+   wait reuses the slot. The fire wake parks in the event's waiter slot
+   when that is free; a timeout drops it from there, so the slot never
+   holds a stale wake. Otherwise a park registers a closure stamped with
+   [park_gen], which counts ended parks: a park's wakeups carry its value
+   and the first to run bumps it, so a later one (the loser of fire vs
+   timeout, a cancelled timer explore mode hoisted, a fire of an event an
+   earlier park timed out on) is a no-op. *)
 type ctx = {
   cid : int;
   node : int;
   name : string;
   tag : Engine.tag;
   resume_ready : unit -> unit;
+  fire_wake : unit -> unit;
   mutable park_ev : Event.t;
   mutable park_span : Time.span;  (* -1 = untimed *)
   mutable park_start : Time.t;
   mutable park_k : (outcome, unit) Effect.Deep.continuation;
-  mutable park_timer : Engine.timer option;
+  mutable park_timer : Engine.timer;  (* [Engine.unarmed] when none *)
   mutable park_gen : int;
 }
 
@@ -44,6 +48,7 @@ type t = {
   mutable next_cid : int;
   mutable monitor : monitor option;
   wake : ctx -> unit;  (* builds each coroutine's resume thunk *)
+  fired : ctx -> unit;  (* builds each coroutine's fire wake *)
   mutable coro_handler : (unit, unit) Effect.Deep.handler;  (* built at the first spawn *)
 }
 
@@ -61,15 +66,15 @@ let no_k : (outcome, unit) Effect.Deep.continuation =
   Effect.Deep.match_with (fun () -> ignore (Effect.perform E_park)) () { retc = ignore; exnc = raise; effc };
   Option.get !got
 
-let make_ctx ~cid ~node ~name resume_ready =
+let make_ctx ~cid ~node ~name resume_ready fired =
   let rec ctx =
     { cid; node; name; tag = Engine.Coro (cid, node); resume_ready = (fun () -> resume_ready ctx);
-      park_ev = Event.dummy; park_span = -1; park_start = Time.zero; park_k = no_k;
-      park_timer = None; park_gen = 0 }
+      fire_wake = (fun () -> fired ctx); park_ev = Event.dummy; park_span = -1;
+      park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
   in
   ctx
 
-let no_ctx = make_ctx ~cid:0 ~node:(-1) ~name:"" ignore
+let no_ctx = make_ctx ~cid:0 ~node:(-1) ~name:"" ignore ignore
 let no_handler : (unit, unit) Effect.Deep.handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let engine t = t.engine
@@ -107,7 +112,18 @@ let resume_ready t ctx =
   record_wait t ctx ~outcome:Ready;
   resume t ctx ctx.park_k Ready
 
-(* only the generation-stamped wakeup closures are built per park *)
+(* the park's event fired: end the park and post the resume *)
+let fired t ctx =
+  ctx.park_gen <- ctx.park_gen + 1;
+  Engine.cancel t.engine ctx.park_timer;
+  ctx.park_timer <- Engine.unarmed;
+  (match t.monitor with
+  | Some m -> m.on_wake ~cid:ctx.cid ctx.park_ev Wake_fire
+  | None -> ());
+  Engine.post_tag t.engine ctx.tag ctx.resume_ready
+
+(* a park allocates only when the event's waiter slot is taken (a
+   generation-stamped fire closure) and when it is timed (the timeout) *)
 let park t ctx k =
   ctx.park_start <- now t;
   if Event.is_ready ctx.park_ev then begin
@@ -120,21 +136,14 @@ let park t ctx k =
     | None -> ());
     ctx.park_k <- k;
     let gen = ctx.park_gen in
-    Event.on_fire ctx.park_ev (fun () ->
-        if ctx.park_gen = gen then begin
-          ctx.park_gen <- gen + 1;
-          (match ctx.park_timer with Some h -> Engine.cancel t.engine h | None -> ());
-          ctx.park_timer <- None;
-          (match t.monitor with
-          | Some m -> m.on_wake ~cid:ctx.cid ctx.park_ev Wake_fire
-          | None -> ());
-          Engine.post_tag t.engine ctx.tag ctx.resume_ready
-        end);
+    if not (Event.take_waiter ctx.park_ev ctx.fire_wake) then
+      Event.on_fire ctx.park_ev (fun () -> if ctx.park_gen = gen then fired t ctx);
     if ctx.park_span >= 0 then
       let on_timeout () =
         if ctx.park_gen = gen then begin
           ctx.park_gen <- gen + 1;
-          ctx.park_timer <- None;
+          ctx.park_timer <- Engine.unarmed;
+          Event.drop_waiter ctx.park_ev ctx.fire_wake;
           (match t.monitor with
           | Some m ->
             m.on_wake ~cid:ctx.cid ctx.park_ev Wake_timeout;
@@ -144,7 +153,7 @@ let park t ctx k =
           resume t ctx ctx.park_k Timed_out
         end
       in
-      ctx.park_timer <- Some (Engine.schedule_tag t.engine ~delay:ctx.park_span ctx.tag on_timeout)
+      ctx.park_timer <- Engine.schedule_tag t.engine ~delay:ctx.park_span ctx.tag on_timeout
   end
 
 (* one handler serves every coroutine of [t]: it runs while [current] is
@@ -170,7 +179,8 @@ let create ?trace engine =
   let trace_rec = match trace with Some tr -> tr | None -> Trace.create () in
   let rec t =
     { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None;
-      wake = (fun ctx -> resume_ready t ctx); coro_handler = no_handler }
+      wake = (fun ctx -> resume_ready t ctx); fired = (fun ctx -> fired t ctx);
+      coro_handler = no_handler }
   in
   t
 
@@ -181,7 +191,7 @@ let reset t =
 let spawn t ?(node = -1) ?(name = "coroutine") f =
   if t.coro_handler == no_handler then t.coro_handler <- make_handler t;
   t.next_cid <- t.next_cid + 1;
-  let ctx = make_ctx ~cid:t.next_cid ~node ~name t.wake in
+  let ctx = make_ctx ~cid:t.next_cid ~node ~name t.wake t.fired in
   (match t.monitor with Some m -> m.on_spawn ~cid:ctx.cid ~node ~name | None -> ());
   Engine.post_tag t.engine ctx.tag (fun () ->
       let saved = t.current in

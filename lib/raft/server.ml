@@ -5,13 +5,12 @@ type rpc = (Types.req, Types.resp) Cluster.Rpc.t
 type role = Follower | Candidate | Leader
 
 type pending = {
+  p_cmd : bcmd;  (* the command with its session, as a batch carries it *)
   mutable p_ok : bool;
   mutable p_value : string option;
   p_done : Depfast.Event.t;
   p_t0 : Time.t;  (* enqueue time, for commit-latency tracking *)
 }
-
-type queued = { q_cmd : command; q_client : int; q_seq : int; q_pending : pending }
 
 type follower_state = {
   f_id : int;
@@ -47,8 +46,7 @@ type t = {
   mutable last_contact : Time.t;
   mutable leader : int option;
   (* leader-side state *)
-  pending_q : queued Queue.t;  (* admission queue, bounded by Config.admission_depth *)
-  mutable forming : queued list;  (* batcher buffer: the batch being sealed, reset per flush *)
+  pending_q : pending Queue.t;  (* admission queue, bounded by Config.admission_depth *)
   by_index : (index, pending array) Hashtbl.t;  (* one pending per command in the entry *)
   followers : (int, follower_state) Hashtbl.t;
   work_cv : Depfast.Condvar.t;
@@ -90,12 +88,11 @@ let election_timeout t =
 
 let fail_pending t =
   Queue.iter
-    (fun q ->
-      q.q_pending.p_ok <- false;
-      Depfast.Event.fire q.q_pending.p_done)
+    (fun p ->
+      p.p_ok <- false;
+      Depfast.Event.fire p.p_done)
     t.pending_q;
   Queue.clear t.pending_q;
-  t.forming <- [];
   Hashtbl.iter
     (fun _ ps ->
       Array.iter
@@ -295,21 +292,11 @@ let sender_loop t fs epoch =
 
 (* ---------------- leader: adaptive batcher + group-commit replicator ---- *)
 
-(* Seal up to [Config.max_batch] queued commands into the forming batch.
-   The batcher buffer is a leader-owned accumulator: it grows only here,
-   by moving commands out of the (bounded) admission queue, and is reset
-   to empty the moment the batch is sealed into a log entry. *)
+(* Seal up to [Config.max_batch] queued commands, oldest first, out of the
+   (bounded) admission queue into one array: the batch's [by_index] entry *)
 let take_batch t =
-  let rec go k =
-    if k > 0 && not (Queue.is_empty t.pending_q) then begin
-      t.forming <- Queue.pop t.pending_q :: t.forming;
-      go (k - 1)
-    end
-  in
-  go t.cfg.Config.max_batch;
-  let sealed = List.rev t.forming in
-  t.forming <- [];
-  sealed
+  let n = min t.cfg.Config.max_batch (Queue.length t.pending_q) in
+  Array.init n (fun _ -> Queue.pop t.pending_q)
 
 let replicator_loop t epoch =
   let cfg = t.cfg in
@@ -350,26 +337,22 @@ let replicator_loop t epoch =
              while this round's fixed work runs still make this batch, so
              the batch interval covers the whole seal, not just the wait *)
           cpu_work t cfg.Config.cost_round_fixed;
-          let batch = take_batch t in
-          if batch = [] then loop ()
+          let pendings = take_batch t in
+          let n = Array.length pendings in
+          if n = 0 then loop ()
           else begin
             let index = Rlog.last_index t.rlog + 1 in
             let e =
-              match batch with
-              | [ q ] ->
+              if n = 1 then
                 (* singleton: a plain entry, bit-identical to the unbatched
                    protocol *)
-                { term = t.term; index; cmd = q.q_cmd; client_id = q.q_client; seq = q.q_seq }
-              | qs ->
+                let b = pendings.(0).p_cmd in
+                { term = t.term; index; cmd = b.b_cmd; client_id = b.b_client; seq = b.b_seq }
+              else
                 {
                   term = t.term;
                   index;
-                  cmd =
-                    Batch
-                      (Array.of_list
-                         (List.map
-                            (fun q -> { b_cmd = q.q_cmd; b_client = q.q_client; b_seq = q.q_seq })
-                            qs));
+                  cmd = Batch (Array.map (fun p -> p.p_cmd) pendings);
                   client_id = -1;
                   seq = 0;
                 }
@@ -378,9 +361,7 @@ let replicator_loop t epoch =
                log: leader appends are never compacted (ROADMAP: log
                compaction / snapshots) *)
             Rlog.append t.rlog e;
-            let pendings = Array.of_list (List.map (fun q -> q.q_pending) batch) in
             Hashtbl.replace t.by_index index pendings;
-            let n = List.length batch in
             Hist.add t.batch_hist n;
             (* zero-copy path: the round's remaining serial work is the WAL
                encode only — no wire-buffer marshal (the senders ship
@@ -543,13 +524,14 @@ let reset_follower_state t =
 let enqueue t ~cmd ~client ~seq =
   let p =
     {
+      p_cmd = { b_cmd = cmd; b_client = client; b_seq = seq };
       p_ok = false;
       p_value = None;
       p_done = Depfast.Event.signal ~label:"committed" ();
       p_t0 = now t;
     }
   in
-  Queue.add { q_cmd = cmd; q_client = client; q_seq = seq; q_pending = p } t.pending_q;
+  Queue.add p t.pending_q;
   Depfast.Condvar.broadcast t.work_cv;
   p
 
@@ -877,7 +859,6 @@ let create rpc node ~peers ~cfg =
       last_contact = Time.zero;
       leader = None;
       pending_q = Queue.create ();
-      forming = [];
       by_index = Hashtbl.create 256;
       followers = Hashtbl.create 8;
       work_cv = Depfast.Condvar.create ~label:"work" ();

@@ -1,5 +1,7 @@
 type timer = (unit -> unit) Wheel.handle
 
+let unarmed = Wheel.no_handle
+
 (* Provenance of a unit of work, for the schedule explorer (lib/check).
    Tags are what make nondeterminism *reifiable*: when a chooser is
    installed, every step with more than one enabled alternative becomes an
@@ -195,7 +197,9 @@ let schedule_at t ~time f =
 
 let cancel t h =
   Wheel.cancel t.timers h;
-  match t.ex with Some ex -> ignore (untag_timer ex (Wheel.seq h)) | None -> ()
+  match t.ex with
+  | Some ex when h != unarmed -> ignore (untag_timer ex (Wheel.seq h))
+  | _ -> ()
 
 let ready_count t =
   match t.ex with None -> t.r_len | Some ex -> ex.ex_n

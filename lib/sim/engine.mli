@@ -14,6 +14,10 @@ type t
 type timer
 (** A cancellable scheduled thunk. *)
 
+val unarmed : timer
+(** A timer that was never scheduled: {!cancel} ignores it. Fills an empty
+    timer slot without an [option] box. *)
+
 (** {2 Choice points}
 
     Every unit of work the engine runs can carry a provenance tag. In

@@ -59,6 +59,8 @@ type 'a node =
 
 type 'a handle = 'a node
 
+let no_handle = Nil
+
 type 'a t = {
   mutable seq : int;
   mutable alive : int;

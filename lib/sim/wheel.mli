@@ -21,6 +21,10 @@ type 'a t
 type 'a handle
 (** Identifies an inserted entry; used to cancel it. *)
 
+val no_handle : 'a handle
+(** A handle to no entry: cancelling it is a no-op. Holders keep it in an
+    empty slot instead of an [option]. *)
+
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
@@ -35,7 +39,8 @@ val push : 'a t -> time:Time.t -> 'a -> 'a handle
     earlier than the last popped time is clamped to it. *)
 
 val cancel : 'a t -> 'a handle -> unit
-(** O(1); cancelling twice or after the entry fired is a no-op. *)
+(** O(1); cancelling twice, after the entry fired, or {!no_handle} is a
+    no-op. *)
 
 val next_time_or : 'a t -> default:Time.t -> Time.t
 (** Earliest live entry's time, or [default] when empty; allocates

@@ -38,7 +38,10 @@ let test_runner_depfast_cell () =
    healthy DepFastRaft cell ([Params.quick]'s keyspace and clients over a
    short window), set-up included. 1 043.8 with a list-slot timer wheel,
    a [Queue] ready queue, per-job station closures and a boxed RNG state;
-   740.9 without them. *)
+   740.9 without them (730.2 later); 589.4 once a wait parks in the
+   event's waiter slot and an RPC call and a batch seal build no
+   throwaway closures, lists or twin records. A fire closure per park
+   alone reads 653.6, so the ceiling sits between. *)
 let cell_words_per_op () =
   let params =
     { Harness.Params.quick with warmup = Sim.Time.ms 100; duration = Sim.Time.ms 400 }
@@ -56,7 +59,7 @@ let cell_words_per_op () =
 
 let test_cell_alloc_ceiling () =
   let w = cell_words_per_op () in
-  if w > 800.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 800" w
+  if w > 620.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 620" w
 
 let test_runner_all_systems_build () =
   List.iter
