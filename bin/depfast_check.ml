@@ -8,7 +8,9 @@
    abandoned waits, quorum counter consistency, per-link FIFO), Spg.audit
    over each terminal trace, and — unless --no-certs — a cross-check of
    dynamic violations against the static wait-structure certificates
-   computed over the library sources.
+   computed over the library sources. --no-certs only turns those
+   cross-checks off: certificates never change which schedules run, so
+   schedule and prune counts are the same either way.
 
    Exit discipline matches depfast_lint: 0 when no finding gates, 1 when
    findings gate, 2 on usage errors. *)

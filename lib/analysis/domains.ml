@@ -1,6 +1,6 @@
 (* Front end 5: depfast-domains — ownership verdicts over the mutable
    state inventory, domain-safety certificates, and per-file effect
-   footprints for the explorer's DPOR independence feed. *)
+   footprints. *)
 
 type cert = Growth.cert = {
   c_rule : string;
@@ -97,13 +97,11 @@ let analyze p =
       end)
     eff.Effects.e_cells;
   (* Per-file effect footprints: the union of the closed summaries of
-     the file's items — the DPOR independence feed. Restricted to the
-     schedule-relevant cells: [.field] effects are engine-owned (their
-     sharing is judged at top-level base cells, whose writes ARE in the
-     footprint) and atomic cells are linearizable counters — keeping
-     either would put e.g. [Event.next_id] in every file that allocates
-     an event and make all pairs conflict. The optimism is exactly what
-     the dynamic probe cross-check exists to validate. *)
+     the file's items. Restricted to the schedule-relevant cells: [.field]
+     effects are engine-owned (their sharing is judged at top-level base
+     cells, whose writes ARE in the footprint) and atomic cells are
+     linearizable counters — keeping either would put e.g.
+     [Event.next_id] in every file that allocates an event. *)
   let excluded = Hashtbl.create 32 in
   List.iter
     (fun (c : Effects.cell) ->

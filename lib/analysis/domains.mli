@@ -16,13 +16,8 @@
       definition): written outside any Mutex region or owner record —
       a data race once the tree runs on OCaml 5 domains.
 
-    The pass also exports per-file {e effect footprints} (the union of
-    the file's closed read/write sets): two files whose write sets are
-    disjoint from each other's read+write sets are statically
-    independent, which the schedule explorer ([lib/check]) uses to
-    enlarge DPOR persistent-set pruning — cross-checked dynamically by
-    sanitizer probes, since the static footprints cannot see writes
-    through escaped aliases. *)
+    The pass also returns per-file {e effect footprints} (the union of
+    the file's closed read/write sets). *)
 
 type cert = Growth.cert = {
   c_rule : string;
@@ -38,9 +33,9 @@ type footprint = string * (string list * string list)
 (** [(path, (cells read, cells written))] — whole-file effect union,
     restricted to schedule-relevant cells: [.field] effects (engine-owned,
     judged at their top-level base cells) and atomic cells (linearizable
-    counters like [Event.next_id]) are excluded, so the file-level
-    independence relation reflects genuinely shared module-level state.
-    This optimism is validated dynamically by the explorer's probes. *)
+    counters like [Event.next_id]) are excluded. No consumer in [lib/]
+    reads footprints; they go with the benchmark's lint-workload change
+    (ROADMAP: retire the multicore layer). *)
 
 (** Verdict class names, as they appear in certificate evidence. *)
 

@@ -7,13 +7,12 @@ type t = {
   bounds : Growth.cert list;
   domains : Growth.cert list;
   spg : Growth.cert list;
-  footprints : Domains.footprint list;
   exposures : (string * (string * string) list) list;
 }
 
 let run p =
   let bfs, bounds = Bounds.analyze p in
-  let dfs, domains, footprints = Domains.analyze p in
+  let dfs, domains, _ = Domains.analyze p in
   let sfs, spg, exposures = Spg_static.analyze p in
   let tagged =
     List.concat_map
@@ -27,6 +26,6 @@ let run p =
     | x :: rest -> x :: dedup rest
     | [] -> []
   in
-  { tagged = dedup tagged; bounds; domains; spg; footprints; exposures }
+  { tagged = dedup tagged; bounds; domains; spg; exposures }
 
 let findings t = List.map snd t.tagged

@@ -11,7 +11,6 @@ type t = {
   bounds : Growth.cert list;  (** {!Bounds}' certificates *)
   domains : Growth.cert list;  (** {!Domains}' cell inventory *)
   spg : Growth.cert list;  (** {!Spg_static}'s wait and propagation certificates *)
-  footprints : Domains.footprint list;
   exposures : (string * (string * string) list) list;  (** see {!Spg_static.analyze} *)
 }
 

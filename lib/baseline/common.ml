@@ -268,25 +268,6 @@ let handle_client_request b ~cmd ~client_id ~seq =
       Client_resp { ok = false; shed = false; leader_hint = Some b.leader_id; value = None }
   end
 
-let hiccup_loop b =
-  let cfg = b.cfg in
-  let cpu = Cluster.Node.cpu b.node in
-  let rec loop () =
-    if alive b then begin
-      Depfast.Sched.sleep b.sched (Sim.Dist.sample_span b.rng cfg.Raft.Config.hiccup_interval);
-      let duration =
-        min (Sim.Time.ms 10) (Sim.Dist.sample_span b.rng cfg.Raft.Config.hiccup_duration)
-      in
-      Cluster.Station.set_speed cpu
-        (Cluster.Station.speed cpu *. cfg.Raft.Config.hiccup_factor);
-      Depfast.Sched.sleep b.sched duration;
-      Cluster.Station.set_speed cpu
-        (Cluster.Station.speed cpu /. cfg.Raft.Config.hiccup_factor);
-      loop ()
-    end
-  in
-  loop ()
-
 (** A baseline cluster: the system's own state [t] and one base per server,
     leader (node 0) first. *)
 type 'a cluster = { t : 'a; bases : base list; rpc : rpc }
@@ -320,7 +301,8 @@ let build sched ~n ~cfg ?mem_soft_cap ?mem_hard_cap ~make ~handle () =
           | req -> handle t b req);
       Cluster.Node.spawn b.node ~name:"applier" (fun () -> applier_loop b);
       if cfg.Raft.Config.enable_hiccups then
-        Cluster.Node.spawn b.node ~name:"hiccup" (fun () -> hiccup_loop b))
+        Cluster.Node.spawn b.node ~name:"hiccup" (fun () ->
+            Raft.Server.hiccup_loop b.node b.rng cfg))
     bases;
   { t; bases; rpc }
 

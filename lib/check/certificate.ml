@@ -15,9 +15,6 @@ type t = {
       (* files with any unbounded-growth finding, allowed or not: a
          pragma acknowledges the defect, it does not bound the site, so
          the boundedness certificate must not vouch for the file *)
-  footprints : (string, string list * string list) Hashtbl.t;
-      (* per-file (cells read, cells written) from the depfast-domains
-         pass — the static DPOR independence feed *)
   unsafe_shared : (string, unit) Hashtbl.t;
       (* files with any unsafe-shared-state finding, allowed or not: a
          pragma acknowledges the race, it does not make the cell
@@ -35,7 +32,6 @@ let of_findings ?(exposures = []) ~files findings =
       files = Hashtbl.create 64;
       flagged = Hashtbl.create 16;
       growth_flagged = Hashtbl.create 16;
-      footprints = Hashtbl.create 64;
       unsafe_shared = Hashtbl.create 16;
       exposure = Hashtbl.create 16;
     }
@@ -59,11 +55,7 @@ let of_findings ?(exposures = []) ~files findings =
 let build ~roots () =
   let files = Analysis.Source_lint.ml_files roots in
   let r = Analysis.Passes.run (Analysis.Growth.load_files files) in
-  let t =
-    of_findings ~exposures:r.Analysis.Passes.exposures ~files (Analysis.Passes.findings r)
-  in
-  List.iter (fun (path, fp) -> Hashtbl.replace t.footprints path fp) r.Analysis.Passes.footprints;
-  t
+  of_findings ~exposures:r.Analysis.Passes.exposures ~files (Analysis.Passes.findings r)
 
 (* Paths from different origins (repo-relative, test-sandbox-relative,
    absolute) are matched on their suffix: "lib/check/fixtures.ml" matches
@@ -113,31 +105,6 @@ let exposure_count t =
 let clean t file = covered t file && not (mem_by_suffix t.flagged file)
 let bounded_clean t file = covered t file && not (mem_by_suffix t.growth_flagged file)
 let domain_clean t file = not (mem_by_suffix t.unsafe_shared file)
-
-let footprint_by_suffix t file =
-  Hashtbl.fold
-    (fun path fp acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if suffix_matches ~path ~suffix:file || suffix_matches ~path:file ~suffix:path
-        then Some fp
-        else None)
-    t.footprints None
-
-(* Two distinct files are independent when neither's write set meets the
-   other's read or write set. Same-file pairs are never independent:
-   file-level footprints cannot see closure-captured locals, and two
-   transitions from one file routinely share them. Files with no
-   recorded footprint conservatively conflict with everything. *)
-let independent t fa fb =
-  fa <> fb
-  &&
-  match (footprint_by_suffix t fa, footprint_by_suffix t fb) with
-  | Some (ra, wa), Some (rb, wb) ->
-    let disjoint xs ys = not (List.exists (fun x -> List.mem x ys) xs) in
-    disjoint wa rb && disjoint wa wb && disjoint wb ra
-  | _ -> false
 
 let flagged_files t =
   List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) t.flagged [])

@@ -16,8 +16,7 @@ val build : roots:string list -> unit -> t
 (** Walk the given directories for [.ml] sources
     ({!Analysis.Source_lint.ml_files}), load them once as one
     {!Analysis.Growth.project}, run the whole-project passes over it, and
-    record per-file verdicts plus the per-file effect footprints feeding
-    {!independent}. *)
+    record per-file verdicts. *)
 
 val of_findings :
   ?exposures:(string * (string * string) list) list ->
@@ -48,16 +47,6 @@ val domain_clean : t -> string -> bool
     parallel explorer refuses to run a scenario's runs concurrently
     while any of its modules carries one. This is the gate that lets
     the static domains pass certify the parallelism safe. *)
-
-val independent : t -> string -> string -> bool
-(** The static DPOR feed: are these two {e distinct} source files
-    independent under the depfast-domains effect footprints — neither
-    file's write set meets the other's read or write set (over
-    schedule-relevant top-level cells)? Same-file pairs and files
-    without a recorded footprint are never independent. The explorer
-    uses a [true] here to drop same-node transition pairs from the
-    persistent set, and its sanitizer probes cross-check the claim
-    dynamically. Paths are compared by suffix, like {!covered}. *)
 
 val fault_key : Cluster.Fault.kind -> string
 (** The depfast-spg fault-name an injectable fault maps onto

@@ -13,16 +13,8 @@ open Sim
    exact for share-nothing message-passing scenarios — cross-node effects
    travel through Link-tagged deliveries — and scenarios with genuinely
    shared state put every coroutine on one node, disabling pruning.
-
-   The depfast-domains certificate refines the same-node case: two
-   same-node transitions whose coroutines trace to distinct source files
-   that the static effect footprints hold independent (disjoint
-   read/write sets over top-level cells) do not conflict either. That
-   optimism is cross-checked dynamically: sanitizer probes observe
-   registered shared cells at every choice point, attributing value
-   changes to the file of the transition that just ran; two files
-   claimed independent that both mutate one probed cell are reported as
-   a [certificate-mismatch]. *)
+   Certificates only cross-check a run's results; they never change which
+   schedules run. *)
 
 exception Out_of_steps
 
@@ -44,16 +36,10 @@ type run = {
   r_quiescent : bool;
   r_violations : Sanitizer.violation list;
   r_overflows : Sanitizer.overflow list;  (* gauges past their declared cap *)
-  r_probes : (string * string * string list) list;
-      (* probe label, owning file, files observed mutating the cell *)
   r_spg_edges : (string * Depfast.Spg.edge) list;
       (* observed SPG edges attributed (via provenance) to the source
          file whose coroutine waited; only collected when the scenario
          injects a fault, for the static-exposure cross-check *)
-  r_tag_file : Engine.tag -> string option;
-      (* scenario provenance of a transition tag, via this run's monitor
-         (coroutine ids are run-local, so the mapping holds until the
-         state's next run) *)
 }
 
 let footprint = function
@@ -67,10 +53,10 @@ let conflicts a b =
   | None, _ | _, None -> true
   | Some x, Some y -> x = y
 
-(* conflict closure of [chosen] within [tags] under an arbitrary conflict
-   relation: true for members of the persistent set; everything outside
-   it is provably independent of the chosen transition and safe to skip *)
-let persistent_set_by conflict tags chosen =
+(* conflict closure of [chosen] within [tags]: true for members of the
+   persistent set; everything outside it is provably independent of the
+   chosen transition and safe to skip *)
+let persistent_set tags chosen =
   let n = Array.length tags in
   let inset = Array.make n false in
   inset.(chosen) <- true;
@@ -80,7 +66,7 @@ let persistent_set_by conflict tags chosen =
     for i = 0 to n - 1 do
       if not inset.(i) then
         for j = 0 to n - 1 do
-          if inset.(j) && conflict tags.(i) tags.(j) then begin
+          if inset.(j) && conflicts tags.(i) tags.(j) then begin
             inset.(i) <- true;
             changed := true
           end
@@ -89,26 +75,22 @@ let persistent_set_by conflict tags chosen =
   done;
   inset
 
-let persistent_set tags chosen = persistent_set_by conflicts tags chosen
-
 (* The run state an exploration driver reuses for every schedule: one
    engine, scheduler, sanitizer and wait trace, all reset when a run
    starts (even if the run before raised), so a run allocates what its
    scenario allocates and no run's events outlive the next run's start.
    The trace is cleared again once the run is judged, so its events do
-   not wait that long. The chooser and the step observer are installed
-   once and read the run's cursor from here. *)
+   not wait that long. The chooser is installed once and reads the run's
+   cursor from here. *)
 type state = {
   engine : Engine.t;
   sched : Depfast.Sched.t;
   san : Sanitizer.t;
   trace : Depfast.Trace.t;
-  tag_file : Engine.tag -> string option;
   mutable st_prefix : int array;  (* the decisions this run replays *)
   mutable st_max_steps : int;
   mutable st_nsteps : int;  (* choice points seen this run *)
   mutable st_steps : Engine.tag array list;  (* enabled sets past the prefix, newest first *)
-  mutable st_last_writer : string option;  (* file of the transition that ran last *)
 }
 
 let fresh_state () =
@@ -116,12 +98,9 @@ let fresh_state () =
   let trace = Depfast.Trace.create ~enabled:true () in
   let sched = Depfast.Sched.create ~trace engine in
   let san = Sanitizer.create sched in
-  let tag_file tag =
-    match tag with Engine.Coro (cid, _) -> Sanitizer.coro_file san cid | _ -> None
-  in
   let st =
-    { engine; sched; san; trace; tag_file; st_prefix = [||]; st_max_steps = 0; st_nsteps = 0;
-      st_steps = []; st_last_writer = None }
+    { engine; sched; san; trace; st_prefix = [||]; st_max_steps = 0; st_nsteps = 0;
+      st_steps = [] }
   in
   Engine.set_chooser engine (fun tags ->
       (* queue-depth watermarks: every choice point is a reachable
@@ -140,28 +119,18 @@ let fresh_state () =
         st.st_steps <- tags :: st.st_steps;
         0
       end);
-  (* probe attribution rides the step observer, not the chooser: it sees
-     every transition — singleton steps included — so a probed-cell
-     change since the last sample is always the work of the previous
-     transition (scenario setup runs under writer None) *)
-  Engine.set_step_observer engine
-    (Some
-       (fun tag ->
-         Sanitizer.sample_probes san ~writer:st.st_last_writer;
-         st.st_last_writer <- tag_file tag));
   st
 
 let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budget : budget) =
   let san = st.san and trace = st.trace in
   Engine.reset st.engine;
   Depfast.Sched.reset st.sched;
-  Sanitizer.reset san ~provenance:scenario.Scenario.provenance;
+  Sanitizer.reset san;
   Depfast.Trace.clear trace;
   st.st_prefix <- prefix;
   st.st_max_steps <- budget.max_steps;
   st.st_nsteps <- 0;
   st.st_steps <- [];
-  st.st_last_writer <- None;
   let truncated = ref false in
   let inst = scenario.Scenario.make san st.sched in
   (try Depfast.Sched.run ?until:inst.Scenario.until st.sched with
@@ -171,7 +140,6 @@ let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budge
       ("uncaught exception: " ^ Printexc.to_string e));
   let quiescent = (not !truncated) && Engine.pending st.engine = 0 in
   Sanitizer.sample_gauges san;
-  Sanitizer.sample_probes san ~writer:st.st_last_writer;
   if quiescent then Sanitizer.check_quiescent san else Sanitizer.check_live san;
   List.iter
     (fun msg -> Sanitizer.report san ~rule:Analysis.Finding.invariant_violation msg)
@@ -204,9 +172,7 @@ let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budge
     r_quiescent = quiescent;
     r_violations = Sanitizer.violations san;
     r_overflows = Sanitizer.gauge_overflows san;
-    r_probes = Sanitizer.probe_writers san;
     r_spg_edges = spg_edges;
-    r_tag_file = st.tag_file;
   }
 
 (* Canonical prefix order: shorter first, then lexicographic. Schedule
@@ -270,9 +236,7 @@ let finding_of_site scenario ~first s =
 (* Per-worker accumulator. Every field merges commutatively (sums, max,
    keyed unions with canonical tie-breaks), so folding worker results in
    any order — or running everything in one worker — yields the same
-   report. The independence memo is worker-local: the same file pairs
-   recur at every choice point of every schedule, and a shared table
-   would be a cross-domain race. *)
+   report. *)
 type acc = {
   mutable a_schedules : int;
   mutable a_pruned : int;
@@ -282,28 +246,13 @@ type acc = {
   mutable a_prefixes : int array list;  (* every prefix this worker ran *)
   a_sites : (string * string * string * string, site) Hashtbl.t;
   a_overflows : (string, Sanitizer.overflow) Hashtbl.t;
-  a_probes : (string, string * string list ref) Hashtbl.t;
   a_spg : (string * Depfast.Spg.color, int) Hashtbl.t;
       (* cumulative observed SPG edges over all schedules, keyed by
          (waiter's source file, edge color): a keyed counted union, so
          merging worker accumulators commutes *)
-  a_indep : string -> string -> bool;
 }
 
-let make_indep certs =
-  match certs with
-  | None -> fun _ _ -> false
-  | Some certs ->
-    let memo = Hashtbl.create 16 in
-    fun fa fb ->
-      match Hashtbl.find_opt memo (fa, fb) with
-      | Some v -> v
-      | None ->
-        let v = Certificate.independent certs fa fb in
-        Hashtbl.add memo (fa, fb) v;
-        v
-
-let fresh_acc ~indep () =
+let fresh_acc () =
   {
     a_schedules = 0;
     a_pruned = 0;
@@ -313,9 +262,7 @@ let fresh_acc ~indep () =
     a_prefixes = [];
     a_sites = Hashtbl.create 16;
     a_overflows = Hashtbl.create 4;
-    a_probes = Hashtbl.create 4;
     a_spg = Hashtbl.create 8;
-    a_indep = indep;
   }
 
 (* deterministic "worst overflow" order: higher watermark wins, ties go
@@ -366,30 +313,11 @@ let process_item (scenario : Scenario.t) ~budget ~state acc (prefix, lineage) =
       | _ -> Hashtbl.replace acc.a_overflows o.Sanitizer.o_label o)
     run.r_overflows;
   List.iter
-    (fun (label, owner, writers) ->
-      match Hashtbl.find_opt acc.a_probes label with
-      | Some (_, seen) ->
-        List.iter (fun w -> if not (List.mem w !seen) then seen := w :: !seen) writers
-      | None -> Hashtbl.add acc.a_probes label (owner, ref writers))
-    run.r_probes;
-  List.iter
     (fun (file, (e : Depfast.Spg.edge)) ->
       let key = (file, e.Depfast.Spg.color) in
       let prev = Option.value ~default:0 (Hashtbl.find_opt acc.a_spg key) in
       Hashtbl.replace acc.a_spg key (prev + e.Depfast.Spg.count))
     run.r_spg_edges;
-  (* per-run conflict relation: the node heuristic, refined on same-node
-     pairs by the certificate feed when both tags trace to source files *)
-  let conflict a b =
-    match (footprint a, footprint b) with
-    | None, _ | _, None -> true
-    | Some x, Some y ->
-      x = y
-      &&
-      (match (run.r_tag_file a, run.r_tag_file b) with
-      | Some fa, Some fb -> not (acc.a_indep fa fb)
-      | _ -> true)
-  in
   let plen = Array.length prefix in
   if lineage < budget.delay_bound then begin
     let pushes = ref [] in
@@ -398,7 +326,7 @@ let process_item (scenario : Scenario.t) ~budget ~state acc (prefix, lineage) =
         let abs = plen + j in
         let n = Array.length tags in
         if abs < budget.max_depth then begin
-          let inset = persistent_set_by conflict tags 0 in
+          let inset = persistent_set tags 0 in
           let psize = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inset in
           acc.a_pruned <- acc.a_pruned + (n - psize);
           for alt = n - 1 downto 1 do
@@ -445,13 +373,6 @@ let merge_into dst src =
       | _ -> Hashtbl.replace dst.a_overflows label o)
     src.a_overflows;
   Hashtbl.iter
-    (fun label (owner, writers) ->
-      match Hashtbl.find_opt dst.a_probes label with
-      | Some (_, seen) ->
-        List.iter (fun w -> if not (List.mem w !seen) then seen := w :: !seen) !writers
-      | None -> Hashtbl.add dst.a_probes label (owner, ref !writers))
-    src.a_probes;
-  Hashtbl.iter
     (fun key n ->
       let prev = Option.value ~default:0 (Hashtbl.find_opt dst.a_spg key) in
       Hashtbl.replace dst.a_spg key (prev + n))
@@ -462,7 +383,7 @@ let merge_into dst src =
    that reaches the findings is sorted, so the output is a pure function
    of the explored prefix SET — the property the parallel determinism
    tests pin. *)
-let finalize (scenario : Scenario.t) ~certs ~indep ~complete acc =
+let finalize (scenario : Scenario.t) ~certs ~complete acc =
   let ordered = List.sort prefix_compare acc.a_prefixes in
   let rank = Hashtbl.create (List.length ordered) in
   List.iteri (fun i p -> Hashtbl.replace rank p i) ordered;
@@ -524,33 +445,6 @@ let finalize (scenario : Scenario.t) ~certs ~indep ~complete acc =
                        o.Sanitizer.o_watermark o.Sanitizer.o_cap o.Sanitizer.o_file))
              else None)
   in
-  (* the independence cross-check: two files the static footprints hold
-     independent must never both mutate one probed cell — if they did,
-     the DPOR feed pruned schedules it had no right to prune *)
-  let probe_mismatches =
-    Hashtbl.fold (fun label (owner, writers) acc -> (label, owner, !writers) :: acc)
-      acc.a_probes []
-    |> List.sort compare
-    |> List.concat_map (fun (label, owner, writers) ->
-           let files = List.sort_uniq compare (owner :: writers) in
-           List.concat_map
-             (fun fa ->
-               List.filter_map
-                 (fun fb ->
-                   if fa < fb && indep fa fb then
-                     Some
-                       (Analysis.Finding.v ~rule:Analysis.Finding.certificate_mismatch
-                          ~severity:Analysis.Finding.Error
-                          ~loc:(Analysis.Finding.File { file = fa; line = 0 })
-                          (Printf.sprintf
-                             "%s: files %s and %s both mutated probed cell %s, but \
-                              the static effect footprints hold them independent — \
-                              the DPOR feed claimed a false independence"
-                             scenario.Scenario.name fa fb label))
-                   else None)
-                 files)
-             files)
-  in
   (* the slowness-propagation cross-check: every observed SPG edge must
      land inside the static exposure set for the injected fault kind —
      an edge in a covered file with no such exposure means the static
@@ -609,7 +503,7 @@ let finalize (scenario : Scenario.t) ~certs ~indep ~complete acc =
   let findings =
     List.map (fun s -> finding_of_site scenario.Scenario.name ~first:(first_of s) s)
       dynamic
-    @ mismatches @ gauge_mismatches @ probe_mismatches @ spg_mismatches @ spg_stale
+    @ mismatches @ gauge_mismatches @ spg_mismatches @ spg_stale
     |> List.sort_uniq (fun a b ->
            let c = Analysis.Finding.by_location a b in
            if c <> 0 then c else compare a b)
@@ -628,7 +522,7 @@ let finalize (scenario : Scenario.t) ~certs ~indep ~complete acc =
 (* ---- the two drivers ------------------------------------------------- *)
 
 let explore_serial ~budget ~certs scenario =
-  let acc = fresh_acc ~indep:(make_indep certs) () in
+  let acc = fresh_acc () in
   let state = fresh_state () in
   let stack = ref [ ([||], 0) ] in
   while !stack <> [] && acc.a_schedules < budget.max_schedules do
@@ -638,9 +532,7 @@ let explore_serial ~budget ~certs scenario =
       stack := rest;
       stack := process_item scenario ~budget ~state acc item @ !stack
   done;
-  finalize scenario ~certs ~indep:acc.a_indep
-    ~complete:(!stack = [] && acc.a_truncated = 0)
-    acc
+  finalize scenario ~certs ~complete:(!stack = [] && acc.a_truncated = 0) acc
 
 (* Parallel driver: one Chase–Lev deque per worker domain holding
    frontier items; a worker pops its own bottom (depth-first locally,
@@ -661,7 +553,7 @@ let explore_parallel ~budget ~certs ~jobs scenario =
   let dropped = Atomic.make false in
   let gate = Dpool.Gate.create () in
   let worker w =
-    let acc = fresh_acc ~indep:(make_indep certs) () in
+    let acc = fresh_acc () in
     let state = fresh_state () in
     let my = deques.(w) in
     let steal_any () =
@@ -724,9 +616,7 @@ let explore_parallel ~budget ~certs ~jobs scenario =
   for i = 1 to jobs - 1 do
     merge_into acc accs.(i)
   done;
-  finalize scenario ~certs ~indep:(make_indep certs)
-    ~complete:((not (Atomic.get dropped)) && acc.a_truncated = 0)
-    acc
+  finalize scenario ~certs ~complete:((not (Atomic.get dropped)) && acc.a_truncated = 0) acc
 
 let explore ?(budget = default_budget) ?certs ?(jobs = 1) (scenario : Scenario.t) =
   (* Concurrent runs are gated twice: the scenario must declare its runs

@@ -7,21 +7,15 @@
     default decisions to a terminal state while recording every enabled
     set it passed; backtracking re-runs with the prefix extended by an
     alternative decision. Alternatives outside the persistent set — the
-    conflict closure of the taken transition under a node-footprint
-    independence heuristic — are skipped and counted as {e pruned}.
+    conflict closure of the taken transition, where two transitions
+    conflict when they touch the same node — are skipped and counted as
+    {e pruned}.
 
     The heuristic is exact for share-nothing message-passing scenarios
     (cross-node effects travel through [Link]-tagged deliveries, which
     conflict on their destination); scenarios with genuinely shared state
     put all coroutines on one node, which disables pruning and falls back
-    to full enumeration.
-
-    With a {!Certificate.t}, the depfast-domains effect footprints refine
-    the same-node case: two same-node transitions whose coroutines trace
-    (via the scenario's provenance map) to distinct files that
-    {!Certificate.independent} holds disjoint do not conflict either.
-    Sanitizer probes cross-check the claim dynamically — two such files
-    both observed mutating one probed cell raise [certificate-mismatch]. *)
+    to full enumeration. *)
 
 type budget = {
   max_schedules : int;  (** explored runs *)
@@ -42,15 +36,10 @@ type run = {
   r_violations : Sanitizer.violation list;
   r_overflows : Sanitizer.overflow list;
       (** queue-depth gauges whose watermark passed the declared cap *)
-  r_probes : (string * string * string list) list;
-      (** probe label, owning file, files observed mutating the cell *)
   r_spg_edges : (string * Depfast.Spg.edge) list;
       (** observed slowness-propagation edges attributed (via the
           scenario's provenance map) to the waiter's source file; only
           collected when the scenario injects a fault *)
-  r_tag_file : Sim.Engine.tag -> string option;
-      (** scenario provenance of a transition tag, via this run's monitor;
-          valid until the state's next run *)
 }
 
 type state
@@ -89,16 +78,13 @@ val explore :
     Queue-depth gauges registered by the scenario are sampled at every
     choice point and terminal state; an overflow whose file is
     {!Certificate.bounded_clean} also raises [certificate-mismatch].
-    Shared-cell probes are likewise sampled at every choice point; two
-    files held {!Certificate.independent} that both mutate one probed
-    cell raise [certificate-mismatch] (the DPOR feed claimed a false
-    independence). Without [certs] the feed is off: pruning falls back
-    to the pure node heuristic.
+    Certificates only add these cross-check findings: the schedules run,
+    the prune count and [complete] are the same with or without them.
 
     [jobs > 1] explores the frontier on that many OCaml 5 domains with
     work-stealing deques of schedule prefixes; each worker keeps its own
-    run {!state}, accumulators and independence memo, the latter merged
-    deterministically at join. Because the frontier reachable from the root is one fixed
+    run {!state} and accumulators, merged deterministically at join.
+    Because the frontier reachable from the root is one fixed
     tree and every aggregate is order-independent (sums, maxima, keyed
     unions, canonical "first" ranks over the explored-prefix set),
     parallel and serial runs report identical schedule totals and

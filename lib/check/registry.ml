@@ -11,8 +11,6 @@ open Scenario
 
 let reg_file = "lib/check/registry.ml"
 let fixtures_file = "lib/check/fixtures.ml"
-let fixture_dom_a_file = "lib/check/fixture_dom_a.ml"
-let fixture_dom_b_file = "lib/check/fixture_dom_b.ml"
 let fixture_spg_file = "lib/check/fixture_spg.ml"
 
 let core_provenance name =
@@ -24,11 +22,6 @@ let core_provenance name =
       [ "ys."; "mx."; "cv."; "sig."; "qr."; "drv." ]
   then Some reg_file
   else None
-
-let dom_provenance name =
-  if String.starts_with ~prefix:"da." name then Some fixture_dom_a_file
-  else if String.starts_with ~prefix:"db." name then Some fixture_dom_b_file
-  else core_provenance name
 
 let raft_provenance name =
   if String.starts_with ~prefix:"raft." name then Some "lib/raft/server.ml"
@@ -318,71 +311,6 @@ let spg_alias_blindspot =
         { until = None; check = (fun () -> []) });
   }
 
-let domains_disjoint =
-  {
-    name = "domains-disjoint";
-    descr =
-      "two fixture workers on one node touch disjoint module state; the \
-       depfast-domains footprints license pruning their interleavings, and \
-       probes confirm neither file touches the other's cell";
-    gating = true;
-    modules = [ fixture_dom_a_file; fixture_dom_b_file ];
-    par_safe = false;
-    default_schedules = 400;
-    fault = None;
-    allow = allow_none;
-    provenance = dom_provenance;
-    make =
-      (fun san sched ->
-        Fixture_dom_a.reset ();
-        Fixture_dom_b.reset ();
-        Sanitizer.add_probe san ~label:"dom.track" ~file:fixture_dom_a_file (fun () ->
-            Fixture_dom_a.depth ());
-        Sanitizer.add_probe san ~label:"dom.counter" ~file:fixture_dom_b_file
-          (fun () -> Fixture_dom_b.value ());
-        Fixture_dom_a.spawn_worker sched ~name:"da.worker" ~rounds:3;
-        Fixture_dom_b.spawn_worker sched ~name:"db.worker" ~rounds:3;
-        {
-          until = None;
-          check =
-            (fun () ->
-              (* both outcomes are schedule-independent: A drains its own
-                 queue, B's counter counts its own bumps *)
-              (if Fixture_dom_a.depth () = 0 then []
-               else [ Printf.sprintf "track not drained: depth %d" (Fixture_dom_a.depth ()) ])
-              @
-              if Fixture_dom_b.value () = 3 then []
-              else [ Printf.sprintf "expected counter 3, got %d" (Fixture_dom_b.value ()) ]);
-        });
-  }
-
-let domains_false_independence =
-  {
-    name = "domains-false-independence";
-    descr =
-      "deliberately seeded certificate mismatch: fixture B writes fixture A's \
-       queue through a parameter alias the static effect footprints cannot \
-       see, so the probe cross-check must catch the false independence claim";
-    gating = false;
-    (* a known-bad fixture for the independence cross-check: explored on
-       demand and by the test suite, not part of the CI gate *)
-    modules = [ fixture_dom_a_file; fixture_dom_b_file ];
-    par_safe = false;
-    default_schedules = 200;
-    fault = None;
-    allow = allow_none;
-    provenance = dom_provenance;
-    make =
-      (fun san sched ->
-        Fixture_dom_a.reset ();
-        Sanitizer.add_probe san ~label:"dom.track" ~file:fixture_dom_a_file (fun () ->
-            Fixture_dom_a.depth ());
-        Fixture_dom_a.spawn_worker sched ~name:"da.worker" ~rounds:2;
-        Fixture_dom_b.spawn_relay sched ~name:"db.relay" (Fixture_dom_a.export ())
-          ~rounds:2;
-        { until = None; check = (fun () -> []) });
-  }
-
 (* ---------- Raft scenarios (bounded, message-passing) ---------- *)
 
 let raft_cfg =
@@ -604,8 +532,6 @@ let all =
     broken_quorum;
     leaky_backlog;
     spg_alias_blindspot;
-    domains_disjoint;
-    domains_false_independence;
     raft_elect_3;
     raft_elect_5;
     raft_replicate_3;

@@ -11,7 +11,6 @@ type state = Running | Parked | Woken | Finished
 type coro = {
   c_node : int;
   c_name : string;
-  c_file : string option;  (* scenario provenance of [c_name], resolved once *)
   mutable c_state : state;
   mutable c_event : Depfast.Event.t;
       (* event parked on when Parked/Woken, [Event.dummy] otherwise *)
@@ -43,25 +42,8 @@ type gauge = {
 
 type overflow = { o_label : string; o_file : string; o_cap : int; o_watermark : int }
 
-(* A shared-cell probe for the domains cross-check: a scenario-registered
-   observation of a top-level mutable cell's value. The explorer samples
-   every probe at each choice point, attributing a change since the last
-   sample to the source file of the transition that just ran; the set of
-   files observed mutating the cell is the dynamic half of the static
-   independence feed (two files the effect footprints hold independent
-   must never both appear as writers of one probed cell). *)
-type probe = {
-  p_label : string;
-  p_file : string;  (* file owning the probed cell *)
-  p_read : unit -> int;
-  mutable p_last : int;  (* the last sampled value, once [p_seen] *)
-  mutable p_seen : bool;
-  mutable p_writers : string list;  (* files observed changing the value *)
-}
-
 type t = {
   sched : Depfast.Sched.t;
-  mutable file_of : string -> string option;  (* the scenario's provenance map *)
   no_coro : coro;  (* fills the cid slots not spawned this run *)
   mutable coros : coro array;  (* indexed by cid *)
   mutable parked : Depfast.Event.t array;
@@ -70,7 +52,6 @@ type t = {
   mutable n_parked : int;
   visited : (int, unit) Hashtbl.t;  (* [check_counters]' dedup, by event id *)
   mutable gauges : gauge list;
-  mutable probes : probe list;
   mutable violations : violation list;  (* reverse report order *)
 }
 
@@ -115,35 +96,8 @@ let sample_gauges t =
       end)
     t.gauges
 
-let add_probe t ~label ~file read =
-  t.probes <-
-    { p_label = label; p_file = file; p_read = read; p_last = 0; p_seen = false; p_writers = [] }
-    :: t.probes
-
-(* a loop rather than [List.iter]: sampled at every engine step, so it
-   builds no closure *)
-let rec sample_each writer = function
-  | [] -> ()
-  | p :: rest ->
-    let v = p.p_read () in
-    (match writer with
-    | Some f when p.p_seen && v <> p.p_last ->
-      if not (List.mem f p.p_writers) then p.p_writers <- f :: p.p_writers
-    | _ -> ());
-    p.p_last <- v;
-    p.p_seen <- true;
-    sample_each writer rest
-
-let sample_probes t ~writer = sample_each writer t.probes
-
-let probe_writers t =
-  List.map (fun p -> (p.p_label, p.p_file, List.sort compare p.p_writers)) t.probes
-  |> List.sort compare
-
 (* the coroutine [cid], or [t.no_coro] if this run never saw it *)
 let find t cid = if cid < Array.length t.coros then t.coros.(cid) else t.no_coro
-
-let coro_file t cid = (find t cid).c_file
 
 let gauge_overflows t =
   List.filter_map
@@ -165,10 +119,7 @@ let coro_of t cid ~node ~name =
   let c = find t cid in
   if c != t.no_coro then c
   else begin
-    let c =
-      { c_node = node; c_name = name; c_file = t.file_of name; c_state = Running;
-        c_event = Depfast.Event.dummy }
-    in
+    let c = { c_node = node; c_name = name; c_state = Running; c_event = Depfast.Event.dummy } in
     while cid >= Array.length t.coros do
       t.coros <- grown t.coros t.no_coro
     done;
@@ -181,31 +132,25 @@ let add_parked t ev =
   t.parked.(t.n_parked) <- ev;
   t.n_parked <- t.n_parked + 1
 
-let reset t ~provenance =
-  t.file_of <- provenance;
+let reset t =
   Array.fill t.coros 0 (Array.length t.coros) t.no_coro;
   while t.n_parked > 0 do
     t.n_parked <- t.n_parked - 1;
     t.parked.(t.n_parked) <- Depfast.Event.dummy
   done;
   t.gauges <- [];
-  t.probes <- [];
   t.violations <- []
 
 let create sched =
   let t =
     {
       sched;
-      file_of = (fun _ -> None);
-      no_coro =
-        { c_node = -1; c_name = ""; c_file = None; c_state = Running;
-          c_event = Depfast.Event.dummy };
+      no_coro = { c_node = -1; c_name = ""; c_state = Running; c_event = Depfast.Event.dummy };
       coros = [||];
       parked = [||];
       n_parked = 0;
       visited = Hashtbl.create 64;
       gauges = [];
-      probes = [];
       violations = [];
     }
   in

@@ -32,17 +32,14 @@ type overflow = {
 val create : Depfast.Sched.t -> t
 (** Installs the monitor on the scheduler (replacing any previous one).
     The shadow is flat (coroutines by cid, parked events in park order);
-    the checks walk the parked events' children when they run. Until a
-    {!reset} names a provenance map, {!coro_file} knows no files. *)
+    the checks walk the parked events' children when they run. *)
 
-val reset : t -> provenance:(string -> string option) -> unit
+val reset : t -> unit
 (** Ready the instance for another run on its scheduler, after
-    {!Depfast.Sched.reset}: forget every coroutine, parked event, gauge,
-    probe and violation (none of the previous run's events stays
-    reachable). [provenance] maps a coroutine name to its source file; it
-    is applied once per coroutine, when the monitor first sees it, and
-    read by {!coro_file}. The explorer resets one sanitizer per
-    exploration instead of building one per run. *)
+    {!Depfast.Sched.reset}: forget every coroutine, parked event, gauge
+    and violation (none of the previous run's events stays reachable).
+    The explorer resets one sanitizer per exploration instead of building
+    one per run. *)
 
 val add_gauge :
   t -> label:string -> file:string -> cap:int -> (unit -> int) -> unit
@@ -59,28 +56,6 @@ val sample_gauges : t -> unit
 val gauge_overflows : t -> overflow list
 (** Gauges whose watermark exceeded the cap, sorted — input to the
     explorer's boundedness-certificate cross-check. *)
-
-val add_probe : t -> label:string -> file:string -> (unit -> int) -> unit
-(** Register a shared-cell probe for the domains cross-check: an
-    observation of a top-level mutable cell's value (depth, counter,
-    ...). [file] is the source file owning the cell. The explorer
-    samples all probes at every choice point. *)
-
-val sample_probes : t -> writer:string option -> unit
-(** Read every probe; a value change since the last sample is
-    attributed to [writer] — the source file of the transition that
-    just ran — building the per-cell dynamic writer sets. *)
-
-val probe_writers : t -> (string * string * string list) list
-(** [(label, owning file, files observed mutating the cell)], sorted —
-    input to the explorer's independence cross-check: two files the
-    static effect footprints hold independent must never both mutate
-    one probed cell. *)
-
-val coro_file : t -> int -> string option
-(** The provenance of a coroutine id, resolved when the monitor first saw
-    it — lets the explorer map transition tags back to source files at
-    every step without allocating. *)
 
 val report :
   t ->

@@ -657,17 +657,15 @@ let election_timer_loop t =
   in
   loop ()
 
-let hiccup_loop t =
-  let cfg = t.cfg in
-  let cpu = Cluster.Node.cpu t.node in
+let hiccup_loop node rng (cfg : Config.t) =
+  let sched = Cluster.Node.sched node in
+  let cpu = Cluster.Node.cpu node in
   let rec loop () =
-    if alive t then begin
-      Depfast.Sched.sleep t.sched (Dist.sample_span t.rng cfg.Config.hiccup_interval);
-      let duration =
-        min (Time.ms 10) (Dist.sample_span t.rng cfg.Config.hiccup_duration)
-      in
+    if Cluster.Node.alive node then begin
+      Depfast.Sched.sleep sched (Dist.sample_span rng cfg.Config.hiccup_interval);
+      let duration = min (Time.ms 10) (Dist.sample_span rng cfg.Config.hiccup_duration) in
       Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. cfg.Config.hiccup_factor);
-      Depfast.Sched.sleep t.sched duration;
+      Depfast.Sched.sleep sched duration;
       Cluster.Station.set_speed cpu (Cluster.Station.speed cpu /. cfg.Config.hiccup_factor);
       loop ()
     end
@@ -882,7 +880,7 @@ let start t =
   Cluster.Node.spawn t.node ~name:"raft.election-timer" (fun () -> election_timer_loop t);
   Cluster.Node.spawn t.node ~name:"raft.applier" (fun () -> applier_loop t);
   if t.cfg.Config.enable_hiccups then
-    Cluster.Node.spawn t.node ~name:"hiccup" (fun () -> hiccup_loop t)
+    Cluster.Node.spawn t.node ~name:"hiccup" (fun () -> hiccup_loop t.node t.rng t.cfg)
 
 let become_leader_now t = if t.role <> Leader then run_election t ~transfer:true
 

@@ -21,10 +21,6 @@ type chooser = tag array -> int
    installed; the steady-state engine pays one [None] check per call. *)
 type explore = {
   choose : chooser;
-  mutable observe : (tag -> unit) option;
-      (* called with every transition about to run — including singleton
-         steps the chooser never sees, so per-step attribution (the
-         probe cross-check) stays exact *)
   mutable ex_tags : tag array;
   mutable ex_fns : (unit -> unit) array;
   mutable ex_n : int;
@@ -162,19 +158,13 @@ let set_chooser t choose =
   | Some _ -> invalid_arg "Engine.set_chooser: a chooser is already installed"
   | None -> ());
   let ex =
-    { choose; observe = None; ex_tags = [||]; ex_fns = [||]; ex_n = 0; tt_seqs = [||];
-      tt_tags = [||]; tt_n = 0 }
+    { choose; ex_tags = [||]; ex_fns = [||]; ex_n = 0; tt_seqs = [||]; tt_tags = [||]; tt_n = 0 }
   in
   (* adopt anything already posted (setup work queued before exploration) *)
   while t.r_len > 0 do
     ex_push ex Anon (ready_take t)
   done;
   t.ex <- Some ex
-
-let set_step_observer t observe =
-  match t.ex with
-  | None -> invalid_arg "Engine.set_step_observer: no chooser installed"
-  | Some ex -> ex.observe <- observe
 
 let post_tag t tag f =
   match t.ex with None -> ready_add t f | Some ex -> ex_push ex tag f
@@ -254,7 +244,6 @@ let step_explore t ex =
         i
       end
     in
-    (match ex.observe with Some f -> f ex.ex_tags.(i) | None -> ());
     (ex_take ex i) ();
     true
   end

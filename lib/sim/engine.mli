@@ -54,12 +54,6 @@ val set_chooser : t -> chooser -> unit
     sibling no longer suppresses its thunk — it runs as a (guarded) no-op.
     Future timers cancel normally. *)
 
-val set_step_observer : t -> (tag -> unit) option -> unit
-(** Explore mode only: called with the tag of {e every} transition about
-    to run — including singleton steps, which never reach the chooser.
-    The explorer's probe cross-check uses this for exact per-transition
-    attribution of shared-cell mutations. *)
-
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time 0. [seed] (default [1L]) roots all derived RNG
     streams. *)
@@ -67,9 +61,8 @@ val create : ?seed:int64 -> unit -> t
 val reset : t -> unit
 (** Return to the state {!create} left it in — clock at 0, no posted
     work, no timers, root RNG back at its seed — keeping the storage
-    already grown and any installed chooser and step observer. Nothing
-    posted or scheduled before the reset stays reachable from the
-    engine. *)
+    already grown and any installed chooser. Nothing posted or scheduled
+    before the reset stays reachable from the engine. *)
 
 val now : t -> Time.t
 

@@ -199,9 +199,9 @@ let test_raft_elect_words =
 (* One run state serves a whole exploration, so its reset must make a
    reused state indistinguishable from a fresh one. For every registry
    scenario, the program-order run and its first three backtrack
-   prefixes must give the same steps (and their provenance), violations
-   (event ids aside: they come from a process-wide counter), overflows,
-   probes and SPG edges on a fresh state as on one that just ran a
+   prefixes must give the same steps, violations (event ids aside: they
+   come from a process-wide counter), overflows and SPG edges on a fresh
+   state as on one that just ran a
    different scenario to the end, then to a terminal check that raises
    out of [run_one], then cut off halfway (leaving posted work, timers
    and parked coroutines behind). The cut-off run itself must match a
@@ -209,7 +209,6 @@ let test_raft_elect_words =
 let run_summary (r : E.run) =
   ( r.E.r_nsteps,
     r.E.r_steps,
-    Array.map (Array.map r.E.r_tag_file) r.E.r_steps,
     r.E.r_truncated,
     r.E.r_quiescent,
     List.map
@@ -217,7 +216,6 @@ let run_summary (r : E.run) =
         Check.Sanitizer.(v.rule, v.coroutine, v.node, v.event_label, v.message))
       r.E.r_violations,
     r.E.r_overflows,
-    r.E.r_probes,
     r.E.r_spg_edges )
 
 let backtrack_prefixes (r : E.run) =
@@ -363,6 +361,36 @@ let tree_certs =
     | None -> None (* sources not materialized in this sandbox *)
     | Some root -> Some (Check.Certificate.build ~roots:[ root ] ()))
 
+(* Certificates cross-check results; they never steer exploration. Every
+   registry scenario, capped at 60 schedules, runs the same schedules and
+   prunes the same alternatives with certificates as without, and reports
+   the same findings once the cross-checks' own are set aside.
+   broken-quorum runs its whole frontier, so its seeded violation must
+   still be found with certificates on. *)
+let test_certs_never_steer () =
+  match Lazy.force tree_certs with
+  | None -> ()
+  | Some certs ->
+    let cross_check f = f.F.rule = F.certificate_mismatch || f.F.rule = F.spg_stale_edge in
+    let show r =
+      List.map F.to_string (List.filter (fun f -> not (cross_check f)) r.E.findings)
+    in
+    List.iter
+      (fun (sc : Check.Scenario.t) ->
+        let name = sc.Check.Scenario.name in
+        let b =
+          if name = "broken-quorum" then E.default_budget else budget ~schedules:60 ()
+        in
+        let on = E.explore ~budget:b ~certs sc and off = E.explore ~budget:b sc in
+        check_int (name ^ ": schedules") off.E.schedules on.E.schedules;
+        check_int (name ^ ": pruned") off.E.pruned on.E.pruned;
+        check_bool (name ^ ": complete") off.E.complete on.E.complete;
+        Alcotest.(check (list string)) (name ^ ": findings") (show off) (show on);
+        if name = "broken-quorum" then
+          check_bool "the quorum violation is still detected" true
+            (has_rule F.unsatisfiable_wait on.E.findings))
+      Check.Registry.all
+
 (* the source walker behind every static front end: sorted, no build
    or VCS directories, and no generated .pp.ml files. The test sandbox's
    ../lib holds ppx output (marshalled ASTs, not source) next to the
@@ -455,10 +483,10 @@ let check_parallel_matches_serial ?(schedules = 300) name () =
 
 let test_par_serial_broken_quorum = check_parallel_matches_serial "broken-quorum"
 
-let test_par_serial_domains_disjoint =
+let test_par_serial_leaky_backlog =
   (* par_safe = false in the registry: every jobs value must be forced
      back to one domain and still agree with the serial run *)
-  check_parallel_matches_serial "domains-disjoint"
+  check_parallel_matches_serial "leaky-backlog"
 
 let test_par_serial_slow_disk =
   check_parallel_matches_serial ~schedules:60 "raft-slow-disk-admission-3"
@@ -528,6 +556,8 @@ let suite =
         Alcotest.test_case "deterministic results" `Quick test_explore_is_deterministic;
         Alcotest.test_case "broken fixture needs exploration" `Quick
           test_broken_fixture_needs_exploration;
+        Alcotest.test_case "certificates never steer exploration" `Quick
+          test_certs_never_steer;
       ] );
     ( "check.sanitizer",
       [
@@ -548,8 +578,8 @@ let suite =
       [
         Alcotest.test_case "parallel == serial: broken-quorum" `Quick
           test_par_serial_broken_quorum;
-        Alcotest.test_case "parallel == serial: domains-disjoint" `Quick
-          test_par_serial_domains_disjoint;
+        Alcotest.test_case "parallel == serial: leaky-backlog" `Quick
+          test_par_serial_leaky_backlog;
         Alcotest.test_case "parallel == serial: slow-disk admission" `Quick
           test_par_serial_slow_disk;
       ] );

@@ -1,16 +1,12 @@
-(* Tests for the depfast-domains pass and its DPOR feed: each verdict
-   class has a clean fixture and a broken (or pragma'd) twin, the
-   interprocedural effect fixpoint is exercised through a callee-only
-   write, regressions pin the real tree's inventory, and the explorer
-   tests prove the independence feed prunes provably-disjoint scenarios
-   while the probe cross-check catches a seeded false-independence
-   claim. *)
+(* Tests for the depfast-domains pass: each verdict class has a clean
+   fixture and a broken (or pragma'd) twin, the interprocedural effect
+   fixpoint is exercised through a callee-only write, and regressions pin
+   the real tree's inventory. *)
 
 module F = Analysis.Finding
 module D = Analysis.Domains
 module G = Analysis.Growth
 module Ef = Analysis.Effects
-module E = Check.Explore
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -143,46 +139,12 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    (* 185 since the dead exports went, and with them the state only they
-       read: the client's .attempted and .failed, the node's
-       .crash_hooks and the detector's .suspected. 189 before, since the
-       explorer reuses one run state per exploration: the
-       engine's live timer tags .tt_seqs .tt_tags .tt_n (replacing the
-       seq-keyed table), the sanitizer's flat shadow .coros .parked
-       .n_parked and its per-run provenance map .file_of, and the
-       explorer state's per-run cursor .st_prefix .st_max_steps
-       .st_nsteps .st_steps .st_last_writer came. 177 before, since each
-       paper claim kept one static rule: the
-       interprocedural summary's remote-completion facts .ret and
-       .wait_params went. 179 before, since the wait trace went flat:
-       its ring field .buf, the
-       per-wait record's .stallers_memo and the Trace.dummy_wait slot
-       filler went, and the column set's field .cols and Spg's per-key
-       tally cell .hits came. 180 before, since the static passes share
-       one project model: the call
-       graph's .edges and the interprocedural pass's per-file .fns went
-       (its .units went too, so that cell is now sited at
-       lib/cluster/net.ml); 182 before, since the
-       allocation-free engine containers: the engine's ready
-       ring .r_ring .r_head .r_len, the intrusive wheel's .next and
-       .due_last (replacing .due_tail; the far heap's .heap_h went), the
-       station's server slots .slots .n_slots .s_event .s_busy .s_done and
-       wait ring .q_work .q_ev .q_head .q_len, and the sanitizer probe's
-       .p_seen. 169 before, since the scheduler's per-coroutine parking
-       slot added its six
-       fields .park_ev .park_span .park_start .park_k .park_timer
-       .park_gen, and the scheduler's shared effect handler its field
-       .coro_handler; 162 before, after the shard pool and the domain-pool
-       barrier went: their fields .sh_seq .sh_ops .sh_failed .sh_shed
-       .sh_cross_out .sh_cross_in .waiting .gen, plus
-       Registry.condvar_handshake, a record literal inventoried only
-       because its local [gen] shared a name with the barrier's mutable
-       field *)
-    check_int "every top-level mutable cell carries a certificate" 185
+    (* one certificate per top-level mutable cell and mutable field in lib/ *)
+    check_int "every top-level mutable cell carries a certificate" 176
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
-    Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"
-      [ "Fixture_dom_a.track"; "Fixture_spg.mailbox"; "Fixtures.backlog" ]
+    Alcotest.(check (list string)) "exactly the two seeded fixture cells unsafe"
+      [ "Fixture_spg.mailbox"; "Fixtures.backlog" ]
       (List.sort compare (List.map (fun c -> c.D.c_site) flagged));
     check_bool "both acknowledged by pragma" true (List.for_all (fun f -> f.F.allowed) fs);
     check_rules "zero unallowed unsafe-shared verdicts" []
@@ -199,114 +161,7 @@ let test_tree_key_verdicts () =
     in
     Alcotest.(check string) "next_id is the Atomic fix" "atomic" c.D.c_kind;
     ignore
-      (require_cert certs ~site:"Event.dummy" ~cls:D.class_immutable ~verdict:G.Bounded);
-    ignore
-      (require_cert certs ~site:"Fixture_dom_b.counter" ~cls:D.class_guarded
-         ~verdict:G.Bounded)
-
-(* ------------------------------------------------------------------ *)
-(* the DPOR feed: file-level independence from the effect footprints *)
-
-let certs_for_tree =
-  lazy
-    (match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-    | None -> None
-    | Some root -> Some (Check.Certificate.build ~roots:[ root ] ()))
-
-let test_independence_relation () =
-  match Lazy.force certs_for_tree with
-  | None -> ()
-  | Some certs ->
-    let indep = Check.Certificate.independent certs in
-    check_bool "disjoint fixture pair independent" true
-      (indep "lib/check/fixture_dom_a.ml" "lib/check/fixture_dom_b.ml");
-    check_bool "symmetric" true
-      (indep "lib/check/fixture_dom_b.ml" "lib/check/fixture_dom_a.ml");
-    check_bool "same-file pairs never independent" false
-      (indep "lib/check/fixture_dom_a.ml" "lib/check/fixture_dom_a.ml");
-    check_bool "shared-cell pair conflicts" false
-      (indep "lib/check/fixtures.ml" "lib/check/registry.ml");
-    check_bool "unknown files never independent" false
-      (indep "lib/check/fixture_dom_a.ml" "lib/nowhere/ghost.ml")
-
-(* ------------------------------------------------------------------ *)
-(* the explorer: the feed collapses the provably-disjoint scenario to a
-   single schedule, leaves same-file scenarios untouched, and the probe
-   cross-check catches the seeded false-independence claim *)
-
-let scenario name =
-  match Check.Registry.find name with
-  | Some sc -> sc
-  | None -> Alcotest.failf "scenario %s not registered" name
-
-let budget = { E.default_budget with E.max_schedules = 400 }
-
-let test_disjoint_scenario_pruned () =
-  match Lazy.force certs_for_tree with
-  | None -> ()
-  | Some certs ->
-    let res = E.explore ~budget ~certs (scenario "domains-disjoint") in
-    check_rules "clean under the feed" [] (rules res.E.findings);
-    check_int "one schedule suffices for two disjoint files" 1 res.E.schedules;
-    check_bool "the feed did the pruning" true (res.E.pruned > 0);
-    let off = E.explore ~budget (scenario "domains-disjoint") in
-    check_rules "still clean without the feed" [] (rules off.E.findings);
-    check_bool "without the feed the interleavings come back" true (off.E.schedules > 1)
-
-let test_false_independence_caught () =
-  match Lazy.force certs_for_tree with
-  | None -> ()
-  | Some certs ->
-    let res = E.explore ~budget ~certs (scenario "domains-false-independence") in
-    check_bool "probe cross-check raises certificate-mismatch" true
-      (List.mem F.certificate_mismatch (rules res.E.findings));
-    check_bool "the mismatch names the probed cell" true
-      (List.exists
-         (fun f ->
-           f.F.rule = F.certificate_mismatch
-           && String.length f.F.message > 0
-           &&
-           let re = "dom.track" in
-           let rec find i =
-             i + String.length re <= String.length f.F.message
-             && (String.sub f.F.message i (String.length re) = re || find (i + 1))
-           in
-           find 0)
-         res.E.findings);
-    let off = E.explore ~budget (scenario "domains-false-independence") in
-    check_rules "no feed, no claim, no mismatch" [] (rules off.E.findings)
-
-let test_probe_sees_both_writers () =
-  (* the raw run-level evidence behind the cross-check: the program-order
-     schedule already shows both files mutating the probed queue *)
-  let r = E.run_one (scenario "domains-false-independence") ~prefix:[||] ~budget in
-  match List.find_opt (fun (label, _, _) -> label = "dom.track") r.E.r_probes with
-  | None -> Alcotest.fail "no dom.track probe in the run record"
-  | Some (_, owner, writers) ->
-    let files = List.sort_uniq compare (owner :: writers) in
-    check_bool "fixture A mutates the cell" true
-      (List.mem "lib/check/fixture_dom_a.ml" files);
-    check_bool "fixture B mutates the cell through the escaped alias" true
-      (List.mem "lib/check/fixture_dom_b.ml" files)
-
-let test_broken_quorum_unaffected () =
-  (* same-file pairs are never independent, so the feed must neither
-     prune nor change coverage on the existing seeded scenario *)
-  match Lazy.force certs_for_tree with
-  | None -> ()
-  | Some certs ->
-    let sc = scenario "broken-quorum" in
-    let on = E.explore ~certs sc in
-    let off = E.explore sc in
-    check_int "identical schedule count" off.E.schedules on.E.schedules;
-    check_int "feed prunes nothing on a same-file scenario" 0 on.E.pruned;
-    check_bool "the quorum violation is still detected" true (on.E.findings <> []);
-    (* feed-on also carries the wait-structure certificate-mismatch for
-       the seeded violation in a certified-clean file — the pre-existing
-       cross-check; the dynamic findings themselves must be identical *)
-    check_rules "identical dynamic findings either way" (rules off.E.findings)
-      (rules
-         (List.filter (fun f -> f.F.rule <> F.certificate_mismatch) on.E.findings))
+      (require_cert certs ~site:"Event.dummy" ~cls:D.class_immutable ~verdict:G.Bounded)
 
 let suite =
   [
@@ -332,17 +187,5 @@ let suite =
       [
         Alcotest.test_case "inventory counts pinned" `Quick test_tree_inventory_pinned;
         Alcotest.test_case "key cell verdicts" `Quick test_tree_key_verdicts;
-      ] );
-    ( "domains.feed",
-      [
-        Alcotest.test_case "independence relation" `Quick test_independence_relation;
-        Alcotest.test_case "disjoint scenario collapses to one schedule" `Quick
-          test_disjoint_scenario_pruned;
-        Alcotest.test_case "seeded false independence caught" `Quick
-          test_false_independence_caught;
-        Alcotest.test_case "probes record both writers" `Quick
-          test_probe_sees_both_writers;
-        Alcotest.test_case "broken-quorum coverage unchanged" `Quick
-          test_broken_quorum_unaffected;
       ] );
   ]
