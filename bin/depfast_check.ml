@@ -18,7 +18,7 @@
 let usage =
   "usage: depfast_check [--list] [--all] [--format text|json] [--no-certs] \
    [--certs-root dir]* [--max-schedules n] [--max-steps n] [--max-depth n] \
-   [--delay-bound n] [--jobs n] [--quiet] [scenario ...]"
+   [--jobs n] [--quiet] [scenario ...]"
 
 type opts = {
   mutable format : [ `Text | `Json ];
@@ -30,7 +30,6 @@ type opts = {
   mutable max_schedules : int option;
   mutable max_steps : int option;
   mutable max_depth : int option;
-  mutable delay_bound : int option;
   mutable jobs : int;
   mutable names : string list;
 }
@@ -47,7 +46,6 @@ let parse_args () =
       max_schedules = None;
       max_steps = None;
       max_depth = None;
-      delay_bound = None;
       jobs = 1;
       names = [];
     }
@@ -79,7 +77,6 @@ let parse_args () =
           | `Max_schedules -> o.max_schedules <- Some (int_arg "--max-schedules" arg)
           | `Max_steps -> o.max_steps <- Some (int_arg "--max-steps" arg)
           | `Max_depth -> o.max_depth <- Some (int_arg "--max-depth" arg)
-          | `Delay_bound -> o.delay_bound <- Some (int_arg "--delay-bound" arg)
           | `Jobs -> (
             (* 0 means auto: one worker per available core (capped) *)
             match int_of_string_opt arg with
@@ -100,7 +97,6 @@ let parse_args () =
           | "--max-schedules" -> expect := Some `Max_schedules
           | "--max-steps" -> expect := Some `Max_steps
           | "--max-depth" -> expect := Some `Max_depth
-          | "--delay-bound" -> expect := Some `Delay_bound
           | "--jobs" | "-j" -> expect := Some `Jobs
           | "--help" | "-h" ->
             print_endline usage;
@@ -124,8 +120,6 @@ let budget_for o (sc : Check.Scenario.t) =
       (match o.max_schedules with Some n -> n | None -> sc.Check.Scenario.default_schedules);
     max_steps = (match o.max_steps with Some n -> n | None -> d.Check.Explore.max_steps);
     max_depth = (match o.max_depth with Some n -> n | None -> d.Check.Explore.max_depth);
-    delay_bound =
-      (match o.delay_bound with Some n -> n | None -> d.Check.Explore.delay_bound);
   }
 
 let default_certs_roots = [ "lib" ]

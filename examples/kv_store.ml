@@ -15,7 +15,7 @@ let () =
   Depfast.Sched.spawn sched ~name:"main" (fun () ->
       (* wait for the randomized-timeout election to settle *)
       let leader =
-        match Raft.Group.wait_for_leader g () with
+        match Raft.Group.wait_for_leader g with
         | Some s -> s
         | None -> failwith "no leader"
       in

@@ -11,7 +11,7 @@ let () =
   let g = Raft.Group.create sched ~n:3 () in
   Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
   Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
-  let detectors = List.map (fun s -> Raft.Detector.attach s ()) g.Raft.Group.servers in
+  let detectors = List.map (fun s -> Raft.Detector.attach s) g.Raft.Group.servers in
 
   (* light closed-loop load so the detector has a commit-latency signal *)
   let clients = Raft.Group.make_clients g ~count:32 () in

@@ -34,12 +34,11 @@ let forward t b entries =
    position straight back to the head *)
 let handle_append t b ~entries ~commit =
   Depfast.Mutex.with_lock b.Common.sched b.Common.append_mu (fun () ->
-      let cfg = b.Common.cfg in
       let n = Array.length entries in
       (* depfast-lint: allow lock-across-call — deliberate baseline defect:
          per-entry CPU work runs inside the append lock *)
       Cluster.Node.cpu_work b.Common.node
-        (cfg.Raft.Config.cost_follower_fixed + (n * cfg.Raft.Config.cost_follower_entry));
+        (Raft.Config.cost_follower_fixed + (n * Raft.Config.cost_follower_entry));
       Common.follower_append b entries;
       if n > 0 then
         (* depfast-lint: allow lock-across-call — deliberate baseline defect:
@@ -60,7 +59,7 @@ let handle_append t b ~entries ~commit =
 
 let handle_tail_ack t ~match_index =
   let b = t.head in
-  Common.cpu_charge b b.Common.cfg.Raft.Config.cost_ack_process;
+  Common.cpu_charge b Raft.Config.cost_ack_process;
   if match_index > t.tail_acked then begin
     t.tail_acked <- match_index;
     Common.set_commit b match_index

@@ -87,7 +87,7 @@ let cpu_charge b w = ignore (Cluster.Station.submit (Cluster.Node.cpu b.node) ~w
 let wal_append b entries =
   let disk = Cluster.Node.disk b.node in
   let bytes =
-    entries_bytes entries + (Array.length entries * b.cfg.Raft.Config.wal_entry_overhead)
+    entries_bytes entries + (Array.length entries * Raft.Config.wal_entry_overhead)
   in
   ignore (Cluster.Disk.write disk ~bytes);
   Cluster.Disk.fsync disk
@@ -114,15 +114,14 @@ let enqueue b ~cmd ~client ~seq =
 let await_work b =
   if Queue.is_empty b.pending_q then
     ignore
-      (Depfast.Condvar.wait_timeout b.sched b.work_cv b.cfg.Raft.Config.group_commit_window)
+      (Depfast.Condvar.wait_timeout b.sched b.work_cv Raft.Config.group_commit_window)
 
-(** Append up to [batch_max] queued commands to the leader's log and charge
+(** Append up to [Raft.Config.batch_max] queued commands to the leader's log and charge
     their marshalling. Returns the new entries. *)
 let seal_batch b =
-  let cfg = b.cfg in
   let entries =
     Array.init
-      (min cfg.Raft.Config.batch_max (Queue.length b.pending_q))
+      (min Raft.Config.batch_max (Queue.length b.pending_q))
       (fun _ ->
         let p = Queue.pop b.pending_q in
         let e =
@@ -136,7 +135,7 @@ let seal_batch b =
   in
   let n = Array.length entries in
   if n > 0 then
-    cpu_work b (cfg.Raft.Config.cost_round_fixed + (n * cfg.Raft.Config.cost_marshal_entry));
+    cpu_work b (Raft.Config.cost_round_fixed + (n * Raft.Config.cost_marshal_entry));
   entries
 
 (** Follower-side idempotent log append (no term conflicts here: baselines
@@ -169,10 +168,9 @@ let commit_majority b =
     AppendEntries naming [leader] (default [b]) and its commit point. The
     commit point is read after the charge, which suspends. *)
 let send_append b ?(leader = b) ~dst entries =
-  let cfg = b.cfg in
   cpu_work b
-    (cfg.Raft.Config.cost_per_follower
-    + (Array.length entries * cfg.Raft.Config.cost_send_entry));
+    (Raft.Config.cost_per_follower
+    + (Array.length entries * Raft.Config.cost_send_entry));
   Cluster.Rpc.call b.rpc ~src:b.node ~dst
     ~bytes:(256 + entries_bytes entries)
     (Append_entries
@@ -197,12 +195,11 @@ let handle_append_entries _ b req =
     | Some entries ->
       Some
         (Depfast.Mutex.with_lock b.sched b.append_mu (fun () ->
-             let cfg = b.cfg in
              (* depfast-lint: allow lock-across-call — deliberate baseline
                 defect: per-entry CPU work runs inside the append lock *)
              cpu_work b
-               (cfg.Raft.Config.cost_follower_fixed
-               + (Array.length entries * cfg.Raft.Config.cost_follower_entry));
+               (Raft.Config.cost_follower_fixed
+               + (Array.length entries * Raft.Config.cost_follower_entry));
              if prev_index > last_index b then
                Append_resp { term = 1; success = false; match_index = last_index b }
              else begin
@@ -227,7 +224,7 @@ let applier_loop b =
         match Raft.Rlog.get b.rlog i with
         | None -> assert false
         | Some e ->
-          cpu_work b b.cfg.Raft.Config.cost_apply_entry;
+          cpu_work b Raft.Config.cost_apply_entry;
           let value = Raft.Kv.apply b.kv e in
           b.last_applied <- i;
           (match Hashtbl.find_opt b.by_index i with
@@ -251,7 +248,7 @@ let applier_loop b =
 
 let handle_client_request b ~cmd ~client_id ~seq =
   let cfg = b.cfg in
-  cpu_work b cfg.Raft.Config.cost_client_parse;
+  cpu_work b Raft.Config.cost_client_parse;
   if not (is_leader b) then
     Client_resp { ok = false; shed = false; leader_hint = Some b.leader_id; value = None }
   else begin
@@ -259,7 +256,7 @@ let handle_client_request b ~cmd ~client_id ~seq =
     let outcome =
       Depfast.Sched.wait_timeout b.sched p.p_done cfg.Raft.Config.client_timeout
     in
-    cpu_work b cfg.Raft.Config.cost_client_reply;
+    cpu_work b Raft.Config.cost_client_reply;
     match outcome with
     | Depfast.Sched.Ready ->
       Client_resp
@@ -302,7 +299,7 @@ let build sched ~n ~cfg ?mem_soft_cap ?mem_hard_cap ~make ~handle () =
       Cluster.Node.spawn b.node ~name:"applier" (fun () -> applier_loop b);
       if cfg.Raft.Config.enable_hiccups then
         Cluster.Node.spawn b.node ~name:"hiccup" (fun () ->
-            Raft.Server.hiccup_loop b.node b.rng cfg))
+            Raft.Server.hiccup_loop b.node b.rng))
     bases;
   { t; bases; rpc }
 

@@ -38,7 +38,6 @@ type t = {
 let entry_size_estimate = 1100
 
 let handle_pull t b ~from =
-  let cfg = b.Common.cfg in
   let last = Common.last_index b in
   let cache_start = max 1 (last - t.oplog_window + 1) in
   let max_entries =
@@ -55,12 +54,12 @@ let handle_pull t b ~from =
         (Cluster.Disk.read (Cluster.Node.disk b.Common.node) ~bytes);
       t.catchup_max
     end
-    else cfg.Raft.Config.batch_max
+    else Raft.Config.batch_max
   in
   let entries = Raft.Rlog.slice_array b.Common.rlog ~from ~max:max_entries in
   Cluster.Node.cpu_work b.Common.node
-    (cfg.Raft.Config.cost_per_follower
-    + (Array.length entries * cfg.Raft.Config.cost_send_entry));
+    (Raft.Config.cost_per_follower
+    + (Array.length entries * Raft.Config.cost_send_entry));
   Oplog_resp { entries; prev_index = from - 1; prev_term = 1; commit = b.Common.commit_index }
 
 (* cache-interference watcher: while any secondary's reported position is
@@ -140,8 +139,8 @@ let puller_loop t b =
           let n = Array.length entries in
           if n > 0 then begin
             Cluster.Node.cpu_work b.Common.node
-              (cfg.Raft.Config.cost_follower_fixed
-              + (n * cfg.Raft.Config.cost_follower_entry));
+              (Raft.Config.cost_follower_fixed
+              + (n * Raft.Config.cost_follower_entry));
             Common.follower_append b entries;
             Common.persist b entries;
             Common.set_commit b commit;
@@ -167,7 +166,7 @@ let handle t b req =
   match req with
   | Pull_oplog { from; follower = _ } -> Some (handle_pull t b ~from)
   | Update_position { follower; match_index; term = _ } ->
-    Common.cpu_charge t.base t.base.Common.cfg.Raft.Config.cost_ack_process;
+    Common.cpu_charge t.base Raft.Config.cost_ack_process;
     Common.note_match t.base follower match_index;
     Some Ack
   | Client_request _ | Append_entries _ | Request_vote _ | Transfer_leadership _

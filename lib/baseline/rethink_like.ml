@@ -83,14 +83,14 @@ let drainer_loop t f =
       else begin
         let entries =
           Array.init
-            (min b.Common.cfg.Raft.Config.batch_max (Queue.length buf.entries))
+            (min Raft.Config.batch_max (Queue.length buf.entries))
             (fun _ -> Queue.pop buf.entries)
         in
         let bytes = entries_bytes entries in
         outstanding := !outstanding + bytes;
         let call = Common.send_append b ~dst:f entries in
         Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-            Common.cpu_charge b b.Common.cfg.Raft.Config.cost_ack_process;
+            Common.cpu_charge b Raft.Config.cost_ack_process;
             outstanding := !outstanding - bytes;
             (match Cluster.Rpc.response call with
             | Some (Append_resp { success = true; match_index; _ }) ->

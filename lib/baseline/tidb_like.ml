@@ -37,7 +37,7 @@ let entry_size_estimate = 1100
 let process_ack t f call =
   let b = t.base in
   Hashtbl.replace t.inflight f false;
-  Common.cpu_charge b b.Common.cfg.Raft.Config.cost_ack_process;
+  Common.cpu_charge b Raft.Config.cost_ack_process;
   (match Cluster.Rpc.response call with
   | Some (Append_resp { success; match_index; _ }) ->
     if success then begin
@@ -61,7 +61,7 @@ let prep_and_send t f =
     let evicted = from < cache_start in
     let stop =
       if evicted then min last (from + t.catchup_max - 1)
-      else min last (from + b.Common.cfg.Raft.Config.batch_max - 1)
+      else min last (from + Raft.Config.batch_max - 1)
     in
     if evicted then begin
       (* EntryCache miss: message preparation re-reads the evicted range

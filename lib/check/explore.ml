@@ -22,11 +22,9 @@ type budget = {
   max_schedules : int;  (* explored runs *)
   max_steps : int;  (* choice points per run before truncation *)
   max_depth : int;  (* no new backtrack points past this choice index *)
-  delay_bound : int;  (* max prefix extensions along one lineage *)
 }
 
-let default_budget =
-  { max_schedules = 2000; max_steps = 4000; max_depth = 200; delay_bound = max_int }
+let default_budget = { max_schedules = 2000; max_steps = 4000; max_depth = 200 }
 
 type run = {
   r_steps : Engine.tag array array;
@@ -275,7 +273,7 @@ let overflow_beats (o : Sanitizer.overflow) (p : Sanitizer.overflow) =
    backtracks to. The children depend only on the item (runs re-execute
    deterministically), so the frontier reached from the root is one fixed
    tree no matter which worker visits which node in what order. *)
-let process_item (scenario : Scenario.t) ~budget ~state acc (prefix, lineage) =
+let process_item (scenario : Scenario.t) ~budget ~state acc prefix =
   let run = run_one ~state scenario ~prefix ~budget in
   acc.a_schedules <- acc.a_schedules + 1;
   acc.a_prefixes <- prefix :: acc.a_prefixes;
@@ -319,36 +317,28 @@ let process_item (scenario : Scenario.t) ~budget ~state acc (prefix, lineage) =
       Hashtbl.replace acc.a_spg key (prev + e.Depfast.Spg.count))
     run.r_spg_edges;
   let plen = Array.length prefix in
-  if lineage < budget.delay_bound then begin
-    let pushes = ref [] in
-    Array.iteri
-      (fun j tags ->
-        let abs = plen + j in
-        let n = Array.length tags in
-        if abs < budget.max_depth then begin
-          let inset = persistent_set tags 0 in
-          let psize = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inset in
-          acc.a_pruned <- acc.a_pruned + (n - psize);
-          for alt = n - 1 downto 1 do
-            if inset.(alt) then begin
-              (* this run chose 0 at steps plen..abs-1; deviate at abs *)
-              let p' = Array.make (abs + 1) 0 in
-              Array.blit prefix 0 p' 0 plen;
-              p'.(abs) <- alt;
-              pushes := (p', lineage + 1) :: !pushes
-            end
-          done
-        end
-        else acc.a_pruned <- acc.a_pruned + (n - 1))
-      run.r_steps;
-    !pushes
-  end
-  else begin
-    Array.iter
-      (fun tags -> acc.a_pruned <- acc.a_pruned + (Array.length tags - 1))
-      run.r_steps;
-    []
-  end
+  let pushes = ref [] in
+  Array.iteri
+    (fun j tags ->
+      let abs = plen + j in
+      let n = Array.length tags in
+      if abs < budget.max_depth then begin
+        let inset = persistent_set tags 0 in
+        let psize = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inset in
+        acc.a_pruned <- acc.a_pruned + (n - psize);
+        for alt = n - 1 downto 1 do
+          if inset.(alt) then begin
+            (* this run chose 0 at steps plen..abs-1; deviate at abs *)
+            let p' = Array.make (abs + 1) 0 in
+            Array.blit prefix 0 p' 0 plen;
+            p'.(abs) <- alt;
+            pushes := p' :: !pushes
+          end
+        done
+      end
+      else acc.a_pruned <- acc.a_pruned + (n - 1))
+    run.r_steps;
+  !pushes
 
 let merge_into dst src =
   dst.a_schedules <- dst.a_schedules + src.a_schedules;
@@ -524,7 +514,7 @@ let finalize (scenario : Scenario.t) ~certs ~complete acc =
 let explore_serial ~budget ~certs scenario =
   let acc = fresh_acc () in
   let state = fresh_state () in
-  let stack = ref [ ([||], 0) ] in
+  let stack = ref [ [||] ] in
   while !stack <> [] && acc.a_schedules < budget.max_schedules do
     match !stack with
     | [] -> ()
@@ -547,7 +537,7 @@ let explore_serial ~budget ~certs scenario =
    than workers sleeping beats burning a timeslice spinning. *)
 let explore_parallel ~budget ~certs ~jobs scenario =
   let deques = Array.init jobs (fun _ -> Wsq.create ()) in
-  Wsq.push deques.(0) ([||], 0);
+  Wsq.push deques.(0) [||];
   let pending = Atomic.make 1 in
   let claimed = Atomic.make 0 in
   let dropped = Atomic.make false in

@@ -21,11 +21,10 @@ type budget = {
   max_schedules : int;  (** explored runs *)
   max_steps : int;  (** choice points per run before truncation *)
   max_depth : int;  (** no new backtrack points past this choice index *)
-  delay_bound : int;  (** max prefix extensions along one lineage *)
 }
 
 val default_budget : budget
-(** 2000 schedules, 4000 steps/run, depth 200, unbounded delay. *)
+(** 2000 schedules, 4000 steps/run, depth 200. *)
 
 type run = {
   r_steps : Sim.Engine.tag array array;

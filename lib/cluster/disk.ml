@@ -3,7 +3,6 @@ open Sim
 type t = {
   node_id : int;
   base_latency : Time.span;
-  fsync_latency : Time.span;
   bandwidth_mb_s : float;
   mutable bandwidth_factor : float;
   station : Station.t;
@@ -11,12 +10,12 @@ type t = {
   mutable fsyncs : int;
 }
 
-let create sched ~node_id ?(base_latency = Time.us 80) ?(fsync_latency = Time.us 150)
-    ?(bandwidth_mb_s = 200.0) () =
+let fsync_latency = Time.us 150
+
+let create sched ~node_id ?(base_latency = Time.us 80) ?(bandwidth_mb_s = 200.0) () =
   {
     node_id;
     base_latency;
-    fsync_latency;
     bandwidth_mb_s;
     bandwidth_factor = 1.0;
     station = Station.create sched ~servers:1 ~name:(Printf.sprintf "disk%d" node_id) ();
@@ -42,7 +41,7 @@ let read t ~bytes = io t ~label:"disk.read" ~work:(t.base_latency + transfer_tim
 
 let fsync t =
   t.fsyncs <- t.fsyncs + 1;
-  io t ~label:"disk.fsync" ~work:t.fsync_latency
+  io t ~label:"disk.fsync" ~work:fsync_latency
 
 let write_count t = t.writes
 let fsync_count t = t.fsyncs

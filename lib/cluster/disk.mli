@@ -12,7 +12,6 @@ val create :
   Depfast.Sched.t ->
   node_id:int ->
   ?base_latency:Sim.Time.span ->
-  ?fsync_latency:Sim.Time.span ->
   ?bandwidth_mb_s:float ->
   unit ->
   t

@@ -50,14 +50,11 @@ type 'msg t = {
 
 let no_arrival = Time.add Time.zero (-1)
 
-let create sched ?(latency = Dist.Shifted (120.0, Dist.Exponential 30.0)) ?rng () =
-  let rng =
-    match rng with Some r -> r | None -> Engine.split_rng (Depfast.Sched.engine sched)
-  in
+let create sched ?(latency = Dist.Shifted (120.0, Dist.Exponential 30.0)) () =
   {
     sched;
     latency;
-    rng;
+    rng = Engine.split_rng (Depfast.Sched.engine sched);
     eps = Array.make 16 None;
     cuts = Hashtbl.create 4;
     sorted_nodes = [];

@@ -20,11 +20,11 @@ type stats = { delivered : int; dropped : int; units : int }
 val create :
   Depfast.Sched.t ->
   ?latency:Sim.Dist.t ->
-  ?rng:Sim.Rng.t ->
   unit ->
   'msg t
 (** [latency] is the one-way delay in microseconds; default
-    [Shifted (120, Exponential 30)] — a ~150 us same-AZ RTT/2. *)
+    [Shifted (120, Exponential 30)] — a ~150 us same-AZ RTT/2. Its draws
+    come from a stream split off the engine's at creation. *)
 
 val register : 'msg t -> Node.t -> handler:(src:int -> 'msg -> unit) -> unit
 (** Attach a node and its delivery handler. The handler runs as an engine

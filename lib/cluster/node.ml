@@ -11,10 +11,14 @@ type t = {
 
 let crash t = t.alive <- false
 
-let create sched ~id ~name ?(cpu_cores = 4) ?mem_soft_cap ?mem_hard_cap
-    ?(resident_bytes = 200 * 1024 * 1024) () =
+(* the paper's Standard_D4s_v3 shape *)
+let cpu_cores = 4
+
+(* the process's steady-state working set; memory faults cap against it *)
+let resident_bytes = 200 * 1024 * 1024
+
+let create sched ~id ~name ?mem_soft_cap ?mem_hard_cap () =
   let memory = Memory.create ?soft_cap:mem_soft_cap ?hard_cap:mem_hard_cap () in
-  (* the process's steady-state working set; memory faults cap against it *)
   Memory.alloc memory resident_bytes;
   let cpu = Station.create sched ~servers:cpu_cores ~name:(Printf.sprintf "cpu%d" id) () in
   let disk = Disk.create sched ~node_id:id () in

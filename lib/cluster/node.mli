@@ -11,15 +11,13 @@ val create :
   Depfast.Sched.t ->
   id:int ->
   name:string ->
-  ?cpu_cores:int ->
   ?mem_soft_cap:int ->
   ?mem_hard_cap:int ->
-  ?resident_bytes:int ->
   unit ->
   t
-(** [cpu_cores] defaults to 4 (the paper's Standard_D4s_v3 shape);
-    [resident_bytes] (default 200 MiB) is the process's steady working set,
-    pre-charged to {!memory} so memory-cap faults create real pressure. *)
+(** A node has 4 CPU cores (the paper's Standard_D4s_v3 shape) and a
+    200 MiB steady working set, pre-charged to {!memory} so memory-cap
+    faults create real pressure. *)
 
 val id : t -> int
 val sched : t -> Depfast.Sched.t

@@ -16,20 +16,21 @@ type ('req, 'resp) t = {
   net : ('req, 'resp) frame Net.t;
   calls : (int, 'resp call) Hashtbl.t;
   handlers : (int, src:int -> 'req -> 'resp option) Hashtbl.t;
-  request_bytes : int;
   mutable next_id : int;
   mutable discard_stragglers : bool;
   mutable discarded : int;
   outstanding : (int, int) Hashtbl.t;  (* node id -> bytes charged *)
 }
 
-let create sched ?latency ?(request_bytes = 512) () =
+(* the per-call buffer charged to the caller's memory *)
+let request_bytes = 512
+
+let create sched ?latency () =
   {
     sched;
     net = Net.create sched ?latency ();
     calls = Hashtbl.create 256;
     handlers = Hashtbl.create 16;
-    request_bytes;
     next_id = 0;
     discard_stragglers = true;
     discarded = 0;
@@ -96,7 +97,7 @@ let label_of dst =
 let call t ~src ~dst ?bytes body =
   t.next_id <- t.next_id + 1;
   let id = t.next_id in
-  let bytes = Option.value ~default:t.request_bytes bytes in
+  let bytes = Option.value ~default:request_bytes bytes in
   let src_id = Node.id src in
   Memory.alloc (Node.memory src) bytes;
   charge t.outstanding src_id bytes;

@@ -18,11 +18,10 @@ type 'resp call
 val create :
   Depfast.Sched.t ->
   ?latency:Sim.Dist.t ->
-  ?request_bytes:int ->
   unit ->
   ('req, 'resp) t
-(** [request_bytes] (default 512) is the per-call buffer size charged to the
-    caller's memory until the call completes or is abandoned. *)
+(** Every call charges a 512-byte buffer to the caller's memory until it
+    completes or is abandoned ({!call}'s [bytes] overrides the size). *)
 
 val attach : ('req, 'resp) t -> Node.t -> unit
 (** Register a node that only issues calls (a client): its responses are

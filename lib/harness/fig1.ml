@@ -16,7 +16,7 @@ type row = {
   raw : Workload.Metrics.t;
 }
 
-let run ?(params = Params.full) ?(systems = Runner.baseline_systems) () =
+let run ?(params = Params.full) () =
   List.concat_map
     (fun system ->
       let base =
@@ -52,7 +52,7 @@ let run ?(params = Params.full) ?(systems = Runner.baseline_systems) () =
                raw = m;
              })
            Cluster.Fault.all)
-    systems
+    Runner.baseline_systems
 
 let print_rows rows =
   Printf.printf
@@ -72,4 +72,4 @@ let print_rows rows =
         (if r.crashed then "  ** LEADER CRASHED **" else ""))
     rows
 
-let print ?params ?systems () = print_rows (run ?params ?systems ())
+let print ?params () = print_rows (run ?params ())

@@ -16,7 +16,8 @@ type row = {
   raw : Workload.Metrics.t;
 }
 
-val run : ?params:Params.t -> ?systems:Runner.system list -> unit -> row list
-(** One no-fault row, then one row per Table-1 fault, for each system. *)
+val run : ?params:Params.t -> unit -> row list
+(** One no-fault row, then one row per Table-1 fault, for each baseline
+    system. *)
 
-val print : ?params:Params.t -> ?systems:Runner.system list -> unit -> unit
+val print : ?params:Params.t -> unit -> unit

@@ -14,8 +14,8 @@ type result = {
   names : int -> string;
 }
 
-let run ?(seed = 21L) () =
-  let engine = Sim.Engine.create ~seed () in
+let run () =
+  let engine = Sim.Engine.create ~seed:21L () in
   let trace = Depfast.Trace.create () in
   let sched = Depfast.Sched.create ~trace engine in
   let cfg = { Raft.Config.default with enable_hiccups = false } in
@@ -65,8 +65,8 @@ let run ?(seed = 21L) () =
     names;
   }
 
-let print ?seed () =
-  let r = run ?seed () in
+let print () =
+  let r = run () in
   Printf.printf
     "\n=== Figure 2: slowness propagation graph (3-shard DepFastRaft, s1-s9, c1-c3) ===\n\n";
   Depfast.Spg.pp ~node_name:r.names Format.std_formatter r.spg;

@@ -16,8 +16,8 @@ type result = {
   names : int -> string;  (** node id -> display name *)
 }
 
-val run : ?seed:int64 -> unit -> result
+val run : unit -> result
 (** Elect one leader per shard, trace 50 client writes per shard, and
     audit the recorded propagation graph. *)
 
-val print : ?seed:int64 -> unit -> unit
+val print : unit -> unit

@@ -15,9 +15,9 @@ type row = {
 
 let minority n = ((n + 1) / 2) - 1
 
-let run_setup ?(params = Params.full) ?(cfg = Raft.Config.default) ~n () =
+let run_setup ?(params = Params.full) ~n () =
   let base =
-    Runner.run_cell ~cfg ~params ~system:Runner.Depfast_raft ~n ~slow_count:0
+    Runner.run_cell ~params ~system:Runner.Depfast_raft ~n ~slow_count:0
       ~fault:None ()
   in
   let base_m = base.Runner.metrics in
@@ -39,14 +39,13 @@ let run_setup ?(params = Params.full) ?(cfg = Raft.Config.default) ~n () =
   :: List.map
        (fun kind ->
          let cell =
-           Runner.run_cell ~cfg ~params ~system:Runner.Depfast_raft ~n
+           Runner.run_cell ~params ~system:Runner.Depfast_raft ~n
              ~slow_count:(minority n) ~fault:(Some kind) ()
          in
          row_of (Some kind) cell.Runner.metrics)
        Cluster.Fault.all
 
-let run ?params ?cfg () =
-  List.concat_map (fun n -> run_setup ?params ?cfg ~n ()) [ 3; 5 ]
+let run ?params () = List.concat_map (fun n -> run_setup ?params ~n ()) [ 3; 5 ]
 
 let print_rows rows =
   Printf.printf
@@ -77,4 +76,4 @@ let print_rows rows =
     (100.0 *. worst)
     (if worst <= 0.05 then "(within the paper's 5% band)" else "(paper's band: 5%)")
 
-let print ?params ?cfg () = print_rows (run ?params ?cfg ())
+let print ?params () = print_rows (run ?params ())

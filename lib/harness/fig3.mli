@@ -17,9 +17,8 @@ type row = {
 val minority : int -> int
 (** Largest follower count that still leaves a working majority. *)
 
-val run_setup :
-  ?params:Params.t -> ?cfg:Raft.Config.t -> n:int -> unit -> row list
+val run_setup : ?params:Params.t -> n:int -> unit -> row list
 (** The no-fault baseline row plus one row per fault kind, all injected
     into a minority of followers of an [n]-node group. *)
 
-val print : ?params:Params.t -> ?cfg:Raft.Config.t -> unit -> unit
+val print : ?params:Params.t -> unit -> unit

@@ -14,18 +14,16 @@ type result = {
   variant : string;
   phases : phase list;  (** before / during+after fault *)
   mitigated : int;  (** leadership transfers triggered *)
-  detect_ms : float;  (** fault injection -> transfer, ms (-1 if none) *)
 }
 
 let run_variant ?(params = Params.full) ~with_detector () =
   let engine = Sim.Engine.create ~seed:params.Params.seed () in
   let sched = Depfast.Sched.create engine in
-  let cfg = Raft.Config.default in
-  let g = Raft.Group.create sched ~n:3 ~cfg () in
+  let g = Raft.Group.create sched ~n:3 () in
   Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
   Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
   let detectors =
-    if with_detector then List.map (fun s -> Raft.Detector.attach s ()) g.Raft.Group.servers
+    if with_detector then List.map (fun s -> Raft.Detector.attach s) g.Raft.Group.servers
     else []
   in
   let leader_node = Raft.Server.node (Raft.Group.server g 0) in
@@ -36,27 +34,16 @@ let run_variant ?(params = Params.full) ~with_detector () =
       ~warmup:params.Params.warmup ~duration:params.Params.duration ~leader_node ()
   in
   (* inject the fault into the CURRENT leader *)
-  let injected_at = Sim.Engine.now engine in
   ignore (Cluster.Fault.inject leader_node Cluster.Fault.Cpu_slow);
   let faulty =
     Workload.Driver.run sched ~clients ~workload:(Params.workload params)
       ~warmup:(Sim.Time.ms 200) ~duration:params.Params.duration ~leader_node ()
   in
   let mitigated = List.fold_left (fun acc d -> acc + Raft.Detector.mitigations d) 0 detectors in
-  let detect_ms =
-    if mitigated > 0 then
-      (* approximate: when a non-initial leader first shows up *)
-      match Raft.Group.leader g with
-      | Some s when Raft.Server.id s <> 0 ->
-        Sim.Time.to_ms_f (Sim.Time.diff (Sim.Engine.now engine) injected_at)
-      | _ -> -1.0
-    else -1.0
-  in
   {
     variant = (if with_detector then "with detector + transfer" else "no mitigation");
     phases = [ { label = "healthy"; metrics = healthy }; { label = "leader fail-slow"; metrics = faulty } ];
     mitigated;
-    detect_ms;
   }
 
 let run ?params () =

@@ -1,8 +1,9 @@
 (** Experiment parameters.
 
     [full] follows the paper's §2.1 methodology (YCSB update workload
-    over 500K records, hundreds of closed-loop clients, leader around
-    75% CPU); [quick] shrinks everything for CI and unit tests. *)
+    over 500K records, closed-loop clients; the operating point they
+    produce is recorded in EXPERIMENTS.md); [quick] shrinks everything for
+    CI and unit tests. *)
 
 type t = {
   seed : int64;  (** engine seed — experiments are deterministic in it *)
@@ -10,11 +11,10 @@ type t = {
   warmup : Sim.Time.span;  (** excluded from the measured window *)
   duration : Sim.Time.span;  (** measured window *)
   records : int;  (** keyspace size *)
-  value_size : int;  (** value payload bytes *)
 }
 
 val full : t
 val quick : t
 
 val workload : t -> Workload.Ycsb.t
-(** The update-heavy YCSB mix scaled to [t]'s records and value size. *)
+(** The update-heavy YCSB mix scaled to [t]'s records. *)

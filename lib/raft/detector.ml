@@ -1,9 +1,10 @@
+let check_interval = Sim.Time.ms 200
+let baseline_samples = 10
+let threshold = 4.0
+let confirmations = 2
+
 type t = {
   server : Server.t;
-  check_interval : Sim.Time.span;
-  baseline_samples : int;
-  threshold : float;
-  confirmations : int;
   mutable samples : float list;  (* baseline collection, newest first *)
   mutable baseline : float;
   mutable strikes : int;
@@ -18,13 +19,13 @@ let check t =
   if Server.is_leader t.server && lat >= 0.0 then begin
     if t.baseline = 0.0 then begin
       t.samples <- lat :: t.samples;
-      if List.length t.samples >= t.baseline_samples then
+      if List.length t.samples >= baseline_samples then
         t.baseline <-
           List.fold_left ( +. ) 0.0 t.samples /. float_of_int (List.length t.samples)
     end
-    else if lat > t.threshold *. t.baseline then begin
+    else if lat > threshold *. t.baseline then begin
       t.strikes <- t.strikes + 1;
-      if t.strikes >= t.confirmations then begin
+      if t.strikes >= confirmations then begin
         match Server.best_follower t.server with
         | Some target ->
           t.mitigations <- t.mitigations + 1;
@@ -42,15 +43,10 @@ let check t =
     t.baseline <- 0.0
   end
 
-let attach server ?(check_interval = Sim.Time.ms 200) ?(baseline_samples = 10)
-    ?(threshold = 4.0) ?(confirmations = 2) () =
+let attach server =
   let t =
     {
       server;
-      check_interval;
-      baseline_samples;
-      threshold;
-      confirmations;
       samples = [];
       baseline = 0.0;
       strikes = 0;
@@ -62,7 +58,7 @@ let attach server ?(check_interval = Sim.Time.ms 200) ?(baseline_samples = 10)
   Cluster.Node.spawn node ~name:"fail-slow-detector" (fun () ->
       let rec loop () =
         if Cluster.Node.alive node then begin
-          Depfast.Sched.sleep sched t.check_interval;
+          Depfast.Sched.sleep sched check_interval;
           check t;
           loop ()
         end

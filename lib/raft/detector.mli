@@ -6,25 +6,16 @@
     fail-slow follower, which is well tolerated".
 
     This detector runs on each server. While the server leads, it samples
-    the commit-latency trace signal ({!Server.commit_latency_ewma}), learns
-    a baseline over the first samples, and — when the current value exceeds
-    [threshold] × baseline for [confirmations] consecutive checks — hands
+    the commit-latency trace signal ({!Server.commit_latency_ewma}) every
+    200 ms, learns a baseline over the first 10 samples, and — when the
+    current value exceeds 4 × baseline for 2 consecutive checks — hands
     leadership to the most caught-up follower. The fail-slow node keeps
     serving as a follower, where quorum waits mask it. *)
 
 type t
 
-val attach :
-  Server.t ->
-  ?check_interval:Sim.Time.span ->
-  ?baseline_samples:int ->
-  ?threshold:float ->
-  ?confirmations:int ->
-  unit ->
-  t
-(** Spawns the monitoring coroutine on the server's node. Defaults:
-    check every 200 ms, 10 baseline samples, threshold 4.0, 2
-    confirmations. *)
+val attach : Server.t -> t
+(** Spawns the monitoring coroutine on the server's node. *)
 
 val mitigations : t -> int
 (** Number of leadership transfers this detector has triggered. *)

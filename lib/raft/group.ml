@@ -35,8 +35,8 @@ let leader t =
          | Some b -> if Server.term s > Server.term b then Some s else best)
        None
 
-let wait_for_leader t ?(timeout = Sim.Time.sec 5) () =
-  let deadline = Sim.Time.add (Depfast.Sched.now t.sched) timeout in
+let wait_for_leader t =
+  let deadline = Sim.Time.add (Depfast.Sched.now t.sched) (Sim.Time.sec 5) in
   let rec poll () =
     match leader t with
     | Some s -> Some s

@@ -24,8 +24,8 @@ val server : t -> int -> Server.t
 val leader : t -> Server.t option
 (** The live leader with the highest term, if any claims leadership. *)
 
-val wait_for_leader : t -> ?timeout:Sim.Time.span -> unit -> Server.t option
-(** Coroutine-context: poll until some server is leader. *)
+val wait_for_leader : t -> Server.t option
+(** Coroutine-context: poll until some server is leader, for up to 5 s. *)
 
 val elect : t -> int -> unit
 (** Deterministic bootstrap (coroutine-context): make the given node id run

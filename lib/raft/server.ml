@@ -172,7 +172,7 @@ let handle_append_resp t fs call =
   fs.last_ack <- now t;
   (* pooled path: the ack resolves through a direct-indexed slot, not a
      per-call closure + hashtable lookup *)
-  cpu_charge t t.cfg.Config.cost_ack_indexed;
+  cpu_charge t Config.cost_ack_indexed;
   (match Cluster.Rpc.response call with
   | Some (Append_resp { term; success; match_index }) ->
     if term > t.term then step_down t term ~leader:None
@@ -207,13 +207,13 @@ let handle_append_resp t fs call =
    the framework-level discard of §2.3). *)
 let send_append t fs =
   let from = fs.sent_index + 1 in
-  let batch = Rlog.view t.rlog ~from ~max:t.cfg.Config.batch_max in
+  let batch = Rlog.view t.rlog ~from ~max:Config.batch_max in
   let n = Rlog.View.length batch in
   let prev_index = from - 1 in
   let prev_term = Option.value ~default:0 (Rlog.term_at t.rlog prev_index) in
   let bytes = 256 + Rlog.View.bytes batch in
   (* ship cost is per batch, not per entry — the zero-copy win *)
-  if n > 0 then cpu_work t t.cfg.Config.cost_ship_view;
+  if n > 0 then cpu_work t Config.cost_ship_view;
   fs.sent_index <- prev_index + n;
   fs.last_send <- now t;
   fs.inflight <- fs.inflight + 1;
@@ -266,7 +266,7 @@ let sender_loop t fs epoch =
              cfg.Config.heartbeat_interval);
         loop ()
       end
-      else if fs.inflight >= cfg.Config.pipeline_depth then begin
+      else if fs.inflight >= Config.pipeline_depth then begin
         (* flow control: window full, wait for an ack to free a slot *)
         ignore
           (Depfast.Condvar.wait_timeout t.sched fs.progress_cv cfg.Config.rpc_timeout);
@@ -307,7 +307,7 @@ let replicator_loop t epoch =
     if alive t && t.role = Leader && t.epoch = epoch then begin
       if Queue.is_empty t.pending_q then
         ignore
-          (Depfast.Condvar.wait_timeout t.sched t.work_cv cfg.Config.group_commit_window);
+          (Depfast.Condvar.wait_timeout t.sched t.work_cv Config.group_commit_window);
       if alive t && t.role = Leader && t.epoch = epoch then begin
         (* Adaptive group commit, no timer in the hot path: one batch forms
            while at most one earlier commit cycle is still in flight (double
@@ -336,7 +336,7 @@ let replicator_loop t epoch =
           (* pay the per-round fixed cost before draining: commands arriving
              while this round's fixed work runs still make this batch, so
              the batch interval covers the whole seal, not just the wait *)
-          cpu_work t cfg.Config.cost_round_fixed;
+          cpu_work t Config.cost_round_fixed;
           let pendings = take_batch t in
           let n = Array.length pendings in
           if n = 0 then loop ()
@@ -366,9 +366,9 @@ let replicator_loop t epoch =
             (* zero-copy path: the round's remaining serial work is the WAL
                encode only — no wire-buffer marshal (the senders ship
                views); the fixed cost was paid above, once per batch *)
-            cpu_work t (n * cfg.Config.cost_wal_entry);
+            cpu_work t (n * Config.cost_wal_entry);
             let last = index in
-            let bytes = entry_bytes e + cfg.Config.wal_entry_overhead in
+            let bytes = entry_bytes e + Config.wal_entry_overhead in
             let wal_ev = wal_append t ~bytes in
             (* disk completions are FIFO, so WAL durability advances in
                log order *)
@@ -446,7 +446,6 @@ let fire_reply t p value =
   Depfast.Event.fire p.p_done
 
 let applier_loop t =
-  let cfg = t.cfg in
   let rec loop () =
     if alive t then begin
       if t.last_applied < t.commit_index then begin
@@ -466,10 +465,10 @@ let applier_loop t =
                applies, so the fan-out streams out over the batch's apply
                window instead of bursting after it — the woken client
                handlers overlap with the remaining applies *)
-            cpu_work t cfg.Config.cost_apply_entry;
+            cpu_work t Config.cost_apply_entry;
             Array.iteri
               (fun k b ->
-                cpu_work t cfg.Config.cost_apply_cmd;
+                cpu_work t Config.cost_apply_cmd;
                 let value =
                   Kv.apply_cmd t.kv ~cmd:b.b_cmd ~client_id:b.b_client ~seq:b.b_seq
                 in
@@ -478,7 +477,7 @@ let applier_loop t =
                 | None -> ())
               subs
           | _ ->
-            cpu_work t cfg.Config.cost_apply_entry;
+            cpu_work t Config.cost_apply_entry;
             let value = Kv.apply t.kv e in
             (match pendings with
             | Some ps -> Array.iter (fun p -> fire_reply t p value) ps
@@ -486,7 +485,7 @@ let applier_loop t =
           (* grouped reply fan-out: one vectored flush pushes the whole
              batch's replies out (leader only — followers have no pendings) *)
           (match pendings with
-          | Some _ -> cpu_work t cfg.Config.cost_reply_flush
+          | Some _ -> cpu_work t Config.cost_reply_flush
           | None -> ());
           t.last_applied <- i;
           loop ()
@@ -588,7 +587,7 @@ let gather_votes t ~term:ask_term ~transfer ~prevote ~needed =
              })
       in
       Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-          cpu_charge t t.cfg.Config.cost_ack_process;
+          cpu_charge t Config.cost_ack_process;
           match Cluster.Rpc.response call with
           | Some (Vote_resp { term; granted }) ->
             if term > t.term then step_down t term ~leader:None
@@ -657,16 +656,16 @@ let election_timer_loop t =
   in
   loop ()
 
-let hiccup_loop node rng (cfg : Config.t) =
+let hiccup_loop node rng =
   let sched = Cluster.Node.sched node in
   let cpu = Cluster.Node.cpu node in
   let rec loop () =
     if Cluster.Node.alive node then begin
-      Depfast.Sched.sleep sched (Dist.sample_span rng cfg.Config.hiccup_interval);
-      let duration = min (Time.ms 10) (Dist.sample_span rng cfg.Config.hiccup_duration) in
-      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. cfg.Config.hiccup_factor);
+      Depfast.Sched.sleep sched (Dist.sample_span rng Config.hiccup_interval);
+      let duration = min (Time.ms 10) (Dist.sample_span rng Config.hiccup_duration) in
+      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. Config.hiccup_factor);
       Depfast.Sched.sleep sched duration;
-      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu /. cfg.Config.hiccup_factor);
+      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu /. Config.hiccup_factor);
       loop ()
     end
   in
@@ -676,7 +675,7 @@ let hiccup_loop node rng (cfg : Config.t) =
 
 let handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term ~transfer
     ~prevote =
-  cpu_work t t.cfg.Config.cost_vote;
+  cpu_work t Config.cost_vote;
   (* leader stickiness: if we heard from a live leader recently, reject —
      unless this is a deliberate leadership transfer *)
   let sticky =
@@ -710,13 +709,12 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commi
   (* the replication stream is processed serially, in delivery order (a
      retransmitted message must not race its successor) *)
   Depfast.Mutex.with_lock t.sched t.append_mu @@ fun () ->
-  let cfg = t.cfg in
   (* depfast-lint: allow lock-across-call — serial by design: the FIFO
      append lock admits entries in delivery order, and the modeled CPU
      cost of processing one message is part of that critical section *)
   cpu_work t
-    (cfg.Config.cost_follower_fixed
-    + (Array.length entries * cfg.Config.cost_follower_entry_view));
+    (Config.cost_follower_fixed
+    + (Array.length entries * Config.cost_follower_entry_view));
   if term < t.term then Append_resp { term = t.term; success = false; match_index = 0 }
   else begin
     if term > t.term || t.role <> Follower then step_down t term ~leader:(Some leader);
@@ -741,7 +739,7 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commi
       let match_index = prev_index + Array.length entries in
       if Array.length entries > 0 then begin
         let bytes =
-          entries_bytes entries + (Array.length entries * cfg.Config.wal_entry_overhead)
+          entries_bytes entries + (Array.length entries * Config.wal_entry_overhead)
         in
         (* depfast-lint: allow lock-across-call red-exposure — the append
            lock is the documented FIFO-stream substitution (DESIGN §5):
@@ -761,7 +759,7 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commi
 let handle_client_request t ~cmd ~client_id ~seq =
   let cfg = t.cfg in
   (* pooled connection path: direct-indexed slot, no per-request closure *)
-  cpu_work t cfg.Config.cost_client_parse_pooled;
+  cpu_work t Config.cost_client_parse_pooled;
   if t.role <> Leader then
     Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
   else if cfg.Config.admission_depth <= Queue.length t.pending_q then begin
@@ -769,7 +767,7 @@ let handle_client_request t ~cmd ~client_id ~seq =
        instead of joining a backlog that a fail-slow disk would grow without
        bound (the paper's §2 RethinkDB root cause, inverted) *)
     t.shed_count <- t.shed_count + 1;
-    cpu_work t cfg.Config.cost_client_reply_grouped;
+    cpu_work t Config.cost_client_reply_grouped;
     Client_resp { ok = false; shed = true; leader_hint = Some (id t); value = None }
   end
   else begin
@@ -777,7 +775,7 @@ let handle_client_request t ~cmd ~client_id ~seq =
     let outcome = Depfast.Sched.wait_timeout t.sched p.p_done cfg.Config.client_timeout in
     (* grouped fan-out path: fill the connection slot's outbuf; the flush
        syscall is shared by the whole commit batch (applier side) *)
-    cpu_work t cfg.Config.cost_client_reply_grouped;
+    cpu_work t Config.cost_client_reply_grouped;
     match outcome with
     | Depfast.Sched.Ready ->
       Client_resp { ok = p.p_ok; shed = false; leader_hint = Some (id t); value = p.p_value }
@@ -880,7 +878,7 @@ let start t =
   Cluster.Node.spawn t.node ~name:"raft.election-timer" (fun () -> election_timer_loop t);
   Cluster.Node.spawn t.node ~name:"raft.applier" (fun () -> applier_loop t);
   if t.cfg.Config.enable_hiccups then
-    Cluster.Node.spawn t.node ~name:"hiccup" (fun () -> hiccup_loop t.node t.rng t.cfg)
+    Cluster.Node.spawn t.node ~name:"hiccup" (fun () -> hiccup_loop t.node t.rng)
 
 let become_leader_now t = if t.role <> Leader then run_election t ~transfer:true
 

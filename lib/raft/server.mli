@@ -28,10 +28,11 @@ val create : rpc -> Cluster.Node.t -> peers:int list -> cfg:Config.t -> t
 val start : t -> unit
 (** Spawn the election timer, applier, and hiccup coroutines. *)
 
-val hiccup_loop : Cluster.Node.t -> Sim.Rng.t -> Config.t -> unit
+val hiccup_loop : Cluster.Node.t -> Sim.Rng.t -> unit
 (** Transient CPU hiccups (GC pauses and the like) on one node, until it
-    crashes: sleep a [hiccup_interval] draw from [rng], then slow the CPU
-    by [hiccup_factor] for a [hiccup_duration] draw capped at 10 ms. The
+    crashes: sleep a {!Config.hiccup_interval} draw from [rng], then slow
+    the CPU by {!Config.hiccup_factor} for a {!Config.hiccup_duration} draw
+    capped at 10 ms. The
     baselines run the same loop, each server on its own stream. *)
 
 type role = Follower | Candidate | Leader

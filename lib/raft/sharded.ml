@@ -21,7 +21,7 @@ let bootstrap t =
   Array.iteri
     (fun s g ->
       Depfast.Sched.spawn t.sched ~name:"bootstrap" (fun () ->
-          Group.elect g (s * Array.length t.groups |> fun _ -> s * List.length g.Group.nodes)))
+          Group.elect g (s * List.length g.Group.nodes)))
     t.groups;
   Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now t.sched) (Sim.Time.sec 1)) t.sched
 

@@ -1,19 +1,13 @@
-type t = {
-  record_count : int;
-  value_size : int;
-  read_proportion : float;
-  zipf_theta : float;
-}
+type t = { record_count : int; read_proportion : float }
 
-let update_heavy =
-  { record_count = 500_000; value_size = 1024; read_proportion = 0.0; zipf_theta = 0.99 }
+(* 1 KiB values and YCSB's default zipfian constant *)
+let value_size = 1024
+let zipf_theta = 0.99
 
-let scaled ?records ?value_size t =
-  {
-    t with
-    record_count = Option.value ~default:t.record_count records;
-    value_size = Option.value ~default:t.value_size value_size;
-  }
+let update_heavy = { record_count = 500_000; read_proportion = 0.0 }
+
+let scaled ?records t =
+  { t with record_count = Option.value ~default:t.record_count records }
 
 type op = Update of { key : string; value : string } | Read of { key : string }
 
@@ -26,13 +20,13 @@ type gen = { wl : t; rng : Sim.Rng.t; zipf : Sim.Rng.t -> int; value_pool : stri
    caller-scoped (one per driver run) rather than a module-level table:
    a shared global here would be cross-domain mutable state — exactly
    what the depfast-domains pass flags as unsafe-shared. *)
-type memo = (int * float, Sim.Rng.t -> int) Hashtbl.t
+type memo = (int, Sim.Rng.t -> int) Hashtbl.t
 
 let make_memo () : memo = Hashtbl.create 8
 
 let make_gen ?memo wl rng =
-  let key = (wl.record_count, wl.zipf_theta) in
-  let fresh () = Sim.Dist.make_zipfian ~n:wl.record_count ~theta:wl.zipf_theta in
+  let key = wl.record_count in
+  let fresh () = Sim.Dist.make_zipfian ~n:wl.record_count ~theta:zipf_theta in
   let zipf =
     match memo with
     | None -> fresh ()
@@ -47,7 +41,7 @@ let make_gen ?memo wl rng =
   (* a small pool of pre-built values: contents are irrelevant to the
      simulation, size drives the cost model *)
   let value_pool =
-    Array.init 8 (fun i -> String.make wl.value_size (Char.chr (Char.code 'a' + i)))
+    Array.init 8 (fun i -> String.make value_size (Char.chr (Char.code 'a' + i)))
   in
   { wl; rng; zipf; value_pool }
 

@@ -2,19 +2,18 @@
 
     The paper drives each system with the YCSB write workload, updating
     500K records, from 256–1200 concurrent closed-loop clients. Keys follow
-    YCSB's zipfian request distribution; values are fixed-size blobs. *)
+    YCSB's zipfian request distribution (YCSB's default theta 0.99);
+    values are fixed-size 1 KiB blobs. *)
 
 type t = {
   record_count : int;
-  value_size : int;
   read_proportion : float;  (** 0.0 = pure updates (the paper's setting) *)
-  zipf_theta : float;  (** YCSB default 0.99 *)
 }
 
 val update_heavy : t
 (** The paper's workload: 100% updates over 500K records, 1 KiB values. *)
 
-val scaled : ?records:int -> ?value_size:int -> t -> t
+val scaled : ?records:int -> t -> t
 (** Shrink a workload for quick tests. *)
 
 type op =

@@ -152,7 +152,7 @@ let test_detector_ignores_healthy_leader () =
   let g = Raft.Group.create sched ~n:3 () in
   Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
   Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
-  let d = Raft.Detector.attach (Raft.Group.server g 0) () in
+  let d = Raft.Detector.attach (Raft.Group.server g 0) in
   let clients = Raft.Group.make_clients g ~count:8 () in
   List.iter
     (fun c ->
@@ -172,7 +172,7 @@ let test_detector_mitigates_fail_slow_leader () =
   let g = Raft.Group.create sched ~n:3 () in
   Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
   Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
-  let detectors = List.map (fun s -> Raft.Detector.attach s ()) g.Raft.Group.servers in
+  let detectors = List.map (fun s -> Raft.Detector.attach s) g.Raft.Group.servers in
   let clients = Raft.Group.make_clients g ~count:16 () in
   List.iter
     (fun c ->

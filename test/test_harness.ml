@@ -11,7 +11,6 @@ let tiny =
     warmup = Sim.Time.ms 300;
     duration = Sim.Time.sec 2;
     records = 2_000;
-    value_size = 1024;
   }
 
 let test_table1_rows () =

@@ -644,28 +644,16 @@ let unused_exports ~mlis ~mls =
       List.rev !out)
     mlis
 
-(* The guard over the tree: lib's interfaces against every .ml of lib,
-   bin, bench, examples, perfbench and test (test/fixtures/ are lint
-   inputs, not uses). The synthetic set pins the guard's own rules. *)
-let test_no_dead_exports () =
-  check_rules "only the export used nowhere"
-    [ "m.mli:4 M.dead" ]
-    (unused_exports
-       ~mlis:
-         [ ("m.mli", "val via_alias : int\nval via_open : int\nval via_local_open : int\nval dead : int\n\
-                      module V : sig\n  val nested : int\nend\n") ]
-       ~mls:
-         [
-           ("m.ml", "let via_alias = 1 let via_open = 2 let via_local_open = 3 let dead = 4 let _ = dead");
-           ("a.ml", "module X = Lib.M\nlet _ = X.via_alias");
-           ("b.ml", "open M\nlet _ = via_open");
-           ("c.ml", "let _ = M.(via_local_open + 1)");
-         ]);
+(* The tree the export guards read: lib's interfaces, and every .ml of
+   lib, bin, bench, examples, perfbench and test (test/fixtures/ are lint
+   inputs, not uses), each as (path, source). [None] outside a checkout. *)
+let tree_sources () =
   let roots =
     List.filter Sys.file_exists
       (List.map (Filename.concat base) [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ])
   in
-  if List.length roots = 6 then begin
+  if List.length roots <> 6 then None
+  else begin
     let mls =
       List.filter
         (fun p -> not (List.mem "fixtures" (String.split_on_char '/' p)))
@@ -680,9 +668,100 @@ let test_no_dead_exports () =
     in
     check_bool "interfaces found" true (List.length mlis > 50);
     let read = List.map (fun p -> (p, In_channel.with_open_bin p In_channel.input_all)) in
-    check_rules "exports nothing outside their module uses" []
-      (unused_exports ~mlis:(read mlis) ~mls:(read mls))
+    Some (read mlis, read mls)
   end
+
+(* The guard over the tree; the synthetic set pins the guard's own rules. *)
+let test_no_dead_exports () =
+  check_rules "only the export used nowhere"
+    [ "m.mli:4 M.dead" ]
+    (unused_exports
+       ~mlis:
+         [ ("m.mli", "val via_alias : int\nval via_open : int\nval via_local_open : int\nval dead : int\n\
+                      module V : sig\n  val nested : int\nend\n") ]
+       ~mls:
+         [
+           ("m.ml", "let via_alias = 1 let via_open = 2 let via_local_open = 3 let dead = 4 let _ = dead");
+           ("a.ml", "module X = Lib.M\nlet _ = X.via_alias");
+           ("b.ml", "open M\nlet _ = via_open");
+           ("c.ml", "let _ = M.(via_local_open + 1)");
+         ]);
+  match tree_sources () with
+  | None -> ()
+  | Some (mlis, mls) ->
+    check_rules "exports nothing outside their module uses" [] (unused_exports ~mlis ~mls)
+
+(* Unset options: every [?label:] of a top-level [val] of an interface
+   whose label no .ml outside its own module passes, as
+   ["file:line M.v ?label"]. Uses are over-approximated by label name — a
+   [~label] or [?label] anywhere, for any function, in a call or a
+   definition — so that it never raises a false alarm. The price: an
+   option whose label name other code passes for another function goes
+   unseen; the never-passed [Fig2.run ?seed], [Fig3.run_setup ?cfg] and
+   [Ycsb.scaled ?value_size] were such, hidden by [Engine.create ~seed],
+   the [~cfg] of the cluster builders and [Params]' [~value_size]. *)
+let unset_options ~mlis ~mls =
+  let passed = Hashtbl.create 256 in
+  List.iter
+    (fun (path, src) ->
+      let tk = (L.scan src).L.tokens in
+      Array.iteri
+        (fun i t ->
+          if (t.L.text = "~" || t.L.text = "?") && i + 1 < Array.length tk
+             && L.is_ident tk.(i + 1).L.text
+          then Hashtbl.add passed tk.(i + 1).L.text path)
+        tk)
+    mls;
+  List.concat_map
+    (fun (mli, src) ->
+      let own = Filename.remove_extension mli ^ ".ml" in
+      let m = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
+      let toks = (L.scan src).L.tokens in
+      let n = Array.length toks in
+      let depth = ref 0 and current = ref None and out = ref [] in
+      Array.iteri
+        (fun i t ->
+          match t.L.text with
+          | "sig" | "object" -> incr depth
+          | "end" -> decr depth
+          | "val" when !depth = 0 && i + 1 < n && L.is_ident toks.(i + 1).L.text ->
+            current := Some toks.(i + 1).L.text
+          | "type" | "module" | "exception" | "external" | "include" | "open" | "class"
+            when !depth = 0 ->
+            current := None
+          | "?" when !depth = 0 && i + 2 < n && L.is_ident toks.(i + 1).L.text
+                     && toks.(i + 2).L.text = ":" -> (
+            let label = toks.(i + 1).L.text in
+            match !current with
+            | Some v when not (List.exists (( <> ) own) (Hashtbl.find_all passed label)) ->
+              out := Printf.sprintf "%s:%d %s.%s ?%s" mli t.L.line m v label :: !out
+            | _ -> ())
+          | _ -> ())
+        toks;
+      List.rev !out)
+    mlis
+
+let test_no_unset_options () =
+  check_rules "only the options no other module passes"
+    [ "m.mli:1 M.f ?never"; "m.mli:3 M.h ?never" ]
+    (unset_options
+       ~mlis:
+         [ ( "m.mli",
+             "val f : ?called:int -> ?defined:int -> ?never:int -> unit -> unit\n\
+              val g : ?own:int -> unit -> unit\n\
+              val h : x:int -> ?never:bool -> unit\n\
+              type t = { cb : ?own:int -> unit }\n\
+              module V : sig\n  val nested : ?own:int -> unit\nend\n" ) ]
+       ~mls:
+         [
+           ("m.ml", "let f ?called ?defined ?never () = () let g ?(own = 1) () = f ~never:own ()");
+           ("a.ml", "let () = M.f ~called:1 (); M.g ?own:None ()");
+           ("b.ml", "let k ?defined () = defined");
+         ]);
+  match tree_sources () with
+  | None -> ()
+  | Some (mlis, mls) ->
+    check_rules "options some caller passes" [] (unset_options ~mlis ~mls)
 
 (* Allocation ceiling for the static passes: minor words per file of
    [Passes.run] over lib/ (70 files), the project loaded beforehand.
@@ -755,6 +834,10 @@ let suite =
         Alcotest.test_case "vacuous quorum" `Quick test_dag_vacuous;
         Alcotest.test_case "allow predicate" `Quick test_dag_allow;
       ] );
-    ("lint.exports", [ Alcotest.test_case "no dead exports" `Quick test_no_dead_exports ]);
+    ( "lint.exports",
+      [
+        Alcotest.test_case "no dead exports" `Quick test_no_dead_exports;
+        Alcotest.test_case "no unset options" `Quick test_no_unset_options;
+      ] );
     ("lint.alloc", [ Alcotest.test_case "passes words per file" `Quick test_passes_alloc_ceiling ]);
   ]

@@ -22,7 +22,7 @@ let test_election_on_boot () =
   let sched = make_env () in
   let g = Raft.Group.create sched ~n:3 () in
   in_coroutine sched (fun () ->
-      match Raft.Group.wait_for_leader g () with
+      match Raft.Group.wait_for_leader g with
       | None -> Alcotest.fail "no leader elected"
       | Some leader ->
         check_bool "leader role" true (Raft.Server.is_leader leader);
@@ -36,7 +36,7 @@ let test_put_get_roundtrip () =
   let clients = Raft.Group.make_clients g ~count:1 () in
   let client = List.hd clients in
   in_coroutine sched (fun () ->
-      ignore (Raft.Group.wait_for_leader g ());
+      ignore (Raft.Group.wait_for_leader g);
       check_bool "put ok" true (Raft.Client.put client ~key:"k1" ~value:"v1");
       check_bool "put ok2" true (Raft.Client.put client ~key:"k2" ~value:"v2");
       (match Raft.Client.get client ~key:"k1" with
@@ -51,7 +51,7 @@ let test_replicas_converge () =
   let g = Raft.Group.create sched ~n:3 () in
   let clients = Raft.Group.make_clients g ~count:4 () in
   in_coroutine sched (fun () ->
-      ignore (Raft.Group.wait_for_leader g ());
+      ignore (Raft.Group.wait_for_leader g);
       List.iteri
         (fun ci c ->
           Depfast.Sched.spawn_here sched (fun () ->
@@ -79,7 +79,7 @@ let test_exactly_once_dedup () =
   let clients = Raft.Group.make_clients g ~count:1 () in
   let client = List.hd clients in
   in_coroutine sched (fun () ->
-      ignore (Raft.Group.wait_for_leader g ());
+      ignore (Raft.Group.wait_for_leader g);
       for i = 1 to 10 do
         ignore (Raft.Client.put client ~key:"ctr" ~value:(string_of_int i))
       done;
@@ -99,7 +99,7 @@ let test_follower_crash_tolerated () =
   let clients = Raft.Group.make_clients g ~count:1 () in
   let client = List.hd clients in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       let follower =
         List.find (fun s -> not (Raft.Server.is_leader s)) g.servers
       in
@@ -115,7 +115,7 @@ let test_leader_crash_reelection () =
   let clients = Raft.Group.make_clients g ~count:1 () in
   let client = List.hd clients in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       check_bool "put before crash" true (Raft.Client.put client ~key:"a" ~value:"1");
       let old_term = Raft.Server.term leader in
       Cluster.Node.crash (Raft.Server.node leader);
@@ -134,7 +134,7 @@ let test_partition_minority_blocks () =
   let sched = make_env () in
   let g = Raft.Group.create sched ~n:3 () in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       let lid = Raft.Server.id leader in
       let others = List.filter (fun s -> Raft.Server.id s <> lid) g.servers in
       (* isolate the leader from both followers *)
@@ -157,7 +157,7 @@ let test_leadership_transfer () =
   let clients = Raft.Group.make_clients g ~count:1 () in
   let client = List.hd clients in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       ignore (Raft.Client.put client ~key:"x" ~value:"1");
       let target =
         List.find (fun s -> not (Raft.Server.is_leader s)) g.servers
@@ -219,7 +219,7 @@ let test_pipeline_rewind_after_reject () =
   let clients = Raft.Group.make_clients g ~count:2 () in
   let c1 = List.hd clients and c2 = List.nth clients 1 in
   in_coroutine sched (fun () ->
-      let old_leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let old_leader = Option.get (Raft.Group.wait_for_leader g) in
       let lid = Raft.Server.id old_leader in
       check_bool "initial put" true (Raft.Client.put c1 ~key:"a" ~value:"1");
       let others = List.filter (fun s -> Raft.Server.id s <> lid) g.servers in
@@ -275,7 +275,7 @@ let test_single_fsync_per_batch () =
   let g = Raft.Group.create sched ~n:3 () in
   let clients = Raft.Group.make_clients g ~count:8 () in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       let disk = Cluster.Node.disk (Raft.Server.node leader) in
       Depfast.Sched.sleep sched (Sim.Time.ms 100);
       Cluster.Disk.reset_stats disk;
@@ -307,7 +307,7 @@ let test_batch_replies_across_leader_change () =
   let g = Raft.Group.create sched ~n:3 () in
   let clients = Raft.Group.make_clients g ~count:4 () in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       let lid = Raft.Server.id leader in
       let oks = Array.make 4 0 in
       List.iteri
@@ -357,7 +357,7 @@ let test_admission_shed_fail_fast () =
   let g = Raft.Group.create sched ~cfg ~n:3 () in
   let clients = Raft.Group.make_clients g ~count:12 () in
   in_coroutine sched (fun () ->
-      let leader = Option.get (Raft.Group.wait_for_leader g ()) in
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
       (* a fail-slow leader disk stretches every group-commit round, so
          offered load overruns the 2-deep admission queue *)
       Cluster.Station.set_penalty
@@ -417,7 +417,7 @@ let safety_run seed =
   List.iteri
     (fun ci c ->
       Depfast.Sched.spawn sched ~name:"safety-client" (fun () ->
-          ignore (Raft.Group.wait_for_leader g ());
+          ignore (Raft.Group.wait_for_leader g);
           for i = 1 to 30 do
             ignore
               (Raft.Client.put c ~key:(Printf.sprintf "k%d" (i mod 7))

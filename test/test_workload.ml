@@ -107,8 +107,13 @@ let test_mutex_unlock_unheld_raises () =
 let test_ycsb_update_heavy_shape () =
   let wl = Workload.Ycsb.update_heavy in
   check_int "500K records" 500_000 wl.Workload.Ycsb.record_count;
-  check_int "1KiB values" 1024 wl.Workload.Ycsb.value_size;
-  check_bool "write-only" true (wl.Workload.Ycsb.read_proportion = 0.0)
+  check_bool "write-only" true (wl.Workload.Ycsb.read_proportion = 0.0);
+  let gen = Workload.Ycsb.make_gen wl (Sim.Rng.create 4L) in
+  for _ = 1 to 200 do
+    match Workload.Ycsb.next_op gen with
+    | Workload.Ycsb.Update { value; _ } -> check_int "1KiB values" 1024 (String.length value)
+    | Workload.Ycsb.Read _ -> Alcotest.fail "write-only workload emitted a read"
+  done
 
 let test_ycsb_ops_valid () =
   let wl = Workload.Ycsb.scaled ~records:100 Workload.Ycsb.update_heavy in
@@ -122,7 +127,7 @@ let test_ycsb_ops_valid () =
   done
 
 let test_ycsb_read_mix () =
-  let wl = { Workload.Ycsb.update_heavy with read_proportion = 0.5; record_count = 100 } in
+  let wl = { Workload.Ycsb.record_count = 100; read_proportion = 0.5 } in
   let gen = Workload.Ycsb.make_gen wl (Sim.Rng.create 6L) in
   let reads = ref 0 in
   for _ = 1 to 2000 do
