@@ -100,7 +100,7 @@ let fresh_state () =
     { engine; sched; san; trace; st_prefix = [||]; st_max_steps = 0; st_nsteps = 0;
       st_steps = [] }
   in
-  Engine.set_chooser engine (fun tags ->
+  Engine.set_chooser engine (fun tags n ->
       (* queue-depth watermarks: every choice point is a reachable
          state, so the gauges see the containers mid-interleaving, not
          just at the end of the run *)
@@ -110,11 +110,11 @@ let fresh_state () =
       st.st_nsteps <- i + 1;
       if i < Array.length st.st_prefix then begin
         let c = st.st_prefix.(i) in
-        if c < Array.length tags then c else 0
+        if c < n then c else 0
       end
       else begin
-        (* the engine hands every chooser call a fresh array *)
-        st.st_steps <- tags :: st.st_steps;
+        (* [tags] is the engine's live buffer: keep a copy *)
+        st.st_steps <- Array.sub tags 0 n :: st.st_steps;
         0
       end);
   st

@@ -507,9 +507,9 @@ let raft_slow_disk_admission_3 =
         Depfast.Sched.spawn sched ~node:0 ~name:"raft.drv-slowdisk" (fun () ->
             Raft.Group.elect g 0;
             (* fail-slow, not fail-stop: every leader-disk I/O takes 40x *)
-            Cluster.Station.set_penalty
+            Cluster.Station.set_speed
               (Cluster.Disk.station (Cluster.Node.disk (Raft.Server.node leader)))
-              (fun () -> 40.0));
+              40.0);
         List.iteri
           (fun i c ->
             Cluster.Node.spawn (Raft.Client.node c)

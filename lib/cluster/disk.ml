@@ -51,5 +51,4 @@ let reset_stats t =
   t.fsyncs <- 0
 
 let set_bandwidth_factor t f = t.bandwidth_factor <- f
-let set_penalty t f = Station.set_penalty t.station f
 let station t = t.station

@@ -30,11 +30,9 @@ val read : t -> bytes:int -> Depfast.Event.t
 val set_bandwidth_factor : t -> float -> unit
 (** Scale effective bandwidth by this factor (e.g. 0.05 = blkio-limited). *)
 
-val set_penalty : t -> (unit -> float) -> unit
-(** Memory-pressure hook (see {!Memory.penalty}). *)
-
 val station : t -> Station.t
-(** The underlying station — exposed so the contention fault injector can
+(** The underlying station — exposed so the node can charge it its
+    memory's pressure penalty and the contention fault injector can
     submit a competing write stream. *)
 
 val write_count : t -> int

@@ -1,22 +1,35 @@
 let gib = 1024 * 1024 * 1024
 
+type load = { mutable penalty : float }  (* all-float, so unboxed *)
+
 type t = {
   mutable used : int;
   mutable soft : int;
   mutable hard : int;
+  load : load;  (* the penalty of [used] against [soft], kept current *)
   mutable oom_handlers : (unit -> unit) list;
   mutable oom_fired : bool;
 }
 
+let[@inline] pressure t = float_of_int t.used /. float_of_int t.soft
+
+(* called on every change to [used] or [soft] *)
+let update t =
+  let p = pressure t in
+  t.load.penalty <- (if p <= 1.0 then 1.0 else 1.0 +. (4.0 *. (p -. 1.0)))
+
 let create ?(soft_cap = 16 * gib) ?(hard_cap = 16 * gib) () =
-  { used = 0; soft = soft_cap; hard = hard_cap; oom_handlers = []; oom_fired = false }
+  { used = 0; soft = soft_cap; hard = hard_cap; load = { penalty = 1.0 }; oom_handlers = [];
+    oom_fired = false }
 
 let used t = t.used
 let soft_cap t = t.soft
+let load t = t.load
 
 let set_caps t ~soft_cap ~hard_cap =
   t.soft <- soft_cap;
-  t.hard <- hard_cap
+  t.hard <- hard_cap;
+  update t
 
 let fire_oom t =
   if not t.oom_fired then begin
@@ -26,13 +39,13 @@ let fire_oom t =
 
 let alloc t bytes =
   t.used <- t.used + bytes;
+  update t;
   if t.used > t.hard then fire_oom t
 
-let free t bytes = t.used <- max 0 (t.used - bytes)
-let pressure t = float_of_int t.used /. float_of_int t.soft
+let free t bytes =
+  t.used <- max 0 (t.used - bytes);
+  update t
 
-let penalty t =
-  let p = pressure t in
-  if p <= 1.0 then 1.0 else 1.0 +. (4.0 *. (p -. 1.0))
+let penalty t = t.load.penalty
 
 let on_oom t f = t.oom_handlers <- f :: t.oom_handlers

@@ -9,6 +9,12 @@
 
 type t
 
+type load = { mutable penalty : float }
+(** The current {!penalty}, kept up to date by {!alloc}, {!free} and
+    {!set_caps}; other modules only read it. It is an all-float record
+    so that a reader in another module (a station starting a job) gets
+    the float without boxing it, as a call to {!penalty} would. *)
+
 val create : ?soft_cap:int -> ?hard_cap:int -> unit -> t
 (** Caps in bytes; defaults are effectively unlimited (16 GiB / 16 GiB). *)
 
@@ -25,6 +31,9 @@ val penalty : t -> float
 (** Multiplicative latency penalty for CPU/disk work under the current
     pressure: 1.0 below the soft cap, growing linearly to [1 + 4 * excess]
     above it. *)
+
+val load : t -> load
+(** The record that tracks [t]'s penalty. *)
 
 val on_oom : t -> (unit -> unit) -> unit
 (** Invoked (once) by {!alloc} when usage first exceeds the hard cap. *)

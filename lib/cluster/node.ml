@@ -22,8 +22,8 @@ let create sched ~id ~name ?mem_soft_cap ?mem_hard_cap () =
   Memory.alloc memory resident_bytes;
   let cpu = Station.create sched ~servers:cpu_cores ~name:(Printf.sprintf "cpu%d" id) () in
   let disk = Disk.create sched ~node_id:id () in
-  Station.set_penalty cpu (fun () -> Memory.penalty memory);
-  Disk.set_penalty disk (fun () -> Memory.penalty memory);
+  Station.set_memory cpu memory;
+  Station.set_memory (Disk.station disk) memory;
   let t =
     { id; name; sched; cpu; disk; memory; nic_delay = 0; alive = true }
   in

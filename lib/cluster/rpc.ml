@@ -3,23 +3,28 @@ type ('req, 'resp) frame =
   | Resp of { id : int; body : 'resp }
 
 type 'resp call = {
+  id : int;
   ev : Depfast.Event.t;
   mutable resp : 'resp option;
   mutable done_ : bool;  (* responded or abandoned: buffer released *)
   src : Node.t;  (* charged [bytes] until [done_] *)
   bytes : int;
-  outstanding : (int, int) Hashtbl.t;  (* the rpc's per-node charges *)
+  book : 'resp book;  (* the rpc's, shared by its calls *)
+}
+
+and 'resp book = {
+  calls : (int, 'resp call) Hashtbl.t;  (* by id, until [done_] *)
+  outstanding : (int, int) Hashtbl.t;  (* node id -> bytes charged *)
 }
 
 type ('req, 'resp) t = {
   sched : Depfast.Sched.t;
   net : ('req, 'resp) frame Net.t;
-  calls : (int, 'resp call) Hashtbl.t;
+  book : 'resp book;
   handlers : (int, src:int -> 'req -> 'resp option) Hashtbl.t;
   mutable next_id : int;
   mutable discard_stragglers : bool;
   mutable discarded : int;
-  outstanding : (int, int) Hashtbl.t;  (* node id -> bytes charged *)
 }
 
 (* the per-call buffer charged to the caller's memory *)
@@ -29,12 +34,11 @@ let create sched ?latency () =
   {
     sched;
     net = Net.create sched ?latency ();
-    calls = Hashtbl.create 256;
+    book = { calls = Hashtbl.create 256; outstanding = Hashtbl.create 16 };
     handlers = Hashtbl.create 16;
     next_id = 0;
     discard_stragglers = true;
     discarded = 0;
-    outstanding = Hashtbl.create 16;
   }
 
 let partition t a b = Net.partition t.net a b
@@ -45,7 +49,7 @@ let discarded_responses t = t.discarded
 let charged outstanding node =
   match Hashtbl.find outstanding node with b -> b | exception Not_found -> 0
 
-let outstanding_bytes t ~node = charged t.outstanding node
+let outstanding_bytes t ~node = charged t.book.outstanding node
 let net_totals t = Net.totals t.net
 let set_choice_mode t b = Net.set_choice_mode t.net b
 let set_net_sanitizer t f = Net.set_sanitizer t.net f
@@ -53,11 +57,17 @@ let set_net_sanitizer t f = Net.set_sanitizer t.net f
 let charge outstanding node bytes =
   Hashtbl.replace outstanding node (charged outstanding node + bytes)
 
-(* the call is over (responded or abandoned): free its buffer, once *)
+(* the call is over (responded or abandoned): drop its entry and free its
+   buffer, once *)
 let finish c =
   c.done_ <- true;
+  Hashtbl.remove c.book.calls c.id;
   Memory.free (Node.memory c.src) c.bytes;
-  charge c.outstanding (Node.id c.src) (-c.bytes)
+  charge c.book.outstanding (Node.id c.src) (-c.bytes)
+
+(* a reply to an id no call holds: each id is answered at most once, so
+   its call was abandoned before the reply came *)
+let discard t = t.discarded <- t.discarded + 1
 
 let handle_frame t me ~src frame =
   match frame with
@@ -71,16 +81,12 @@ let handle_frame t me ~src frame =
           | Some resp ->
             Net.send t.net ~src:(Node.id me) ~dst:src (Resp { id; body = resp })))
   | Resp { id; body } -> (
-    match Hashtbl.find t.calls id with
-    | exception Not_found -> ()
+    match Hashtbl.find t.book.calls id with
+    | exception Not_found -> discard t
     | call ->
-      Hashtbl.remove t.calls id;
-      if call.done_ then t.discarded <- t.discarded + 1
-      else begin
-        call.resp <- Some body;
-        finish call;
-        Depfast.Event.fire call.ev
-      end)
+      call.resp <- Some body;
+      finish call;
+      Depfast.Event.fire call.ev)
 
 let attach t node =
   Net.register t.net node ~handler:(fun ~src frame -> handle_frame t node ~src frame)
@@ -100,12 +106,12 @@ let call t ~src ~dst ?bytes body =
   let bytes = Option.value ~default:request_bytes bytes in
   let src_id = Node.id src in
   Memory.alloc (Node.memory src) bytes;
-  charge t.outstanding src_id bytes;
+  charge t.book.outstanding src_id bytes;
   let ev =
     Depfast.Event.rpc_completion ~label:(label_of dst) ~peer:dst ()
   in
-  let c = { ev; resp = None; done_ = false; src; bytes; outstanding = t.outstanding } in
-  Hashtbl.replace t.calls id c;
+  let c = { id; ev; resp = None; done_ = false; src; bytes; book = t.book } in
+  Hashtbl.replace t.book.calls id c;
   (* abandoning the event (enclosing quorum satisfied, [abandon]) frees the call *)
   Depfast.Event.on_abandon ev (fun () -> if not c.done_ then finish c);
   Net.send t.net ~units:bytes ~src:src_id ~dst (Req { id; body });

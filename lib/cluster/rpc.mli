@@ -44,7 +44,8 @@ val event : 'resp call -> Depfast.Event.t
 val response : 'resp call -> 'resp option
 
 val abandon : 'resp call -> unit
-(** Give up on the call: its buffer is freed, a late response is dropped. *)
+(** Give up on the call: its buffer is freed and the rpc forgets it, so
+    a late response is dropped and counted by {!discarded_responses}. *)
 
 val broadcast :
   ('req, 'resp) t ->

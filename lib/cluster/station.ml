@@ -16,7 +16,7 @@ type t = {
   name : string;
   servers : int;
   mutable speed : float;
-  mutable penalty : unit -> float;
+  mutable load : Memory.load;  (* read at each job start *)
   mutable slots : slot array;  (* [||] until the first job; then [servers] long *)
   mutable n_slots : int;  (* slots built so far *)
   (* the FIFO of waiting jobs: a ring of (work, event) in two arrays,
@@ -40,7 +40,7 @@ let create sched ?(servers = 1) ~name () =
     name;
     servers;
     speed = 1.0;
-    penalty = (fun () -> 1.0);
+    load = { Memory.penalty = 1.0 };
     slots = [||];
     n_slots = 0;
     q_work = [||];
@@ -56,7 +56,7 @@ let create sched ?(servers = 1) ~name () =
 
 let set_speed t f = t.speed <- f
 let speed t = t.speed
-let set_penalty t f = t.penalty <- f
+let set_memory t m = t.load <- Memory.load m
 let queue_length t = t.q_len
 let busy_servers t = t.busy
 
@@ -96,8 +96,9 @@ let start t s work ev =
   t.busy <- t.busy + 1;
   s.s_event <- ev;
   s.s_busy <- true;
-  (* [Time.of_us_f] spelled out: an out-of-module call would box the float *)
-  let dur = int_of_float (Float.round (float_of_int work *. t.speed *. t.penalty ())) in
+  (* [Time.of_us_f] spelled out, and the penalty read from its record:
+     an out-of-module call would box the float *)
+  let dur = int_of_float (Float.round (float_of_int work *. t.speed *. t.load.penalty)) in
   ignore (Engine.schedule (engine t) ~delay:dur s.s_done)
 
 let rec complete t s =

@@ -18,9 +18,10 @@ val set_speed : t -> float -> unit
 
 val speed : t -> float
 
-val set_penalty : t -> (unit -> float) -> unit
-(** Extra multiplicative latency sampled at each job start — used to apply
-    memory-pressure penalties. Default: [fun () -> 1.0]. *)
+val set_memory : t -> Memory.t -> unit
+(** Jobs starting from now on also take [m]'s memory-pressure penalty
+    ({!Memory.penalty}) as a multiplier. Until this is called the
+    penalty is 1.0. *)
 
 val submit : t -> ?event:Depfast.Event.t -> work:Sim.Time.span -> unit -> Depfast.Event.t
 (** Enqueue a job of nominal duration [work]; the returned event fires when

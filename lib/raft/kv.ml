@@ -1,19 +1,64 @@
+(* The store is an open-addressing table: linear probing over parallel key
+   and value arrays, grown 2x into fresh arrays when half full; keys are
+   never removed. A Stdlib [Hashtbl] grows by relinking every binding cell
+   in place. When that happens while the major GC marks, the write barrier
+   darkens the cell each relink overwrites, pushing thousands onto the
+   mark stack at once, and at a small heap OCaml 5.1 compresses the
+   overflowing stack in address order: the words a run promotes then
+   depend on where the heap was mapped. Growing into fresh arrays
+   overwrites only vacant slots. *)
 type t = {
-  store : (string, string) Hashtbl.t;
+  mutable keys : string array;
+  mutable vals : string array;
+  mutable n_keys : int;
   sessions : (int, int) Hashtbl.t;  (* client_id -> last applied seq *)
   locks : (string, int) Hashtbl.t;  (* key -> txid holding its 2PC lock *)
   staged : (int, (string * string) list) Hashtbl.t;  (* txid -> writes *)
   mutable applied : int;
 }
 
+(* a vacant slot, told apart from every key by [==] *)
+let vacant = String.make 1 '\000'
+
 let create () =
   {
-    store = Hashtbl.create 1024;
+    keys = Array.make 16 vacant;
+    vals = Array.make 16 vacant;
+    n_keys = 0;
     sessions = Hashtbl.create 64;
     locks = Hashtbl.create 64;
     staged = Hashtbl.create 64;
     applied = 0;
   }
+
+(* the slot holding [k], or the vacant slot where it would go *)
+let rec probe keys k i =
+  let x = keys.(i) in
+  if x == vacant || String.equal x k then i else probe keys k ((i + 1) land (Array.length keys - 1))
+
+let slot keys k = probe keys k (Hashtbl.hash k land (Array.length keys - 1))
+
+let find t k =
+  let i = slot t.keys k in
+  if t.keys.(i) == vacant then None else Some t.vals.(i)
+
+(* bind [k] to [v] in the arrays; true if [k] is new *)
+let put keys vals k v =
+  let i = slot keys k in
+  let fresh = keys.(i) == vacant in
+  if fresh then keys.(i) <- k;
+  vals.(i) <- v;
+  fresh
+
+let replace t k v =
+  if 2 * (t.n_keys + 1) > Array.length t.keys then begin
+    let keys = Array.make (2 * Array.length t.keys) vacant in
+    let vals = Array.make (2 * Array.length t.keys) vacant in
+    Array.iteri (fun i k -> if k != vacant then ignore (put keys vals k t.vals.(i))) t.keys;
+    t.keys <- keys;
+    t.vals <- vals
+  end;
+  if put t.keys t.vals k v then t.n_keys <- t.n_keys + 1
 
 let last_seq t ~client_id = Option.value ~default:(-1) (Hashtbl.find_opt t.sessions client_id)
 
@@ -63,7 +108,7 @@ let rec apply_cmd t ~cmd ~client_id ~seq =
       | Some writes ->
         List.iter
           (fun (k, v) ->
-            Hashtbl.replace t.store k v;
+            replace t k v;
             Hashtbl.remove t.locks k)
           writes;
         Hashtbl.remove t.staged txid
@@ -82,22 +127,24 @@ let rec apply_cmd t ~cmd ~client_id ~seq =
     Some "ok"
   | Types.Get { key } ->
     if not duplicate then bump t ~client_id ~seq;
-    Hashtbl.find_opt t.store key
+    find t key
   | Types.Put { key; value } ->
     if not duplicate then begin
-      Hashtbl.replace t.store key value;
+      replace t key value;
       bump t ~client_id ~seq
     end;
     None
 
 let apply t (e : Types.entry) = apply_cmd t ~cmd:e.cmd ~client_id:e.client_id ~seq:e.seq
 
-let get t key = Hashtbl.find_opt t.store key
-let size t = Hashtbl.length t.store
+let get t key = find t key
+let size t = t.n_keys
 let applied_count t = t.applied
 
 let locked t key = Hashtbl.find_opt t.locks key
 let staged_count t = Hashtbl.length t.staged
 
 let digest t =
-  Hashtbl.fold (fun k v acc -> acc lxor Hashtbl.hash (k, v)) t.store 0
+  let acc = ref 0 in
+  Array.iteri (fun i k -> if k != vacant then acc := !acc lxor Hashtbl.hash (k, t.vals.(i))) t.keys;
+  !acc

@@ -13,7 +13,7 @@ type tag =
   | On_node of int  (* node-local housekeeping (disk, station, timers) *)
   | Link of int * int  (* delivery on the directed network link src -> dst *)
 
-type chooser = tag array -> int
+type chooser = tag array -> int -> int
 
 (* Explore mode: the ready FIFO is replaced by an indexed vector so the
    chooser can run *any* enabled thunk, and same-deadline timer ties are
@@ -52,7 +52,7 @@ let create ?(seed = 1L) () =
     r_ring = [||];
     r_head = 0;
     r_len = 0;
-    timers = Wheel.create ();
+    timers = Wheel.create no_fn;
     seed;
     root_rng = Rng.create seed;
     ex = None;
@@ -239,7 +239,7 @@ let step_explore t ex =
     let i =
       if ex.ex_n = 1 then 0
       else begin
-        let i = ex.choose (Array.sub ex.ex_tags 0 ex.ex_n) in
+        let i = ex.choose ex.ex_tags ex.ex_n in
         if i < 0 || i >= ex.ex_n then invalid_arg "Engine chooser: index out of range";
         i
       end

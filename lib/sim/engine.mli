@@ -35,13 +35,14 @@ type tag =
   | Link of int * int  (** delivery on the directed network link
                            [src -> dst] *)
 
-type chooser = tag array -> int
-(** Called at every step where more than one transition is enabled, with
-    the tags of the enabled set (ready thunks, or — when no ready work
-    remains — every timer tied at the minimum deadline, hoisted). Must
-    return an index into the array; the engine runs that transition. The
-    array is fresh on every call and never touched by the engine again,
-    so the chooser may keep it. *)
+type chooser = tag array -> int -> int
+(** Called at every step where more than one transition is enabled, as
+    [choose tags n]: the tags of the enabled set (ready thunks, or — when
+    no ready work remains — every timer tied at the minimum deadline,
+    hoisted) are [tags.(0)] to [tags.(n - 1)]. Must return an index below
+    [n]; the engine runs that transition. [tags] is the engine's own
+    buffer, valid only during the call: a chooser that keeps the set
+    copies it ([Array.sub tags 0 n]). *)
 
 val set_chooser : t -> chooser -> unit
 (** Switch the engine into explore mode. Anything already posted is

@@ -46,12 +46,8 @@ let int_in t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-let unit_float t =
-  (* 53 random bits -> [0,1) *)
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int r *. (1.0 /. 9007199254740992.0)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
-let float t bound = unit_float t *. bound
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let pick t arr =

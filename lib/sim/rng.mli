@@ -25,11 +25,11 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
-val unit_float : t -> float
-(** Uniform in [\[0, 1)]. *)
+val bits53 : t -> int
+(** 53 random bits, uniform in [\[0, 2^53)]; allocates nothing. The
+    uniform float in [\[0, 1)] is [float_of_int (bits53 t) *. 0x1p-53],
+    which callers compute themselves: a float returned from another
+    module would be boxed. *)
 
 val bool : t -> bool
 

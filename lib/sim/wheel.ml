@@ -30,10 +30,18 @@
      a pop is O(1). Same-instant pushes append at [due_last] (their seq is
      the largest yet), keeping the queue sorted.
 
-   Cancellation is lazy: a dead entry (popped or cancelled) stays linked
-   until a scan of its slot unlinks it, its level empties, or its slot
-   cascades or drains. Far-heap entries are cancelled lazily too: they stay
-   in the heap and are dropped when they surface.
+   Cancellation is lazy, but a cancelled entry lets go of its payload at
+   once: [cancel] overwrites it with the filler [create] was given, so a
+   dead timeout does not keep its thunk's closure alive. The entry itself
+   stays linked until a scan of its slot unlinks it, its level empties,
+   its slot cascades or drains, or its level is compacted: each level
+   counts its cancels, and once they exceed its live entries plus
+   [dead_slack], [cancel] compacts the level's 32 slots. The cancels since
+   the last compaction pay for that walk, so unlinking stays amortised
+   O(1) even for long timeouts that are nearly always cancelled, which no
+   scan would otherwise reach before they come due. Far-heap entries are
+   cancelled lazily too: they stay in the heap and are dropped when they
+   surface.
 
    Determinism: entries carry a global sequence number and every comparison
    (within a slot, across levels, and against the far heap) is on
@@ -44,6 +52,9 @@ let slots_per_level = 1 lsl bits
 let levels = 6
 let mask = slots_per_level - 1
 
+(* cancels a level absorbs beyond its live count before [cancel] compacts it *)
+let dead_slack = 64
+
 (* the handle is the entry itself: one allocation per push. [Nil] ends a
    list and stands for "no entry" wherever an option would allocate. *)
 type 'a node =
@@ -51,7 +62,7 @@ type 'a node =
   | Entry of {
       time : Time.t;
       seq : int;
-      value : 'a;
+      mutable value : 'a;  (* the filler once cancelled *)
       mutable level : int;
           (* 0..levels-1 = wheel level, [levels] = far heap, -1 = dead *)
       mutable next : 'a node;  (* link in the slot or due list holding it *)
@@ -71,13 +82,15 @@ type 'a t = {
          simulation, and most only ever touch one or two levels) *)
   empty : 'a node array;
   counts : int array;  (* live entries per level, to skip empty levels *)
+  dead : int array;  (* cancels per level since it was last compacted or emptied *)
+  filler : 'a;  (* what a cancelled entry's payload is overwritten with *)
   cands : 'a node array;  (* per-level memo: the level's min live entry; Nil = stale *)
   mutable due : 'a node;  (* current-microsecond drain, ascending seq; head = next pop *)
   mutable due_last : 'a node;  (* last entry of [due]; Nil iff [due] is *)
   far : 'a node Heap.t;
 }
 
-let create () =
+let create filler =
   let empty = Array.make slots_per_level Nil in
   {
     seq = 0;
@@ -86,6 +99,8 @@ let create () =
     slots = Array.make levels empty;
     empty;
     counts = Array.make levels 0;
+    dead = Array.make levels 0;
+    filler;
     cands = Array.make levels Nil;
     due = Nil;
     due_last = Nil;
@@ -152,24 +167,6 @@ let push t ~time value =
   | _ -> place t n 0);
   n
 
-let cancel t h =
-  match h with
-  | Entry e when e.level >= 0 ->
-    let l = e.level in
-    e.level <- -1;
-    t.alive <- t.alive - 1;
-    (* a far entry stays in the heap until it surfaces ([far_top]) *)
-    if l < levels then begin
-      t.counts.(l) <- t.counts.(l) - 1;
-      if t.counts.(l) = 0 then begin
-        (* a level with no live entries can shed its dead ones eagerly *)
-        Array.fill t.slots.(l) 0 slots_per_level Nil;
-        t.cands.(l) <- Nil
-      end
-      else if t.cands.(l) == h then t.cands.(l) <- Nil
-    end
-  | _ -> ()
-
 (* the far heap's earliest live entry, dropping cancelled ones as they
    surface; Nil if none *)
 let rec far_top t =
@@ -203,6 +200,41 @@ let compact n =
   let head = live_prefix n in
   unlink_dead head;
   head
+
+(* unlink every dead entry of level [l]; live entries and the level's
+   memo are untouched *)
+let compact_level t l =
+  let row = t.slots.(l) in
+  for i = 0 to mask do
+    let es = row.(i) in
+    let head = compact es in
+    if head != es then row.(i) <- head
+  done;
+  t.dead.(l) <- 0
+
+let cancel t h =
+  match h with
+  | Entry e when e.level >= 0 ->
+    let l = e.level in
+    e.level <- -1;
+    e.value <- t.filler;
+    t.alive <- t.alive - 1;
+    (* a far entry stays in the heap until it surfaces ([far_top]) *)
+    if l < levels then begin
+      t.counts.(l) <- t.counts.(l) - 1;
+      if t.counts.(l) = 0 then begin
+        (* a level with no live entries can shed its dead ones eagerly *)
+        Array.fill t.slots.(l) 0 slots_per_level Nil;
+        t.dead.(l) <- 0;
+        t.cands.(l) <- Nil
+      end
+      else begin
+        if t.cands.(l) == h then t.cands.(l) <- Nil;
+        t.dead.(l) <- t.dead.(l) + 1;
+        if t.dead.(l) > t.counts.(l) + dead_slack then compact_level t l
+      end
+    end
+  | _ -> ()
 
 let rec slot_min best n =
   match n with Nil -> best | Entry e -> slot_min (if entry_lt n best then n else best) e.next
@@ -412,22 +444,23 @@ let seq = function Entry e -> e.seq | Nil -> invalid_arg "Wheel.seq"
 let value = function Entry e -> e.value | Nil -> invalid_arg "Wheel.value"
 let time = function Entry e -> e.time | Nil -> invalid_arg "Wheel.time"
 
-(* mark every entry of list [n] dead and unlink it, so cancelling a
-   handle that survived a [clear] is a no-op *)
-let rec kill n =
+(* mark every entry of list [n] dead, release its payload and unlink it,
+   so cancelling a handle that survived a [clear] is a no-op *)
+let rec kill t n =
   match n with
   | Nil -> ()
   | Entry e ->
     let nx = e.next in
     e.level <- -1;
+    e.value <- t.filler;
     e.next <- Nil;
-    kill nx
+    kill t nx
 
 let rec kill_far t =
   match Heap.take_or t.far ~default:Nil with
   | Nil -> ()
   | n ->
-    kill n;
+    kill t n;
     kill_far t
 
 (* back to [create]'s state, keeping the level rows already materialised;
@@ -437,13 +470,14 @@ let clear t =
     let row = t.slots.(l) in
     if row != t.empty then
       for i = 0 to mask do
-        kill row.(i);
+        kill t row.(i);
         row.(i) <- Nil
       done
   done;
-  kill t.due;
+  kill t t.due;
   kill_far t;
   Array.fill t.counts 0 levels 0;
+  Array.fill t.dead 0 levels 0;
   Array.fill t.cands 0 levels Nil;
   t.seq <- 0;
   t.alive <- 0;

@@ -5,8 +5,11 @@
 
     Six levels of 32 slots cover [32^6] us (~17.9 min) from the current
     position at microsecond resolution; deadlines beyond the horizon fall back
-    to a binary heap and are popped from there directly. Cancellation is O(1)
-    and lazy, as in {!Heap}.
+    to a binary heap and are popped from there directly. Cancellation is
+    amortised O(1): a cancelled entry releases its payload at once and is
+    unlinked later, by a scan of its slot or when its level's cancels
+    outnumber its live entries by more than a fixed slack (the level is
+    then compacted).
 
     Pop order is {e exactly} the heap's: ties on time break on a global
     insertion sequence number, and the wheel-vs-fallback choice compares
@@ -25,7 +28,12 @@ val no_handle : 'a handle
 (** A handle to no entry: cancelling it is a no-op. Holders keep it in an
     empty slot instead of an [option]. *)
 
-val create : unit -> 'a t
+val create : 'a -> 'a t
+(** [create filler] is an empty wheel. [filler] overwrites the payload of
+    every entry {!cancel} or {!clear} drops, as [Array.make]'s initial
+    value fills an array, so a dead entry keeps nothing of its payload
+    reachable. *)
+
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
@@ -39,8 +47,9 @@ val push : 'a t -> time:Time.t -> 'a -> 'a handle
     earlier than the last popped time is clamped to it. *)
 
 val cancel : 'a t -> 'a handle -> unit
-(** O(1); cancelling twice, after the entry fired, or {!no_handle} is a
-    no-op. *)
+(** Amortised O(1): the entry's payload becomes the wheel's filler at
+    once, so {!value} of a cancelled handle is the filler. Cancelling
+    twice, after the entry fired, or {!no_handle} is a no-op. *)
 
 val next_time_or : 'a t -> default:Time.t -> Time.t
 (** Earliest live entry's time, or [default] when empty; allocates
@@ -67,7 +76,7 @@ val time : 'a handle -> Time.t
 val clear : 'a t -> unit
 (** Drop every entry and return to {!create}'s state (sequence numbers
     restart at 0), keeping the storage already grown. Handles taken
-    before the clear count as cancelled. *)
+    before the clear count as cancelled, their payloads released. *)
 
 val take_or : 'a t -> default:'a -> 'a
 (** {!pop} for the scheduler hot loop: returns the earliest live entry's

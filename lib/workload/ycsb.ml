@@ -48,5 +48,8 @@ let make_gen ?memo wl rng =
 let next_op g =
   let rank = g.zipf g.rng in
   let key = key_of_rank g.wl rank in
-  if Sim.Rng.unit_float g.rng < g.wl.read_proportion then Read { key }
+  (* the uniform in [0, 1) is scaled here: a float returned from another
+     module would be boxed *)
+  if float_of_int (Sim.Rng.bits53 g.rng) *. (1.0 /. 9007199254740992.0) < g.wl.read_proportion
+  then Read { key }
   else Update { key; value = g.value_pool.(Sim.Rng.int g.rng (Array.length g.value_pool)) }

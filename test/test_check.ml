@@ -37,9 +37,9 @@ let order_with pick =
   List.rev !order
 
 let test_chooser_controls_order () =
-  Alcotest.(check (list int)) "default order" [ 1; 2 ] (order_with (fun _ -> 0));
+  Alcotest.(check (list int)) "default order" [ 1; 2 ] (order_with (fun _ _ -> 0));
   Alcotest.(check (list int)) "alternative decision flips it" [ 2; 1 ]
-    (order_with (fun tags -> Array.length tags - 1))
+    (order_with (fun _ n -> n - 1))
 
 (* ------------------------------------------------------------------ *)
 (* persistent sets: conflict closure over node footprints *)

@@ -115,8 +115,10 @@ let test_station_resubmit_from_completion () =
     [ 1; 2; 3 ]
 
 (* Allocation pin: a job costs its completion event and one timer entry,
-   nothing else *)
-let test_station_alloc () =
+   nothing else — on a bare station, and on the CPU of a node under memory
+   pressure, whose jobs also take the memory's penalty (5.0 here: a
+   closure returning a computed penalty boxed it, 2 more words per job) *)
+let check_station_alloc s st =
   let words_per n f =
     Gc.minor ();
     let w0 = Gc.minor_words () in
@@ -125,10 +127,8 @@ let test_station_alloc () =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let s = make_sched () in
   let engine = Depfast.Sched.engine s in
   let name = String.concat "" [ "c"; "pu" ] in
-  let st = Cluster.Station.create s ~servers:2 ~name () in
   let job () =
     ignore (Cluster.Station.submit st ~work:10 ());
     ignore (Cluster.Station.submit st ~work:10 ());
@@ -145,6 +145,14 @@ let test_station_alloc () =
   if Float.abs (per_job -. (event +. timer_entry)) > 0.01 then
     Alcotest.failf "submit + completion: %.2f words, expected %.2f (event) + %.0f (timer entry)"
       per_job event timer_entry
+
+let test_station_alloc () =
+  let s = make_sched () in
+  check_station_alloc s (Cluster.Station.create s ~servers:2 ~name:"cpu" ());
+  let s = make_sched () in
+  let node = Cluster.Node.create s ~id:0 ~name:"n0" ~mem_soft_cap:(100 * 1024 * 1024) () in
+  check_bool "under pressure" true (Cluster.Memory.penalty (Cluster.Node.memory node) > 1.0);
+  check_station_alloc s (Cluster.Node.cpu node)
 
 (* ------------------------------------------------------------------ *)
 (* Memory *)
@@ -409,6 +417,26 @@ let test_rpc_abandon_releases () =
       | Depfast.Sched.Ready -> Alcotest.fail "unexpected reply");
   Depfast.Sched.run s
 
+(* An abandoned call leaves the rpc. Its request to a crashed node is
+   dropped, so no reply ever comes to remove its entry: kept until a reply,
+   the call record held its event and the event's observers for the rest
+   of the run. *)
+let[@inline never] call_and_abandon rpc a weak =
+  let call = Cluster.Rpc.call rpc ~src:a ~dst:1 "x" in
+  Weak.set weak 0 (Some (Cluster.Rpc.event call));
+  Cluster.Rpc.abandon call
+
+let test_rpc_abandon_forgets () =
+  let s, rpc, a, b = rpc_pair () in
+  Cluster.Rpc.serve rpc ~node:b ~handler:(fun ~src:_ req -> Some req);
+  Cluster.Node.crash b;
+  let weak = Weak.create 1 in
+  call_and_abandon rpc a weak;
+  Depfast.Sched.run s;
+  Gc.full_major ();
+  check_bool "abandoned call's event unreachable" true (Weak.get weak 0 = None);
+  check_int "no reply, nothing discarded" 0 (Cluster.Rpc.discarded_responses rpc)
+
 let test_rpc_broadcast_quorum_and_discard () =
   let s = make_sched () in
   let rpc : (string, string) Cluster.Rpc.t = Cluster.Rpc.create s () in
@@ -552,6 +580,7 @@ let suite =
         Alcotest.test_case "handler waits" `Quick test_rpc_handler_can_wait;
         Alcotest.test_case "memory accounting" `Quick test_rpc_memory_accounting;
         Alcotest.test_case "abandon releases" `Quick test_rpc_abandon_releases;
+        Alcotest.test_case "abandon forgets the call" `Quick test_rpc_abandon_forgets;
         Alcotest.test_case "broadcast quorum + discard" `Quick test_rpc_broadcast_quorum_and_discard;
       ] );
     ( "cluster.fault",

@@ -33,32 +33,41 @@ let test_runner_depfast_cell () =
   check_bool "no crash" false m.Workload.Metrics.leader_crashed;
   check_bool "latency sane" true (Workload.Metrics.mean_latency_ms m > 0.1)
 
-(* End-to-end allocation ceiling: minor words per committed op of a small
-   healthy DepFastRaft cell ([Params.quick]'s keyspace and clients over a
-   short window), set-up included. 1 043.8 with a list-slot timer wheel,
-   a [Queue] ready queue, per-job station closures and a boxed RNG state;
-   740.9 without them (730.2 later); 589.4 once a wait parks in the
-   event's waiter slot and an RPC call and a batch seal build no
-   throwaway closures, lists or twin records. A fire closure per park
-   alone reads 653.6, so the ceiling sits between. *)
+(* End-to-end allocation ceilings: minor and promoted words per committed
+   op of a small healthy DepFastRaft cell ([Params.quick]'s keyspace and
+   clients over a short window), set-up included. Minor: 1 043.8 with a
+   list-slot timer wheel, a [Queue] ready queue, per-job station closures
+   and a boxed RNG state; 740.9 without them (730.2 later); 589.4 once a
+   wait parks in the event's waiter slot and an RPC call and a batch seal
+   build no throwaway closures, lists or twin records; 564.9 once the
+   latency, penalty and workload draws box no float and the KV store
+   binds without a cell per key. Promoted: 179.1 while a cancelled
+   timeout kept its thunk, and with it the waiter's whole context, alive
+   until it would have come due; 91.5 once a cancel releases the payload
+   and a level compacts its cancels. Each ceiling sits between the last
+   two readings. *)
 let cell_words_per_op () =
   let params =
     { Harness.Params.quick with warmup = Sim.Time.ms 100; duration = Sim.Time.ms 400 }
   in
   Gc.minor ();
-  let w0 = Gc.minor_words () in
+  let s0 = Gc.quick_stat () in
   let cell =
     Harness.Runner.run_cell ~params ~system:Harness.Runner.Depfast_raft ~n:3 ~slow_count:0
       ~fault:None ()
   in
-  let words = Gc.minor_words () -. w0 in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
   let m = cell.Harness.Runner.metrics in
   check_bool "ops committed" true (m.Workload.Metrics.completed > 1_000);
-  words /. float_of_int m.Workload.Metrics.completed
+  let per_op x0 x1 = (x1 -. x0) /. float_of_int m.Workload.Metrics.completed in
+  (per_op s0.Gc.minor_words s1.Gc.minor_words, per_op s0.Gc.promoted_words s1.Gc.promoted_words)
 
 let test_cell_alloc_ceiling () =
-  let w = cell_words_per_op () in
-  if w > 620.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 620" w
+  let minor, promoted = cell_words_per_op () in
+  if minor > 580.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 580" minor;
+  if promoted > 135.0 then
+    Alcotest.failf "%.1f promoted words per committed op > ceiling 135" promoted
 
 let test_runner_all_systems_build () =
   List.iter

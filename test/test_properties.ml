@@ -108,6 +108,31 @@ let test_kv_exactly_once =
            (fun k v acc -> acc && Raft.Kv.get kv k = Some v)
            reference true)
 
+(* the store is an open-addressing table grown 2x from 16 slots: through
+   every growth it binds, counts and digests exactly as a Stdlib
+   [Hashtbl] model does, and misses what was never put *)
+let test_kv_store_matches_hashtbl =
+  QCheck.Test.make ~name:"kv store == Hashtbl model across growth" ~count:100
+    QCheck.(pair (int_range 1 3_000) (list_of_size Gen.(int_range 1 2_000) (pair (int_bound 2_999) small_nat)))
+    (fun (range, puts) ->
+      let kv = Raft.Kv.create () in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (k, v) ->
+          let key = "k" ^ string_of_int (k mod range) and value = string_of_int v in
+          let cmd = Raft.Types.Put { key; value } in
+          ignore (Raft.Kv.apply_cmd kv ~cmd ~client_id:(-1) ~seq:0);
+          Hashtbl.replace model key value)
+        puts;
+      let all_found = ref true in
+      for k = 0 to range do
+        let key = "k" ^ string_of_int k in
+        if Raft.Kv.get kv key <> Hashtbl.find_opt model key then all_found := false
+      done;
+      !all_found
+      && Raft.Kv.size kv = Hashtbl.length model
+      && Raft.Kv.digest kv = Hashtbl.fold (fun k v acc -> acc lxor Hashtbl.hash (k, v)) model 0)
+
 (* the leader's group commit seals the same command stream into
    multi-command Batch entries (singletons stay plain entries); applying
    the batched log must be indistinguishable from applying the commands
@@ -319,7 +344,7 @@ let wheel_ops_gen =
 let test_wheel_matches_heap =
   QCheck.Test.make ~name:"wheel pop order = heap pop order" ~count:300
     (QCheck.make wheel_ops_gen) (fun ops ->
-      let w = Sim.Wheel.create () in
+      let w = Sim.Wheel.create 0 in
       let h = Sim.Heap.create () in
       let handles = ref [||] and n_handles = ref 0 in
       let id = ref 0 in
@@ -397,6 +422,79 @@ let test_wheel_matches_heap =
       in
       drain ();
       !ok && Sim.Wheel.is_empty w && Sim.Heap.is_empty h)
+
+(* Cancel-heavy timers, as the engine's client and handler timeouts are:
+   thousands armed 1-5 s ahead, most cancelled long before they are due,
+   then pops interleaved with more pushes and cancels. Pop order must stay
+   the heap's. And the cancels must trip a level's compaction (more dead
+   entries than live ones plus the slack): before any pop or peek could
+   have unlinked a cancelled entry, some are already unreachable. *)
+let test_wheel_cancel_heavy =
+  QCheck.Test.make ~name:"cancel-heavy wheel = heap, and compacts" ~count:20
+    QCheck.(pair (int_range 2_000 4_000) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      let w = Sim.Wheel.create 0 and h = Sim.Heap.create () in
+      let cap = 2 * n in
+      let whs = Array.make cap Sim.Wheel.no_handle and hhs = Array.make cap None in
+      let pushed = ref 0 in
+      let push () =
+        let i = !pushed in
+        let time = Sim.Wheel.pos w + Sim.Rng.int_in rng 1_000_000 5_000_000 in
+        whs.(i) <- Sim.Wheel.push w ~time (i + 1);
+        hhs.(i) <- Some (Sim.Heap.push h ~time (i + 1));
+        incr pushed
+      in
+      (* cancel timer [i] and forget its handles; no-op if already gone *)
+      let cancel i =
+        match hhs.(i) with
+        | Some hh ->
+          Sim.Wheel.cancel w whs.(i);
+          Sim.Heap.cancel h hh;
+          whs.(i) <- Sim.Wheel.no_handle;
+          hhs.(i) <- None
+        | None -> ()
+      in
+      for _ = 1 to n do
+        push ()
+      done;
+      let order = Array.init n Fun.id in
+      Sim.Rng.shuffle rng order;
+      let dead = Weak.create n in
+      Array.iteri
+        (fun k i ->
+          if k < n * 9 / 10 then begin
+            Weak.set dead i (Some whs.(i));
+            cancel i
+          end)
+        order;
+      Gc.full_major ();
+      let unlinked = ref 0 in
+      for i = 0 to n - 1 do
+        if hhs.(i) = None && not (Weak.check dead i) then incr unlinked
+      done;
+      let ok = ref (!unlinked > 0) in
+      let same got expect =
+        match (got, expect) with
+        | Some (tw, vw), Some (th, vh) -> tw = th && vw = vh
+        | None, None -> true
+        | _ -> false
+      in
+      for _ = 1 to n do
+        match Sim.Rng.int rng 4 with
+        | 0 when !pushed < cap -> push ()
+        | 1 -> cancel (Sim.Rng.int rng !pushed)
+        | _ -> ok := !ok && same (Sim.Wheel.pop w) (Sim.Heap.pop h)
+      done;
+      let rec drain () =
+        match (Sim.Wheel.pop w, Sim.Heap.pop h) with
+        | None, None -> ()
+        | got, expect ->
+          ok := !ok && same got expect;
+          if got <> None && expect <> None then drain ()
+      in
+      drain ();
+      !ok && Sim.Wheel.is_empty w)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring: growth by doubling, capacity bound, drop-oldest policy,
@@ -514,12 +612,14 @@ let suite =
         QCheck_alcotest.to_alcotest test_rlog_slice_coherent;
         QCheck_alcotest.to_alcotest test_rlog_view_matches_slice;
         QCheck_alcotest.to_alcotest test_kv_exactly_once;
+        QCheck_alcotest.to_alcotest test_kv_store_matches_hashtbl;
         QCheck_alcotest.to_alcotest test_batched_apply_equiv;
         QCheck_alcotest.to_alcotest test_net_fifo_property;
         QCheck_alcotest.to_alcotest test_event_algebra;
         QCheck_alcotest.to_alcotest test_station_conservation;
         QCheck_alcotest.to_alcotest test_hist_quantile_monotone;
         QCheck_alcotest.to_alcotest test_wheel_matches_heap;
+        QCheck_alcotest.to_alcotest test_wheel_cancel_heavy;
       ] );
     ( "trace.ring",
       [

@@ -360,9 +360,9 @@ let test_admission_shed_fail_fast () =
       let leader = Option.get (Raft.Group.wait_for_leader g) in
       (* a fail-slow leader disk stretches every group-commit round, so
          offered load overruns the 2-deep admission queue *)
-      Cluster.Station.set_penalty
+      Cluster.Station.set_speed
         (Cluster.Disk.station (Cluster.Node.disk (Raft.Server.node leader)))
-        (fun () -> 50.0);
+        50.0;
       let done_ = ref 0 in
       List.iteri
         (fun ci c ->

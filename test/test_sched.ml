@@ -513,7 +513,7 @@ let test_fire_and_timeout_same_instant_explore () =
       (List.map (fun h -> List.hd (String.split_on_char ':' h)) (hooks ()));
     List.hd !outcomes
   in
-  let first = run_with (fun _ -> 0) and last = run_with (fun tags -> Array.length tags - 1) in
+  let first = run_with (fun _ _ -> 0) and last = run_with (fun _ n -> n - 1) in
   check_bool "fire first: ready" true (first = Sched.Ready);
   check_bool "timeout first: timed out" true (last = Sched.Timed_out)
 
@@ -573,9 +573,9 @@ let test_slot_fire_vs_hoisted_timeouts () =
     Sched.run s;
     Array.iteri (fun i n -> check_int (Printf.sprintf "waiter %d resumed once" i) 1 n) resumed
   in
-  run_with (fun _ -> 0);
-  run_with (fun tags -> Array.length tags - 1);
-  run_with (fun tags -> Array.length tags / 2)
+  run_with (fun _ _ -> 0);
+  run_with (fun _ n -> n - 1);
+  run_with (fun _ n -> n / 2)
 
 (* Allocation guard: exact minor words per spawn+park+fire+resume cycle,
    untimed and timed (the fire wins and cancels the timeout). Closure-built
@@ -664,7 +664,7 @@ let test_reset_after_abort () =
 let explore_timed_words () =
   let s = make_sched () in
   let e = Sched.engine s in
-  Sim.Engine.set_chooser e (fun _ -> 0);
+  Sim.Engine.set_chooser e (fun _ _ -> 0);
   let batch () =
     let evs = Array.init 1_000 (fun _ -> Event.signal ()) in
     Gc.minor ();

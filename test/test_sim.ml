@@ -42,8 +42,8 @@ let test_rng_bounds () =
     check_bool "int in range" true (x >= 0 && x < 10);
     let y = Rng.int_in r 5 9 in
     check_bool "int_in range" true (y >= 5 && y <= 9);
-    let f = Rng.unit_float r in
-    check_bool "float in range" true (f >= 0.0 && f < 1.0)
+    let b = Rng.bits53 r in
+    check_bool "bits53 in range" true (b >= 0 && b < 1 lsl 53)
   done
 
 let test_rng_uniformity () =
@@ -89,6 +89,56 @@ let test_dist_means () =
   close "normal" 8.0 (sample_mean (Dist.Normal (8.0, 1.0)) 4L 50_000) 0.2;
   close "shifted" 12.0 (sample_mean (Dist.Shifted (8.0, Dist.Exponential 4.0)) 5L 100_000) 0.3;
   close "scaled" 8.0 (sample_mean (Dist.Scaled (2.0, Dist.Exponential 4.0)) 6L 100_000) 0.3
+
+(* [Dist]'s draw is one inlined body, so that it boxes nothing; this is
+   the recursive definition it unrolls, on the same uniform *)
+let rec reference_raw r d =
+  let unit () = float_of_int (Rng.bits53 r) *. (1.0 /. 9007199254740992.0) in
+  match d with
+  | Dist.Constant x -> x
+  | Uniform (lo, hi) -> lo +. (unit () *. (hi -. lo))
+  | Exponential mean ->
+    let u = 1.0 -. unit () in
+    -.mean *. log u
+  | Normal (mean, std) ->
+    let u1 = 1.0 -. unit () in
+    let u2 = unit () in
+    mean +. (std *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
+  | Lognormal (mu, sigma) ->
+    let u1 = 1.0 -. unit () in
+    let u2 = unit () in
+    exp (mu +. (sigma *. (sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))))
+  | Pareto (scale, shape) ->
+    let u = 1.0 -. unit () in
+    scale /. (u ** (1.0 /. shape))
+  | Shifted (off, d) -> off +. reference_raw r d
+  | Scaled (k, d) -> k *. reference_raw r d
+
+let test_dist_draws_match_reference () =
+  List.iter
+    (fun d ->
+      let a = Rng.create 5L and b = Rng.create 5L and c = Rng.create 5L in
+      for _ = 1 to 2_000 do
+        let x = Dist.sample a d in
+        let expect = Float.max 0.0 (reference_raw c d) in
+        if Int64.bits_of_float x <> Int64.bits_of_float expect then
+          Alcotest.failf "sample: %h, the recursive definition gives %h" x expect;
+        check_int "sample_span = Time.of_us_f sample" (Time.of_us_f x) (Dist.sample_span b d)
+      done)
+    Dist.
+      [
+        Constant 5.0;
+        Constant (-2.0);
+        Uniform (5.0, 15.0);
+        Exponential 30.0;
+        Normal (0.5, 5.0);
+        Lognormal (1.0, 0.5);
+        Pareto (500.0, 1.8);
+        Shifted (120.0, Exponential 30.0);
+        Shifted (500.0, Pareto (500.0, 1.8));
+        Scaled (2.0, Shifted (-3.0, Normal (1.0, 4.0)));
+        Shifted (0.25, Scaled (3.0, Shifted (-1.5, Uniform (0.0, 1.0))));
+      ]
 
 let test_dist_nonnegative () =
   let r = Rng.create 13L in
@@ -310,7 +360,7 @@ let test_engine_reset_is_fresh () =
   Engine.run e;
   check_int "no stale work ran" 0 !stale;
   check_int "new timer fired on the restarted clock" (Time.ms 2) !fired_at;
-  let w = Wheel.create () in
+  let w = Wheel.create "" in
   ignore (Wheel.push w ~time:3 "a");
   Wheel.clear w;
   check_int "wheel seq restarts" 0 (Wheel.seq (Wheel.push w ~time:1 "b"))
@@ -411,10 +461,11 @@ let test_engine_chooser_adopts_ring () =
     post i
   done;
   let sizes = ref [] in
-  Engine.set_chooser e (fun tags ->
-      sizes := Array.length tags :: !sizes;
-      if not (Array.for_all (fun t -> t = Engine.Anon) tags) then
-        Alcotest.fail "adopted work is tagged Anon";
+  Engine.set_chooser e (fun tags n ->
+      sizes := n :: !sizes;
+      for i = 0 to n - 1 do
+        if tags.(i) <> Engine.Anon then Alcotest.fail "adopted work is tagged Anon"
+      done;
       0);
   check_int "pending adopted" 35 (Engine.pending e);
   Engine.run e;
@@ -450,7 +501,7 @@ let test_alloc_post_step () =
          ignore (Engine.step e)))
 
 let test_alloc_wheel () =
-  let w = Wheel.create () in
+  let w = Wheel.create noop in
   let push i = ignore (Wheel.push w ~time:(Wheel.pos w + (i * 37 mod 5_000)) noop) in
   (* materialise the level rows these delays reach: a one-off *)
   for i = 1 to 100 do
@@ -472,7 +523,35 @@ let test_alloc_rng () =
   let r = Rng.create 3L in
   let acc = ref 0 in
   check_words "Rng.int" 0.0 (words_per 10_000 (fun i -> acc := !acc + Rng.int r i));
+  check_words "Rng.bits53" 0.0 (words_per 10_000 (fun _ -> acc := !acc + Rng.bits53 r));
   check_words "Rng.bool" 0.0 (words_per 10_000 (fun _ -> if Rng.bool r then incr acc))
+
+(* a network latency draw: [Net.send]'s default shape *)
+let test_alloc_dist_span () =
+  let r = Rng.create 3L in
+  let d = Dist.Shifted (120.0, Dist.Exponential 30.0) in
+  let acc = ref 0 in
+  check_words "Dist.sample_span" 0.0 (words_per 10_000 (fun _ -> acc := !acc + Dist.sample_span r d))
+
+(* A cancelled entry lets go of its payload at once, though the entry
+   stays linked in its far slot: a dead 5 s timeout no longer keeps its
+   thunk's closure (and all that closure holds) alive. *)
+let[@inline never] push_payload w weak =
+  let payload = Bytes.create 64 in
+  Weak.set weak 0 (Some payload);
+  Wheel.push w ~time:(Time.sec 5) payload
+
+let test_wheel_cancel_frees_payload () =
+  let filler = Bytes.empty in
+  let w = Wheel.create filler in
+  let weak = Weak.create 1 in
+  let h = push_payload w weak in
+  ignore (Wheel.push w ~time:(Time.sec 5) (Bytes.create 1));
+  Wheel.cancel w h;
+  Gc.full_major ();
+  check_bool "cancelled payload unreachable" true (Weak.get weak 0 = None);
+  check_bool "the handle reads the filler" true (Wheel.value h == filler);
+  check_int "the live sibling stays" 1 (Wheel.size w)
 
 let suite =
   [
@@ -492,6 +571,8 @@ let suite =
       [
         Alcotest.test_case "sample means" `Quick test_dist_means;
         Alcotest.test_case "samples nonnegative" `Quick test_dist_nonnegative;
+        Alcotest.test_case "draws match the recursive definition" `Quick
+          test_dist_draws_match_reference;
         Alcotest.test_case "analytic means" `Quick test_dist_analytic_mean;
         Alcotest.test_case "zipfian skew" `Quick test_zipfian_skew;
         Alcotest.test_case "zipfian ~uniform at theta~0" `Quick test_zipfian_uniform_theta0;
@@ -505,6 +586,8 @@ let suite =
         QCheck_alcotest.to_alcotest test_hist_quantile_vs_sorted;
         QCheck_alcotest.to_alcotest test_hist_quantile_within_one_bucket;
       ] );
+    ( "sim.wheel",
+      [ Alcotest.test_case "cancel frees the payload" `Quick test_wheel_cancel_frees_payload ] );
     ( "sim.heap",
       [
         Alcotest.test_case "ordering" `Quick test_heap_ordering;
@@ -531,5 +614,6 @@ let suite =
         Alcotest.test_case "engine post + step" `Quick test_alloc_post_step;
         Alcotest.test_case "wheel push, next_time_or, take_or" `Quick test_alloc_wheel;
         Alcotest.test_case "rng draws" `Quick test_alloc_rng;
+        Alcotest.test_case "dist span draw" `Quick test_alloc_dist_span;
       ] );
   ]
