@@ -24,6 +24,7 @@ and 'msg link = {
   mutable last_seq : int;  (* last delivered seq; must strictly increase *)
   mutable last_arrival : Time.t;  (* FIFO clamp: arrivals strictly increase *)
   mutable armed : bool;  (* a pump callback is scheduled *)
+  mutable timer : Engine.timer;  (* the pump's, re-armed for every delivery *)
   mutable pump : unit -> unit;  (* the one reusable delivery thunk *)
   mutable cpump : unit -> unit;  (* choice-mode: deliver exactly one *)
   mutable l_delivered : int;
@@ -38,7 +39,7 @@ type 'msg t = {
   latency : Dist.t;
   rng : Rng.t;
   mutable eps : 'msg endpoint option array;  (* indexed by node id *)
-  cuts : (int * int, unit) Hashtbl.t;
+  cuts : (int, unit) Hashtbl.t;  (* keyed by [cut_key] *)
   mutable sorted_nodes : Node.t list;  (* cache, rebuilt on register *)
   mutable sorted_valid : bool;
   mutable delivered : int;
@@ -101,7 +102,9 @@ let nodes t =
   end;
   t.sorted_nodes
 
-let cut_key a b = if a < b then (a, b) else (b, a)
+(* the unordered pair as one int, so the check on every send and
+   delivery allocates no tuple *)
+let cut_key a b = if a < b then (a lsl 32) lor b else (b lsl 32) lor a
 let partition t a b = Hashtbl.replace t.cuts (cut_key a b) ()
 let heal t a b = Hashtbl.remove t.cuts (cut_key a b)
 let partitioned t a b = Hashtbl.mem t.cuts (cut_key a b)
@@ -148,7 +151,7 @@ let arm t link =
     Engine.post_tag engine link.link_tag link.cpump
   else begin
     let delay = Time.diff link.times.(link.head) (Engine.now engine) in
-    ignore (Engine.schedule_tag engine ~delay link.link_tag link.pump)
+    link.timer <- Engine.reschedule engine link.timer ~delay link.link_tag link.pump
   end
 
 let rec pump t link () =
@@ -189,6 +192,7 @@ and make_link t ~src ~dst =
       last_seq = -1;
       last_arrival = no_arrival;
       armed = false;
+      timer = Engine.unarmed;
       pump = ignore;
       cpump = ignore;
       l_delivered = 0;

@@ -1,12 +1,14 @@
 open Sim
 
-(* One server: the event of the job in service ([Event.dummy] when idle)
-   and the completion thunk scheduled for it, built once when the server
-   is first used, so a job allocates no closure. *)
+(* One server: the event of the job in service ([Event.dummy] when idle),
+   the completion thunk scheduled for it, built once when the server is
+   first used, and the timer that thunk is armed on, re-armed for every
+   job, so a job allocates neither a closure nor a timer entry. *)
 type slot = {
   mutable s_event : Depfast.Event.t;
   mutable s_busy : bool;
   mutable s_done : unit -> unit;
+  mutable s_timer : Engine.timer;
 }
 
 type integral = { mutable busy_integral : float }  (* server-us; all-float, so unboxed *)
@@ -99,7 +101,7 @@ let start t s work ev =
   (* [Time.of_us_f] spelled out, and the penalty read from its record:
      an out-of-module call would box the float *)
   let dur = int_of_float (Float.round (float_of_int work *. t.speed *. t.load.penalty)) in
-  ignore (Engine.schedule (engine t) ~delay:dur s.s_done)
+  s.s_timer <- Engine.reschedule (engine t) s.s_timer ~delay:dur Engine.Anon s.s_done
 
 let rec complete t s =
   account t;
@@ -126,7 +128,9 @@ and free_slot t =
   let i = idle_from t 0 in
   if i < t.n_slots then t.slots.(i)
   else begin
-    let s = { s_event = Depfast.Event.dummy; s_busy = false; s_done = ignore } in
+    let s =
+      { s_event = Depfast.Event.dummy; s_busy = false; s_done = ignore; s_timer = Engine.unarmed }
+    in
     s.s_done <- (fun () -> complete t s);
     if t.n_slots = 0 then t.slots <- Array.make t.servers s;
     t.slots.(i) <- s;

@@ -18,26 +18,33 @@ type monitor = {
 type outcome = Ready | Timed_out
 
 (* A coroutine and its parking slot: it parks on at most one event, so the
-   tag, the resume thunk and the fire wake are built at spawn and every
-   wait reuses the slot. The fire wake parks in the event's waiter slot
-   when that is free; a timeout drops it from there, so the slot never
-   holds a stale wake. Otherwise a park registers a closure stamped with
-   [park_gen], which counts ended parks: a park's wakeups carry its value
-   and the first to run bumps it, so a later one (the loser of fire vs
-   timeout, a cancelled timer explore mode hoisted, a fire of an event an
-   earlier park timed out on) is a no-op. *)
+   tag, the resume thunk and the fire and timeout wakes are built at spawn,
+   every wait reuses the slot, and every timed wait re-arms the one timer
+   the coroutine owns (allocated at its first timed wait). The fire wake
+   parks in the event's waiter slot when that is free; a timeout drops it
+   from there, so the slot never holds a stale wake. Otherwise a park
+   registers a closure stamped with [park_gen], which counts ended parks:
+   a park's closures carry its value and the first wakeup to run bumps
+   it, so a later one (the fire of an event an earlier park timed out on)
+   is a no-op. The timeout wake acts only for the current arm of a park
+   still timed ([park_span] is reset when a park ends), so the loser of
+   fire vs timeout, or a timeout explore mode hoisted before the fire
+   re-parked the coroutine, is a no-op. The wakes close over the context,
+   so [spawn] sets them on the record it built: a [let rec] would
+   allocate the record twice. *)
 type ctx = {
   cid : int;
   node : int;
   name : string;
   tag : Engine.tag;
-  resume_ready : unit -> unit;
-  fire_wake : unit -> unit;
+  mutable resume_ready : unit -> unit;
+  mutable fire_wake : unit -> unit;
+  mutable timeout_wake : unit -> unit;
   mutable park_ev : Event.t;
-  mutable park_span : Time.span;  (* -1 = untimed *)
+  mutable park_span : Time.span;  (* -1 = untimed, or the park ended *)
   mutable park_start : Time.t;
   mutable park_k : (outcome, unit) Effect.Deep.continuation;
-  mutable park_timer : Engine.timer;  (* [Engine.unarmed] when none *)
+  mutable park_timer : Engine.timer;  (* [Engine.unarmed] until the first timed park *)
   mutable park_gen : int;
 }
 
@@ -47,8 +54,6 @@ type t = {
   mutable current : ctx;  (* [no_ctx] outside coroutines *)
   mutable next_cid : int;
   mutable monitor : monitor option;
-  wake : ctx -> unit;  (* builds each coroutine's resume thunk *)
-  fired : ctx -> unit;  (* builds each coroutine's fire wake *)
   mutable coro_handler : (unit, unit) Effect.Deep.handler;  (* built at the first spawn *)
 }
 
@@ -66,15 +71,12 @@ let no_k : (outcome, unit) Effect.Deep.continuation =
   Effect.Deep.match_with (fun () -> ignore (Effect.perform E_park)) () { retc = ignore; exnc = raise; effc };
   Option.get !got
 
-let make_ctx ~cid ~node ~name resume_ready fired =
-  let rec ctx =
-    { cid; node; name; tag = Engine.Coro (cid, node); resume_ready = (fun () -> resume_ready ctx);
-      fire_wake = (fun () -> fired ctx); park_ev = Event.dummy; park_span = -1;
-      park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
-  in
-  ctx
+let make_ctx ~cid ~node ~name =
+  { cid; node; name; tag = Engine.Coro (cid, node); resume_ready = ignore; fire_wake = ignore;
+    timeout_wake = ignore; park_ev = Event.dummy; park_span = -1; park_start = Time.zero;
+    park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
 
-let no_ctx = make_ctx ~cid:0 ~node:(-1) ~name:"" ignore ignore
+let no_ctx = make_ctx ~cid:0 ~node:(-1) ~name:""
 let no_handler : (unit, unit) Effect.Deep.handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let engine t = t.engine
@@ -115,18 +117,37 @@ let resume_ready t ctx =
 (* the park's event fired: end the park and post the resume *)
 let fired t ctx =
   ctx.park_gen <- ctx.park_gen + 1;
-  Engine.cancel t.engine ctx.park_timer;
-  ctx.park_timer <- Engine.unarmed;
+  if ctx.park_span >= 0 then begin
+    ctx.park_span <- -1;
+    Engine.cancel t.engine ctx.park_timer
+  end;
   (match t.monitor with
   | Some m -> m.on_wake ~cid:ctx.cid ctx.park_ev Wake_fire
   | None -> ());
   Engine.post_tag t.engine ctx.tag ctx.resume_ready
 
+(* the park's timer fired: end the park, unless this is a stale arm *)
+let timed_out t ctx =
+  if ctx.park_span >= 0 && Engine.is_firing t.engine ctx.park_timer then begin
+    ctx.park_span <- -1;
+    ctx.park_gen <- ctx.park_gen + 1;
+    Event.drop_waiter ctx.park_ev ctx.fire_wake;
+    (match t.monitor with
+    | Some m ->
+      m.on_wake ~cid:ctx.cid ctx.park_ev Wake_timeout;
+      m.on_resume ~cid:ctx.cid
+    | None -> ());
+    record_wait t ctx ~outcome:Timed_out;
+    resume t ctx ctx.park_k Timed_out
+  end
+
 (* a park allocates only when the event's waiter slot is taken (a
-   generation-stamped fire closure) and when it is timed (the timeout) *)
+   generation-stamped fire closure) and at a coroutine's first timed park
+   (its timer entry) *)
 let park t ctx k =
   ctx.park_start <- now t;
   if Event.is_ready ctx.park_ev then begin
+    ctx.park_span <- -1;
     record_wait t ctx ~outcome:Ready;
     resume t ctx k Ready
   end
@@ -139,21 +160,8 @@ let park t ctx k =
     if not (Event.take_waiter ctx.park_ev ctx.fire_wake) then
       Event.on_fire ctx.park_ev (fun () -> if ctx.park_gen = gen then fired t ctx);
     if ctx.park_span >= 0 then
-      let on_timeout () =
-        if ctx.park_gen = gen then begin
-          ctx.park_gen <- gen + 1;
-          ctx.park_timer <- Engine.unarmed;
-          Event.drop_waiter ctx.park_ev ctx.fire_wake;
-          (match t.monitor with
-          | Some m ->
-            m.on_wake ~cid:ctx.cid ctx.park_ev Wake_timeout;
-            m.on_resume ~cid:ctx.cid
-          | None -> ());
-          record_wait t ctx ~outcome:Timed_out;
-          resume t ctx ctx.park_k Timed_out
-        end
-      in
-      ctx.park_timer <- Engine.schedule_tag t.engine ~delay:ctx.park_span ctx.tag on_timeout
+      ctx.park_timer <-
+        Engine.reschedule t.engine ctx.park_timer ~delay:ctx.park_span ctx.tag ctx.timeout_wake
   end
 
 (* one handler serves every coroutine of [t]: it runs while [current] is
@@ -177,12 +185,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
 
 let create ?trace engine =
   let trace_rec = match trace with Some tr -> tr | None -> Trace.create () in
-  let rec t =
-    { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None;
-      wake = (fun ctx -> resume_ready t ctx); fired = (fun ctx -> fired t ctx);
-      coro_handler = no_handler }
-  in
-  t
+  { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None; coro_handler = no_handler }
 
 let reset t =
   t.current <- no_ctx;
@@ -191,7 +194,10 @@ let reset t =
 let spawn t ?(node = -1) ?(name = "coroutine") f =
   if t.coro_handler == no_handler then t.coro_handler <- make_handler t;
   t.next_cid <- t.next_cid + 1;
-  let ctx = make_ctx ~cid:t.next_cid ~node ~name t.wake t.fired in
+  let ctx = make_ctx ~cid:t.next_cid ~node ~name in
+  ctx.resume_ready <- (fun () -> resume_ready t ctx);
+  ctx.fire_wake <- (fun () -> fired t ctx);
+  ctx.timeout_wake <- (fun () -> timed_out t ctx);
   (match t.monitor with Some m -> m.on_spawn ~cid:ctx.cid ~node ~name | None -> ());
   Engine.post_tag t.engine ctx.tag (fun () ->
       let saved = t.current in

@@ -23,6 +23,7 @@ type explore = {
   choose : chooser;
   mutable ex_tags : tag array;
   mutable ex_fns : (unit -> unit) array;
+  mutable ex_seqs : int array;  (* a hoisted timer's wheel seq; -1 for posted work *)
   mutable ex_n : int;
   mutable tt_seqs : int array;
       (* pending tagged timers, unordered: wheel seq here, tag in
@@ -41,6 +42,7 @@ type t = {
   timers : (unit -> unit) Wheel.t;
   seed : int64;
   root_rng : Rng.t;
+  mutable running : int;  (* wheel seq of the timer whose thunk runs last or now *)
   mutable ex : explore option;
 }
 
@@ -55,6 +57,7 @@ let create ?(seed = 1L) () =
     timers = Wheel.create no_fn;
     seed;
     root_rng = Rng.create seed;
+    running = -1;
     ex = None;
   }
 
@@ -64,6 +67,7 @@ let reset t =
   t.r_len <- 0;
   Wheel.clear t.timers;
   Rng.reseed t.root_rng t.seed;
+  t.running <- -1;
   match t.ex with
   | None -> ()
   | Some ex ->
@@ -104,22 +108,27 @@ let grown a fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let ex_push ex tag f =
+let ex_push ex tag f seq =
   if ex.ex_n = Array.length ex.ex_fns then begin
     ex.ex_fns <- grown ex.ex_fns no_fn;
-    ex.ex_tags <- grown ex.ex_tags Anon
+    ex.ex_tags <- grown ex.ex_tags Anon;
+    ex.ex_seqs <- grown ex.ex_seqs (-1)
   end;
   ex.ex_fns.(ex.ex_n) <- f;
   ex.ex_tags.(ex.ex_n) <- tag;
+  ex.ex_seqs.(ex.ex_n) <- seq;
   ex.ex_n <- ex.ex_n + 1
 
 (* remove index i preserving the order of the rest: choice identity across
-   re-runs with the same prefix must be deterministic *)
-let ex_take ex i =
+   re-runs with the same prefix must be deterministic. A hoisted timer's
+   seq becomes the running one. *)
+let ex_take t ex i =
   let f = ex.ex_fns.(i) in
+  t.running <- ex.ex_seqs.(i);
   for j = i to ex.ex_n - 2 do
     ex.ex_fns.(j) <- ex.ex_fns.(j + 1);
-    ex.ex_tags.(j) <- ex.ex_tags.(j + 1)
+    ex.ex_tags.(j) <- ex.ex_tags.(j + 1);
+    ex.ex_seqs.(j) <- ex.ex_seqs.(j + 1)
   done;
   ex.ex_n <- ex.ex_n - 1;
   ex.ex_fns.(ex.ex_n) <- no_fn;
@@ -158,26 +167,29 @@ let set_chooser t choose =
   | Some _ -> invalid_arg "Engine.set_chooser: a chooser is already installed"
   | None -> ());
   let ex =
-    { choose; ex_tags = [||]; ex_fns = [||]; ex_n = 0; tt_seqs = [||]; tt_tags = [||]; tt_n = 0 }
+    { choose; ex_tags = [||]; ex_fns = [||]; ex_seqs = [||]; ex_n = 0; tt_seqs = [||];
+      tt_tags = [||]; tt_n = 0 }
   in
   (* adopt anything already posted (setup work queued before exploration) *)
   while t.r_len > 0 do
-    ex_push ex Anon (ready_take t)
+    ex_push ex Anon (ready_take t) (-1)
   done;
   t.ex <- Some ex
 
 let post_tag t tag f =
-  match t.ex with None -> ready_add t f | Some ex -> ex_push ex tag f
+  match t.ex with None -> ready_add t f | Some ex -> ex_push ex tag f (-1)
 
 let post t f = post_tag t Anon f
 
-let schedule_tag t ~delay tag f =
+let reschedule t h ~delay tag f =
   let delay = if delay < 0 then 0 else delay in
-  let h = Wheel.push t.timers ~time:(Time.add t.clock delay) f in
+  let h = Wheel.rearm t.timers h ~time:(Time.add t.clock delay) f in
   (match t.ex with
   | Some ex when tag != Anon -> tag_timer ex (Wheel.seq h) tag
   | _ -> ());
   h
+
+let schedule_tag t ~delay tag f = reschedule t unarmed ~delay tag f
 
 let schedule t ~delay f = schedule_tag t ~delay Anon f
 
@@ -195,10 +207,7 @@ let ready_count t =
   match t.ex with None -> t.r_len | Some ex -> ex.ex_n
 
 let pending t = ready_count t + Wheel.size t.timers
-
-(* sentinel for the allocation-free timer pop; compared physically, so a
-   user-scheduled [fun () -> ()] can never collide with it *)
-let no_timer () = ()
+let is_firing t h = h != unarmed && Wheel.seq h = t.running
 
 let step_default t =
   if t.r_len > 0 then begin
@@ -206,11 +215,12 @@ let step_default t =
     true
   end
   else begin
-    let f = Wheel.take_or t.timers ~default:no_timer in
-    if f == no_timer then false
+    let h = Wheel.take_handle t.timers in
+    if h == Wheel.no_handle then false
     else begin
       t.clock <- Wheel.pos t.timers;
-      f ();
+      t.running <- Wheel.seq h;
+      Wheel.value h ();
       true
     end
   end
@@ -220,15 +230,18 @@ let step_default t =
    with whatever they enable) instead of inheriting wheel insertion order.
    A hoisted timer's handle is consumed, so a same-instant [cancel] of a
    tied sibling becomes a no-op — the thunk runs; the runtime's guarded
-   wakeups (e.g. a wait's [resumed] flag) make that a visible no-op, which
-   is exactly what the sanitizer wants to observe. *)
+   wakeups (a timeout checks [is_firing] for its coroutine's current arm)
+   make that a visible no-op, which is exactly what the sanitizer wants to
+   observe. Each hoisted seq rides beside its thunk, since the entry may
+   be re-armed before the thunk runs. *)
 let hoist_due t ex =
   let tmin = Wheel.next_time_or t.timers ~default:(-1) in
   if tmin >= 0 then begin
     t.clock <- tmin;
     while Wheel.next_time_or t.timers ~default:(-1) = tmin do
       let h = Wheel.take_handle t.timers in
-      ex_push ex (untag_timer ex (Wheel.seq h)) (Wheel.value h)
+      let seq = Wheel.seq h in
+      ex_push ex (untag_timer ex seq) (Wheel.value h) seq
     done
   end
 
@@ -244,7 +257,7 @@ let step_explore t ex =
         i
       end
     in
-    (ex_take ex i) ();
+    (ex_take t ex i) ();
     true
   end
 

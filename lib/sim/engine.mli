@@ -12,7 +12,9 @@
 type t
 
 type timer
-(** A cancellable scheduled thunk. *)
+(** A cancellable scheduled thunk. Its owner may keep it and arm it again
+    with {!reschedule} once it has fired or been cancelled: one timer
+    entry serves every arm. *)
 
 val unarmed : timer
 (** A timer that was never scheduled: {!cancel} ignores it. Fills an empty
@@ -53,7 +55,9 @@ val set_chooser : t -> chooser -> unit
     Explore-mode caveat: timers tied at the minimum deadline are hoisted
     into the choice set together, so a same-instant [cancel] of a tied
     sibling no longer suppresses its thunk — it runs as a (guarded) no-op.
-    Future timers cancel normally. *)
+    Its owner may even re-arm the timer before the hoisted thunk runs;
+    {!is_firing} tells that stale thunk apart. Future timers cancel
+    normally. *)
 
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time 0. [seed] (default [1L]) roots all derived RNG
@@ -86,6 +90,20 @@ val schedule : t -> delay:Time.span -> (unit -> unit) -> timer
 
 val schedule_tag : t -> delay:Time.span -> tag -> (unit -> unit) -> timer
 (** {!schedule} with provenance (surfaces when the timer comes due). *)
+
+val reschedule : t -> timer -> delay:Time.span -> tag -> (unit -> unit) -> timer
+(** {!schedule_tag}, re-arming the owner's timer [h] instead of allocating
+    one; the timer's arm draws its place in the order exactly where a
+    fresh {!schedule_tag} would. [h] must not be pending: it fired, was
+    cancelled, or is {!unarmed}. Returns the timer actually armed, which
+    the owner keeps for the next arm: [h] itself unless [h] is {!unarmed}
+    or was cancelled beyond the wheel's ~17.9 min horizon. *)
+
+val is_firing : t -> timer -> bool
+(** [is_firing t h], read from inside a timer's thunk: the thunk runs for
+    [h]'s latest arm. [false] for a stale thunk of an earlier arm, such
+    as a timeout explore mode hoisted before its owner cancelled and
+    re-armed [h]. *)
 
 val schedule_at : t -> time:Time.t -> (unit -> unit) -> timer
 (** Like {!schedule} with an absolute deadline (clamped to now). *)

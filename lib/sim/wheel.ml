@@ -7,14 +7,17 @@
    non-empty slot in tick order holds the level's minimum.
 
    Pops drive everything: popping from a level >= 1 slot re-places that slot's
-   surviving siblings relative to the new position (the cascade), which lands
-   them at a strictly lower level because they share the popped entry's tick.
-   Peeks never cascade — they only scan and lazily drop cancelled entries — so
-   a peek can never misplace an entry that a later push would have outrun.
+   siblings relative to the new position (the cascade), which lands them at a
+   strictly lower level because they share the popped entry's tick. Peeks
+   never cascade — they only scan — so a peek can never misplace an entry
+   that a later push would have outrun.
 
-   The lists are intrusive: every entry carries the [next] link of the one
-   list it is on (a slot or the due queue), so a push allocates the entry and
-   nothing else, and pops, peeks and cascades allocate nothing. Two
+   The lists are intrusive and doubly linked: every entry carries the
+   [prev] and [next] links of the one list it is on (a slot or the due
+   queue), so a push allocates the entry and nothing else, pops, peeks and
+   cascades allocate nothing, and a cancel unlinks the entry at once. An
+   entry off every list (fired, cancelled or cleared) can be re-armed: its
+   owner keeps one entry for a timer it arms over and over. Two
    memoisations keep steady-state pops cheap:
 
    - Each level memoises its minimum entry (its slot is derivable from its
@@ -25,47 +28,46 @@
 
    - A level-0 slot is a single microsecond, so its entries all share the
      current minimum time and pop in seq order. The first pop from such a
-     slot relinks the surviving siblings into the [due] queue in seq order;
-     while the queue holds a live entry, its head is the global minimum and
-     a pop is O(1). Same-instant pushes append at [due_last] (their seq is
-     the largest yet), keeping the queue sorted.
+     slot relinks the siblings into the [due] queue in seq order; while the
+     queue is non-empty its head is the global minimum and a pop is O(1).
+     Same-instant pushes append at [due_last] (their seq is the largest
+     yet), keeping the queue sorted.
 
-   Cancellation is lazy, but a cancelled entry lets go of its payload at
-   once: [cancel] overwrites it with the filler [create] was given, so a
-   dead timeout does not keep its thunk's closure alive. The entry itself
-   stays linked until a scan of its slot unlinks it, its level empties,
-   its slot cascades or drains, or its level is compacted: each level
-   counts its cancels, and once they exceed its live entries plus
-   [dead_slack], [cancel] compacts the level's 32 slots. The cancels since
-   the last compaction pay for that walk, so unlinking stays amortised
-   O(1) even for long timeouts that are nearly always cancelled, which no
-   scan would otherwise reach before they come due. Far-heap entries are
-   cancelled lazily too: they stay in the heap and are dropped when they
-   surface.
+   A cancelled entry lets go of its payload at once: [cancel] overwrites it
+   with the filler [create] was given. Only far-heap entries are cancelled
+   lazily: they stay in the heap, marked, and are dropped when they
+   surface, so re-arming one takes a fresh entry.
 
-   Determinism: entries carry a global sequence number and every comparison
-   (within a slot, across levels, and against the far heap) is on
-   [(time, seq)], so pop order is exactly that of the plain binary heap. *)
+   Determinism: entries carry a global sequence number, drawn afresh at
+   every arm, and every comparison (within a slot, across levels, and
+   against the far heap) is on [(time, seq)], so pop order is exactly that
+   of the plain binary heap. *)
 
 let bits = 5
 let slots_per_level = 1 lsl bits
 let levels = 6
 let mask = slots_per_level - 1
 
-(* cancels a level absorbs beyond its live count before [cancel] compacts it *)
-let dead_slack = 64
+(* An entry's place, packed under its seq in [key]: a wheel level
+   [0 .. levels - 1] (the due queue counts as level 0), live in the far
+   heap, cancelled but still in the far heap, or on no list *)
+let place_bits = 4
+let place_mask = (1 lsl place_bits) - 1
+let in_far = levels
+let dead_in_far = levels + 1
+let unlinked = levels + 2
 
-(* the handle is the entry itself: one allocation per push. [Nil] ends a
-   list and stands for "no entry" wherever an option would allocate. *)
+(* the handle is the entry itself: one allocation per push, none per
+   re-arm. [Nil] ends a list and stands for "no entry" wherever an option
+   would allocate. *)
 type 'a node =
   | Nil
   | Entry of {
-      time : Time.t;
-      seq : int;
+      mutable time : Time.t;
+      mutable key : int;  (* [seq lsl place_bits lor place]: orders like the seq *)
       mutable value : 'a;  (* the filler once cancelled *)
-      mutable level : int;
-          (* 0..levels-1 = wheel level, [levels] = far heap, -1 = dead *)
-      mutable next : 'a node;  (* link in the slot or due list holding it *)
+      mutable prev : 'a node;  (* links in the slot or due list holding it *)
+      mutable next : 'a node;
     }
 
 type 'a handle = 'a node
@@ -81,10 +83,9 @@ type 'a t = {
          placement, keeping [create] cheap (an engine is created per
          simulation, and most only ever touch one or two levels) *)
   empty : 'a node array;
-  counts : int array;  (* live entries per level, to skip empty levels *)
-  dead : int array;  (* cancels per level since it was last compacted or emptied *)
+  counts : int array;  (* entries per level, the due queue's in level 0's *)
   filler : 'a;  (* what a cancelled entry's payload is overwritten with *)
-  cands : 'a node array;  (* per-level memo: the level's min live entry; Nil = stale *)
+  cands : 'a node array;  (* per-level memo: the level's min entry; Nil = stale *)
   mutable due : 'a node;  (* current-microsecond drain, ascending seq; head = next pop *)
   mutable due_last : 'a node;  (* last entry of [due]; Nil iff [due] is *)
   far : 'a node Heap.t;
@@ -99,7 +100,6 @@ let create filler =
     slots = Array.make levels empty;
     empty;
     counts = Array.make levels 0;
-    dead = Array.make levels 0;
     filler;
     cands = Array.make levels Nil;
     due = Nil;
@@ -110,10 +110,12 @@ let create filler =
 let is_empty t = t.alive = 0
 let size t = t.alive
 let pos t = t.pos
+let set_place n p = match n with Entry e -> e.key <- (e.key land lnot place_mask) lor p | Nil -> ()
+
 (* [(time, seq)] order; [Nil] sorts after every entry *)
 let entry_lt a b =
   match (a, b) with
-  | Entry a, Entry b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  | Entry a, Entry b -> a.time < b.time || (a.time = b.time && a.key < b.key)
   | Entry _, Nil -> true
   | Nil, _ -> false
 
@@ -124,12 +126,13 @@ let rec place t n l =
   | Nil -> ()
   | Entry e ->
     if l = levels then begin
-      e.level <- levels;
+      set_place n in_far;
+      e.prev <- Nil;
       e.next <- Nil;
       ignore (Heap.push t.far ~time:e.time n)
     end
     else if (e.time lsr (bits * l)) - (t.pos lsr (bits * l)) <= mask then begin
-      e.level <- l;
+      set_place n l;
       let row = t.slots.(l) in
       let row =
         if row != t.empty then row
@@ -140,7 +143,10 @@ let rec place t n l =
         end
       in
       let idx = slot_of e.time l in
-      e.next <- row.(idx);
+      let head = row.(idx) in
+      (match head with Entry h -> h.prev <- n | Nil -> ());
+      e.prev <- Nil;
+      e.next <- head;
       row.(idx) <- n;
       t.counts.(l) <- t.counts.(l) + 1;
       (* a valid memo only improves: [n] smaller means [n] is the new min;
@@ -151,114 +157,99 @@ let rec place t n l =
     end
     else place t n (l + 1)
 
+(* link the unlinked entry [n], its time already clamped, under the next seq *)
+let arm t n =
+  match n with
+  | Nil -> ()
+  | Entry e -> (
+    e.key <- t.seq lsl place_bits;
+    t.seq <- t.seq + 1;
+    t.alive <- t.alive + 1;
+    match t.due_last with
+    | Entry last when e.time = t.pos ->
+      (* same-instant push while the current microsecond drains: this
+         entry's seq is the largest yet, so it pops after everything
+         queued (at level 0, as its key already says) *)
+      last.next <- n;
+      e.prev <- t.due_last;
+      t.due_last <- n;
+      t.counts.(0) <- t.counts.(0) + 1
+    | _ -> place t n 0)
+
 let push t ~time value =
   let time = if time < t.pos then t.pos else time in
-  let n = Entry { time; seq = t.seq; value; level = 0; next = Nil } in
-  t.seq <- t.seq + 1;
-  t.alive <- t.alive + 1;
-  (match t.due_last with
-  | Entry last when time = t.pos ->
-    (* same-instant push while the current microsecond drains: this entry's
-       seq is the largest yet, so it pops after everything queued. Due
-       entries stay accounted to level 0 (drain/cancel decrement there). *)
-    last.next <- n;
-    t.due_last <- n;
-    t.counts.(0) <- t.counts.(0) + 1
-  | _ -> place t n 0);
+  let n = Entry { time; key = 0; value; prev = Nil; next = Nil } in
+  arm t n;
   n
+
+(* take the linked entry [n] off its slot or due list *)
+let unlink t n =
+  match n with
+  | Nil -> ()
+  | Entry e ->
+    let l = e.key land place_mask in
+    (match e.prev with
+    | Entry p -> p.next <- e.next
+    | Nil -> if t.due == n then t.due <- e.next else t.slots.(l).(slot_of e.time l) <- e.next);
+    (match e.next with Entry x -> x.prev <- e.prev | Nil -> if t.due_last == n then t.due_last <- e.prev);
+    e.prev <- Nil;
+    e.next <- Nil;
+    set_place n unlinked;
+    t.alive <- t.alive - 1;
+    t.counts.(l) <- t.counts.(l) - 1;
+    if t.cands.(l) == n then t.cands.(l) <- Nil
+
+let cancel t h =
+  match h with
+  | Entry e ->
+    let p = e.key land place_mask in
+    if p < levels then begin
+      unlink t h;
+      e.value <- t.filler
+    end
+    else if p = in_far then begin
+      (* it stays in the heap until it surfaces ([far_top]) *)
+      set_place h dead_in_far;
+      e.value <- t.filler;
+      t.alive <- t.alive - 1
+    end
+  | Nil -> ()
+
+let rearm t h ~time value =
+  cancel t h;
+  match h with
+  | Entry e when e.key land place_mask = unlinked ->
+    e.time <- (if time < t.pos then t.pos else time);
+    e.value <- value;
+    arm t h;
+    h
+  | _ -> push t ~time value
 
 (* the far heap's earliest live entry, dropping cancelled ones as they
    surface; Nil if none *)
 let rec far_top t =
   match Heap.peek_or t.far ~default:Nil with
-  | Entry e when e.level < 0 ->
+  | Entry e as n when e.key land place_mask = dead_in_far ->
     ignore (Heap.take_or t.far ~default:Nil);
+    set_place n unlinked;
     far_top t
   | n -> n
-
-(* skip dead entries at the front of [n], clearing their links *)
-let rec live_prefix n =
-  match n with
-  | Entry e when e.level < 0 ->
-    let nx = e.next in
-    e.next <- Nil;
-    live_prefix nx
-  | _ -> n
-
-(* unlink every dead entry after the live entry [n] *)
-let rec unlink_dead n =
-  match n with
-  | Nil -> ()
-  | Entry e ->
-    let nx = e.next in
-    let live_nx = live_prefix nx in
-    if live_nx != nx then e.next <- live_nx;
-    unlink_dead live_nx
-
-(* list [n] with its dead entries unlinked: its first live entry, or Nil *)
-let compact n =
-  let head = live_prefix n in
-  unlink_dead head;
-  head
-
-(* unlink every dead entry of level [l]; live entries and the level's
-   memo are untouched *)
-let compact_level t l =
-  let row = t.slots.(l) in
-  for i = 0 to mask do
-    let es = row.(i) in
-    let head = compact es in
-    if head != es then row.(i) <- head
-  done;
-  t.dead.(l) <- 0
-
-let cancel t h =
-  match h with
-  | Entry e when e.level >= 0 ->
-    let l = e.level in
-    e.level <- -1;
-    e.value <- t.filler;
-    t.alive <- t.alive - 1;
-    (* a far entry stays in the heap until it surfaces ([far_top]) *)
-    if l < levels then begin
-      t.counts.(l) <- t.counts.(l) - 1;
-      if t.counts.(l) = 0 then begin
-        (* a level with no live entries can shed its dead ones eagerly *)
-        Array.fill t.slots.(l) 0 slots_per_level Nil;
-        t.dead.(l) <- 0;
-        t.cands.(l) <- Nil
-      end
-      else begin
-        if t.cands.(l) == h then t.cands.(l) <- Nil;
-        t.dead.(l) <- t.dead.(l) + 1;
-        if t.dead.(l) > t.counts.(l) + dead_slack then compact_level t l
-      end
-    end
-  | _ -> ()
 
 let rec slot_min best n =
   match n with Nil -> best | Entry e -> slot_min (if entry_lt n best then n else best) e.next
 
-(* min of the first slot with a live entry, in tick order from slot [c + d].
-   Each slot scanned is compacted: a slot is rescanned every time its
-   level's memo goes stale, and would otherwise walk the cancelled
-   timeouts it collects over and over. Only called when the level has at
-   least one live entry, so it always finds one. *)
+(* min of the first non-empty slot in tick order from slot [c + d]. Only
+   called when the level has an entry, so it always finds one. *)
 let rec scan_row row c d =
   if d > mask then Nil
-  else begin
-    let idx = (c + d) land mask in
-    let es = row.(idx) in
-    let head = compact es in
-    if head != es then row.(idx) <- head;
-    match head with Nil -> scan_row row c (d + 1) | _ -> slot_min Nil head
-  end
+  else match row.((c + d) land mask) with Nil -> scan_row row c (d + 1) | head -> slot_min Nil head
 
 let level_candidate t l = scan_row t.slots.(l) ((t.pos lsr (bits * l)) land mask) 0
 
 (* level of the minimum slot entry, or -1 if all levels are empty; tracks
    the running best as a plain int (the memo array holds the entries),
-   refreshing stale memos as it goes *)
+   refreshing stale memos as it goes. Only called with the due queue
+   empty, so level 0's count is its slots'. *)
 let rec best_slot_level t l bl =
   if l >= levels then bl
   else begin
@@ -267,26 +258,14 @@ let rec best_slot_level t l bl =
       else begin
         (match t.cands.(l) with Nil -> t.cands.(l) <- level_candidate t l | Entry _ -> ());
         match t.cands.(l) with
-        | Nil -> bl (* unreachable: the level has live entries *)
+        | Nil -> bl (* unreachable: the level has entries *)
         | c -> if bl < 0 || entry_lt c t.cands.(bl) then l else bl
       end
     in
     best_slot_level t (l + 1) bl
   end
 
-(* drop dead (cancelled) entries from the front of the due queue;
-   afterwards [t.due] is Nil or starts with a live entry *)
-let rec settle_due t =
-  match t.due with
-  | Entry e when e.level < 0 ->
-    t.due <- e.next;
-    e.next <- Nil;
-    (match t.due with Nil -> t.due_last <- Nil | Entry _ -> ());
-    settle_due t
-  | _ -> ()
-
 let next_time_or t ~default =
-  settle_due t;
   match t.due with
   | Entry e -> e.time
   | Nil -> (
@@ -299,7 +278,6 @@ let next_time_or t ~default =
 (* ---- in-place list surgery for the due queue; nothing here allocates ---- *)
 
 let rec length acc = function Nil -> acc | Entry e -> length (acc + 1) e.next
-let rec last_of n = match n with Entry { next = Entry _ as nx; _ } -> last_of nx | _ -> n
 let set_next n x = match n with Entry e -> e.next <- x | Nil -> ()
 
 (* append the seq-merge of [a] and [b] after [tail] *)
@@ -307,7 +285,7 @@ let rec merge_after tail a b =
   match (a, b) with
   | Nil, rest | rest, Nil -> set_next tail rest
   | Entry ea, Entry eb ->
-    if ea.seq < eb.seq then begin
+    if ea.key < eb.key then begin
       set_next tail a;
       merge_after a ea.next b
     end
@@ -320,7 +298,7 @@ let merge a b =
   match (a, b) with
   | Nil, rest | rest, Nil -> rest
   | Entry ea, Entry eb ->
-    if ea.seq < eb.seq then begin
+    if ea.key < eb.key then begin
       merge_after a ea.next b;
       a
     end
@@ -341,7 +319,7 @@ let rec cut n k =
     end
     else cut e.next (k - 1)
 
-(* merge sort on seq of a [len]-entry list *)
+(* merge sort on seq of a [len]-entry list, following [next] only *)
 let rec sort_seq n len =
   if len <= 1 then n
   else begin
@@ -350,62 +328,47 @@ let rec sort_seq n len =
     merge (sort_seq n half) (sort_seq rest (len - half))
   end
 
+(* point each [prev] of list [n] back along it; returns the last entry *)
+let rec link_back prev n = match n with Nil -> prev | Entry e -> e.prev <- prev; link_back n e.next
+
 (* hand the current microsecond's entries (all sharing the popped time) to
    the due queue in seq order. Slots mix pushes (prepended, so newest
    first) with cascaded entries, but rarely hold more than the popped
    entry, so a plain sort is enough. The queue is empty here: [take] only
    reaches the slot scan once it is. *)
 let activate_due t es =
-  let es = compact es in
   let es = sort_seq es (length 0 es) in
   t.due <- es;
-  t.due_last <- last_of es
+  t.due_last <- link_back Nil es
 
 (* bookkeeping for removing entry [n]; callers then read its time/value *)
-
-let drain_due t n =
-  match n with
-  | Nil -> ()
-  | Entry e ->
-    t.due <- e.next;
-    (match e.next with Nil -> t.due_last <- Nil | Entry _ -> ());
-    e.next <- Nil;
-    e.level <- -1;
-    t.alive <- t.alive - 1;
-    t.counts.(0) <- t.counts.(0) - 1;
-    t.pos <- e.time
 
 let drain_far t n =
   match n with
   | Nil -> ()
   | Entry e ->
     ignore (Heap.take_or t.far ~default:Nil);
-    e.level <- -1;
+    set_place n unlinked;
     t.alive <- t.alive - 1;
     t.pos <- e.time
 
-(* cascade: the live siblings share the popped entry's level-[l] tick,
-   which is now the current one, so each re-places at a strictly lower
-   level; [place] keeps the destination levels' memos consistent *)
+(* cascade: the siblings share the popped entry's level-[l] tick, which is
+   now the current one, so each re-places at a strictly lower level;
+   [place] keeps the destination levels' memos consistent *)
 let rec cascade t l n =
   match n with
   | Nil -> ()
   | Entry x ->
     let nx = x.next in
-    if x.level >= 0 then begin
-      t.counts.(l) <- t.counts.(l) - 1;
-      place t n 0
-    end
-    else x.next <- Nil;
+    t.counts.(l) <- t.counts.(l) - 1;
+    place t n 0;
     cascade t l nx
 
 let drain_slot t n l =
   match n with
   | Nil -> ()
   | Entry e ->
-    e.level <- -1;
-    t.alive <- t.alive - 1;
-    t.counts.(l) <- t.counts.(l) - 1;
+    unlink t n;
     t.pos <- e.time;
     t.cands.(l) <- Nil;
     let idx = slot_of e.time l in
@@ -428,31 +391,32 @@ let take_scan t =
     drain_far t f;
     f
 
-(* remove and return the earliest live entry, or Nil *)
+(* remove and return the earliest entry, or Nil *)
 let take t =
-  settle_due t;
   match t.due with
-  | Entry _ as n ->
-    drain_due t n;
+  | Entry e as n ->
+    unlink t n;
+    t.pos <- e.time;
     n
   | Nil -> take_scan t
 
 let pop t = match take t with Entry e -> Some (e.time, e.value) | Nil -> None
-let take_handle t = match take t with Nil -> invalid_arg "Wheel.take_handle: empty" | n -> n
+let take_handle t = take t
 let take_or t ~default = match take t with Entry e -> e.value | Nil -> default
-let seq = function Entry e -> e.seq | Nil -> invalid_arg "Wheel.seq"
+let seq = function Entry e -> e.key lsr place_bits | Nil -> invalid_arg "Wheel.seq"
 let value = function Entry e -> e.value | Nil -> invalid_arg "Wheel.value"
 let time = function Entry e -> e.time | Nil -> invalid_arg "Wheel.time"
 
-(* mark every entry of list [n] dead, release its payload and unlink it,
-   so cancelling a handle that survived a [clear] is a no-op *)
+(* take every entry of list [n] off it and release its payload, so a
+   handle that survived a [clear] cancels as a no-op and re-arms *)
 let rec kill t n =
   match n with
   | Nil -> ()
   | Entry e ->
     let nx = e.next in
-    e.level <- -1;
+    set_place n unlinked;
     e.value <- t.filler;
+    e.prev <- Nil;
     e.next <- Nil;
     kill t nx
 
@@ -477,7 +441,6 @@ let clear t =
   kill t t.due;
   kill_far t;
   Array.fill t.counts 0 levels 0;
-  Array.fill t.dead 0 levels 0;
   Array.fill t.cands 0 levels Nil;
   t.seq <- 0;
   t.alive <- 0;

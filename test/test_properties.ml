@@ -320,7 +320,20 @@ let test_hist_quantile_monotone =
    handles, which a burst followed by a removal has just put on the due
    queue, so cancels land mid-drain, and a [Push 0] after a removal is a
    push at [pos] while the due queue drains. [Clear] empties both (the
-   heap by popping), after which old handles cancel as no-ops. *)
+   heap by popping), after which old handles cancel as no-ops. [Rearm]
+   and [Cancel_owned] work a small pool of owned handles the way the
+   engine's timer owners do: [Rearm] re-links the pool's entry (pending,
+   fired, cancelled or cleared) where the heap cancels its old entry and
+   pushes a new one. *)
+
+let rearm_delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range 0 40);
+        (2, int_range 0 5_000);
+        (1, map (fun d -> d + (1 lsl 31)) (int_range 0 1000));
+      ])
 
 let wheel_ops_gen =
   QCheck.Gen.(
@@ -339,6 +352,8 @@ let wheel_ops_gen =
            (1, return `Clear);
            (2, map (fun k -> `Cancel k) (int_range 0 1_000_000));
            (2, map (fun k -> `Cancel_recent k) (int_range 0 5));
+           (3, map2 (fun k d -> `Rearm (k, d)) (int_range 0 3) rearm_delay_gen);
+           (1, map (fun k -> `Cancel_owned k) (int_range 0 3));
          ]))
 
 let test_wheel_matches_heap =
@@ -347,6 +362,7 @@ let test_wheel_matches_heap =
       let w = Sim.Wheel.create 0 in
       let h = Sim.Heap.create () in
       let handles = ref [||] and n_handles = ref 0 in
+      let owned_w = Array.make 4 Sim.Wheel.no_handle and owned_h = Array.make 4 None in
       let id = ref 0 in
       let ok = ref true in
       let push d =
@@ -370,6 +386,17 @@ let test_wheel_matches_heap =
           Sim.Wheel.cancel w wh;
           Sim.Heap.cancel h hh
         | None -> ()
+      in
+      let cancel_owned i =
+        Sim.Wheel.cancel w owned_w.(i);
+        Option.iter (Sim.Heap.cancel h) owned_h.(i)
+      in
+      let rearm i d =
+        let time = Sim.Wheel.pos w + d in
+        incr id;
+        Option.iter (Sim.Heap.cancel h) owned_h.(i);
+        owned_w.(i) <- Sim.Wheel.rearm w owned_w.(i) ~time !id;
+        owned_h.(i) <- Some (Sim.Heap.push h ~time !id)
       in
       let same got = function
         | Some (th, vh) -> ( match got with Some (tw, vw) -> tw = th && vw = vh | None -> false)
@@ -409,7 +436,9 @@ let test_wheel_matches_heap =
             done;
             ok := !ok && Sim.Wheel.is_empty w && Sim.Wheel.pos w = 0
           | `Cancel k -> if !n_handles > 0 then cancel (k mod !n_handles)
-          | `Cancel_recent k -> if k < !n_handles then cancel (!n_handles - 1 - k))
+          | `Cancel_recent k -> if k < !n_handles then cancel (!n_handles - 1 - k)
+          | `Rearm (i, d) -> rearm i d
+          | `Cancel_owned i -> cancel_owned i)
         ops;
       let rec drain () =
         ok := !ok && next_agrees ();
@@ -425,10 +454,10 @@ let test_wheel_matches_heap =
 
 (* Cancel-heavy timers, as the engine's client and handler timeouts are:
    thousands armed 1-5 s ahead, most cancelled long before they are due,
-   then pops interleaved with more pushes and cancels. Pop order must stay
-   the heap's. And the cancels must trip a level's compaction (more dead
-   entries than live ones plus the slack): before any pop or peek could
-   have unlinked a cancelled entry, some are already unreachable. *)
+   then pops interleaved with more pushes, cancels and re-arms of a pool
+   of owned entries (a coroutine's timeout, re-armed at every timed wait).
+   Pop order must stay the heap's. And a cancel unlinks at once: before
+   any pop or peek, every cancelled entry is already unreachable. *)
 let test_wheel_cancel_heavy =
   QCheck.Test.make ~name:"cancel-heavy wheel = heap, and compacts" ~count:20
     QCheck.(pair (int_range 2_000 4_000) (int_range 0 1_000_000))
@@ -437,7 +466,8 @@ let test_wheel_cancel_heavy =
       let w = Sim.Wheel.create 0 and h = Sim.Heap.create () in
       let cap = 2 * n in
       let whs = Array.make cap Sim.Wheel.no_handle and hhs = Array.make cap None in
-      let pushed = ref 0 in
+      let owned_w = Array.make 8 Sim.Wheel.no_handle and owned_h = Array.make 8 None in
+      let pushed = ref 0 and id = ref (cap + 1) in
       let push () =
         let i = !pushed in
         let time = Sim.Wheel.pos w + Sim.Rng.int_in rng 1_000_000 5_000_000 in
@@ -473,7 +503,14 @@ let test_wheel_cancel_heavy =
       for i = 0 to n - 1 do
         if hhs.(i) = None && not (Weak.check dead i) then incr unlinked
       done;
-      let ok = ref (!unlinked > 0) in
+      let ok = ref (!unlinked = n * 9 / 10) in
+      let rearm i =
+        let time = Sim.Wheel.pos w + Sim.Rng.int_in rng 1_000_000 5_000_000 in
+        incr id;
+        Option.iter (Sim.Heap.cancel h) owned_h.(i);
+        owned_w.(i) <- Sim.Wheel.rearm w owned_w.(i) ~time !id;
+        owned_h.(i) <- Some (Sim.Heap.push h ~time !id)
+      in
       let same got expect =
         match (got, expect) with
         | Some (tw, vw), Some (th, vh) -> tw = th && vw = vh
@@ -481,9 +518,10 @@ let test_wheel_cancel_heavy =
         | _ -> false
       in
       for _ = 1 to n do
-        match Sim.Rng.int rng 4 with
+        match Sim.Rng.int rng 5 with
         | 0 when !pushed < cap -> push ()
         | 1 -> cancel (Sim.Rng.int rng !pushed)
+        | 2 -> rearm (Sim.Rng.int rng (Array.length owned_w))
         | _ -> ok := !ok && same (Sim.Wheel.pop w) (Sim.Heap.pop h)
       done;
       let rec drain () =

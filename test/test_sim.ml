@@ -533,9 +533,34 @@ let test_alloc_dist_span () =
   let acc = ref 0 in
   check_words "Dist.sample_span" 0.0 (words_per 10_000 (fun _ -> acc := !acc + Dist.sample_span r d))
 
-(* A cancelled entry lets go of its payload at once, though the entry
-   stays linked in its far slot: a dead 5 s timeout no longer keeps its
-   thunk's closure (and all that closure holds) alive. *)
+(* re-arming the timer an owner keeps, as a station server, a network
+   link and a coroutine's timeout do, allocates nothing: not the entry,
+   nor, in explore mode, the tag's slot in the engine's bookkeeping *)
+let test_alloc_rearm () =
+  let rearm_words e tag =
+    let h = ref Engine.unarmed in
+    let rearm_step i =
+      h := Engine.reschedule e !h ~delay:(i mod 300) tag noop;
+      ignore (Engine.step e)
+    in
+    (* the first arm allocates the entry and grows the engine's arrays *)
+    rearm_step 0;
+    words_per 10_000 rearm_step
+  in
+  check_words "reschedule a fired timer + step" 0.0 (rearm_words (Engine.create ()) Engine.Anon);
+  let e = Engine.create () in
+  Engine.set_chooser e (fun _ _ -> 0);
+  check_words "the same in explore mode, tagged" 0.0 (rearm_words e (Engine.On_node 0));
+  let e = Engine.create () in
+  let h = ref (Engine.schedule e ~delay:10 noop) in
+  check_words "reschedule a cancelled timer" 0.0
+    (words_per 10_000 (fun i ->
+         Engine.cancel e !h;
+         h := Engine.reschedule e !h ~delay:(1 + (i mod 5_000)) Engine.Anon noop))
+
+(* A cancelled entry lets go of its payload at once: a dead 5 s timeout
+   no longer keeps its thunk's closure (and all that closure holds)
+   alive. *)
 let[@inline never] push_payload w weak =
   let payload = Bytes.create 64 in
   Weak.set weak 0 (Some payload);
@@ -552,6 +577,69 @@ let test_wheel_cancel_frees_payload () =
   check_bool "cancelled payload unreachable" true (Weak.get weak 0 = None);
   check_bool "the handle reads the filler" true (Wheel.value h == filler);
   check_int "the live sibling stays" 1 (Wheel.size w)
+
+(* an owned entry re-arms in place after it fired: the same handle, a
+   new seq, the new payload, and it pops again at its new time *)
+let test_wheel_rearm_after_fire () =
+  let w = Wheel.create "" in
+  let h = Wheel.push w ~time:10 "a" in
+  check_bool "popped" true (Wheel.take_handle w == h);
+  let h' = Wheel.rearm w h ~time:25 "b" in
+  check_bool "same entry" true (h' == h);
+  check_int "next seq" 1 (Wheel.seq h);
+  check_int "armed" 1 (Wheel.size w);
+  check_bool "pops again" true (Wheel.pop w = Some (25, "b"));
+  check_bool "then empty" true (Wheel.is_empty w)
+
+(* a cancel unlinks its entry at once: dropped by its holder, it is
+   garbage while its live sibling still shares its slot. Re-armed, a
+   cancelled entry takes the next seq, so it pops after a sibling it was
+   pushed before. *)
+let[@inline never] push_dropped w weak =
+  let h = Wheel.push w ~time:(Time.sec 2) "dropped" in
+  Weak.set weak 0 (Some h);
+  Wheel.cancel w h
+
+let test_wheel_rearm_after_cancel () =
+  let w = Wheel.create "" in
+  let weak = Weak.create 1 in
+  let h = Wheel.push w ~time:(Time.sec 2) "owned" in
+  push_dropped w weak;
+  ignore (Wheel.push w ~time:(Time.sec 2) "sibling");
+  Wheel.cancel w h;
+  Gc.full_major ();
+  check_bool "cancelled entry unlinked at once" true (Weak.get weak 0 = None);
+  check_int "only the sibling left" 1 (Wheel.size w);
+  check_bool "same entry" true (Wheel.rearm w h ~time:(Time.sec 2) "owned again" == h);
+  check_bool "sibling first" true (Wheel.pop w = Some (Time.sec 2, "sibling"));
+  check_bool "then the re-armed entry" true (Wheel.pop w = Some (Time.sec 2, "owned again"));
+  check_bool "then empty" true (Wheel.is_empty w)
+
+(* [clear] leaves every entry off its lists, so a handle taken before it
+   re-arms in place, under the restarted seqs *)
+let test_wheel_rearm_after_clear () =
+  let w = Wheel.create "" in
+  let h = Wheel.push w ~time:30 "a" in
+  ignore (Wheel.push w ~time:30 "b");
+  Wheel.clear w;
+  check_bool "same entry" true (Wheel.rearm w h ~time:5 "c" == h);
+  check_int "seqs restart" 0 (Wheel.seq h);
+  check_bool "pops" true (Wheel.pop w = Some (5, "c"));
+  check_bool "then empty" true (Wheel.is_empty w)
+
+(* a cancelled far-heap entry stays in the heap until it surfaces, so
+   re-arming it takes a fresh entry; the old one never pops *)
+let test_wheel_rearm_far () =
+  let w = Wheel.create "" in
+  let far = Time.sec 3_600 in
+  let h = Wheel.push w ~time:far "far" in
+  Wheel.cancel w h;
+  let h' = Wheel.rearm w h ~time:far "fresh" in
+  check_bool "a fresh entry" true (h' != h);
+  check_bool "the old one reads the filler" true (Wheel.value h = "");
+  check_int "one armed" 1 (Wheel.size w);
+  check_bool "only the fresh one pops" true (Wheel.pop w = Some (far, "fresh"));
+  check_bool "then empty" true (Wheel.pop w = None)
 
 let suite =
   [
@@ -587,7 +675,14 @@ let suite =
         QCheck_alcotest.to_alcotest test_hist_quantile_within_one_bucket;
       ] );
     ( "sim.wheel",
-      [ Alcotest.test_case "cancel frees the payload" `Quick test_wheel_cancel_frees_payload ] );
+      [
+        Alcotest.test_case "cancel frees the payload" `Quick test_wheel_cancel_frees_payload;
+        Alcotest.test_case "re-arm after fire" `Quick test_wheel_rearm_after_fire;
+        Alcotest.test_case "re-arm after cancel unlinks at once" `Quick
+          test_wheel_rearm_after_cancel;
+        Alcotest.test_case "re-arm after clear" `Quick test_wheel_rearm_after_clear;
+        Alcotest.test_case "re-arm a cancelled far entry" `Quick test_wheel_rearm_far;
+      ] );
     ( "sim.heap",
       [
         Alcotest.test_case "ordering" `Quick test_heap_ordering;
@@ -615,5 +710,6 @@ let suite =
         Alcotest.test_case "wheel push, next_time_or, take_or" `Quick test_alloc_wheel;
         Alcotest.test_case "rng draws" `Quick test_alloc_rng;
         Alcotest.test_case "dist span draw" `Quick test_alloc_dist_span;
+        Alcotest.test_case "re-arming an owned timer allocates nothing" `Quick test_alloc_rearm;
       ] );
   ]
