@@ -69,7 +69,7 @@ let make_base rpc node ~peers ~leader_id ~cfg =
     last_applied = 0;
     match_index = Hashtbl.create 8;
     pending_q = Queue.create ();
-    by_index = Hashtbl.create 256;
+    by_index = Hashtbl.create 16;
     work_cv = Depfast.Condvar.create ~label:"work" ();
     commit_cv = Depfast.Condvar.create ~label:"commit" ();
     append_mu = Depfast.Mutex.create ~label:"append" ();

@@ -42,7 +42,6 @@ type run = {
 
 let footprint = function
   | Engine.Anon -> None
-  | Engine.Coro (_, n) -> if n < 0 then None else Some n
   | Engine.On_node n -> Some n
   | Engine.Link (_, d) -> Some d
 

@@ -34,7 +34,7 @@ let create sched ?latency () =
   {
     sched;
     net = Net.create sched ?latency ();
-    book = { calls = Hashtbl.create 256; outstanding = Hashtbl.create 16 };
+    book = { calls = Hashtbl.create 16; outstanding = Hashtbl.create 16 };
     handlers = Hashtbl.create 16;
     next_id = 0;
     discard_stragglers = true;
@@ -117,9 +117,14 @@ let call t ~src ~dst ?bytes body =
   Net.send t.net ~units:bytes ~src:src_id ~dst (Req { id; body });
   c
 
+let id c = c.id
 let event c = c.ev
 let response c = c.resp
 let abandon c = Depfast.Event.abandon c.ev
+
+(* a finished call has left [calls] *)
+let abandon_id t id =
+  match Hashtbl.find t.book.calls id with c -> abandon c | exception Not_found -> ()
 
 let broadcast t ~src ~dsts ~arity ?bytes ?(label = "broadcast") body =
   let q = Depfast.Event.quorum ~label arity in

@@ -40,12 +40,20 @@ val call :
   ('req, 'resp) t -> src:Node.t -> dst:int -> ?bytes:int -> 'req -> 'resp call
 (** Send a request. [bytes] overrides the per-call request buffer charge. *)
 
+val id : 'resp call -> int
+(** The call's id, unique within its rpc. *)
+
 val event : 'resp call -> Depfast.Event.t
 val response : 'resp call -> 'resp option
 
 val abandon : 'resp call -> unit
 (** Give up on the call: its buffer is freed and the rpc forgets it, so
     a late response is dropped and counted by {!discarded_responses}. *)
+
+val abandon_id : ('req, 'resp) t -> int -> unit
+(** {!abandon} the call with this {!id}, if it is not finished yet
+    (responded or abandoned); a no-op otherwise. A timer that holds the
+    id instead of the call keeps nothing of the call alive. *)
 
 val broadcast :
   ('req, 'resp) t ->

@@ -9,29 +9,35 @@ type arity = Count of int | Majority | All | Any
    registration allocates at most one cons and firing allocates nothing.
    The whole mutable lifecycle — the ready and abandoned bits, the
    ready-child count, and the attached-child count (the children array's
-   live prefix length) — packs into the single [state] word, and the kind
-   and peer node into the immutable [shape] word, keeping the record at
-   12 words with no option boxes. *)
-type t = {
-  id : int;
-  shape : int;  (* bits 0..2 = kind, bits 3.. = peer node + 1 (0 = none) *)
-  label : string;
+   live prefix length) — packs into the single [state] word, and the id,
+   kind and peer node into the immutable [key] word. What only compounds
+   use (arity, children, the peers cache) sits in a [kids] record that
+   basic events share ([no_kids]), keeping a basic event at 9 words with
+   no option boxes. *)
+type kids = {
   arity : arity;
+  mutable children : t array;  (* attachment order; live prefix only *)
+  mutable peers_cache : int list option;
+      (* transitive remote peers, dedup in DFS pre-order. Invariant: if a
+         compound's cache is [None], every ancestor's cache is [None] too
+         (computing a compound's peers caches its compound subtree), so
+         invalidation can stop at the first uncached ancestor. Basic
+         events cache nothing: their peers never change. *)
+}
+
+and t = {
+  key : int;  (* bits 0..2 = kind, bits 3..22 = peer node + 1 (0 = none), bits 23.. = id *)
+  label : string;
   mutable state : int;
       (* bit 0 = ready, bit 1 = abandoned,
          bits 2..31 = ready children, bits 32.. = attached children *)
-  mutable children : t array;  (* attachment order; live prefix only *)
+  kids : kids;  (* [no_kids] for basic events, never written through *)
   mutable parents : t list;
   mutable waiter : unit -> unit;
       (* the first fire observer, [no_waiter] when free; taken only while
          [fire_obs] is empty, so it always precedes the list *)
   mutable fire_obs : (unit -> unit) list;  (* reverse registration order *)
   mutable abandon_obs : (unit -> unit) list;
-  mutable peers_cache : int list option;
-      (* transitive remote peers, dedup in DFS pre-order. Invariant: if a
-         node's cache is [None], every ancestor's cache is [None] too
-         (computing a compound's peers caches the whole subtree), so
-         invalidation can stop at the first uncached ancestor. *)
 }
 
 let ready_bit = 1
@@ -41,77 +47,81 @@ let one_child = 1 lsl 32
 let n_children_of t = t.state lsr 32
 let n_ready_of t = (t.state lsr 2) land 0x3FFFFFFF
 
-(* [shape]'s kind codes follow the constructor order; compounds are 4.. *)
+(* [key]'s kind codes follow the constructor order; compounds are 4.. *)
 let kinds = [| Signal; Timer; Rpc; Disk; Quorum; And_; Or_ |]
 let code_of = function
   | Signal -> 0 | Timer -> 1 | Rpc -> 2 | Disk -> 3 | Quorum -> 4 | And_ -> 5 | Or_ -> 6
-let peer_of t = (t.shape lsr 3) - 1
+let peer_bits = 20
+let id_shift = 3 + peer_bits
+let peer_of t = ((t.key lsr 3) land ((1 lsl peer_bits) - 1)) - 1
 
 (* compared physically: the free slot's sentinel, never a real observer *)
 let no_waiter () = ()
 
+let no_kids = { arity = Any; children = [||]; peers_cache = None }
+
 let dummy =
   {
-    id = 0;
-    shape = 0;
+    key = 0;
     label = "";
-    arity = Any;
     state = ready_bit;
-    children = [||];
+    kids = no_kids;
     parents = [];
     waiter = no_waiter;
     fire_obs = [];
     abandon_obs = [];
-    peers_cache = None;
   }
 
 (* a lock-free counter, so id allocation stays domain-safe once engines
    run on separate OCaml 5 domains (ids start at 1; 0 is [dummy]) *)
 let next_id = Atomic.make 0
 
-let make_p label peer kind arity =
+let make_p label peer kind kids =
+  if peer < -1 || peer + 1 >= 1 lsl peer_bits then invalid_arg "Event: peer node out of range";
   {
-    id = Atomic.fetch_and_add next_id 1 + 1;
-    shape = ((peer + 1) lsl 3) lor code_of kind;
+    key =
+      ((Atomic.fetch_and_add next_id 1 + 1) lsl id_shift) lor ((peer + 1) lsl 3) lor code_of kind;
     label;
-    arity;
     state = 0;
-    children = [||];
+    kids;
     parents = [];
     waiter = no_waiter;
     fire_obs = [];
     abandon_obs = [];
-    peers_cache = None;
   }
 
-let make ?(label = "") kind arity = make_p label (-1) kind arity
-let id t = t.id
-let kind t = kinds.(t.shape land 7)
+let basic label peer kind = make_p label peer kind no_kids
+
+let compound label kind arity =
+  make_p label (-1) kind { arity; children = [||]; peers_cache = None }
+
+let id t = t.key lsr id_shift
+let kind t = kinds.(t.key land 7)
 let label t = t.label
-let signal ?label () = make ?label Signal Any
-let rpc_completion ?(label = "") ~peer () = make_p label peer Rpc Any
-let disk_completion ?(label = "") ~node () = make_p label node Disk Any
-let timer_kind ?label () = make ?label Timer Any
-let quorum ?label arity = make ?label Quorum arity
-let and_ ?label () = make ?label And_ All
-let or_ ?label () = make ?label Or_ Any
+let signal ?(label = "") () = basic label (-1) Signal
+let rpc_completion ?(label = "") ~peer () = basic label peer Rpc
+let disk_completion ?(label = "") ~node () = basic label node Disk
+let timer_kind ?(label = "") () = basic label (-1) Timer
+let quorum ?(label = "") arity = compound label Quorum arity
+let and_ ?(label = "") () = compound label And_ All
+let or_ ?(label = "") () = compound label Or_ Any
 let is_ready t = t.state land ready_bit <> 0
 let is_abandoned t = t.state land abandoned_bit <> 0
 let child_count t = n_children_of t
-let children t = List.init (n_children_of t) (fun i -> t.children.(i))
+let children t = List.init (n_children_of t) (fun i -> t.kids.children.(i))
 
 let iter_children t f =
   for i = 0 to n_children_of t - 1 do
-    f t.children.(i)
+    f t.kids.children.(i)
   done
 
 let ready_children t = n_ready_of t
-let is_compound t = t.shape land 7 >= 4
+let is_compound t = t.key land 7 >= 4
 
 let required t =
   if not (is_compound t) then 1
   else
-    match t.arity with
+    match t.kids.arity with
     | Count k -> k
     | Majority -> (n_children_of t / 2) + 1
     | All -> n_children_of t
@@ -160,25 +170,27 @@ let fire t =
    quorums plus a local WAL sibling) with a single allocation; the literal
    allocates inline where [Array.make] would be an out-of-line C call *)
 let push_child parent child =
+  let kids = parent.kids in
   let n = n_children_of parent in
-  let cap = Array.length parent.children in
+  let cap = Array.length kids.children in
   if n = cap then begin
     let bigger =
       if cap = 0 then [| dummy; dummy; dummy; dummy; dummy; dummy |]
       else Array.make (2 * cap) dummy
     in
-    Array.blit parent.children 0 bigger 0 n;
-    parent.children <- bigger
+    Array.blit kids.children 0 bigger 0 n;
+    kids.children <- bigger
   end;
-  parent.children.(n) <- child;
+  kids.children.(n) <- child;
   parent.state <- parent.state + one_child
 
-(* see the [peers_cache] invariant: stopping at an uncached node is safe *)
+(* see the [peers_cache] invariant: stopping at an uncached compound is
+   safe; every parent is a compound *)
 let rec invalidate_peers t =
-  match t.peers_cache with
+  match t.kids.peers_cache with
   | None -> ()
   | Some _ ->
-    t.peers_cache <- None;
+    t.kids.peers_cache <- None;
     List.iter invalidate_peers t.parents
 
 let add parent ~child =
@@ -220,7 +232,7 @@ let abandon t =
       (* abandoning a compound abandons children that no live parent still
          awaits *)
       for i = 0 to n_children_of t - 1 do
-        let child = t.children.(i) in
+        let child = t.kids.children.(i) in
         if not (List.exists (fun p -> p.state land live_mask = 0) child.parents) then
           go child
       done
@@ -236,25 +248,24 @@ let on_abandon t f =
 let rec mem_peer p = function [] -> false | q :: rest -> q = p || mem_peer p rest
 
 let rec peers t =
-  match t.peers_cache with
-  | Some l -> l
-  | None ->
-    let l =
-      if not (is_compound t) then (if peer_of t < 0 then [] else [ peer_of t ])
-      else begin
-        (* merge the children's (cached) peer lists, deduplicating by
-           first occurrence — identical to a DFS pre-order of the tree.
-           A compound has a handful of peers, so a scan of those gathered
-           so far beats building a table *)
-        let out = ref (if peer_of t >= 0 then [ peer_of t ] else []) in
-        for i = 0 to n_children_of t - 1 do
-          List.iter (fun p -> if not (mem_peer p !out) then out := p :: !out) (peers t.children.(i))
-        done;
-        List.rev !out
-      end
-    in
-    t.peers_cache <- Some l;
-    l
+  if not (is_compound t) then (if peer_of t < 0 then [] else [ peer_of t ])
+  else
+    match t.kids.peers_cache with
+    | Some l -> l
+    | None ->
+      (* merge the children's peer lists (cached for compounds),
+         deduplicating by first occurrence — identical to a DFS pre-order
+         of the tree. A compound has a handful of peers, so a scan of
+         those gathered so far beats building a table *)
+      let out = ref [] in
+      for i = 0 to n_children_of t - 1 do
+        List.iter
+          (fun p -> if not (mem_peer p !out) then out := p :: !out)
+          (peers t.kids.children.(i))
+      done;
+      let l = List.rev !out in
+      t.kids.peers_cache <- Some l;
+      l
 
 (* a-priori structural analysis: readiness is ignored, the question is
    whether the wait's shape gave node [p] the power to stall it. One
@@ -269,7 +280,7 @@ let rec can_stall e p =
     let stallable = ref 0 in
     let e_pending = e.state land ready_bit = 0 in
     for i = 0 to n_children_of e - 1 do
-      let c = e.children.(i) in
+      let c = e.kids.children.(i) in
       if (e_pending && c.state land live_mask = abandoned_bit) || can_stall c p then
         incr stallable
     done;

@@ -46,10 +46,12 @@ val signal : ?label:string -> unit -> t
 
 val rpc_completion : ?label:string -> peer:int -> unit -> t
 (** A basic event standing for "reply from node [peer] arrived". The peer is
-    recorded so traces can attribute the wait to a remote node. *)
+    recorded so traces can attribute the wait to a remote node.
+    @raise Invalid_argument unless [-1 <= peer < 2{^20} - 1] (-1: no peer). *)
 
 val disk_completion : ?label:string -> node:int -> unit -> t
-(** A basic event standing for "local disk I/O on [node] finished". *)
+(** A basic event standing for "local disk I/O on [node] finished".
+    @raise Invalid_argument unless [-1 <= node < 2{^20} - 1] (-1: no node). *)
 
 val timer_kind : ?label:string -> unit -> t
 (** A basic event fired by a timer. (Usually created via [Sched.timer].) *)
@@ -86,9 +88,10 @@ val required : t -> int
 
 val peers : t -> int list
 (** All remote nodes the event transitively depends on (deduplicated, DFS
-    pre-order). The result is cached on the event and invalidated when the
-    subtree gains children, so repeated calls are O(1); callers must not
-    mutate the returned list. *)
+    pre-order). A basic event's single peer is read from the event (one
+    cons per call). A compound's result is cached and invalidated when
+    its subtree gains children, so repeated calls are O(1); callers must
+    not mutate the returned list. *)
 
 val stallers : t -> int list
 (** Remote nodes that can {e single-handedly} prevent the event from firing:

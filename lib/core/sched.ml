@@ -18,9 +18,14 @@ type monitor = {
 type outcome = Ready | Timed_out
 
 (* A coroutine and its parking slot: it parks on at most one event, so the
-   tag, the resume thunk and the fire and timeout wakes are built at spawn,
+   resume thunk and the fire and timeout wakes are built with the context,
    every wait reuses the slot, and every timed wait re-arms the one timer
-   the coroutine owns (allocated at its first timed wait). The fire wake
+   the context owns (allocated at its first timed wait). A context whose
+   body returned goes back to its scheduler's pool, and a later [spawn]
+   restamps it (cid, node, name, tag, body), keeping its wakes and its
+   timer: the wakes guard against stale calls as below, so a reused
+   context's park ignores everything an earlier coroutine's parks left
+   behind. The fire wake
    parks in the event's waiter slot when that is free; a timeout drops it
    from there, so the slot never holds a stale wake. Otherwise a park
    registers a closure stamped with [park_gen], which counts ended parks:
@@ -29,14 +34,16 @@ type outcome = Ready | Timed_out
    is a no-op. The timeout wake acts only for the current arm of a park
    still timed ([park_span] is reset when a park ends), so the loser of
    fire vs timeout, or a timeout explore mode hoisted before the fire
-   re-parked the coroutine, is a no-op. The wakes close over the context,
-   so [spawn] sets them on the record it built: a [let rec] would
-   allocate the record twice. *)
+   re-parked the coroutine, is a no-op. [park_gen] is never reset, so
+   this holds across reuse too. The wakes close over the context, so
+   [take_ctx] sets them on the record it built: a [let rec] would allocate
+   the record twice. *)
 type ctx = {
-  cid : int;
-  node : int;
-  name : string;
-  tag : Engine.tag;
+  mutable cid : int;
+  mutable node : int;
+  mutable name : string;
+  mutable tag : Engine.tag;
+  mutable body : unit -> unit;  (* set by [spawn] until the body starts, else [no_body] *)
   mutable resume_ready : unit -> unit;
   mutable fire_wake : unit -> unit;
   mutable timeout_wake : unit -> unit;
@@ -55,6 +62,9 @@ type t = {
   mutable next_cid : int;
   mutable monitor : monitor option;
   mutable coro_handler : (unit, unit) Effect.Deep.handler;  (* built at the first spawn *)
+  mutable free : ctx array;  (* finished contexts, a stack: the live prefix *)
+  mutable n_free : int;
+  mutable node_tags : Engine.tag array;  (* [On_node n] at [n], built once each *)
 }
 
 type _ Effect.t +=
@@ -71,12 +81,15 @@ let no_k : (outcome, unit) Effect.Deep.continuation =
   Effect.Deep.match_with (fun () -> ignore (Effect.perform E_park)) () { retc = ignore; exnc = raise; effc };
   Option.get !got
 
-let make_ctx ~cid ~node ~name =
-  { cid; node; name; tag = Engine.Coro (cid, node); resume_ready = ignore; fire_wake = ignore;
-    timeout_wake = ignore; park_ev = Event.dummy; park_span = -1; park_start = Time.zero;
-    park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
+(* compared physically: a context with no body left to start *)
+let no_body () = ()
 
-let no_ctx = make_ctx ~cid:0 ~node:(-1) ~name:""
+let make_ctx () =
+  { cid = 0; node = -1; name = ""; tag = Engine.Anon; body = no_body; resume_ready = ignore;
+    fire_wake = ignore; timeout_wake = ignore; park_ev = Event.dummy; park_span = -1;
+    park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
+
+let no_ctx = make_ctx ()
 let no_handler : (unit, unit) Effect.Deep.handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let engine t = t.engine
@@ -109,10 +122,22 @@ let record_wait t ctx ~outcome =
       ~quorum_n:n ~t_start:ctx.park_start ~t_end:(now t)
       (match outcome with Ready -> Trace.Ready | Timed_out -> Trace.Timed_out)
 
+(* the context's posted wake: start the body [spawn] left, or resume the
+   park whose event fired *)
 let resume_ready t ctx =
-  (match t.monitor with Some m -> m.on_resume ~cid:ctx.cid | None -> ());
-  record_wait t ctx ~outcome:Ready;
-  resume t ctx ctx.park_k Ready
+  if ctx.body != no_body then begin
+    let f = ctx.body in
+    ctx.body <- no_body;
+    let saved = t.current in
+    t.current <- ctx;
+    Effect.Deep.match_with f () t.coro_handler;
+    t.current <- saved
+  end
+  else begin
+    (match t.monitor with Some m -> m.on_resume ~cid:ctx.cid | None -> ());
+    record_wait t ctx ~outcome:Ready;
+    resume t ctx ctx.park_k Ready
+  end
 
 (* the park's event fired: end the park and post the resume *)
 let fired t ctx =
@@ -164,12 +189,32 @@ let park t ctx k =
         Engine.reschedule t.engine ctx.park_timer ~delay:ctx.park_span ctx.tag ctx.timeout_wake
   end
 
+(* the pool holds at most the peak number of coroutines alive at once *)
+let grown_free t =
+  let bigger = Array.make (max 16 (2 * Array.length t.free)) no_ctx in
+  Array.blit t.free 0 bigger 0 t.n_free;
+  t.free <- bigger
+
+(* the body returned: let go of its last event and continuation, and pool
+   the context *)
+let release t ctx =
+  ctx.park_ev <- Event.dummy;
+  ctx.park_k <- no_k;
+  if t.n_free = Array.length t.free then grown_free t;
+  t.free.(t.n_free) <- ctx;
+  t.n_free <- t.n_free + 1
+
 (* one handler serves every coroutine of [t]: it runs while [current] is
-   the coroutine that performed the effect (or returned) *)
+   the coroutine that performed the effect (or returned). A body that
+   raises is not pooled *)
 let make_handler t : (unit, unit) Effect.Deep.handler =
   let on_park = Some (fun k -> park t t.current k) in
   {
-    retc = (fun () -> match t.monitor with Some m -> m.on_done ~cid:t.current.cid | None -> ());
+    retc =
+      (fun () ->
+        let ctx = t.current in
+        (match t.monitor with Some m -> m.on_done ~cid:ctx.cid | None -> ());
+        release t ctx);
     exnc = raise;
     effc =
       (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
@@ -185,25 +230,52 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
 
 let create ?trace engine =
   let trace_rec = match trace with Some tr -> tr | None -> Trace.create () in
-  { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None; coro_handler = no_handler }
+  { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None; coro_handler = no_handler;
+    free = [||]; n_free = 0; node_tags = [||] }
 
 let reset t =
   t.current <- no_ctx;
-  t.next_cid <- 0
+  t.next_cid <- 0;
+  Array.fill t.free 0 t.n_free no_ctx;
+  t.n_free <- 0
+
+(* a pooled context, or a fresh one with its three wakes *)
+let take_ctx t =
+  if t.n_free > 0 then begin
+    t.n_free <- t.n_free - 1;
+    let ctx = t.free.(t.n_free) in
+    t.free.(t.n_free) <- no_ctx;
+    ctx
+  end
+  else begin
+    let ctx = make_ctx () in
+    ctx.resume_ready <- (fun () -> resume_ready t ctx);
+    ctx.fire_wake <- (fun () -> fired t ctx);
+    ctx.timeout_wake <- (fun () -> timed_out t ctx);
+    ctx
+  end
+
+(* a coroutine's engine tag: its node's, shared by every coroutine there *)
+let tag_of t node =
+  if node < 0 then Engine.Anon
+  else begin
+    if node >= Array.length t.node_tags then
+      t.node_tags <-
+        Array.init (max (node + 1) (2 * Array.length t.node_tags)) (fun n -> Engine.On_node n);
+    t.node_tags.(node)
+  end
 
 let spawn t ?(node = -1) ?(name = "coroutine") f =
   if t.coro_handler == no_handler then t.coro_handler <- make_handler t;
   t.next_cid <- t.next_cid + 1;
-  let ctx = make_ctx ~cid:t.next_cid ~node ~name in
-  ctx.resume_ready <- (fun () -> resume_ready t ctx);
-  ctx.fire_wake <- (fun () -> fired t ctx);
-  ctx.timeout_wake <- (fun () -> timed_out t ctx);
+  let ctx = take_ctx t in
+  ctx.cid <- t.next_cid;
+  ctx.node <- node;
+  ctx.name <- name;
+  ctx.tag <- tag_of t node;
+  ctx.body <- f;
   (match t.monitor with Some m -> m.on_spawn ~cid:ctx.cid ~node ~name | None -> ());
-  Engine.post_tag t.engine ctx.tag (fun () ->
-      let saved = t.current in
-      t.current <- ctx;
-      Effect.Deep.match_with f () t.coro_handler;
-      t.current <- saved)
+  Engine.post_tag t.engine ctx.tag ctx.resume_ready
 
 let spawn_here t ?name f =
   let node = current_node t in

@@ -240,10 +240,13 @@ let send_append t fs =
       settle ();
       handle_append_resp t fs call);
   Depfast.Event.on_abandon (Cluster.Rpc.event call) (fun () -> settle ());
-  (* bound the wait for this response; late replies are discarded *)
+  (* bound the wait for this response; late replies are discarded. The
+     timer holds the call's id, not the call, so an answered call's event
+     and entries are garbage before the timer comes due *)
+  let rpc = t.rpc and id = Cluster.Rpc.id call in
   ignore
     (Engine.schedule (Depfast.Sched.engine t.sched) ~delay:t.cfg.Config.rpc_timeout
-       (fun () -> Cluster.Rpc.abandon call))
+       (fun () -> Cluster.Rpc.abandon_id rpc id))
 
 let sender_loop t fs epoch =
   let cfg = t.cfg in
@@ -855,7 +858,7 @@ let create rpc node ~peers ~cfg =
       last_contact = Time.zero;
       leader = None;
       pending_q = Queue.create ();
-      by_index = Hashtbl.create 256;
+      by_index = Hashtbl.create 16;
       followers = Hashtbl.create 8;
       work_cv = Depfast.Condvar.create ~label:"work" ();
       commit_cv = Depfast.Condvar.create ~label:"commit" ();

@@ -9,8 +9,7 @@ let unarmed = Wheel.no_handle
    pruner keys independence on the tags' footprints. *)
 type tag =
   | Anon  (* unknown provenance: conflicts with everything *)
-  | Coro of int * int  (* coroutine (cid, node); node -1 = untagged *)
-  | On_node of int  (* node-local housekeeping (disk, station, timers) *)
+  | On_node of int  (* work of a node: its coroutines, disk, station, timers *)
   | Link of int * int  (* delivery on the directed network link src -> dst *)
 
 type chooser = tag array -> int -> int

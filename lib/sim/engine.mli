@@ -32,8 +32,8 @@ val unarmed : timer
 type tag =
   | Anon  (** unknown provenance; the explorer treats it as conflicting
               with everything *)
-  | Coro of int * int  (** coroutine [(cid, node)]; node [-1] = untagged *)
-  | On_node of int  (** node-local housekeeping (disk, cpu, timers) *)
+  | On_node of int  (** work of node [n]: its coroutines and its
+                       housekeeping (disk, cpu, timers) *)
   | Link of int * int  (** delivery on the directed network link
                            [src -> dst] *)
 

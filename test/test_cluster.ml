@@ -118,7 +118,9 @@ let test_station_resubmit_from_completion () =
    bare station, and on the CPU of a node under memory pressure, whose
    jobs also take the memory's penalty (5.0 here: a closure returning a
    computed penalty boxed it, 2 more words per job). A fresh timer entry
-   per job cost 6 more words; each server now re-arms its own. *)
+   per job cost 6 more words; each server now re-arms its own. The event
+   is 11 words: 9 for a basic event (12 before its compound-only fields
+   were shared), 2 for its label's option box; the ceiling sits between. *)
 let check_station_alloc s st =
   let words_per n f =
     Gc.minor ();
@@ -143,7 +145,8 @@ let check_station_alloc s st =
   let per_job = words_per 1_000 job /. 3.0 in
   let event = words_per 3_000 (fun () -> ignore (Depfast.Event.signal ~label:name ())) in
   if Float.abs (per_job -. event) > 0.01 then
-    Alcotest.failf "submit + completion: %.2f words, expected %.2f (the event alone)" per_job event
+    Alcotest.failf "submit + completion: %.2f words, expected %.2f (the event alone)" per_job event;
+  if per_job > 12.5 then Alcotest.failf "submit + completion: %.2f words > ceiling 12.5" per_job
 
 let test_station_alloc () =
   let s = make_sched () in
@@ -416,6 +419,28 @@ let test_rpc_abandon_releases () =
       | Depfast.Sched.Ready -> Alcotest.fail "unexpected reply");
   Depfast.Sched.run s
 
+(* [abandon_id] abandons an unfinished call and leaves a finished one
+   (answered, or abandoned already) as it is *)
+let test_rpc_abandon_id () =
+  let s, rpc, a, b = rpc_pair () in
+  Cluster.Rpc.serve rpc ~node:b ~handler:(fun ~src:_ req -> Some req);
+  let answered = Cluster.Rpc.call rpc ~src:a ~dst:1 "x" in
+  Depfast.Sched.run s;
+  check_bool "answered" true (Depfast.Event.is_ready (Cluster.Rpc.event answered));
+  Cluster.Rpc.abandon_id rpc (Cluster.Rpc.id answered);
+  check_bool "an answered call is not abandoned" false
+    (Depfast.Event.is_abandoned (Cluster.Rpc.event answered));
+  Cluster.Node.crash b;
+  let pending = Cluster.Rpc.call rpc ~src:a ~dst:1 "y" in
+  check_bool "ids differ" true (Cluster.Rpc.id pending <> Cluster.Rpc.id answered);
+  Cluster.Rpc.abandon_id rpc (Cluster.Rpc.id pending);
+  check_bool "a pending call is abandoned" true
+    (Depfast.Event.is_abandoned (Cluster.Rpc.event pending));
+  check_int "its buffer released" 0 (Cluster.Rpc.outstanding_bytes rpc ~node:0);
+  Cluster.Rpc.abandon_id rpc (Cluster.Rpc.id pending);
+  Depfast.Sched.run s;
+  check_int "nothing discarded" 0 (Cluster.Rpc.discarded_responses rpc)
+
 (* An abandoned call leaves the rpc. Its request to a crashed node is
    dropped, so no reply ever comes to remove its entry: kept until a reply,
    the call record held its event and the event's observers for the rest
@@ -580,6 +605,7 @@ let suite =
         Alcotest.test_case "memory accounting" `Quick test_rpc_memory_accounting;
         Alcotest.test_case "abandon releases" `Quick test_rpc_abandon_releases;
         Alcotest.test_case "abandon forgets the call" `Quick test_rpc_abandon_forgets;
+        Alcotest.test_case "abandon by id spares finished calls" `Quick test_rpc_abandon_id;
         Alcotest.test_case "broadcast quorum + discard" `Quick test_rpc_broadcast_quorum_and_discard;
       ] );
     ( "cluster.fault",

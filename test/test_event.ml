@@ -190,6 +190,60 @@ let test_peers_nested_order () =
     (Event.peers root);
   Alcotest.(check (list int)) "a child's own order" [ 2; 3; 0; 1; 4 ] (Event.peers o)
 
+(* a basic event's peer lives in its key: it is never cached, never
+   changes when the event joins compounds, and must fit in 20 bits *)
+let test_peers_basic () =
+  let rpc = Event.rpc_completion ~peer:4 () and disk = Event.disk_completion ~node:2 () in
+  let top = (1 lsl 20) - 2 in
+  let far = Event.rpc_completion ~peer:top () in
+  Alcotest.(check (list int)) "rpc peer" [ 4 ] (Event.peers rpc);
+  Alcotest.(check (list int)) "disk node" [ 2 ] (Event.peers disk);
+  Alcotest.(check (list int)) "signal: none" [] (Event.peers (Event.signal ()));
+  Alcotest.(check (list int)) "timer: none" [] (Event.peers (Event.timer_kind ()));
+  Alcotest.(check (list int)) "the largest peer" [ top ] (Event.peers far);
+  check_bool "kinds kept" true
+    (Event.kind rpc = Event.Rpc && Event.kind disk = Event.Disk && Event.kind far = Event.Rpc);
+  check_int "ids are consecutive" (Event.id rpc + 1) (Event.id disk);
+  check_int "the id survives a large peer" (Event.id disk + 1) (Event.id far);
+  Alcotest.check_raises "peer too large" (Invalid_argument "Event: peer node out of range")
+    (fun () -> ignore (Event.rpc_completion ~peer:(top + 1) ()));
+  Alcotest.check_raises "negative peer" (Invalid_argument "Event: peer node out of range")
+    (fun () -> ignore (Event.disk_completion ~node:(-2) ()));
+  let q = Event.quorum Event.Majority in
+  Event.add q ~child:rpc;
+  Event.add q ~child:disk;
+  Alcotest.(check (list int)) "quorum peers" [ 4; 2 ] (Event.peers q);
+  Alcotest.(check (list int)) "a child's peers unchanged" [ 4 ] (Event.peers rpc);
+  Alcotest.(check (list int)) "stallers" [ 4 ] (Event.stallers rpc);
+  Alcotest.(check (list int)) "majority of two: both stall" [ 4; 2 ] (Event.stallers q)
+
+(* a compound's cached peers follow children added below it later *)
+let test_peers_nested_late_child () =
+  let rpc p = Event.rpc_completion ~peer:p () in
+  let inner = Event.quorum Event.Majority in
+  Event.add inner ~child:(rpc 1);
+  let outer = Event.and_ () in
+  Event.add outer ~child:inner;
+  Event.add outer ~child:(rpc 0);
+  Alcotest.(check (list int)) "before" [ 1; 0 ] (Event.peers outer);
+  Alcotest.(check (list int)) "inner alone" [ 1 ] (Event.peers inner);
+  Event.add inner ~child:(rpc 2);
+  Event.add inner ~child:(rpc 3);
+  Alcotest.(check (list int)) "after, through the inner quorum" [ 1; 2; 3; 0 ] (Event.peers outer);
+  Alcotest.(check (list int)) "the inner quorum tolerates one" [ 0 ] (Event.stallers outer)
+
+(* a basic event is 9 words: the header and 8 fields, what only
+   compounds use being shared by every basic event *)
+let test_signal_words () =
+  let n = 1_000 in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Event.signal ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if Float.abs (words -. 9.0) > 0.01 then Alcotest.failf "Event.signal: %.2f words, expected 9" words
+
 let test_stallers_basic () =
   let rpc = Event.rpc_completion ~peer:7 () in
   Alcotest.(check (list int)) "basic rpc staller" [ 7 ] (Event.stallers rpc);
@@ -355,6 +409,9 @@ let suite =
         Alcotest.test_case "add to basic rejected" `Quick test_add_to_basic_rejected;
         Alcotest.test_case "peers deduplicated" `Quick test_peers;
         Alcotest.test_case "nested peers keep DFS order" `Quick test_peers_nested_order;
+        Alcotest.test_case "basic peers come from the key" `Quick test_peers_basic;
+        Alcotest.test_case "nested peers follow late children" `Quick test_peers_nested_late_child;
+        Alcotest.test_case "a signal is 9 words" `Quick test_signal_words;
         Alcotest.test_case "children keep attachment order" `Quick test_children_order;
         Alcotest.test_case "observers keep registration order" `Quick test_observer_order;
       ] );

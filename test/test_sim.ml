@@ -473,6 +473,26 @@ let test_engine_chooser_adopts_ring () =
   Alcotest.(check (list int)) "choice sets shrink by one" (List.init 34 (fun i -> 35 - i))
     (List.rev !sizes)
 
+(* a coroutine's work carries its node's tag ([Anon] for no node), one
+   tag value shared by every coroutine of the node *)
+let test_engine_coroutine_tags () =
+  let e = Engine.create () in
+  let sets = ref [] in
+  Engine.set_chooser e (fun tags n ->
+      sets := (Array.sub tags 0 n, n > 1 && tags.(0) == tags.(1)) :: !sets;
+      0);
+  let s = Depfast.Sched.create e in
+  Depfast.Sched.spawn s ~node:3 ignore;
+  Depfast.Sched.spawn s ~node:3 ignore;
+  Depfast.Sched.spawn s ignore;
+  Engine.run e;
+  match List.rev !sets with
+  | (tags, shared) :: _ ->
+    check_bool "node 3, node 3, no node" true
+      (tags = [| Engine.On_node 3; Engine.On_node 3; Engine.Anon |]);
+    check_bool "one tag per node" true shared
+  | [] -> Alcotest.fail "no choice point"
+
 (* ------------------------------------------------------------------ *)
 (* Allocation pins: exact minor words of the engine's hot containers *)
 
@@ -702,6 +722,7 @@ let suite =
         Alcotest.test_case "ready ring FIFO across growth" `Quick test_engine_ring_fifo_growth;
         Alcotest.test_case "set_chooser adopts posted work in order" `Quick
           test_engine_chooser_adopts_ring;
+        Alcotest.test_case "coroutines carry their node's tag" `Quick test_engine_coroutine_tags;
         Alcotest.test_case "reset is fresh" `Quick test_engine_reset_is_fresh;
       ] );
     ( "sim.alloc",
