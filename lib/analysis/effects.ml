@@ -54,14 +54,56 @@ let rhs_heads =
     ("Stdlib.ref", Ref);
   ]
 
-(* Every [mutable] field declaration in the tree. Same-named fields
-   merge across types (the growth pass's canonicalization); the cell's
-   site is the lexicographically least (file, line) declaration. *)
+(* The labels of the braces opened at [a.(o)]: each identifier that
+   starts a field at the braces' own depth (after the [{], a [;] or a
+   [with], past a [mutable] and a module path) and that [=], [;], [:] or
+   [}] follows. The labels of a literal or of a record type alike; the
+   identifiers in field values and types are not *)
+let brace_labels (a : Lexer.token array) o =
+  let e = Array.length a in
+  let depth = ref 0 and k = ref (o + 1) and labels = ref [] in
+  let field_start = ref true in
+  while !depth >= 0 && !k < e do
+    let t = a.(!k).Lexer.text in
+    (if !depth = 0 && !field_start && Lexer.is_ident t && t <> "mutable" then begin
+       let l = ref !k in
+       while !l + 2 < e && a.(!l + 1).Lexer.text = "." && Lexer.is_ident a.(!l + 2).Lexer.text do
+         l := !l + 2
+       done;
+       if !l + 1 < e && List.mem a.(!l + 1).Lexer.text [ "="; ";"; ":"; "}" ] then
+         labels := a.(!l).Lexer.text :: !labels
+     end);
+    (match t with
+    | "(" | "[" | "{" | "begin" -> incr depth
+    | ")" | "]" | "}" | "end" -> decr depth
+    | _ -> ());
+    field_start := !depth = 0 && (t = ";" || t = "with" || (!field_start && t = "mutable"));
+    incr k
+  done;
+  List.sort_uniq compare !labels
+
+(* the [{] that opens the braces around [a.(i)], or -1 *)
+let enclosing_brace (a : Lexer.token array) i =
+  let depth = ref 0 and k = ref (i - 1) and found = ref (-1) in
+  while !found < 0 && !k >= 0 do
+    (match a.(!k).Lexer.text with
+    | "}" -> incr depth
+    | "{" -> if !depth = 0 then found := !k else decr depth
+    | _ -> ());
+    decr k
+  done;
+  !found
+
+(* Every [mutable] field declaration in the tree, and the label set of
+   every record type that declares one. Same-named fields merge across
+   types (the growth pass's canonicalization); the cell's site is the
+   lexicographically least (file, line) declaration. *)
 let field_inventory files =
-  let fields = Hashtbl.create 64 in
+  let fields = Hashtbl.create 64 and records = ref [] in
   List.iter
     (fun (fc : Growth.file_ctx) ->
       let a = fc.Growth.fc_toks in
+      let last = ref (-1) in
       Array.iteri
         (fun i (tok : Lexer.token) ->
           if
@@ -69,6 +111,12 @@ let field_inventory files =
             && i + 1 < Array.length a
             && Lexer.is_ident a.(i + 1).Lexer.text
           then begin
+            (* the record type's labels, at its first [mutable] *)
+            let o = enclosing_brace a i in
+            if o >= 0 && o <> !last then begin
+              last := o;
+              records := brace_labels a o :: !records
+            end;
             let cellname = "." ^ a.(i + 1).Lexer.text in
             let site = (fc.Growth.fc_path, a.(i + 1).Lexer.line) in
             match Hashtbl.find_opt fields cellname with
@@ -77,14 +125,14 @@ let field_inventory files =
           end)
         a)
     files;
-  fields
+  (fields, !records)
 
 (* Top-level value bindings whose right-hand side allocates mutable
    state: [let x = ref 0], [let q = Queue.create ()], [let d = { ... }]
-   with a mutable label, through an optional [: ty] annotation (the
-   first [=] at paren depth 0) and a [lazy] wrapper. Function
-   definitions (parameters before the [=]) are not cells. *)
-let global_inventory files fields =
+   of a record type with a mutable field, through an optional [: ty]
+   annotation (the first [=] at paren depth 0) and a [lazy] wrapper.
+   Function definitions (parameters before the [=]) are not cells. *)
+let global_inventory files (fields, records) =
   let cells = Hashtbl.create 64 in
   List.iter
     (fun (fc : Growth.file_ctx) ->
@@ -122,28 +170,19 @@ let global_inventory files fields =
                   let t = a.(r).Lexer.text in
                   if t = "ref" then Some Ref
                   else if t = "{" then begin
-                    (* record literal: mutable iff a label inside the
-                       braces is a known mutable field *)
-                    let depth = ref 0 and k = ref r and close = ref (-1) in
-                    while !close < 0 && !k < e do
-                      (match a.(!k).Lexer.text with
-                      | "{" -> incr depth
-                      | "}" ->
-                        decr depth;
-                        if !depth = 0 then close := !k
-                      | _ -> ());
-                      incr k
-                    done;
-                    let close = if !close >= 0 then !close else e in
-                    let m = ref false in
-                    for k = r + 1 to close - 1 do
-                      if
-                        (not !m)
-                        && Lexer.is_ident a.(k).Lexer.text
-                        && Hashtbl.mem fields ("." ^ a.(k).Lexer.text)
-                      then m := true
-                    done;
-                    if !m then Some Record else None
+                    (* record literal: mutable iff a record type with a
+                       mutable field has every one of its own labels
+                       (a [with] update names a subset). A mutable
+                       field's name among its labels or in its values
+                       is not enough: another type may share it *)
+                    let labels = brace_labels a r in
+                    if
+                      labels <> []
+                      && List.exists
+                           (fun fs -> List.for_all (fun l -> List.mem l fs) labels)
+                           records
+                    then Some Record
+                    else None
                   end
                   else if Lexer.is_ident t then
                     List.assoc_opt (SL.last2 a.(r).Lexer.dotted) rhs_heads

@@ -74,11 +74,12 @@ let persistent_set tags chosen =
 
 (* The run state an exploration driver reuses for every schedule: one
    engine, scheduler, sanitizer and wait trace, all reset when a run
-   starts (even if the run before raised), so a run allocates what its
-   scenario allocates and no run's events outlive the next run's start.
-   The trace is cleared again once the run is judged, so its events do
-   not wait that long. The chooser is installed once and reads the run's
-   cursor from here. *)
+   starts (even if the run before raised), and the world of the scenario
+   it last ran, which that scenario's run function resets in place, so a
+   run allocates what its scenario's run allocates and no run's events
+   outlive the next run's start. The trace is cleared again once the run
+   is judged, so its events do not wait that long. The chooser is
+   installed once and reads the run's cursor from here. *)
 type state = {
   engine : Engine.t;
   sched : Depfast.Sched.t;
@@ -88,6 +89,8 @@ type state = {
   mutable st_max_steps : int;
   mutable st_nsteps : int;  (* choice points seen this run *)
   mutable st_steps : Engine.tag array list;  (* enabled sets past the prefix, newest first *)
+  mutable st_world : (Scenario.t * (unit -> Scenario.instance)) option;
+      (* the scenario whose world this state holds, and its run function *)
 }
 
 let fresh_state () =
@@ -97,7 +100,7 @@ let fresh_state () =
   let san = Sanitizer.create sched in
   let st =
     { engine; sched; san; trace; st_prefix = [||]; st_max_steps = 0; st_nsteps = 0;
-      st_steps = [] }
+      st_steps = []; st_world = None }
   in
   Engine.set_chooser engine (fun tags n ->
       (* queue-depth watermarks: every choice point is a reachable
@@ -118,8 +121,38 @@ let fresh_state () =
       end);
   st
 
+(* [scenario]'s run function, building its world on this state first
+   unless the state holds it already; the world of another scenario is
+   let go before *)
+let world st (scenario : Scenario.t) =
+  match st.st_world with
+  | Some (sc, start) when sc == scenario -> start
+  | Some _ | None ->
+    st.st_world <- None;
+    let start = scenario.Scenario.make st.san st.sched in
+    st.st_world <- Some (scenario, start);
+    start
+
+(* the enabled sets recorded past the prefix, oldest first. [Array.make]
+   with the static [[||]], then filled: [Array.of_list] would make the
+   array with its first element, a young array, and past 256 words that
+   forces a minor collection (DESIGN §10) *)
+let steps_array steps =
+  let a = Array.make (List.length steps) [||] in
+  let rec fill i = function
+    | [] -> ()
+    | tags :: older ->
+      a.(i) <- tags;
+      fill (i - 1) older
+  in
+  fill (Array.length a - 1) steps;
+  a
+
 let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budget : budget) =
   let san = st.san and trace = st.trace in
+  (* built before the resets: a world re-splits its streams from the
+     freshly reseeded engine when its run starts *)
+  let start = world st scenario in
   Engine.reset st.engine;
   Depfast.Sched.reset st.sched;
   Sanitizer.reset san;
@@ -129,7 +162,7 @@ let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budge
   st.st_nsteps <- 0;
   st.st_steps <- [];
   let truncated = ref false in
-  let inst = scenario.Scenario.make san st.sched in
+  let inst = start () in
   (try Depfast.Sched.run ?until:inst.Scenario.until st.sched with
   | Out_of_steps -> truncated := true
   | e ->
@@ -163,7 +196,7 @@ let run_one ?state:(st = fresh_state ()) (scenario : Scenario.t) ~prefix ~(budge
   in
   Depfast.Trace.clear trace;
   {
-    r_steps = Array.of_list (List.rev st.st_steps);
+    r_steps = steps_array st.st_steps;
     r_nsteps = st.st_nsteps;
     r_truncated = !truncated;
     r_quiescent = quiescent;

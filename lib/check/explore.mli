@@ -43,9 +43,11 @@ type run = {
 
 type state
 (** What a run executes on: one engine (with the explorer's chooser
-    installed), scheduler, sanitizer and wait trace. A driver builds one
-    per exploration (per worker, in parallel) and every run resets it, so
-    re-running a schedule allocates only what the scenario does. *)
+    installed), scheduler, sanitizer and wait trace, and the world of the
+    scenario it last ran ({!Scenario.t}'s [make]). A driver builds one
+    per exploration (per worker, in parallel) and every run resets it,
+    the world included, so re-running a schedule allocates only what the
+    scenario's run does. *)
 
 val fresh_state : unit -> state
 
@@ -54,8 +56,9 @@ val run_one : ?state:state -> Scenario.t -> prefix:int array -> budget:budget ->
     [prefix = [||]] is the program-order schedule — what a plain test run
     would see. The run starts by resetting [state] (default: a fresh
     one), which drops everything the previous run left in it, even if
-    that run raised; the result is the same on a fresh state as on one
-    reused after any other scenario's runs. *)
+    that run raised; the scenario's world is built on the state at its
+    first run there and reset in place at every later one. The result is
+    the same on a fresh state as on one reused after any other run. *)
 
 type result = {
   scenario : string;

@@ -46,7 +46,7 @@ let yield_storm =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         let steps = ref 0 in
         for i = 1 to 3 do
           Depfast.Sched.spawn sched ~node:0
@@ -78,7 +78,7 @@ let mutex_handoff =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         let mu = Depfast.Mutex.create ~label:"mx.mu" () in
         let in_section = ref false in
         let overlapped = ref false in
@@ -119,7 +119,7 @@ let condvar_handshake =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         let mu = Depfast.Mutex.create ~label:"cv.mu" () in
         let cv = Depfast.Condvar.create ~label:"cv.cond" () in
         let flag = ref false in
@@ -168,7 +168,7 @@ let signal_fanout =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         let ev = Depfast.Event.signal ~label:"sig.go" () in
         let ready = ref 0 in
         let timed_out = ref 0 in
@@ -210,7 +210,7 @@ let quorum_majority =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         let replies =
           List.map (fun peer -> Depfast.Event.rpc_completion ~label:"qr.reply" ~peer ())
             [ 1; 2; 3 ]
@@ -255,7 +255,7 @@ let broken_quorum =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         Fixtures.spawn_broken_quorum sched;
         { until = None; check = (fun () -> []) });
   }
@@ -277,7 +277,7 @@ let leaky_backlog =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun san sched ->
+      (fun san sched () ->
         Fixtures.spawn_leaky_backlog san sched;
         (* stop well before the consumer's 1000 ms gate timeout: the
            pending timer keeps the terminal state non-quiescent, so the
@@ -306,7 +306,7 @@ let spg_alias_blindspot =
     allow = allow_none;
     provenance = core_provenance;
     make =
-      (fun _san sched ->
+      (fun _san sched () ->
         Fixture_spg.spawn sched;
         { until = None; check = (fun () -> []) });
   }
@@ -323,13 +323,6 @@ let raft_cfg =
     rpc_timeout = Sim.Time.ms 100;
     client_timeout = Sim.Time.ms 300;
   }
-
-let make_raft ?(cfg = raft_cfg) san sched ~n =
-  let g = Raft.Group.create sched ~n ~cfg () in
-  Cluster.Rpc.set_choice_mode g.Raft.Group.rpc true;
-  Cluster.Rpc.set_net_sanitizer g.Raft.Group.rpc (fun msg ->
-      Sanitizer.report san ~rule:Analysis.Finding.net_fifo_violation msg);
-  g
 
 (* Safety only: terminal states of truncated interleavings may legally
    have no leader yet, but can never have two in one term, and committed
@@ -376,6 +369,22 @@ let raft_safety g () =
 
 let raft_allow ~n ~node = node >= n (* nodes past the servers are clients *)
 
+(* A Raft scenario's [make]: the group (its network in choice mode,
+   wired to the sanitizer), and whatever [setup] adds to the world, built
+   once per run state; each run resets the group and calls the function
+   [setup] returned, which spawns the run's drivers *)
+let raft_make ?(cfg = raft_cfg) ~n ~until_ms setup san sched =
+  let g = Raft.Group.create sched ~n ~cfg () in
+  Cluster.Rpc.set_choice_mode g.Raft.Group.rpc true;
+  Cluster.Rpc.set_net_sanitizer g.Raft.Group.rpc (fun msg ->
+      Sanitizer.report san ~rule:Analysis.Finding.net_fifo_violation msg);
+  let drive = setup san g in
+  let inst = { until = Some (Sim.Time.ms until_ms); check = raft_safety g } in
+  fun () ->
+    Raft.Group.reset g;
+    drive ();
+    inst
+
 let raft_elect ~n ~name ~schedules ~until_ms =
   {
     name;
@@ -388,11 +397,9 @@ let raft_elect ~n ~name ~schedules ~until_ms =
     allow = raft_allow ~n;
     provenance = raft_provenance;
     make =
-      (fun san sched ->
-        let g = make_raft san sched ~n in
-        Depfast.Sched.spawn sched ~node:0 ~name:"drv.elect" (fun () ->
-            Raft.Group.elect g 0);
-        { until = Some (Sim.Time.ms until_ms); check = raft_safety g });
+      raft_make ~n ~until_ms (fun _ g () ->
+          Depfast.Sched.spawn g.Raft.Group.sched ~node:0 ~name:"drv.elect" (fun () ->
+              Raft.Group.elect g 0));
   }
 
 let raft_elect_3 = raft_elect ~n:3 ~name:"raft-elect-3" ~schedules:1000 ~until_ms:120
@@ -410,13 +417,12 @@ let raft_replicate_3 =
     allow = raft_allow ~n:3;
     provenance = raft_provenance;
     make =
-      (fun san sched ->
-        let g = make_raft san sched ~n:3 in
-        let client = List.hd (Raft.Group.make_clients g ~count:1 ()) in
-        Cluster.Node.spawn (Raft.Client.node client) ~name:"drv.client" (fun () ->
-            Raft.Group.elect g 0;
-            ignore (Raft.Client.put client ~key:"k" ~value:"v"));
-        { until = Some (Sim.Time.ms 250); check = raft_safety g });
+      raft_make ~n:3 ~until_ms:250 (fun _ g ->
+          let client = List.hd (Raft.Group.make_clients g ~count:1 ()) in
+          fun () ->
+            Cluster.Node.spawn (Raft.Client.node client) ~name:"drv.client" (fun () ->
+                Raft.Group.elect g 0;
+                ignore (Raft.Client.put client ~key:"k" ~value:"v")));
   }
 
 let raft_partition_heal_3 =
@@ -431,17 +437,16 @@ let raft_partition_heal_3 =
     allow = raft_allow ~n:3;
     provenance = raft_provenance;
     make =
-      (fun san sched ->
-        let g = make_raft san sched ~n:3 in
-        Depfast.Sched.spawn sched ~node:0 ~name:"drv.partition" (fun () ->
-            Raft.Group.elect g 0;
-            Depfast.Sched.sleep sched (Sim.Time.ms 30);
-            Cluster.Rpc.partition g.Raft.Group.rpc 0 1;
-            Cluster.Rpc.partition g.Raft.Group.rpc 0 2;
-            Depfast.Sched.sleep sched (Sim.Time.ms 200);
-            Cluster.Rpc.heal g.Raft.Group.rpc 0 1;
-            Cluster.Rpc.heal g.Raft.Group.rpc 0 2);
-        { until = Some (Sim.Time.ms 350); check = raft_safety g });
+      raft_make ~n:3 ~until_ms:350 (fun _ g () ->
+          let sched = g.Raft.Group.sched in
+          Depfast.Sched.spawn sched ~node:0 ~name:"drv.partition" (fun () ->
+              Raft.Group.elect g 0;
+              Depfast.Sched.sleep sched (Sim.Time.ms 30);
+              Cluster.Rpc.partition g.Raft.Group.rpc 0 1;
+              Cluster.Rpc.partition g.Raft.Group.rpc 0 2;
+              Depfast.Sched.sleep sched (Sim.Time.ms 200);
+              Cluster.Rpc.heal g.Raft.Group.rpc 0 1;
+              Cluster.Rpc.heal g.Raft.Group.rpc 0 2));
   }
 
 let raft_rewind_3 =
@@ -458,18 +463,17 @@ let raft_rewind_3 =
     allow = raft_allow ~n:3;
     provenance = raft_provenance;
     make =
-      (fun san sched ->
-        let g = make_raft san sched ~n:3 in
-        let client = List.hd (Raft.Group.make_clients g ~count:1 ()) in
-        Cluster.Node.spawn (Raft.Client.node client) ~name:"drv.client" (fun () ->
-            Raft.Group.elect g 0;
-            ignore (Raft.Client.put client ~key:"a" ~value:"1");
-            Cluster.Rpc.partition g.Raft.Group.rpc 0 2;
-            ignore (Raft.Client.put client ~key:"b" ~value:"2");
-            ignore (Raft.Client.put client ~key:"c" ~value:"3");
-            Cluster.Rpc.heal g.Raft.Group.rpc 0 2;
-            ignore (Raft.Client.put client ~key:"d" ~value:"4"));
-        { until = Some (Sim.Time.ms 500); check = raft_safety g });
+      raft_make ~n:3 ~until_ms:500 (fun _ g ->
+          let client = List.hd (Raft.Group.make_clients g ~count:1 ()) in
+          fun () ->
+            Cluster.Node.spawn (Raft.Client.node client) ~name:"drv.client" (fun () ->
+                Raft.Group.elect g 0;
+                ignore (Raft.Client.put client ~key:"a" ~value:"1");
+                Cluster.Rpc.partition g.Raft.Group.rpc 0 2;
+                ignore (Raft.Client.put client ~key:"b" ~value:"2");
+                ignore (Raft.Client.put client ~key:"c" ~value:"3");
+                Cluster.Rpc.heal g.Raft.Group.rpc 0 2;
+                ignore (Raft.Client.put client ~key:"d" ~value:"4")));
   }
 
 let raft_slow_disk_admission_3 =
@@ -494,32 +498,32 @@ let raft_slow_disk_admission_3 =
     allow = raft_allow ~n:3;
     provenance = raft_provenance;
     make =
-      (fun san sched ->
-        let cfg = { raft_cfg with Raft.Config.max_batch = 8; admission_depth } in
-        let g = make_raft ~cfg san sched ~n:3 in
-        let leader = Raft.Group.server g 0 in
-        Sanitizer.add_gauge san ~label:"raft.pending" ~file:"lib/raft/server.ml"
-          ~cap:admission_depth (fun () -> Raft.Server.pending_depth leader);
-        let clients = Raft.Group.make_clients g ~count:8 () in
-        (* named into the raft. provenance prefix: this driver's only
-           waits happen inside Server election code, so the SPG edges it
-           observes belong to lib/raft/server.ml, not this file *)
-        Depfast.Sched.spawn sched ~node:0 ~name:"raft.drv-slowdisk" (fun () ->
-            Raft.Group.elect g 0;
-            (* fail-slow, not fail-stop: every leader-disk I/O takes 40x *)
-            Cluster.Station.set_speed
-              (Cluster.Disk.station (Cluster.Node.disk (Raft.Server.node leader)))
-              40.0);
-        List.iteri
-          (fun i c ->
-            Cluster.Node.spawn (Raft.Client.node c)
-              ~name:(Printf.sprintf "drv.load%d" i)
-              (fun () ->
-                for k = 1 to 3 do
-                  ignore (Raft.Client.put c ~key:(Printf.sprintf "k%d" k) ~value:"v")
-                done))
-          clients;
-        { until = Some (Sim.Time.ms 250); check = raft_safety g });
+      raft_make ~cfg:{ raft_cfg with Raft.Config.max_batch = 8; admission_depth } ~n:3
+        ~until_ms:250 (fun san g ->
+          let leader = Raft.Group.server g 0 in
+          let depth () = Raft.Server.pending_depth leader in
+          let clients = Raft.Group.make_clients g ~count:8 () in
+          fun () ->
+            Sanitizer.add_gauge san ~label:"raft.pending" ~file:"lib/raft/server.ml"
+              ~cap:admission_depth depth;
+            (* named into the raft. provenance prefix: this driver's only
+               waits happen inside Server election code, so the SPG edges it
+               observes belong to lib/raft/server.ml, not this file *)
+            Depfast.Sched.spawn g.Raft.Group.sched ~node:0 ~name:"raft.drv-slowdisk" (fun () ->
+                Raft.Group.elect g 0;
+                (* fail-slow, not fail-stop: every leader-disk I/O takes 40x *)
+                Cluster.Station.set_speed
+                  (Cluster.Disk.station (Cluster.Node.disk (Raft.Server.node leader)))
+                  40.0);
+            List.iteri
+              (fun i c ->
+                Cluster.Node.spawn (Raft.Client.node c)
+                  ~name:(Printf.sprintf "drv.load%d" i)
+                  (fun () ->
+                    for k = 1 to 3 do
+                      ignore (Raft.Client.put c ~key:(Printf.sprintf "k%d" k) ~value:"v")
+                    done))
+              clients);
   }
 
 let all =

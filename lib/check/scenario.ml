@@ -1,8 +1,11 @@
 (* A scenario is a small closed world the schedule explorer re-executes
-   once per explored interleaving. [make] builds all state against a freshly
-   reset scheduler (and wires any network it creates into choice mode + the
-   sanitizer); the returned instance tells the explorer how long to run
-   and how to judge the terminal state. *)
+   once per explored interleaving. [make san sched] builds the world once
+   per run state (wiring any network it creates into choice mode + the
+   sanitizer); the function it returns starts one run on that world,
+   after the explorer reset the engine, scheduler and sanitizer: it resets
+   the world, registers its gauges, spawns its drivers and returns the
+   instance, which tells the explorer how long to run and how to judge
+   the terminal state. *)
 
 type instance = {
   until : Sim.Time.t option;
@@ -32,7 +35,7 @@ type t = {
   provenance : string -> string option;
       (* coroutine name -> source file implementing it, for the
          certificate cross-check *)
-  make : Sanitizer.t -> Depfast.Sched.t -> instance;
+  make : Sanitizer.t -> Depfast.Sched.t -> unit -> instance;
 }
 
 let allow_none ~node:(_ : int) = false

@@ -1,10 +1,16 @@
 (** A scenario: a small closed world the schedule explorer re-executes
     once per explored interleaving.
 
-    [make] builds all state against a freshly reset scheduler (wiring any
-    network it creates into choice mode and the sanitizer, and
-    registering any queue-depth gauges); the returned instance tells
-    the explorer how long to run and how to judge the terminal state. *)
+    [make san sched] builds the scenario's world once per run state
+    (wiring any network it creates into choice mode and the sanitizer).
+    The function it returns starts one run on that world, after the
+    explorer reset the engine, the scheduler and the sanitizer: it
+    resets the world in place (a Raft scenario calls
+    {!Raft.Group.reset}; a core scenario builds its few refs afresh),
+    registers any queue-depth gauges, spawns the drivers and returns the
+    instance, which tells the explorer how long to run and how to judge
+    the terminal state. A run on a reused world must be the run on a
+    fresh one. *)
 
 type instance = {
   until : Sim.Time.t option;
@@ -39,7 +45,9 @@ type t = {
   provenance : string -> string option;
       (** coroutine name -> source file implementing it, for the
           certificate cross-check *)
-  make : Sanitizer.t -> Depfast.Sched.t -> instance;
+  make : Sanitizer.t -> Depfast.Sched.t -> unit -> instance;
+      (** [make san sched] builds the world; [make san sched ()] starts
+          a run on it *)
 }
 
 val allow_none : node:int -> bool

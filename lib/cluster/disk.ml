@@ -12,16 +12,26 @@ type t = {
 
 let fsync_latency = Time.us 150
 
+let reset t =
+  t.bandwidth_factor <- 1.0;
+  t.writes <- 0;
+  t.fsyncs <- 0;
+  Station.reset t.station
+
 let create sched ~node_id ?(base_latency = Time.us 80) ?(bandwidth_mb_s = 200.0) () =
-  {
-    node_id;
-    base_latency;
-    bandwidth_mb_s;
-    bandwidth_factor = 1.0;
-    station = Station.create sched ~servers:1 ~name:(Printf.sprintf "disk%d" node_id) ();
-    writes = 0;
-    fsyncs = 0;
-  }
+  let t =
+    {
+      node_id;
+      base_latency;
+      bandwidth_mb_s;
+      bandwidth_factor = 1.0;
+      station = Station.create sched ~servers:1 ~name:(Printf.sprintf "disk%d" node_id) ();
+      writes = 0;
+      fsyncs = 0;
+    }
+  in
+  reset t;
+  t
 
 let bytes_per_us t = t.bandwidth_mb_s *. t.bandwidth_factor *. 1e6 /. 1e6
 (* MB/s = bytes/us numerically *)

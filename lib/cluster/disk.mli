@@ -17,6 +17,10 @@ val create :
   t
 (** Defaults model a cloud SSD: 80 us access, 150 us fsync, 200 MB/s. *)
 
+val reset : t -> unit
+(** Back to {!create}'s state: full bandwidth, zero counters, its station
+    reset ({!Station.reset}). *)
+
 val write : t -> bytes:int -> Depfast.Event.t
 (** Completion event (kind [Disk]) for a buffered write of [bytes]. *)
 

@@ -3,6 +3,8 @@ let gib = 1024 * 1024 * 1024
 type load = { mutable penalty : float }  (* all-float, so unboxed *)
 
 type t = {
+  soft0 : int;  (* the caps [create] was given, which [reset] restores *)
+  hard0 : int;
   mutable used : int;
   mutable soft : int;
   mutable hard : int;
@@ -18,9 +20,21 @@ let update t =
   let p = pressure t in
   t.load.penalty <- (if p <= 1.0 then 1.0 else 1.0 +. (4.0 *. (p -. 1.0)))
 
+(* nothing used, the created caps; the OOM handlers are wiring and stay *)
+let reset t =
+  t.used <- 0;
+  t.soft <- t.soft0;
+  t.hard <- t.hard0;
+  t.oom_fired <- false;
+  update t
+
 let create ?(soft_cap = 16 * gib) ?(hard_cap = 16 * gib) () =
-  { used = 0; soft = soft_cap; hard = hard_cap; load = { penalty = 1.0 }; oom_handlers = [];
-    oom_fired = false }
+  let t =
+    { soft0 = soft_cap; hard0 = hard_cap; used = 0; soft = soft_cap; hard = hard_cap;
+      load = { penalty = 1.0 }; oom_handlers = []; oom_fired = false }
+  in
+  reset t;
+  t
 
 let used t = t.used
 let soft_cap t = t.soft

@@ -18,6 +18,10 @@ type load = { mutable penalty : float }
 val create : ?soft_cap:int -> ?hard_cap:int -> unit -> t
 (** Caps in bytes; defaults are effectively unlimited (16 GiB / 16 GiB). *)
 
+val reset : t -> unit
+(** Back to {!create}'s state: nothing used, the created caps, no OOM
+    fired. The {!on_oom} handlers and the {!load} record stay. *)
+
 val alloc : t -> int -> unit
 val free : t -> int -> unit
 

@@ -51,21 +51,50 @@ type 'msg t = {
 
 let no_arrival = Time.add Time.zero (-1)
 
+(* empty, its pump re-armed in place; the ring keeps its capacity *)
+let reset_link link =
+  link.head <- 0;
+  link.len <- 0;
+  link.next_seq <- 0;
+  link.last_seq <- -1;
+  link.last_arrival <- no_arrival;
+  link.armed <- false;
+  link.l_delivered <- 0;
+  link.l_dropped <- 0;
+  link.l_units <- 0
+
+(* a stream re-split from the engine's root, no cut, no message in flight,
+   zero counters. Endpoints, links and the settings made after [create]
+   (choice mode, sanitizer) stay *)
+let reset t =
+  Rng.split_into (Engine.rng (Depfast.Sched.engine t.sched)) ~into:t.rng;
+  Hashtbl.reset t.cuts;
+  Array.iter
+    (function Some ep -> Array.iter (function Some l -> reset_link l | None -> ()) ep.out | None -> ())
+    t.eps;
+  t.delivered <- 0;
+  t.dropped <- 0;
+  t.units_total <- 0
+
 let create sched ?(latency = Dist.Shifted (120.0, Dist.Exponential 30.0)) () =
-  {
-    sched;
-    latency;
-    rng = Engine.split_rng (Depfast.Sched.engine sched);
-    eps = Array.make 16 None;
-    cuts = Hashtbl.create 4;
-    sorted_nodes = [];
-    sorted_valid = true;
-    delivered = 0;
-    dropped = 0;
-    units_total = 0;
-    choice = false;
-    on_violation = None;
-  }
+  let t =
+    {
+      sched;
+      latency;
+      rng = Rng.create 0L;
+      eps = Array.make 16 None;
+      cuts = Hashtbl.create 4;
+      sorted_nodes = [];
+      sorted_valid = true;
+      delivered = 0;
+      dropped = 0;
+      units_total = 0;
+      choice = false;
+      on_violation = None;
+    }
+  in
+  reset t;
+  t
 
 let set_choice_mode t b = t.choice <- b
 let set_sanitizer t f = t.on_violation <- Some f
@@ -226,22 +255,14 @@ let ensure_room link msg =
     link.seqs <- Array.make 8 0
   end
   else if link.len = cap then begin
-    let ring = Array.make (2 * cap) msg in
-    let times = Array.make (2 * cap) Time.zero in
-    let units = Array.make (2 * cap) 0 in
-    let seqs = Array.make (2 * cap) 0 in
-    for i = 0 to link.len - 1 do
-      let slot = (link.head + i) mod cap in
-      ring.(i) <- link.ring.(slot);
-      times.(i) <- link.times.(slot);
-      units.(i) <- link.units.(slot);
-      seqs.(i) <- link.seqs.(slot)
-    done;
-    link.ring <- ring;
-    link.times <- times;
-    link.units <- units;
-    link.seqs <- seqs;
-    link.head <- 0
+    (* a full ring twice over is a ring of twice the room holding the same
+       queue from the same head; and [Array.append] copies, where
+       [Array.make] past 256 words with a young [msg] forces a minor
+       collection (DESIGN §10) *)
+    link.ring <- Array.append link.ring link.ring;
+    link.times <- Array.append link.times link.times;
+    link.units <- Array.append link.units link.units;
+    link.seqs <- Array.append link.seqs link.seqs
   end
 
 let enqueue t link msg ~units ~arrival =

@@ -26,6 +26,13 @@ val create :
     [Shifted (120, Exponential 30)] — a ~150 us same-AZ RTT/2. Its draws
     come from a stream split off the engine's at creation. *)
 
+val reset : 'msg t -> unit
+(** Back to {!create}'s state for a world reused across runs, after its
+    engine was reset: the latency stream re-split from the engine's
+    root, no partition, nothing in flight, zero counters. Registered
+    endpoints, the links built so far and the settings made after
+    {!create} ({!set_choice_mode}, {!set_sanitizer}) stay. *)
+
 val register : 'msg t -> Node.t -> handler:(src:int -> 'msg -> unit) -> unit
 (** Attach a node and its delivery handler. The handler runs as an engine
     callback (not a coroutine); it should hand off to coroutines quickly.

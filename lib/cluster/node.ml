@@ -17,9 +17,17 @@ let cpu_cores = 4
 (* the process's steady-state working set; memory faults cap against it *)
 let resident_bytes = 200 * 1024 * 1024
 
+(* alive, no NIC delay, the working set charged, every resource reset *)
+let reset t =
+  t.nic_delay <- 0;
+  t.alive <- true;
+  Memory.reset t.memory;
+  Memory.alloc t.memory resident_bytes;
+  Station.reset t.cpu;
+  Disk.reset t.disk
+
 let create sched ~id ~name ?mem_soft_cap ?mem_hard_cap () =
   let memory = Memory.create ?soft_cap:mem_soft_cap ?hard_cap:mem_hard_cap () in
-  Memory.alloc memory resident_bytes;
   let cpu = Station.create sched ~servers:cpu_cores ~name:(Printf.sprintf "cpu%d" id) () in
   let disk = Disk.create sched ~node_id:id () in
   Station.set_memory cpu memory;
@@ -28,6 +36,7 @@ let create sched ~id ~name ?mem_soft_cap ?mem_hard_cap () =
     { id; name; sched; cpu; disk; memory; nic_delay = 0; alive = true }
   in
   Memory.on_oom memory (fun () -> crash t);
+  reset t;
   t
 
 let id t = t.id

@@ -19,6 +19,11 @@ val create :
     200 MiB steady working set, pre-charged to {!memory} so memory-cap
     faults create real pressure. *)
 
+val reset : t -> unit
+(** Back to {!create}'s state: alive, no NIC delay, the working set
+    charged to a reset {!memory}, {!cpu} and {!disk} reset. For a world
+    reused across runs, after its engine was reset. *)
+
 val id : t -> int
 val sched : t -> Depfast.Sched.t
 val cpu : t -> Station.t

@@ -30,16 +30,32 @@ type ('req, 'resp) t = {
 (* the per-call buffer charged to the caller's memory *)
 let request_bytes = 512
 
+(* no call in flight, ids from 1; the handlers are wiring and stay *)
+let reset_calls t =
+  Hashtbl.reset t.book.calls;
+  Hashtbl.reset t.book.outstanding;
+  t.next_id <- 0;
+  t.discarded <- 0
+
+(* the network resets itself at [Net.create]: its stream is split once *)
 let create sched ?latency () =
-  {
-    sched;
-    net = Net.create sched ?latency ();
-    book = { calls = Hashtbl.create 16; outstanding = Hashtbl.create 16 };
-    handlers = Hashtbl.create 16;
-    next_id = 0;
-    discard_stragglers = true;
-    discarded = 0;
-  }
+  let t =
+    {
+      sched;
+      net = Net.create sched ?latency ();
+      book = { calls = Hashtbl.create 16; outstanding = Hashtbl.create 16 };
+      handlers = Hashtbl.create 16;
+      next_id = 0;
+      discard_stragglers = true;
+      discarded = 0;
+    }
+  in
+  reset_calls t;
+  t
+
+let reset t =
+  Net.reset t.net;
+  reset_calls t
 
 let partition t a b = Net.partition t.net a b
 let heal t a b = Net.heal t.net a b

@@ -23,6 +23,13 @@ val create :
 (** Every call charges a 512-byte buffer to the caller's memory until it
     completes or is abandoned ({!call}'s [bytes] overrides the size). *)
 
+val reset : ('req, 'resp) t -> unit
+(** Back to {!create}'s state for a world reused across runs, after its
+    engine was reset: the network reset ({!Net.reset}), no call in
+    flight, call ids from 1, zero counters. Attached nodes, served
+    handlers and the settings made after {!create} stay; the nodes'
+    memory charges are theirs to reset ({!Node.reset}). *)
+
 val attach : ('req, 'resp) t -> Node.t -> unit
 (** Register a node that only issues calls (a client): its responses are
     routed but it serves no requests. *)

@@ -35,26 +35,49 @@ type t = {
   mutable completed : int;
 }
 
+(* idle, nominal speed, nothing queued, a fresh utilization window. The
+   slots built so far stay, their timers cleared with the engine's and
+   re-armed in place; the queue keeps its capacity; the memory load wired
+   by [set_memory] stays *)
+let reset t =
+  t.speed <- 1.0;
+  for i = 0 to t.n_slots - 1 do
+    let s = t.slots.(i) in
+    s.s_event <- Depfast.Event.dummy;
+    s.s_busy <- false
+  done;
+  Array.fill t.q_ev 0 (Array.length t.q_ev) Depfast.Event.dummy;
+  t.q_head <- 0;
+  t.q_len <- 0;
+  t.busy <- 0;
+  t.acc.busy_integral <- 0.0;
+  t.last_change <- Sim.Engine.now (Depfast.Sched.engine t.sched);
+  t.window_start <- t.last_change;
+  t.completed <- 0
+
 let create sched ?(servers = 1) ~name () =
-  let now = Sim.Engine.now (Depfast.Sched.engine sched) in
-  {
-    sched;
-    name;
-    servers;
-    speed = 1.0;
-    load = { Memory.penalty = 1.0 };
-    slots = [||];
-    n_slots = 0;
-    q_work = [||];
-    q_ev = [||];
-    q_head = 0;
-    q_len = 0;
-    busy = 0;
-    acc = { busy_integral = 0.0 };
-    last_change = now;
-    window_start = now;
-    completed = 0;
-  }
+  let t =
+    {
+      sched;
+      name;
+      servers;
+      speed = 1.0;
+      load = { Memory.penalty = 1.0 };
+      slots = [||];
+      n_slots = 0;
+      q_work = [||];
+      q_ev = [||];
+      q_head = 0;
+      q_len = 0;
+      busy = 0;
+      acc = { busy_integral = 0.0 };
+      last_change = Time.zero;
+      window_start = Time.zero;
+      completed = 0;
+    }
+  in
+  reset t;
+  t
 
 let set_speed t f = t.speed <- f
 let speed t = t.speed

@@ -13,6 +13,12 @@ type t
 val create : Depfast.Sched.t -> ?servers:int -> name:string -> unit -> t
 (** [servers] defaults to 1. *)
 
+val reset : t -> unit
+(** Back to {!create}'s state at the engine's current time: idle, speed
+    1.0, nothing queued, a fresh utilization window. For a world reused
+    across runs, after its engine was reset (which dropped the pending
+    completions); the memory wired by {!set_memory} stays. *)
+
 val set_speed : t -> float -> unit
 (** Service-time multiplier for jobs {e starting} from now on. *)
 

@@ -1,7 +1,15 @@
 type t = { label : string; mutable current : Event.t }
 
 let fresh label = Event.signal ~label ()
-let create ?(label = "condvar") () = { label; current = fresh label }
+
+(* a fresh event: whoever waited on the old one belongs to a finished run *)
+let reset t = t.current <- fresh t.label
+
+let create ?(label = "condvar") () =
+  let t = { label; current = Event.dummy } in
+  reset t;
+  t
+
 let wait sched t = Sched.wait sched t.current
 let wait_timeout sched t span = Sched.wait_timeout sched t.current span
 

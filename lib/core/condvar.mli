@@ -12,6 +12,10 @@ type t
 
 val create : ?label:string -> unit -> t
 
+val reset : t -> unit
+(** Back to {!create}'s state: a fresh, unfired event, which no waiter
+    holds. For a world reused across runs (the schedule checker's). *)
+
 val wait : Sched.t -> t -> unit
 
 val wait_timeout : Sched.t -> t -> Sim.Time.span -> Sched.outcome

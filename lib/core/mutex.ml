@@ -1,6 +1,14 @@
 type t = { label : string; mutable held : bool; queue : Event.t Queue.t }
 
-let create ?(label = "mutex") () = { label; held = false; queue = Queue.create () }
+(* unheld, no waiter: whoever queued belongs to a finished run *)
+let reset t =
+  t.held <- false;
+  Queue.clear t.queue
+
+let create ?(label = "mutex") () =
+  let t = { label; held = false; queue = Queue.create () } in
+  reset t;
+  t
 
 let lock sched t =
   if not t.held then t.held <- true

@@ -9,6 +9,9 @@ type t
 
 val create : ?label:string -> unit -> t
 
+val reset : t -> unit
+(** Back to {!create}'s state: unheld, with no waiter. *)
+
 val lock : Sched.t -> t -> unit
 (** Coroutine context; suspends until the lock is held. *)
 

@@ -37,7 +37,9 @@ type outcome = Ready | Timed_out
    re-parked the coroutine, is a no-op. [park_gen] is never reset, so
    this holds across reuse too. The wakes close over the context, so
    [take_ctx] sets them on the record it built: a [let rec] would allocate
-   the record twice. *)
+   the record twice. A sleep or a yield parks on the never-fired [napping]
+   event, and the context's own [resume_ready] ends it, posted at once or
+   armed on the owned timer, so neither builds a closure or an entry. *)
 type ctx = {
   mutable cid : int;
   mutable node : int;
@@ -67,10 +69,8 @@ type t = {
   mutable node_tags : Engine.tag array;  (* [On_node n] at [n], built once each *)
 }
 
-type _ Effect.t +=
-  | E_park : outcome Effect.t  (* the running coroutine's slot holds the wait *)
-  | E_sleep : Time.span -> unit Effect.t
-  | E_yield : unit Effect.t
+(* every suspension: the running coroutine's slot holds the wait *)
+type _ Effect.t += E_park : outcome Effect.t
 
 (* a never-resumed continuation: what an empty slot holds, so no option box *)
 let no_k : (outcome, unit) Effect.Deep.continuation =
@@ -90,6 +90,11 @@ let make_ctx () =
     park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
 
 let no_ctx = make_ctx ()
+
+(* what a sleeping or yielding coroutine parks on: never fired, so only
+   the context's own wake ends the park. [park_span] holds the sleep's
+   delay, or -1 for a yield *)
+let napping = Event.signal ~label:"nap" ()
 let no_handler : (unit, unit) Effect.Deep.handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let engine t = t.engine
@@ -133,6 +138,11 @@ let resume_ready t ctx =
     Effect.Deep.match_with f () t.coro_handler;
     t.current <- saved
   end
+  else if ctx.park_ev == napping then begin
+    (* a sleep or a yield: untraced, and no monitor sees it *)
+    ctx.park_span <- -1;
+    resume t ctx ctx.park_k Ready
+  end
   else begin
     (match t.monitor with Some m -> m.on_resume ~cid:ctx.cid | None -> ());
     record_wait t ctx ~outcome:Ready;
@@ -168,10 +178,18 @@ let timed_out t ctx =
 
 (* a park allocates only when the event's waiter slot is taken (a
    generation-stamped fire closure) and at a coroutine's first timed park
-   (its timer entry) *)
+   (its timer entry). A nap posts, or arms the owned timer with, the
+   context's own wake *)
 let park t ctx k =
   ctx.park_start <- now t;
-  if Event.is_ready ctx.park_ev then begin
+  if ctx.park_ev == napping then begin
+    ctx.park_k <- k;
+    if ctx.park_span < 0 then Engine.post_tag t.engine ctx.tag ctx.resume_ready
+    else
+      ctx.park_timer <-
+        Engine.reschedule t.engine ctx.park_timer ~delay:ctx.park_span ctx.tag ctx.resume_ready
+  end
+  else if Event.is_ready ctx.park_ev then begin
     ctx.park_span <- -1;
     record_wait t ctx ~outcome:Ready;
     resume t ctx k Ready
@@ -218,14 +236,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
     exnc = raise;
     effc =
       (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
-        let ctx = t.current in
-        match eff with
-        | E_park -> on_park
-        | E_sleep d ->
-          Some (fun k ->
-            ignore (Engine.schedule_tag t.engine ~delay:d ctx.tag (fun () -> resume t ctx k ())))
-        | E_yield -> Some (fun k -> Engine.post_tag t.engine ctx.tag (fun () -> resume t ctx k ()))
-        | _ -> None);
+        match eff with E_park -> on_park | _ -> None);
   }
 
 let create ?trace engine =
@@ -292,8 +303,12 @@ let park_current t ev span =
 
 let wait t ev = match park_current t ev (-1) with Ready -> () | Timed_out -> assert false
 let wait_timeout t ev span = park_current t ev (max 0 span)
-let sleep _ span = Effect.perform (E_sleep span)
-let yield _ = Effect.perform E_yield
+(* a sleep (span >= 0) or a yield (-1): the slot parks on [napping] *)
+let nap t span =
+  match park_current t napping span with Ready -> () | Timed_out -> assert false
+
+let sleep t span = nap t (max 0 span)
+let yield t = nap t (-1)
 
 let timer t span =
   let ev = Event.timer_kind ~label:"timer" () in

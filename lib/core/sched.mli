@@ -65,9 +65,13 @@ val wait_timeout : t -> Event.t -> Sim.Time.span -> outcome
     pending (not abandoned); callers decide (see [Event.abandon]). *)
 
 val sleep : t -> Sim.Time.span -> unit
+(** Suspend for the span (a negative one counts as 0). Re-arms the
+    coroutine's own timer entry: no allocation beyond the continuation.
+    Untraced, and no {!monitor} hook sees it. *)
 
 val yield : t -> unit
-(** Reschedule behind other runnable work at the same instant. *)
+(** Reschedule behind other runnable work at the same instant. Like
+    {!sleep}, it allocates only the continuation and is untraced. *)
 
 val timer : t -> Sim.Time.span -> Event.t
 (** An event that fires after the given delay. *)

@@ -15,19 +15,31 @@ type t = {
 
 type outcome = Committed of string option | Shed | Failed
 
+(* no command sent, no leader known, the stream re-split from the engine's
+   root *)
+let reset t =
+  Sim.Rng.split_into (Sim.Engine.rng (Depfast.Sched.engine t.sched)) ~into:t.rng;
+  t.seq <- 0;
+  t.leader_hint <- None;
+  t.shed <- 0
+
 let create rpc node ~servers ?(cfg = Config.default) ~id () =
-  {
-    rpc;
-    node;
-    sched = Cluster.Node.sched node;
-    servers = Array.of_list servers;
-    cfg;
-    client_id = id;
-    rng = Sim.Engine.split_rng (Depfast.Sched.engine (Cluster.Node.sched node));
-    seq = 0;
-    leader_hint = None;
-    shed = 0;
-  }
+  let t =
+    {
+      rpc;
+      node;
+      sched = Cluster.Node.sched node;
+      servers = Array.of_list servers;
+      cfg;
+      client_id = id;
+      rng = Sim.Rng.create 0L;
+      seq = 0;
+      leader_hint = None;
+      shed = 0;
+    }
+  in
+  reset t;
+  t
 
 let node t = t.node
 

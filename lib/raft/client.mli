@@ -27,6 +27,10 @@ val create :
 (** The client node must already be attached to the RPC fabric
     ([Cluster.Rpc.attach]). *)
 
+val reset : t -> unit
+(** Back to {!create}'s state, its random stream re-split from the
+    engine's root; its node is the caller's to reset. *)
+
 val node : t -> Cluster.Node.t
 (** The node hosting this client's coroutines. *)
 

@@ -4,6 +4,7 @@ type t = {
   nodes : Cluster.Node.t list;
   cfg : Config.t;
   sched : Depfast.Sched.t;
+  mutable clients : Client.t list;  (* by [make_clients], oldest first *)
 }
 
 let create sched ~n ?(cfg = Config.default) ?(first_node_id = 0) () =
@@ -22,7 +23,20 @@ let create sched ~n ?(cfg = Config.default) ?(first_node_id = 0) () =
       nodes
   in
   List.iter Server.start servers;
-  { rpc; servers; nodes; cfg; sched }
+  { rpc; servers; nodes; cfg; sched; clients = [] }
+
+(* streams re-split in creation order (network, servers, clients), then
+   the servers' coroutines respawned, as [create] and [make_clients] did *)
+let reset t =
+  Cluster.Rpc.reset t.rpc;
+  List.iter Cluster.Node.reset t.nodes;
+  List.iter Server.reset t.servers;
+  List.iter
+    (fun c ->
+      Cluster.Node.reset (Client.node c);
+      Client.reset c)
+    t.clients;
+  List.iter Server.start t.servers
 
 let server t id = List.find (fun s -> Server.id s = id) t.servers
 
@@ -68,11 +82,15 @@ let make_clients t ~count ?first_node_id () =
     | None -> List.fold_left (fun m n -> max m (Cluster.Node.id n)) 0 t.nodes + 1
   in
   let server_ids = List.map Server.id t.servers in
-  List.init count (fun j ->
-      let node =
-        Cluster.Node.create t.sched ~id:(first + j)
-          ~name:(Printf.sprintf "c%d" (j + 1))
-          ()
-      in
-      Cluster.Rpc.attach t.rpc node;
-      Client.create t.rpc node ~servers:server_ids ~cfg:t.cfg ~id:(first + j) ())
+  let clients =
+    List.init count (fun j ->
+        let node =
+          Cluster.Node.create t.sched ~id:(first + j)
+            ~name:(Printf.sprintf "c%d" (j + 1))
+            ()
+        in
+        Cluster.Rpc.attach t.rpc node;
+        Client.create t.rpc node ~servers:server_ids ~cfg:t.cfg ~id:(first + j) ())
+  in
+  t.clients <- t.clients @ clients;
+  clients

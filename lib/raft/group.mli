@@ -6,6 +6,7 @@ type t = {
   nodes : Cluster.Node.t list;
   cfg : Config.t;
   sched : Depfast.Sched.t;
+  mutable clients : Client.t list;  (** by {!make_clients}, oldest first *)
 }
 
 val create :
@@ -17,6 +18,14 @@ val create :
   t
 (** [n] servers with node ids [first_node_id..] (default 0..) named
     s1..sN, all started. *)
+
+val reset : t -> unit
+(** Back to the state {!create} and {!make_clients} left, for a world
+    reused across runs: call it after resetting the scheduler's engine
+    ({!Sim.Engine.reset}) and the scheduler ({!Depfast.Sched.reset}).
+    Every node, the RPC fabric, every server and every client is reset,
+    random streams are re-split in creation order, and the servers'
+    coroutines are respawned. *)
 
 val server : t -> int -> Server.t
 (** By node id. *)

@@ -20,16 +20,39 @@ type t = {
 (* a vacant slot, told apart from every key by [==] *)
 let vacant = String.make 1 '\000'
 
+let initial_capacity = 16
+
+(* empty at the created capacity, since the iteration order of the store
+   and of the tables depends on it *)
+let reset t =
+  if Array.length t.keys = initial_capacity then begin
+    Array.fill t.keys 0 initial_capacity vacant;
+    Array.fill t.vals 0 initial_capacity vacant
+  end
+  else begin
+    t.keys <- Array.make initial_capacity vacant;
+    t.vals <- Array.make initial_capacity vacant
+  end;
+  t.n_keys <- 0;
+  Hashtbl.reset t.sessions;
+  Hashtbl.reset t.locks;
+  Hashtbl.reset t.staged;
+  t.applied <- 0
+
 let create () =
-  {
-    keys = Array.make 16 vacant;
-    vals = Array.make 16 vacant;
-    n_keys = 0;
-    sessions = Hashtbl.create 64;
-    locks = Hashtbl.create 64;
-    staged = Hashtbl.create 64;
-    applied = 0;
-  }
+  let t =
+    {
+      keys = Array.make initial_capacity vacant;
+      vals = Array.make initial_capacity vacant;
+      n_keys = 0;
+      sessions = Hashtbl.create 64;
+      locks = Hashtbl.create 64;
+      staged = Hashtbl.create 64;
+      applied = 0;
+    }
+  in
+  reset t;
+  t
 
 (* the slot holding [k], or the vacant slot where it would go *)
 let rec probe keys k i =

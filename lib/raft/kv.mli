@@ -7,6 +7,10 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Back to {!create}'s state: no key, no session, no lock, no staged
+    transaction, at the created capacity. *)
+
 val apply : t -> Types.entry -> string option
 (** Apply a committed entry. Returns the read value for [Get], [None]
     otherwise (including for [Batch] entries, whose elements are applied in

@@ -11,8 +11,16 @@ type t = {
    limit) and grows 4x: a log that reaches steady state stops copying *)
 let initial_capacity = 1024
 
+(* empty, keeping the store it has grown; every view cut before is stale *)
+let reset t =
+  Array.fill t.entries 0 t.len dummy;
+  t.len <- 0;
+  incr t.gen
+
 let create ?(capacity = initial_capacity) () =
-  { entries = Array.make (max 8 capacity) dummy; len = 0; gen = ref 0 }
+  let t = { entries = Array.make (max 8 capacity) dummy; len = 0; gen = ref 0 } in
+  reset t;
+  t
 
 let last_index t = t.len
 

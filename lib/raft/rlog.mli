@@ -14,6 +14,10 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] (default 512) pre-sizes the backing store; it lands on the
     major heap and grows 4x, so steady-state appends never copy. *)
 
+val reset : t -> unit
+(** Back to empty, keeping the backing store; every outstanding
+    {!View.t} turns stale. *)
+
 val last_index : t -> Types.index
 val last_term : t -> Types.term
 

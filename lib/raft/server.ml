@@ -837,6 +837,36 @@ let handle t ~src:_ (req : Types.req) : Types.resp option =
     (* baseline-only messages; a DepFastRaft node ignores them *)
     Some Ack
 
+(* a follower at term 0 with an empty log and store, its stream re-split
+   from the engine's root: [create]'s state, for a world reused across
+   runs once its engine, nodes and network are reset. The served handler
+   stays; [start] respawns the coroutines *)
+let reset t =
+  Rng.split_into (Engine.rng (Depfast.Sched.engine t.sched)) ~into:t.rng;
+  t.role <- Follower;
+  t.term <- 0;
+  t.voted_for <- None;
+  Rlog.reset t.rlog;
+  t.commit_index <- 0;
+  t.last_applied <- 0;
+  Kv.reset t.kv;
+  t.last_contact <- Time.zero;
+  t.leader <- None;
+  Queue.clear t.pending_q;
+  Hashtbl.reset t.by_index;
+  Depfast.Condvar.reset t.work_cv;
+  Depfast.Condvar.reset t.commit_cv;
+  t.epoch <- 0;
+  t.ewma.commit_latency_ewma <- -1.0;
+  t.wal_done_index <- 0;
+  t.rounds_inflight <- 0;
+  Depfast.Condvar.reset t.round_cv;
+  Depfast.Mutex.reset t.append_mu;
+  Array.fill t.match_buf 0 t.n_voters 0;
+  Hist.clear t.batch_hist;
+  t.shed_count <- 0;
+  reset_follower_state t
+
 let create rpc node ~peers ~cfg =
   let sched = Cluster.Node.sched node in
   let t =
@@ -847,7 +877,7 @@ let create rpc node ~peers ~cfg =
       cfg;
       peers;
       n_voters = List.length peers + 1;
-      rng = Engine.split_rng (Depfast.Sched.engine sched);
+      rng = Rng.create 0L;
       role = Follower;
       term = 0;
       voted_for = None;
@@ -873,7 +903,7 @@ let create rpc node ~peers ~cfg =
       shed_count = 0;
     }
   in
-  reset_follower_state t;
+  reset t;
   Cluster.Rpc.serve rpc ~node ~handler:(fun ~src req -> handle t ~src req);
   t
 

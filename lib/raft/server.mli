@@ -25,6 +25,12 @@ val create : rpc -> Cluster.Node.t -> peers:int list -> cfg:Config.t -> t
 (** Build the server and install its RPC handler. [peers] are the other
     servers' node ids. Call {!start} to begin operating. *)
 
+val reset : t -> unit
+(** Back to {!create}'s state for a world reused across runs, after its
+    engine, scheduler, node and RPC fabric were reset: a follower at term
+    0 with an empty log and store, its random stream re-split from the
+    engine's root. The served handler stays; call {!start} again. *)
+
 val start : t -> unit
 (** Spawn the election timer, applier, and hiccup coroutines. *)
 

@@ -30,11 +30,16 @@ let[@inline] bits64 t =
   set64 t 0 s;
   mix64 s
 
-let split t =
+let split_into t ~into =
   let seed = bits64 t in
   (* re-mix with a distinct constant so split streams do not collide with
      the parent's own output stream *)
-  create (mix64 (Int64.logxor seed 0xA5A5A5A5DEADBEEFL))
+  reseed into (mix64 (Int64.logxor seed 0xA5A5A5A5DEADBEEFL))
+
+let split t =
+  let into = Bytes.create 8 in
+  split_into t ~into;
+  into
 
 let int t bound =
   assert (bound > 0);

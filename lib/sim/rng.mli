@@ -16,6 +16,11 @@ val split : t -> t
 (** [split t] derives a new independent generator from [t], advancing [t].
     Used to give each node / client / distribution its own stream. *)
 
+val split_into : t -> into:t -> unit
+(** [split_into t ~into] puts [into] in the state [split t] would return,
+    advancing [t] the same way: a component that resets re-splits its
+    stream in place. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -172,7 +172,17 @@ let test_quorum_majority_exhausts_clean () =
    the major heap the test inherits: 534–1 351 per run built afresh and
    380–931 reused, across this suite, a filtered run and a first
    exploration in a fresh process, so no ceiling separates them and its
-   promoted ceiling only catches gross regressions. *)
+   promoted ceiling only catches gross regressions. Since a run state
+   keeps its scenario's world and resets it in place, and a sleep or
+   yield parks on its own wake, raft-elect-3 costs 5 617.6 minor and
+   quorum-majority 722.2: the raft-elect-3 minor ceiling now sits
+   between that and the 8 233.0 of a cluster rebuilt per run.
+   raft-slow-disk-admission-3 (150 schedules) costs 42 783.4 minor and
+   21 290.9 promoted words rebuilt per run, 33 656.8 and 3 696.1 with
+   its world reset; building the run's recorded steps with
+   [Array.of_list], whose first element is a young array, forced a
+   minor collection per long run (171 collections instead of 24) and
+   15 874.7 promoted words. Its ceilings sit between. *)
 let words_per_schedule ~schedules name =
   let sc = scenario name in
   Gc.full_major ();
@@ -196,7 +206,10 @@ let test_quorum_majority_words =
   guard_words ~schedules:2500 "quorum-majority" ~minor:785.0 ~promoted:20.0
 
 let test_raft_elect_words =
-  guard_words ~schedules:200 "raft-elect-3" ~minor:9200.0 ~promoted:1100.0
+  guard_words ~schedules:200 "raft-elect-3" ~minor:7000.0 ~promoted:1100.0
+
+let test_slow_disk_words =
+  guard_words ~schedules:150 "raft-slow-disk-admission-3" ~minor:38000.0 ~promoted:8000.0
 
 (* One run state serves a whole exploration, so its reset must make a
    reused state indistinguishable from a fresh one. For every registry
@@ -207,7 +220,10 @@ let test_raft_elect_words =
    different scenario to the end, then to a terminal check that raises
    out of [run_one], then cut off halfway (leaving posted work, timers
    and parked coroutines behind). The cut-off run itself must match a
-   fresh one too: it follows the run that raised. *)
+   fresh one too: it follows the run that raised. Each Raft gating
+   scenario then does the same on one state it keeps its world on: a run
+   whose check raises, a run cut off halfway, and the prefixes again, all
+   on the world its first run built and every later run reset. *)
 let run_summary (r : E.run) =
   ( r.E.r_nsteps,
     r.E.r_steps,
@@ -238,8 +254,25 @@ let aborting (sc : Check.Scenario.t) =
     sc with
     Check.Scenario.make =
       (fun san sched ->
-        let inst = sc.Check.Scenario.make san sched in
-        { inst with Check.Scenario.check = (fun () -> failwith "abort") });
+        let start = sc.Check.Scenario.make san sched in
+        fun () -> { (start ()) with Check.Scenario.check = (fun () -> failwith "abort") });
+  }
+
+(* [sc] on its own world, whose first run's terminal check raises *)
+let aborting_once (sc : Check.Scenario.t) =
+  {
+    sc with
+    Check.Scenario.make =
+      (fun san sched ->
+        let start = sc.Check.Scenario.make san sched in
+        let armed = ref true in
+        fun () ->
+          let inst = start () in
+          if not !armed then inst
+          else begin
+            armed := false;
+            { inst with Check.Scenario.check = (fun () -> failwith "abort") }
+          end);
   }
 
 let test_reused_state_equals_fresh () =
@@ -274,7 +307,38 @@ let test_reused_state_equals_fresh () =
             true
             (run_summary fresh = run_summary again))
         ([||] :: backtrack_prefixes r0))
-    all
+    all;
+  (* a Raft scenario keeps its world across the runs on one state: after
+     its own run that raised, and its own run cut off halfway, the runs
+     on that world are the runs on a fresh one *)
+  List.iter
+    (fun (sc : Check.Scenario.t) ->
+      let own = aborting_once sc in
+      let state = E.fresh_state () in
+      (match E.run_one ~state own ~prefix:[||] ~budget with
+      | _ -> Alcotest.fail "the aborting check did not raise"
+      | exception Failure _ -> ());
+      let r0 = E.run_one sc ~prefix:[||] ~budget in
+      let cut_short = { budget with E.max_steps = r0.E.r_nsteps / 2 } in
+      let cut = E.run_one ~state own ~prefix:[||] ~budget:cut_short in
+      check_bool "the cut-short run is truncated" true cut.E.r_truncated;
+      check_bool
+        (Printf.sprintf "%s cut short on its own world = fresh" sc.Check.Scenario.name)
+        true
+        (run_summary cut = run_summary (E.run_one sc ~prefix:[||] ~budget:cut_short));
+      List.iter
+        (fun prefix ->
+          check_bool
+            (Printf.sprintf "%s [%s]: its own world reused = fresh" sc.Check.Scenario.name
+               (String.concat ";" (Array.to_list (Array.map string_of_int prefix))))
+            true
+            (run_summary (E.run_one ~state own ~prefix ~budget)
+            = run_summary (E.run_one sc ~prefix ~budget)))
+        ([||] :: backtrack_prefixes r0))
+    (List.filter
+       (fun (sc : Check.Scenario.t) ->
+         sc.Check.Scenario.gating && String.starts_with ~prefix:"raft-" sc.Check.Scenario.name)
+       all)
 
 (* ... and keep nothing of the run before. A run cut off while a
    coroutine is parked on an event — the sanitizer has seen the park, the
@@ -289,7 +353,7 @@ let test_reset_drops_previous_run () =
     {
       base with
       Check.Scenario.make =
-        (fun san sched ->
+        (fun san sched () ->
           let ev = Depfast.Event.signal ~label:"watched" () in
           Weak.set seen 0 (Some ev);
           Depfast.Sched.spawn sched ~name:"watcher" (fun () ->
@@ -303,7 +367,7 @@ let test_reset_drops_previous_run () =
           let engine = Depfast.Sched.engine sched in
           ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 5) fire);
           ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 3_600_000) fire);
-          base.Check.Scenario.make san sched);
+          base.Check.Scenario.make san sched ());
     }
   in
   let cut_at steps = { (budget ()) with E.max_steps = steps } in
@@ -311,7 +375,7 @@ let test_reset_drops_previous_run () =
   let first = E.run_one ~state sc ~prefix:[||] ~budget:(cut_at 1) in
   check_bool "first run cut off with the watcher parked" true
     (first.E.r_truncated && !parked && not !fired);
-  let nothing _ _ = { Check.Scenario.until = None; check = (fun () -> []) } in
+  let nothing _ _ () = { Check.Scenario.until = None; check = (fun () -> []) } in
   let idle = { base with Check.Scenario.make = nothing } in
   ignore (E.run_one ~state idle ~prefix:[||] ~budget:(budget ()));
   Gc.full_major ();
@@ -549,6 +613,8 @@ let suite =
         Alcotest.test_case "quorum-majority words per schedule" `Quick
           test_quorum_majority_words;
         Alcotest.test_case "raft-elect-3 words per schedule" `Quick test_raft_elect_words;
+        Alcotest.test_case "slow-disk admission words per schedule" `Quick
+          test_slow_disk_words;
         Alcotest.test_case "reused run state equals fresh" `Quick
           test_reused_state_equals_fresh;
         Alcotest.test_case "reset drops the previous run" `Quick test_reset_drops_previous_run;

@@ -18,6 +18,64 @@ let in_coroutine ?(until = Sim.Time.sec 60) sched body =
   Depfast.Sched.run ~until sched;
   check_bool "driver finished" true !finished
 
+(* [Group.reset] is [Group.create] again: after a run that elected a
+   leader and committed writes, a reset group (its engine and scheduler
+   reset first) reads as a freshly built one, and a second run on it
+   ends as a first run on a fresh group does *)
+let group_snapshot (g : Raft.Group.t) =
+  let station st = (Cluster.Station.queue_length st, Cluster.Station.busy_servers st) in
+  let node n =
+    ( Cluster.Node.alive n,
+      Cluster.Memory.used (Cluster.Node.memory n),
+      station (Cluster.Node.cpu n),
+      station (Cluster.Disk.station (Cluster.Node.disk n)),
+      Cluster.Disk.write_count (Cluster.Node.disk n) )
+  in
+  let totals = Cluster.Rpc.net_totals g.rpc in
+  ( List.map
+      (fun s ->
+        ( Raft.Server.term s,
+          Raft.Server.is_leader s,
+          Raft.Server.commit_index s,
+          Raft.Rlog.last_index (Raft.Server.log s),
+          Raft.Server.pending_depth s,
+          Raft.Kv.size (Raft.Server.kv s) ))
+      g.servers,
+    List.map node (g.nodes @ List.map Raft.Client.node g.clients),
+    (totals.Cluster.Net.delivered, totals.Cluster.Net.dropped, totals.Cluster.Net.units),
+    Cluster.Rpc.discarded_responses g.rpc )
+
+let group_world seed =
+  let sched = make_env ~seed () in
+  let g = Raft.Group.create sched ~n:3 () in
+  let clients = Raft.Group.make_clients g ~count:2 () in
+  (sched, g, clients)
+
+let group_run sched g clients =
+  List.iteri
+    (fun i c ->
+      Cluster.Node.spawn (Raft.Client.node c) (fun () ->
+          ignore (Raft.Group.wait_for_leader g);
+          for k = 1 to 3 do
+            ignore (Raft.Client.put c ~key:(Printf.sprintf "c%d-k%d" i k) ~value:"v")
+          done))
+    clients;
+  Depfast.Sched.run ~until:(Sim.Time.sec 2) sched;
+  group_snapshot g
+
+let test_group_reset_equals_fresh () =
+  let sched, g, clients = group_world 7L in
+  let _, fresh, _ = group_world 7L in
+  let first = group_run sched g clients in
+  check_bool "the first run elected a leader" true (List.exists Raft.Server.is_leader g.servers);
+  check_bool "and committed" true
+    (List.for_all (fun s -> Raft.Kv.size (Raft.Server.kv s) = 6) g.servers);
+  Sim.Engine.reset (Depfast.Sched.engine sched);
+  Depfast.Sched.reset sched;
+  Raft.Group.reset g;
+  check_bool "reset reads as created" true (group_snapshot g = group_snapshot fresh);
+  check_bool "a second run ends as the first" true (group_run sched g clients = first)
+
 let test_election_on_boot () =
   let sched = make_env () in
   let g = Raft.Group.create sched ~n:3 () in
@@ -463,6 +521,8 @@ let suite =
     ( "raft.cluster",
       [
         Alcotest.test_case "boot election" `Quick test_election_on_boot;
+        Alcotest.test_case "group reset equals a fresh group" `Quick
+          test_group_reset_equals_fresh;
         Alcotest.test_case "put/get roundtrip" `Quick test_put_get_roundtrip;
         Alcotest.test_case "replicas converge" `Quick test_replicas_converge;
         Alcotest.test_case "exactly-once dedup" `Quick test_exactly_once_dedup;

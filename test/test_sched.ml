@@ -792,6 +792,55 @@ let test_alloc_cycle () =
   guard "traced untimed" 16.0 (cycle_words ~traced:true ~timed:false ());
   guard "traced timed" 16.0 (cycle_words ~traced:true ~timed:true ())
 
+(* Allocation guard: minor words per [yield] and per [sleep] of a
+   running coroutine, once the engine's ring has grown and the
+   coroutine's timer entry exists, both explore mode (a chooser
+   installed, as the checker runs them) and not. A yield built a resume
+   closure per call, and a sleep one plus a fresh timer entry and its
+   boxed span: 15.0 and 25.0 words here, in either mode. Parking the
+   coroutine on the never-fired nap event, ended by its own posted wake
+   or its own re-armed timer, leaves the continuation: 2.0 and 2.0. The
+   ceiling sits between, so a closure or an entry per call fails here *)
+let nap_words ~explore nap =
+  let s = make_sched () in
+  if explore then Sim.Engine.set_chooser (Sched.engine s) (fun _ n -> n - 1);
+  let n = 1_000 and words = ref 0.0 in
+  Sched.spawn s (fun () ->
+      for _ = 1 to 64 do
+        nap s
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        nap s
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  Sched.run s;
+  !words
+
+(* a nap is invisible: no trace record and no monitor hook *)
+let test_nap_untraced () =
+  let s = make_sched ~trace:true () in
+  let hooks = logging_monitor s in
+  Sched.spawn s (fun () ->
+      Sched.yield s;
+      Sched.sleep s (Sim.Time.ms 1));
+  Sched.run s;
+  check_int "no wait traced" 0 (Trace.wait_count (Sched.trace s));
+  Alcotest.(check (list string)) "no park or wake seen" [ "spawn"; "done" ] (hooks ())
+
+let test_alloc_nap () =
+  List.iter
+    (fun explore ->
+      let guard what words =
+        if words > 5.0 then
+          Alcotest.failf "%s%s: %.1f words > ceiling 5" what
+            (if explore then " (explore mode)" else "")
+            words
+      in
+      guard "yield" (nap_words ~explore Sched.yield);
+      guard "sleep" (nap_words ~explore (fun s -> Sched.sleep s (Sim.Time.us 10))))
+    [ false; true ]
+
 (* [reset] (after the engine's) forgets every coroutine, even one whose
    exception aborted the run mid-body: ids restart at 1 and no coroutine
    is current *)
@@ -904,6 +953,9 @@ let suite =
         Alcotest.test_case "allocation guard" `Quick test_alloc_cycle;
         Alcotest.test_case "explore-mode timed waits drop their tags" `Quick
           test_alloc_explore_timed;
+        Alcotest.test_case "yield and sleep are untraced" `Quick test_nap_untraced;
+        Alcotest.test_case "yield and sleep allocate no closure or entry" `Quick
+          test_alloc_nap;
         Alcotest.test_case "reset after an aborted run" `Quick test_reset_after_abort;
       ] );
     ( "sched.edge-cases",
