@@ -41,6 +41,7 @@ type shape = Fun of string list | Value | Other
 
 type fn = {
   g_qname : string;  (* Module.name; "Module.<unit:L>" for anonymous items *)
+  g_name : string;  (* the name as written, its token's; "" for anonymous items *)
   g_line : int;
   g_b : int;  (* first token of the item (the [let]/[and]) *)
   g_body : int;  (* first token after the binding's [=] *)
@@ -68,6 +69,10 @@ type closure = {
 type project = {
   files : file_ctx list;
   defs : (string, file_ctx * fn) Hashtbl.t;  (* qname -> definition, first wins *)
+  (* module -> the names it defines, each to [Some] of the defining
+     qname (first wins) as [resolve] returns it, so that a lookup builds
+     nothing *)
+  scopes : (string, (string, string option) Hashtbl.t) Hashtbl.t;
   by_path : (string, file_ctx) Hashtbl.t;
   closure : closure Lazy.t;
   growth : (Finding.t list * cert list) Lazy.t;
@@ -183,20 +188,29 @@ let parse_file (path, src) =
         let j = if a.(b + 1).Lexer.text = "rec" && b + 2 < e then b + 2 else b + 1 in
         let line = a.(b).Lexer.line in
         let shape, body = item_shape a pm j e in
+        let name = a.(j).Lexer.text in
         let qname =
-          if Lexer.is_ident a.(j).Lexer.text then begin
+          if Lexer.is_ident name then begin
             (* module-level store? [let name = Queue.create ...] *)
             if
               shape = Value && body < e
               && Lexer.is_ident a.(body).Lexer.text
               && List.mem (SL.last2 a.(body).Lexer.dotted) store_heads
-            then Hashtbl.replace stores a.(j).Lexer.text ();
-            mdl ^ "." ^ a.(j).Lexer.text
+            then Hashtbl.replace stores name ();
+            mdl ^ "." ^ name
           end
           else Printf.sprintf "%s.<unit:%d>" mdl line
         in
         fns :=
-          { g_qname = qname; g_line = line; g_b = b; g_body = body; g_e = e; g_shape = shape }
+          {
+            g_qname = qname;
+            g_name = (if Lexer.is_ident name then name else "");
+            g_line = line;
+            g_b = b;
+            g_body = body;
+            g_e = e;
+            g_shape = shape;
+          }
           :: !fns
       end)
     (SL.spans a);
@@ -226,9 +240,22 @@ let trigger_heads =
     ("Event.on_abandon", "abandon callback");
   ]
 
+let scoped p ~mdl name =
+  match Hashtbl.find (Hashtbl.find p.scopes mdl) name with
+  | q -> q
+  | exception Not_found -> None
+
 let resolve p ~mdl name =
-  let q = if SL.is_simple name then mdl ^ "." ^ name else SL.last2 name in
-  if Hashtbl.mem p.defs q then Some q else None
+  if SL.is_simple name then scoped p ~mdl name
+  else
+    let q = SL.last2 name in
+    if Hashtbl.mem p.defs q then Some q else None
+
+(* a dotted name resolves on its last two segments, each a token *)
+let resolve_at p fc i ni =
+  let a = fc.fc_toks in
+  if ni = i + 1 then scoped p ~mdl:fc.fc_mdl a.(i).Lexer.text
+  else scoped p ~mdl:a.(ni - 3).Lexer.text a.(ni - 1).Lexer.text
 
 let close p =
   let c = { calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
@@ -244,8 +271,8 @@ let close p =
           let i = ref f.g_b in
           while !i < f.g_e do
             if Lexer.is_ident a.(!i).Lexer.text then begin
-              let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
-              (match resolve p ~mdl:fc.fc_mdl name with
+              let ni = SL.after a !i in
+              (match resolve_at p fc !i ni with
               | Some q when q <> f.g_qname -> callees := q :: !callees
               | _ -> ());
               i := ni
@@ -265,8 +292,8 @@ let close p =
       let i = ref 0 in
       while !i < n do
         if Lexer.is_ident a.(!i).Lexer.text then begin
-          let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
-          (match List.assoc_opt (SL.last2 name) trigger_heads with
+          let ni = SL.after a !i in
+          (match List.assoc_opt (SL.last2_at a !i ni) trigger_heads with
           | Some why ->
             (* find the first [(fun] within the next tokens *)
             let j = ref ni in
@@ -283,8 +310,8 @@ let close p =
                 let k = ref (!j + 2) in
                 while !k < close do
                   if Lexer.is_ident a.(!k).Lexer.text then begin
-                    let cname = a.(!k).Lexer.dotted and kn = SL.after a !k in
-                    (match resolve p ~mdl:fc.fc_mdl cname with
+                    let kn = SL.after a !k in
+                    (match resolve_at p fc !k kn with
                     | Some q -> if not (Hashtbl.mem c.roots q) then Hashtbl.add c.roots q why
                     | None -> ());
                     k := kn
@@ -589,7 +616,8 @@ type evidence = {
 type facts = { mutable sites : site list; mutable evidence : evidence list }
 
 (* Does a comparison operator neighbour token [i] (the first token of a
-   container/counter mention ending at [j])? [<-] is not a comparison. *)
+   container/counter mention ending at [j])? [<-] and [->] are not
+   comparisons. *)
 let near_comparison (a : Lexer.token array) i j =
   let n = Array.length a in
   let is_cmp k =
@@ -597,7 +625,7 @@ let near_comparison (a : Lexer.token array) i j =
     &&
     match a.(k).Lexer.text with
     | "<" -> not (k + 1 < n && a.(k + 1).Lexer.text = "-")
-    | ">" -> true
+    | ">" -> not (k > 0 && a.(k - 1).Lexer.text = "-")
     | _ -> false
   in
   is_cmp j
@@ -793,16 +821,36 @@ let growth_analysis p =
 let load sources =
   let files = List.map parse_file sources in
   let defs = Hashtbl.create 256 in
+  let scopes = Hashtbl.create 64 in
   let by_path = Hashtbl.create 64 in
   List.iter
     (fun fc ->
       Hashtbl.replace by_path fc.fc_path fc;
+      let scope =
+        match Hashtbl.find_opt scopes fc.fc_mdl with
+        | Some s -> s
+        | None ->
+          let s = Hashtbl.create 32 in
+          Hashtbl.add scopes fc.fc_mdl s;
+          s
+      in
       List.iter
-        (fun f -> if not (Hashtbl.mem defs f.g_qname) then Hashtbl.add defs f.g_qname (fc, f))
+        (fun f ->
+          if not (Hashtbl.mem defs f.g_qname) then begin
+            Hashtbl.add defs f.g_qname (fc, f);
+            if f.g_name <> "" then Hashtbl.add scope f.g_name (Some f.g_qname)
+          end)
         fc.fc_fns)
     files;
   let rec p =
-    { files; defs; by_path; closure = lazy (close p); growth = lazy (growth_analysis p) }
+    {
+      files;
+      defs;
+      scopes;
+      by_path;
+      closure = lazy (close p);
+      growth = lazy (growth_analysis p);
+    }
   in
   p
 

@@ -61,6 +61,7 @@ type shape =
 
 type fn = {
   g_qname : string;  (** [Module.name]; [Module.<unit:L>] for anonymous items *)
+  g_name : string;  (** [name] as written; [""] for anonymous items *)
   g_line : int;
   g_b : int;  (** first token of the item *)
   g_body : int;  (** first token after the binding's [=] *)
@@ -92,7 +93,15 @@ val files : project -> file_ctx list
 val resolve : project -> mdl:string -> string -> string option
 (** Resolve a name as written in module [mdl] ([f], [M.f], [Lib.M.f]): a
     simple name in its own module, a dotted one on its last two
-    segments. [None] when nothing of that name is defined. *)
+    segments. [None] when nothing of that name is defined. A simple name
+    resolves through its module's table of local names, building
+    nothing. *)
+
+val resolve_at : project -> file_ctx -> int -> int -> string option
+(** [resolve_at p fc i (Source_lint.after fc.fc_toks i)]: {!resolve} of
+    the dotted name starting at token [i] of [fc], through the table of
+    the module its second-to-last segment names; it builds nothing
+    whatever the name's length. *)
 
 val allow : project -> Finding.t list -> Finding.t list
 (** Apply the pragmas of each finding's file ({!Lexer.allows}). *)

@@ -147,15 +147,22 @@ type state = {
   p : Growth.project;
   sums : (string, Summary.t) Hashtbl.t;  (* function qname -> summary, first wins *)
   values : (string, mval) Hashtbl.t;  (* "Module.x" -> fact *)
-  (* lock-order graph: canonical-name edges with their witness site *)
-  edge_locs : (string * string, string * int) Hashtbl.t;
-  lock_graph : Digraph.g;
 }
 
 let is_ident_at (a : Lexer.token array) i = i < Array.length a && Lexer.is_ident a.(i).Lexer.text
 
+(* an integer literal ([1_000] included); a token starting with anything
+   else is none, and is not copied to find out *)
 let int_of_token txt =
-  int_of_string_opt (String.concat "" (String.split_on_char '_' txt))
+  match txt.[0] with
+  | '0' .. '9' | '-' | '+' | '_' ->
+    int_of_string_opt (String.concat "" (String.split_on_char '_' txt))
+  | _ -> None
+  | exception Invalid_argument _ -> None
+
+(* the fact of a module-level value named [x] in module [mdl] *)
+let local_value st ~mdl x =
+  Option.bind (Growth.resolve st.p ~mdl x) (Hashtbl.find_opt st.values)
 
 (* Canonical name of a mutex expression ({!SL.canon}; module-level
    mutexes are the [Module.x] ones). Unknowable locks (parameters,
@@ -165,8 +172,7 @@ let canon_lock st (fc : Growth.file_ctx) = function
   | None -> "?"
   | Some raw ->
     let mdl = fc.Growth.fc_mdl in
-    SL.canon ~mdl raw ~top:(fun x ->
-        Hashtbl.find_opt st.values (mdl ^ "." ^ x) = Some MLock)
+    SL.canon ~mdl raw ~top:(fun x -> local_value st ~mdl x = Some MLock)
 
 (* ---- module-level value facts ---------------------------------------- *)
 
@@ -209,7 +215,7 @@ let value_fact (a : Lexer.token array) r e =
         if not (Lexer.is_ident t) then None
         else
           let h = a.(r).Lexer.dotted and hn = SL.after a r in
-          if SL.last2 h = "Mutex.create" then Some MLock
+          if SL.last2_at a r hn = "Mutex.create" then Some MLock
           else if
             (* a lone name is an alias worth chasing for constants *)
             hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line
@@ -250,7 +256,7 @@ let iter_regions (fc : Growth.file_ctx) (fn : Growth.fn) =
            regions := (s, !i, LUnknown) :: !regions;
            loop_stack := rest
          | [] -> ()
-       else if List.mem (SL.last2 name) SL.iter_names then
+       else if List.mem (SL.last2_at a !i ni) SL.iter_names then
          if ni < fn.Growth.g_e && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
            let close = pm.(ni) in
            let len =
@@ -273,17 +279,41 @@ let iter_regions (fc : Growth.file_ctx) (fn : Growth.fn) =
 
 (* ---- the per-function walk ------------------------------------------ *)
 
-(* the summary of the function a name resolves to, as written in [mdl] *)
-let resolve st ~mdl name =
-  Option.bind (Growth.resolve st.p ~mdl name) (Hashtbl.find_opt st.sums)
+(* A resolved call in a body: whom it calls, where, and the locks held
+   there. Its fixpoint-dependent half (does the callee suspend, what it
+   acquires) is read off the callee's summary when the facts settle. *)
+type call = { callee : Summary.t; c_line : int; c_held : string list }
 
+(* What one walk of a body leaves behind: its intra-function lock-order
+   edges [(outer, inner, line)] and its resolved calls, both in token
+   order. *)
+type walked = {
+  w_own : Summary.t option;
+  w_path : string;
+  w_nested : (string * string * int) list;
+  w_calls : call list;
+}
+
+let held_names held =
+  String.concat ", " (List.map (fun l -> if SL.canonical l then l else "a mutex") held)
+
+let lock_across_call path line message =
+  Finding.v ~rule:Finding.lock_across_call ~severity:Finding.Error
+    ~loc:(Finding.File { file = path; line })
+    message
+
+(* One pass over a body. Everything it finds is final once the module
+   values are known — its own summary's direct facts (suspends, the
+   locks it takes), direct waits under a lock, quorum arity verdicts —
+   except what its calls inherit from their callees, which it records. *)
 let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
-    ~(emit : (Finding.t -> unit) option) =
+    ~(emit : Finding.t -> unit) =
   let a = fc.Growth.fc_toks and pm = fc.Growth.fc_pm in
   let path = fc.Growth.fc_path and mdl = fc.Growth.fc_mdl in
   let f_body = fn.Growth.g_body and f_end = fn.Growth.g_e in
   let env : (string, vfact) Hashtbl.t = Hashtbl.create 16 in
   let quorums = ref [] in
+  let calls = ref [] in
   let lregions =
     List.map (fun (m, s, e) -> (canon_lock st fc m, s, e)) (SL.lock_regions a pm f_body f_end)
   in
@@ -293,30 +323,14 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     List.iter (fun (l, _, _) -> if SL.canonical l then Summary.add_acquire o l) lregions
   | None -> ());
   let held i = List.filter_map (fun (l, s, e) -> if s <= i && i <= e then Some l else None) lregions in
-  let held_names held =
-    String.concat ", " (List.map (fun l -> if SL.canonical l then l else "a mutex") held)
-  in
-  let add_lock_edge src dst line =
-    if SL.canonical src && SL.canonical dst && src <> dst then begin
-      if not (Hashtbl.mem st.edge_locs (src, dst)) then
-        Hashtbl.replace st.edge_locs (src, dst) (path, line);
-      Digraph.add_edge st.lock_graph ~src ~dst
-        ~witness:(Printf.sprintf "%s:%d" path line)
-    end
-  in
   (* intra-function nesting: acquiring B inside A's region orders A -> B *)
-  List.iter
-    (fun (lb, sb, _) ->
-      List.iter
-        (fun (la, sa, ea) -> if sa < sb && sb <= ea then add_lock_edge la lb a.(sb).Lexer.line)
-        lregions)
-    lregions;
-  let emit_finding f = match emit with Some e -> e f | None -> () in
-  let lock_across_call line message =
-    emit_finding
-      (Finding.v ~rule:Finding.lock_across_call ~severity:Finding.Error
-         ~loc:(Finding.File { file = path; line })
-         message)
+  let nested =
+    List.concat_map
+      (fun (lb, sb, _) ->
+        List.filter_map
+          (fun (la, sa, ea) -> if sa < sb && sb <= ea then Some (la, lb, a.(sb).Lexer.line) else None)
+          lregions)
+      lregions
   in
   (* a direct suspension point: the callee-less half of lock-across-call *)
   let suspend i line what =
@@ -324,14 +338,15 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     match held i with
     | [] -> ()
     | held_here ->
-      lock_across_call line
-        (Printf.sprintf "%s while holding %s: %s" what (held_names held_here)
-           (if String.starts_with ~prefix:"Condvar" what then
-              "Depfast.Condvar does not release the mutex, so this deadlocks or \
-               serialises every contender behind one slow firer"
-            else
-              "a single slow firer blocks every coroutine contending on the lock (the \
-               RethinkDB hazard, paper §2)"))
+      emit
+        (lock_across_call path line
+           (Printf.sprintf "%s while holding %s: %s" what (held_names held_here)
+              (if String.starts_with ~prefix:"Condvar" what then
+                 "Depfast.Condvar does not release the mutex, so this deadlocks or \
+                  serialises every contender behind one slow firer"
+               else
+                 "a single slow firer blocks every coroutine contending on the lock (the \
+                  RethinkDB hazard, paper §2)")))
   in
   (* value fact of a name in value position (variable, module value) *)
   let fact_of_name name =
@@ -339,12 +354,15 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     if SL.is_simple name then
       match Hashtbl.find_opt env name with
       | Some f -> f
-      | None -> of_mval (Hashtbl.find_opt st.values (mdl ^ "." ^ name))
+      | None -> of_mval (local_value st ~mdl name)
     else if name.[0] >= 'A' && name.[0] <= 'Z' then of_mval (lookup st name 0)
     else VNone
   in
-  (* value fact of an applied (or copied) head: a call yields nothing *)
-  let head_fact h = match resolve st ~mdl h with Some _ -> VNone | None -> fact_of_name h in
+  (* value fact of an applied (or copied) head [h], resolved to [q]: a
+     call yields nothing *)
+  let head_fact q h =
+    match q with Some q when Hashtbl.mem st.sums q -> VNone | _ -> fact_of_name h
+  in
   (* weight of one Event.add at token [i]: product of the lengths of the
      iteration regions covering it; None when any is unknown *)
   let add_weight i =
@@ -402,25 +420,13 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
       | _ -> ())
     | _ -> ()
   in
-  (* a resolvable call: propagate suspension/lock facts, check held
-     locks, and let a quorum passed as an argument escape *)
-  let handle_call (callee : Summary.t) line i ni =
-    let held_here = held i in
-    (match own with
-    | Some o ->
-      if callee.Summary.suspends then o.Summary.suspends <- true;
-      List.iter (fun l -> Summary.add_acquire o l) callee.Summary.acquires
-    | None -> ());
-    List.iter
-      (fun h -> List.iter (fun acq -> add_lock_edge h acq line) callee.Summary.acquires)
-      held_here;
-    if callee.Summary.suspends && held_here <> [] then
-      lock_across_call line
-        (Printf.sprintf
-           "call to %s while holding %s: the callee (transitively) suspends on an event, so \
-            one slow firer blocks every contender on the lock (the RethinkDB hazard, paper \
-            §2, across a call boundary)"
-           callee.Summary.qname (held_names held_here));
+  (* a resolvable call: recorded for the fixpoint when it can feed this
+     function's summary or a lock finding, and a quorum passed as an
+     argument escapes *)
+  let handle_call callee line i ni =
+    (match held i with
+    | [] when own = None -> ()
+    | held_here -> calls := { callee; c_line = line; c_held = held_here } :: !calls);
     (* positional arguments, labels skipped; stop at the first non-atom *)
     let j = ref ni in
     let pos = ref 0 in
@@ -453,15 +459,15 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     in
     match (pat, rhs) with
     | SL.PVar name, SL.RHead (Some h) ->
-      if SL.last2 h = "Event.quorum" then begin
-        (* the head token follows the [=]; find it to parse the arity *)
-        let k = ref (eq + 1) in
-        while !k < f_end && a.(!k).Lexer.text = "(" do
-          incr k
-        done;
-        if is_ident_at a !k then bind1 name (VQuorum (quorum_cell line (SL.after a !k)))
-      end
-      else bind1 name (head_fact h)
+      (* the head token follows the [=] and its opening parentheses,
+         found by the same scan as [SL.binding_at]'s *)
+      let k = ref (eq + 1) in
+      while a.(!k).Lexer.text = "(" do
+        incr k
+      done;
+      let kn = SL.after a !k in
+      if SL.last2_at a !k kn = "Event.quorum" then bind1 name (VQuorum (quorum_cell line kn))
+      else bind1 name (head_fact (Growth.resolve_at st.p fc !k kn) h)
     | SL.PVar name, SL.RHead None ->
       if eq + 1 < f_end && a.(eq + 1).Lexer.text = "[" then
         (* local list literals feed iteration lengths *)
@@ -476,7 +482,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
       List.iteri
         (fun i name ->
           match List.nth_opt comps i with
-          | Some (Some h) -> bind1 name (head_fact h)
+          | Some (Some h) -> bind1 name (head_fact (Growth.resolve st.p ~mdl h) h)
           | _ -> bind1 name VNone)
         names
     | SL.PTuple names, SL.RHead _ -> List.iter (fun n -> bind1 n VNone) names
@@ -488,8 +494,8 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     | Some (pat, rhs, eq) -> handle_binding pat rhs a.(!i).Lexer.line eq
     | None -> ());
     if is_ident_at a !i then begin
-      let name = a.(!i).Lexer.dotted and line = a.(!i).Lexer.line and ni = SL.after a !i in
-      (match SL.last2 name with
+      let line = a.(!i).Lexer.line and ni = SL.after a !i in
+      (match SL.last2_at a !i ni with
       | ("Sched.wait" | "Sched.wait_timeout" | "Condvar.wait" | "Condvar.wait_timeout") as w ->
         suspend !i line w
       | "Event.add" -> (
@@ -505,8 +511,11 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
         | _ -> ())
       | "Mutex.lock" | "Mutex.unlock" | "Mutex.with_lock" -> ()
       | _ -> (
-        match resolve st ~mdl name with
-        | Some callee -> handle_call callee line !i ni
+        match Growth.resolve_at st.p fc !i ni with
+        | Some q -> (
+          match Hashtbl.find st.sums q with
+          | callee -> handle_call callee line !i ni
+          | exception Not_found -> ())
         | None -> ()));
       i := ni
     end
@@ -528,7 +537,7 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     (fun qc ->
       match qc.q_count with
       | Some k when (not qc.q_unknown) && qc.q_adds > 0 && k > qc.q_adds ->
-        emit_finding
+        emit
           (Finding.v ~rule:Finding.quorum_arity_mismatch ~severity:Finding.Error
              ~loc:(Finding.File { file = path; line = qc.q_line })
              (Printf.sprintf
@@ -536,20 +545,34 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
                  it: it can never fire (constants resolved across modules)"
                 k qc.q_adds))
       | _ -> ())
-    !quorums
+    !quorums;
+  { w_own = own; w_path = path; w_nested = nested; w_calls = List.rev !calls }
+
+(* ---- the call-fact fixpoint ----------------------------------------- *)
+
+(* Callee facts flow into callers' summaries until nothing changes. Facts
+   only grow, over a finite set of names, so this terminates; a round
+   reads the recorded calls only, never a body. *)
+let rec settle walked =
+  let changed = ref false in
+  let rec flow (o : Summary.t) = function
+    | [] -> ()
+    | { callee; _ } :: calls ->
+      let acquires = Summary.union o.acquires callee.acquires in
+      if (callee.suspends && not o.suspends) || acquires != o.acquires then begin
+        o.suspends <- o.suspends || callee.suspends;
+        o.acquires <- acquires;
+        changed := true
+      end;
+      flow o calls
+  in
+  List.iter (fun w -> match w.w_own with Some o -> flow o w.w_calls | None -> ()) walked;
+  if !changed then settle walked
 
 (* ---- the whole-project pass ----------------------------------------- *)
 
 let analyze p =
-  let st =
-    {
-      p;
-      sums = Hashtbl.create 256;
-      values = Hashtbl.create 64;
-      edge_locs = Hashtbl.create 16;
-      lock_graph = Digraph.create ();
-    }
-  in
+  let st = { p; sums = Hashtbl.create 256; values = Hashtbl.create 64 } in
   (* functions get summaries; value bindings are walked for findings
      and harvested for module-level facts *)
   let summaries = ref [] and units = ref [] in
@@ -577,27 +600,43 @@ let analyze p =
           | Growth.Other -> ())
         fc.Growth.fc_fns)
     (Growth.files p);
-  let summaries = List.rev !summaries and units = List.rev !units in
-  let walk_all st ~emit =
-    List.iter (fun (fc, fn, s) -> walk st fc fn ~own:(Some s) ~emit) summaries;
-    List.iter (fun (fc, u) -> walk st fc u ~own:None ~emit) units
-  in
-  (* fixpoint: summaries feed each other across files *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
-    incr rounds;
-    let before = List.map (fun (_, _, s) -> Summary.fingerprint s) summaries in
-    walk_all st ~emit:None;
-    changed := before <> List.map (fun (_, _, s) -> Summary.fingerprint s) summaries
-  done;
-  (* reporting round: rebuild the lock graph from scratch so every edge
-     reflects fixpoint facts, then emit findings *)
-  Hashtbl.reset st.edge_locs;
-  let st = { st with lock_graph = Digraph.create () } in
   let findings = ref [] in
   let emit f = findings := f :: !findings in
-  walk_all st ~emit:(Some emit);
+  (* every body once: functions, then value bindings *)
+  let walked =
+    List.rev_map (fun (fc, fn, s) -> walk st fc fn ~own:(Some s) ~emit) !summaries
+    @ List.rev_map (fun (fc, u) -> walk st fc u ~own:None ~emit) !units
+  in
+  settle walked;
+  (* report from the settled facts, replaying the walks in order: the
+     lock-order graph and its first witness per edge, and the calls made
+     under a lock into a function that suspends *)
+  let edge_locs = Hashtbl.create 16 in
+  let lock_graph = Digraph.create () in
+  let add_lock_edge path src dst line =
+    if SL.canonical src && SL.canonical dst && src <> dst then begin
+      if not (Hashtbl.mem edge_locs (src, dst)) then Hashtbl.replace edge_locs (src, dst) (path, line);
+      Digraph.add_edge lock_graph ~src ~dst ~witness:(Printf.sprintf "%s:%d" path line)
+    end
+  in
+  List.iter
+    (fun w ->
+      List.iter (fun (src, dst, line) -> add_lock_edge w.w_path src dst line) w.w_nested;
+      List.iter
+        (fun { callee; c_line = line; c_held = held } ->
+          List.iter
+            (fun h -> List.iter (fun acq -> add_lock_edge w.w_path h acq line) callee.Summary.acquires)
+            held;
+          if callee.Summary.suspends && held <> [] then
+            emit
+              (lock_across_call w.w_path line
+                 (Printf.sprintf
+                    "call to %s while holding %s: the callee (transitively) suspends on an \
+                     event, so one slow firer blocks every contender on the lock (the \
+                     RethinkDB hazard, paper §2, across a call boundary)"
+                    callee.Summary.qname (held_names held))))
+        w.w_calls)
+    walked;
   (* lock-order cycles *)
   List.iter
     (fun (path, edges) ->
@@ -605,7 +644,7 @@ let analyze p =
       | [] -> ()
       | first :: _ ->
         let loc =
-          match Hashtbl.find_opt st.edge_locs (first.Digraph.src, first.Digraph.dst) with
+          match Hashtbl.find_opt edge_locs (first.Digraph.src, first.Digraph.dst) with
           | Some (file, line) -> Finding.File { file; line }
           | None -> Finding.File { file = "<unknown>"; line = 0 }
         in
@@ -623,7 +662,7 @@ let analyze p =
                  deadlock outright — and under fail-slow faults even the non-deadlocked \
                  interleavings convoy (acquisition sites: %s)"
                 (String.concat " -> " path) sites)))
-    (Digraph.cycles st.lock_graph);
+    (Digraph.cycles lock_graph);
   Growth.allow p !findings
   |> List.sort_uniq (fun a b ->
          let c = Finding.by_location a b in

@@ -2,10 +2,14 @@
 
     Runs over the whole {!Growth.project}, builds a {!Summary.t} per
     top-level function (including the [and] halves of [let rec]:
-    suspends, acquires mutexes), resolves calls through the project's
-    [Module.fn] index ({!Growth.resolve}), and iterates the summaries to
-    a fixpoint so suspension and lock facts flow across calls and
-    modules. Whole-program rules:
+    suspends, acquires mutexes) and resolves calls through the project's
+    name tables ({!Growth.resolve_at}). Each body is walked once: the
+    walk settles the function's own facts and every finding that needs
+    no callee, and records its resolved calls in token order (callee,
+    line, locks held). The summaries then reach their fixpoint over
+    those calls alone, without a round cap, so suspension and lock facts
+    flow across calls and modules however long the chain; the report
+    replays the recorded calls in order. Whole-program rules:
 
     - {b lock-across-call}: a suspension point reached while a
       [Depfast.Mutex] is held — a direct [Sched.wait]/[Condvar.wait]

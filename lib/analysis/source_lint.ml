@@ -41,6 +41,11 @@ let after (a : Lexer.token array) i =
   done;
   !j
 
+(* [last2] of the dotted name over tokens [i, ni) without building it:
+   the lexer joined the name from each of its segments onward, so the
+   second-to-last segment's [dotted] is already that string *)
+let last2_at (a : Lexer.token array) i ni = a.(max i (ni - 3)).Lexer.dotted
+
 type atom = AName of string | AParen of string option | AOther
 
 (* [parse_atom a pm i] consumes one argument-shaped expression starting
@@ -219,8 +224,8 @@ let lock_regions (a : Lexer.token array) pm lo hi =
   let i = ref lo in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name = a.(!i).Lexer.dotted and ni = after a !i in
-      (match last2 name with
+      let ni = after a !i in
+      (match last2_at a !i ni with
       | "Mutex.with_lock" ->
         let _sched, i1 = parse_atom a pm ni in
         let mu, i2 = parse_atom a pm i1 in

@@ -45,6 +45,10 @@ val iter_names : string list
 val last2 : string -> string
 (** The last two dot-segments of a qualified name. *)
 
+val last2_at : Lexer.token array -> int -> int -> string
+(** [last2_at a i (after a i)]: {!last2} of the dotted name starting at
+    token [i], shared with the token array rather than built. *)
+
 val is_simple : string -> bool
 (** True when the name has no dot. *)
 

@@ -32,6 +32,3 @@ let rec union a b =
 let add_acquire t l = t.acquires <- union t.acquires [ l ]
 let add_read t c = t.reads <- union t.reads [ c ]
 let add_write t c = t.writes <- union t.writes [ c ]
-
-(* Fingerprint of the mutable facts, for fixpoint change detection. *)
-let fingerprint t = (t.suspends, t.acquires, t.reads, t.writes)

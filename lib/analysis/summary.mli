@@ -29,6 +29,3 @@ val union : 'a list -> 'a list -> 'a list
 val add_acquire : t -> string -> unit
 val add_read : t -> string -> unit
 val add_write : t -> string -> unit
-
-val fingerprint : t -> bool * string list * string list * string list
-(** Snapshot of the mutable facts, for fixpoint change detection. *)

@@ -37,6 +37,7 @@ type stats = { delivered : int; dropped : int; units : int }
 type 'msg t = {
   sched : Depfast.Sched.t;
   latency : Dist.t;
+  filler : 'msg;  (* what a vacated ring slot holds, so it keeps no message *)
   rng : Rng.t;
   mutable eps : 'msg endpoint option array;  (* indexed by node id *)
   cuts : (int, unit) Hashtbl.t;  (* keyed by [cut_key] *)
@@ -51,8 +52,10 @@ type 'msg t = {
 
 let no_arrival = Time.add Time.zero (-1)
 
-(* empty, its pump re-armed in place; the ring keeps its capacity *)
-let reset_link link =
+(* empty, its pump re-armed in place; the ring keeps its capacity and
+   lets go of the messages it held *)
+let reset_link filler link =
+  Array.fill link.ring 0 (Array.length link.ring) filler;
   link.head <- 0;
   link.len <- 0;
   link.next_seq <- 0;
@@ -69,18 +72,25 @@ let reset_link link =
 let reset t =
   Rng.split_into (Engine.rng (Depfast.Sched.engine t.sched)) ~into:t.rng;
   Hashtbl.reset t.cuts;
-  Array.iter
-    (function Some ep -> Array.iter (function Some l -> reset_link l | None -> ()) ep.out | None -> ())
-    t.eps;
+  (* loops, not [Array.iter]: a closure over [t] would be built per reset *)
+  for i = 0 to Array.length t.eps - 1 do
+    match t.eps.(i) with
+    | Some ep ->
+      for j = 0 to Array.length ep.out - 1 do
+        match ep.out.(j) with Some l -> reset_link t.filler l | None -> ()
+      done
+    | None -> ()
+  done;
   t.delivered <- 0;
   t.dropped <- 0;
   t.units_total <- 0
 
-let create sched ?(latency = Dist.Shifted (120.0, Dist.Exponential 30.0)) () =
+let create sched ?(latency = Dist.Shifted (120.0, Dist.Exponential 30.0)) ~filler () =
   let t =
     {
       sched;
       latency;
+      filler;
       rng = Rng.create 0L;
       eps = Array.make 16 None;
       cuts = Hashtbl.create 4;
@@ -148,6 +158,8 @@ let deliver_head t link =
   let msg = Array.unsafe_get link.ring slot in
   let u = Array.unsafe_get link.units slot in
   let sq = Array.unsafe_get link.seqs slot in
+  (* delivered or dropped, the message leaves the ring *)
+  Array.unsafe_set link.ring slot t.filler;
   link.head <- (slot + 1) mod cap;
   link.len <- link.len - 1;
   (* per-link FIFO invariant: delivered send-sequence numbers strictly
@@ -246,10 +258,10 @@ let link_for t sep ~src ~dst =
     sep.out.(dst) <- Some l;
     l
 
-let ensure_room link msg =
+let ensure_room t link =
   let cap = Array.length link.ring in
   if cap = 0 then begin
-    link.ring <- Array.make 8 msg;
+    link.ring <- Array.make 8 t.filler;
     link.times <- Array.make 8 Time.zero;
     link.units <- Array.make 8 0;
     link.seqs <- Array.make 8 0
@@ -257,16 +269,20 @@ let ensure_room link msg =
   else if link.len = cap then begin
     (* a full ring twice over is a ring of twice the room holding the same
        queue from the same head; and [Array.append] copies, where
-       [Array.make] past 256 words with a young [msg] forces a minor
+       [Array.make] past 256 words with a young message forces a minor
        collection (DESIGN §10) *)
     link.ring <- Array.append link.ring link.ring;
+    (* the queue runs from [head] for [cap] slots; the copies around it
+       are vacant *)
+    Array.fill link.ring 0 link.head t.filler;
+    Array.fill link.ring (link.head + cap) (cap - link.head) t.filler;
     link.times <- Array.append link.times link.times;
     link.units <- Array.append link.units link.units;
     link.seqs <- Array.append link.seqs link.seqs
   end
 
 let enqueue t link msg ~units ~arrival =
-  ensure_room link msg;
+  ensure_room t link;
   let cap = Array.length link.ring in
   let slot = (link.head + link.len) mod cap in
   Array.unsafe_set link.ring slot msg;

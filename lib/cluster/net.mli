@@ -20,11 +20,15 @@ type stats = { delivered : int; dropped : int; units : int }
 val create :
   Depfast.Sched.t ->
   ?latency:Sim.Dist.t ->
+  filler:'msg ->
   unit ->
   'msg t
 (** [latency] is the one-way delay in microseconds; default
     [Shifted (120, Exponential 30)] — a ~150 us same-AZ RTT/2. Its draws
-    come from a stream split off the engine's at creation. *)
+    come from a stream split off the engine's at creation. [filler]
+    overwrites every ring slot a message leaves (delivered, dropped or
+    {!reset}), so the network keeps no message alive once it is out of
+    flight: a constant constructor of the message type costs nothing. *)
 
 val reset : 'msg t -> unit
 (** Back to {!create}'s state for a world reused across runs, after its

@@ -1,6 +1,7 @@
 type ('req, 'resp) frame =
   | Req of { id : int; body : 'req }
   | Resp of { id : int; body : 'resp }
+  | Vacant  (* an empty ring slot of the network; never sent *)
 
 type 'resp call = {
   id : int;
@@ -42,7 +43,7 @@ let create sched ?latency () =
   let t =
     {
       sched;
-      net = Net.create sched ?latency ();
+      net = Net.create sched ?latency ~filler:Vacant ();
       book = { calls = Hashtbl.create 16; outstanding = Hashtbl.create 16 };
       handlers = Hashtbl.create 16;
       next_id = 0;
@@ -103,6 +104,7 @@ let handle_frame t me ~src frame =
       call.resp <- Some body;
       finish call;
       Depfast.Event.fire call.ev)
+  | Vacant -> ()
 
 let attach t node =
   Net.register t.net node ~handler:(fun ~src frame -> handle_frame t node ~src frame)

@@ -59,6 +59,40 @@ let test_ring_capacity_certified () =
     && String.sub c.B.c_evidence 0 14 = "capacity check")
 
 (* ------------------------------------------------------------------ *)
+(* counter windows: a counter bumped right after a match arrow is no
+   window, since the [>] of [->] compares nothing; the same counter
+   compared against a cap elsewhere on the handler's path is one *)
+
+let counter_window ~compared =
+  let src =
+    Printf.sprintf
+      {|type t = { mutable n : int }
+let over t = t.n > 100
+let bump t m =
+  match m with
+  | Some _ -> t.n <- t.n + 1
+  | None -> %s
+let install rpc t = Rpc.serve rpc ~node:0 ~handler:(fun ~src:_ m -> bump t m)
+|}
+      (if compared then "ignore (over t)" else "()")
+  in
+  B.analyze (G.load [ ("win.ml", src) ])
+
+let test_counter_after_arrow_uncertified () =
+  let fs, certs = counter_window ~compared:false in
+  check_rules "a counter never flags" [] (rules fs);
+  check_bool "no certificate from the match arrow" true
+    (cert_for certs ~site:".n" ~kind:"counter-window" = None)
+
+let test_counter_compared_certified () =
+  let fs, certs = counter_window ~compared:true in
+  check_rules "a counter never flags" [] (rules fs);
+  let c = require_cert certs ~site:".n" ~kind:"counter-window" ~verdict:G.Bounded in
+  check_int "sited at the increment" 5 c.B.c_line;
+  check_bool "evidence is the cap comparison" true
+    (String.starts_with ~prefix:"compared against a capacity at line 2" c.B.c_evidence)
+
+(* ------------------------------------------------------------------ *)
 (* admission control: the batched-leader shape — a capacity-checked
    admission queue behind the RPC handler plus a cons-accumulated
    forming buffer reset at flush — vs the twin with the evidence gone *)
@@ -291,6 +325,10 @@ let suite =
           test_admission_unchecked_flagged;
         Alcotest.test_case "checked admission certified" `Quick
           test_admission_checked_certified;
+        Alcotest.test_case "counter after a match arrow uncertified" `Quick
+          test_counter_after_arrow_uncertified;
+        Alcotest.test_case "counter compared to a cap certified" `Quick
+          test_counter_compared_certified;
       ] );
     ( "bounds.timeout",
       [

@@ -128,7 +128,7 @@ let test_sanitizer_clean_run_is_silent () =
 let test_net_choice_mode_fifo () =
   let engine = Sim.Engine.create () in
   let sched = Depfast.Sched.create engine in
-  let net = Cluster.Net.create sched ~latency:(Sim.Dist.Constant 50.0) () in
+  let net = Cluster.Net.create sched ~latency:(Sim.Dist.Constant 50.0) ~filler:0 () in
   let a = Cluster.Node.create sched ~id:0 ~name:"a" () in
   let b = Cluster.Node.create sched ~id:1 ~name:"b" () in
   let got = ref [] in

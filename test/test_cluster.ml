@@ -217,7 +217,7 @@ let test_disk_fsync_after_write () =
 
 let test_net_delivery_and_fifo () =
   let s = make_sched () in
-  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) () in
+  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) ~filler:"" () in
   let a = Cluster.Node.create s ~id:0 ~name:"a" () in
   let b = Cluster.Node.create s ~id:1 ~name:"b" () in
   let got = ref [] in
@@ -231,7 +231,7 @@ let test_net_delivery_and_fifo () =
 
 let test_net_partition_drops () =
   let s = make_sched () in
-  let net = Cluster.Net.create s () in
+  let net = Cluster.Net.create s ~filler:() () in
   let a = Cluster.Node.create s ~id:0 ~name:"a" () in
   let b = Cluster.Node.create s ~id:1 ~name:"b" () in
   let got = ref 0 in
@@ -248,7 +248,7 @@ let test_net_partition_drops () =
 
 let test_net_dead_node_drops () =
   let s = make_sched () in
-  let net = Cluster.Net.create s () in
+  let net = Cluster.Net.create s ~filler:() () in
   let a = Cluster.Node.create s ~id:0 ~name:"a" () in
   let b = Cluster.Node.create s ~id:1 ~name:"b" () in
   let got = ref 0 in
@@ -261,7 +261,7 @@ let test_net_dead_node_drops () =
 
 let test_net_nic_delay () =
   let s = make_sched () in
-  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) () in
+  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) ~filler:() () in
   let a = Cluster.Node.create s ~id:0 ~name:"a" () in
   let b = Cluster.Node.create s ~id:1 ~name:"b" () in
   let at = ref 0 in
@@ -272,12 +272,43 @@ let test_net_nic_delay () =
   Depfast.Sched.run s;
   check_int "tc delay applied" (Sim.Time.ms 400 + 100) !at
 
+(* A message out of flight, delivered or dropped at arrival, leaves its
+   ring slot: kept there, each link held up to its ring's capacity of old
+   messages reachable for as long as the network lived. A burst of 9
+   also doubles the 8-slot ring, whose copied half must hold none. *)
+let[@inline never] send_tracked net weak k ~dst =
+  let m = Bytes.make 8 'm' in
+  Weak.set weak k (Some m);
+  Cluster.Net.send net ~src:0 ~dst m
+
+let test_net_lets_go () =
+  let s = make_sched () in
+  let net = Cluster.Net.create s ~filler:Bytes.empty () in
+  let a = Cluster.Node.create s ~id:0 ~name:"a" () in
+  let b = Cluster.Node.create s ~id:1 ~name:"b" () in
+  let c = Cluster.Node.create s ~id:2 ~name:"c" () in
+  List.iter (fun n -> Cluster.Net.register net n ~handler:(fun ~src:_ _ -> ())) [ a; b; c ];
+  let weak = Weak.create 10 in
+  send_tracked net weak 0 ~dst:2;
+  for k = 1 to 9 do
+    send_tracked net weak k ~dst:1
+  done;
+  Cluster.Node.crash c;
+  Depfast.Sched.run s;
+  check_int "nine delivered" 9 (Cluster.Net.delivered_count net);
+  Gc.full_major ();
+  check_bool "dropped message unreachable" true (Weak.get weak 0 = None);
+  for k = 1 to 9 do
+    check_bool (Printf.sprintf "delivered message %d unreachable" k) true (Weak.get weak k = None)
+  done;
+  ignore (Sys.opaque_identity net)
+
 (* a burst of messages with random latencies must still arrive in send
    order on each directed link (the pooled outbox preserves the FIFO
    clamp), with per-link stats accounting every message *)
 let test_net_fifo_pooled_burst () =
   let s = make_sched () in
-  let net = Cluster.Net.create s ~latency:(Sim.Dist.Exponential 50.0) () in
+  let net = Cluster.Net.create s ~latency:(Sim.Dist.Exponential 50.0) ~filler:0 () in
   let a = Cluster.Node.create s ~id:0 ~name:"a" () in
   let b = Cluster.Node.create s ~id:1 ~name:"b" () in
   let got = ref [] in
@@ -300,7 +331,7 @@ let test_net_fifo_pooled_burst () =
    link resumes in order *)
 let test_net_partition_heal_mid_flight () =
   let s = make_sched () in
-  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) () in
+  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) ~filler:"" () in
   let a = Cluster.Node.create s ~id:0 ~name:"a" () in
   let b = Cluster.Node.create s ~id:1 ~name:"b" () in
   let got = ref [] in
@@ -328,7 +359,7 @@ let test_net_partition_heal_mid_flight () =
 
 let test_net_nodes_cached_sorted () =
   let s = make_sched () in
-  let net = Cluster.Net.create s () in
+  let net = Cluster.Net.create s ~filler:() () in
   let mk id = Cluster.Node.create s ~id ~name:(Printf.sprintf "n%d" id) () in
   List.iter
     (fun id -> Cluster.Net.register net (mk id) ~handler:(fun ~src:_ () -> ()))
@@ -342,7 +373,7 @@ let test_net_nodes_cached_sorted () =
 (* a second node under a taken id is refused; the same node may re-register *)
 let test_net_duplicate_id () =
   let s = make_sched () in
-  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) () in
+  let net = Cluster.Net.create s ~latency:(Sim.Dist.Constant 100.0) ~filler:() () in
   let a = Cluster.Node.create s ~id:1 ~name:"a" () in
   let got = ref 0 in
   Cluster.Net.register net a ~handler:(fun ~src:_ () -> ());
@@ -593,6 +624,7 @@ let suite =
         Alcotest.test_case "dead node" `Quick test_net_dead_node_drops;
         Alcotest.test_case "nic delay (tc)" `Quick test_net_nic_delay;
         Alcotest.test_case "pooled FIFO burst + stats" `Quick test_net_fifo_pooled_burst;
+        Alcotest.test_case "out of flight, out of reach" `Quick test_net_lets_go;
         Alcotest.test_case "partition/heal mid-flight" `Quick
           test_net_partition_heal_mid_flight;
         Alcotest.test_case "nodes cached sorted" `Quick test_net_nodes_cached_sorted;

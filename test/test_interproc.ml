@@ -162,6 +162,36 @@ let commit sched ~peers =
     (List.length (List.filter (fun f -> f.F.rule = F.lock_across_call) fs));
   check_rules "but exempted by the pragma" [] (unallowed_rules fs)
 
+(* A mutex held around the head of a call chain [depth] modules long
+   whose last link waits: [c01.f] locks and calls [C02.f], each [cNN.f]
+   calls the next, [cDD.f] suspends. The suspension reaches the lock
+   however long the chain. *)
+let call_chain depth =
+  List.init depth (fun k ->
+      let n = k + 1 in
+      let next =
+        if n = depth then "Depfast.Sched.wait sched ev" else Printf.sprintf "C%02d.f sched ev" (n + 1)
+      in
+      let src =
+        if n = 1 then
+          Printf.sprintf
+            "let mu = Depfast.Mutex.create ()\n\
+             let f sched ev = Depfast.Mutex.with_lock sched mu (fun () -> %s)\n"
+            next
+        else Printf.sprintf "let f sched ev = %s\n" next
+      in
+      (Printf.sprintf "c%02d.ml" n, src))
+
+let test_lock_across_call_chain () =
+  List.iter
+    (fun depth ->
+      let fs = ip_sources (call_chain depth) in
+      let name = Printf.sprintf "chain of %d" depth in
+      check_rules name [ F.lock_across_call ] (unallowed_rules fs);
+      check_bool (name ^ ": at the locked call") true
+        (List.map (fun f -> f.F.loc) fs = [ F.File { file = "c01.ml"; line = 2 } ]))
+    [ 3; 10; 11; 12; 14 ]
+
 (* ------------------------------------------------------------------ *)
 (* argument flow into a waiting callee *)
 
@@ -290,6 +320,7 @@ let suite =
         Alcotest.test_case "lock across call (and-bound callee)" `Quick
           test_lock_across_call_and;
         Alcotest.test_case "lock across call (pragma)" `Quick test_lock_across_call_pragma;
+        Alcotest.test_case "lock across a call chain" `Quick test_lock_across_call_chain;
         Alcotest.test_case "red wait via argument" `Quick test_red_wait_via_argument;
         Alcotest.test_case "self-lint lib/" `Quick test_self_lint;
       ] );

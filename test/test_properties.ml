@@ -227,7 +227,7 @@ let test_net_fifo_property =
       let net =
         Cluster.Net.create sched
           ~latency:(Sim.Dist.Exponential (float_of_int mean_latency))
-          ()
+          ~filler:0 ()
       in
       let a = Cluster.Node.create sched ~id:0 ~name:"a" () in
       let b = Cluster.Node.create sched ~id:1 ~name:"b" () in
