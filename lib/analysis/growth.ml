@@ -387,7 +387,8 @@ type wait = {
   w_part : int option;
 }
 
-let wait_heads = [ "Sched.wait"; "Sched.wait_timeout"; "Condvar.wait"; "Condvar.wait_timeout" ]
+let wait_heads =
+  [ "Sched.wait"; "Sched.wait_timeout"; "Sched.hold"; "Condvar.wait"; "Condvar.wait_timeout" ]
 
 let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ]
 

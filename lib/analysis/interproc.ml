@@ -496,7 +496,8 @@ let walk st (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
     if is_ident_at a !i then begin
       let line = a.(!i).Lexer.line and ni = SL.after a !i in
       (match SL.last2_at a !i ni with
-      | ("Sched.wait" | "Sched.wait_timeout" | "Condvar.wait" | "Condvar.wait_timeout") as w ->
+      | ( "Sched.wait" | "Sched.wait_timeout" | "Sched.hold" | "Condvar.wait"
+        | "Condvar.wait_timeout" ) as w ->
         suspend !i line w
       | "Event.add" -> (
         let parent, _ = SL.parse_atom a pm ni in

@@ -59,7 +59,7 @@ let handle_append t b ~entries ~commit =
 
 let handle_tail_ack t ~match_index =
   let b = t.head in
-  Common.cpu_charge b Raft.Config.cost_ack_process;
+  Cluster.Node.cpu_charge b.Common.node Raft.Config.cost_ack_process;
   if match_index > t.tail_acked then begin
     t.tail_acked <- match_index;
     Common.set_commit b match_index

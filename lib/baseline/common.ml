@@ -81,7 +81,6 @@ let id b = Cluster.Node.id b.node
 let is_leader b = id b = b.leader_id
 let last_index b = Raft.Rlog.last_index b.rlog
 let cpu_work b w = Cluster.Node.cpu_work b.node w
-let cpu_charge b w = ignore (Cluster.Station.submit (Cluster.Node.cpu b.node) ~work:w ())
 
 (** Write [entries] to the local WAL and fsync; the event fires when durable. *)
 let wal_append b entries =

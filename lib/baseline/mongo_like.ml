@@ -166,7 +166,7 @@ let handle t b req =
   match req with
   | Pull_oplog { from; follower = _ } -> Some (handle_pull t b ~from)
   | Update_position { follower; match_index; term = _ } ->
-    Common.cpu_charge t.base Raft.Config.cost_ack_process;
+    Cluster.Node.cpu_charge t.base.Common.node Raft.Config.cost_ack_process;
     Common.note_match t.base follower match_index;
     Some Ack
   | Client_request _ | Append_entries _ | Request_vote _ | Transfer_leadership _

@@ -90,7 +90,7 @@ let drainer_loop t f =
         outstanding := !outstanding + bytes;
         let call = Common.send_append b ~dst:f entries in
         Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-            Common.cpu_charge b Raft.Config.cost_ack_process;
+            Cluster.Node.cpu_charge b.Common.node Raft.Config.cost_ack_process;
             outstanding := !outstanding - bytes;
             (match Cluster.Rpc.response call with
             | Some (Append_resp { success = true; match_index; _ }) ->

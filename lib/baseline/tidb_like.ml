@@ -37,7 +37,7 @@ let entry_size_estimate = 1100
 let process_ack t f call =
   let b = t.base in
   Hashtbl.replace t.inflight f false;
-  Common.cpu_charge b Raft.Config.cost_ack_process;
+  Cluster.Node.cpu_charge b.Common.node Raft.Config.cost_ack_process;
   (match Cluster.Rpc.response call with
   | Some (Append_resp { success; match_index; _ }) ->
     if success then begin

@@ -46,12 +46,11 @@ let mib = 1024 * 1024
 
 let start_cpu_contender active =
   let node = active.node in
-  let sched = Node.sched node in
   for _ = 1 to 16 do
     Node.spawn node ~name:"cpu-contender" (fun () ->
         let rec loop () =
           if (not active.stopped) && Node.alive node then begin
-            Depfast.Sched.wait sched (Station.submit (Node.cpu node) ~work:(Time.ms 1) ());
+            Station.run (Node.cpu node) ~work:(Time.ms 1);
             loop ()
           end
         in

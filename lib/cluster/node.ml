@@ -47,11 +47,12 @@ let memory t = t.memory
 let nic_delay t = t.nic_delay
 let set_nic_delay t d = t.nic_delay <- d
 let alive t = t.alive
-let cpu_work_event t work =
-  if not t.alive then Depfast.Event.signal ~label:"dead" ()
-  else Station.submit t.cpu ~work ()
 
-(* depfast-lint: allow red-exposure — this IS the declared cost-model
-   wait: every cpu-slow exposure in the tree is seeded here *)
-let cpu_work t work = Depfast.Sched.wait t.sched (cpu_work_event t work)
+let cpu_work t work =
+  if t.alive then Station.run t.cpu ~work
+  else
+    (* depfast-lint: allow red-exposure — this IS the declared cost-model
+       wait: every cpu-slow exposure in the tree is seeded here *)
+    Depfast.Sched.wait t.sched (Depfast.Event.signal ~label:"dead" ())
+let cpu_charge t work = Station.charge t.cpu ~work
 let spawn t ?name f = Depfast.Sched.spawn t.sched ~node:t.id ?name f

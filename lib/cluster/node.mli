@@ -44,8 +44,12 @@ val crash : t -> unit
 val cpu_work : t -> Sim.Time.span -> unit
 (** Coroutine-context helper: occupy one CPU core for the given nominal
     work (inflated by the CPU speed factor and memory-pressure penalty) and
-    wait for it. No-op if the node is dead (the caller's coroutine simply
-    never resumes — dead machines do not return). *)
+    wait for it ({!Station.run}). On a dead node the caller's coroutine
+    simply never resumes — dead machines do not return. *)
+
+val cpu_charge : t -> Sim.Time.span -> unit
+(** {!cpu_work} that nobody waits on ({!Station.charge}), dead node or not:
+    the cost of work done in callbacks, such as response processing. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Spawn a coroutine tagged with this node's id. *)

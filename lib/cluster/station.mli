@@ -5,8 +5,9 @@
     the job's nominal work scaled by the station's current {e speed factor}
     (1.0 = nominal; 20.0 = the cgroup-limited "5% CPU" fail-slow fault).
 
-    Completion is an {!Depfast.Event.t}, so coroutines wait on station work
-    like on any other wait point, and the tracer sees it. *)
+    A coroutine waits on its own job with {!run}, which the tracer sees
+    like any other wait point; {!submit} makes the completion an
+    {!Depfast.Event.t} to wire into other events. *)
 
 type t
 
@@ -17,7 +18,8 @@ val reset : t -> unit
 (** Back to {!create}'s state at the engine's current time: idle, speed
     1.0, nothing queued, a fresh utilization window. For a world reused
     across runs, after its engine was reset (which dropped the pending
-    completions); the memory wired by {!set_memory} stays. *)
+    completions); the memory wired by {!set_memory} stays. No coroutine
+    waiting on a dropped job ({!run}) resumes. *)
 
 val set_speed : t -> float -> unit
 (** Service-time multiplier for jobs {e starting} from now on. *)
@@ -35,6 +37,14 @@ val submit : t -> ?event:Depfast.Event.t -> work:Sim.Time.span -> unit -> Depfas
     a [Disk]-kind event for tracing); default is a fresh signal. Jobs start
     in submission order and at most [servers] are in service at once,
     including jobs submitted from a completion event's observers. *)
+
+val run : t -> work:Sim.Time.span -> unit
+(** Coroutine-context {!submit} and wait, allocating nothing: the job calls
+    the coroutine's wake where it would fire an event, and the coroutine
+    holds ({!Depfast.Sched.hold}) on the station's event, named after it. *)
+
+val charge : t -> work:Sim.Time.span -> unit
+(** A job nobody waits on: no event, no wake. *)
 
 val queue_length : t -> int
 (** Jobs waiting (excluding those in service). *)

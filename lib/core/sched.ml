@@ -39,7 +39,8 @@ type outcome = Ready | Timed_out
    [take_ctx] sets them on the record it built: a [let rec] would allocate
    the record twice. A sleep or a yield parks on the never-fired [napping]
    event, and the context's own [resume_ready] ends it, posted at once or
-   armed on the owned timer, so neither builds a closure or an entry. *)
+   armed on the owned timer, so neither builds a closure or an entry. A
+   [held] park registers nowhere: whoever holds its fire wake ends it. *)
 type ctx = {
   mutable cid : int;
   mutable node : int;
@@ -50,7 +51,7 @@ type ctx = {
   mutable fire_wake : unit -> unit;
   mutable timeout_wake : unit -> unit;
   mutable park_ev : Event.t;
-  mutable park_span : Time.span;  (* -1 = untimed, or the park ended *)
+  mutable park_span : Time.span;  (* -1 = untimed, or the park ended; [held] *)
   mutable park_start : Time.t;
   mutable park_k : (outcome, unit) Effect.Deep.continuation;
   mutable park_timer : Engine.timer;  (* [Engine.unarmed] until the first timed park *)
@@ -90,6 +91,7 @@ let make_ctx () =
     park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
 
 let no_ctx = make_ctx ()
+let held = -2
 
 (* what a sleeping or yielding coroutine parks on: never fired, so only
    the context's own wake ends the park. [park_span] holds the sleep's
@@ -200,7 +202,7 @@ let park t ctx k =
     | None -> ());
     ctx.park_k <- k;
     let gen = ctx.park_gen in
-    if not (Event.take_waiter ctx.park_ev ctx.fire_wake) then
+    if ctx.park_span <> held && not (Event.take_waiter ctx.park_ev ctx.fire_wake) then
       Event.on_fire ctx.park_ev (fun () -> if ctx.park_gen = gen then fired t ctx);
     if ctx.park_span >= 0 then
       ctx.park_timer <-
@@ -303,6 +305,8 @@ let park_current t ev span =
 
 let wait t ev = match park_current t ev (-1) with Ready -> () | Timed_out -> assert false
 let wait_timeout t ev span = park_current t ev (max 0 span)
+let wake t = t.current.fire_wake
+let hold t ev = match park_current t ev held with Ready -> () | Timed_out -> assert false
 (* a sleep (span >= 0) or a yield (-1): the slot parks on [napping] *)
 let nap t span =
   match park_current t napping span with Ready -> () | Timed_out -> assert false

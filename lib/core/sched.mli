@@ -64,6 +64,14 @@ val wait_timeout : t -> Event.t -> Sim.Time.span -> outcome
 (** Like {!wait} with an upper bound. On [Timed_out] the event is left
     pending (not abandoned); callers decide (see [Event.abandon]). *)
 
+val wake : t -> unit -> unit
+(** The running coroutine's own wake (no allocation), for its {!hold}. *)
+
+val hold : t -> Event.t -> unit
+(** A held park: suspend on the event without registering on it, until
+    the coroutine's {!wake} is called once. Traced and monitored as a
+    {!wait} on the event that then fired; a dropped wake parks for good. *)
+
 val sleep : t -> Sim.Time.span -> unit
 (** Suspend for the span (a negative one counts as 0). Re-arms the
     coroutine's own timer entry: no allocation beyond the continuation.

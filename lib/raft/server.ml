@@ -74,10 +74,6 @@ let now t = Depfast.Sched.now t.sched
 let alive t = Cluster.Node.alive t.node
 let cpu_work t w = Cluster.Node.cpu_work t.node w
 
-(* async CPU accounting for work done in framework callbacks (response
-   processing): occupies the station without blocking anyone *)
-let cpu_charge t w = ignore (Cluster.Station.submit (Cluster.Node.cpu t.node) ~work:w ())
-
 let wal_append t ~bytes =
   let disk = Cluster.Node.disk t.node in
   ignore (Cluster.Disk.write disk ~bytes);
@@ -172,7 +168,7 @@ let handle_append_resp t fs call =
   fs.last_ack <- now t;
   (* pooled path: the ack resolves through a direct-indexed slot, not a
      per-call closure + hashtable lookup *)
-  cpu_charge t Config.cost_ack_indexed;
+  Cluster.Node.cpu_charge t.node Config.cost_ack_indexed;
   (match Cluster.Rpc.response call with
   | Some (Append_resp { term; success; match_index }) ->
     if term > t.term then step_down t term ~leader:None
@@ -590,7 +586,7 @@ let gather_votes t ~term:ask_term ~transfer ~prevote ~needed =
              })
       in
       Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-          cpu_charge t Config.cost_ack_process;
+          Cluster.Node.cpu_charge t.node Config.cost_ack_process;
           match Cluster.Rpc.response call with
           | Some (Vote_resp { term; granted }) ->
             if term > t.term then step_down t term ~leader:None

@@ -182,7 +182,13 @@ let test_quorum_majority_exhausts_clean () =
    its world reset; building the run's recorded steps with
    [Array.of_list], whose first element is a young array, forced a
    minor collection per long run (171 collections instead of 24) and
-   15 874.7 promoted words. Its ceilings sit between. *)
+   15 874.7 promoted words. Its ceilings sit between. Once a waited CPU
+   charge parks in the station instead of on a fresh completion event,
+   raft-elect-3 costs 5 146.2 minor words and raft-slow-disk-admission-3
+   29 411.9 minor (3 070.2 promoted, against 3 828.2 in the same
+   process before): both minor ceilings now sit between the readings
+   with and without the held park; the promoted ones are left where
+   they were, since the heap a test inherits moves them as much. *)
 let words_per_schedule ~schedules name =
   let sc = scenario name in
   Gc.full_major ();
@@ -206,10 +212,10 @@ let test_quorum_majority_words =
   guard_words ~schedules:2500 "quorum-majority" ~minor:785.0 ~promoted:20.0
 
 let test_raft_elect_words =
-  guard_words ~schedules:200 "raft-elect-3" ~minor:7000.0 ~promoted:1100.0
+  guard_words ~schedules:200 "raft-elect-3" ~minor:5400.0 ~promoted:1100.0
 
 let test_slow_disk_words =
-  guard_words ~schedules:150 "raft-slow-disk-admission-3" ~minor:38000.0 ~promoted:8000.0
+  guard_words ~schedules:150 "raft-slow-disk-admission-3" ~minor:31500.0 ~promoted:8000.0
 
 (* One run state serves a whole exploration, so its reset must make a
    reused state indistinguishable from a fresh one. For every registry

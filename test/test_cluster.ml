@@ -156,6 +156,125 @@ let test_station_alloc () =
   check_bool "under pressure" true (Cluster.Memory.penalty (Cluster.Node.memory node) > 1.0);
   check_station_alloc s (Cluster.Node.cpu node)
 
+(* Allocation pin: a waited charge ([Node.cpu_work], through
+   [Station.run]) parks its coroutine in the station with the job and
+   builds no completion event. One cycle (charge, park, completion,
+   resume) read 13.0 minor words while the charge waited on a fresh
+   event from [Station.submit] (11 for the event and its label's option
+   box, 2 for the park's continuation) and 2.0 with the held park; the
+   ceiling sits between. *)
+let cpu_work_cycle_words () =
+  let s = make_sched () in
+  let node = Cluster.Node.create s ~id:0 ~name:"n0" () in
+  let n = 1_000 in
+  let words = ref 0.0 in
+  Cluster.Node.spawn node (fun () ->
+      (* builds the server slot: a one-off *)
+      Cluster.Node.cpu_work node 10;
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Cluster.Node.cpu_work node 10
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  Depfast.Sched.run s;
+  !words
+
+let test_station_waited_charge_alloc () =
+  let words = cpu_work_cycle_words () in
+  if words > 7.5 then
+    Alcotest.failf "Node.cpu_work cycle: %.2f minor words > ceiling 7.5 (an event per charge?)"
+      words
+
+(* the three kinds of job on one server, all submitted at 0 in this
+   order: waited charges ([run]), jobs with an event ([submit ~event]) and
+   charges nobody waits on ([charge]). They complete in submission order,
+   each waiter resuming at its own job's completion *)
+let test_station_mixed_jobs_fifo () =
+  let s = make_sched () in
+  let st = Cluster.Station.create s ~servers:1 ~name:"cpu" () in
+  let seen = ref [] in
+  let note tag = seen := (tag, Depfast.Sched.now s) :: !seen in
+  let waited tag work =
+    Depfast.Sched.spawn s (fun () ->
+        Cluster.Station.run st ~work;
+        note tag)
+  in
+  let with_event tag work =
+    Depfast.Sched.spawn s (fun () ->
+        let ev = Depfast.Event.signal ~label:tag () in
+        Depfast.Event.on_fire ev (fun () -> note tag);
+        ignore (Cluster.Station.submit st ~event:ev ~work ()))
+  in
+  let unwaited work = Depfast.Sched.spawn s (fun () -> Cluster.Station.charge st ~work) in
+  waited "a" 100;
+  with_event "e1" 50;
+  unwaited 30;
+  waited "b" 20;
+  with_event "e2" 10;
+  unwaited 5;
+  waited "c" 40;
+  Depfast.Sched.run s;
+  Alcotest.(check (list (pair string int)))
+    "submission order, each at its own completion"
+    [ ("a", 100); ("e1", 150); ("b", 200); ("e2", 210); ("c", 255) ]
+    (List.rev !seen);
+  check_int "every job completed" 7 (Cluster.Station.completed_jobs st);
+  check_int "nothing left in service" 0 (Cluster.Station.busy_servers st)
+
+(* a speed change reaches the jobs that start after it, queued waited
+   charges included, and never the job in service *)
+let test_station_speed_read_at_start () =
+  let s = make_sched () in
+  let st = Cluster.Station.create s ~servers:1 ~name:"cpu" () in
+  let done_at = Array.make 2 0 in
+  for i = 0 to 1 do
+    Depfast.Sched.spawn s (fun () ->
+        Cluster.Station.run st ~work:100;
+        done_at.(i) <- Depfast.Sched.now s)
+  done;
+  let at us f = ignore (Sim.Engine.schedule (Depfast.Sched.engine s) ~delay:us f) in
+  at 50 (fun () -> Cluster.Station.set_speed st 2.0);
+  at 150 (fun () -> Cluster.Station.set_speed st 1.0);
+  Depfast.Sched.run s;
+  check_int "in service at the change: nominal" 100 done_at.(0);
+  check_int "started after it: twice as long, whatever came later" 300 done_at.(1)
+
+(* [reset] drops the held charges in service and queued: with the
+   engine and scheduler reset too, as for a world reused across runs, no
+   old waiter resumes, the station keeps none of their wakes, and the
+   next charge runs on a clean station *)
+let test_station_reset_drops_held () =
+  let s = make_sched () in
+  let engine = Depfast.Sched.engine s in
+  let st = Cluster.Station.create s ~servers:1 ~name:"cpu" () in
+  let resumed = ref [] in
+  let wakes = Weak.create 3 in
+  for i = 0 to 2 do
+    Depfast.Sched.spawn s (fun () ->
+        Weak.set wakes i (Some (Depfast.Sched.wake s));
+        Cluster.Station.run st ~work:100;
+        resumed := i :: !resumed)
+  done;
+  Depfast.Sched.run ~until:50 s;
+  check_int "one in service" 1 (Cluster.Station.busy_servers st);
+  check_int "two queued" 2 (Cluster.Station.queue_length st);
+  Sim.Engine.reset engine;
+  Depfast.Sched.reset s;
+  Cluster.Station.reset st;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    check_bool (Printf.sprintf "waiter %d's wake let go" i) false (Weak.check wakes i)
+  done;
+  let next_at = ref (-1) in
+  Depfast.Sched.spawn s (fun () ->
+      Cluster.Station.run st ~work:10;
+      next_at := Depfast.Sched.now s);
+  Depfast.Sched.run s;
+  Alcotest.(check (list int)) "no old waiter resumed" [] !resumed;
+  check_int "the next charge served at once" 10 !next_at;
+  ignore (Sys.opaque_identity st)
+
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
@@ -605,6 +724,13 @@ let suite =
           test_station_resubmit_from_completion;
         Alcotest.test_case "allocation: event + timer entry per job" `Quick
           test_station_alloc;
+        Alcotest.test_case "a waited charge allocates no event" `Quick
+          test_station_waited_charge_alloc;
+        Alcotest.test_case "waited, event and unwaited jobs in FIFO order" `Quick
+          test_station_mixed_jobs_fifo;
+        Alcotest.test_case "duration read from the speed at the job's start" `Quick
+          test_station_speed_read_at_start;
+        Alcotest.test_case "reset drops held charges" `Quick test_station_reset_drops_held;
       ] );
     ( "cluster.memory",
       [

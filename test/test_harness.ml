@@ -46,7 +46,8 @@ let test_runner_depfast_cell () =
    is built once without [let rec], and a partition check builds no
    tuple; 331.9 once finished coroutine contexts are pooled, a basic
    event is 9 words and the AppendEntries timeout holds only the call's
-   id. Promoted: 179.1 while a cancelled timeout kept its thunk, and
+   id (331.4 later); 256.8 once a waited CPU charge parks in the station
+   with its job instead of on a fresh completion event. Promoted: 179.1 while a cancelled timeout kept its thunk, and
    with it the waiter's whole context, alive until it would have come
    due; 91.5 once a cancel releases the payload and a level compacts its
    cancels (88.5 later); 73.9 with owned timers; 58.5 with pooled
@@ -71,7 +72,7 @@ let cell_words_per_op () =
 
 let test_cell_alloc_ceiling () =
   let minor, promoted = cell_words_per_op () in
-  if minor > 380.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 380" minor;
+  if minor > 295.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 295" minor;
   if promoted > 66.0 then
     Alcotest.failf "%.1f promoted words per committed op > ceiling 66" promoted
 

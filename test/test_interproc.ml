@@ -135,6 +135,32 @@ let lock_across_call callee caller =
 
 let test_lock_across_call () = lock_across_call "iplock_callee.ml" "iplock_caller.ml"
 
+(* the callee suspends in a held park, which registers on no event *)
+let test_lock_across_call_held () =
+  lock_across_call "iplock_held_callee.ml" "iplock_held_caller.ml"
+
+(* the real station: a charge through [Station.run] suspends whatever
+   the node it runs on, so a lock held across it is flagged at the call *)
+let test_lock_across_station_charge () =
+  match List.find_opt Sys.file_exists [ "../lib/cluster/station.ml"; "lib/cluster/station.ml" ] with
+  | None -> () (* sources not materialized in this sandbox *)
+  | Some station ->
+    let caller =
+      {|let mu = Depfast.Mutex.create ()
+let apply sched st = Depfast.Mutex.with_lock sched mu (fun () -> Station.run st ~work:10)
+|}
+    in
+    let fs =
+      ip_sources
+        [ ("station.ml", In_channel.with_open_bin station In_channel.input_all); ("caller.ml", caller) ]
+    in
+    check_bool "call to Station.run under the lock" true
+      (List.exists
+         (fun f ->
+           f.F.rule = F.lock_across_call
+           && String.starts_with ~prefix:"call to Station.run while holding" f.F.message)
+         fs)
+
 (* the callee's suspension lives in the [and] half of a [let rec] *)
 let test_lock_across_call_and () =
   lock_across_call "iplock_and_callee.ml" "iplock_and_caller.ml"
@@ -320,6 +346,10 @@ let suite =
         Alcotest.test_case "lock across call (and-bound callee)" `Quick
           test_lock_across_call_and;
         Alcotest.test_case "lock across call (pragma)" `Quick test_lock_across_call_pragma;
+        Alcotest.test_case "lock across a call into a held park" `Quick
+          test_lock_across_call_held;
+        Alcotest.test_case "lock across a station charge" `Quick
+          test_lock_across_station_charge;
         Alcotest.test_case "lock across a call chain" `Quick test_lock_across_call_chain;
         Alcotest.test_case "red wait via argument" `Quick test_red_wait_via_argument;
         Alcotest.test_case "self-lint lib/" `Quick test_self_lint;

@@ -304,6 +304,18 @@ let test_lock_across_wait_positive_explicit () =
        (fun f ->
          f.F.rule = F.lock_across_call
          && String.starts_with ~prefix:"Condvar.wait while holding a mutex" f.F.message)
+       fs);
+  let fs =
+    lint_string
+      {|let f sched mu ev =
+  Depfast.Mutex.with_lock sched mu (fun () -> Depfast.Sched.hold sched ev)
+|}
+  in
+  check_bool "a held park under the lock too" true
+    (List.exists
+       (fun f ->
+         f.F.rule = F.lock_across_call
+         && String.starts_with ~prefix:"Sched.hold while holding a mutex" f.F.message)
        fs)
 
 let test_lock_across_wait_negative () =

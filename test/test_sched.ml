@@ -841,6 +841,32 @@ let test_alloc_nap () =
       guard "sleep" (nap_words ~explore (fun s -> Sched.sleep s (Sim.Time.us 10))))
     [ false; true ]
 
+(* a held park ([Station.run]) is seen and traced as a wait on the
+   station's event: park, a fire wake and a resume, then one record
+   labelled with the station's name whose window is the job's service *)
+let test_held_park_hooks_and_trace () =
+  let s = make_sched ~trace:true () in
+  let hooks = logging_monitor s in
+  let st = Cluster.Station.create s ~servers:1 ~name:"cpu7" () in
+  Sched.spawn s ~node:7 ~name:"charger" (fun () ->
+      Sched.sleep s (Sim.Time.ms 5);
+      Cluster.Station.run st ~work:100);
+  Sched.run s;
+  Alcotest.(check (list string))
+    "hooks as for a wait on a fired event"
+    [ "spawn"; "park"; "wake:fire"; "resume"; "done" ]
+    (hooks ());
+  match Trace.waits (Sched.trace s) with
+  | [ w ] ->
+    Alcotest.(check string) "labelled with the station" "cpu7" (Trace.event_label w);
+    check_bool "a basic event, 1 of 1" true
+      (Trace.event_kind w = Event.Signal && w.Trace.quorum_k = 1 && w.Trace.quorum_n = 1);
+    check_int "parked when charged" (Sim.Time.ms 5) w.Trace.t_start;
+    check_int "resumed at the completion" (Sim.Time.ms 5 + 100) w.Trace.t_end;
+    check_bool "ready, on the charging coroutine" true
+      (w.Trace.outcome = Trace.Ready && w.Trace.node = 7 && w.Trace.coroutine = "charger")
+  | ws -> Alcotest.failf "expected one traced wait, got %d" (List.length ws)
+
 (* [reset] (after the engine's) forgets every coroutine, even one whose
    exception aborted the run mid-body: ids restart at 1 and no coroutine
    is current *)
@@ -957,6 +983,8 @@ let suite =
         Alcotest.test_case "yield and sleep allocate no closure or entry" `Quick
           test_alloc_nap;
         Alcotest.test_case "reset after an aborted run" `Quick test_reset_after_abort;
+        Alcotest.test_case "held park: hooks and trace record" `Quick
+          test_held_park_hooks_and_trace;
       ] );
     ( "sched.edge-cases",
       [
