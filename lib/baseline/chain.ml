@@ -26,43 +26,43 @@ type t = {
 (* forward a batch down the chain; runs in the handler/propagator coroutine
    of node [b]. The head's commit point equals [tail_acked], so every link
    ships the head's. *)
-let forward t b entries =
+let forward t (b : Common.base) entries =
   if Common.id b < t.tail && Array.length entries > 0 then
     ignore (Common.send_append b ~leader:t.head ~dst:(Common.id b + 1) entries)
 
 (* every node: append, persist, forward; the tail additionally reports its
    position straight back to the head *)
-let handle_append t b ~entries ~commit =
-  Depfast.Mutex.with_lock b.Common.sched b.Common.append_mu (fun () ->
+let handle_append t (b : Common.base) ~entries ~commit =
+  Depfast.Mutex.with_lock b.sched b.append_mu (fun () ->
       let n = Array.length entries in
       (* depfast-lint: allow lock-across-call — deliberate baseline defect:
          per-entry CPU work runs inside the append lock *)
-      Cluster.Node.cpu_work b.Common.node
+      Cluster.Node.cpu_work b.node
         (Raft.Config.cost_follower_fixed + (n * Raft.Config.cost_follower_entry));
-      Common.follower_append b entries;
+      Raft.Server.append_entries b entries;
       if n > 0 then
         (* depfast-lint: allow lock-across-call — deliberate baseline defect:
            the chain holds its append lock across WAL durability (Table 1),
            fate-sharing with its own slow disk *)
-        Common.persist b entries;
-      Common.set_commit b commit;
+        Raft.Server.persist b entries;
+      Raft.Server.set_commit b commit;
       (* depfast-lint: allow lock-across-call — deliberate baseline defect:
          the chain forwards downstream (CPU + rpc) without releasing the
          append lock, so one slow successor stalls the whole segment *)
       forward t b entries;
       if Common.id b = t.tail && n > 0 then
         ignore
-          (Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:(Common.id t.head)
+          (Cluster.Rpc.call b.rpc ~src:b.node ~dst:(Common.id t.head)
              (Update_position
                 { follower = Common.id b; match_index = Common.last_index b; term = 1 })));
   None
 
 let handle_tail_ack t ~match_index =
   let b = t.head in
-  Cluster.Node.cpu_charge b.Common.node Raft.Config.cost_ack_process;
+  Cluster.Node.cpu_charge b.node Raft.Config.cost_ack_process;
   if match_index > t.tail_acked then begin
     t.tail_acked <- match_index;
-    Common.set_commit b match_index
+    Raft.Server.set_commit b match_index
   end;
   Some Ack
 
@@ -72,10 +72,10 @@ let head_loop t =
   let b = t.head in
   let rec loop () =
     if Common.alive b then begin
-      Common.await_work b;
+      Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       if Array.length entries > 0 then begin
-        Common.persist b entries;
+        Raft.Server.persist b entries;
         forward t b entries
       end;
       loop ()
@@ -92,17 +92,16 @@ let handle t b req =
     | None -> None
     | Some entries -> handle_append t b ~entries ~commit)
   | Update_position { match_index; _ } -> handle_tail_ack t ~match_index
-  | Client_request _ | Request_vote _ | Pull_oplog _ | Transfer_leadership _ | Timeout_now ->
-    Some Ack
+  | req -> Raft.Server.handle b req
 
 let create sched ~n ?(cfg = Raft.Config.default) () =
   let make bases = { head = List.hd bases; tail = n - 1; tail_acked = 0 } in
   let c = Common.build sched ~n ~cfg ~make ~handle () in
-  Cluster.Node.spawn c.t.head.Common.node ~name:"chain-head" (fun () -> head_loop c.t);
+  Cluster.Node.spawn c.t.head.node ~name:"chain-head" (fun () -> head_loop c.t);
   c
 
 (* clients address the head only *)
-let sut c ~cfg =
-  Common.sut c ~name:"Chain replication" ~servers:[ Common.id c.Common.t.head ] ~cfg
+let sut c ~cfg:_ =
+  Common.sut c ~name:"Chain replication" ~servers:[ Common.id c.Common.t.head ]
 
 let tail_acked (c : t Common.cluster) = c.t.tail_acked

@@ -37,7 +37,7 @@ type t = {
 
 let entry_size_estimate = 1100
 
-let handle_pull t b ~from =
+let handle_pull t (b : Common.base) ~from =
   let last = Common.last_index b in
   let cache_start = max 1 (last - t.oplog_window + 1) in
   let max_entries =
@@ -50,29 +50,30 @@ let handle_pull t b ~from =
       (* depfast-lint: allow red-exposure — deliberate baseline
          defect: cold catch-up reads block on the data disk (§2's
          contention source) *)
-      Depfast.Sched.wait b.Common.sched
-        (Cluster.Disk.read (Cluster.Node.disk b.Common.node) ~bytes);
+      Depfast.Sched.wait b.sched (Cluster.Disk.read (Cluster.Node.disk b.node) ~bytes);
       t.catchup_max
     end
     else Raft.Config.batch_max
   in
-  let entries = Raft.Rlog.slice_array b.Common.rlog ~from ~max:max_entries in
-  Cluster.Node.cpu_work b.Common.node
+  let entries = Raft.Rlog.slice_array b.rlog ~from ~max:max_entries in
+  Cluster.Node.cpu_work b.node
     (Raft.Config.cost_per_follower
     + (Array.length entries * Raft.Config.cost_send_entry));
-  Oplog_resp { entries; prev_index = from - 1; prev_term = 1; commit = b.Common.commit_index }
+  Oplog_resp { entries; prev_index = from - 1; prev_term = 1; commit = b.commit_index }
 
 (* cache-interference watcher: while any secondary's reported position is
    outside the hot oplog window, the leader pays [cache_tax] on its CPU *)
 let lag_watcher_loop t =
   let b = t.base in
-  let cpu = Cluster.Node.cpu b.Common.node in
+  let cpu = Cluster.Node.cpu b.node in
   let rec loop () =
     if Common.alive b then begin
-      Depfast.Sched.sleep b.Common.sched (Sim.Time.ms 50);
+      Depfast.Sched.sleep b.sched (Sim.Time.ms 50);
       let last = Common.last_index b in
       let lagging =
-        List.exists (fun f -> last - Common.match_of b f > t.oplog_window) b.Common.peers
+        List.exists
+          (fun f -> last - (Hashtbl.find b.followers f).match_index > t.oplog_window)
+          b.peers
       in
       if lagging && not t.lag_mode then begin
         t.lag_mode <- true;
@@ -93,7 +94,7 @@ let commit_ticker_loop t =
   let b = t.base in
   let rec loop () =
     if Common.alive b then begin
-      Depfast.Sched.sleep b.Common.sched t.commit_tick;
+      Depfast.Sched.sleep b.sched t.commit_tick;
       Common.commit_majority b;
       loop ()
     end
@@ -105,9 +106,9 @@ let oplog_writer_loop t =
   let b = t.base in
   let rec loop () =
     if Common.alive b then begin
-      Common.await_work b;
+      Raft.Server.await_work b;
       let entries = Common.seal_batch b in
-      if Array.length entries > 0 then Common.persist b entries;
+      if Array.length entries > 0 then Raft.Server.persist b entries;
       loop ()
     end
   in
@@ -115,19 +116,19 @@ let oplog_writer_loop t =
 
 (* ---------- follower ---------- *)
 
-let puller_loop t b =
-  let cfg = b.Common.cfg in
-  let leader = b.Common.leader_id in
+let puller_loop t (b : Common.base) =
+  let cfg = b.cfg in
+  let leader = Common.id t.base in
   let rec loop () =
     if Common.alive b then begin
       let call =
-        Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:leader
+        Cluster.Rpc.call b.rpc ~src:b.node ~dst:leader
           (Pull_oplog { from = Common.last_index b + 1; follower = Common.id b })
       in
       match
         (* pull replication: a follower tails exactly one sync source by
            design, so this wait is single-peer, bounded by the timeout *)
-        Depfast.Sched.wait_timeout b.Common.sched (Cluster.Rpc.event call)
+        Depfast.Sched.wait_timeout b.sched (Cluster.Rpc.event call)
           cfg.Raft.Config.rpc_timeout
       with
       | Depfast.Sched.Timed_out ->
@@ -138,21 +139,21 @@ let puller_loop t b =
         | Some (Oplog_resp { entries; commit; _ }) ->
           let n = Array.length entries in
           if n > 0 then begin
-            Cluster.Node.cpu_work b.Common.node
+            Cluster.Node.cpu_work b.node
               (Raft.Config.cost_follower_fixed
               + (n * Raft.Config.cost_follower_entry));
-            Common.follower_append b entries;
-            Common.persist b entries;
-            Common.set_commit b commit;
+            Raft.Server.append_entries b entries;
+            Raft.Server.persist b entries;
+            Raft.Server.set_commit b commit;
             (* report progress *)
             ignore
-              (Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:leader
+              (Cluster.Rpc.call b.rpc ~src:b.node ~dst:leader
                  (Update_position
                     { follower = Common.id b; match_index = Common.last_index b; term = 1 }))
           end
           else begin
-            Common.set_commit b commit;
-            Depfast.Sched.sleep b.Common.sched t.pull_idle_delay
+            Raft.Server.set_commit b commit;
+            Depfast.Sched.sleep b.sched t.pull_idle_delay
           end;
           loop ()
         | Some _ | None -> loop ())
@@ -166,12 +167,10 @@ let handle t b req =
   match req with
   | Pull_oplog { from; follower = _ } -> Some (handle_pull t b ~from)
   | Update_position { follower; match_index; term = _ } ->
-    Cluster.Node.cpu_charge t.base.Common.node Raft.Config.cost_ack_process;
-    Common.note_match t.base follower match_index;
+    Cluster.Node.cpu_charge t.base.node Raft.Config.cost_ack_process;
+    Common.note_match (Hashtbl.find t.base.followers follower) match_index;
     Some Ack
-  | Client_request _ | Append_entries _ | Request_vote _ | Transfer_leadership _
-  | Timeout_now ->
-    Some Ack
+  | req -> Raft.Server.handle b req
 
 let create sched ~n ?(cfg = Raft.Config.default) () =
   let make bases =
@@ -187,17 +186,17 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
     }
   in
   let c = Common.build sched ~n ~cfg ~make ~handle () in
-  let leader = c.t.base.Common.node in
+  let leader = c.t.base.node in
   Cluster.Node.spawn leader ~name:"oplog-writer" (fun () -> oplog_writer_loop c.t);
   Cluster.Node.spawn leader ~name:"commit-ticker" (fun () -> commit_ticker_loop c.t);
   Cluster.Node.spawn leader ~name:"lag-watcher" (fun () -> lag_watcher_loop c.t);
   List.iter
     (fun b ->
-      if not (Common.is_leader b) then
-        Cluster.Node.spawn b.Common.node ~name:"oplog-puller" (fun () -> puller_loop c.t b))
-    c.bases;
+      if not (Raft.Server.is_leader b) then
+        Cluster.Node.spawn b.node ~name:"oplog-puller" (fun () -> puller_loop c.t b))
+    c.g.Raft.Group.servers;
   c
 
 let cold_pulls (c : t Common.cluster) = c.t.cold_pulls
 let in_lag_mode (c : t Common.cluster) = c.t.lag_mode
-let sut c ~cfg = Common.sut c ~name:"MongoDB-like" ~cfg
+let sut c ~cfg:_ = Common.sut c ~name:"MongoDB-like"

@@ -28,19 +28,10 @@ type buffer = {
 type t = {
   base : Common.base;
   buffers : (int, buffer) Hashtbl.t;
-  (* per-round progress watchers, as in DepFastRaft *)
-  watchers : (int, (index * Depfast.Event.t) list ref) Hashtbl.t;
 }
 
 let soft_headroom = 16 * 1024 * 1024
 let hard_headroom = 40 * 1024 * 1024
-
-let fire_watchers t f =
-  let ws = Hashtbl.find t.watchers f in
-  let m = Common.match_of t.base f in
-  let ready, rest = List.partition (fun (idx, _) -> idx <= m) !ws in
-  ws := rest;
-  List.iter (fun (_, ev) -> Depfast.Event.fire ev) ready
 
 (* push new entries into every follower's unbounded buffer; bytes are
    charged to the leader's memory until drained — the defect *)
@@ -57,10 +48,10 @@ let buffer_entries t entries =
           Queue.add e buf.entries;
           let sz = entry_bytes e in
           buf.bytes <- buf.bytes + sz;
-          Cluster.Memory.alloc (Cluster.Node.memory b.Common.node) sz)
+          Cluster.Memory.alloc (Cluster.Node.memory b.node) sz)
         entries;
       Depfast.Condvar.broadcast buf.drain_cv)
-    b.Common.peers
+    b.peers
 
 (* one drainer coroutine per follower: streams buffered writes in order,
    keeping up to [window_bytes] on the wire (a TCP-window-like bound), and
@@ -73,13 +64,14 @@ let window_bytes = 8 * 1024 * 1024
 let drainer_loop t f =
   let b = t.base in
   let buf = Hashtbl.find t.buffers f in
+  let fs = Hashtbl.find b.followers f in
   let outstanding = ref 0 in
   let rec loop () =
     if Common.alive b then begin
       if Queue.is_empty buf.entries || !outstanding >= window_bytes then
         (* depfast-lint: allow red-exposure — drain handoff signalled by the
            local buffer producer; idling here is the intended backpressure *)
-        Depfast.Condvar.wait b.Common.sched buf.drain_cv
+        Depfast.Condvar.wait b.sched buf.drain_cv
       else begin
         let entries =
           Array.init
@@ -90,15 +82,15 @@ let drainer_loop t f =
         outstanding := !outstanding + bytes;
         let call = Common.send_append b ~dst:f entries in
         Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-            Cluster.Node.cpu_charge b.Common.node Raft.Config.cost_ack_process;
+            Cluster.Node.cpu_charge b.node Raft.Config.cost_ack_process;
             outstanding := !outstanding - bytes;
             (match Cluster.Rpc.response call with
             | Some (Append_resp { success = true; match_index; _ }) ->
               (* acknowledged: finally release the buffered bytes *)
               buf.bytes <- buf.bytes - bytes;
-              Cluster.Memory.free (Cluster.Node.memory b.Common.node) bytes;
-              Common.note_match b f match_index;
-              fire_watchers t f;
+              Cluster.Memory.free (Cluster.Node.memory b.node) bytes;
+              Common.note_match fs match_index;
+              Raft.Server.fire_watchers fs;
               Common.commit_majority b
             | Some _ | None -> ());
             Depfast.Condvar.broadcast buf.drain_cv)
@@ -108,35 +100,23 @@ let drainer_loop t f =
   in
   loop ()
 
+(* the write path waits on DepFastRaft's replication round: leader WAL
+   plus follower progress, majority arity *)
 let replicator_loop t =
   let b = t.base in
   let rec loop () =
     if Common.alive b then begin
-      Common.await_work b;
+      Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       if Array.length entries > 0 then begin
-        let last = Common.last_index b in
-        let wal_ev = Common.wal_append b entries in
+        let wal = Raft.Server.wal b entries in
         let quorum =
           Depfast.Event.quorum ~label:"rethink-majority"
-            (Depfast.Event.Count (Raft.Config.majority b.Common.n_voters))
+            (Depfast.Event.Count (Raft.Config.majority b.n_voters))
         in
-        Depfast.Event.add quorum ~child:wal_ev;
-        (* attach all children before firing any (a fired child can
-           complete the quorum) *)
-        List.iter
-          (fun f ->
-            let ack = Depfast.Event.rpc_completion ~label:"repl-progress" ~peer:f () in
-            let ws = Hashtbl.find t.watchers f in
-            ws := (last, ack) :: !ws;
-            Depfast.Event.add quorum ~child:ack)
-          b.Common.peers;
-        List.iter (fun f -> fire_watchers t f) b.Common.peers;
+        Raft.Server.quorum_round b quorum ~wal (Common.last_index b);
         buffer_entries t entries;
-        match
-          Depfast.Sched.wait_timeout b.Common.sched quorum
-            b.Common.cfg.Raft.Config.rpc_timeout
-        with
+        match Depfast.Sched.wait_timeout b.sched quorum b.cfg.Raft.Config.rpc_timeout with
         | Depfast.Sched.Ready -> Common.commit_majority b
         | Depfast.Sched.Timed_out -> ()
       end;
@@ -149,7 +129,7 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
   let resident = 200 * 1024 * 1024 in
   let make bases =
     let base = List.hd bases in
-    let t = { base; buffers = Hashtbl.create 8; watchers = Hashtbl.create 8 } in
+    let t = { base; buffers = Hashtbl.create 8 } in
     List.iter
       (fun f ->
         Hashtbl.replace t.buffers f
@@ -157,24 +137,24 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
             entries = Queue.create ();
             bytes = 0;
             drain_cv = Depfast.Condvar.create ~label:"drain" ();
-          };
-        Hashtbl.replace t.watchers f (ref []))
-      base.Common.peers;
+          })
+      base.peers;
     t
   in
   let c =
     Common.build sched ~n ~cfg
       ~mem_soft_cap:(resident + soft_headroom)
-      ~mem_hard_cap:(resident + hard_headroom) ~make ~handle:Common.handle_append_entries ()
+      ~mem_hard_cap:(resident + hard_headroom) ~make
+      ~handle:(fun _ -> Raft.Server.handle) ()
   in
-  let leader = c.t.base.Common.node in
+  let leader = c.t.base.node in
   Cluster.Node.spawn leader ~name:"replicator" (fun () -> replicator_loop c.t);
   List.iter
     (fun f ->
       Cluster.Node.spawn leader ~name:(Printf.sprintf "drainer.%d" f) (fun () ->
           drainer_loop c.t f))
-    c.t.base.Common.peers;
+    c.t.base.peers;
   c
 
-let sut c ~cfg = Common.sut c ~name:"RethinkDB-like" ~cfg
+let sut c ~cfg:_ = Common.sut c ~name:"RethinkDB-like"
 let buffer_bytes (c : t Common.cluster) f = (Hashtbl.find c.t.buffers f).bytes

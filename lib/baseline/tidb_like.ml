@@ -26,41 +26,39 @@ open Raft.Types
 type t = {
   base : Common.base;
   mutable cache_size : int;
-  catchup_max : int;
-  next_index : (int, index) Hashtbl.t;
-  inflight : (int, bool) Hashtbl.t;
   mutable blocked_disk_reads : int;  (** stat: synchronous cache-miss reads *)
 }
 
+let catchup_max = 512
 let entry_size_estimate = 1100
 
-let process_ack t f call =
+let process_ack t (fs : Raft.Replica.follower) call =
   let b = t.base in
-  Hashtbl.replace t.inflight f false;
-  Cluster.Node.cpu_charge b.Common.node Raft.Config.cost_ack_process;
+  fs.inflight <- 0;
+  Cluster.Node.cpu_charge b.node Raft.Config.cost_ack_process;
   (match Cluster.Rpc.response call with
   | Some (Append_resp { success; match_index; _ }) ->
     if success then begin
-      Common.note_match b f match_index;
-      Hashtbl.replace t.next_index f (Common.match_of b f + 1);
+      Common.note_match fs match_index;
+      fs.next_index <- fs.match_index + 1;
       Common.commit_majority b
     end
-    else Hashtbl.replace t.next_index f (match_index + 1)
+    else fs.next_index <- match_index + 1
   | Some _ | None -> ());
   (* wake the store loop: it may have sends to refill *)
-  Depfast.Condvar.broadcast b.Common.work_cv
+  Depfast.Condvar.broadcast b.work_cv
 
 (* prepare and (if the peer has no message in flight) send one
    AppendEntries; cache misses block the store loop on a disk read *)
-let prep_and_send t f =
+let prep_and_send t (fs : Raft.Replica.follower) =
   let b = t.base in
-  let from = Hashtbl.find t.next_index f in
+  let from = fs.next_index in
   let last = Common.last_index b in
   if from <= last then begin
     let cache_start = max 1 (last - t.cache_size + 1) in
     let evicted = from < cache_start in
     let stop =
-      if evicted then min last (from + t.catchup_max - 1)
+      if evicted then min last (from + catchup_max - 1)
       else min last (from + Raft.Config.batch_max - 1)
     in
     if evicted then begin
@@ -71,65 +69,47 @@ let prep_and_send t f =
       (* depfast-lint: allow red-exposure — deliberate baseline
          defect: the TiDB EntryCache miss blocks message prep on a disk
          read (§2) *)
-      Depfast.Sched.wait b.Common.sched
-        (Cluster.Disk.read (Cluster.Node.disk b.Common.node) ~bytes)
+      Depfast.Sched.wait b.sched (Cluster.Disk.read (Cluster.Node.disk b.node) ~bytes)
     end;
-    if not (Hashtbl.find t.inflight f) then begin
-      Hashtbl.replace t.inflight f true;
+    if fs.inflight = 0 then begin
+      fs.inflight <- 1;
       let call =
-        Common.send_append b ~dst:f
-          (Raft.Rlog.slice_array b.Common.rlog ~from ~max:(stop - from + 1))
+        Common.send_append b ~dst:fs.f_id
+          (Raft.Rlog.slice_array b.rlog ~from ~max:(stop - from + 1))
       in
-      Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () -> process_ack t f call)
+      Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () -> process_ack t fs call)
     end
   end
 
 (* the leader's raftstore thread *)
 let raftstore_loop t =
   let b = t.base in
+  let followers = List.map (Hashtbl.find b.followers) b.peers in
   let needs_send () =
     List.exists
-      (fun f ->
-        Hashtbl.find t.next_index f <= Common.last_index b && not (Hashtbl.find t.inflight f))
-      b.Common.peers
+      (fun (fs : Raft.Replica.follower) ->
+        fs.next_index <= Common.last_index b && fs.inflight = 0)
+      followers
   in
   let rec loop () =
     if Common.alive b then begin
-      if not (needs_send ()) then Common.await_work b;
+      if not (needs_send ()) then Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       (* raft log sync happens in the store loop, synchronously *)
-      if Array.length entries > 0 then Common.persist b entries;
-      List.iter (fun f -> prep_and_send t f) b.Common.peers;
+      if Array.length entries > 0 then Raft.Server.persist b entries;
+      List.iter (fun fs -> prep_and_send t fs) followers;
       loop ()
     end
   in
   loop ()
 
 let create sched ~n ?(cfg = Raft.Config.default) () =
-  let make bases =
-    let base = List.hd bases in
-    let t =
-      {
-        base;
-        cache_size = 2048;
-        catchup_max = 512;
-        next_index = Hashtbl.create 8;
-        inflight = Hashtbl.create 8;
-        blocked_disk_reads = 0;
-      }
-    in
-    List.iter
-      (fun f ->
-        Hashtbl.replace t.next_index f 1;
-        Hashtbl.replace t.inflight f false)
-      base.Common.peers;
-    t
-  in
-  let c = Common.build sched ~n ~cfg ~make ~handle:Common.handle_append_entries () in
-  Cluster.Node.spawn c.t.base.Common.node ~name:"raftstore" (fun () -> raftstore_loop c.t);
+  let make bases = { base = List.hd bases; cache_size = 2048; blocked_disk_reads = 0 } in
+  let c = Common.build sched ~n ~cfg ~make ~handle:(fun _ -> Raft.Server.handle) () in
+  Cluster.Node.spawn c.t.base.node ~name:"raftstore" (fun () -> raftstore_loop c.t);
   c
 
-let sut c ~cfg = Common.sut c ~name:"TiDB-like" ~cfg
+let sut c ~cfg:_ = Common.sut c ~name:"TiDB-like"
 let blocked_disk_reads (c : t Common.cluster) = c.t.blocked_disk_reads
 
 (** Ablation knob: a cache large enough never to evict removes the blocking

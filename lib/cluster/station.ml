@@ -40,13 +40,15 @@ type t = {
 }
 
 (* idle, nominal speed, nothing queued, a fresh utilization window. The
-   slots built so far stay, their timers cleared with the engine's and
-   re-armed in place; the queue keeps its capacity; the memory load wired
-   by [set_memory] stays *)
+   slots built so far stay, each in-service job's completion cancelled (a
+   no-op once the engine's reset cleared it) and the timer re-armed in
+   place by the next job; the queue keeps its capacity; the memory load
+   wired by [set_memory] stays *)
 let reset t =
   t.speed <- 1.0;
   for i = 0 to t.n_slots - 1 do
     let s = t.slots.(i) in
+    Engine.cancel (Depfast.Sched.engine t.sched) s.s_timer;
     s.s_event <- Depfast.Event.dummy;
     s.s_wake <- ignore;
     s.s_busy <- false

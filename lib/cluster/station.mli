@@ -16,10 +16,10 @@ val create : Depfast.Sched.t -> ?servers:int -> name:string -> unit -> t
 
 val reset : t -> unit
 (** Back to {!create}'s state at the engine's current time: idle, speed
-    1.0, nothing queued, a fresh utilization window. For a world reused
-    across runs, after its engine was reset (which dropped the pending
-    completions); the memory wired by {!set_memory} stays. No coroutine
-    waiting on a dropped job ({!run}) resumes. *)
+    1.0, nothing queued, a fresh utilization window, every in-service
+    job's completion cancelled. For a world reused across runs, after its
+    engine was reset, or mid-run; the memory wired by {!set_memory} stays.
+    No coroutine waiting on a dropped job ({!run}) resumes. *)
 
 val set_speed : t -> float -> unit
 (** Service-time multiplier for jobs {e starting} from now on. *)

@@ -12,26 +12,7 @@ let system_name = function
   | Tidb_like -> "TiDB-like"
   | Rethink_like -> "RethinkDB-like"
 
-let outcome_of_submit = function
-  | Raft.Client.Committed _ -> Workload.Driver.Committed
-  | Raft.Client.Shed -> Workload.Driver.Shed
-  | Raft.Client.Failed -> Workload.Driver.Failed
-
-let clients_of_group g ~count =
-  List.map
-    (fun c ->
-      {
-        Workload.Driver.node = Raft.Client.node c;
-        run_op =
-          (fun op ->
-            outcome_of_submit
-              (match op with
-              | Workload.Ycsb.Update { key; value } ->
-                Raft.Client.submit c (Raft.Types.Put { key; value })
-              | Workload.Ycsb.Read { key } ->
-                Raft.Client.submit c (Raft.Types.Get { key })));
-      })
-    (Raft.Group.make_clients g ~count ())
+let clients_of_group g ~count = Raft.Group.ycsb_clients g ~count
 
 (* build the SUT; for DepFastRaft, bootstrap node 0 as leader so fault
    victims are always followers (the paper's setup) *)
@@ -45,18 +26,10 @@ let build system sched ~n ~cfg =
     let g = Raft.Group.create sched ~n ~cfg () in
     Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
     Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
-    let leader =
-      match Raft.Group.leader g with
-      | Some s when Raft.Server.id s = 0 -> s
-      | _ -> failwith "bootstrap election failed"
-    in
-    {
-      Workload.Sut.name = "DepFastRaft";
-      leader_node = Raft.Server.node leader;
-      follower_nodes =
-        List.filter (fun nd -> Cluster.Node.id nd <> 0) g.Raft.Group.nodes;
-      make_clients = (fun ~count -> clients_of_group g ~count);
-    }
+    (match Raft.Group.leader g with
+    | Some s when Raft.Server.id s = 0 -> ()
+    | _ -> failwith "bootstrap election failed");
+    Raft.Group.sut g ~name:"DepFastRaft"
 
 type cell = {
   system : system;

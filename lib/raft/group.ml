@@ -7,23 +7,30 @@ type t = {
   mutable clients : Client.t list;  (* by [make_clients], oldest first *)
 }
 
-let create sched ~n ?(cfg = Config.default) ?(first_node_id = 0) () =
+let build sched ~n ~cfg ?(first_node_id = 0) ?mem_soft_cap ?mem_hard_cap ?profile ?leader () =
   let rpc = Cluster.Rpc.create sched () in
   let ids = List.init n (fun i -> first_node_id + i) in
   let nodes =
     List.mapi
-      (fun i id -> Cluster.Node.create sched ~id ~name:(Printf.sprintf "s%d" (i + 1)) ())
+      (fun i id ->
+        Cluster.Node.create sched ~id ~name:(Printf.sprintf "s%d" (i + 1)) ?mem_soft_cap
+          ?mem_hard_cap ())
       ids
   in
   let servers =
     List.map
       (fun node ->
         let peers = List.filter (fun p -> p <> Cluster.Node.id node) ids in
-        Server.create rpc node ~peers ~cfg)
+        Server.create ?profile ?leader rpc node ~peers ~cfg)
       nodes
   in
-  List.iter Server.start servers;
   { rpc; servers; nodes; cfg; sched; clients = [] }
+
+let create sched ~n ?(cfg = Config.default) ?first_node_id () =
+  let t = build sched ~n ~cfg ?first_node_id () in
+  List.iter (fun s -> Server.serve s Server.handle) t.servers;
+  List.iter Server.start t.servers;
+  t
 
 (* streams re-split in creation order (network, servers, clients), then
    the servers' coroutines respawned, as [create] and [make_clients] did *)
@@ -75,13 +82,13 @@ let elect t id =
   in
   poll 100
 
-let make_clients t ~count ?first_node_id () =
+let make_clients t ~count ?first_node_id ?servers () =
   let first =
     match first_node_id with
     | Some f -> f
     | None -> List.fold_left (fun m n -> max m (Cluster.Node.id n)) 0 t.nodes + 1
   in
-  let server_ids = List.map Server.id t.servers in
+  let servers = match servers with Some ids -> ids | None -> List.map Server.id t.servers in
   let clients =
     List.init count (fun j ->
         let node =
@@ -90,7 +97,34 @@ let make_clients t ~count ?first_node_id () =
             ()
         in
         Cluster.Rpc.attach t.rpc node;
-        Client.create t.rpc node ~servers:server_ids ~cfg:t.cfg ~id:(first + j) ())
+        Client.create t.rpc node ~servers ~cfg:t.cfg ~id:(first + j) ())
   in
   t.clients <- t.clients @ clients;
   clients
+
+let outcome_of_submit = function
+  | Client.Committed _ -> Workload.Driver.Committed
+  | Client.Shed -> Workload.Driver.Shed
+  | Client.Failed -> Workload.Driver.Failed
+
+let ycsb_clients ?servers t ~count =
+  List.map
+    (fun c ->
+      {
+        Workload.Driver.node = Client.node c;
+        run_op =
+          (fun op ->
+            outcome_of_submit
+              (match op with
+              | Workload.Ycsb.Update { key; value } -> Client.submit c (Types.Put { key; value })
+              | Workload.Ycsb.Read { key } -> Client.submit c (Types.Get { key })));
+      })
+    (make_clients t ~count ?servers ())
+
+let sut ?servers t ~name =
+  {
+    Workload.Sut.name;
+    leader_node = List.hd t.nodes;
+    follower_nodes = List.tl t.nodes;
+    make_clients = (fun ~count -> ycsb_clients ?servers t ~count);
+  }

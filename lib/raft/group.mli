@@ -1,4 +1,5 @@
-(** Convenience constructor for a DepFastRaft cluster plus its clients. *)
+(** A cluster of {!Server}s plus its clients: DepFastRaft's ({!create}) or,
+    through {!build}, a baseline's. *)
 
 type t = {
   rpc : Server.rpc;
@@ -9,6 +10,22 @@ type t = {
   mutable clients : Client.t list;  (** by {!make_clients}, oldest first *)
 }
 
+val build :
+  Depfast.Sched.t ->
+  n:int ->
+  cfg:Config.t ->
+  ?first_node_id:int ->
+  ?mem_soft_cap:int ->
+  ?mem_hard_cap:int ->
+  ?profile:Replica.profile ->
+  ?leader:int ->
+  unit ->
+  t
+(** [n] servers with node ids [first_node_id..] (default 0..) named
+    s1..sN, their nodes' memory capped as given, each built by
+    {!Server.create} with [profile] and [leader]: neither served nor
+    started. *)
+
 val create :
   Depfast.Sched.t ->
   n:int ->
@@ -16,8 +33,8 @@ val create :
   ?first_node_id:int ->
   unit ->
   t
-(** [n] servers with node ids [first_node_id..] (default 0..) named
-    s1..sN, all started. *)
+(** DepFastRaft: {!build}, then every server served by {!Server.handle}
+    and started. *)
 
 val reset : t -> unit
 (** Back to the state {!create} and {!make_clients} left, for a world
@@ -41,5 +58,14 @@ val elect : t -> int -> unit
     for leader immediately and wait until it wins. *)
 
 val make_clients :
-  t -> count:int -> ?first_node_id:int -> unit -> Client.t list
-(** Client nodes ids default to starting right after the servers'. *)
+  t -> count:int -> ?first_node_id:int -> ?servers:int list -> unit -> Client.t list
+(** Client nodes ids default to starting right after the servers'; each
+    client addresses [servers] (default: every server). *)
+
+val ycsb_clients : ?servers:int list -> t -> count:int -> Workload.Driver.client list
+(** {!make_clients} wrapped as closed-loop driver clients: a YCSB update is
+    a [Put], a read a [Get]. *)
+
+val sut : ?servers:int list -> t -> name:string -> Workload.Sut.t
+(** The system under test: the first server's node leads, the others
+    follow, and clients come from {!ycsb_clients}. *)

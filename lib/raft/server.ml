@@ -1,67 +1,21 @@
 open Sim
 open Types
+open Replica
 
-type rpc = (Types.req, Types.resp) Cluster.Rpc.t
-type role = Follower | Candidate | Leader
+type rpc = Replica.rpc
+type t = Replica.t
 
-type pending = {
-  p_cmd : bcmd;  (* the command with its session, as a batch carries it *)
-  mutable p_ok : bool;
-  mutable p_value : string option;
-  p_done : Depfast.Event.t;
-  p_t0 : Time.t;  (* enqueue time, for commit-latency tracking *)
-}
-
-type follower_state = {
-  f_id : int;
-  mutable next_index : index;  (* next index to (re)send from *)
-  mutable match_index : index;
-  mutable sent_index : index;  (* optimistically advanced as batches ship *)
-  mutable inflight : int;  (* unacknowledged AppendEntries in the window *)
-  mutable last_send : Time.t;
-  mutable last_ack : Time.t;
-  progress_cv : Depfast.Condvar.t;
-  (* replication-round watchers: (target index, progress event with this
-     follower as peer); fired when match_index reaches the target *)
-  mutable watchers : (index * Depfast.Event.t) list;
-}
-
-type ewma = { mutable commit_latency_ewma : float }  (* us, -1 until first sample; unboxed *)
-
-type t = {
-  rpc : rpc;
-  node : Cluster.Node.t;
-  sched : Depfast.Sched.t;
-  cfg : Config.t;
-  peers : int list;
-  n_voters : int;
-  rng : Rng.t;
-  mutable role : role;
-  mutable term : term;
-  mutable voted_for : int option;
-  rlog : Rlog.t;
-  mutable commit_index : index;
-  mutable last_applied : index;
-  kv : Kv.t;
-  mutable last_contact : Time.t;
-  mutable leader : int option;
-  (* leader-side state *)
-  pending_q : pending Queue.t;  (* admission queue, bounded by Config.admission_depth *)
-  by_index : (index, pending array) Hashtbl.t;  (* one pending per command in the entry *)
-  followers : (int, follower_state) Hashtbl.t;
-  work_cv : Depfast.Condvar.t;
-  commit_cv : Depfast.Condvar.t;
-  mutable epoch : int;  (* bumped on every role/term transition *)
-  ewma : ewma;
-  mutable wal_done_index : index;  (* highest locally durable log index *)
-  mutable rounds_inflight : int;  (* pipelined replication rounds *)
-  round_cv : Depfast.Condvar.t;
-  append_mu : Depfast.Mutex.t;  (* serial, in-order replication-stream apply *)
-  match_buf : int array;  (* scratch for the commit rule, one slot per voter *)
-  (* per-leader load gauges *)
-  batch_hist : Hist.t;  (* commit-batch-size distribution (count per flush) *)
-  mutable shed_count : int;  (* requests rejected at admission *)
-}
+(* the pooled connection path (a direct-indexed slot, no per-request
+   closure), replies grouped into one flush per commit batch, zero-copy
+   follower appends, and requests past the admission depth shed *)
+let depfast cfg =
+  {
+    cost_parse = Config.cost_client_parse_pooled;
+    cost_reply = Config.cost_client_reply_grouped;
+    cost_flush = Config.cost_reply_flush;
+    cost_follower_entry = Config.cost_follower_entry_view;
+    admission = cfg.Config.admission_depth;
+  }
 
 let id t = Cluster.Node.id t.node
 let node t = t.node
@@ -74,10 +28,236 @@ let now t = Depfast.Sched.now t.sched
 let alive t = Cluster.Node.alive t.node
 let cpu_work t w = Cluster.Node.cpu_work t.node w
 
+(* ---------------- the replica core: what every system shares ----------- *)
+
 let wal_append t ~bytes =
   let disk = Cluster.Node.disk t.node in
   ignore (Cluster.Disk.write disk ~bytes);
   Cluster.Disk.fsync disk
+
+let wal t entries =
+  wal_append t ~bytes:(entries_bytes entries + (Array.length entries * Config.wal_entry_overhead))
+
+let persist t entries =
+  (* depfast-lint: allow red-exposure — own-WAL durability wait: a node
+     persists its own log on its local disk before it acks or forwards *)
+  Depfast.Sched.wait t.sched (wal t entries)
+
+(* idempotent append of a received batch, truncating a conflicting suffix *)
+let append_entries t entries =
+  Array.iter
+    (fun e ->
+      match Rlog.term_at t.rlog e.index with
+      | Some tm when tm = e.term -> ()
+      | Some _ ->
+        Rlog.truncate_from t.rlog e.index;
+        Rlog.append t.rlog e
+      | None -> if e.index = Rlog.last_index t.rlog + 1 then Rlog.append t.rlog e)
+    entries
+
+(* a follower's commit advance: up to the leader's commit point, within
+   its own log *)
+let set_commit t commit =
+  let c = min commit (Rlog.last_index t.rlog) in
+  if c > t.commit_index then begin
+    t.commit_index <- c;
+    Depfast.Condvar.broadcast t.commit_cv
+  end
+
+(* k-th (0-based) largest by quickselect with a descending Hoare partition:
+   O(n) expected, in place, so the per-ack commit rule allocates nothing *)
+let rec select_kth (a : int array) lo hi k =
+  if lo >= hi then a.(lo)
+  else begin
+    let pivot = a.((lo + hi) / 2) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) > pivot do
+        incr i
+      done;
+      while a.(!j) < pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    if k <= !j then select_kth a lo !j k
+    else if k >= !i then select_kth a !i hi k
+    else a.(k)
+  end
+
+(* the majority rule: the highest index a majority of voters holds, the
+   leader's own vote counting up to [own] *)
+let quorum_index t ~own =
+  let buf = t.match_buf in
+  buf.(0) <- own;
+  List.iteri (fun i p -> buf.(i + 1) <- (Hashtbl.find t.followers p).match_index) t.peers;
+  select_kth buf 0 (t.n_voters - 1) (Config.majority t.n_voters - 1)
+
+let fire_watchers fs =
+  let ready, rest = List.partition (fun (idx, _) -> idx <= fs.match_index) fs.watchers in
+  fs.watchers <- rest;
+  List.iter (fun (_, ev) -> Depfast.Event.fire ev) ready
+
+(* a replication round's §3.1 QuorumEvent: [quorum] waits on the leader's
+   own WAL event plus one progress signal per follower, fired once it
+   holds [last] *)
+let quorum_round t quorum ~wal last =
+  Depfast.Event.add quorum ~child:wal;
+  (* attach every child before firing any: a fired child can complete the
+     quorum, and adding to a fired quorum is an error *)
+  List.iter
+    (fun p ->
+      let fs = Hashtbl.find t.followers p in
+      let ack = Depfast.Event.rpc_completion ~label:"repl-progress" ~peer:p () in
+      fs.watchers <- (last, ack) :: fs.watchers;
+      Depfast.Event.add quorum ~child:ack)
+    t.peers;
+  List.iter (fun p -> fire_watchers (Hashtbl.find t.followers p)) t.peers
+
+let enqueue t ~cmd ~client ~seq =
+  let p =
+    {
+      p_cmd = { b_cmd = cmd; b_client = client; b_seq = seq };
+      p_ok = false;
+      p_value = None;
+      p_done = Depfast.Event.signal ~label:"committed" ();
+      p_t0 = now t;
+    }
+  in
+  Queue.add p t.pending_q;
+  Depfast.Condvar.broadcast t.work_cv;
+  p
+
+(* the leader's group-commit wait: with nothing queued, wait up to one
+   commit window for work *)
+let await_work t =
+  if Queue.is_empty t.pending_q then
+    ignore (Depfast.Condvar.wait_timeout t.sched t.work_cv Config.group_commit_window)
+
+(* Seal up to [max] queued commands, oldest first, out of the admission
+   queue into one array, registered for the applier's replies at
+   [index], the log index of its first command *)
+let take_batch t ~max ~index =
+  let n = min max (Queue.length t.pending_q) in
+  let pendings = Array.init n (fun _ -> Queue.pop t.pending_q) in
+  if n > 0 then Hashtbl.replace t.by_index index pendings;
+  pendings
+
+let handle_client_request t ~cmd ~client_id ~seq =
+  let pr = t.profile in
+  cpu_work t pr.cost_parse;
+  if t.role <> Leader then
+    Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
+  else if pr.admission <= Queue.length t.pending_q then begin
+    (* bounded admission: shed at the door with an explicit fail-fast reply
+       instead of joining a backlog that a fail-slow disk would grow without
+       bound (the paper's §2 RethinkDB root cause, inverted) *)
+    t.shed_count <- t.shed_count + 1;
+    cpu_work t pr.cost_reply;
+    Client_resp { ok = false; shed = true; leader_hint = t.self_hint; value = None }
+  end
+  else begin
+    let p = enqueue t ~cmd ~client:client_id ~seq in
+    let outcome = Depfast.Sched.wait_timeout t.sched p.p_done t.cfg.Config.client_timeout in
+    cpu_work t pr.cost_reply;
+    match outcome with
+    | Depfast.Sched.Ready ->
+      Client_resp { ok = p.p_ok; shed = false; leader_hint = t.self_hint; value = p.p_value }
+    | Depfast.Sched.Timed_out ->
+      Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
+  end
+
+(* ---------------- applier ----------------------------------------------- *)
+
+(* each applied command answers the next waiting request of its batch; the
+   batch goes with its last answer *)
+let reply t value =
+  let k = t.next_reply in
+  if k < Array.length t.replies then begin
+    let p = t.replies.(k) in
+    if k + 1 = Array.length t.replies then t.replies <- [||];
+    t.next_reply <- k + 1;
+    p.p_value <- value;
+    p.p_ok <- true;
+    let lat = float_of_int (Time.diff (now t) p.p_t0) in
+    t.ewma.commit_latency_ewma <-
+      (if t.ewma.commit_latency_ewma < 0.0 then lat
+       else (0.95 *. t.ewma.commit_latency_ewma) +. (0.05 *. lat));
+    Depfast.Event.fire p.p_done
+  end
+
+let applier_loop t =
+  let rec loop () =
+    if alive t then begin
+      if t.last_applied < t.commit_index then begin
+        let i = t.last_applied + 1 in
+        match Rlog.get t.rlog i with
+        | None ->
+          (* committed entry missing would be a safety bug *)
+          assert false
+        | Some e ->
+          let sealed =
+            match Hashtbl.find_opt t.by_index i with
+            | Some ps ->
+              Hashtbl.remove t.by_index i;
+              t.replies <- ps;
+              t.next_reply <- 0;
+              true
+            | None -> false
+          in
+          cpu_work t Config.cost_apply_entry;
+          (match e.cmd with
+          | Batch subs ->
+            (* batched apply: entry fetch/dispatch once, then the marginal
+               per-command update — the session and store tables stay
+               cache-warm across the group. Each reply fires as its command
+               applies, so the fan-out streams out over the batch's apply
+               window instead of bursting after it — the woken client
+               handlers overlap with the remaining applies *)
+            Array.iter
+              (fun b ->
+                cpu_work t Config.cost_apply_cmd;
+                reply t (Kv.apply_cmd t.kv ~cmd:b.b_cmd ~client_id:b.b_client ~seq:b.b_seq))
+              subs
+          | _ -> reply t (Kv.apply t.kv e));
+          (* grouped reply fan-out: one vectored flush pushes the whole
+             batch's replies out, where the system groups them *)
+          if sealed && t.profile.cost_flush > 0 then cpu_work t t.profile.cost_flush;
+          t.last_applied <- i;
+          loop ()
+      end
+      else begin
+        (* depfast-lint: allow red-exposure — applier handoff signalled by
+           the local commit path; no remote peer can stall this condvar *)
+        Depfast.Condvar.wait t.sched t.commit_cv;
+        loop ()
+      end
+    end
+  in
+  loop ()
+
+let hiccup_loop node rng =
+  let sched = Cluster.Node.sched node in
+  let cpu = Cluster.Node.cpu node in
+  let rec loop () =
+    if Cluster.Node.alive node then begin
+      Depfast.Sched.sleep sched (Dist.sample_span rng Config.hiccup_interval);
+      let duration = min (Time.ms 10) (Dist.sample_span rng Config.hiccup_duration) in
+      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. Config.hiccup_factor);
+      Depfast.Sched.sleep sched duration;
+      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu /. Config.hiccup_factor);
+      loop ()
+    end
+  in
+  loop ()
+
+(* ---------------- DepFastRaft: terms and the commit rule ---------------- *)
 
 let election_timeout t =
   Rng.int_in t.rng t.cfg.Config.election_timeout_min t.cfg.Config.election_timeout_max
@@ -110,42 +290,12 @@ let step_down t new_term ~leader =
   (match leader with Some _ -> t.leader <- leader | None -> ());
   if was_leader then fail_pending t
 
-(* k-th (0-based) largest by quickselect with a descending Hoare partition:
-   O(n) expected, in place, so the per-ack commit rule allocates nothing *)
-let rec select_kth (a : int array) lo hi k =
-  if lo >= hi then a.(lo)
-  else begin
-    let pivot = a.((lo + hi) / 2) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while a.(!i) > pivot do
-        incr i
-      done;
-      while a.(!j) < pivot do
-        decr j
-      done;
-      if !i <= !j then begin
-        let tmp = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- tmp;
-        incr i;
-        decr j
-      end
-    done;
-    if k <= !j then select_kth a lo !j k
-    else if k >= !i then select_kth a !i hi k
-    else a.(k)
-  end
-
 (* commit rule: the majority-replicated index, restricted to entries of the
    current term (Raft §5.4.2) *)
 let advance_commit t =
   if t.role = Leader then begin
     (* the leader's own vote counts only up to its durable WAL index *)
-    let buf = t.match_buf in
-    buf.(0) <- t.wal_done_index;
-    List.iteri (fun i p -> buf.(i + 1) <- (Hashtbl.find t.followers p).match_index) t.peers;
-    let candidate = select_kth buf 0 (t.n_voters - 1) (Config.majority t.n_voters - 1) in
+    let candidate = quorum_index t ~own:t.wal_done_index in
     let rec settle n =
       if n > t.commit_index then
         match Rlog.term_at t.rlog n with
@@ -156,11 +306,6 @@ let advance_commit t =
     in
     settle candidate
   end
-
-let fire_watchers fs =
-  let ready, rest = List.partition (fun (idx, _) -> idx <= fs.match_index) fs.watchers in
-  fs.watchers <- rest;
-  List.iter (fun (_, ev) -> Depfast.Event.fire ev) ready
 
 (* ---------------- response processing (framework callbacks) ------------- *)
 
@@ -291,12 +436,6 @@ let sender_loop t fs epoch =
 
 (* ---------------- leader: adaptive batcher + group-commit replicator ---- *)
 
-(* Seal up to [Config.max_batch] queued commands, oldest first, out of the
-   (bounded) admission queue into one array: the batch's [by_index] entry *)
-let take_batch t =
-  let n = min t.cfg.Config.max_batch (Queue.length t.pending_q) in
-  Array.init n (fun _ -> Queue.pop t.pending_q)
-
 let replicator_loop t epoch =
   let cfg = t.cfg in
   (* hard bound on concurrently outstanding commit rounds (quorum waits);
@@ -304,9 +443,7 @@ let replicator_loop t epoch =
   let rounds_window = 8 in
   let rec loop () =
     if alive t && t.role = Leader && t.epoch = epoch then begin
-      if Queue.is_empty t.pending_q then
-        ignore
-          (Depfast.Condvar.wait_timeout t.sched t.work_cv Config.group_commit_window);
+      await_work t;
       if alive t && t.role = Leader && t.epoch = epoch then begin
         (* Adaptive group commit, no timer in the hot path: one batch forms
            while at most one earlier commit cycle is still in flight (double
@@ -336,11 +473,11 @@ let replicator_loop t epoch =
              while this round's fixed work runs still make this batch, so
              the batch interval covers the whole seal, not just the wait *)
           cpu_work t Config.cost_round_fixed;
-          let pendings = take_batch t in
+          let index = Rlog.last_index t.rlog + 1 in
+          let pendings = take_batch t ~max:cfg.Config.max_batch ~index in
           let n = Array.length pendings in
           if n = 0 then loop ()
           else begin
-            let index = Rlog.last_index t.rlog + 1 in
             let e =
               if n = 1 then
                 (* singleton: a plain entry, bit-identical to the unbatched
@@ -360,22 +497,20 @@ let replicator_loop t epoch =
                log: leader appends are never compacted (ROADMAP: log
                compaction / snapshots) *)
             Rlog.append t.rlog e;
-            Hashtbl.replace t.by_index index pendings;
             Hist.add t.batch_hist n;
             (* zero-copy path: the round's remaining serial work is the WAL
                encode only — no wire-buffer marshal (the senders ship
                views); the fixed cost was paid above, once per batch *)
             cpu_work t (n * Config.cost_wal_entry);
             let last = index in
-            let bytes = entry_bytes e + Config.wal_entry_overhead in
-            let wal_ev = wal_append t ~bytes in
+            let wal_ev = wal_append t ~bytes:(entry_bytes e + Config.wal_entry_overhead) in
             (* disk completions are FIFO, so WAL durability advances in
                log order *)
             Depfast.Event.on_fire wal_ev (fun () ->
                 if last > t.wal_done_index then t.wal_done_index <- last;
                 if t.role = Leader && t.epoch = epoch then advance_commit t);
-            (* the §3.1 QuorumEvent: local durability + follower progress,
-               majority arity — no single replica can stall this wait *)
+            (* local durability + follower progress, majority arity — no
+               single replica can stall this wait *)
             let required =
               match cfg.Config.replication_arity with
               | `Majority -> Config.majority t.n_voters
@@ -384,22 +519,7 @@ let replicator_loop t epoch =
             let quorum =
               Depfast.Event.quorum ~label:"replicate" (Depfast.Event.Count required)
             in
-            Depfast.Event.add quorum ~child:wal_ev;
-            (* attach every child before firing any: a fired child can
-               complete the quorum, and adding to a fired quorum is an error *)
-            let round_followers =
-              List.map
-                (fun p ->
-                  let fs = Hashtbl.find t.followers p in
-                  let ack =
-                    Depfast.Event.rpc_completion ~label:"repl-progress" ~peer:p ()
-                  in
-                  fs.watchers <- (last, ack) :: fs.watchers;
-                  Depfast.Event.add quorum ~child:ack;
-                  fs)
-                t.peers
-            in
-            List.iter fire_watchers round_followers;
+            quorum_round t quorum ~wal:wal_ev last;
             Depfast.Condvar.broadcast t.work_cv;
             (* pipelining: a dedicated coroutine waits for this round's
                quorum while the replicator assembles the next one *)
@@ -433,72 +553,6 @@ let replicator_loop t epoch =
   in
   loop ()
 
-(* ---------------- applier ----------------------------------------------- *)
-
-let fire_reply t p value =
-  p.p_value <- value;
-  p.p_ok <- true;
-  let lat = float_of_int (Time.diff (now t) p.p_t0) in
-  t.ewma.commit_latency_ewma <-
-    (if t.ewma.commit_latency_ewma < 0.0 then lat
-     else (0.95 *. t.ewma.commit_latency_ewma) +. (0.05 *. lat));
-  Depfast.Event.fire p.p_done
-
-let applier_loop t =
-  let rec loop () =
-    if alive t then begin
-      if t.last_applied < t.commit_index then begin
-        let i = t.last_applied + 1 in
-        match Rlog.get t.rlog i with
-        | None ->
-          (* committed entry missing would be a safety bug *)
-          assert false
-        | Some e ->
-          let pendings = Hashtbl.find_opt t.by_index i in
-          (match pendings with Some _ -> Hashtbl.remove t.by_index i | None -> ());
-          (match e.cmd with
-          | Batch subs ->
-            (* batched apply: entry fetch/dispatch once, then the marginal
-               per-command update — the session and store tables stay
-               cache-warm across the group. Each reply fires as its command
-               applies, so the fan-out streams out over the batch's apply
-               window instead of bursting after it — the woken client
-               handlers overlap with the remaining applies *)
-            cpu_work t Config.cost_apply_entry;
-            Array.iteri
-              (fun k b ->
-                cpu_work t Config.cost_apply_cmd;
-                let value =
-                  Kv.apply_cmd t.kv ~cmd:b.b_cmd ~client_id:b.b_client ~seq:b.b_seq
-                in
-                match pendings with
-                | Some ps -> fire_reply t ps.(k) value
-                | None -> ())
-              subs
-          | _ ->
-            cpu_work t Config.cost_apply_entry;
-            let value = Kv.apply t.kv e in
-            (match pendings with
-            | Some ps -> Array.iter (fun p -> fire_reply t p value) ps
-            | None -> ()));
-          (* grouped reply fan-out: one vectored flush pushes the whole
-             batch's replies out (leader only — followers have no pendings) *)
-          (match pendings with
-          | Some _ -> cpu_work t Config.cost_reply_flush
-          | None -> ());
-          t.last_applied <- i;
-          loop ()
-      end
-      else begin
-        (* depfast-lint: allow red-exposure — applier handoff signalled by
-           the local commit path; no remote peer can stall this condvar *)
-        Depfast.Condvar.wait t.sched t.commit_cv;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
 (* ---------------- elections --------------------------------------------- *)
 
 let reset_follower_state t =
@@ -519,25 +573,11 @@ let reset_follower_state t =
         })
     t.peers
 
-let enqueue t ~cmd ~client ~seq =
-  let p =
-    {
-      p_cmd = { b_cmd = cmd; b_client = client; b_seq = seq };
-      p_ok = false;
-      p_value = None;
-      p_done = Depfast.Event.signal ~label:"committed" ();
-      p_t0 = now t;
-    }
-  in
-  Queue.add p t.pending_q;
-  Depfast.Condvar.broadcast t.work_cv;
-  p
-
 let become_leader t =
   t.epoch <- t.epoch + 1;
   let epoch = t.epoch in
   t.role <- Leader;
-  t.leader <- Some (id t);
+  t.leader <- t.self_hint;
   t.wal_done_index <- 0;
   t.rounds_inflight <- 0;
   reset_follower_state t;
@@ -655,21 +695,6 @@ let election_timer_loop t =
   in
   loop ()
 
-let hiccup_loop node rng =
-  let sched = Cluster.Node.sched node in
-  let cpu = Cluster.Node.cpu node in
-  let rec loop () =
-    if Cluster.Node.alive node then begin
-      Depfast.Sched.sleep sched (Dist.sample_span rng Config.hiccup_interval);
-      let duration = min (Time.ms 10) (Dist.sample_span rng Config.hiccup_duration) in
-      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. Config.hiccup_factor);
-      Depfast.Sched.sleep sched duration;
-      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu /. Config.hiccup_factor);
-      loop ()
-    end
-  in
-  loop ()
-
 (* ---------------- request handlers -------------------------------------- *)
 
 let handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term ~transfer
@@ -712,74 +737,28 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commi
      append lock admits entries in delivery order, and the modeled CPU
      cost of processing one message is part of that critical section *)
   cpu_work t
-    (Config.cost_follower_fixed
-    + (Array.length entries * Config.cost_follower_entry_view));
+    (Config.cost_follower_fixed + (Array.length entries * t.profile.cost_follower_entry));
   if term < t.term then Append_resp { term = t.term; success = false; match_index = 0 }
   else begin
     if term > t.term || t.role <> Follower then step_down t term ~leader:(Some leader);
-    t.leader <- Some leader;
+    (match t.leader with Some l when l = leader -> () | _ -> t.leader <- Some leader);
     t.last_contact <- now t;
     if not (Rlog.matches t.rlog ~prev_index ~prev_term) then
       (* hint our last index so the leader can back off quickly *)
       Append_resp
         { term = t.term; success = false; match_index = Rlog.last_index t.rlog }
     else begin
-      (* idempotent append with conflict truncation *)
-      Array.iter
-        (fun e ->
-          match Rlog.term_at t.rlog e.index with
-          | Some tm when tm = e.term -> ()
-          | Some _ ->
-            Rlog.truncate_from t.rlog e.index;
-            Rlog.append t.rlog e
-          | None ->
-            if e.index = Rlog.last_index t.rlog + 1 then Rlog.append t.rlog e)
-        entries;
+      append_entries t entries;
       let match_index = prev_index + Array.length entries in
-      if Array.length entries > 0 then begin
-        let bytes =
-          entries_bytes entries + (Array.length entries * Config.wal_entry_overhead)
-        in
-        (* depfast-lint: allow lock-across-call red-exposure — the append
-           lock is the documented FIFO-stream substitution (DESIGN §5):
-           appends serialise, and the wait is on the node's own WAL *)
-        Depfast.Sched.wait t.sched (wal_append t ~bytes)
-      end;
-      let new_commit = min commit (Rlog.last_index t.rlog) in
-      if new_commit > t.commit_index then begin
-        t.commit_index <- new_commit;
-        Depfast.Condvar.broadcast t.commit_cv
-      end;
+      if Array.length entries > 0 then
+        (* depfast-lint: allow lock-across-call — the append lock is the
+           documented FIFO-stream substitution (DESIGN §5): appends
+           serialise, and the wait is on the node's own WAL *)
+        persist t entries;
+      set_commit t commit;
       t.last_contact <- now t;
       Append_resp { term = t.term; success = true; match_index }
     end
-  end
-
-let handle_client_request t ~cmd ~client_id ~seq =
-  let cfg = t.cfg in
-  (* pooled connection path: direct-indexed slot, no per-request closure *)
-  cpu_work t Config.cost_client_parse_pooled;
-  if t.role <> Leader then
-    Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
-  else if cfg.Config.admission_depth <= Queue.length t.pending_q then begin
-    (* bounded admission: shed at the door with an explicit fail-fast reply
-       instead of joining a backlog that a fail-slow disk would grow without
-       bound (the paper's §2 RethinkDB root cause, inverted) *)
-    t.shed_count <- t.shed_count + 1;
-    cpu_work t Config.cost_client_reply_grouped;
-    Client_resp { ok = false; shed = true; leader_hint = Some (id t); value = None }
-  end
-  else begin
-    let p = enqueue t ~cmd ~client:client_id ~seq in
-    let outcome = Depfast.Sched.wait_timeout t.sched p.p_done cfg.Config.client_timeout in
-    (* grouped fan-out path: fill the connection slot's outbuf; the flush
-       syscall is shared by the whole commit batch (applier side) *)
-    cpu_work t Config.cost_client_reply_grouped;
-    match outcome with
-    | Depfast.Sched.Ready ->
-      Client_resp { ok = p.p_ok; shed = false; leader_hint = Some (id t); value = p.p_value }
-    | Depfast.Sched.Timed_out ->
-      Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
   end
 
 let transfer_leadership t ~target =
@@ -805,7 +784,7 @@ let transfer_leadership t ~target =
     end
   end
 
-let handle t ~src:_ (req : Types.req) : Types.resp option =
+let handle t (req : Types.req) : Types.resp option =
   match req with
   | Request_vote { term; candidate; last_log_index; last_log_term; transfer; prevote }
     ->
@@ -830,8 +809,10 @@ let handle t ~src:_ (req : Types.req) : Types.resp option =
     if t.role <> Leader then run_election t ~transfer:true;
     Some Ack
   | Pull_oplog _ | Update_position _ ->
-    (* baseline-only messages; a DepFastRaft node ignores them *)
+    (* pull-replication messages; a pushing system ignores them *)
     Some Ack
+
+let serve t handler = Cluster.Rpc.serve t.rpc ~node:t.node ~handler:(fun ~src:_ req -> handler t req)
 
 (* a follower at term 0 with an empty log and store, its stream re-split
    from the engine's root: [create]'s state, for a world reused across
@@ -850,6 +831,8 @@ let reset t =
   t.leader <- None;
   Queue.clear t.pending_q;
   Hashtbl.reset t.by_index;
+  t.replies <- [||];
+  t.next_reply <- 0;
   Depfast.Condvar.reset t.work_cv;
   Depfast.Condvar.reset t.commit_cv;
   t.epoch <- 0;
@@ -863,7 +846,7 @@ let reset t =
   t.shed_count <- 0;
   reset_follower_state t
 
-let create rpc node ~peers ~cfg =
+let create ?profile ?leader rpc node ~peers ~cfg =
   let sched = Cluster.Node.sched node in
   let t =
     {
@@ -871,6 +854,7 @@ let create rpc node ~peers ~cfg =
       node;
       sched;
       cfg;
+      profile = (match profile with Some p -> p | None -> depfast cfg);
       peers;
       n_voters = List.length peers + 1;
       rng = Rng.create 0L;
@@ -883,8 +867,11 @@ let create rpc node ~peers ~cfg =
       kv = Kv.create ();
       last_contact = Time.zero;
       leader = None;
+      self_hint = Some (Cluster.Node.id node);
       pending_q = Queue.create ();
       by_index = Hashtbl.create 16;
+      replies = [||];
+      next_reply = 0;
       followers = Hashtbl.create 8;
       work_cv = Depfast.Condvar.create ~label:"work" ();
       commit_cv = Depfast.Condvar.create ~label:"commit" ();
@@ -900,14 +887,23 @@ let create rpc node ~peers ~cfg =
     }
   in
   reset t;
-  Cluster.Rpc.serve rpc ~node ~handler:(fun ~src req -> handle t ~src req);
+  (* a fixed leader leads term 1 for good; every node knows it *)
+  (match leader with
+  | Some l ->
+    t.term <- 1;
+    t.leader <- (if l = id t then t.self_hint else Some l);
+    if l = id t then t.role <- Leader
+  | None -> ());
   t
 
-let start t =
-  Cluster.Node.spawn t.node ~name:"raft.election-timer" (fun () -> election_timer_loop t);
+let run t =
   Cluster.Node.spawn t.node ~name:"raft.applier" (fun () -> applier_loop t);
   if t.cfg.Config.enable_hiccups then
     Cluster.Node.spawn t.node ~name:"hiccup" (fun () -> hiccup_loop t.node t.rng)
+
+let start t =
+  Cluster.Node.spawn t.node ~name:"raft.election-timer" (fun () -> election_timer_loop t);
+  run t
 
 let become_leader_now t = if t.role <> Leader then run_election t ~transfer:true
 

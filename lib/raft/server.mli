@@ -1,6 +1,6 @@
-(** DepFastRaft (§3.4): a Raft server written in the DepFast style.
+(** DepFastRaft (§3.4), and the replica core every system shares.
 
-    All request-path waits are quorum waits:
+    All of DepFastRaft's request-path waits are quorum waits:
     - a replication round waits on one [QuorumEvent] whose children are the
       leader's own WAL-durability event plus one progress signal per
       follower, with majority arity;
@@ -15,33 +15,50 @@
     Leadership: randomized election timeouts with leader stickiness (a
     server that heard from a live leader recently rejects votes, unless the
     election is a deliberate transfer), plus §5's leadership transfer used
-    by the fail-slow mitigation. *)
+    by the fail-slow mitigation.
+
+    {b The replica core.} The baselines ([lib/baseline]) run the same
+    per-server state, client path, applier, WAL persist, follower append
+    and commit rule: a baseline server is a {!t} built with [~leader] (a
+    fixed leader, no elections) and the baselines' {!Replica.profile}. The systems
+    differ in that value and in the replication loops each runs on top;
+    nothing here asks which system it serves. *)
 
 type rpc = (Types.req, Types.resp) Cluster.Rpc.t
 
-type t
+type t = Replica.t
 
-val create : rpc -> Cluster.Node.t -> peers:int list -> cfg:Config.t -> t
-(** Build the server and install its RPC handler. [peers] are the other
-    servers' node ids. Call {!start} to begin operating. *)
+val create :
+  ?profile:Replica.profile -> ?leader:int -> rpc -> Cluster.Node.t -> peers:int list -> cfg:Config.t -> t
+(** The server's state; [peers] are the other servers' node ids. [profile]
+    defaults to DepFastRaft's: pooled client path, grouped replies,
+    zero-copy follower appends, [cfg]'s admission depth. With [leader],
+    that node leads term 1 for good: {!run} the server, never {!start} it. *)
+
+val serve : t -> (t -> Types.req -> Types.resp option) -> unit
+(** Answer the server's RPCs with the handler, usually {!handle} or one
+    falling back to it. *)
+
+val handle : t -> Types.req -> Types.resp option
+(** DepFastRaft's handler: votes, the follower's serial AppendEntries step
+    (CPU, append, WAL persist and commit advance under the append lock),
+    leadership transfer, and the shared client path (admission, enqueue,
+    wait for the commit, reply). *)
 
 val reset : t -> unit
 (** Back to {!create}'s state for a world reused across runs, after its
-    engine, scheduler, node and RPC fabric were reset: a follower at term
-    0 with an empty log and store, its random stream re-split from the
-    engine's root. The served handler stays; call {!start} again. *)
+    engine, scheduler, node and RPC fabric were reset: a DepFastRaft
+    follower at term 0 with an empty log and store, its random stream
+    re-split from the engine's root. The served handler stays; call
+    {!start} again. *)
+
+val run : t -> unit
+(** Spawn the applier and, with {!Config.enable_hiccups}, transient CPU
+    slowdowns ({!Config.hiccup_factor} for a {!Config.hiccup_duration}
+    draw capped at 10 ms, every {!Config.hiccup_interval} draw). *)
 
 val start : t -> unit
-(** Spawn the election timer, applier, and hiccup coroutines. *)
-
-val hiccup_loop : Cluster.Node.t -> Sim.Rng.t -> unit
-(** Transient CPU hiccups (GC pauses and the like) on one node, until it
-    crashes: sleep a {!Config.hiccup_interval} draw from [rng], then slow
-    the CPU by {!Config.hiccup_factor} for a {!Config.hiccup_duration} draw
-    capped at 10 ms. The
-    baselines run the same loop, each server on its own stream. *)
-
-type role = Follower | Candidate | Leader
+(** Spawn the election timer, then {!run}. *)
 
 val id : t -> int
 val node : t -> Cluster.Node.t
@@ -51,14 +68,53 @@ val commit_index : t -> Types.index
 val log : t -> Rlog.t
 val kv : t -> Kv.t
 
+(** {2 The replica core} *)
+
+val await_work : t -> unit
+(** With nothing queued, wait up to {!Config.group_commit_window}. *)
+
+val take_batch : t -> max:int -> index:Types.index -> Replica.pending array
+(** Pop up to [max] queued requests, oldest first: the commands the
+    applier applies from log index [index] on answer them in turn. *)
+
+val wal : t -> Types.entry array -> Depfast.Event.t
+(** Write the batch to the local WAL and fsync; fires once durable. *)
+
+val persist : t -> Types.entry array -> unit
+(** {!wal}, waited. *)
+
+val append_entries : t -> Types.entry array -> unit
+(** Append a received batch, truncating a conflicting suffix. *)
+
+val set_commit : t -> Types.index -> unit
+(** Advance the commit point, within the log, to at most the given index. *)
+
+val select_kth : int array -> int -> int -> int -> int
+(** [select_kth a lo hi k]: the [k]-th largest (0-based) of [a.(lo..hi)],
+    in place, allocating nothing. *)
+
+val quorum_index : t -> own:Types.index -> Types.index
+(** The majority rule: the highest index a majority of voters holds, the
+    leader holding [own], each follower its [match_index]. *)
+
+val fire_watchers : Replica.follower -> unit
+(** Fire the follower's progress signals its [match_index] has reached. *)
+
+val quorum_round : t -> Depfast.Event.t -> wal:Depfast.Event.t -> Types.index -> unit
+(** Fill a replication round's §3.1 QuorumEvent: the WAL event plus one
+    progress signal per follower, which {!fire_watchers} fires once that
+    follower holds the given index. *)
+
+(** {2 DepFastRaft} *)
+
 val become_leader_now : t -> unit
 (** Test/bootstrap helper: start an election immediately (bypassing the
     randomized timeout), as after a [Timeout_now]. *)
 
 val pending_depth : t -> int
-(** Live depth of the leader's bounded admission queue (always ≤
-    [Config.admission_depth] — requests past that are shed). The
-    schedule-space checker registers this as a sanitizer queue gauge. *)
+(** Live depth of the leader's admission queue (at most the profile's
+    [admission] — requests past it are shed). The schedule-space checker
+    registers this as a sanitizer queue gauge. *)
 
 val batch_hist : t -> Sim.Hist.t
 (** Commit-batch-size distribution: one sample per group-commit flush,

@@ -196,11 +196,13 @@ let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in
   Wheel.push t.timers ~time f
 
+(* a handle [reset] cleared is no longer armed: its seq may be a live
+   timer's of the new run, whose tag must stay *)
 let cancel t h =
-  Wheel.cancel t.timers h;
-  match t.ex with
-  | Some ex when h != unarmed -> ignore (untag_timer ex (Wheel.seq h))
-  | _ -> ()
+  (match t.ex with
+  | Some ex when Wheel.armed h -> ignore (untag_timer ex (Wheel.seq h))
+  | _ -> ());
+  Wheel.cancel t.timers h
 
 let ready_count t =
   match t.ex with None -> t.r_len | Some ex -> ex.ex_n

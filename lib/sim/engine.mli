@@ -109,7 +109,8 @@ val schedule_at : t -> time:Time.t -> (unit -> unit) -> timer
 (** Like {!schedule} with an absolute deadline (clamped to now). *)
 
 val cancel : t -> timer -> unit
-(** Cancelling an already-fired or already-cancelled timer is a no-op. *)
+(** Cancelling an already-fired or already-cancelled timer, or one armed
+    before a {!reset}, is a no-op. *)
 
 val pending : t -> int
 (** Number of outstanding posted thunks + live timers. *)

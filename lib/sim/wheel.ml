@@ -215,6 +215,12 @@ let cancel t h =
     end
   | Nil -> ()
 
+let armed = function
+  | Entry e ->
+    let p = e.key land place_mask in
+    p < levels || p = in_far
+  | Nil -> false
+
 let rearm t h ~time value =
   cancel t h;
   match h with

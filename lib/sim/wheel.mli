@@ -60,6 +60,10 @@ val cancel : 'a t -> 'a handle -> unit
     filler at once, so {!value} of a cancelled handle is the filler.
     Cancelling twice, after the entry fired, or {!no_handle} is a no-op. *)
 
+val armed : 'a handle -> bool
+(** The entry is due to fire: armed and neither fired, cancelled nor
+    dropped by {!clear}. *)
+
 val next_time_or : 'a t -> default:Time.t -> Time.t
 (** Earliest live entry's time, or [default] when empty; allocates
     nothing. Never re-buckets entries (safe to call between pushes); the

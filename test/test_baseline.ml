@@ -18,7 +18,7 @@ type built = {
 let build_system which =
   let sched = Depfast.Sched.create (Sim.Engine.create ~seed:7L ()) in
   let cfg = Raft.Config.default in
-  let built c sut = { sut; sched; bases = c.Baseline.Common.bases } in
+  let built c sut = { sut; sched; bases = c.Baseline.Common.g.Raft.Group.servers } in
   match which with
   | `Mongo ->
     let c = Baseline.Mongo_like.create sched ~n:3 ~cfg () in
@@ -147,7 +147,7 @@ let test_replicas_converge which () =
   let engine = Depfast.Sched.engine b.sched in
   Sim.Engine.run ~until:(Sim.Time.add (Sim.Engine.now engine) (Sim.Time.sec 2)) engine;
   let leader = List.hd b.bases in
-  let last = Raft.Rlog.last_index leader.Baseline.Common.rlog in
+  let last = Raft.Rlog.last_index leader.Raft.Replica.rlog in
   check_bool "leader logged writes" true (last > 1000);
   List.iter
     (fun (f : Baseline.Common.base) ->
@@ -158,11 +158,42 @@ let test_replicas_converge which () =
       done;
       check_bool "follower applied" true (f.last_applied >= 1);
       check_bool "no more than the leader" true
-        (f.last_applied <= leader.Baseline.Common.last_applied))
+        (f.last_applied <= leader.Raft.Replica.last_applied))
     (List.tl b.bases)
 
 let test_convergence_all () =
   List.iter (fun which -> test_replicas_converge which ()) [ `Mongo; `Tidb; `Rethink; `Chain ]
+
+(* the buffer policy is a value of the shared client path: the baselines
+   admit without a bound, so DepFastRaft's 2-deep admission queue setting
+   sheds nothing on them and their leader's queue grows past it *)
+let test_admit_without_bound which () =
+  let sched = Depfast.Sched.create (Sim.Engine.create ~seed:7L ()) in
+  let cfg = { Raft.Config.default with Raft.Config.admission_depth = 2 } in
+  let sut, g =
+    match which with
+    | `Tidb ->
+      let c = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
+      (Baseline.Tidb_like.sut c ~cfg, c.Baseline.Common.g)
+    | `Rethink ->
+      let c = Baseline.Rethink_like.create sched ~n:3 ~cfg () in
+      (Baseline.Rethink_like.sut c ~cfg, c.Baseline.Common.g)
+  in
+  let leader = List.hd g.Raft.Group.servers in
+  let deepest = ref 0 in
+  Depfast.Sched.spawn sched (fun () ->
+      for _ = 1 to 2_000 do
+        deepest := max !deepest (Raft.Server.pending_depth leader);
+        Depfast.Sched.sleep sched (Sim.Time.ms 1)
+      done);
+  let m =
+    Workload.Driver.run sched ~clients:(sut.Workload.Sut.make_clients ~count:12)
+      ~workload:small_workload ~warmup:(Sim.Time.ms 500) ~duration:(Sim.Time.sec 1)
+      ~leader_node:sut.Workload.Sut.leader_node ()
+  in
+  check_int "no shed replies" 0 m.Workload.Metrics.shed;
+  check_int "the leader shed nothing" 0 (Raft.Server.shed_count leader);
+  check_bool "the leader's queue grew past the admission depth" true (!deepest > 2)
 
 (* ------------------------------------------------------------------ *)
 (* Chain replication (§3.3 tradeoff substrate) *)
@@ -216,6 +247,10 @@ let suite =
         Alcotest.test_case "tidb-like serves" `Quick test_tidb_healthy;
         Alcotest.test_case "rethink-like serves" `Quick test_rethink_healthy;
         Alcotest.test_case "replication converges" `Quick test_convergence_all;
+        Alcotest.test_case "tidb-like admits without a bound" `Quick
+          (test_admit_without_bound `Tidb);
+        Alcotest.test_case "rethink-like admits without a bound" `Quick
+          (test_admit_without_bound `Rethink);
       ] );
     ( "baseline.pathologies",
       [

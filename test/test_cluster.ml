@@ -275,6 +275,35 @@ let test_station_reset_drops_held () =
   check_int "the next charge served at once" 10 !next_at;
   ignore (Sys.opaque_identity st)
 
+(* A reset while the engine runs on: the in-service job's completion goes
+   with it. Left armed, it fires at 100 µs and frees the one server a
+   second time (busy below 0), and the next charge then builds a second
+   slot past the slot array *)
+let test_station_reset_mid_run () =
+  let s = make_sched () in
+  let st = Cluster.Station.create s ~servers:1 ~name:"cpu" () in
+  for _ = 0 to 2 do
+    Depfast.Sched.spawn s (fun () -> Cluster.Station.run st ~work:100)
+  done;
+  Depfast.Sched.run ~until:50 s;
+  check_int "one in service" 1 (Cluster.Station.busy_servers st);
+  Cluster.Station.reset st;
+  let t0 = Depfast.Sched.now s in
+  let lowest = ref 0 and next_at = ref (-1) in
+  Depfast.Sched.spawn s (fun () ->
+      for _ = 1 to 30 do
+        lowest := min !lowest (Cluster.Station.busy_servers st);
+        Depfast.Sched.sleep s 10
+      done);
+  Depfast.Sched.spawn s (fun () ->
+      Depfast.Sched.sleep s 100;
+      Cluster.Station.run st ~work:10;
+      next_at := Depfast.Sched.now s);
+  Depfast.Sched.run s;
+  check_int "busy servers never below 0" 0 !lowest;
+  check_int "the next charge completes" (t0 + 110) !next_at;
+  check_int "idle at the end" 0 (Cluster.Station.busy_servers st)
+
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
@@ -731,6 +760,7 @@ let suite =
         Alcotest.test_case "duration read from the speed at the job's start" `Quick
           test_station_speed_read_at_start;
         Alcotest.test_case "reset drops held charges" `Quick test_station_reset_drops_held;
+        Alcotest.test_case "reset mid-run cancels completions" `Quick test_station_reset_mid_run;
       ] );
     ( "cluster.memory",
       [

@@ -2,6 +2,22 @@
    substrate invariants. *)
 
 (* ------------------------------------------------------------------ *)
+(* The majority commit rule: [Server.select_kth] against the sort-based
+   rule the baselines used (the k-th element of a descending sort), over
+   match arrays with duplicates, one slot per voter (n = 1..7), for every
+   k and for the majority position the rule reads *)
+
+let test_select_kth_matches_sort =
+  QCheck.Test.make ~name:"select_kth = k-th of a descending sort" ~count:500
+    QCheck.(list_of_size Gen.(int_range 1 7) (int_bound 6))
+    (fun matches ->
+      let n = List.length matches in
+      let sorted = List.sort (fun a b -> compare b a) matches in
+      let kth k = Raft.Server.select_kth (Array.of_list matches) 0 (n - 1) k in
+      List.for_all (fun k -> kth k = List.nth sorted k) (List.init n Fun.id)
+      && kth (Raft.Config.majority n - 1) = List.nth sorted (Raft.Config.majority n - 1))
+
+(* ------------------------------------------------------------------ *)
 (* Rlog: a random sequence of appends/truncations behaves like a list *)
 
 let rlog_ops_gen =
@@ -646,6 +662,7 @@ let suite =
   [
     ( "properties",
       [
+        QCheck_alcotest.to_alcotest test_select_kth_matches_sort;
         QCheck_alcotest.to_alcotest test_rlog_model;
         QCheck_alcotest.to_alcotest test_rlog_slice_coherent;
         QCheck_alcotest.to_alcotest test_rlog_view_matches_slice;

@@ -493,6 +493,29 @@ let test_engine_coroutine_tags () =
     check_bool "one tag per node" true shared
   | [] -> Alcotest.fail "no choice point"
 
+(* a timer armed before [reset] went with it: cancelling the stale handle
+   is a no-op, and the new run's timer that drew the same seq keeps its
+   tag *)
+let test_engine_cancel_after_reset () =
+  let e = Engine.create () in
+  let sets = ref [] in
+  Engine.set_chooser e (fun tags n ->
+      sets := Array.sub tags 0 n :: !sets;
+      0);
+  let stale = Engine.schedule_tag e ~delay:10 (Engine.On_node 1) ignore in
+  Engine.reset e;
+  let fired = ref 0 in
+  ignore (Engine.schedule_tag e ~delay:10 (Engine.On_node 2) (fun () -> incr fired));
+  ignore (Engine.schedule_tag e ~delay:10 (Engine.On_node 3) (fun () -> incr fired));
+  Engine.cancel e stale;
+  Engine.run e;
+  check_int "both new timers fired" 2 !fired;
+  match List.rev !sets with
+  | tags :: _ ->
+    check_bool "the tied timers keep their tags" true
+      (tags = [| Engine.On_node 2; Engine.On_node 3 |])
+  | [] -> Alcotest.fail "no choice point"
+
 (* ------------------------------------------------------------------ *)
 (* Allocation pins: exact minor words of the engine's hot containers *)
 
@@ -723,6 +746,8 @@ let suite =
         Alcotest.test_case "set_chooser adopts posted work in order" `Quick
           test_engine_chooser_adopts_ring;
         Alcotest.test_case "coroutines carry their node's tag" `Quick test_engine_coroutine_tags;
+        Alcotest.test_case "cancel after reset keeps new tags" `Quick
+          test_engine_cancel_after_reset;
         Alcotest.test_case "reset is fresh" `Quick test_engine_reset_is_fresh;
       ] );
     ( "sim.alloc",
