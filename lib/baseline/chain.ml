@@ -18,7 +18,7 @@
 open Raft.Types
 
 type t = {
-  head : Common.base;
+  head : Raft.Replica.t;
   tail : int;  (** the chain is in node-id order: head 0, tail [n - 1] *)
   mutable tail_acked : index;
 }
@@ -26,13 +26,13 @@ type t = {
 (* forward a batch down the chain; runs in the handler/propagator coroutine
    of node [b]. The head's commit point equals [tail_acked], so every link
    ships the head's. *)
-let forward t (b : Common.base) entries =
-  if Common.id b < t.tail && Array.length entries > 0 then
-    ignore (Common.send_append b ~leader:t.head ~dst:(Common.id b + 1) entries)
+let forward t (b : Raft.Replica.t) entries =
+  if Raft.Server.id b < t.tail && Array.length entries > 0 then
+    ignore (Common.send_append b ~leader:t.head ~dst:(Raft.Server.id b + 1) entries)
 
 (* every node: append, persist, forward; the tail additionally reports its
    position straight back to the head *)
-let handle_append t (b : Common.base) ~entries ~commit =
+let handle_append t (b : Raft.Replica.t) ~entries ~commit =
   Depfast.Mutex.with_lock b.sched b.append_mu (fun () ->
       let n = Array.length entries in
       (* depfast-lint: allow lock-across-call — deliberate baseline defect:
@@ -50,11 +50,15 @@ let handle_append t (b : Common.base) ~entries ~commit =
          the chain forwards downstream (CPU + rpc) without releasing the
          append lock, so one slow successor stalls the whole segment *)
       forward t b entries;
-      if Common.id b = t.tail && n > 0 then
+      if Raft.Server.id b = t.tail && n > 0 then
         ignore
-          (Cluster.Rpc.call b.rpc ~src:b.node ~dst:(Common.id t.head)
+          (Cluster.Rpc.call b.rpc ~src:b.node ~dst:(Raft.Server.id t.head)
              (Update_position
-                { follower = Common.id b; match_index = Common.last_index b; term = 1 })));
+                {
+                  follower = Raft.Server.id b;
+                  match_index = Raft.Rlog.last_index b.rlog;
+                  term = 1;
+                })));
   None
 
 let handle_tail_ack t ~match_index =
@@ -71,7 +75,7 @@ let handle_tail_ack t ~match_index =
 let head_loop t =
   let b = t.head in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       if Array.length entries > 0 then begin
@@ -101,7 +105,7 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
   c
 
 (* clients address the head only *)
-let sut c ~cfg:_ =
-  Common.sut c ~name:"Chain replication" ~servers:[ Common.id c.Common.t.head ]
+let sut (c : t Common.cluster) =
+  Raft.Group.sut c.g ~name:"Chain replication" ~servers:[ Raft.Server.id c.t.head ]
 
 let tail_acked (c : t Common.cluster) = c.t.tail_acked

@@ -3,42 +3,49 @@
     The baselines reproduce the paper's §2 measurement subjects at the level
     that matters: the {e implementation patterns} that break fail-slow
     tolerance. Each server is a {!Raft.Server.t}: the per-server state,
-    client path, applier, WAL persist, follower append and commit rule are
-    DepFastRaft's, set by {!profile} and run with a fixed leader (node 0) —
+    applier, WAL persist, follower append and commit rule are DepFastRaft's,
+    set by {!profile} and run with a fixed leader (node 0) —
     the paper's Figure 1 experiments never change leaders; the one leader
     {e crash} it reports (RethinkDB under CPU faults) ends the run, which is
     exactly what the harness measures.
 
-    This module adds the cluster wiring, the leader's batch seal (one log
+    This module adds the cluster wiring, the client path's admission (none:
+    past it the path is DepFastRaft's), the leader's batch seal (one log
     entry per command) and the copying AppendEntries send. Each system file
     keeps only its replication pattern and its deliberate defect. *)
 
 open Raft.Types
 
-type base = Raft.Server.t
-
 (** The per-connection client path (full parse, one reply per request, no
-    grouped flush), the copying follower append, and no admission bound:
-    the leader queues every request it is sent. *)
+    grouped flush) and the copying follower append. *)
 let profile =
   {
     Raft.Replica.cost_parse = Raft.Config.cost_client_parse;
     cost_reply = Raft.Config.cost_client_reply;
     cost_flush = 0;
     cost_follower_entry = Raft.Config.cost_follower_entry;
-    admission = max_int;
   }
 
-let alive (b : base) = Cluster.Node.alive b.node
-let id (b : base) = Cluster.Node.id b.node
-let last_index (b : base) = Raft.Rlog.last_index b.rlog
-let cpu_work (b : base) w = Cluster.Node.cpu_work b.node w
+(** The leader's client path without admission control: every request it
+    is sent joins the queue, the backlog a fail-slow pipeline grows. *)
+let handle_client_request (b : Raft.Replica.t) ~cmd ~client_id ~seq =
+  Cluster.Node.cpu_work b.node profile.cost_parse;
+  if not (Raft.Server.is_leader b) then Raft.Server.not_leader b
+  else begin
+    let p = Raft.Server.pending b ~cmd ~client:client_id ~seq in
+    (* depfast-lint: allow unbounded-growth — deliberate baseline defect: no
+       admission control on the client->leader path; the only drain is a
+       sibling replicator loop (ROADMAP: bounded backpressure) *)
+    Queue.add p b.pending_q;
+    Depfast.Condvar.broadcast b.work_cv;
+    Raft.Server.await_reply b p
+  end
 
 (** Append up to [Raft.Config.batch_max] queued commands to the leader's
     log, one entry each, and charge their marshalling. Returns the new
     entries. *)
-let seal_batch (b : base) =
-  let first = last_index b + 1 in
+let seal_batch (b : Raft.Replica.t) =
+  let first = Raft.Rlog.last_index b.rlog + 1 in
   let entries =
     Array.mapi
       (fun k (p : Raft.Replica.pending) ->
@@ -54,19 +61,21 @@ let seal_batch (b : base) =
     entries;
   let n = Array.length entries in
   if n > 0 then
-    cpu_work b (Raft.Config.cost_round_fixed + (n * Raft.Config.cost_marshal_entry));
+    Cluster.Node.cpu_work b.node
+      (Raft.Config.cost_round_fixed + (n * Raft.Config.cost_marshal_entry));
   entries
 
 (** The majority commit rule over the leader's whole log. *)
-let commit_majority b = Raft.Server.set_commit b (Raft.Server.quorum_index b ~own:(last_index b))
+let commit_majority (b : Raft.Replica.t) =
+  Raft.Server.set_commit b (Raft.Server.quorum_index b ~own:(Raft.Rlog.last_index b.rlog))
 
 let note_match (fs : Raft.Replica.follower) m = fs.match_index <- max m fs.match_index
 
 (** Charge the per-follower send cost, then ship [entries] to [dst] as one
     AppendEntries naming [leader] (default [b]) and its commit point. The
     commit point is read after the charge, which suspends. *)
-let send_append (b : base) ?(leader = b) ~dst entries =
-  cpu_work b
+let send_append (b : Raft.Replica.t) ?(leader = b) ~dst entries =
+  Cluster.Node.cpu_work b.node
     (Raft.Config.cost_per_follower
     + (Array.length entries * Raft.Config.cost_send_entry));
   let prev_index = entries.(0).index - 1 in
@@ -75,7 +84,7 @@ let send_append (b : base) ?(leader = b) ~dst entries =
     (Append_entries
        {
          term = b.term;
-         leader = id leader;
+         leader = Raft.Server.id leader;
          prev_index;
          prev_term = Option.value ~default:0 (Raft.Rlog.term_at b.rlog prev_index);
          (* baselines ship a copied batch, wrapped as an owned view *)
@@ -89,20 +98,20 @@ type 'a cluster = { t : 'a; g : Raft.Group.t }
 
 (** Build an [n]-server cluster (node ids [0..n-1], names s1..sN): [make]
     turns the servers into the system's state, and [handle t] answers each
-    server's requests, falling back to {!Raft.Server.handle} (client
-    requests, pushed AppendEntries). Every server runs its applier and
-    hiccups; the caller spawns its own replication loops afterwards. *)
+    server's requests but [Client_request], which {!handle_client_request}
+    takes; it falls back to {!Raft.Server.handle} (pushed AppendEntries).
+    Every server runs its applier and hiccups; the caller spawns its own
+    replication loops afterwards. *)
 let build sched ~n ~cfg ?mem_soft_cap ?mem_hard_cap ~make ~handle () =
   let g = Raft.Group.build sched ~n ~cfg ?mem_soft_cap ?mem_hard_cap ~profile ~leader:0 () in
   let t = make g.Raft.Group.servers in
   List.iter
-    (fun b ->
-      Raft.Server.serve b (handle t);
+    (fun (b : Raft.Replica.t) ->
+      Cluster.Rpc.serve b.rpc ~node:b.node ~handler:(fun ~src:_ req ->
+          match req with
+          | Client_request { cmd; client_id; seq } ->
+            Some (handle_client_request b ~cmd ~client_id ~seq)
+          | req -> handle t b req);
       Raft.Server.run b)
     g.Raft.Group.servers;
   { t; g }
-
-(** The system under test. Clients take node ids after every server's,
-    address [servers] (default: all of them) and run with the cluster's
-    config, so each system's [sut c ~cfg] ignores its [cfg]. *)
-let sut ?servers c ~name = Raft.Group.sut ?servers c.g ~name

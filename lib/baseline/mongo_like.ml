@@ -23,7 +23,7 @@
 open Raft.Types
 
 type t = {
-  base : Common.base;
+  base : Raft.Replica.t;
   commit_tick : Sim.Time.span;
   pull_idle_delay : Sim.Time.span;
   oplog_window : int;  (** entries kept hot in the leader's cache *)
@@ -37,8 +37,8 @@ type t = {
 
 let entry_size_estimate = 1100
 
-let handle_pull t (b : Common.base) ~from =
-  let last = Common.last_index b in
+let handle_pull t (b : Raft.Replica.t) ~from =
+  let last = Raft.Rlog.last_index b.rlog in
   let cache_start = max 1 (last - t.oplog_window + 1) in
   let max_entries =
     if from < cache_start then begin
@@ -67,9 +67,9 @@ let lag_watcher_loop t =
   let b = t.base in
   let cpu = Cluster.Node.cpu b.node in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       Depfast.Sched.sleep b.sched (Sim.Time.ms 50);
-      let last = Common.last_index b in
+      let last = Raft.Rlog.last_index b.rlog in
       let lagging =
         List.exists
           (fun f -> last - (Hashtbl.find b.followers f).match_index > t.oplog_window)
@@ -93,7 +93,7 @@ let lag_watcher_loop t =
 let commit_ticker_loop t =
   let b = t.base in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       Depfast.Sched.sleep b.sched t.commit_tick;
       Common.commit_majority b;
       loop ()
@@ -105,7 +105,7 @@ let commit_ticker_loop t =
 let oplog_writer_loop t =
   let b = t.base in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       if Array.length entries > 0 then Raft.Server.persist b entries;
@@ -116,14 +116,14 @@ let oplog_writer_loop t =
 
 (* ---------- follower ---------- *)
 
-let puller_loop t (b : Common.base) =
+let puller_loop t (b : Raft.Replica.t) =
   let cfg = b.cfg in
-  let leader = Common.id t.base in
+  let leader = Raft.Server.id t.base and me = Raft.Server.id b in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       let call =
         Cluster.Rpc.call b.rpc ~src:b.node ~dst:leader
-          (Pull_oplog { from = Common.last_index b + 1; follower = Common.id b })
+          (Pull_oplog { from = Raft.Rlog.last_index b.rlog + 1; follower = me })
       in
       match
         (* pull replication: a follower tails exactly one sync source by
@@ -142,14 +142,20 @@ let puller_loop t (b : Common.base) =
             Cluster.Node.cpu_work b.node
               (Raft.Config.cost_follower_fixed
               + (n * Raft.Config.cost_follower_entry));
-            Raft.Server.append_entries b entries;
+            Array.iter
+              (fun e ->
+                (* depfast-lint: allow unbounded-growth — known-unbounded
+                   log: one fixed leader, so the puller never truncates
+                   (ROADMAP: log compaction / snapshots) *)
+                if e.index = Raft.Rlog.last_index b.rlog + 1 then Raft.Rlog.append b.rlog e)
+              entries;
             Raft.Server.persist b entries;
             Raft.Server.set_commit b commit;
             (* report progress *)
             ignore
               (Cluster.Rpc.call b.rpc ~src:b.node ~dst:leader
                  (Update_position
-                    { follower = Common.id b; match_index = Common.last_index b; term = 1 }))
+                    { follower = me; match_index = Raft.Rlog.last_index b.rlog; term = 1 }))
           end
           else begin
             Raft.Server.set_commit b commit;
@@ -199,4 +205,4 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
 
 let cold_pulls (c : t Common.cluster) = c.t.cold_pulls
 let in_lag_mode (c : t Common.cluster) = c.t.lag_mode
-let sut c ~cfg:_ = Common.sut c ~name:"MongoDB-like"
+let sut (c : t Common.cluster) = Raft.Group.sut c.g ~name:"MongoDB-like"

@@ -26,7 +26,7 @@ type buffer = {
 }
 
 type t = {
-  base : Common.base;
+  base : Raft.Replica.t;
   buffers : (int, buffer) Hashtbl.t;
 }
 
@@ -67,7 +67,7 @@ let drainer_loop t f =
   let fs = Hashtbl.find b.followers f in
   let outstanding = ref 0 in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       if Queue.is_empty buf.entries || !outstanding >= window_bytes then
         (* depfast-lint: allow red-exposure — drain handoff signalled by the
            local buffer producer; idling here is the intended backpressure *)
@@ -105,7 +105,7 @@ let drainer_loop t f =
 let replicator_loop t =
   let b = t.base in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       if Array.length entries > 0 then begin
@@ -114,7 +114,7 @@ let replicator_loop t =
           Depfast.Event.quorum ~label:"rethink-majority"
             (Depfast.Event.Count (Raft.Config.majority b.n_voters))
         in
-        Raft.Server.quorum_round b quorum ~wal (Common.last_index b);
+        Raft.Server.quorum_round b quorum ~wal (Raft.Rlog.last_index b.rlog);
         buffer_entries t entries;
         match Depfast.Sched.wait_timeout b.sched quorum b.cfg.Raft.Config.rpc_timeout with
         | Depfast.Sched.Ready -> Common.commit_majority b
@@ -145,7 +145,7 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
     Common.build sched ~n ~cfg
       ~mem_soft_cap:(resident + soft_headroom)
       ~mem_hard_cap:(resident + hard_headroom) ~make
-      ~handle:(fun _ -> Raft.Server.handle) ()
+      ~handle:(fun _ b req -> Raft.Server.handle b req) ()
   in
   let leader = c.t.base.node in
   Cluster.Node.spawn leader ~name:"replicator" (fun () -> replicator_loop c.t);
@@ -156,5 +156,5 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
     c.t.base.peers;
   c
 
-let sut c ~cfg:_ = Common.sut c ~name:"RethinkDB-like"
+let sut (c : t Common.cluster) = Raft.Group.sut c.g ~name:"RethinkDB-like"
 let buffer_bytes (c : t Common.cluster) f = (Hashtbl.find c.t.buffers f).bytes

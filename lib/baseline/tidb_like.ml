@@ -24,7 +24,7 @@
 open Raft.Types
 
 type t = {
-  base : Common.base;
+  base : Raft.Replica.t;
   mutable cache_size : int;
   mutable blocked_disk_reads : int;  (** stat: synchronous cache-miss reads *)
 }
@@ -53,7 +53,7 @@ let process_ack t (fs : Raft.Replica.follower) call =
 let prep_and_send t (fs : Raft.Replica.follower) =
   let b = t.base in
   let from = fs.next_index in
-  let last = Common.last_index b in
+  let last = Raft.Rlog.last_index b.rlog in
   if from <= last then begin
     let cache_start = max 1 (last - t.cache_size + 1) in
     let evicted = from < cache_start in
@@ -88,11 +88,11 @@ let raftstore_loop t =
   let needs_send () =
     List.exists
       (fun (fs : Raft.Replica.follower) ->
-        fs.next_index <= Common.last_index b && fs.inflight = 0)
+        fs.next_index <= Raft.Rlog.last_index b.rlog && fs.inflight = 0)
       followers
   in
   let rec loop () =
-    if Common.alive b then begin
+    if Cluster.Node.alive b.node then begin
       if not (needs_send ()) then Raft.Server.await_work b;
       let entries = Common.seal_batch b in
       (* raft log sync happens in the store loop, synchronously *)
@@ -105,11 +105,13 @@ let raftstore_loop t =
 
 let create sched ~n ?(cfg = Raft.Config.default) () =
   let make bases = { base = List.hd bases; cache_size = 2048; blocked_disk_reads = 0 } in
-  let c = Common.build sched ~n ~cfg ~make ~handle:(fun _ -> Raft.Server.handle) () in
+  let c =
+    Common.build sched ~n ~cfg ~make ~handle:(fun _ b req -> Raft.Server.handle b req) ()
+  in
   Cluster.Node.spawn c.t.base.node ~name:"raftstore" (fun () -> raftstore_loop c.t);
   c
 
-let sut c ~cfg:_ = Common.sut c ~name:"TiDB-like"
+let sut (c : t Common.cluster) = Raft.Group.sut c.g ~name:"TiDB-like"
 let blocked_disk_reads (c : t Common.cluster) = c.t.blocked_disk_reads
 
 (** Ablation knob: a cache large enough never to evict removes the blocking

@@ -50,7 +50,7 @@ let entry_cache ?(params = Params.full) () =
       let cfg = Raft.Config.default in
       let cluster = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
       Baseline.Tidb_like.set_cache_size cluster cache_size;
-      let sut = Baseline.Tidb_like.sut cluster ~cfg in
+      let sut = Baseline.Tidb_like.sut cluster in
       (match sut.Workload.Sut.follower_nodes with
       | v :: _ -> ignore (Cluster.Fault.inject v Cluster.Fault.Cpu_slow)
       | [] -> ());
@@ -113,7 +113,7 @@ let chain_vs_quorum ?(params = Params.full) () =
     let sched = Depfast.Sched.create engine in
     let cfg = Raft.Config.default in
     let cluster = Baseline.Chain.create sched ~n:3 ~cfg () in
-    let sut = Baseline.Chain.sut cluster ~cfg in
+    let sut = Baseline.Chain.sut cluster in
     (match fault with
     | None -> ()
     | Some kind ->

@@ -18,10 +18,10 @@ let clients_of_group g ~count = Raft.Group.ycsb_clients g ~count
    victims are always followers (the paper's setup) *)
 let build system sched ~n ~cfg =
   match system with
-  | Mongo_like -> Baseline.Mongo_like.sut (Baseline.Mongo_like.create sched ~n ~cfg ()) ~cfg
-  | Tidb_like -> Baseline.Tidb_like.sut (Baseline.Tidb_like.create sched ~n ~cfg ()) ~cfg
+  | Mongo_like -> Baseline.Mongo_like.sut (Baseline.Mongo_like.create sched ~n ~cfg ())
+  | Tidb_like -> Baseline.Tidb_like.sut (Baseline.Tidb_like.create sched ~n ~cfg ())
   | Rethink_like ->
-    Baseline.Rethink_like.sut (Baseline.Rethink_like.create sched ~n ~cfg ()) ~cfg
+    Baseline.Rethink_like.sut (Baseline.Rethink_like.create sched ~n ~cfg ())
   | Depfast_raft ->
     let g = Raft.Group.create sched ~n ~cfg () in
     Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);

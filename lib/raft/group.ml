@@ -28,7 +28,7 @@ let build sched ~n ~cfg ?(first_node_id = 0) ?mem_soft_cap ?mem_hard_cap ?profil
 
 let create sched ~n ?(cfg = Config.default) ?first_node_id () =
   let t = build sched ~n ~cfg ?first_node_id () in
-  List.iter (fun s -> Server.serve s Server.handle) t.servers;
+  List.iter Server.serve t.servers;
   List.iter Server.start t.servers;
   t
 

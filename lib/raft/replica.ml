@@ -17,7 +17,6 @@ type profile = {
   cost_reply : Time.span;  (** CPU per client reply, shed replies included *)
   cost_flush : Time.span;  (** applier CPU per sealed batch's grouped flush; 0: none *)
   cost_follower_entry : Time.span;  (** follower CPU per appended entry *)
-  admission : int;  (** queued requests past which the leader sheds; [max_int]: never *)
 }
 
 (** A client request queued at the leader. *)
@@ -67,7 +66,7 @@ type t = {
   mutable leader : int option;
   self_hint : int option;  (* [Some] of this node's id, the hint a leader replies with *)
   (* leader-side state *)
-  pending_q : pending Queue.t;  (* admission queue, bounded by the profile's admission *)
+  pending_q : pending Queue.t;  (* admission queue *)
   by_index : (index, pending array) Hashtbl.t;  (* a sealed batch, at its first command's index *)
   mutable replies : pending array;  (* the batch the applier is replying to ... *)
   mutable next_reply : int;  (* ... and its next command's slot *)

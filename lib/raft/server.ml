@@ -7,14 +7,13 @@ type t = Replica.t
 
 (* the pooled connection path (a direct-indexed slot, no per-request
    closure), replies grouped into one flush per commit batch, zero-copy
-   follower appends, and requests past the admission depth shed *)
-let depfast cfg =
+   follower appends *)
+let depfast =
   {
     cost_parse = Config.cost_client_parse_pooled;
     cost_reply = Config.cost_client_reply_grouped;
     cost_flush = Config.cost_reply_flush;
     cost_follower_entry = Config.cost_follower_entry_view;
-    admission = cfg.Config.admission_depth;
   }
 
 let id t = Cluster.Node.id t.node
@@ -120,16 +119,18 @@ let quorum_round t quorum ~wal last =
     t.peers;
   List.iter (fun p -> fire_watchers (Hashtbl.find t.followers p)) t.peers
 
+(* a client request, as the leader queues it *)
+let pending t ~cmd ~client ~seq =
+  {
+    p_cmd = { b_cmd = cmd; b_client = client; b_seq = seq };
+    p_ok = false;
+    p_value = None;
+    p_done = Depfast.Event.signal ~label:"committed" ();
+    p_t0 = now t;
+  }
+
 let enqueue t ~cmd ~client ~seq =
-  let p =
-    {
-      p_cmd = { b_cmd = cmd; b_client = client; b_seq = seq };
-      p_ok = false;
-      p_value = None;
-      p_done = Depfast.Event.signal ~label:"committed" ();
-      p_t0 = now t;
-    }
-  in
+  let p = pending t ~cmd ~client ~seq in
   Queue.add p t.pending_q;
   Depfast.Condvar.broadcast t.work_cv;
   p
@@ -149,29 +150,30 @@ let take_batch t ~max ~index =
   if n > 0 then Hashtbl.replace t.by_index index pendings;
   pendings
 
+let not_leader t = Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
+
+(* the client path past admission: wait for the queued request's commit,
+   pay its reply and answer *)
+let await_reply t p =
+  let outcome = Depfast.Sched.wait_timeout t.sched p.p_done t.cfg.Config.client_timeout in
+  cpu_work t t.profile.cost_reply;
+  match outcome with
+  | Depfast.Sched.Ready ->
+    Client_resp { ok = p.p_ok; shed = false; leader_hint = t.self_hint; value = p.p_value }
+  | Depfast.Sched.Timed_out -> not_leader t
+
 let handle_client_request t ~cmd ~client_id ~seq =
-  let pr = t.profile in
-  cpu_work t pr.cost_parse;
-  if t.role <> Leader then
-    Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
-  else if pr.admission <= Queue.length t.pending_q then begin
+  cpu_work t t.profile.cost_parse;
+  if t.role <> Leader then not_leader t
+  else if t.cfg.Config.admission_depth <= Queue.length t.pending_q then begin
     (* bounded admission: shed at the door with an explicit fail-fast reply
        instead of joining a backlog that a fail-slow disk would grow without
        bound (the paper's §2 RethinkDB root cause, inverted) *)
     t.shed_count <- t.shed_count + 1;
-    cpu_work t pr.cost_reply;
+    cpu_work t t.profile.cost_reply;
     Client_resp { ok = false; shed = true; leader_hint = t.self_hint; value = None }
   end
-  else begin
-    let p = enqueue t ~cmd ~client:client_id ~seq in
-    let outcome = Depfast.Sched.wait_timeout t.sched p.p_done t.cfg.Config.client_timeout in
-    cpu_work t pr.cost_reply;
-    match outcome with
-    | Depfast.Sched.Ready ->
-      Client_resp { ok = p.p_ok; shed = false; leader_hint = t.self_hint; value = p.p_value }
-    | Depfast.Sched.Timed_out ->
-      Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
-  end
+  else await_reply t (enqueue t ~cmd ~client:client_id ~seq)
 
 (* ---------------- applier ----------------------------------------------- *)
 
@@ -812,7 +814,7 @@ let handle t (req : Types.req) : Types.resp option =
     (* pull-replication messages; a pushing system ignores them *)
     Some Ack
 
-let serve t handler = Cluster.Rpc.serve t.rpc ~node:t.node ~handler:(fun ~src:_ req -> handler t req)
+let serve t = Cluster.Rpc.serve t.rpc ~node:t.node ~handler:(fun ~src:_ req -> handle t req)
 
 (* a follower at term 0 with an empty log and store, its stream re-split
    from the engine's root: [create]'s state, for a world reused across
@@ -854,7 +856,7 @@ let create ?profile ?leader rpc node ~peers ~cfg =
       node;
       sched;
       cfg;
-      profile = (match profile with Some p -> p | None -> depfast cfg);
+      profile = Option.value profile ~default:depfast;
       peers;
       n_voters = List.length peers + 1;
       rng = Rng.create 0L;

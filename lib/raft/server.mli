@@ -18,11 +18,12 @@
     by the fail-slow mitigation.
 
     {b The replica core.} The baselines ([lib/baseline]) run the same
-    per-server state, client path, applier, WAL persist, follower append
-    and commit rule: a baseline server is a {!t} built with [~leader] (a
-    fixed leader, no elections) and the baselines' {!Replica.profile}. The systems
-    differ in that value and in the replication loops each runs on top;
-    nothing here asks which system it serves. *)
+    per-server state, applier, WAL persist, follower append, commit rule
+    and client path past admission ({!await_reply}): a baseline server is a
+    {!t} built with [~leader] (a fixed leader, no elections) and the
+    baselines' {!Replica.profile}. The systems differ in that value, in
+    admission (the baselines admit without a bound) and in the replication
+    loops each runs on top; nothing here asks which system it serves. *)
 
 type rpc = (Types.req, Types.resp) Cluster.Rpc.t
 
@@ -32,18 +33,18 @@ val create :
   ?profile:Replica.profile -> ?leader:int -> rpc -> Cluster.Node.t -> peers:int list -> cfg:Config.t -> t
 (** The server's state; [peers] are the other servers' node ids. [profile]
     defaults to DepFastRaft's: pooled client path, grouped replies,
-    zero-copy follower appends, [cfg]'s admission depth. With [leader],
+    zero-copy follower appends. With [leader],
     that node leads term 1 for good: {!run} the server, never {!start} it. *)
 
-val serve : t -> (t -> Types.req -> Types.resp option) -> unit
-(** Answer the server's RPCs with the handler, usually {!handle} or one
-    falling back to it. *)
+val serve : t -> unit
+(** Answer the server's RPCs with {!handle}. *)
 
 val handle : t -> Types.req -> Types.resp option
 (** DepFastRaft's handler: votes, the follower's serial AppendEntries step
     (CPU, append, WAL persist and commit advance under the append lock),
-    leadership transfer, and the shared client path (admission, enqueue,
-    wait for the commit, reply). *)
+    leadership transfer, and DepFastRaft's client path: requests past
+    [cfg]'s admission depth are shed, the rest queued and answered by
+    {!await_reply}. *)
 
 val reset : t -> unit
 (** Back to {!create}'s state for a world reused across runs, after its
@@ -69,6 +70,17 @@ val log : t -> Rlog.t
 val kv : t -> Kv.t
 
 (** {2 The replica core} *)
+
+val pending : t -> cmd:Types.command -> client:int -> seq:int -> Replica.pending
+(** A client request as the leader queues it, stamped now. *)
+
+val await_reply : t -> Replica.pending -> Types.resp
+(** The client path past admission: wait for the queued request's commit
+    (up to {!Config.client_timeout}), pay the profile's reply cost and
+    answer, naming this node as leader. *)
+
+val not_leader : t -> Types.resp
+(** The failed reply that points the client at the known leader. *)
 
 val await_work : t -> unit
 (** With nothing queued, wait up to {!Config.group_commit_window}. *)
@@ -112,8 +124,8 @@ val become_leader_now : t -> unit
     randomized timeout), as after a [Timeout_now]. *)
 
 val pending_depth : t -> int
-(** Live depth of the leader's admission queue (at most the profile's
-    [admission] — requests past it are shed). The schedule-space checker
+(** Live depth of the leader's admission queue (for DepFastRaft at most
+    {!Config.admission_depth} — requests past it are shed). The schedule-space checker
     registers this as a sanitizer queue gauge. *)
 
 val batch_hist : t -> Sim.Hist.t

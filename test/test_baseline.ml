@@ -11,7 +11,7 @@ let small_workload = Workload.Ycsb.scaled ~records:1_000 Workload.Ycsb.update_he
 type built = {
   sut : Workload.Sut.t;
   sched : Depfast.Sched.t;
-  bases : Baseline.Common.base list;  (** leader first *)
+  bases : Raft.Replica.t list;  (** leader first *)
 }
 
 (* build a system through its cluster record *)
@@ -22,16 +22,16 @@ let build_system which =
   match which with
   | `Mongo ->
     let c = Baseline.Mongo_like.create sched ~n:3 ~cfg () in
-    built c (Baseline.Mongo_like.sut c ~cfg)
+    built c (Baseline.Mongo_like.sut c)
   | `Tidb ->
     let c = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
-    built c (Baseline.Tidb_like.sut c ~cfg)
+    built c (Baseline.Tidb_like.sut c)
   | `Rethink ->
     let c = Baseline.Rethink_like.create sched ~n:3 ~cfg () in
-    built c (Baseline.Rethink_like.sut c ~cfg)
+    built c (Baseline.Rethink_like.sut c)
   | `Chain ->
     let c = Baseline.Chain.create sched ~n:3 ~cfg () in
-    built c (Baseline.Chain.sut c ~cfg)
+    built c (Baseline.Chain.sut c)
 
 let run_load b ~clients ~seconds =
   Workload.Driver.run b.sched
@@ -57,7 +57,7 @@ let test_tidb_blocking_reads_triggered () =
   let sched = Depfast.Sched.create engine in
   let cfg = Raft.Config.default in
   let cluster = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
-  let sut = Baseline.Tidb_like.sut cluster ~cfg in
+  let sut = Baseline.Tidb_like.sut cluster in
   ignore
     (Cluster.Fault.inject (List.hd sut.Workload.Sut.follower_nodes) Cluster.Fault.Cpu_slow);
   ignore
@@ -74,7 +74,7 @@ let test_tidb_big_cache_avoids_reads () =
   let cfg = Raft.Config.default in
   let cluster = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
   Baseline.Tidb_like.set_cache_size cluster (max_int / 2);
-  let sut = Baseline.Tidb_like.sut cluster ~cfg in
+  let sut = Baseline.Tidb_like.sut cluster in
   ignore
     (Cluster.Fault.inject (List.hd sut.Workload.Sut.follower_nodes) Cluster.Fault.Cpu_slow);
   ignore
@@ -90,7 +90,7 @@ let test_rethink_backlog_grows_and_ooms () =
   let sched = Depfast.Sched.create engine in
   let cfg = Raft.Config.default in
   let cluster = Baseline.Rethink_like.create sched ~n:3 ~cfg () in
-  let sut = Baseline.Rethink_like.sut cluster ~cfg in
+  let sut = Baseline.Rethink_like.sut cluster in
   let victim = List.hd sut.Workload.Sut.follower_nodes in
   ignore (Cluster.Fault.inject victim Cluster.Fault.Cpu_slow);
   let m =
@@ -109,7 +109,7 @@ let test_rethink_healthy_buffer_bounded () =
   let sched = Depfast.Sched.create engine in
   let cfg = Raft.Config.default in
   let cluster = Baseline.Rethink_like.create sched ~n:3 ~cfg () in
-  let sut = Baseline.Rethink_like.sut cluster ~cfg in
+  let sut = Baseline.Rethink_like.sut cluster in
   let m =
     Workload.Driver.run sched
       ~clients:(sut.Workload.Sut.make_clients ~count:64)
@@ -128,7 +128,7 @@ let test_mongo_lag_mode_engages () =
   let sched = Depfast.Sched.create engine in
   let cfg = Raft.Config.default in
   let cluster = Baseline.Mongo_like.create sched ~n:3 ~cfg () in
-  let sut = Baseline.Mongo_like.sut cluster ~cfg in
+  let sut = Baseline.Mongo_like.sut cluster in
   ignore
     (Cluster.Fault.inject (List.hd sut.Workload.Sut.follower_nodes) Cluster.Fault.Cpu_slow);
   ignore
@@ -150,7 +150,7 @@ let test_replicas_converge which () =
   let last = Raft.Rlog.last_index leader.Raft.Replica.rlog in
   check_bool "leader logged writes" true (last > 1000);
   List.iter
-    (fun (f : Baseline.Common.base) ->
+    (fun (f : Raft.Replica.t) ->
       check_int "same last index" last (Raft.Rlog.last_index f.rlog);
       for i = 1 to last do
         if Raft.Rlog.get f.rlog i <> Raft.Rlog.get leader.rlog i then
@@ -174,10 +174,10 @@ let test_admit_without_bound which () =
     match which with
     | `Tidb ->
       let c = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
-      (Baseline.Tidb_like.sut c ~cfg, c.Baseline.Common.g)
+      (Baseline.Tidb_like.sut c, c.Baseline.Common.g)
     | `Rethink ->
       let c = Baseline.Rethink_like.create sched ~n:3 ~cfg () in
-      (Baseline.Rethink_like.sut c ~cfg, c.Baseline.Common.g)
+      (Baseline.Rethink_like.sut c, c.Baseline.Common.g)
   in
   let leader = List.hd g.Raft.Group.servers in
   let deepest = ref 0 in
@@ -203,7 +203,7 @@ let test_chain_serves_and_replicates () =
   let sched = Depfast.Sched.create engine in
   let cfg = Raft.Config.default in
   let cluster = Baseline.Chain.create sched ~n:3 ~cfg () in
-  let sut = Baseline.Chain.sut cluster ~cfg in
+  let sut = Baseline.Chain.sut cluster in
   let m =
     Workload.Driver.run sched
       ~clients:(sut.Workload.Sut.make_clients ~count:32)
@@ -220,7 +220,7 @@ let test_chain_fail_slow_propagates () =
     let sched = Depfast.Sched.create engine in
     let cfg = Raft.Config.default in
     let cluster = Baseline.Chain.create sched ~n:3 ~cfg () in
-    let sut = Baseline.Chain.sut cluster ~cfg in
+    let sut = Baseline.Chain.sut cluster in
     (match fault with
     | None -> ()
     | Some k -> ignore (Cluster.Fault.inject (List.hd sut.Workload.Sut.follower_nodes) k));

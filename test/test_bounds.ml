@@ -182,9 +182,27 @@ let flagged_in fs suffix =
 let test_tree_rethink_like_flagged () =
   match tree () with
   | None -> ()
-  | Some (fs, _) ->
+  | Some (fs, certs) ->
     check_bool "rethink_like backlog flagged" true (flagged_in fs "rethink_like.ml");
-    check_bool "shared baseline helpers flagged" true (flagged_in fs "common.ml")
+    check_bool "shared baseline helpers flagged" true (flagged_in fs "common.ml");
+    (* the baselines share DepFastRaft's pending queue but not its
+       admission check: their enqueue stays flagged, DepFastRaft's
+       certifies, and the pull follower's non-truncating append stays
+       flagged beside the truncating one it does not run *)
+    let verdict file site =
+      List.filter_map
+        (fun c ->
+          if Filename.basename c.B.c_file = file && c.B.c_site = site then
+            Some c.B.c_verdict
+          else None)
+        certs
+    in
+    check_bool "baselines' admission queue flagged" true
+      (verdict "common.ml" ".pending_q" = [ G.Flagged ]);
+    check_bool "DepFastRaft's admission queue certified" true
+      (verdict "server.ml" ".pending_q" = [ G.Bounded ]);
+    check_bool "mongo_like puller append flagged" true
+      (verdict "mongo_like.ml" ".rlog" = [ G.Flagged ])
 
 let test_tree_self_lint_clean () =
   (* every flagged growth site in the library carries its pragma, so
