@@ -48,15 +48,14 @@ let yield_storm =
     make =
       (fun _san sched () ->
         let steps = ref 0 in
-        for i = 1 to 3 do
-          Depfast.Sched.spawn sched ~node:0
-            ~name:(Printf.sprintf "ys.worker%d" i)
-            (fun () ->
-              for _ = 1 to 3 do
-                Depfast.Sched.yield sched;
-                incr steps
-              done)
-        done;
+        List.iter
+          (fun name ->
+            Depfast.Sched.spawn sched ~node:0 ~name (fun () ->
+                for _ = 1 to 3 do
+                  Depfast.Sched.yield sched;
+                  incr steps
+                done))
+          [ "ys.worker1"; "ys.worker2"; "ys.worker3" ];
         {
           until = None;
           check =
@@ -83,17 +82,16 @@ let mutex_handoff =
         let in_section = ref false in
         let overlapped = ref false in
         let finished = ref 0 in
-        for i = 1 to 3 do
-          Depfast.Sched.spawn sched ~node:0
-            ~name:(Printf.sprintf "mx.worker%d" i)
-            (fun () ->
-              Depfast.Mutex.with_lock sched mu (fun () ->
-                  if !in_section then overlapped := true;
-                  in_section := true;
-                  Depfast.Sched.yield sched;
-                  in_section := false);
-              incr finished)
-        done;
+        List.iter
+          (fun name ->
+            Depfast.Sched.spawn sched ~node:0 ~name (fun () ->
+                Depfast.Mutex.with_lock sched mu (fun () ->
+                    if !in_section then overlapped := true;
+                    in_section := true;
+                    Depfast.Sched.yield sched;
+                    in_section := false);
+                incr finished))
+          [ "mx.worker1"; "mx.worker2"; "mx.worker3" ];
         {
           until = None;
           check =
@@ -124,23 +122,22 @@ let condvar_handshake =
         let cv = Depfast.Condvar.create ~label:"cv.cond" () in
         let flag = ref false in
         let seen = ref 0 in
-        for i = 1 to 2 do
-          Depfast.Sched.spawn sched ~node:0
-            ~name:(Printf.sprintf "cv.consumer%d" i)
-            (fun () ->
-              Depfast.Mutex.lock sched mu;
-              while not !flag do
-                (* capture the generation *before* unlocking: a broadcast
-                   landing between unlock and wait then finds the captured
-                   event already fired — no lost wakeup *)
-                let gen = Depfast.Condvar.event cv in
-                Depfast.Mutex.unlock mu;
-                Depfast.Sched.wait sched gen;
-                Depfast.Mutex.lock sched mu
-              done;
-              incr seen;
-              Depfast.Mutex.unlock mu)
-        done;
+        List.iter
+          (fun name ->
+            Depfast.Sched.spawn sched ~node:0 ~name (fun () ->
+                Depfast.Mutex.lock sched mu;
+                while not !flag do
+                  (* capture the generation *before* unlocking: a broadcast
+                     landing between unlock and wait then finds the captured
+                     event already fired — no lost wakeup *)
+                  let gen = Depfast.Condvar.event cv in
+                  Depfast.Mutex.unlock mu;
+                  Depfast.Sched.wait sched gen;
+                  Depfast.Mutex.lock sched mu
+                done;
+                incr seen;
+                Depfast.Mutex.unlock mu))
+          [ "cv.consumer1"; "cv.consumer2" ];
         Depfast.Sched.spawn sched ~node:0 ~name:"cv.producer" (fun () ->
             Depfast.Sched.yield sched;
             Depfast.Mutex.lock sched mu;
@@ -172,14 +169,13 @@ let signal_fanout =
         let ev = Depfast.Event.signal ~label:"sig.go" () in
         let ready = ref 0 in
         let timed_out = ref 0 in
-        for i = 1 to 2 do
-          Depfast.Sched.spawn sched ~node:0
-            ~name:(Printf.sprintf "sig.waiter%d" i)
-            (fun () ->
-              match Depfast.Sched.wait_timeout sched ev (Sim.Time.ms 500) with
-              | Depfast.Sched.Ready -> incr ready
-              | Depfast.Sched.Timed_out -> incr timed_out)
-        done;
+        List.iter
+          (fun name ->
+            Depfast.Sched.spawn sched ~node:0 ~name (fun () ->
+                match Depfast.Sched.wait_timeout sched ev (Sim.Time.ms 500) with
+                | Depfast.Sched.Ready -> incr ready
+                | Depfast.Sched.Timed_out -> incr timed_out))
+          [ "sig.waiter1"; "sig.waiter2" ];
         Depfast.Sched.spawn sched ~node:0 ~name:"sig.firer" (fun () ->
             Depfast.Sched.yield sched;
             Depfast.Event.fire ev);
@@ -224,13 +220,12 @@ let quorum_majority =
         Depfast.Sched.spawn sched ~node:0 ~name:"qr.builder" (fun () ->
             Depfast.Sched.wait sched q;
             completed := true);
-        List.iteri
-          (fun i ev ->
-            Depfast.Sched.spawn sched ~node:0
-              ~name:(Printf.sprintf "qr.responder%d" (i + 1))
-              (fun () ->
+        List.iter2
+          (fun name ev ->
+            Depfast.Sched.spawn sched ~node:0 ~name (fun () ->
                 Depfast.Sched.yield sched;
                 Depfast.Event.fire ev))
+          [ "qr.responder1"; "qr.responder2"; "qr.responder3" ]
           replies;
         {
           until = None;

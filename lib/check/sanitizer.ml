@@ -3,17 +3,18 @@
    resume protocol of every coroutine, and the checks below compare that
    shadow against the event structures. The shadow is flat — coroutines in
    an array indexed by cid, parked events appended to another — so the
-   hooks allocate nothing past a coroutine's first sight, and [reset]
-   readies one instance for the next run of an exploration. *)
+   hooks allocate nothing past a cid's first sight, and [reset] readies
+   one instance, its shadows kept, for the next run of an exploration. *)
 
 type state = Running | Parked | Woken | Finished
 
 type coro = {
-  c_node : int;
-  c_name : string;
+  mutable c_node : int;
+  mutable c_name : string;
   mutable c_state : state;
   mutable c_event : Depfast.Event.t;
       (* event parked on when Parked/Woken, [Event.dummy] otherwise *)
+  mutable c_run : int;  (* the run that last saw its cid *)
 }
 
 type violation = {
@@ -46,6 +47,7 @@ type t = {
   sched : Depfast.Sched.t;
   no_coro : coro;  (* fills the cid slots not spawned this run *)
   mutable coros : coro array;  (* indexed by cid *)
+  mutable run : int;  (* bumped at every [reset] *)
   mutable parked : Depfast.Event.t array;
       (* every event parked on this run, in park order, repeats included;
          the checks walk their children and dedup *)
@@ -80,24 +82,27 @@ let add_gauge t ~label ~file ~cap read =
 (* The violation message is watermark-free on purpose: the explorer
    dedups sites across schedules by (rule, label, message), and the
    depth at which a gauge happens to be sampled varies per
-   interleaving. Watermarks travel via {!gauge_overflows}. *)
-let sample_gauges t =
-  List.iter
-    (fun g ->
-      let d = g.g_read () in
-      if d > g.g_watermark then g.g_watermark <- d;
-      if g.g_watermark > g.g_cap && not g.g_reported then begin
-        g.g_reported <- true;
-        report t ~rule:Analysis.Finding.queue_gauge_overflow ~event_label:g.g_label
-          (Printf.sprintf
-             "queue depth exceeded the declared cap %d at a statically certified site \
-              (%s)"
-             g.g_cap g.g_file)
-      end)
-    t.gauges
+   interleaving. Watermarks travel via {!gauge_overflows}. A plain loop:
+   [List.iter]'s closure would be built at every choice point. *)
+let rec sample t = function
+  | [] -> ()
+  | g :: rest ->
+    let d = g.g_read () in
+    if d > g.g_watermark then g.g_watermark <- d;
+    if g.g_watermark > g.g_cap && not g.g_reported then begin
+      g.g_reported <- true;
+      report t ~rule:Analysis.Finding.queue_gauge_overflow ~event_label:g.g_label
+        (Printf.sprintf
+           "queue depth exceeded the declared cap %d at a statically certified site (%s)"
+           g.g_cap g.g_file)
+    end;
+    sample t rest
+
+let sample_gauges t = sample t t.gauges
 
 (* the coroutine [cid], or [t.no_coro] if this run never saw it *)
-let find t cid = if cid < Array.length t.coros then t.coros.(cid) else t.no_coro
+let find t cid =
+  if cid < Array.length t.coros && t.coros.(cid).c_run = t.run then t.coros.(cid) else t.no_coro
 
 let gauge_overflows t =
   List.filter_map
@@ -119,11 +124,14 @@ let coro_of t cid ~node ~name =
   let c = find t cid in
   if c != t.no_coro then c
   else begin
-    let c = { c_node = node; c_name = name; c_state = Running; c_event = Depfast.Event.dummy } in
     while cid >= Array.length t.coros do
       t.coros <- grown t.coros t.no_coro
     done;
-    t.coros.(cid) <- c;
+    if t.coros.(cid) == t.no_coro then t.coros.(cid) <- { t.no_coro with c_run = t.run };
+    let c = t.coros.(cid) in
+    c.c_node <- node;
+    c.c_name <- name;
+    c.c_run <- t.run;
     c
   end
 
@@ -132,12 +140,17 @@ let add_parked t ev =
   t.parked.(t.n_parked) <- ev;
   t.n_parked <- t.n_parked + 1
 
+(* the shadows stay, holding nothing of the run, and no park the checks see *)
 let reset t =
-  Array.fill t.coros 0 (Array.length t.coros) t.no_coro;
-  while t.n_parked > 0 do
-    t.n_parked <- t.n_parked - 1;
-    t.parked.(t.n_parked) <- Depfast.Event.dummy
-  done;
+  t.run <- t.run + 1;
+  Array.iter
+    (fun c ->
+      c.c_name <- "";
+      c.c_state <- Running;
+      c.c_event <- Depfast.Event.dummy)
+    t.coros;
+  Array.fill t.parked 0 t.n_parked Depfast.Event.dummy;
+  t.n_parked <- 0;
   t.gauges <- [];
   t.violations <- []
 
@@ -145,8 +158,9 @@ let create sched =
   let t =
     {
       sched;
-      no_coro = { c_node = -1; c_name = ""; c_state = Running; c_event = Depfast.Event.dummy };
+      no_coro = { c_node = -1; c_name = ""; c_state = Running; c_event = Depfast.Event.dummy; c_run = -1 };
       coros = [||];
+      run = 0;
       parked = [||];
       n_parked = 0;
       visited = Hashtbl.create 64;

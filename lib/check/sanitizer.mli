@@ -36,10 +36,9 @@ val create : Depfast.Sched.t -> t
 
 val reset : t -> unit
 (** Ready the instance for another run on its scheduler, after
-    {!Depfast.Sched.reset}: forget every coroutine, parked event, gauge
-    and violation (none of the previous run's events stays reachable).
-    The explorer resets one sanitizer per exploration instead of building
-    one per run. *)
+    {!Depfast.Sched.reset}: the coroutine shadows are kept for the next
+    run to re-initialise, and nothing of the run is: no coroutine, parked
+    event, gauge or violation (none of its events stays reachable). *)
 
 val add_gauge :
   t -> label:string -> file:string -> cap:int -> (unit -> int) -> unit

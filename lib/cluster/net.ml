@@ -293,7 +293,7 @@ let enqueue t link msg ~units ~arrival =
   link.len <- link.len + 1;
   if not link.armed then arm t link
 
-let send t ?(units = 0) ~src ~dst msg =
+let send t ~units ~src ~dst msg =
   match (ep_opt t src, ep_opt t dst) with
   | Some sep, Some dep ->
     let link = link_for t sep ~src ~dst in

@@ -47,10 +47,10 @@ val nodes : 'msg t -> Node.t list
 (** Registered nodes in id order. The sorted list is cached and only
     rebuilt after a {!register}. *)
 
-val send : 'msg t -> ?units:int -> src:int -> dst:int -> 'msg -> unit
+val send : 'msg t -> units:int -> src:int -> dst:int -> 'msg -> unit
 (** Fire-and-forget. Sampled delay = latency + src NIC + dst NIC. Dropped if
     either end is dead or the pair is partitioned (checked at delivery time
-    for dst, at send time for src). [units] (default 0) is an opaque
+    for dst, at send time for src). [units] (0 for none) is an opaque
     bytes-equivalent weight accumulated into {!stats} on delivery. *)
 
 val partition : 'msg t -> int -> int -> unit

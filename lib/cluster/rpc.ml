@@ -96,7 +96,7 @@ let handle_frame t me ~src frame =
           match handler ~src body with
           | None -> ()
           | Some resp ->
-            Net.send t.net ~src:(Node.id me) ~dst:src (Resp { id; body = resp })))
+            Net.send t.net ~units:0 ~src:(Node.id me) ~dst:src (Resp { id; body = resp })))
   | Resp { id; body } -> (
     match Hashtbl.find t.book.calls id with
     | exception Not_found -> discard t
@@ -113,10 +113,11 @@ let serve t ~node ~handler =
   attach t node;
   Hashtbl.replace t.handlers (Node.id node) handler
 
-(* completion labels, built once for the small node ids of a cluster *)
-let rpc_labels = Array.init 64 (Printf.sprintf "rpc->%d")
+(* completion labels, [Some] included, built once for a cluster's node ids *)
+let rpc_labels = Array.init 64 (fun dst -> Some (Printf.sprintf "rpc->%d" dst))
 let label_of dst =
-  if dst >= 0 && dst < Array.length rpc_labels then rpc_labels.(dst) else Printf.sprintf "rpc->%d" dst
+  if dst >= 0 && dst < Array.length rpc_labels then rpc_labels.(dst)
+  else Some (Printf.sprintf "rpc->%d" dst)
 
 let call t ~src ~dst ?bytes body =
   t.next_id <- t.next_id + 1;
@@ -126,7 +127,7 @@ let call t ~src ~dst ?bytes body =
   Memory.alloc (Node.memory src) bytes;
   charge t.book.outstanding src_id bytes;
   let ev =
-    Depfast.Event.rpc_completion ~label:(label_of dst) ~peer:dst ()
+    Depfast.Event.rpc_completion ?label:(label_of dst) ~peer:dst ()
   in
   let c = { id; ev; resp = None; done_ = false; src; bytes; book = t.book } in
   Hashtbl.replace t.book.calls id c;

@@ -1,12 +1,12 @@
-type t = { label : string; mutable current : Event.t }
+type t = { label : string option; mutable current : Event.t }  (* boxed once *)
 
-let fresh label = Event.signal ~label ()
+let fresh label = Event.signal ?label ()
 
 (* a fresh event: whoever waited on the old one belongs to a finished run *)
 let reset t = t.current <- fresh t.label
 
 let create ?(label = "condvar") () =
-  let t = { label; current = Event.dummy } in
+  let t = { label = Some label; current = Event.dummy } in
   reset t;
   t
 

@@ -21,26 +21,28 @@ type outcome = Ready | Timed_out
    resume thunk and the fire and timeout wakes are built with the context,
    every wait reuses the slot, and every timed wait re-arms the one timer
    the context owns (allocated at its first timed wait). A context whose
-   body returned goes back to its scheduler's pool, and a later [spawn]
-   restamps it (cid, node, name, tag, body), keeping its wakes and its
-   timer: the wakes guard against stale calls as below, so a reused
-   context's park ignores everything an earlier coroutine's parks left
-   behind. The fire wake
-   parks in the event's waiter slot when that is free; a timeout drops it
-   from there, so the slot never holds a stale wake. Otherwise a park
-   registers a closure stamped with [park_gen], which counts ended parks:
-   a park's closures carry its value and the first wakeup to run bumps
-   it, so a later one (the fire of an event an earlier park timed out on)
-   is a no-op. The timeout wake acts only for the current arm of a park
-   still timed ([park_span] is reset when a park ends), so the loser of
-   fire vs timeout, or a timeout explore mode hoisted before the fire
-   re-parked the coroutine, is a no-op. [park_gen] is never reset, so
-   this holds across reuse too. The wakes close over the context, so
-   [take_ctx] sets them on the record it built: a [let rec] would allocate
-   the record twice. A sleep or a yield parks on the never-fired [napping]
-   event, and the context's own [resume_ready] ends it, posted at once or
-   armed on the owned timer, so neither builds a closure or an entry. A
-   [held] park registers nowhere: whoever holds its fire wake ends it. *)
+   body returned goes back to its scheduler's pool, as does every context
+   at [reset], and a later [spawn] restamps it (cid, node, name, tag,
+   body), keeping its wakes and its timer: the wakes guard against stale
+   calls as below, so a reused context's park ignores everything an
+   earlier coroutine's parks left behind. The fire wake parks in the
+   event's waiter slot when that is free; a timeout drops it from there,
+   so the slot never holds a stale wake. Otherwise a park registers a
+   closure stamped with [park_gen], which counts ended parks: a park's
+   closures carry its value and the first wakeup to run bumps it, so a
+   later one (the fire of an event an earlier park timed out on) is a
+   no-op. The timeout wake acts only for the current arm of a park still
+   timed ([park_span] is reset when a park ends), so the loser of fire vs
+   timeout, or a timeout explore mode hoisted before the fire re-parked
+   the coroutine, is a no-op. [park_gen] is never reset, so this holds
+   across reuse too, and a fire wake acts only while it is its context's
+   own: [reset] replaces it, so no wake handed out before resumes the
+   reused context. The wakes close over the context, so [take_ctx] sets
+   them on the record it built: a [let rec] would allocate the record
+   twice. A sleep or a yield parks on the never-fired [napping] event,
+   and the context's own [resume_ready] ends it, posted at once or armed
+   on the owned timer, so neither builds a closure or an entry. A [held]
+   park registers nowhere: whoever holds its fire wake ends it. *)
 type ctx = {
   mutable cid : int;
   mutable node : int;
@@ -67,6 +69,8 @@ type t = {
   mutable coro_handler : (unit, unit) Effect.Deep.handler;  (* built at the first spawn *)
   mutable free : ctx array;  (* finished contexts, a stack: the live prefix *)
   mutable n_free : int;
+  mutable built : ctx array;  (* every context built (live prefix), as long as [free] *)
+  mutable n_built : int;
   mutable node_tags : Engine.tag array;  (* [On_node n] at [n], built once each *)
 }
 
@@ -82,12 +86,13 @@ let no_k : (outcome, unit) Effect.Deep.continuation =
   Effect.Deep.match_with (fun () -> ignore (Effect.perform E_park)) () { retc = ignore; exnc = raise; effc };
   Option.get !got
 
-(* compared physically: a context with no body left to start *)
+(* compared physically: a context with no body left to start, no fire wake *)
 let no_body () = ()
+let no_wake () = ()
 
 let make_ctx () =
   { cid = 0; node = -1; name = ""; tag = Engine.Anon; body = no_body; resume_ready = ignore;
-    fire_wake = ignore; timeout_wake = ignore; park_ev = Event.dummy; park_span = -1;
+    fire_wake = no_wake; timeout_wake = ignore; park_ev = Event.dummy; park_span = -1;
     park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
 
 let no_ctx = make_ctx ()
@@ -209,18 +214,11 @@ let park t ctx k =
         Engine.reschedule t.engine ctx.park_timer ~delay:ctx.park_span ctx.tag ctx.timeout_wake
   end
 
-(* the pool holds at most the peak number of coroutines alive at once *)
-let grown_free t =
-  let bigger = Array.make (max 16 (2 * Array.length t.free)) no_ctx in
-  Array.blit t.free 0 bigger 0 t.n_free;
-  t.free <- bigger
-
 (* the body returned: let go of its last event and continuation, and pool
    the context *)
 let release t ctx =
   ctx.park_ev <- Event.dummy;
   ctx.park_k <- no_k;
-  if t.n_free = Array.length t.free then grown_free t;
   t.free.(t.n_free) <- ctx;
   t.n_free <- t.n_free + 1
 
@@ -244,29 +242,59 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
 let create ?trace engine =
   let trace_rec = match trace with Some tr -> tr | None -> Trace.create () in
   { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None; coro_handler = no_handler;
-    free = [||]; n_free = 0; node_tags = [||] }
+    free = [||]; n_free = 0; built = [||]; n_built = 0; node_tags = [||] }
 
+(* every context back to the pool, with nothing of its coroutine: the
+   bumped [park_gen] fences its stamped closures, its next timed park arms
+   a fresh timer, and the engine's reset took its posted resume *)
 let reset t =
   t.current <- no_ctx;
   t.next_cid <- 0;
-  Array.fill t.free 0 t.n_free no_ctx;
-  t.n_free <- 0
+  Array.blit t.built 0 t.free 0 t.n_built;
+  t.n_free <- t.n_built;
+  for i = 0 to t.n_built - 1 do
+    let ctx = t.built.(i) in
+    Event.drop_waiter ctx.park_ev ctx.fire_wake;
+    ctx.park_gen <- ctx.park_gen + 1;
+    ctx.fire_wake <- no_wake;
+    ctx.name <- "";
+    ctx.body <- no_body;
+    ctx.park_ev <- Event.dummy;
+    ctx.park_k <- no_k;
+    ctx.park_timer <- Engine.unarmed
+  done
 
-(* a pooled context, or a fresh one with its three wakes *)
+(* [a] with twice the room (16 at first): the contexts alive at the peak *)
+let grown a =
+  let bigger = Array.make (max 16 (2 * Array.length a)) no_ctx in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+(* a pooled context (kept by [built], so its pool slot needs no clearing),
+   or a fresh one; either way with a fire wake of its own *)
 let take_ctx t =
-  if t.n_free > 0 then begin
-    t.n_free <- t.n_free - 1;
-    let ctx = t.free.(t.n_free) in
-    t.free.(t.n_free) <- no_ctx;
-    ctx
-  end
-  else begin
-    let ctx = make_ctx () in
-    ctx.resume_ready <- (fun () -> resume_ready t ctx);
-    ctx.fire_wake <- (fun () -> fired t ctx);
-    ctx.timeout_wake <- (fun () -> timed_out t ctx);
-    ctx
-  end
+  let ctx =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free.(t.n_free)
+    end
+    else begin
+      let ctx = make_ctx () in
+      ctx.resume_ready <- (fun () -> resume_ready t ctx);
+      ctx.timeout_wake <- (fun () -> timed_out t ctx);
+      if t.n_built = Array.length t.built then begin
+        t.built <- grown t.built;
+        t.free <- grown t.free
+      end;
+      t.built.(t.n_built) <- ctx;
+      t.n_built <- t.n_built + 1;
+      ctx
+    end
+  in
+  (if ctx.fire_wake == no_wake then
+     let rec wake () = if ctx.fire_wake == wake then fired t ctx in
+     ctx.fire_wake <- wake);
+  ctx
 
 (* a coroutine's engine tag: its node's, shared by every coroutine there *)
 let tag_of t node =

@@ -14,9 +14,11 @@ type t
 
 val create : ?trace:Trace.t -> Sim.Engine.t -> t
 val reset : t -> unit
-(** Forget every coroutine: ids restart at 1 and none is running. Paired
-    with {!Sim.Engine.reset} of its engine, one scheduler (with its
-    monitor and trace) serves many runs; the trace is left as it is. *)
+(** Forget every coroutine: ids restart at 1 and none is running. After
+    {!Sim.Engine.reset} of its engine, one scheduler (with its monitor and
+    trace) serves many runs; the trace is left as it is. Every context
+    built is kept, parked ones too, and nothing of the run: no wake handed
+    out before the reset resumes a later coroutine. *)
 
 val engine : t -> Sim.Engine.t
 val trace : t -> Trace.t

@@ -53,6 +53,7 @@ type t = {
   cfg : Config.t;
   profile : profile;
   peers : int list;
+  sender_names : string list;  (* ["raft.sender.<peer>"], one per peer *)
   n_voters : int;
   rng : Rng.t;
   mutable role : role;

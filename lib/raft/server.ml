@@ -586,12 +586,11 @@ let become_leader t =
   (* commit barrier: a fresh leader commits a no-op to learn commit index *)
   ignore (enqueue t ~cmd:Nop ~client:(-1) ~seq:0);
   Cluster.Node.spawn t.node ~name:"raft.replicator" (fun () -> replicator_loop t epoch);
-  List.iter
-    (fun p ->
+  List.iter2
+    (fun p name ->
       let fs = Hashtbl.find t.followers p in
-      Cluster.Node.spawn t.node ~name:(Printf.sprintf "raft.sender.%d" p) (fun () ->
-          sender_loop t fs epoch))
-    t.peers
+      Cluster.Node.spawn t.node ~name (fun () -> sender_loop t fs epoch))
+    t.peers t.sender_names
 
 (* ask peers whether they would vote for us at [term]; used for both the
    Pre-Vote probe and the real election *)
@@ -858,6 +857,7 @@ let create ?profile ?leader rpc node ~peers ~cfg =
       cfg;
       profile = Option.value profile ~default:depfast;
       peers;
+      sender_names = List.map (Printf.sprintf "raft.sender.%d") peers;
       n_voters = List.length peers + 1;
       rng = Rng.create 0L;
       role = Follower;

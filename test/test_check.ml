@@ -101,6 +101,21 @@ let test_sanitizer_parked_at_quiescence () =
   Alcotest.(check (list string)) "abandoned completion" [ "orphaned" ]
     (attributed F.parked_on_abandoned)
 
+(* the explorer samples every gauge at each choice point: a sample reads
+   the gauges and allocates nothing *)
+let test_sanitizer_gauges_allocate_nothing () =
+  let san = Check.Sanitizer.create (Depfast.Sched.create (Sim.Engine.create ())) in
+  let depth = ref 0 in
+  Check.Sanitizer.add_gauge san ~label:"g.depth" ~file:"a.ml" ~cap:4 (fun () -> !depth);
+  Check.Sanitizer.add_gauge san ~label:"g.one" ~file:"b.ml" ~cap:4 (fun () -> 1);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    depth := i land 3;
+    Check.Sanitizer.sample_gauges san
+  done;
+  Alcotest.(check (float 0.0)) "minor words over 10 000 samples" 0.0 (Gc.minor_words () -. w0);
+  check_int "no overflow" 0 (List.length (Check.Sanitizer.gauge_overflows san))
+
 let test_sanitizer_clean_run_is_silent () =
   let engine = Sim.Engine.create () in
   let sched = Depfast.Sched.create engine in
@@ -138,7 +153,7 @@ let test_net_choice_mode_fifo () =
   let fifo_bad = ref 0 in
   Cluster.Net.set_sanitizer net (fun _ -> incr fifo_bad);
   for i = 1 to 10 do
-    Cluster.Net.send net ~src:0 ~dst:1 i
+    Cluster.Net.send net ~units:0 ~src:0 ~dst:1 i
   done;
   Depfast.Sched.run sched;
   Alcotest.(check (list int)) "all delivered, per-link FIFO"
@@ -188,7 +203,13 @@ let test_quorum_majority_exhausts_clean () =
    29 411.9 minor (3 070.2 promoted, against 3 828.2 in the same
    process before): both minor ceilings now sit between the readings
    with and without the held park; the promoted ones are left where
-   they were, since the heap a test inherits moves them as much. *)
+   they were, since the heap a test inherits moves them as much. Once a
+   reset keeps the scheduler's contexts and the sanitizer's shadows,
+   gauges are sampled with no closure and the core scenarios' names and
+   the rpc labels are built once, quorum-majority costs 448.4 minor
+   words (722.2 before), raft-elect-3 4 099.3 (5 117.6) and
+   raft-slow-disk-admission-3 24 572.0 (29 195.7); the minor ceilings
+   sit between. *)
 let words_per_schedule ~schedules name =
   let sc = scenario name in
   Gc.full_major ();
@@ -209,13 +230,13 @@ let guard_words ~schedules name ~minor ~promoted () =
   guard "promoted" promoted p
 
 let test_quorum_majority_words =
-  guard_words ~schedules:2500 "quorum-majority" ~minor:785.0 ~promoted:20.0
+  guard_words ~schedules:2500 "quorum-majority" ~minor:600.0 ~promoted:20.0
 
 let test_raft_elect_words =
-  guard_words ~schedules:200 "raft-elect-3" ~minor:5400.0 ~promoted:1100.0
+  guard_words ~schedules:200 "raft-elect-3" ~minor:4600.0 ~promoted:1100.0
 
 let test_slow_disk_words =
-  guard_words ~schedules:150 "raft-slow-disk-admission-3" ~minor:31500.0 ~promoted:8000.0
+  guard_words ~schedules:150 "raft-slow-disk-admission-3" ~minor:27000.0 ~promoted:8000.0
 
 (* One run state serves a whole exploration, so its reset must make a
    reused state indistinguishable from a fresh one. For every registry
@@ -387,6 +408,38 @@ let test_reset_drops_previous_run () =
   Gc.full_major ();
   check_bool "the first run's event is unreachable" true (Weak.get seen 0 = None);
   ignore (Sys.opaque_identity state)
+
+(* ... and builds none of it again: the scheduler's reset pools every
+   context the run before built and the sanitizer re-initialises its
+   coroutine shadows in place, so a spawn on a warm state allocates its
+   fire wake alone, 5 words (a context is 15; with its three wakes and
+   its shadow a spawn on a cold state costs 36) *)
+let test_warm_run_builds_no_context () =
+  let per_spawn = ref [] in
+  let sc =
+    {
+      (scenario "signal-fanout") with
+      Check.Scenario.make =
+        (fun _san sched ->
+          let body () = Depfast.Sched.yield sched in
+          fun () ->
+            let w0 = Gc.minor_words () in
+            for _ = 1 to 3 do
+              Depfast.Sched.spawn sched ~name:"warm.worker" body
+            done;
+            per_spawn := ((Gc.minor_words () -. w0) /. 3.0) :: !per_spawn;
+            { Check.Scenario.until = None; check = (fun () -> []) });
+    }
+  in
+  let state = E.fresh_state () in
+  for _ = 1 to 2 do
+    ignore (E.run_one ~state sc ~prefix:[||] ~budget:(budget ()))
+  done;
+  match !per_spawn with
+  | [ warm; cold ] ->
+    check_bool "the first run builds its contexts" true (cold >= 15.0);
+    Alcotest.(check (float 0.0)) "words per spawn on a warm state" 5.0 warm
+  | _ -> Alcotest.fail "expected two runs"
 
 let test_dpor_prunes_raft () =
   let res = E.explore ~budget:(budget ~schedules:60 ()) (scenario "raft-elect-3") in
@@ -624,6 +677,8 @@ let suite =
         Alcotest.test_case "reused run state equals fresh" `Quick
           test_reused_state_equals_fresh;
         Alcotest.test_case "reset drops the previous run" `Quick test_reset_drops_previous_run;
+        Alcotest.test_case "a warm run builds no context" `Quick
+          test_warm_run_builds_no_context;
         Alcotest.test_case "DPOR prunes raft" `Quick test_dpor_prunes_raft;
         Alcotest.test_case "slow-disk admission stays bounded" `Quick
           test_slow_disk_admission_bounded;
@@ -638,6 +693,8 @@ let suite =
         Alcotest.test_case "parked at quiescence" `Quick
           test_sanitizer_parked_at_quiescence;
         Alcotest.test_case "clean run silent" `Quick test_sanitizer_clean_run_is_silent;
+        Alcotest.test_case "gauge sampling allocates nothing" `Quick
+          test_sanitizer_gauges_allocate_nothing;
         Alcotest.test_case "net choice mode FIFO" `Quick test_net_choice_mode_fifo;
       ] );
     ( "check.certificate",

@@ -371,8 +371,8 @@ let test_net_delivery_and_fifo () =
   let got = ref [] in
   Cluster.Net.register net a ~handler:(fun ~src:_ _ -> ());
   Cluster.Net.register net b ~handler:(fun ~src:_ m -> got := m :: !got);
-  Cluster.Net.send net ~src:0 ~dst:1 "first";
-  Cluster.Net.send net ~src:0 ~dst:1 "second";
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 "first";
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 "second";
   Depfast.Sched.run s;
   Alcotest.(check (list string)) "in order" [ "first"; "second" ] (List.rev !got);
   check_int "delivered" 2 (Cluster.Net.delivered_count net)
@@ -386,11 +386,11 @@ let test_net_partition_drops () =
   Cluster.Net.register net a ~handler:(fun ~src:_ () -> ());
   Cluster.Net.register net b ~handler:(fun ~src:_ () -> incr got);
   Cluster.Net.partition net 0 1;
-  Cluster.Net.send net ~src:0 ~dst:1 ();
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 ();
   Depfast.Sched.run s;
   check_int "dropped" 0 !got;
   Cluster.Net.heal net 0 1;
-  Cluster.Net.send net ~src:0 ~dst:1 ();
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 ();
   Depfast.Sched.run s;
   check_int "healed" 1 !got
 
@@ -403,7 +403,7 @@ let test_net_dead_node_drops () =
   Cluster.Net.register net a ~handler:(fun ~src:_ () -> ());
   Cluster.Net.register net b ~handler:(fun ~src:_ () -> incr got);
   Cluster.Node.crash b;
-  Cluster.Net.send net ~src:0 ~dst:1 ();
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 ();
   Depfast.Sched.run s;
   check_int "to dead dropped" 0 !got
 
@@ -416,7 +416,7 @@ let test_net_nic_delay () =
   Cluster.Net.register net a ~handler:(fun ~src:_ () -> ());
   Cluster.Net.register net b ~handler:(fun ~src:_ () -> at := Depfast.Sched.now s);
   Cluster.Node.set_nic_delay b (Sim.Time.ms 400);
-  Cluster.Net.send net ~src:0 ~dst:1 ();
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 ();
   Depfast.Sched.run s;
   check_int "tc delay applied" (Sim.Time.ms 400 + 100) !at
 
@@ -427,7 +427,7 @@ let test_net_nic_delay () =
 let[@inline never] send_tracked net weak k ~dst =
   let m = Bytes.make 8 'm' in
   Weak.set weak k (Some m);
-  Cluster.Net.send net ~src:0 ~dst m
+  Cluster.Net.send net ~units:0 ~src:0 ~dst m
 
 let test_net_lets_go () =
   let s = make_sched () in
@@ -486,16 +486,16 @@ let test_net_partition_heal_mid_flight () =
   Cluster.Net.register net a ~handler:(fun ~src:_ _ -> ());
   Cluster.Net.register net b ~handler:(fun ~src:_ m -> got := m :: !got);
   let engine = Depfast.Sched.engine s in
-  Cluster.Net.send net ~src:0 ~dst:1 "in-flight";
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 "in-flight";
   ignore
     (Sim.Engine.schedule engine ~delay:50 (fun () -> Cluster.Net.partition net 0 1));
   ignore
     (Sim.Engine.schedule engine ~delay:150 (fun () ->
-         Cluster.Net.send net ~src:0 ~dst:1 "while-cut"));
+         Cluster.Net.send net ~units:0 ~src:0 ~dst:1 "while-cut"));
   ignore
     (Sim.Engine.schedule engine ~delay:200 (fun () ->
          Cluster.Net.heal net 0 1;
-         Cluster.Net.send net ~src:0 ~dst:1 "after-heal"));
+         Cluster.Net.send net ~units:0 ~src:0 ~dst:1 "after-heal"));
   Depfast.Sched.run s;
   Alcotest.(check (list string)) "only post-heal delivered" [ "after-heal" ] (List.rev !got);
   let st = Cluster.Net.stats net ~src:0 ~dst:1 in
@@ -532,7 +532,7 @@ let test_net_duplicate_id () =
     (Invalid_argument "Net.register: node id 1 is already taken") (fun () ->
       Cluster.Net.register net (Cluster.Node.create s ~id:1 ~name:"c" ())
         ~handler:(fun ~src:_ () -> ()));
-  Cluster.Net.send net ~src:0 ~dst:1 ();
+  Cluster.Net.send net ~units:0 ~src:0 ~dst:1 ();
   Depfast.Sched.run s;
   check_int "first node kept, its new handler runs" 1 !got
 

@@ -154,6 +154,11 @@ let test_tree_inventory_pinned () =
   | None -> ()
   | Some (fs, certs, footprints) ->
     (* one certificate per top-level mutable cell and mutable field in lib/;
+       207 since a reset keeps the scheduler's contexts and the sanitizer's
+       coroutine shadows: [Sched] keeps a registry of every context it
+       built ([built], [n_built]), and a shadow is re-initialised in place
+       ([c_node], [c_name]) under the sanitizer's run stamp ([c_run],
+       [run]);
        201 since the baselines run DepFastRaft's server state ([Replica]):
        the applier's reply cursor ([replies], [next_reply]) came, and the
        fields the baselines' own record repeated now have one declaration;
@@ -181,7 +186,7 @@ let test_tree_inventory_pinned () =
        181 since [Wheel]'s entry [value] (a cancel overwrites it),
        [Memory.load]'s [penalty] (the station reads it unboxed) and [Kv]'s
        open-addressing store ([keys], [vals], [n_keys]) *)
-    check_int "every top-level mutable cell carries a certificate" 201
+    check_int "every top-level mutable cell carries a certificate" 207
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the two seeded fixture cells unsafe"

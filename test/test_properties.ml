@@ -251,7 +251,7 @@ let test_net_fifo_property =
       Cluster.Net.register net a ~handler:(fun ~src:_ _ -> ());
       Cluster.Net.register net b ~handler:(fun ~src:_ m -> got := m :: !got);
       for i = 1 to n_msgs do
-        Cluster.Net.send net ~src:0 ~dst:1 i
+        Cluster.Net.send net ~units:0 ~src:0 ~dst:1 i
       done;
       Sim.Engine.run engine;
       List.rev !got = List.init n_msgs (fun i -> i + 1))

@@ -700,7 +700,7 @@ let test_pool_stale_hoisted_timeout () =
     (hooks ())
 
 (* a pooled context keeps its last name, and nothing else of its
-   coroutine; [reset] lets the pool go *)
+   coroutine; [reset] keeps the context pooled and lets its name go *)
 let[@inline never] spawn_named s weak =
   let name = String.concat "" [ "pooled"; "-name" ] in
   Weak.set weak 0 (Some name);
@@ -719,6 +719,67 @@ let test_pool_reset_empties () =
   check_bool "reset let the pooled context go" false (Weak.check weak 0);
   (* the scheduler itself stays reachable to the end *)
   ignore (Sys.opaque_identity s)
+
+(* [reset] pools every context, parked ones too: one parked in its
+   event's waiter slot, one behind the taken slot of another event (a
+   generation-stamped closure that event keeps) and one whose charge a
+   station holds. Then the old events fire and the old held wake is
+   called, before the new coroutines' own events: none of them resumes
+   an old coroutine or a new one. The new coroutines reuse the three
+   contexts (a spawn builds only its fire wake, where a context alone is
+   15 words), ids restart at 1, and each resumes once, by its own event *)
+let test_reset_reclaims_parked () =
+  let s = make_sched () in
+  let cids = ref [] in
+  Sched.set_monitor s
+    (Some
+       {
+         Sched.on_spawn = (fun ~cid ~node:_ ~name:_ -> cids := cid :: !cids);
+         on_park = (fun ~cid:_ ~node:_ ~name:_ _ -> ());
+         on_wake = (fun ~cid:_ _ _ -> ());
+         on_resume = (fun ~cid:_ -> ());
+         on_done = (fun ~cid:_ -> ());
+       });
+  let in_slot = Event.signal () and behind = Event.signal () in
+  Event.on_fire behind ignore;
+  let station = Cluster.Station.create s ~servers:1 ~name:"cpu" () in
+  let held = ref ignore and old_resumed = ref 0 in
+  Sched.spawn s (fun () ->
+      Sched.wait s in_slot;
+      incr old_resumed);
+  Sched.spawn s (fun () ->
+      Sched.wait s behind;
+      incr old_resumed);
+  Sched.spawn s (fun () ->
+      held := Sched.wake s;
+      Cluster.Station.run station ~work:(Sim.Time.ms 100);
+      incr old_resumed);
+  Sched.run ~until:(Sim.Time.ms 1) s;
+  check_int "the station holds the charge" 1 (Cluster.Station.busy_servers station);
+  Sim.Engine.reset (Sched.engine s);
+  Sched.reset s;
+  cids := [];
+  let next = Array.init 3 (fun _ -> Event.signal ()) and resumed = ref [] in
+  for i = 0 to 2 do
+    let body () =
+      Sched.wait s next.(i);
+      resumed := (i, Sched.now s) :: !resumed
+    in
+    let words = spawn_words s body in
+    if words >= 15.0 then Alcotest.failf "spawn %d built a context: %.1f words" i words
+  done;
+  at s 1 (fun () ->
+      Event.fire in_slot;
+      Event.fire behind;
+      !held ());
+  at s 5 (fun () -> Array.iter Event.fire next);
+  Sched.run s;
+  Alcotest.(check (list int)) "ids restart at 1" [ 1; 2; 3 ] (List.rev !cids);
+  check_int "no old coroutine resumed" 0 !old_resumed;
+  Alcotest.(check (list (pair int int)))
+    "each new coroutine resumed once, by its own event"
+    [ (0, Sim.Time.ms 5); (1, Sim.Time.ms 5); (2, Sim.Time.ms 5) ]
+    (List.sort compare !resumed)
 
 let[@inline never] wait_on_fresh_event s weak =
   let ev = Event.signal () in
@@ -974,6 +1035,7 @@ let suite =
         Alcotest.test_case "stale hoisted timeout spares a reused context" `Quick
           test_pool_stale_hoisted_timeout;
         Alcotest.test_case "reset empties the pool" `Quick test_pool_reset_empties;
+        Alcotest.test_case "reset reclaims parked contexts" `Quick test_reset_reclaims_parked;
         Alcotest.test_case "finished coroutine forgets its last event" `Quick
           test_pool_forgets_last_event;
         Alcotest.test_case "allocation guard" `Quick test_alloc_cycle;
