@@ -3,18 +3,20 @@
    Loads the given paths (default: lib bin examples bench) as one
    project model and runs every pass over it: pragma hygiene
    ([unknown-pragma]), the interprocedural pass (locks held across
-   suspensions, lock-order cycles, quorum arity), the boundedness &
-   timeout-coverage pass (unbounded-growth, missing-deadline,
-   unbounded-retry), the domain-safety pass (the mutable-state
-   inventory and [unsafe-shared-state]), and the slowness-propagation
-   pass (static exposure of every wait site to fail-slow resources:
-   [red-exposure]), with the certificates of the last three.
+   suspensions, lock-order cycles), the boundedness & timeout-coverage
+   pass (unbounded-growth, missing-deadline, unbounded-retry), the
+   domain-safety pass (the mutable-state inventory and
+   [unsafe-shared-state]), and the slowness-propagation pass (static
+   exposure of every wait site to fail-slow resources: [red-exposure];
+   quorum arity: [quorum-arity-mismatch]), with the certificates of the
+   last three.
 
    Exit discipline: 0 when nothing gates, 1 when findings gate, 2 on
    usage errors. By default only unallowed [error]-severity findings
    gate; [--strict] escalates every unallowed finding (warnings and
    infos included). An allow pragma comment naming the rule id exempts
-   a finding either way. *)
+   a finding either way. With [--format json] the gating findings are
+   also named on stderr. *)
 
 let usage =
   "usage: depfast_lint [--quiet] [--strict] [--format text|json] [--rules] [path ...]"
@@ -127,5 +129,8 @@ let () =
         Printf.printf "  %s%s\n" (Analysis.Growth.cert_to_json c)
           (if i < List.length certs - 1 then "," else ""))
       certs;
-    print_string "] }\n");
+    print_string "] }\n";
+    (* the report goes to a file under the build, so name what gates
+       where the build shows it *)
+    List.iter (fun f -> prerr_endline (Analysis.Finding.to_string f)) gating);
   exit (if gating = [] then 0 else 1)

@@ -1,15 +1,5 @@
 module SL = Source_lint
 
-type cert = Growth.cert = {
-  c_rule : string;
-  c_kind : string;
-  c_file : string;
-  c_line : int;
-  c_site : string;
-  c_verdict : Growth.verdict;
-  c_evidence : string;
-}
-
 (* ---- timeout coverage ------------------------------------------------ *)
 
 (* Waits on a quorum bound by [Event.quorum] in this function, judged by
@@ -24,7 +14,7 @@ let scan_waits p (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
         let cert verdict evidence =
           cert
             {
-              c_rule = Finding.missing_deadline;
+              Growth.c_rule = Finding.missing_deadline;
               c_kind = "quorum-wait";
               c_file = fc.Growth.fc_path;
               c_line = w.Growth.w_line;
@@ -46,7 +36,7 @@ let scan_waits p (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
           cert Growth.Flagged "no deadline or timer escape on any path"
         end
       | _ -> ())
-    (Growth.waits fc f)
+    (fst (Growth.scan p fc f))
 
 (* ---- retry coverage -------------------------------------------------- *)
 
@@ -117,7 +107,7 @@ let scan_retries (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
     if !has_sleep || !has_guard then
       cert
         {
-          c_rule = Finding.unbounded_retry;
+          Growth.c_rule = Finding.unbounded_retry;
           c_kind = "retry";
           c_file = fc.Growth.fc_path;
           c_line = f.Growth.g_line;
@@ -136,7 +126,7 @@ let scan_retries (fc : Growth.file_ctx) (f : Growth.fn) ~emit ~cert =
            f.Growth.g_qname);
       cert
         {
-          c_rule = Finding.unbounded_retry;
+          Growth.c_rule = Finding.unbounded_retry;
           c_kind = "retry";
           c_file = fc.Growth.fc_path;
           c_line = f.Growth.g_line;

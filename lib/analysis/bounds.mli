@@ -27,19 +27,9 @@
     certificates are unaffected by pragmas — allowing a defect
     acknowledges it, it does not make the site bounded. *)
 
-type cert = Growth.cert = {
-  c_rule : string;
-  c_kind : string;
-  c_file : string;
-  c_line : int;
-  c_site : string;
-  c_verdict : Growth.verdict;
-  c_evidence : string;
-}
-
-val analyze : Growth.project -> Finding.t list * cert list
+val analyze : Growth.project -> Finding.t list * Growth.cert list
 (** Findings are pragma-applied and sorted by location; certificates by
     site. *)
 
-val analyze_files : string list -> Finding.t list * cert list
+val analyze_files : string list -> Finding.t list * Growth.cert list
 (** {!analyze} over the project loaded from these files. *)

@@ -2,16 +2,6 @@
    state inventory, domain-safety certificates, and per-file effect
    footprints. *)
 
-type cert = Growth.cert = {
-  c_rule : string;
-  c_kind : string;
-  c_file : string;
-  c_line : int;
-  c_site : string;
-  c_verdict : Growth.verdict;
-  c_evidence : string;
-}
-
 type footprint = string * (string list * string list)
 
 let class_immutable = "immutable-after-init"
@@ -73,7 +63,7 @@ let analyze p =
       in
       certs :=
         {
-          c_rule = Finding.unsafe_shared_state;
+          Growth.c_rule = Finding.unsafe_shared_state;
           c_kind = Effects.kind_name c.Effects.cl_kind;
           c_file = c.Effects.cl_file;
           c_line = c.Effects.cl_line;

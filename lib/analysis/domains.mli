@@ -19,16 +19,6 @@
     The pass also returns per-file {e effect footprints} (the union of
     the file's closed read/write sets). *)
 
-type cert = Growth.cert = {
-  c_rule : string;
-  c_kind : string;
-  c_file : string;
-  c_line : int;
-  c_site : string;
-  c_verdict : Growth.verdict;
-  c_evidence : string;  (** ["<class>: <witness>"] *)
-}
-
 type footprint = string * (string list * string list)
 (** [(path, (cells read, cells written))] — whole-file effect union,
     restricted to schedule-relevant cells: [.field] effects (engine-owned,
@@ -44,10 +34,10 @@ val class_engine : string
 val class_guarded : string
 val class_unsafe : string
 
-val analyze : Growth.project -> Finding.t list * cert list * footprint list
+val analyze : Growth.project -> Finding.t list * Growth.cert list * footprint list
 (** Findings are pragma-applied and sorted by location; certificates
-    sorted by site, one per inventory cell; footprints in project file
-    order. *)
+    sorted by site, one per inventory cell, their evidence
+    ["<class>: <witness>"]; footprints in project file order. *)
 
-val analyze_files : string list -> Finding.t list * cert list * footprint list
+val analyze_files : string list -> Finding.t list * Growth.cert list * footprint list
 (** {!analyze} over the project loaded from these files. *)

@@ -59,6 +59,10 @@ type file_ctx = {
   fc_stores : (string, unit) Hashtbl.t;  (* module-level containers *)
 }
 
+(* Module-level value facts: an int constant, a list literal's length,
+   an alias of another name (chased for constants), or a mutex. *)
+type value = MInt of int | MLen of int | MAlias of string | MLock
+
 (* the call-edge, root and reachability closure, computed on first use *)
 type closure = {
   calls : (string, string list) Hashtbl.t;  (* qname -> resolved callees *)
@@ -75,6 +79,7 @@ type project = {
   scopes : (string, (string, string option) Hashtbl.t) Hashtbl.t;
   by_path : (string, file_ctx) Hashtbl.t;
   closure : closure Lazy.t;
+  values : (string, value) Hashtbl.t Lazy.t;  (* "Module.x" -> fact, first wins *)
   growth : (Finding.t list * cert list) Lazy.t;
 }
 
@@ -372,6 +377,86 @@ let allow p findings =
 
 let lint p = List.concat_map (fun fc -> SL.check_pragmas ~path:fc.fc_path fc.fc_pragmas) p.files
 
+(* ---- module-level values --------------------------------------------- *)
+
+(* an integer literal ([1_000] included); a token starting with anything
+   else is none, and is not copied to find out *)
+let int_of_token txt =
+  match txt.[0] with
+  | '0' .. '9' | '-' | '+' | '_' ->
+    int_of_string_opt (String.concat "" (String.split_on_char '_' txt))
+  | _ -> None
+  | exception Invalid_argument _ -> None
+
+(* Length of a list literal starting at a "[" token: its [;]-separated
+   items, each one token group. String literals are consumed by the
+   lexer, so a separator implies two items even when no item token
+   survives. *)
+let list_literal_length (a : Lexer.token array) i =
+  let n = Array.length a in
+  let rec items j semis some =
+    if j >= n then None
+    else
+      match a.(j).Lexer.text with
+      | "]" -> Some (if semis > 0 then semis + 1 else if some then 1 else 0)
+      | ";" -> items (j + 1) (semis + 1) some
+      | _ -> items (skip_group a j) semis true
+  in
+  if i < n && a.(i).Lexer.text = "[" then items (i + 1) 0 false else None
+
+(* The fact a module-level value binding [x = <rhs>] records, if any. *)
+let value_fact (a : Lexer.token array) r e =
+  if r >= e then None
+  else
+    let t = a.(r).Lexer.text in
+    if t = "[" then Option.map (fun l -> MLen l) (list_literal_length a r)
+    else
+      match int_of_token t with
+      | Some v when not (Lexer.is_ident t) -> Some (MInt v)
+      | _ ->
+        if not (Lexer.is_ident t) then None
+        else
+          let hn = SL.after a r in
+          if SL.last2_at a r hn = "Mutex.create" then Some MLock
+          else if
+            (* a lone name is an alias worth chasing for constants *)
+            hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line
+          then Some (MAlias a.(r).Lexer.dotted)
+          else None
+
+(* every named value binding [let x = ...] (its name just before the
+   [=]) with a fact *)
+let module_values files =
+  let values = Hashtbl.create 64 in
+  List.iter
+    (fun fc ->
+      List.iter
+        (fun f ->
+          if
+            f.g_shape = Value
+            && Lexer.is_ident fc.fc_toks.(f.g_body - 2).Lexer.text
+            && not (Hashtbl.mem values f.g_qname)
+          then Option.iter (Hashtbl.add values f.g_qname) (value_fact fc.fc_toks f.g_body f.g_e))
+        fc.fc_fns)
+    files;
+  values
+
+(* The fact of a module-level value named as written in module [mdl]
+   ([x], [M.x], [Lib.M.x]), aliases chased a few hops so a [Count] reads
+   through a config module. *)
+let value p ~mdl name =
+  let values = Lazy.force p.values in
+  let rec chase ~mdl name hops =
+    match resolve p ~mdl name with
+    | None -> None
+    | Some q -> (
+      match Hashtbl.find_opt values q with
+      | Some (MAlias d) when hops > 0 -> chase ~mdl:(String.sub q 0 (String.index q '.')) d (hops - 1)
+      | Some (MAlias _) -> None
+      | found -> found)
+  in
+  chase ~mdl name 4
+
 (* ---- wait sites ------------------------------------------------------- *)
 
 type binding = Quorum of string | Or_ | And_
@@ -382,9 +467,19 @@ type wait = {
   w_event : SL.atom;
   w_binding : binding option;
   w_timered : bool;
-  w_arity : (string * string) option;
   w_from : string option;
   w_part : int option;
+}
+
+type count = Const of int | Local of string * string
+
+type quorum = {
+  q_name : string;
+  q_line : int;
+  q_count : count option;
+  q_adds : int option;
+  q_escapes : bool;
+  q_timered : bool;
 }
 
 let wait_heads =
@@ -392,65 +487,166 @@ let wait_heads =
 
 let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ]
 
+(* iteration heads whose closure body runs once per element *)
+let iter_names = [ "List.iter"; "List.iteri"; "List.map"; "List.mapi"; "Array.iter"; "Array.iteri" ]
+
 (* words that can follow a call but are no argument of it *)
 let keywords =
   [ "in"; "then"; "else"; "do"; "done"; "with"; "when"; "end"; "begin"; "let"; "and";
     "match"; "fun"; "function"; "if"; "of"; "to"; "downto"; "or"; "not" ]
 
+(* Iteration regions [(start, end, length)] for inline-closure
+   iterations, the length as the index of the token it starts at (a list
+   literal or a name) and read at each [Event.add], so that list bindings
+   made earlier in the same body are visible. [for]/[while] bodies get an
+   unknown length, [-1]. *)
+let iter_regions fc f =
+  let a = fc.fc_toks and pm = fc.fc_pm in
+  let regions = ref [] in
+  let loop_stack = ref [] in
+  let i = ref f.g_body in
+  while !i < f.g_e do
+    if Lexer.is_ident a.(!i).Lexer.text then begin
+      let name = a.(!i).Lexer.dotted and ni = SL.after a !i in
+      (if name = "for" || name = "while" then loop_stack := !i :: !loop_stack
+       else if name = "done" then
+         match !loop_stack with
+         | s :: rest ->
+           regions := (s, !i, -1) :: !regions;
+           loop_stack := rest
+         | [] -> ()
+       else if List.mem (SL.last2_at a !i ni) iter_names then
+         if ni < f.g_e && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then
+           let close = pm.(ni) in
+           regions := (ni, close, if close + 1 < f.g_e then close + 1 else -1) :: !regions);
+      i := ni
+    end
+    else incr i
+  done;
+  !regions
+
+(* What a local name is bound to, as the scan reads it: the head of the
+   call it was bound to (and the tuple component it took, if any), an
+   int or list literal, or an event binding, with its record so far when
+   it is an [Event.quorum]. *)
+type local =
+  | Head of string * int option
+  | Literal of value
+  | Event of binding * quorum option
+
+(* the value a name stands for here: a local literal, a local copy of a
+   module value, or a module value *)
+let fact p ~mdl env name =
+  match Hashtbl.find_opt env name with
+  | Some (Literal v) -> Some v
+  | Some (Head (h, None)) -> value p ~mdl h
+  | Some _ -> None
+  | None -> value p ~mdl name
+
+(* The [Count] of a quorum binding whose [=] is at token [eq], before
+   the binding's [in]: a literal, or a name (or the head of a
+   parenthesised expression) that stands for a constant or a local bound
+   to a call. *)
+let count_at p fc f env eq =
+  let a = fc.fc_toks in
+  let limit = min f.g_e (eq + 60) in
+  let rec find j =
+    if j + 1 >= limit || a.(j).Lexer.text = "in" then None
+    else if a.(j).Lexer.text <> "Count" then find (j + 1)
+    else
+      match SL.parse_atom a fc.fc_pm (j + 1) with
+      | (SL.AName name | SL.AParen (Some name)), _ -> (
+        match (fact p ~mdl:fc.fc_mdl env name, Hashtbl.find_opt env name) with
+        | Some (MInt v), _ -> Some (Const v)
+        | _, Some (Head (h, None)) -> Some (Local (name, h))
+        | _ -> None)
+      | _ -> Option.map (fun v -> Const v) (int_of_token a.(j + 1).Lexer.text)
+  in
+  find (eq + 1)
+
+(* The weight of an [Event.add] at token [i]: the product of the lengths
+   of the iteration [regions] around it; [None] when one is unknown. *)
+let weight p fc env regions i =
+  let a = fc.fc_toks in
+  let length j =
+    if j < 0 then None
+    else if a.(j).Lexer.text = "[" then list_literal_length a j
+    else
+      match SL.parse_atom a fc.fc_pm j with
+      | SL.AName s, _ -> (
+        match fact p ~mdl:fc.fc_mdl env s with Some (MLen l) -> Some l | _ -> None)
+      | _ -> None
+  in
+  List.fold_left
+    (fun acc (s, e, len) ->
+      if s <= i && i <= e then
+        match (acc, length len) with Some w, Some l -> Some (w * l) | _ -> None
+      else acc)
+    (Some 1) regions
+
+(* The atom at token [j], and the token past it: a quorum it names
+   escapes. *)
+let escape fc env j =
+  let at, j' = SL.parse_atom fc.fc_toks fc.fc_pm j in
+  (match at with
+  | SL.AName s -> (
+    match Hashtbl.find_opt env s with
+    | Some (Event (b, Some q)) ->
+      Hashtbl.replace env s (Event (b, Some { q with q_escapes = true }))
+    | _ -> ())
+  | _ -> ());
+  j'
+
+(* the arguments of a call from token [j] on, positional and labelled, up
+   to the first that is no atom *)
+let rec escape_args fc env n j pos =
+  let a = fc.fc_toks in
+  if j < n && pos < 8 then
+    match a.(j).Lexer.text with
+    | ("~" | "?") when j + 2 < n && a.(j + 2).Lexer.text = ":" ->
+      escape_args fc env n (escape fc env (j + 3)) pos
+    | "~" | "?" -> escape_args fc env n (j + 2) pos
+    | _ ->
+      if fst (SL.parse_atom a fc.fc_pm j) <> SL.AOther then
+        escape_args fc env n (escape fc env j) (pos + 1)
+
 (* One program-order scan per function: quorum/or_/and_ bindings, the
    timer escapes wired into quorums via [Event.add q ~child:(Sched.timer
-   ...)], which simple variable a quorum's [Count] arity came from, and
-   which head (and tuple component) each local was bound to. Returns the
-   waits and that last table. *)
-let scan ?(via = fun _ -> None) fc f =
+   ...)], and which head (and tuple component) each local was bound to.
+   Each [Event.quorum] binding also gets its [Count] source, the children
+   [Event.add] wires into it (weighted by the iterations around each,
+   which are only computed once a child is added) and whether it
+   escapes, as an argument of a project function or as the function's
+   result. Returns the waits, the quorums and the locals in scope at the
+   end. *)
+let scan_body ?(via = fun _ -> None) p fc f =
   let a = fc.fc_toks and pm = fc.fc_pm and n = f.g_e in
-  let bound = Hashtbl.create 4 in
-  let timered = Hashtbl.create 4 in
-  let arity = Hashtbl.create 4 in
-  let heads = Hashtbl.create 8 in
+  let env = Hashtbl.create 8 in
+  let quorums = ref [] in
+  let has_quorum = ref false in
+  let regions = ref None in
   let forget name =
-    Hashtbl.remove bound name;
-    Hashtbl.remove timered name;
-    Hashtbl.remove arity name;
-    Hashtbl.remove heads name
-  in
-  (* the Count arity of a quorum binding, when it is a simple variable *)
-  let record_arity q eq =
-    let limit = min n (eq + 60) in
-    let j = ref (eq + 1) in
-    while !j < limit && a.(!j).Lexer.text <> "in" do
-      if a.(!j).Lexer.text = "Count" then begin
-        let k = ref (!j + 1) in
-        while !k < limit && a.(!k).Lexer.text = "(" do
-          incr k
-        done;
-        (if !k < limit then
-           let t = a.(!k).Lexer.text in
-           if Lexer.is_ident t && SL.is_simple t then Hashtbl.replace arity q t);
-        j := limit
-      end
-      else incr j
-    done
+    (match Hashtbl.find_opt env name with
+    | Some (Event (_, Some q)) -> quorums := q :: !quorums
+    | _ -> ());
+    Hashtbl.remove env name
   in
   let out = ref [] in
   let wait line head ev =
-    let q = match ev with SL.AName q when SL.is_simple q -> q | _ -> "" in
+    let local = match ev with SL.AName q -> Hashtbl.find_opt env q | _ -> None in
     let from, part =
-      match ev with
-      | SL.AParen h -> (h, None)
-      | _ -> (
-        match Hashtbl.find_opt heads q with Some (h, k) -> (Some h, k) | None -> (None, None))
+      match (ev, local) with
+      | SL.AParen h, _ -> (h, None)
+      | _, Some (Head (h, k)) -> (Some h, k)
+      | _ -> (None, None)
     in
     out :=
       {
         w_line = line;
         w_head = head;
         w_event = ev;
-        w_binding = Hashtbl.find_opt bound q;
-        w_timered = Hashtbl.mem timered q;
-        w_arity =
-          Option.bind (Hashtbl.find_opt arity q) (fun v ->
-              match Hashtbl.find_opt heads v with Some (h, None) -> Some (v, h) | _ -> None);
+        w_binding = (match local with Some (Event (b, _)) -> Some b | _ -> None);
+        w_timered = (match local with Some (Event (_, Some q)) -> q.q_timered | _ -> false);
         w_from = from;
         w_part = part;
       }
@@ -462,16 +658,17 @@ let scan ?(via = fun _ -> None) fc f =
     (* [let quorum, calls = Rpc.broadcast ...]: the first component is
        an [Event.quorum arity] built by the rpc layer *)
     | Some (SL.PTuple (q :: _), SL.RHead (Some h), _) when SL.last2 h = "Rpc.broadcast" ->
-      Hashtbl.replace bound q (Quorum "Rpc.broadcast")
+      forget q;
+      Hashtbl.replace env q (Event (Quorum "Rpc.broadcast", None))
     | Some (SL.PTuple names, rhs, _) ->
       List.iteri
         (fun k name ->
           forget name;
           match rhs with
-          | SL.RHead (Some h) -> Hashtbl.replace heads name (h, Some k)
+          | SL.RHead (Some h) -> Hashtbl.replace env name (Head (h, Some k))
           | SL.RTuple comps -> (
             match List.nth_opt comps k with
-            | Some (Some h) -> Hashtbl.replace heads name (h, None)
+            | Some (Some h) -> Hashtbl.replace env name (Head (h, None))
             | _ -> ())
           | SL.RHead None -> ())
         names
@@ -481,11 +678,26 @@ let scan ?(via = fun _ -> None) fc f =
       | SL.RHead (Some h) -> (
         match SL.last2 h with
         | "Event.quorum" ->
-          Hashtbl.replace bound name (Quorum "Event.quorum");
-          record_arity name eq
-        | "Event.or_" -> Hashtbl.replace bound name Or_
-        | "Event.and_" -> Hashtbl.replace bound name And_
-        | _ -> Hashtbl.replace heads name (h, None))
+          has_quorum := true;
+          let q =
+            {
+              q_name = name;
+              q_line = a.(!i).Lexer.line;
+              q_count = count_at p fc f env eq;
+              q_adds = Some 0;
+              q_escapes = false;
+              q_timered = false;
+            }
+          in
+          Hashtbl.replace env name (Event (Quorum "Event.quorum", Some q))
+        | "Event.or_" -> Hashtbl.replace env name (Event (Or_, None))
+        | "Event.and_" -> Hashtbl.replace env name (Event (And_, None))
+        | _ -> Hashtbl.replace env name (Head (h, None)))
+      | SL.RHead None -> (
+        (* local literals feed Count and iteration lengths *)
+        match value_fact a (eq + 1) n with
+        | Some v -> Hashtbl.replace env name (Literal v)
+        | None -> ())
       | _ -> ())
     | _ -> ());
     if Lexer.is_ident a.(!i).Lexer.text then begin
@@ -494,17 +706,48 @@ let scan ?(via = fun _ -> None) fc f =
       | "Event.add" -> (
         let parent, i1 = SL.parse_atom a pm ni in
         match parent with
-        | SL.AName q when SL.is_simple q && i1 + 3 < n && a.(i1).Lexer.text = "~"
-                          && a.(i1 + 1).Lexer.text = "child" && a.(i1 + 2).Lexer.text = ":" -> (
-          match (Hashtbl.find_opt bound q, SL.parse_atom a pm (i1 + 3)) with
-          | Some (Quorum _), ((SL.AName h | SL.AParen (Some h)), _) when timerish h ->
-            Hashtbl.replace timered q ()
+        | SL.AName q -> (
+          match Hashtbl.find_opt env q with
+          | Some (Event (b, Some r)) ->
+            let timer =
+              i1 + 3 < n && a.(i1).Lexer.text = "~" && a.(i1 + 1).Lexer.text = "child"
+              && a.(i1 + 2).Lexer.text = ":"
+              &&
+              match SL.parse_atom a pm (i1 + 3) with
+              | (SL.AName h | SL.AParen (Some h)), _ -> timerish h
+              | _ -> false
+            in
+            let adds =
+              match r.q_adds with
+              | Some k ->
+                let rs =
+                  match !regions with
+                  | Some rs -> rs
+                  | None ->
+                    let rs = iter_regions fc f in
+                    regions := Some rs;
+                    rs
+                in
+                Option.map (( + ) k) (weight p fc env rs !i)
+              | None -> None
+            in
+            Hashtbl.replace env q
+              (Event (b, Some { r with q_adds = adds; q_timered = r.q_timered || timer }))
           | _ -> ())
         | _ -> ())
       | head when List.mem head wait_heads ->
         let _sched, i1 = SL.parse_atom a pm ni in
         wait line head (fst (SL.parse_atom a pm i1))
       | _ -> (
+        (* a quorum handed to a project function escapes *)
+        (if !has_quorum then
+           match resolve_at p fc !i ni with
+           | Some q -> (
+             match Hashtbl.find p.defs q with
+             | _, { g_shape = Fun _; _ } -> escape_args fc env n ni 0
+             | _ -> ()
+             | exception Not_found -> ())
+           | None -> ());
         (* a call handing the event a callee waits on: judged here *)
         match Option.bind (via name) (arg_at a ni) with
         | Some j when j < n && a.(j).Lexer.line = line && not (List.mem a.(j).Lexer.text keywords)
@@ -517,9 +760,24 @@ let scan ?(via = fun _ -> None) fc f =
     end
     else incr i
   done;
-  (List.rev !out, heads)
+  if !has_quorum then begin
+    (* a quorum a function returns (its body's last line is the lone
+       name) escapes: children may be added elsewhere *)
+    (match f.g_shape with
+    | Fun _ when n > f.g_body ->
+      let last = n - 1 in
+      if last = f.g_body || a.(last - 1).Lexer.line <> a.(last).Lexer.line then
+        ignore (escape fc env last)
+    | _ -> ());
+    Hashtbl.iter
+      (fun _ -> function Event (_, Some q) -> quorums := q :: !quorums | _ -> ())
+      env
+  end;
+  (List.rev !out, !quorums, env)
 
-let waits ?via fc f = fst (scan ?via fc f)
+let scan ?via p fc f =
+  let ws, qs, _ = scan_body ?via p fc f in
+  (ws, qs)
 
 (* The last line of the body (everything after the [=] for a one-liner):
    a literal tuple gives one head per component, a lone local the head it
@@ -539,8 +797,8 @@ let returns p qname =
       let start = !lo in
       let t = a.(start).Lexer.text in
       if start = e - 1 && Lexer.is_ident t && SL.is_simple t then
-        match Hashtbl.find_opt (snd (scan fc f)) t with
-        | Some (h, None) -> [ Some h ]
+        match Hashtbl.find_opt (let _, _, env = scan_body p fc f in env) t with
+        | Some (Head (h, None)) -> [ Some h ]
         | _ -> []
       else
         match if t = "(" && pm.(start) = e - 1 then SL.tuple_components a pm start else None with
@@ -850,6 +1108,7 @@ let load sources =
       scopes;
       by_path;
       closure = lazy (close p);
+      values = lazy (module_values files);
       growth = lazy (growth_analysis p);
     }
   in

@@ -6,7 +6,9 @@
     {!Interproc}, {!Bounds}, {!Domains} and {!Spg_static} are each a
     function over one {!project}. Every [let] item, and every [and] item
     continuing one, becomes a {!fn} named [Module.name] (module from the
-    file's basename; the first definition wins on a collision).
+    file's basename; the first definition wins on a collision). The
+    module-level value table ({!value}) and the one scan that recognises
+    quorum bindings ({!scan}) live here too.
 
     On first use the model also closes a call graph where {e any}
     resolvable name mentioned in a body is an edge (closures are treated
@@ -33,7 +35,10 @@
     sound nor complete; same-named record fields merge across types and
     every mention is assumed reachable. *)
 
-(** {2 Boundedness certificates} *)
+(** {2 Certificates}
+
+    The one certificate record: {!Bounds}, {!Domains} and {!Spg_static}
+    each return a list of these. *)
 
 type verdict = Bounded | Flagged
 
@@ -103,6 +108,16 @@ val resolve_at : project -> file_ctx -> int -> int -> string option
     the module its second-to-last segment names; it builds nothing
     whatever the name's length. *)
 
+(** A module-level value fact: an int constant, a list literal's length,
+    an alias of another name, or a mutex ([Mutex.create]). *)
+type value = MInt of int | MLen of int | MAlias of string | MLock
+
+val value : project -> mdl:string -> string -> value option
+(** The fact of a module-level value named as written in module [mdl]
+    ([x], [M.x], [Lib.M.x]), aliases chased up to four hops (so never
+    [MAlias]); [None] for functions, locals and unknown names. The table
+    is built on first use. *)
+
 val allow : project -> Finding.t list -> Finding.t list
 (** Apply the pragmas of each finding's file ({!Lexer.allows}). *)
 
@@ -138,10 +153,7 @@ type wait = {
           callee that waits on it ([?via]), the callee as written *)
   w_event : Source_lint.atom;  (** the waited event or condvar *)
   w_binding : binding option;  (** what a simple event name is bound to *)
-  w_timered : bool;  (** a [Sched.timer] child was wired into that quorum *)
-  w_arity : (string * string) option;
-      (** the variable the quorum's [Count] arity came from, and the
-          head that variable was bound to *)
+  w_timered : bool;  (** a [Sched.timer] child was wired into that [Event.quorum] *)
   w_from : string option;
       (** the head the waited event came from: the head of a
           parenthesised event, or the head its simple name was last bound
@@ -151,17 +163,43 @@ type wait = {
           pattern bound to [w_from] *)
 }
 
+(** Where a quorum's [Count] arity comes from. *)
+type count =
+  | Const of int
+      (** a literal, or a name that resolves to a constant: a module
+          value ({!value}), a local bound to a literal, or a local copy of
+          a module value *)
+  | Local of string * string
+      (** a local variable and the call head it was bound to *)
+
+type quorum = {
+  q_name : string;  (** the local the [Event.quorum] is bound to *)
+  q_line : int;  (** the line of its [let] *)
+  q_count : count option;  (** [None]: no [Count], or one not read *)
+  q_adds : int option;
+      (** the children [Event.add] wires into it in this body, each
+          weighted by the lengths of the iterations around it; [None]
+          when one of those lengths is unknown *)
+  q_escapes : bool;
+      (** passed to a project function or returned, so children may be
+          added elsewhere *)
+  q_timered : bool;  (** a [Sched.timer] child was wired into it *)
+}
+
 val wait_heads : string list
 (** The suspension heads a wait site starts with, on their last two
     segments. *)
 
-val waits : ?via:(string -> int option) -> file_ctx -> fn -> wait list
-(** The wait sites of a function in program order, each with the
-    bindings in scope: the one quorum/timer-escape scan behind {!Bounds}'
-    [missing-deadline] and {!Spg_static}'s colouring. [via name] is
-    [Some k] when the function a call names (as written) waits on its
-    [k]-th positional parameter: a same-line call to it is a wait site
-    on that argument too. *)
+val scan : ?via:(string -> int option) -> project -> file_ctx -> fn -> wait list * quorum list
+(** The one scan of a function that recognises quorum bindings: its
+    wait sites in program order, each with the bindings in scope (behind
+    {!Bounds}' [missing-deadline] and {!Spg_static}'s colouring), and
+    its [Event.quorum] bindings (behind {!Spg_static}'s
+    [quorum-arity-mismatch]). Iteration lengths are only computed in a
+    body that adds a child to a bound quorum. [via name] is [Some k] when
+    the function a call names (as written) waits on its [k]-th positional
+    parameter: a same-line call to it is a wait site on that argument
+    too. *)
 
 val returns : project -> string -> string option list
 (** The heads a function (by qualified name) returns on the last line of

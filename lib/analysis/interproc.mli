@@ -1,4 +1,4 @@
-(** Front end 3: whole-project interprocedural lock and arity analysis.
+(** Front end 3: whole-project interprocedural lock analysis.
 
     Runs over the whole {!Growth.project}, builds a {!Summary.t} per
     top-level function (including the [and] halves of [let rec]:
@@ -12,16 +12,16 @@
     replays the recorded calls in order. Whole-program rules:
 
     - {b lock-across-call}: a suspension point reached while a
-      [Depfast.Mutex] is held — a direct [Sched.wait]/[Condvar.wait]
+      [Depfast.Mutex] is held — a direct suspension ({!Growth.wait_heads})
       inside a [Mutex.with_lock] body or between [Mutex.lock]/[unlock],
       or a call made there into a function that (transitively) suspends
       on an event: the RethinkDB hazard (paper §2).
     - {b lock-order-cycle}: a cycle in the static mutex
       acquisition-order graph (nested regions and held-across-call
       acquisitions), with a witness path in the message.
-    - {b quorum-arity-mismatch}: [Event.quorum (Count k)] where [k]
-      (resolved through constants, possibly cross-module) exceeds the
-      children that statically flow in via [Event.add].
+
+    Quorum arity is {!Spg_static}'s, over the quorum bindings of
+    {!Growth.scan}.
 
     Soundness: this is a token-level heuristic, neither sound nor
     complete — names are resolved on their last two dot-segments and

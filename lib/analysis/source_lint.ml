@@ -1,7 +1,3 @@
-(* Iteration heads whose closure body runs once per element. *)
-let iter_names =
-  [ "List.iter"; "List.iteri"; "List.map"; "List.mapi"; "Array.iter"; "Array.iteri" ]
-
 let last2 name =
   match String.rindex_opt name '.' with
   | None -> name

@@ -38,10 +38,6 @@ val ml_files : string list -> string list
     Shared by the whole-project passes; stable only within this
     library. *)
 
-val iter_names : string list
-(** Iteration heads ([List.iter], [Array.iteri], ...) whose closure body
-    runs once per element. *)
-
 val last2 : string -> string
 (** The last two dot-segments of a qualified name. *)
 

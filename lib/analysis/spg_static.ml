@@ -2,7 +2,7 @@
    exposure — which fail-slow resource kinds can delay it, in which
    role — and its color in the {!Spg.color} sense (quorum-k green vs
    fate-sharing red). Taint comes from {!Propagation}; wait shapes and
-   timeout escapes come from {!Growth.waits}, the scan {!Bounds} judges
+   timeout escapes come from {!Growth.scan}, the scan {!Bounds} judges
    too, so the two passes agree on what "covered" means. Every wait yields a certificate; every
    (wait x exposure) pair yields a propagation certificate carrying the
    least-(fn, line) witness path. *)
@@ -64,38 +64,14 @@ let exposure_string x =
 
 (* ---- per-function wait colouring ----------------------------------- *)
 
-(* Colours the waits of {!Growth.waits}: quorum and or_ bindings are
-   green, everything else red; a quorum wait whose [Count] arity came
-   from a call also goes to [arity], for the tainted-arity half of
-   quorum-arity-mismatch. A call handing its argument to a callee that
-   waits on it ([?via]) is coloured by what the caller passes. *)
-let scan_fn p taint (fc : Growth.file_ctx) (f : Growth.fn) ws ~wait ~arity =
+(* Colours the waits of {!Growth.scan}: quorum and or_ bindings are
+   green, everything else red. A call handing its argument to a callee
+   that waits on it ([?via]) is coloured by what the caller passes. *)
+let scan_fn p taint (fc : Growth.file_ctx) (f : Growth.fn) ws ~wait =
   let exposures =
     List.map
       (fun (k, t) -> { x_fault = k; x_role = role_of k t ~file:fc.Growth.fc_path; x_taint = t })
       (Propagation.taints taint f.Growth.g_qname)
-  in
-  (* green-quorum wait whose Count arity flows from a tainted call *)
-  let check_arity q line = function
-    | None -> ()
-    | Some (v, h) -> (
-      let candidates =
-        if SL.is_simple h then [ fc.Growth.fc_mdl ^ "." ^ h ]
-        else
-          [ SL.last2 h ]
-          @
-          match String.rindex_opt h '.' with
-          | Some j -> [ fc.Growth.fc_mdl ^ "." ^ String.sub h (j + 1) (String.length h - j - 1) ]
-          | None -> []
-      in
-      match
-        List.find_map
-          (fun q ->
-            match Propagation.taints taint q with [] -> None | (k, t) :: _ -> Some (q, k, t))
-          candidates
-      with
-      | Some (callee, k, t) -> arity ~line ~q ~v ~callee ~fault:k ~taint:t
-      | None -> ())
   in
   let classify_head h =
     match SL.last2 h with
@@ -130,14 +106,50 @@ let scan_fn p taint (fc : Growth.file_ctx) (f : Growth.fn) ws ~wait ~arity =
       | ("Condvar.wait" | "Condvar.wait_timeout"), ev, _ ->
         emit (match ev with SL.AName c -> "condvar " ^ c | _ -> "condvar") Red covered
       | _, SL.AName q, Some (Growth.Quorum _) ->
-        emit ("quorum " ^ q) Green (covered || w.Growth.w_timered);
-        if not via then check_arity q line w.Growth.w_arity
+        emit ("quorum " ^ q) Green (covered || w.Growth.w_timered)
       | _, SL.AName q, Some Growth.Or_ -> emit ("or_ " ^ q) Green true
       | _, SL.AName q, Some Growth.And_ -> emit ("and_ " ^ q) Red covered
       | _, SL.AName q, None -> emit q Red covered
       | _, SL.AParen (Some h), _ -> emit (SL.last2 h) (classify_head h) covered
       | _, (SL.AParen None | SL.AOther), _ -> emit "<expr>" Red covered)
     ws
+
+(* ---- quorum arity ---------------------------------------------------- *)
+
+(* quorum-arity-mismatch over the [Event.quorum] bindings of
+   {!Growth.scan}, at the binding: a constant [Count] above the children
+   that flow in, when none can be added elsewhere (it can never fire, an
+   error), or a [Count] bound to a call that is tainted by a slow
+   resource (the mitigation's k is itself slow-controlled, a warning). *)
+let check_arity p taint (fc : Growth.file_ctx) (q : Growth.quorum) ~emit =
+  let report severity message =
+    emit
+      (Finding.v ~rule:Finding.quorum_arity_mismatch ~severity
+         ~loc:(Finding.File { file = fc.Growth.fc_path; line = q.Growth.q_line })
+         message)
+  in
+  match (q.Growth.q_count, q.Growth.q_adds) with
+  | Some (Growth.Const k), Some adds
+    when (not q.Growth.q_escapes) && adds > 0 && k > adds ->
+    report Finding.Error
+      (Printf.sprintf
+         "quorum requires Count %d but only %d child event(s) statically flow into it: it \
+          can never fire (constants resolved across modules)"
+         k adds)
+  | Some (Growth.Local (v, h)), _ -> (
+    let callee = Growth.resolve p ~mdl:fc.Growth.fc_mdl h in
+    match Option.map (fun c -> (c, Propagation.taints taint c)) callee with
+    | Some (callee, (fault, t) :: _) ->
+      report Finding.Warning
+        (Printf.sprintf
+           "quorum %S claims green but its Count arity %S comes from %s, which is \
+            %s-tainted (seed %s at %s:%d): the mitigation's k is itself controlled by the \
+            slow resource"
+           q.Growth.q_name v callee (Propagation.fault_name fault)
+           t.Propagation.t_source.Propagation.s_head t.Propagation.t_source.Propagation.s_file
+           t.Propagation.t_source.Propagation.s_line)
+    | _ -> ())
+  | _ -> ()
 
 (* The position of the parameter an unexposed function waits on,
    untimed, as it was passed: such a wait is red but its slowness
@@ -168,23 +180,10 @@ let analyze p =
     (fun fc ->
       List.iter
         (fun f ->
-          let ws = Growth.waits fc f in
+          let ws, qs = Growth.scan p fc f in
           Option.iter (Hashtbl.replace param_waits f.Growth.g_qname) (param_wait taint f ws);
-          scan_fn p taint fc f ws
-            ~wait:(fun w -> waits := w :: !waits)
-            ~arity:(fun ~line ~q ~v ~callee ~fault ~taint:t ->
-              emit
-                (Finding.v ~rule:Finding.quorum_arity_mismatch ~severity:Finding.Warning
-                   ~loc:(Finding.File { file = fc.Growth.fc_path; line })
-                   (Printf.sprintf
-                      "quorum %S claims green but its Count arity %S comes from %s, which \
-                       is %s-tainted (seed %s at %s:%d): the mitigation's k is itself \
-                       controlled by the slow resource"
-                      q v callee
-                      (Propagation.fault_name fault)
-                      t.Propagation.t_source.Propagation.s_head
-                      t.Propagation.t_source.Propagation.s_file
-                      t.Propagation.t_source.Propagation.s_line))))
+          scan_fn p taint fc f ws ~wait:(fun w -> waits := w :: !waits);
+          List.iter (check_arity p taint fc ~emit) qs)
         fc.Growth.fc_fns)
     (Growth.files p);
   (* the callers of those functions, at the calls that hand them an event *)
@@ -200,9 +199,8 @@ let analyze p =
               scan_fn p taint fc f
                 (List.filter
                    (fun w -> not (List.mem w.Growth.w_head Growth.wait_heads))
-                   (Growth.waits ~via fc f))
-                ~wait:(fun w -> waits := w :: !waits)
-                ~arity:(fun ~line:_ ~q:_ ~v:_ ~callee:_ ~fault:_ ~taint:_ -> ()))
+                   (fst (Growth.scan ~via p fc f)))
+                ~wait:(fun w -> waits := w :: !waits))
           fc.Growth.fc_fns)
       (Growth.files p);
   (* certificates + red-exposure findings per wait *)

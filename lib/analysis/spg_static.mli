@@ -9,7 +9,7 @@
     resource) — and its {e color} in the [Spg.color] sense: quorum-k
     waits ([Event.quorum]/[or_] bindings) are green, everything
     fate-sharing (bare events, [and_], condvar handoffs) is red.
-    Timeout coverage comes from {!Growth.waits}, as in {!Bounds}:
+    Timeout coverage comes from {!Growth.scan}, as in {!Bounds}:
     [wait_timeout], an [or_] binding, or an [Event.add ~child:(Sched.timer
     ...)] escape marks the wait covered.
 
@@ -22,9 +22,13 @@
     — an [Error] when the waited event is an rpc completion
     ({!Propagation.rpc_completions}: directly, through the name or tuple
     component it was bound to, or returned by up to three project
-    functions, {!Growth.returns}), a [Warning] otherwise; {!Finding.quorum_arity_mismatch}
-    (a [Warning]) for a green quorum whose [Count] arity flows from a
-    tainted call. Certificates: one ["wait"] certificate per site and
+    functions, {!Growth.returns}), a [Warning] otherwise.
+    {!Finding.quorum_arity_mismatch}, the one pass that reports it, at
+    each [Event.quorum] binding of {!Growth.scan}: an [Error] when its
+    [Count] resolves to a constant above the children that flow in and
+    the quorum does not escape (it can never fire), a [Warning] when its
+    [Count] is a local bound to a tainted call (a green quorum whose k
+    the slow resource controls). Certificates: one ["wait"] certificate per site and
     one ["propagation"] certificate per (wait x exposure) pair, each
     carrying the deterministic least-(fn, line) witness path from
     {!Propagation}. Pragma comments

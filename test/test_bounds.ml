@@ -25,7 +25,7 @@ let fixture name =
 let analyze name = B.analyze_files [ fixture name ]
 
 let cert_for certs ~site ~kind =
-  List.find_opt (fun c -> c.B.c_site = site && c.B.c_kind = kind) certs
+  List.find_opt (fun c -> c.G.c_site = site && c.G.c_kind = kind) certs
 
 let require_cert certs ~site ~kind ~verdict =
   match cert_for certs ~site ~kind with
@@ -33,7 +33,7 @@ let require_cert certs ~site ~kind ~verdict =
     check_bool
       (Printf.sprintf "%s %s verdict" site kind)
       true
-      (c.B.c_verdict = verdict);
+      (c.G.c_verdict = verdict);
     c
   | None -> Alcotest.failf "no %s certificate for site %s" kind site
 
@@ -46,7 +46,7 @@ let test_ring_unbounded_flagged () =
   let c =
     require_cert certs ~site:"Bounds_ring_bad.outbox" ~kind:"queue" ~verdict:G.Flagged
   in
-  check_int "sited at the growth op" 7 c.B.c_line
+  check_int "sited at the growth op" 7 c.G.c_line
 
 let test_ring_capacity_certified () =
   let fs, certs = analyze "bounds_ring_ok.ml" in
@@ -55,8 +55,8 @@ let test_ring_capacity_certified () =
     require_cert certs ~site:"Bounds_ring_ok.ring" ~kind:"queue" ~verdict:G.Bounded
   in
   check_bool "evidence names the check" true
-    (String.length c.B.c_evidence > 0
-    && String.sub c.B.c_evidence 0 14 = "capacity check")
+    (String.length c.G.c_evidence > 0
+    && String.sub c.G.c_evidence 0 14 = "capacity check")
 
 (* ------------------------------------------------------------------ *)
 (* counter windows: a counter bumped right after a match arrow is no
@@ -88,9 +88,9 @@ let test_counter_compared_certified () =
   let fs, certs = counter_window ~compared:true in
   check_rules "a counter never flags" [] (rules fs);
   let c = require_cert certs ~site:".n" ~kind:"counter-window" ~verdict:G.Bounded in
-  check_int "sited at the increment" 5 c.B.c_line;
+  check_int "sited at the increment" 5 c.G.c_line;
   check_bool "evidence is the cap comparison" true
-    (String.starts_with ~prefix:"compared against a capacity at line 2" c.B.c_evidence)
+    (String.starts_with ~prefix:"compared against a capacity at line 2" c.G.c_evidence)
 
 (* ------------------------------------------------------------------ *)
 (* admission control: the batched-leader shape — a capacity-checked
@@ -115,11 +115,11 @@ let test_admission_checked_certified () =
       ~verdict:G.Bounded
   in
   check_bool "evidence names the capacity check" true
-    (String.length c.B.c_evidence > 14
-    && String.sub c.B.c_evidence 0 14 = "capacity check");
+    (String.length c.G.c_evidence > 14
+    && String.sub c.G.c_evidence 0 14 = "capacity check");
   let c = require_cert certs ~site:".forming" ~kind:"cons" ~verdict:G.Bounded in
   check_bool "evidence names the reset" true
-    (String.length c.B.c_evidence > 5 && String.sub c.B.c_evidence 0 5 = "reset")
+    (String.length c.G.c_evidence > 5 && String.sub c.G.c_evidence 0 5 = "reset")
 
 (* ------------------------------------------------------------------ *)
 (* timeout coverage: naked quorum wait vs deadline-guarded twin *)
@@ -136,7 +136,7 @@ let test_deadline_guarded_wait_certified () =
   let fs, certs = analyze "bounds_wait_ok.ml" in
   check_rules "wait_timeout discharges the obligation" [] (rules fs);
   let c = require_cert certs ~site:"q" ~kind:"quorum-wait" ~verdict:G.Bounded in
-  Alcotest.(check string) "evidence" "deadline via Sched.wait_timeout" c.B.c_evidence
+  Alcotest.(check string) "evidence" "deadline via Sched.wait_timeout" c.G.c_evidence
 
 (* ------------------------------------------------------------------ *)
 (* retry coverage: tight resend loop vs capped backoff twin; assertions
@@ -160,7 +160,7 @@ let test_capped_backoff_retry_certified () =
     require_cert certs ~site:"Bounds_retry_ok.send" ~kind:"retry" ~verdict:G.Bounded
   in
   Alcotest.(check string) "both kinds of evidence" "attempt bound and backoff sleep"
-    c.B.c_evidence
+    c.G.c_evidence
 
 (* ------------------------------------------------------------------ *)
 (* the real tree: rethink_like stays flagged (acknowledged by pragma),
@@ -192,8 +192,8 @@ let test_tree_rethink_like_flagged () =
     let verdict file site =
       List.filter_map
         (fun c ->
-          if Filename.basename c.B.c_file = file && c.B.c_site = site then
-            Some c.B.c_verdict
+          if Filename.basename c.G.c_file = file && c.G.c_site = site then
+            Some c.G.c_verdict
           else None)
         certs
     in
@@ -223,15 +223,15 @@ let test_tree_net_rings_certified () =
     let bounded_counter file =
       List.exists
         (fun c ->
-          Filename.basename c.B.c_file = file
-          && c.B.c_kind = "counter-window" && c.B.c_verdict = G.Bounded)
+          Filename.basename c.G.c_file = file
+          && c.G.c_kind = "counter-window" && c.G.c_verdict = G.Bounded)
         certs
     in
     check_bool "net.ml ring fill counter certified" true (bounded_counter "net.ml");
     check_bool "server.ml inflight window certified" true (bounded_counter "server.ml");
     check_bool "seeded fixture backlog statically certified" true
       (List.exists
-         (fun c -> c.B.c_site = "Fixtures.backlog" && c.B.c_verdict = G.Bounded)
+         (fun c -> c.G.c_site = "Fixtures.backlog" && c.G.c_verdict = G.Bounded)
          certs)
 
 let test_tree_admission_certified () =
@@ -245,8 +245,8 @@ let test_tree_admission_certified () =
     let bounded ~site ~kind =
       List.exists
         (fun c ->
-          Filename.basename c.B.c_file = "server.ml"
-          && c.B.c_site = site && c.B.c_kind = kind && c.B.c_verdict = G.Bounded)
+          Filename.basename c.G.c_file = "server.ml"
+          && c.G.c_site = site && c.G.c_kind = kind && c.G.c_verdict = G.Bounded)
         certs
     in
     check_bool "admission queue certified bounded" true

@@ -96,25 +96,54 @@ let archive sched = Left.flush sched
 (* ------------------------------------------------------------------ *)
 (* quorum arity *)
 
-let test_quorum_arity_mismatch () =
-  per_file_clean "arity_config.ml";
-  per_file_clean "arity_use.ml";
-  let fs = pair "arity_config.ml" "arity_use.ml" in
-  check_rules "Count 5 over 3 children proven dead" [ "quorum-arity-mismatch" ]
-    (unallowed_rules fs)
+(* the pass that owns quorum-arity-mismatch, over in-memory sources *)
+let spg_sources sources =
+  let fs, _, _ = Analysis.Spg_static.analyze (G.load sources) in
+  fs
 
-let test_quorum_arity_satisfied () =
-  let cfg = "let replicas = [ \"a\"; \"b\"; \"c\" ]\nlet needed = 2\n" in
-  let use =
+let arity_use ~count =
+  Printf.sprintf
     {|let replicate sched =
-  let q = Depfast.Event.quorum (Depfast.Event.Count Cfg.needed) in
+  let q = %s in
   List.iter
     (fun peer -> Depfast.Event.add q ~child:(Depfast.Event.rpc_completion ~peer ()))
     Cfg.replicas;
   Depfast.Sched.wait sched q
 |}
+    count
+
+let arity_cfg needed =
+  Printf.sprintf "let replicas = [ \"a\"; \"b\"; \"c\" ]\nlet needed = %d\n" needed
+
+let test_quorum_arity_mismatch () =
+  per_file_clean "arity_config.ml";
+  per_file_clean "arity_use.ml";
+  let fs, _, _ =
+    Analysis.Spg_static.analyze_files [ fixture "arity_config.ml"; fixture "arity_use.ml" ]
   in
-  let fs = ip_sources [ ("cfg.ml", cfg); ("use.ml", use) ] in
+  check_rules "Count 5 over 3 children proven dead" [ "quorum-arity-mismatch" ]
+    (unallowed_rules fs);
+  (* the same quorum with a label, as every quorum in lib/ carries one *)
+  let fs =
+    spg_sources
+      [
+        ("cfg.ml", arity_cfg 5);
+        ( "use.ml",
+          arity_use
+            ~count:{|Depfast.Event.quorum ~label:"acks" (Depfast.Event.Count Cfg.needed)|} );
+      ]
+  in
+  check_rules "labelled Count 5 over 3 children proven dead" [ "quorum-arity-mismatch" ]
+    (unallowed_rules fs)
+
+let test_quorum_arity_satisfied () =
+  let fs =
+    spg_sources
+      [
+        ("cfg.ml", arity_cfg 2);
+        ("use.ml", arity_use ~count:"Depfast.Event.quorum (Depfast.Event.Count Cfg.needed)");
+      ]
+  in
   check_rules "Count 2 over 3 children is fine" [] (rules fs)
 
 (* ------------------------------------------------------------------ *)
