@@ -136,18 +136,37 @@ let canon_lock p (fc : Growth.file_ctx) = function
     let mdl = fc.Growth.fc_mdl in
     SL.canon ~mdl raw ~top:(fun x -> Growth.value p ~mdl x = Some Growth.MLock)
 
+(* ---- per-function summaries ----------------------------------------- *)
+
+(* The facts a function's callers inherit, settled over the whole
+   project: it (transitively) suspends on an event, and the canonical
+   mutexes it may acquire, its callees' included (a sorted set). *)
+type summary = { qname : string; mutable suspends : bool; mutable acquires : string list }
+
+(* Sorted-set union; the first list itself when the second adds nothing,
+   so the fixpoint sees a change as physical inequality *)
+let rec union a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: xs, y :: ys ->
+    let c = compare x y in
+    if c > 0 then y :: union a ys
+    else
+      let r = union xs (if c = 0 then ys else b) in
+      if r == xs then a else x :: r
+
 (* ---- the per-function walk ------------------------------------------ *)
 
 (* A resolved call in a body: whom it calls, where, and the locks held
    there. Its fixpoint-dependent half (does the callee suspend, what it
    acquires) is read off the callee's summary when the facts settle. *)
-type call = { callee : Summary.t; c_line : int; c_held : string list }
+type call = { callee : summary; c_line : int; c_held : string list }
 
 (* What one walk of a body leaves behind: its intra-function lock-order
    edges [(outer, inner, line)] and its resolved calls, both in token
    order. *)
 type walked = {
-  w_own : Summary.t option;
+  w_own : summary option;
   w_path : string;
   w_nested : (string * string * int) list;
   w_calls : call list;
@@ -165,7 +184,7 @@ let lock_across_call path line message =
    summary's direct facts (suspends, the locks it takes) and direct waits
    under a lock — except what its calls inherit from their callees, which
    it records. *)
-let walk p sums (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option)
+let walk p sums (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : summary option)
     ~(emit : Finding.t -> unit) =
   let a = fc.Growth.fc_toks and pm = fc.Growth.fc_pm in
   let path = fc.Growth.fc_path in
@@ -176,7 +195,9 @@ let walk p sums (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option
   in
   (match own with
   | Some o ->
-    List.iter (fun (l, _, _) -> if SL.canonical l then Summary.add_acquire o l) lregions
+    List.iter
+      (fun (l, _, _) -> if SL.canonical l then o.acquires <- union o.acquires [ l ])
+      lregions
   | None -> ());
   let held i = List.filter_map (fun (l, s, e) -> if s <= i && i <= e then Some l else None) lregions in
   (* intra-function nesting: acquiring B inside A's region orders A -> B *)
@@ -190,7 +211,7 @@ let walk p sums (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option
   in
   (* a direct suspension point: the callee-less half of lock-across-call *)
   let suspend i line what =
-    (match own with Some o -> o.Summary.suspends <- true | None -> ());
+    (match own with Some o -> o.suspends <- true | None -> ());
     match held i with
     | [] -> ()
     | held_here ->
@@ -235,10 +256,10 @@ let walk p sums (fc : Growth.file_ctx) (fn : Growth.fn) ~(own : Summary.t option
    reads the recorded calls only, never a body. *)
 let rec settle walked =
   let changed = ref false in
-  let rec flow (o : Summary.t) = function
+  let rec flow o = function
     | [] -> ()
     | { callee; _ } :: calls ->
-      let acquires = Summary.union o.acquires callee.acquires in
+      let acquires = union o.acquires callee.acquires in
       if (callee.suspends && not o.suspends) || acquires != o.acquires then begin
         o.suspends <- o.suspends || callee.suspends;
         o.acquires <- acquires;
@@ -261,11 +282,8 @@ let analyze p =
         (fun (fn : Growth.fn) ->
           match fn.Growth.g_shape with
           | Growth.Fun _ ->
-            let s =
-              Summary.create ~qname:fn.Growth.g_qname ~file:fc.Growth.fc_path
-                ~line:fn.Growth.g_line
-            in
-            if not (Hashtbl.mem sums s.Summary.qname) then Hashtbl.add sums s.Summary.qname s;
+            let s = { qname = fn.Growth.g_qname; suspends = false; acquires = [] } in
+            if not (Hashtbl.mem sums s.qname) then Hashtbl.add sums s.qname s;
             summaries := (fc, fn, s) :: !summaries
           | Growth.Value -> units := (fc, fn) :: !units
           | Growth.Other -> ())
@@ -296,16 +314,16 @@ let analyze p =
       List.iter
         (fun { callee; c_line = line; c_held = held } ->
           List.iter
-            (fun h -> List.iter (fun acq -> add_lock_edge w.w_path h acq line) callee.Summary.acquires)
+            (fun h -> List.iter (fun acq -> add_lock_edge w.w_path h acq line) callee.acquires)
             held;
-          if callee.Summary.suspends && held <> [] then
+          if callee.suspends && held <> [] then
             emit
               (lock_across_call w.w_path line
                  (Printf.sprintf
                     "call to %s while holding %s: the callee (transitively) suspends on an \
                      event, so one slow firer blocks every contender on the lock (the \
                      RethinkDB hazard, paper §2, across a call boundary)"
-                    callee.Summary.qname (held_names held))))
+                    callee.qname (held_names held))))
         w.w_calls)
     walked;
   (* lock-order cycles *)

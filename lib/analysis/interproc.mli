@@ -1,9 +1,9 @@
 (** Front end 3: whole-project interprocedural lock analysis.
 
-    Runs over the whole {!Growth.project}, builds a {!Summary.t} per
-    top-level function (including the [and] halves of [let rec]:
-    suspends, acquires mutexes) and resolves calls through the project's
-    name tables ({!Growth.resolve_at}). Each body is walked once: the
+    Runs over the whole {!Growth.project}, builds its own summary per
+    top-level function (including the [and] halves of [let rec]: does
+    it suspend, which mutexes it acquires) and resolves calls through
+    the project's name tables ({!Growth.resolve_at}). Each body is walked once: the
     walk settles the function's own facts and every finding that needs
     no callee, and records its resolved calls in token order (callee,
     line, locks held). The summaries then reach their fixpoint over

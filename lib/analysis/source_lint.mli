@@ -83,7 +83,7 @@ val lock_regions :
     ...)] body, a [with_lock sched mu @@ fun ...] tail up to [hi - 1],
     and a [lock sched mu] .. [unlock mu] span (unclosed: to [hi - 1]).
     [mutex] is the lock's name when it is written as a plain name. The
-    {!Interproc} and {!Effects} share this scanner. *)
+    {!Interproc} and {!Domains} share this scanner. *)
 
 val tuple_components : Lexer.token array -> int array -> int -> string option list option
 (** Head names of the components of a literal tuple [(e1, e2, ...)]

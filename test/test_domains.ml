@@ -1,12 +1,10 @@
 (* Tests for the depfast-domains pass: each verdict class has a clean
-   fixture and a broken (or pragma'd) twin, the interprocedural effect
-   fixpoint is exercised through a callee-only write, and regressions pin
-   the real tree's inventory. *)
+   fixture and a broken (or pragma'd) twin, and regressions pin the real
+   tree's inventory. *)
 
 module F = Analysis.Finding
 module D = Analysis.Domains
 module G = Analysis.Growth
-module Ef = Analysis.Effects
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -121,26 +119,6 @@ let test_unsafe_pragma_allowed () =
   check_rules "nothing gates" [] (rules (F.gating ~strict:true fs))
 
 (* ------------------------------------------------------------------ *)
-(* the effect fixpoint: dom_unsafe_bad's [add] never writes the cell
-   directly — the write flows up from [raw_add] through the call graph *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let test_interproc_write_propagates () =
-  let path = fixture "dom_unsafe_bad.ml" in
-  let eff = Ef.compute (G.load [ (path, read_file path) ]) in
-  match Ef.fn_summary eff "Dom_unsafe_bad.add" with
-  | None -> Alcotest.fail "no summary for Dom_unsafe_bad.add"
-  | Some s ->
-    check_bool "callee write visible in the caller's closed footprint" true
-      (List.mem "Dom_unsafe_bad.total" s.Analysis.Summary.writes)
-
-(* ------------------------------------------------------------------ *)
 (* the real tree: inventory counts pinned, every unsafe-shared verdict
    pragma'd, and the key cells carry the expected verdicts *)
 
@@ -152,44 +130,10 @@ let tree () =
 let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
-  | Some (fs, certs, footprints) ->
-    (* one certificate per top-level mutable cell and mutable field in lib/;
-       205 since the static passes share one quorum model: [Interproc]'s
-       quorum cell and its [q_adds] and [q_unknown] went (the quorum
-       records of [Growth.scan] are immutable);
-       207 since a reset keeps the scheduler's contexts and the sanitizer's
-       coroutine shadows: [Sched] keeps a registry of every context it
-       built ([built], [n_built]), and a shadow is re-initialised in place
-       ([c_node], [c_name]) under the sanitizer's run stamp ([c_run],
-       [run]);
-       201 since the baselines run DepFastRaft's server state ([Replica]):
-       the applier's reply cursor ([replies], [next_reply]) came, and the
-       fields the baselines' own record repeated now have one declaration;
-       199 since a waited charge parks its coroutine in the station: the
-       station keeps each job's wake with it, in the slot ([s_wake]) and
-       in the waiting ring ([q_wake]);
-       197 since a top-level record literal counts as a cell only when a
-       record type with a mutable field has all of its own labels: the 11
-       [Registry] scenario literals and [Rlog.dummy] (whose labels only
-       share names with mutable fields of other types) dropped out, and
-       the explorer's [st_world] and [Group]'s [clients] came with the
-       world a run state keeps;
-       207 since finished coroutine contexts are pooled and a basic event
-       shares its compound-only fields: [Sched]'s context restamps its
-       [cid], [node], [name], [tag] and [body], the scheduler keeps its
-       pool ([free], [n_free]) and per-node tags ([node_tags]), [Event]
-       has its shared [no_kids] record, and the 8 [Registry] scenarios
-       whose literals carry a [name] field count as records with a
-       mutable field now that the context's [name] is one;
-       190 since owned timers re-arm one entry: [Wheel]'s entry gained
-       [time], [prev] and [key] (which replaced [level]), [Engine] its
-       [running] seq and explore mode's [ex_seqs], [Station]'s slot its
-       [s_timer], [Net]'s link its [timer], and [Sched]'s context set its
-       [resume_ready], [fire_wake] and [timeout_wake] after it is built;
-       181 since [Wheel]'s entry [value] (a cancel overwrites it),
-       [Memory.load]'s [penalty] (the station reads it unboxed) and [Kv]'s
-       open-addressing store ([keys], [vals], [n_keys]) *)
-    check_int "every top-level mutable cell carries a certificate" 205
+  | Some (fs, certs, ()) ->
+    (* one certificate per top-level mutable cell and per mutable field
+       name declared in lib/ (same-named fields share one cell) *)
+    check_int "every top-level mutable cell carries a certificate" 204
       (List.length certs);
     let flagged = List.filter (fun c -> c.G.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the two seeded fixture cells unsafe"
@@ -197,9 +141,7 @@ let test_tree_inventory_pinned () =
       (List.sort compare (List.map (fun c -> c.G.c_site) flagged));
     check_bool "both acknowledged by pragma" true (List.for_all (fun f -> f.F.allowed) fs);
     check_rules "zero unallowed unsafe-shared verdicts" []
-      (rules (F.gating ~strict:true fs));
-    check_bool "every file has a footprint row" true
-      (List.length footprints > 60)
+      (rules (F.gating ~strict:true fs))
 
 let test_tree_key_verdicts () =
   match tree () with
@@ -233,8 +175,6 @@ let suite =
         Alcotest.test_case "bare shared ref is an error" `Quick test_unsafe_flagged_error;
         Alcotest.test_case "pragma acknowledges without gating" `Quick
           test_unsafe_pragma_allowed;
-        Alcotest.test_case "write propagates through callees" `Quick
-          test_interproc_write_propagates;
       ] );
     ( "domains.tree",
       [
