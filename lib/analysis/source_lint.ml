@@ -271,13 +271,15 @@ let lint_string ?(path = "<string>") src = check_pragmas ~path (Lexer.pragmas sr
 
 let lint_file path = lint_string ~path (read_source path)
 
+(* dot entries are skipped like [_build]: dune builds no source there, and
+   its [.objs] directories change under a walk while a build runs *)
 let ml_files roots =
   let rec walk acc path =
     if Sys.is_directory path then
       Sys.readdir path |> Array.to_list |> List.sort compare
       |> List.fold_left
            (fun acc entry ->
-             if entry = "_build" || entry = ".git" then acc
+             if entry = "_build" || entry.[0] = '.' then acc
              else walk acc (Filename.concat path entry))
            acc
     else if Filename.check_suffix path ".ml" && not (Filename.check_suffix path ".pp.ml") then

@@ -55,4 +55,4 @@ let cpu_work t work =
        wait: every cpu-slow exposure in the tree is seeded here *)
     Depfast.Sched.wait t.sched (Depfast.Event.signal ~label:"dead" ())
 let cpu_charge t work = Station.charge t.cpu ~work
-let spawn t ?name f = Depfast.Sched.spawn t.sched ~node:t.id ?name f
+let spawn t ?name f = Depfast.Sched.spawn_on t.sched ~node:t.id ?name f

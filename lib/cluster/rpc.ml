@@ -3,18 +3,19 @@ type ('req, 'resp) frame =
   | Resp of { id : int; body : 'resp }
   | Vacant  (* an empty ring slot of the network; never sent *)
 
+(* A call is live until it is responded or abandoned; while live it is in
+   [calls], and [src] is charged [bytes]. *)
 type 'resp call = {
   id : int;
   ev : Depfast.Event.t;
   mutable resp : 'resp option;
-  mutable done_ : bool;  (* responded or abandoned: buffer released *)
-  src : Node.t;  (* charged [bytes] until [done_] *)
+  src : Node.t;
   bytes : int;
   book : 'resp book;  (* the rpc's, shared by its calls *)
 }
 
 and 'resp book = {
-  calls : (int, 'resp call) Hashtbl.t;  (* by id, until [done_] *)
+  calls : (int, 'resp call) Hashtbl.t;  (* the live calls, by id *)
   outstanding : (int, int) Hashtbl.t;  (* node id -> bytes charged *)
 }
 
@@ -74,16 +75,19 @@ let set_net_sanitizer t f = Net.set_sanitizer t.net f
 let charge outstanding node bytes =
   Hashtbl.replace outstanding node (charged outstanding node + bytes)
 
+(* [c] itself, not a call of an earlier run that had its id *)
+let live (c : _ call) = match Hashtbl.find c.book.calls c.id with d -> d == c | exception Not_found -> false
+
 (* the call is over (responded or abandoned): drop its entry and free its
    buffer, once *)
-let finish c =
-  c.done_ <- true;
+let finish (c : _ call) =
   Hashtbl.remove c.book.calls c.id;
   Memory.free (Node.memory c.src) c.bytes;
   charge c.book.outstanding (Node.id c.src) (-c.bytes)
 
 (* a reply to an id no call holds: each id is answered at most once, so
-   its call was abandoned before the reply came *)
+   its call was abandoned before the reply came; or to a call whose event
+   alone was abandoned *)
 let discard t = t.discarded <- t.discarded + 1
 
 let handle_frame t me ~src frame =
@@ -101,9 +105,12 @@ let handle_frame t me ~src frame =
     match Hashtbl.find t.book.calls id with
     | exception Not_found -> discard t
     | call ->
-      call.resp <- Some body;
       finish call;
-      Depfast.Event.fire call.ev)
+      if Depfast.Event.is_abandoned call.ev then discard t
+      else begin
+        call.resp <- Some body;
+        Depfast.Event.fire call.ev
+      end)
   | Vacant -> ()
 
 let attach t node =
@@ -129,17 +136,20 @@ let call t ~src ~dst ?bytes body =
   let ev =
     Depfast.Event.rpc_completion ?label:(label_of dst) ~peer:dst ()
   in
-  let c = { id; ev; resp = None; done_ = false; src; bytes; book = t.book } in
+  let c = { id; ev; resp = None; src; bytes; book = t.book } in
   Hashtbl.replace t.book.calls id c;
-  (* abandoning the event (enclosing quorum satisfied, [abandon]) frees the call *)
-  Depfast.Event.on_abandon ev (fun () -> if not c.done_ then finish c);
   Net.send t.net ~units:bytes ~src:src_id ~dst (Req { id; body });
   c
 
 let id c = c.id
 let event c = c.ev
 let response c = c.resp
-let abandon c = Depfast.Event.abandon c.ev
+(* the buffer is freed before the event's abandon observers run *)
+let abandon c =
+  if live c then begin
+    finish c;
+    Depfast.Event.abandon c.ev
+  end
 
 (* a finished call has left [calls] *)
 let abandon_id t id =
@@ -150,6 +160,5 @@ let broadcast t ~src ~dsts ~arity ?bytes ?(label = "broadcast") body =
   let calls = List.map (fun dst -> call t ~src ~dst ?bytes body) dsts in
   List.iter (fun c -> Depfast.Event.add q ~child:c.ev) calls;
   if t.discard_stragglers then
-    Depfast.Event.on_fire q (fun () ->
-        List.iter (fun c -> if not c.done_ then abandon c) calls);
+    Depfast.Event.on_fire q (fun () -> List.iter abandon calls);
   (q, calls)

@@ -55,7 +55,17 @@ val response : 'resp call -> 'resp option
 
 val abandon : 'resp call -> unit
 (** Give up on the call: its buffer is freed and the rpc forgets it, so
-    a late response is dropped and counted by {!discarded_responses}. *)
+    a late response is dropped and counted by {!discarded_responses};
+    then its event is abandoned, whose observers thus run after the
+    free. A call that is over (answered or abandoned) frees nothing
+    more.
+
+    Three things free a call early: [abandon], {!abandon_id} and
+    {!broadcast}'s straggler discard, which both go through [abandon].
+    Abandoning the call's {!event} directly ([Depfast.Event.abandon],
+    also through an enclosing compound) does not: the buffer stays
+    charged until the response arrives, and that response is then
+    dropped and counted like a late one. *)
 
 val abandon_id : ('req, 'resp) t -> int -> unit
 (** {!abandon} the call with this {!id}, if it is not finished yet

@@ -137,7 +137,8 @@ val abandon : t -> unit
     abandoned event is a silent no-op. *)
 
 val on_abandon : t -> (unit -> unit) -> unit
-(** Framework hook: e.g. the RPC layer discards buffered messages for a
-    slow replica when the enclosing broadcast is abandoned (§2.3). *)
+(** Framework hook: e.g. a Raft sender settles its in-flight count when
+    the RPC layer abandons a call that timed out (§2.3); the RPC layer
+    frees the call's buffer before it abandons the event. *)
 
 val is_abandoned : t -> bool

@@ -306,7 +306,9 @@ let tag_of t node =
     t.node_tags.(node)
   end
 
-let spawn t ?(node = -1) ?(name = "coroutine") f =
+(* the one spawn path; the node tag is passed bare, so a spawn boxes no
+   option for it *)
+let spawn_on t ~node ?(name = "coroutine") f =
   if t.coro_handler == no_handler then t.coro_handler <- make_handler t;
   t.next_cid <- t.next_cid + 1;
   let ctx = take_ctx t in
@@ -318,10 +320,13 @@ let spawn t ?(node = -1) ?(name = "coroutine") f =
   (match t.monitor with Some m -> m.on_spawn ~cid:ctx.cid ~node ~name | None -> ());
   Engine.post_tag t.engine ctx.tag ctx.resume_ready
 
+let spawn t ?(node = -1) ?name f = spawn_on t ~node ?name f
+
 let spawn_here t ?name f =
   let node = current_node t in
-  let name = match name with Some n -> n | None -> current_coroutine t ^ "/child" in
-  spawn t ~node ~name f
+  match name with
+  | Some _ -> spawn_on t ~node ?name f
+  | None -> spawn_on t ~node ~name:(current_coroutine t ^ "/child") f
 
 (* fill the running coroutine's slot, then suspend on it *)
 let park_current t ev span =

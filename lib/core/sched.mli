@@ -51,6 +51,10 @@ val spawn : t -> ?node:int -> ?name:string -> (unit -> unit) -> unit
     The body runs when the engine next dispatches; exceptions escaping the
     body abort the simulation. *)
 
+val spawn_on : t -> node:int -> ?name:string -> (unit -> unit) -> unit
+(** {!spawn} with the node tag passed bare, so that a spawn on a node
+    boxes no option for it; {!spawn} itself goes through here. *)
+
 val spawn_here : t -> ?name:string -> (unit -> unit) -> unit
 (** Spawn inheriting the calling coroutine's node tag. Must be called from
     inside a coroutine. *)

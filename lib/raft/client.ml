@@ -52,55 +52,55 @@ let target t =
    A shed reply (bounded admission) is terminal: the leader told us it is
    overloaded, and hammering it with an immediate retry — or spraying the
    same command at followers that would only redirect back — feeds the
-   overload the shed exists to relieve. Fail fast; the caller decides. *)
+   overload the shed exists to relieve. Fail fast; the caller decides.
+   Attempt [k] of command [seq]; top-level, so an op builds no closure. *)
+let rec attempt t cmd seq k =
+  let max_attempts = 8 in
+  if k >= max_attempts then Failed
+  else begin
+    let dst = target t in
+    let call =
+      Cluster.Rpc.call t.rpc ~src:t.node ~dst
+        (Client_request { cmd; client_id = t.client_id; seq })
+    in
+    (* per-attempt budget: a leader that cannot answer within two RPC
+       timeouts has likely crashed or lost its quorum; retrying elsewhere
+       is safe because the sequence number deduplicates *)
+    match
+      (* the Figure-2 exemption: a client waits on the leader it is
+         talking to; bounded by the timeout and retried against another
+         node, mirroring Spg.audit's ~allow *)
+      Depfast.Sched.wait_timeout t.sched (Cluster.Rpc.event call)
+        (2 * t.cfg.Config.rpc_timeout)
+    with
+    | Depfast.Sched.Timed_out ->
+      Cluster.Rpc.abandon call;
+      t.leader_hint <- None;
+      attempt t cmd seq (k + 1)
+    | Depfast.Sched.Ready -> (
+      match Cluster.Rpc.response call with
+      | Some (Client_resp { ok = true; leader_hint; value; _ }) ->
+        t.leader_hint <- leader_hint;
+        Committed value
+      | Some (Client_resp { shed = true; leader_hint; _ }) ->
+        t.shed <- t.shed + 1;
+        t.leader_hint <- leader_hint;
+        Shed
+      | Some (Client_resp { ok = false; leader_hint; _ }) ->
+        (match leader_hint with
+        | Some h when h <> dst -> t.leader_hint <- leader_hint
+        | _ -> t.leader_hint <- None);
+        (* back off briefly before retrying (election may be in flight) *)
+        Depfast.Sched.sleep t.sched (Sim.Time.ms (5 * (k + 1)));
+        attempt t cmd seq (k + 1)
+      | Some _ | None ->
+        t.leader_hint <- None;
+        attempt t cmd seq (k + 1))
+  end
+
 let submit t cmd =
   t.seq <- t.seq + 1;
-  let seq = t.seq in
-  let max_attempts = 8 in
-  let rec attempt k =
-    if k >= max_attempts then Failed
-    else begin
-      let dst = target t in
-      let call =
-        Cluster.Rpc.call t.rpc ~src:t.node ~dst
-          (Client_request { cmd; client_id = t.client_id; seq })
-      in
-      (* per-attempt budget: a leader that cannot answer within two RPC
-         timeouts has likely crashed or lost its quorum; retrying elsewhere
-         is safe because the sequence number deduplicates *)
-      match
-        (* the Figure-2 exemption: a client waits on the leader it is
-           talking to; bounded by the timeout and retried against another
-           node, mirroring Spg.audit's ~allow *)
-        Depfast.Sched.wait_timeout t.sched (Cluster.Rpc.event call)
-          (2 * t.cfg.Config.rpc_timeout)
-      with
-      | Depfast.Sched.Timed_out ->
-        Cluster.Rpc.abandon call;
-        t.leader_hint <- None;
-        attempt (k + 1)
-      | Depfast.Sched.Ready -> (
-        match Cluster.Rpc.response call with
-        | Some (Client_resp { ok = true; leader_hint; value; _ }) ->
-          t.leader_hint <- leader_hint;
-          Committed value
-        | Some (Client_resp { shed = true; leader_hint; _ }) ->
-          t.shed <- t.shed + 1;
-          t.leader_hint <- leader_hint;
-          Shed
-        | Some (Client_resp { ok = false; leader_hint; _ }) ->
-          (match leader_hint with
-          | Some h when Some h <> Some dst -> t.leader_hint <- leader_hint
-          | _ -> t.leader_hint <- None);
-          (* back off briefly before retrying (election may be in flight) *)
-          Depfast.Sched.sleep t.sched (Sim.Time.ms (5 * (k + 1)));
-          attempt (k + 1)
-        | Some _ | None ->
-          t.leader_hint <- None;
-          attempt (k + 1))
-    end
-  in
-  attempt 0
+  attempt t cmd t.seq 0
 
 let command t cmd = match submit t cmd with Committed v -> Some v | Shed | Failed -> None
 

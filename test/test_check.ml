@@ -528,10 +528,13 @@ let test_walker_skips_generated () =
     close_out (open_out p);
     p
   in
-  let made = List.map touch [ "b.ml"; "a/x.ml"; "_build/y.ml"; ".git/z.ml"; "c.pp.ml"; "d.mli" ] in
+  let made =
+    List.map touch
+      [ "b.ml"; "a/x.ml"; "_build/y.ml"; ".git/z.ml"; ".objs/w.ml"; "c.pp.ml"; "d.mli" ]
+  in
   let found = Analysis.Source_lint.ml_files [ dir ] in
   List.iter Sys.remove made;
-  List.iter (fun d -> Sys.rmdir (Filename.concat dir d)) [ "a"; "_build"; ".git" ];
+  List.iter (fun d -> Sys.rmdir (Filename.concat dir d)) [ "a"; "_build"; ".git"; ".objs" ];
   Sys.rmdir dir;
   Alcotest.(check (list string)) "sources only, in sorted walk order"
     [ Filename.concat dir "a/x.ml"; Filename.concat dir "b.ml" ]

@@ -598,6 +598,38 @@ let test_rpc_abandon_releases () =
       | Depfast.Sched.Ready -> Alcotest.fail "unexpected reply");
   Depfast.Sched.run s
 
+(* The abandon contract: [abandon] frees a live call's buffer before the
+   event's abandon observers run, and frees nothing on a call that is
+   over; abandoning the event alone frees the buffer only when the
+   response comes, which is then discarded. *)
+let test_rpc_abandon_contract () =
+  let s, rpc, a, b = rpc_pair () in
+  Cluster.Rpc.serve rpc ~node:b ~handler:(fun ~src:_ req -> Some req);
+  let baseline = Cluster.Memory.used (Cluster.Node.memory a) in
+  let answered = Cluster.Rpc.call rpc ~src:a ~dst:1 "x" in
+  Depfast.Sched.run s;
+  Cluster.Rpc.abandon answered;
+  Cluster.Rpc.abandon answered;
+  check_int "an answered call's abandon frees nothing more" 0
+    (Cluster.Rpc.outstanding_bytes rpc ~node:0);
+  check_int "memory back to the baseline" baseline (Cluster.Memory.used (Cluster.Node.memory a));
+  Alcotest.(check (option string)) "its reply kept" (Some "x") (Cluster.Rpc.response answered);
+  let late = Cluster.Rpc.call rpc ~src:a ~dst:1 "y" in
+  Depfast.Event.abandon (Cluster.Rpc.event late);
+  check_int "the event's abandon frees nothing" 512 (Cluster.Rpc.outstanding_bytes rpc ~node:0);
+  Depfast.Sched.run s;
+  check_int "its response frees it" 0 (Cluster.Rpc.outstanding_bytes rpc ~node:0);
+  check_int "and is discarded" 1 (Cluster.Rpc.discarded_responses rpc);
+  Alcotest.(check (option string)) "no reply kept" None (Cluster.Rpc.response late);
+  Cluster.Node.crash b;
+  let pending = Cluster.Rpc.call rpc ~src:a ~dst:1 "z" in
+  let seen = ref (-1) in
+  Depfast.Event.on_abandon (Cluster.Rpc.event pending) (fun () ->
+      seen := Cluster.Rpc.outstanding_bytes rpc ~node:0);
+  Cluster.Rpc.abandon pending;
+  check_int "freed before the observers run" 0 !seen;
+  Depfast.Sched.run s
+
 (* [abandon_id] abandons an unfinished call and leaves a finished one
    (answered, or abandoned already) as it is *)
 let test_rpc_abandon_id () =
@@ -639,6 +671,66 @@ let test_rpc_abandon_forgets () =
   Gc.full_major ();
   check_bool "abandoned call's event unreachable" true (Weak.get weak 0 = None);
   check_int "no reply, nothing discarded" 0 (Cluster.Rpc.discarded_responses rpc)
+
+(* Allocation pin: a warm call with its reply allocates its two frames,
+   the reply's options, the call's event and record, the handler's spawn
+   closure and fire wake, the call table's bucket and the caller's
+   continuation; the abandon path and the handler's node tag add
+   nothing. One round read 56.0 minor words with an abandon observer and
+   its cons per call (7), a boxed node tag per spawn (2) and the call's
+   [done_] flag (1), and 46.0 without; the ceiling sits between. *)
+let rpc_roundtrip_words () =
+  let s, rpc, a, b = rpc_pair () in
+  Cluster.Rpc.serve rpc ~node:b ~handler:(fun ~src:_ req -> Some req);
+  let round () =
+    let call = Cluster.Rpc.call rpc ~src:a ~dst:1 "x" in
+    Depfast.Sched.wait s (Cluster.Rpc.event call)
+  in
+  let n = 1_000 in
+  let words = ref 0.0 in
+  Depfast.Sched.spawn s ~node:0 (fun () ->
+      (* builds the handler's context and the links' rings: one-offs *)
+      round ();
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        round ()
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  Depfast.Sched.run s;
+  !words
+
+let test_rpc_roundtrip_alloc () =
+  let words = rpc_roundtrip_words () in
+  if words > 50.0 then
+    Alcotest.failf "rpc round trip: %.2f minor words > ceiling 50 (per-call bookkeeping?)" words
+
+(* Allocation pin: a spawn on a node (an rpc handler's, per request)
+   costs what a spawn with a constant node tag does: 5 words, its fire
+   wake. Passing the node's id to [Sched.spawn]'s optional [?node] boxed
+   it, 2 words more per spawn. *)
+let spawn_words spawn =
+  let s = make_sched () in
+  let node = Cluster.Node.create s ~id:0 ~name:"n0" () in
+  let body () = () in
+  (* builds the context: a one-off *)
+  spawn s node body;
+  Depfast.Sched.run s;
+  let n = 1_000 in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    spawn s node body;
+    Depfast.Sched.run s
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_node_spawn_alloc () =
+  let on_node = spawn_words (fun _ node f -> Cluster.Node.spawn node f) in
+  let tagged = spawn_words (fun s _ f -> Depfast.Sched.spawn s ~node:0 f) in
+  if Float.abs (on_node -. tagged) > 0.01 then
+    Alcotest.failf "Node.spawn: %.2f words, a constant-tag spawn %.2f (an option box?)" on_node
+      tagged
 
 let test_rpc_broadcast_quorum_and_discard () =
   let s = make_sched () in
@@ -794,6 +886,10 @@ let suite =
         Alcotest.test_case "abandon releases" `Quick test_rpc_abandon_releases;
         Alcotest.test_case "abandon forgets the call" `Quick test_rpc_abandon_forgets;
         Alcotest.test_case "abandon by id spares finished calls" `Quick test_rpc_abandon_id;
+        Alcotest.test_case "abandon frees a live call once" `Quick test_rpc_abandon_contract;
+        Alcotest.test_case "an rpc round trip allocates its messages, its event and its record"
+          `Quick test_rpc_roundtrip_alloc;
+        Alcotest.test_case "a Node.spawn allocates no option box" `Quick test_node_spawn_alloc;
         Alcotest.test_case "broadcast quorum + discard" `Quick test_rpc_broadcast_quorum_and_discard;
       ] );
     ( "cluster.fault",
