@@ -204,21 +204,25 @@ let add parent ~child =
   if child.state land ready_bit <> 0 then parent.state <- parent.state + one_ready;
   check_compound parent
 
-let take_waiter t f =
-  match t.fire_obs with
-  | [] when t.state land ready_bit = 0 && t.waiter == no_waiter ->
-    t.waiter <- f;
-    true
-  | _ -> false
-
-let drop_waiter t f = if t.waiter == f then t.waiter <- no_waiter
-
 let on_fire t f =
   if t.state land ready_bit <> 0 then f ()
-  else if not (take_waiter t f) then
-    (* depfast-lint: allow unbounded-growth — observers run and are freed at
-       the fire; the list is bounded by registrations on one live event *)
-    t.fire_obs <- f :: t.fire_obs
+  else if t.waiter == no_waiter && t.fire_obs == [] then t.waiter <- f
+  else t.fire_obs <- f :: t.fire_obs
+
+(* [l] without its first [f], physically [l] when [f] is absent: a drop
+   copies only the prefix before [f], and [Sched.reset] drops them all *)
+let rec without f = function
+  | [] -> []
+  | g :: tl as l ->
+    if g == f then tl
+    else
+      let tl' = without f tl in
+      if tl' == tl then l else g :: tl'
+
+let drop_waiter t f =
+  if t.waiter == f then t.waiter <- no_waiter else t.fire_obs <- without f t.fire_obs
+
+let rearm t = t.state <- t.state land lnot ready_bit
 
 let live_mask = ready_bit lor abandoned_bit
 

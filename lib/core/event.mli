@@ -123,13 +123,17 @@ val on_fire : t -> (unit -> unit) -> unit
     order; the first one registered takes the event's waiter slot, so it
     costs no allocation. *)
 
-val take_waiter : t -> (unit -> unit) -> bool
-(** {!on_fire} if [f] can take the waiter slot ([t] pending, no observer
-    registered); [false], registering nothing, otherwise. The scheduler
-    parks a coroutine's once-built wake here and drops it on timeout. *)
-
 val drop_waiter : t -> (unit -> unit) -> unit
-(** Free the waiter slot if it holds [f] (physically). *)
+(** Unregister the fire observer [f] (compared physically), from the
+    waiter slot or the observer list; a no-op if [f] is not registered.
+    The scheduler parks a coroutine's once-built wake with {!on_fire} and
+    drops it when the wait times out or the scheduler resets, so the
+    event keeps nothing of a park that ended without its fire. *)
+
+val rearm : t -> unit
+(** Make a fired basic event pending again, for an owner that knows no
+    one else holds it ({!Condvar.broadcast}'s unlent event): its observers
+    ran and went at the fire, so it is as {!signal} made it, its id kept. *)
 
 val abandon : t -> unit
 (** Mark the event as no longer awaited (quorum satisfied elsewhere or wait

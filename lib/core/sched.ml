@@ -25,19 +25,17 @@ type outcome = Ready | Timed_out
    at [reset], and a later [spawn] restamps it (cid, node, name, tag,
    body), keeping its wakes and its timer: the wakes guard against stale
    calls as below, so a reused context's park ignores everything an
-   earlier coroutine's parks left behind. The fire wake parks in the
-   event's waiter slot when that is free; a timeout drops it from there,
-   so the slot never holds a stale wake. Otherwise a park registers a
-   closure stamped with [park_gen], which counts ended parks: a park's
-   closures carry its value and the first wakeup to run bumps it, so a
-   later one (the fire of an event an earlier park timed out on) is a
-   no-op. The timeout wake acts only for the current arm of a park still
-   timed ([park_span] is reset when a park ends), so the loser of fire vs
-   timeout, or a timeout explore mode hoisted before the fire re-parked
-   the coroutine, is a no-op. [park_gen] is never reset, so this holds
-   across reuse too, and a fire wake acts only while it is its context's
-   own: [reset] replaces it, so no wake handed out before resumes the
-   reused context. The wakes close over the context, so [take_ctx] sets
+   earlier coroutine's parks left behind. The fire wake is the park's
+   fire observer: in the event's waiter slot when that is free, else
+   consed onto its observer list. A timeout or [reset] drops it from
+   either, so no event holds a stale wake and a later fire of an event a
+   park timed out on resumes nothing. The timeout wake acts only for the
+   current arm of a park still timed ([park_span] is reset when a park
+   ends), so the loser of fire vs timeout, or a timeout explore mode
+   hoisted before the fire re-parked the coroutine, is a no-op. A fire
+   wake acts only while it is its context's own: [reset] replaces it, so
+   no wake handed out before (a [held] park's) resumes the reused
+   context. The wakes close over the context, so [take_ctx] sets
    them on the record it built: a [let rec] would allocate the record
    twice. A sleep or a yield parks on the never-fired [napping] event,
    and the context's own [resume_ready] ends it, posted at once or armed
@@ -57,7 +55,6 @@ type ctx = {
   mutable park_start : Time.t;
   mutable park_k : (outcome, unit) Effect.Deep.continuation;
   mutable park_timer : Engine.timer;  (* [Engine.unarmed] until the first timed park *)
-  mutable park_gen : int;
 }
 
 type t = {
@@ -93,7 +90,7 @@ let no_wake () = ()
 let make_ctx () =
   { cid = 0; node = -1; name = ""; tag = Engine.Anon; body = no_body; resume_ready = ignore;
     fire_wake = no_wake; timeout_wake = ignore; park_ev = Event.dummy; park_span = -1;
-    park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed; park_gen = 0 }
+    park_start = Time.zero; park_k = no_k; park_timer = Engine.unarmed }
 
 let no_ctx = make_ctx ()
 let held = -2
@@ -158,7 +155,6 @@ let resume_ready t ctx =
 
 (* the park's event fired: end the park and post the resume *)
 let fired t ctx =
-  ctx.park_gen <- ctx.park_gen + 1;
   if ctx.park_span >= 0 then begin
     ctx.park_span <- -1;
     Engine.cancel t.engine ctx.park_timer
@@ -172,7 +168,6 @@ let fired t ctx =
 let timed_out t ctx =
   if ctx.park_span >= 0 && Engine.is_firing t.engine ctx.park_timer then begin
     ctx.park_span <- -1;
-    ctx.park_gen <- ctx.park_gen + 1;
     Event.drop_waiter ctx.park_ev ctx.fire_wake;
     (match t.monitor with
     | Some m ->
@@ -183,10 +178,10 @@ let timed_out t ctx =
     resume t ctx ctx.park_k Timed_out
   end
 
-(* a park allocates only when the event's waiter slot is taken (a
-   generation-stamped fire closure) and at a coroutine's first timed park
-   (its timer entry). A nap posts, or arms the owned timer with, the
-   context's own wake *)
+(* a park allocates only when the event's waiter slot is taken (the cons
+   of its fire wake) and at a coroutine's first timed park (its timer
+   entry). A nap posts, or arms the owned timer with, the context's own
+   wake *)
 let park t ctx k =
   ctx.park_start <- now t;
   if ctx.park_ev == napping then begin
@@ -206,9 +201,7 @@ let park t ctx k =
     | Some m -> m.on_park ~cid:ctx.cid ~node:ctx.node ~name:ctx.name ctx.park_ev
     | None -> ());
     ctx.park_k <- k;
-    let gen = ctx.park_gen in
-    if ctx.park_span <> held && not (Event.take_waiter ctx.park_ev ctx.fire_wake) then
-      Event.on_fire ctx.park_ev (fun () -> if ctx.park_gen = gen then fired t ctx);
+    if ctx.park_span <> held then Event.on_fire ctx.park_ev ctx.fire_wake;
     if ctx.park_span >= 0 then
       ctx.park_timer <-
         Engine.reschedule t.engine ctx.park_timer ~delay:ctx.park_span ctx.tag ctx.timeout_wake
@@ -244,9 +237,9 @@ let create ?trace engine =
   { engine; trace_rec; current = no_ctx; next_cid = 0; monitor = None; coro_handler = no_handler;
     free = [||]; n_free = 0; built = [||]; n_built = 0; node_tags = [||] }
 
-(* every context back to the pool, with nothing of its coroutine: the
-   bumped [park_gen] fences its stamped closures, its next timed park arms
-   a fresh timer, and the engine's reset took its posted resume *)
+(* every context back to the pool, with nothing of its coroutine: its
+   fire wake leaves the event it parked on, its next timed park arms a
+   fresh timer, and the engine's reset took its posted resume *)
 let reset t =
   t.current <- no_ctx;
   t.next_cid <- 0;
@@ -255,7 +248,6 @@ let reset t =
   for i = 0 to t.n_built - 1 do
     let ctx = t.built.(i) in
     Event.drop_waiter ctx.park_ev ctx.fire_wake;
-    ctx.park_gen <- ctx.park_gen + 1;
     ctx.fire_wake <- no_wake;
     ctx.name <- "";
     ctx.body <- no_body;

@@ -372,17 +372,13 @@ let send_append t fs =
            commit = t.commit_index;
          })
   in
-  let settled = ref false in
-  let settle () =
-    if not !settled then begin
-      settled := true;
-      fs.inflight <- fs.inflight - 1
-    end
-  in
-  Depfast.Event.on_fire (Cluster.Rpc.event call) (fun () ->
-      settle ();
+  (* a call settles once: its event's fire and its abandon exclude each
+     other, so each observer frees the window slot itself *)
+  let ev = Cluster.Rpc.event call in
+  Depfast.Event.on_fire ev (fun () ->
+      fs.inflight <- fs.inflight - 1;
       handle_append_resp t fs call);
-  Depfast.Event.on_abandon (Cluster.Rpc.event call) (fun () -> settle ());
+  Depfast.Event.on_abandon ev (fun () -> fs.inflight <- fs.inflight - 1);
   (* bound the wait for this response; late replies are discarded. The
      timer holds the call's id, not the call, so an answered call's event
      and entries are garbage before the timer comes due *)

@@ -152,6 +152,55 @@ let test_abandon () =
   Event.fire slow;
   check_bool "no late fire" false (Event.is_ready slow)
 
+(* a basic event settles once: its fire and its abandon exclude each
+   other, in either order and through a compound's abandon too, so an
+   observer of each may settle the same counter without a flag (the Raft
+   sender's in-flight window relies on it) *)
+let test_fire_abandon_exclusive () =
+  let settle_both ev =
+    let inflight = ref 1 in
+    Event.on_fire ev (fun () -> decr inflight);
+    Event.on_abandon ev (fun () -> decr inflight);
+    inflight
+  in
+  let fired = Event.rpc_completion ~peer:1 () in
+  let n = settle_both fired in
+  Event.fire fired;
+  Event.abandon fired;
+  check_int "fire, then abandon: settled once" 0 !n;
+  check_bool "a fired event is not abandoned" false (Event.is_abandoned fired);
+  let dropped = Event.rpc_completion ~peer:1 () in
+  let n = settle_both dropped in
+  Event.abandon dropped;
+  Event.fire dropped;
+  check_int "abandon, then fire: settled once" 0 !n;
+  check_bool "an abandoned event does not fire" false (Event.is_ready dropped);
+  (* a still-pending quorum given up on: its fired child stays fired *)
+  let q = Event.quorum (Event.Count 2) in
+  let quick = Event.rpc_completion ~peer:1 () and slow = Event.rpc_completion ~peer:2 () in
+  let nq = settle_both quick and ns = settle_both slow in
+  Event.add q ~child:quick;
+  Event.add q ~child:slow;
+  Event.fire quick;
+  Event.abandon q;
+  Event.fire slow;
+  check_int "the fired child settled once" 0 !nq;
+  check_bool "the straggler was abandoned" true (Event.is_abandoned slow);
+  check_int "and settled once" 0 !ns
+
+(* a dropped fire observer does not run, whether it held the waiter slot
+   or sat in the list behind it; the rest run in registration order *)
+let test_drop_waiter () =
+  let ev = Event.signal () in
+  let ran = ref [] in
+  let obs = Array.init 4 (fun i () -> ran := i :: !ran) in
+  Array.iter (Event.on_fire ev) obs;
+  Event.drop_waiter ev obs.(0);
+  Event.drop_waiter ev obs.(2);
+  Event.drop_waiter ev ignore;
+  Event.fire ev;
+  Alcotest.(check (list int)) "the others, in order" [ 1; 3 ] (List.rev !ran)
+
 let test_abandon_shared_child_kept () =
   (* a child still awaited by another live parent must not be abandoned *)
   let shared = Event.rpc_completion ~peer:1 () in
@@ -414,6 +463,7 @@ let suite =
         Alcotest.test_case "a signal is 9 words" `Quick test_signal_words;
         Alcotest.test_case "children keep attachment order" `Quick test_children_order;
         Alcotest.test_case "observers keep registration order" `Quick test_observer_order;
+        Alcotest.test_case "dropped observers do not run" `Quick test_drop_waiter;
       ] );
     ( "event.compound",
       [
@@ -429,6 +479,8 @@ let suite =
       [
         Alcotest.test_case "abandon propagates" `Quick test_abandon;
         Alcotest.test_case "shared child kept" `Quick test_abandon_shared_child_kept;
+        Alcotest.test_case "fire and abandon exclude each other" `Quick
+          test_fire_abandon_exclusive;
       ] );
     ( "event.stallers",
       [

@@ -437,7 +437,7 @@ let test_audit_dedup_escape_hatch () =
 
 (* ------------------------------------------------------------------ *)
 (* the parking slot: one slot per coroutine, reused by every wait; a
-   wakeup stamped with an ended park's generation is a no-op *)
+   park that ends without its fire takes its wake off the event *)
 
 (* a monitor that logs every hook, in order *)
 let logging_monitor s =
@@ -474,7 +474,7 @@ let test_late_fire_after_timeout_other_event () =
 
 let test_late_fire_after_timeout_same_event () =
   (* a condvar generation that nobody broadcast is the same event on the
-     second wait: the first park's stale observer stays registered on it *)
+     second wait: the first park's timeout took its wake off it *)
   let s = make_sched () in
   let hooks = logging_monitor s in
   let cv = Condvar.create () in
@@ -556,8 +556,8 @@ let test_slot_repark_same_event () =
 
 let test_slot_fire_vs_hoisted_timeouts () =
   (* explore mode: the fire and two same-deadline timeouts are hoisted
-     into one choice set; one waiter holds the slot, the other a stamped
-     closure. Whatever the order, each resumes exactly once *)
+     into one choice set; one waiter's wake holds the slot, the other's
+     is consed behind it. Whatever the order, each resumes exactly once *)
   let run_with choose =
     let engine = Sim.Engine.create () in
     Sim.Engine.set_chooser engine choose;
@@ -624,9 +624,9 @@ let spawn_words s body =
 
 (* a first coroutine times out on [old_ev] and ends; a second one reuses
    its context and waits on [next]. The old event's late fire must not
-   resume it, whether the old park held the event's waiter slot (its
-   fire wake, dropped at the timeout) or, the slot being taken, a
-   generation-stamped closure the event still holds *)
+   resume it, whether the old park's fire wake held the event's waiter
+   slot or, the slot being taken, its observer list: the timeout dropped
+   it from either *)
 let test_pool_late_fire_after_reuse () =
   List.iter
     (fun slot_taken ->
@@ -721,8 +721,8 @@ let test_pool_reset_empties () =
   ignore (Sys.opaque_identity s)
 
 (* [reset] pools every context, parked ones too: one parked in its
-   event's waiter slot, one behind the taken slot of another event (a
-   generation-stamped closure that event keeps) and one whose charge a
+   event's waiter slot, one behind the taken slot of another event (its
+   fire wake consed onto that event's list) and one whose charge a
    station holds. Then the old events fire and the old held wake is
    called, before the new coroutines' own events: none of them resumes
    an old coroutine or a new one. The new coroutines reuse the three
@@ -902,6 +902,97 @@ let test_alloc_nap () =
       guard "sleep" (nap_words ~explore (fun s -> Sched.sleep s (Sim.Time.us 10))))
     [ false; true ]
 
+(* two waiters on one condvar: the first's wake takes the event's waiter
+   slot, the second's is consed behind it. Both time out, and the event
+   holds nothing of either, as bare as a fresh condvar's (a park once left
+   a generation-stamped closure there, which reached its context and the
+   scheduler, and an idle leader's condvar gathered one per timed-out
+   wait); the second coroutine's next park, on another event, is not
+   ended by a later broadcast *)
+let test_timed_out_waiter_leaves_nothing () =
+  let s = make_sched () in
+  let cv = Condvar.create () and other = Event.signal () in
+  let log = ref [] in
+  let note who o = log := (who, o = Sched.Ready, Sched.now s) :: !log in
+  Sched.spawn s (fun () -> note "first" (Condvar.wait_timeout s cv (Sim.Time.ms 2)));
+  Sched.spawn s (fun () ->
+      note "second" (Condvar.wait_timeout s cv (Sim.Time.ms 1));
+      Sched.wait s other;
+      note "second" Sched.Ready);
+  at s 5 (fun () -> Condvar.broadcast cv);
+  at s 8 (fun () -> Event.fire other);
+  Sched.run ~until:(Sim.Time.ms 3) s;
+  let bare = Obj.reachable_words (Obj.repr (Condvar.event (Condvar.create ()))) in
+  check_int "the event holds no wake" bare (Obj.reachable_words (Obj.repr (Condvar.event cv)));
+  Sched.run s;
+  Alcotest.(check (list (triple string bool int)))
+    "both timed out; the second resumed by its own event alone"
+    [ ("second", false, Sim.Time.ms 1); ("first", false, Sim.Time.ms 2);
+      ("second", true, Sim.Time.ms 8) ]
+    (List.rev !log)
+
+(* a generation [Condvar.event] handed out is fired by the next broadcast
+   and stays fired, though an unlent event is re-armed in place: here the
+   captured one is the event the first broadcast re-armed, a waiter parks
+   on it through [Condvar.wait], and later waiters park on a fresh one *)
+let test_condvar_lent_generation_fires () =
+  let s = make_sched () in
+  let cv = Condvar.create () in
+  let woke = ref [] in
+  let round name =
+    Sched.spawn s (fun () ->
+        Condvar.wait s cv;
+        woke := (name, Sched.now s) :: !woke);
+    at s 1 (fun () -> Condvar.broadcast cv);
+    Sched.run s
+  in
+  round "a";
+  let gen = Condvar.event cv in
+  check_bool "the captured generation is pending" false (Event.is_ready gen);
+  round "b";
+  check_bool "the next broadcast fired it" true (Event.is_ready gen);
+  round "c";
+  check_bool "and it stays fired" true (Event.is_ready gen);
+  check_bool "later waiters park on a fresh event" true (Condvar.event cv != gen);
+  Alcotest.(check (list (pair string int)))
+    "each waiter woken by its own broadcast"
+    [ ("a", Sim.Time.ms 1); ("b", Sim.Time.ms 2); ("c", Sim.Time.ms 3) ]
+    (List.rev !woke)
+
+(* Allocation guard: minor words per warm broadcast of a condvar that two
+   coroutines wait on in a loop, their two resumes and their two re-parks.
+   A broadcast built a fresh event (10 words) and the second park a
+   generation-stamped closure plus its cons: 22.0 words here. Re-arming
+   the event in place and consing the context's own wake leave the two
+   continuations and the cons: 7.0. The ceiling sits between, so a fresh
+   event per broadcast or a closure per park fails here *)
+let broadcast_words () =
+  let s = make_sched () in
+  let cv = Condvar.create () in
+  let rec waiter () =
+    Condvar.wait s cv;
+    waiter ()
+  in
+  Sched.spawn s waiter;
+  Sched.spawn s waiter;
+  let cycle () =
+    Condvar.broadcast cv;
+    Sched.run s
+  in
+  for _ = 1 to 64 do
+    cycle ()
+  done;
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_alloc_broadcast () =
+  let words = broadcast_words () in
+  if words > 12.0 then Alcotest.failf "broadcast cycle: %.1f words > ceiling 12" words
+
 (* a held park ([Station.run]) is seen and traced as a wait on the
    station's event: park, a fire wake and a resume, then one record
    labelled with the station's name whose window is the job's service *)
@@ -1044,6 +1135,10 @@ let suite =
         Alcotest.test_case "yield and sleep are untraced" `Quick test_nap_untraced;
         Alcotest.test_case "yield and sleep allocate no closure or entry" `Quick
           test_alloc_nap;
+        Alcotest.test_case "a timed-out second waiter leaves nothing on the event" `Quick
+          test_timed_out_waiter_leaves_nothing;
+        Alcotest.test_case "broadcast and re-park allocate no event or closure" `Quick
+          test_alloc_broadcast;
         Alcotest.test_case "reset after an aborted run" `Quick test_reset_after_abort;
         Alcotest.test_case "held park: hooks and trace record" `Quick
           test_held_park_hooks_and_trace;
@@ -1054,6 +1149,8 @@ let suite =
           test_condvar_broadcast_no_waiters;
         Alcotest.test_case "capture before broadcast" `Quick
           test_condvar_capture_before_broadcast;
+        Alcotest.test_case "a lent generation is fired by the next broadcast" `Quick
+          test_condvar_lent_generation_fires;
         Alcotest.test_case "unlock unheld raises" `Quick test_mutex_unlock_unheld_raises;
         Alcotest.test_case "unlock from non-owner" `Quick test_mutex_unlock_from_non_owner;
       ] );
