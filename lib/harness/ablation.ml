@@ -45,20 +45,12 @@ let entry_cache ?(params = Params.full) () =
      effectively infinite cache *)
   List.map
     (fun (label, cache_size) ->
-      let engine = Sim.Engine.create ~seed:params.Params.seed () in
-      let sched = Depfast.Sched.create engine in
-      let cfg = Raft.Config.default in
-      let cluster = Baseline.Tidb_like.create sched ~n:3 ~cfg () in
+      let sched = Runner.sched params in
+      let cluster = Baseline.Tidb_like.create sched ~n:3 ~cfg:Raft.Config.default () in
       Baseline.Tidb_like.set_cache_size cluster cache_size;
-      let sut = Baseline.Tidb_like.sut cluster in
-      (match sut.Workload.Sut.follower_nodes with
-      | v :: _ -> ignore (Cluster.Fault.inject v Cluster.Fault.Cpu_slow)
-      | [] -> ());
-      let clients = sut.Workload.Sut.make_clients ~count:params.Params.clients in
       let metrics =
-        Workload.Driver.run sched ~clients ~workload:(Params.workload params)
-          ~warmup:params.Params.warmup ~duration:params.Params.duration
-          ~leader_node:sut.Workload.Sut.leader_node ()
+        Runner.drive sched (Baseline.Tidb_like.sut cluster) ~params ~slow_count:1
+          ~fault:(Some Cluster.Fault.Cpu_slow)
       in
       {
         label = Printf.sprintf "%s (%d blocking reads)" label
@@ -108,21 +100,11 @@ let discard_stragglers ?(params = Params.full) () =
 
 (** Chain replication vs DepFastRaft under a fail-slow middle node. *)
 let chain_vs_quorum ?(params = Params.full) () =
+  (* the fault lands on the chain's middle node *)
   let run_chain fault =
-    let engine = Sim.Engine.create ~seed:params.Params.seed () in
-    let sched = Depfast.Sched.create engine in
-    let cfg = Raft.Config.default in
-    let cluster = Baseline.Chain.create sched ~n:3 ~cfg () in
-    let sut = Baseline.Chain.sut cluster in
-    (match fault with
-    | None -> ()
-    | Some kind ->
-      (* the middle node of the chain *)
-      ignore (Cluster.Fault.inject (List.hd sut.Workload.Sut.follower_nodes) kind));
-    let clients = sut.Workload.Sut.make_clients ~count:params.Params.clients in
-    Workload.Driver.run sched ~clients ~workload:(Params.workload params)
-      ~warmup:params.Params.warmup ~duration:params.Params.duration
-      ~leader_node:sut.Workload.Sut.leader_node ()
+    let sched = Runner.sched params in
+    let cluster = Baseline.Chain.create sched ~n:3 ~cfg:Raft.Config.default () in
+    Runner.drive sched (Baseline.Chain.sut cluster) ~params ~slow_count:1 ~fault
   in
   let run_quorum fault =
     (Runner.run_cell ~params ~system:Runner.Depfast_raft ~n:3 ~slow_count:1 ~fault ())

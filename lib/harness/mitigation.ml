@@ -17,11 +17,8 @@ type result = {
 }
 
 let run_variant ?(params = Params.full) ~with_detector () =
-  let engine = Sim.Engine.create ~seed:params.Params.seed () in
-  let sched = Depfast.Sched.create engine in
-  let g = Raft.Group.create sched ~n:3 () in
-  Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
-  Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
+  let sched = Runner.sched params in
+  let g = Runner.bootstrap sched ~n:3 ~cfg:Raft.Config.default in
   let detectors =
     if with_detector then List.map (fun s -> Raft.Detector.attach s) g.Raft.Group.servers
     else []

@@ -13,10 +13,27 @@ val clients_of_group :
   Raft.Group.t -> count:int -> Workload.Driver.client list
 (** Closed-loop driver clients wrapping a Raft group's RPC clients. *)
 
+val sched : Params.t -> Depfast.Sched.t
+(** A scheduler on a fresh engine seeded with the params' seed. *)
+
+val bootstrap : Depfast.Sched.t -> n:int -> cfg:Raft.Config.t -> Raft.Group.t
+(** A DepFastRaft group with node 0 elected leader, the clock run to 1 s.
+    Fails if node 0 did not win. *)
+
 val build :
   system -> Depfast.Sched.t -> n:int -> cfg:Raft.Config.t -> Workload.Sut.t
-(** Construct the SUT; for DepFastRaft, bootstraps node 0 as leader so
+(** Construct the SUT; for DepFastRaft, {!bootstrap}s node 0 as leader so
     fault victims are always followers (the paper's setup). *)
+
+val drive :
+  Depfast.Sched.t ->
+  Workload.Sut.t ->
+  params:Params.t ->
+  slow_count:int ->
+  fault:Cluster.Fault.kind option ->
+  Workload.Metrics.t
+(** Inject [fault] on the SUT's first [slow_count] followers, then run
+    the params' closed-loop clients through warm-up and measurement. *)
 
 type cell = {
   system : system;

@@ -1,6 +1,6 @@
-type timer = (unit -> unit) Wheel.handle
+type timer = (unit -> unit) Heap.handle
 
-let unarmed = Wheel.no_handle
+let unarmed = Heap.no_handle
 
 (* Provenance of a unit of work, for the schedule explorer (lib/check).
    Tags are what make nondeterminism *reifiable*: when a chooser is
@@ -22,10 +22,10 @@ type explore = {
   choose : chooser;
   mutable ex_tags : tag array;
   mutable ex_fns : (unit -> unit) array;
-  mutable ex_seqs : int array;  (* a hoisted timer's wheel seq; -1 for posted work *)
+  mutable ex_seqs : int array;  (* a hoisted timer's seq; -1 for posted work *)
   mutable ex_n : int;
   mutable tt_seqs : int array;
-      (* pending tagged timers, unordered: wheel seq here, tag in
+      (* pending tagged timers, unordered: timer seq here, tag in
          [tt_tags]. A tag leaves when its timer is hoisted or cancelled *)
   mutable tt_tags : tag array;
   mutable tt_n : int;
@@ -38,10 +38,10 @@ type t = {
          first post (an engine is built per explored schedule) *)
   mutable r_head : int;  (* index of the oldest posted thunk *)
   mutable r_len : int;
-  timers : (unit -> unit) Wheel.t;
+  timers : (unit -> unit) Heap.t;
   seed : int64;
   root_rng : Rng.t;
-  mutable running : int;  (* wheel seq of the timer whose thunk runs last or now *)
+  mutable running : int;  (* seq of the timer whose thunk runs last or now *)
   mutable ex : explore option;
 }
 
@@ -53,7 +53,7 @@ let create ?(seed = 1L) () =
     r_ring = [||];
     r_head = 0;
     r_len = 0;
-    timers = Wheel.create no_fn;
+    timers = Heap.create no_fn;
     seed;
     root_rng = Rng.create seed;
     running = -1;
@@ -64,7 +64,7 @@ let reset t =
   t.clock <- Time.zero;
   Array.fill t.r_ring 0 (Array.length t.r_ring) no_fn;
   t.r_len <- 0;
-  Wheel.clear t.timers;
+  Heap.clear t.timers;
   Rng.reseed t.root_rng t.seed;
   t.running <- -1;
   match t.ex with
@@ -182,9 +182,9 @@ let post t f = post_tag t Anon f
 
 let reschedule t h ~delay tag f =
   let delay = if delay < 0 then 0 else delay in
-  let h = Wheel.rearm t.timers h ~time:(Time.add t.clock delay) f in
+  let h = Heap.rearm t.timers h ~time:(Time.add t.clock delay) f in
   (match t.ex with
-  | Some ex when tag != Anon -> tag_timer ex (Wheel.seq h) tag
+  | Some ex when tag != Anon -> tag_timer ex (Heap.seq h) tag
   | _ -> ());
   h
 
@@ -194,21 +194,21 @@ let schedule t ~delay f = schedule_tag t ~delay Anon f
 
 let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in
-  Wheel.push t.timers ~time f
+  Heap.push t.timers ~time f
 
 (* a handle [reset] cleared is no longer armed: its seq may be a live
    timer's of the new run, whose tag must stay *)
 let cancel t h =
   (match t.ex with
-  | Some ex when Wheel.armed h -> ignore (untag_timer ex (Wheel.seq h))
+  | Some ex when Heap.armed h -> ignore (untag_timer ex (Heap.seq h))
   | _ -> ());
-  Wheel.cancel t.timers h
+  Heap.cancel t.timers h
 
 let ready_count t =
   match t.ex with None -> t.r_len | Some ex -> ex.ex_n
 
-let pending t = ready_count t + Wheel.size t.timers
-let is_firing t h = h != unarmed && Wheel.seq h = t.running
+let pending t = ready_count t + Heap.size t.timers
+let is_firing t h = h != unarmed && Heap.seq h = t.running
 
 let step_default t =
   if t.r_len > 0 then begin
@@ -216,19 +216,19 @@ let step_default t =
     true
   end
   else begin
-    let h = Wheel.take_handle t.timers in
-    if h == Wheel.no_handle then false
+    let h = Heap.take_handle t.timers in
+    if h == Heap.no_handle then false
     else begin
-      t.clock <- Wheel.pos t.timers;
-      t.running <- Wheel.seq h;
-      Wheel.value h ();
+      t.clock <- Heap.pos t.timers;
+      t.running <- Heap.seq h;
+      Heap.value h ();
       true
     end
   end
 
 (* move every timer due at the minimum deadline into the choice set: ties
    are concurrent transitions, and the chooser sequences them (interleaved
-   with whatever they enable) instead of inheriting wheel insertion order.
+   with whatever they enable) instead of inheriting heap insertion order.
    A hoisted timer's handle is consumed, so a same-instant [cancel] of a
    tied sibling becomes a no-op — the thunk runs; the runtime's guarded
    wakeups (a timeout checks [is_firing] for its coroutine's current arm)
@@ -236,13 +236,13 @@ let step_default t =
    observe. Each hoisted seq rides beside its thunk, since the entry may
    be re-armed before the thunk runs. *)
 let hoist_due t ex =
-  let tmin = Wheel.next_time_or t.timers ~default:(-1) in
+  let tmin = Heap.next_time_or t.timers ~default:(-1) in
   if tmin >= 0 then begin
     t.clock <- tmin;
-    while Wheel.next_time_or t.timers ~default:(-1) = tmin do
-      let h = Wheel.take_handle t.timers in
-      let seq = Wheel.seq h in
-      ex_push ex (untag_timer ex seq) (Wheel.value h) seq
+    while Heap.next_time_or t.timers ~default:(-1) = tmin do
+      let h = Heap.take_handle t.timers in
+      let seq = Heap.seq h in
+      ex_push ex (untag_timer ex seq) (Heap.value h) seq
     done
   end
 
@@ -269,7 +269,7 @@ let step t = match t.ex with None -> step_default t | Some ex -> step_explore t 
 let work_by t deadline =
   if ready_count t > 0 then t.clock <= deadline
   else begin
-    let time = Wheel.next_time_or t.timers ~default:(-1) in
+    let time = Heap.next_time_or t.timers ~default:(-1) in
     time >= 0 && time <= deadline
   end
 

@@ -1,13 +1,11 @@
 (** The discrete-event simulation engine.
 
     Owns the virtual clock and two work sources: a FIFO of thunks to run at
-    the current instant ({!post}) and a timer structure of thunks to run at a
-    future instant ({!schedule}) — a hierarchical timer wheel ({!Wheel}) with
-    a heap fallback for far-future deadlines. {!run} executes work in time
-    order until
-    quiescence (or a deadline), advancing the clock only when the ready FIFO
-    is empty. Everything above (coroutines, network, disks) is built out of
-    these two primitives. *)
+    the current instant ({!post}) and a timer queue of thunks to run at a
+    future instant ({!schedule}), an indexed 4-ary heap ({!Heap}). {!run}
+    executes work in time order until quiescence (or a deadline), advancing
+    the clock only when the ready FIFO is empty. Everything above
+    (coroutines, network, disks) is built out of these two primitives. *)
 
 type t
 
@@ -23,7 +21,7 @@ val unarmed : timer
 (** {2 Choice points}
 
     Every unit of work the engine runs can carry a provenance tag. In
-    normal operation tags are ignored (the ready FIFO and the timer wheel
+    normal operation tags are ignored (the ready FIFO and the timer queue
     fix the order); with a {!chooser} installed, each step with more than
     one enabled alternative becomes an explicit choice over the tagged
     transitions — the nondeterminism interface the schedule-space checker
@@ -96,8 +94,7 @@ val reschedule : t -> timer -> delay:Time.span -> tag -> (unit -> unit) -> timer
     one; the timer's arm draws its place in the order exactly where a
     fresh {!schedule_tag} would. [h] must not be pending: it fired, was
     cancelled, or is {!unarmed}. Returns the timer actually armed, which
-    the owner keeps for the next arm: [h] itself unless [h] is {!unarmed}
-    or was cancelled beyond the wheel's ~17.9 min horizon. *)
+    the owner keeps for the next arm: [h] itself unless [h] is {!unarmed}. *)
 
 val is_firing : t -> timer -> bool
 (** [is_firing t h], read from inside a timer's thunk: the thunk runs for

@@ -133,7 +133,7 @@ let test_tree_inventory_pinned () =
   | Some (fs, certs, ()) ->
     (* one certificate per top-level mutable cell and per mutable field
        name declared in lib/ (same-named fields share one cell) *)
-    check_int "every top-level mutable cell carries a certificate" 203
+    check_int "every top-level mutable cell carries a certificate" 199
       (List.length certs);
     let flagged = List.filter (fun c -> c.G.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the two seeded fixture cells unsafe"

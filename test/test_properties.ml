@@ -326,21 +326,19 @@ let test_hist_quantile_monotone =
       mono vals && Sim.Hist.quantile h 1.0 = Sim.Hist.max_value h)
 
 (* ------------------------------------------------------------------ *)
-(* Timer wheel: any random sequence of pushes, cancels and removals pops in
-   exactly the binary heap's order, through every removal entry point
-   ([pop], [take_or], [take_handle]), and the next-deadline queries agree
-   with the heap's peek. Deltas mix duplicates (same-instant bursts that
-   exercise the due queue), mid-range values (slot scans and cascades) and
-   far-future jumps (the heap fallback). Cancellation hits live and
-   already-popped handles alike; [Cancel_recent] aims at the newest
-   handles, which a burst followed by a removal has just put on the due
-   queue, so cancels land mid-drain, and a [Push 0] after a removal is a
-   push at [pos] while the due queue drains. [Clear] empties both (the
-   heap by popping), after which old handles cancel as no-ops. [Rearm]
-   and [Cancel_owned] work a small pool of owned handles the way the
-   engine's timer owners do: [Rearm] re-links the pool's entry (pending,
-   fired, cancelled or cleared) where the heap cancels its old entry and
-   pushes a new one. *)
+(* Timer queue against a model: any random sequence of pushes, re-arms,
+   cancels, removals and clears on [Sim.Heap] behaves as a list of
+   [(time, seq, id)] kept sorted, with seqs drawn from a counter that
+   restarts at each clear. Every removal entry point ([pop], [take_or],
+   [take_handle]) pops the model's least entry, [next_time_or] reads its
+   time, and after every step [size] is the model's length and each
+   handle is [armed] exactly while its current id is in the model.
+   Deltas mix same-instant bursts, near and mid-range deadlines and
+   ones over half an hour ahead. Cancels hit live, fired and already
+   cancelled handles alike; [Rearm] and [Cancel_owned] work a small pool
+   of owned handles the way the engine's timer owners do, and a re-arm
+   keeps the owner's entry whether it is pending, fired, cancelled or
+   cleared. *)
 
 let rearm_delay_gen =
   QCheck.Gen.(
@@ -351,7 +349,7 @@ let rearm_delay_gen =
         (1, map (fun d -> d + (1 lsl 31)) (int_range 0 1000));
       ])
 
-let wheel_ops_gen =
+let timer_ops_gen =
   QCheck.Gen.(
     list_size (int_range 1 400)
       (frequency
@@ -372,134 +370,156 @@ let wheel_ops_gen =
            (1, map (fun k -> `Cancel_owned k) (int_range 0 3));
          ]))
 
-let test_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pop order = heap pop order" ~count:300
-    (QCheck.make wheel_ops_gen) (fun ops ->
-      let w = Sim.Wheel.create 0 in
-      let h = Sim.Heap.create () in
-      let handles = ref [||] and n_handles = ref 0 in
-      let owned_w = Array.make 4 Sim.Wheel.no_handle and owned_h = Array.make 4 None in
-      let id = ref 0 in
+let test_timer_queue_model =
+  QCheck.Test.make ~name:"timer queue pop order = sorted-list model" ~count:300
+    (QCheck.make timer_ops_gen) (fun ops ->
+      let module H = Sim.Heap in
+      let h = H.create (-1) in
+      (* the model: pending [(time, seq, id)], kept sorted *)
+      let model = ref [] and next_seq = ref 0 and id = ref 0 in
+      (* every handle with the id of its latest arm: pushed ones, then the
+         owned pool's *)
+      let handles = ref [] in
+      let owned = Array.make 4 (H.no_handle, 0) in
       let ok = ref true in
-      let push d =
-        (* both structures see times >= the last popped time, matching
-           the engine's clock discipline *)
-        let time = Sim.Wheel.pos w + d in
+      let expect b = ok := !ok && b in
+      let add time hd =
         incr id;
-        let wh = Sim.Wheel.push w ~time !id in
-        let hh = Sim.Heap.push h ~time !id in
-        if !n_handles = Array.length !handles then begin
-          let bigger = Array.make (max 8 (2 * !n_handles)) None in
-          Array.blit !handles 0 bigger 0 !n_handles;
-          handles := bigger
-        end;
-        !handles.(!n_handles) <- Some (wh, hh);
-        incr n_handles
+        let seq = !next_seq in
+        incr next_seq;
+        model := List.merge compare !model [ (time, seq, !id) ];
+        expect (H.seq hd = seq && H.value hd = !id && H.time hd = time)
       in
-      let cancel i =
-        match !handles.(i) with
-        | Some (wh, hh) ->
-          Sim.Wheel.cancel w wh;
-          Sim.Heap.cancel h hh
-        | None -> ()
+      let forget hd i =
+        let was = List.exists (fun (_, _, j) -> j = i) !model in
+        model := List.filter (fun (_, _, j) -> j <> i) !model;
+        H.cancel h hd;
+        expect ((not (H.armed hd)) && ((not was) || H.value hd = -1))
       in
-      let cancel_owned i =
-        Sim.Wheel.cancel w owned_w.(i);
-        Option.iter (Sim.Heap.cancel h) owned_h.(i)
+      let push d =
+        let time = H.pos h + d in
+        let hd = H.push h ~time (!id + 1) in
+        add time hd;
+        handles := (hd, !id) :: !handles
       in
       let rearm i d =
-        let time = Sim.Wheel.pos w + d in
-        incr id;
-        Option.iter (Sim.Heap.cancel h) owned_h.(i);
-        owned_w.(i) <- Sim.Wheel.rearm w owned_w.(i) ~time !id;
-        owned_h.(i) <- Some (Sim.Heap.push h ~time !id)
+        let hd, old = owned.(i) in
+        model := List.filter (fun (_, _, j) -> j <> old) !model;
+        let time = H.pos h + d in
+        let hd' = H.rearm h hd ~time (!id + 1) in
+        expect (hd == H.no_handle || hd' == hd);
+        add time hd';
+        owned.(i) <- (hd', !id)
       in
-      let same got = function
-        | Some (th, vh) -> ( match got with Some (tw, vw) -> tw = th && vw = vh | None -> false)
-        | None -> got = None
+      (* remove the model's least entry and check [got] is it *)
+      let pops got =
+        match !model with
+        | [] -> expect (got = None)
+        | (time, _, i) :: rest ->
+          model := rest;
+          expect (got = Some (time, i) && H.pos h = time)
       in
-      let next_agrees () =
-        Sim.Wheel.next_time_or w ~default:(-1)
-        = Option.value (Sim.Heap.peek_time h) ~default:(-1)
+      let consistent () =
+        let live i = List.exists (fun (_, _, j) -> j = i) !model in
+        expect (H.size h = List.length !model && H.is_empty h = (!model = []));
+        List.iter (fun (hd, i) -> expect (H.armed hd = live i)) !handles;
+        Array.iter (fun (hd, i) -> expect (H.armed hd = live i)) owned
       in
       List.iter
         (fun op ->
-          match op with
+          (match op with
           | `Push d -> push d
           | `Burst (k, d) ->
             for _ = 1 to k do
               push d
             done
-          | `Pop -> ok := !ok && same (Sim.Wheel.pop w) (Sim.Heap.pop h)
+          | `Pop -> pops (H.pop h)
           | `Take ->
-            let v = Sim.Wheel.take_or w ~default:(-1) in
-            let expect = Sim.Heap.pop h in
-            let got = if v < 0 then None else Some (Sim.Wheel.pos w, v) in
-            ok := !ok && same got expect
+            let v = H.take_or h ~default:(-1) in
+            pops (if v < 0 then None else Some (H.pos h, v))
           | `Take_handle ->
-            let got =
-              if Sim.Wheel.is_empty w then None
-              else
-                let wh = Sim.Wheel.take_handle w in
-                Some (Sim.Wheel.time wh, Sim.Wheel.value wh)
-            in
-            ok := !ok && same got (Sim.Heap.pop h)
-          | `Next -> ok := !ok && next_agrees ()
+            let hd = H.take_handle h in
+            if hd == H.no_handle then pops None
+            else begin
+              (match !model with (_, seq, _) :: _ -> expect (H.seq hd = seq) | [] -> ());
+              pops (Some (H.time hd, H.value hd))
+            end
+          | `Next ->
+            expect
+              (H.next_time_or h ~default:(-1)
+              = match !model with (time, _, _) :: _ -> time | [] -> -1)
           | `Clear ->
-            Sim.Wheel.clear w;
-            while Sim.Heap.pop h <> None do
-              ()
-            done;
-            ok := !ok && Sim.Wheel.is_empty w && Sim.Wheel.pos w = 0
-          | `Cancel k -> if !n_handles > 0 then cancel (k mod !n_handles)
-          | `Cancel_recent k -> if k < !n_handles then cancel (!n_handles - 1 - k)
+            H.clear h;
+            model := [];
+            next_seq := 0;
+            expect (H.pos h = 0)
+          | `Cancel k ->
+            let n = List.length !handles in
+            if n > 0 then
+              let hd, i = List.nth !handles (k mod n) in
+              forget hd i
+          | `Cancel_recent k -> (
+            match List.nth_opt !handles k with Some (hd, i) -> forget hd i | None -> ())
           | `Rearm (i, d) -> rearm i d
-          | `Cancel_owned i -> cancel_owned i)
+          | `Cancel_owned i ->
+            let hd, j = owned.(i) in
+            forget hd j);
+          consistent ())
         ops;
-      let rec drain () =
-        ok := !ok && next_agrees ();
-        match (Sim.Wheel.pop w, Sim.Heap.pop h) with
-        | Some (tw, vw), Some (th, vh) ->
-          ok := !ok && tw = th && vw = vh;
-          drain ()
-        | None, None -> ()
-        | Some _, None | None, Some _ -> ok := false
-      in
-      drain ();
-      !ok && Sim.Wheel.is_empty w && Sim.Heap.is_empty h)
+      while !model <> [] do
+        pops (H.pop h)
+      done;
+      !ok && H.pop h = None)
 
 (* Cancel-heavy timers, as the engine's client and handler timeouts are:
    thousands armed 1-5 s ahead, most cancelled long before they are due,
    then pops interleaved with more pushes, cancels and re-arms of a pool
    of owned entries (a coroutine's timeout, re-armed at every timed wait).
-   Pop order must stay the heap's. And a cancel unlinks at once: before
-   any pop or peek, every cancelled entry is already unreachable. *)
-let test_wheel_cancel_heavy =
-  QCheck.Test.make ~name:"cancel-heavy wheel = heap, and compacts" ~count:20
+   Pop order must stay that of a set of [(time, seq, id)]. And a cancel
+   releases at once: with every handle still held and before any pop or
+   peek, no cancelled entry's payload is reachable. *)
+module Timer_model = Set.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
+let test_timer_queue_cancel_heavy =
+  QCheck.Test.make ~name:"cancel-heavy timer queue matches a sorted model, and releases"
+    ~count:20
     QCheck.(pair (int_range 2_000 4_000) (int_range 0 1_000_000))
     (fun (n, seed) ->
+      let module H = Sim.Heap in
+      let module M = Timer_model in
       let rng = Sim.Rng.create (Int64.of_int seed) in
-      let w = Sim.Wheel.create 0 and h = Sim.Heap.create () in
+      let h = H.create (ref (-1)) in
       let cap = 2 * n in
-      let whs = Array.make cap Sim.Wheel.no_handle and hhs = Array.make cap None in
-      let owned_w = Array.make 8 Sim.Wheel.no_handle and owned_h = Array.make 8 None in
+      let hs = Array.make cap H.no_handle and owned = Array.make 8 H.no_handle in
+      let model = ref M.empty and next_seq = ref 0 in
       let pushed = ref 0 and id = ref (cap + 1) in
+      let ok = ref true in
+      let expect b = ok := !ok && b in
+      (* record an arm of [hd] in the model and check its seq *)
+      let add hd time v =
+        expect (H.seq hd = !next_seq && H.time hd = time);
+        model := M.add (time, !next_seq, v) !model;
+        incr next_seq
+      in
+      (* drop [hd]'s entry from the model; a no-op once it fired or was
+         cancelled, as {!H.cancel} is *)
+      let forget hd =
+        if H.armed hd then model := M.remove (H.time hd, H.seq hd, !(H.value hd)) !model
+      in
       let push () =
         let i = !pushed in
-        let time = Sim.Wheel.pos w + Sim.Rng.int_in rng 1_000_000 5_000_000 in
-        whs.(i) <- Sim.Wheel.push w ~time (i + 1);
-        hhs.(i) <- Some (Sim.Heap.push h ~time (i + 1));
+        let time = H.pos h + Sim.Rng.int_in rng 1_000_000 5_000_000 in
+        hs.(i) <- H.push h ~time (ref (i + 1));
+        add hs.(i) time (i + 1);
         incr pushed
       in
-      (* cancel timer [i] and forget its handles; no-op if already gone *)
       let cancel i =
-        match hhs.(i) with
-        | Some hh ->
-          Sim.Wheel.cancel w whs.(i);
-          Sim.Heap.cancel h hh;
-          whs.(i) <- Sim.Wheel.no_handle;
-          hhs.(i) <- None
-        | None -> ()
+        forget hs.(i);
+        H.cancel h hs.(i)
       in
       for _ = 1 to n do
         push ()
@@ -510,45 +530,45 @@ let test_wheel_cancel_heavy =
       Array.iteri
         (fun k i ->
           if k < n * 9 / 10 then begin
-            Weak.set dead i (Some whs.(i));
+            Weak.set dead i (Some (H.value hs.(i)));
             cancel i
           end)
         order;
       Gc.full_major ();
-      let unlinked = ref 0 in
+      let released = ref 0 in
       for i = 0 to n - 1 do
-        if hhs.(i) = None && not (Weak.check dead i) then incr unlinked
+        if (not (H.armed hs.(i))) && not (Weak.check dead i) then incr released
       done;
-      let ok = ref (!unlinked = n * 9 / 10) in
+      expect (!released = n * 9 / 10 && H.size h = M.cardinal !model);
       let rearm i =
-        let time = Sim.Wheel.pos w + Sim.Rng.int_in rng 1_000_000 5_000_000 in
+        let time = H.pos h + Sim.Rng.int_in rng 1_000_000 5_000_000 in
         incr id;
-        Option.iter (Sim.Heap.cancel h) owned_h.(i);
-        owned_w.(i) <- Sim.Wheel.rearm w owned_w.(i) ~time !id;
-        owned_h.(i) <- Some (Sim.Heap.push h ~time !id)
+        forget owned.(i);
+        owned.(i) <- H.rearm h owned.(i) ~time (ref !id);
+        add owned.(i) time !id
       in
-      let same got expect =
-        match (got, expect) with
-        | Some (tw, vw), Some (th, vh) -> tw = th && vw = vh
-        | None, None -> true
-        | _ -> false
+      let pop () =
+        match (H.pop h, M.min_elt_opt !model) with
+        | None, None -> false
+        | Some (time, v), Some ((t, _, i) as least) ->
+          model := M.remove least !model;
+          expect (time = t && !v = i);
+          true
+        | _ ->
+          expect false;
+          false
       in
       for _ = 1 to n do
         match Sim.Rng.int rng 5 with
         | 0 when !pushed < cap -> push ()
         | 1 -> cancel (Sim.Rng.int rng !pushed)
-        | 2 -> rearm (Sim.Rng.int rng (Array.length owned_w))
-        | _ -> ok := !ok && same (Sim.Wheel.pop w) (Sim.Heap.pop h)
+        | 2 -> rearm (Sim.Rng.int rng (Array.length owned))
+        | _ -> ignore (pop ())
       done;
-      let rec drain () =
-        match (Sim.Wheel.pop w, Sim.Heap.pop h) with
-        | None, None -> ()
-        | got, expect ->
-          ok := !ok && same got expect;
-          if got <> None && expect <> None then drain ()
-      in
-      drain ();
-      !ok && Sim.Wheel.is_empty w)
+      while pop () do
+        ()
+      done;
+      !ok && H.is_empty h && M.is_empty !model)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring: growth by doubling, capacity bound, drop-oldest policy,
@@ -673,8 +693,8 @@ let suite =
         QCheck_alcotest.to_alcotest test_event_algebra;
         QCheck_alcotest.to_alcotest test_station_conservation;
         QCheck_alcotest.to_alcotest test_hist_quantile_monotone;
-        QCheck_alcotest.to_alcotest test_wheel_matches_heap;
-        QCheck_alcotest.to_alcotest test_wheel_cancel_heavy;
+        QCheck_alcotest.to_alcotest test_timer_queue_model;
+        QCheck_alcotest.to_alcotest test_timer_queue_cancel_heavy;
       ] );
     ( "trace.ring",
       [

@@ -267,7 +267,7 @@ let test_hist_clear () =
 (* Heap *)
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create "" in
   let _ = Heap.push h ~time:30 "c" in
   let _ = Heap.push h ~time:10 "a" in
   let _ = Heap.push h ~time:20 "b" in
@@ -277,7 +277,7 @@ let test_heap_ordering () =
   Alcotest.(check (option (pair int string))) "empty" None (Heap.pop h)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create "" in
   let _ = Heap.push h ~time:5 "first" in
   let _ = Heap.push h ~time:5 "second" in
   let _ = Heap.push h ~time:5 "third" in
@@ -285,14 +285,14 @@ let test_heap_fifo_ties () =
   Alcotest.(check (option (pair int string))) "tie 2" (Some (5, "second")) (Heap.pop h)
 
 let test_heap_cancel () =
-  let h = Heap.create () in
+  let h = Heap.create "" in
   let _ = Heap.push h ~time:1 "keep1" in
   let dead = Heap.push h ~time:2 "dead" in
   let _ = Heap.push h ~time:3 "keep2" in
   check_int "size 3" 3 (Heap.size h);
   Heap.cancel h dead;
   check_int "size 2 after cancel" 2 (Heap.size h);
-  check_bool "cancelled" true (Heap.cancelled dead);
+  check_bool "no longer armed" false (Heap.armed dead);
   Alcotest.(check (option (pair int string))) "keep1" (Some (1, "keep1")) (Heap.pop h);
   Alcotest.(check (option (pair int string))) "skips dead" (Some (3, "keep2")) (Heap.pop h)
 
@@ -313,7 +313,7 @@ let test_heap_cancel_property =
   QCheck.Test.make ~name:"cancelled entries never pop" ~count:200
     QCheck.(list (pair (int_bound 1000) bool))
     (fun entries ->
-      let h = Sim.Heap.create () in
+      let h = Sim.Heap.create (0, false) in
       let handles = List.map (fun (t, cancel) -> (Sim.Heap.push h ~time:t (t, cancel), cancel)) entries in
       List.iter (fun (hd, cancel) -> if cancel then Sim.Heap.cancel h hd) handles;
       let rec drain acc =
@@ -360,10 +360,10 @@ let test_engine_reset_is_fresh () =
   Engine.run e;
   check_int "no stale work ran" 0 !stale;
   check_int "new timer fired on the restarted clock" (Time.ms 2) !fired_at;
-  let w = Wheel.create "" in
-  ignore (Wheel.push w ~time:3 "a");
-  Wheel.clear w;
-  check_int "wheel seq restarts" 0 (Wheel.seq (Wheel.push w ~time:1 "b"))
+  let w = Heap.create "" in
+  ignore (Heap.push w ~time:3 "a");
+  Heap.clear w;
+  check_int "timer seq restarts" 0 (Heap.seq (Heap.push w ~time:1 "b"))
 
 let test_engine_post_order () =
   let e = Engine.create () in
@@ -543,24 +543,26 @@ let test_alloc_post_step () =
          Engine.post e noop;
          ignore (Engine.step e)))
 
-let test_alloc_wheel () =
-  let w = Wheel.create noop in
-  let push i = ignore (Wheel.push w ~time:(Wheel.pos w + (i * 37 mod 5_000)) noop) in
-  (* materialise the level rows these delays reach: a one-off *)
-  for i = 1 to 100 do
+let test_alloc_heap () =
+  let w = Heap.create noop in
+  let push i = ignore (Heap.push w ~time:(Heap.pos w + (i * 37 mod 5_000)) noop) in
+  (* grow the array past the minor heap's largest block first: later
+     doublings go straight to the major heap, so a push's minor words
+     are its entry alone *)
+  for i = 1 to 300 do
     push i
   done;
-  (* exactly one timer entry: five fields (time, seq, value, level, next)
-     and a header *)
-  check_words "push" 6.0 (words_per 10_000 push);
+  (* exactly one timer entry: four fields (time, seq, value, idx) and a
+     header *)
+  check_words "push" 5.0 (words_per 10_000 push);
   let acc = ref 0 in
   check_words "next_time_or" 0.0
-    (words_per 1_000 (fun _ -> acc := !acc + Wheel.next_time_or w ~default:0));
+    (words_per 1_000 (fun _ -> acc := !acc + Heap.next_time_or w ~default:0));
   check_words "take_or" 0.0
-    (words_per 10_100 (fun _ -> if Wheel.take_or w ~default:noop == noop then incr acc));
-  check_bool "drained" true (Wheel.is_empty w);
+    (words_per 10_300 (fun _ -> if Heap.take_or w ~default:noop == noop then incr acc));
+  check_bool "drained" true (Heap.is_empty w);
   check_words "next_time_or, empty" 0.0
-    (words_per 1_000 (fun _ -> acc := !acc + Wheel.next_time_or w ~default:0))
+    (words_per 1_000 (fun _ -> acc := !acc + Heap.next_time_or w ~default:0))
 
 let test_alloc_rng () =
   let r = Rng.create 3L in
@@ -599,7 +601,11 @@ let test_alloc_rearm () =
   check_words "reschedule a cancelled timer" 0.0
     (words_per 10_000 (fun i ->
          Engine.cancel e !h;
-         h := Engine.reschedule e !h ~delay:(1 + (i mod 5_000)) Engine.Anon noop))
+         h := Engine.reschedule e !h ~delay:(1 + (i mod 5_000)) Engine.Anon noop));
+  check_words "reschedule a cancelled timer an hour ahead" 0.0
+    (words_per 10_000 (fun i ->
+         Engine.cancel e !h;
+         h := Engine.reschedule e !h ~delay:(Time.sec 3_600 + i) Engine.Anon noop))
 
 (* A cancelled entry lets go of its payload at once: a dead 5 s timeout
    no longer keeps its thunk's closure (and all that closure holds)
@@ -607,82 +613,68 @@ let test_alloc_rearm () =
 let[@inline never] push_payload w weak =
   let payload = Bytes.create 64 in
   Weak.set weak 0 (Some payload);
-  Wheel.push w ~time:(Time.sec 5) payload
+  Heap.push w ~time:(Time.sec 5) payload
 
-let test_wheel_cancel_frees_payload () =
+let test_heap_cancel_frees_payload () =
   let filler = Bytes.empty in
-  let w = Wheel.create filler in
+  let w = Heap.create filler in
   let weak = Weak.create 1 in
   let h = push_payload w weak in
-  ignore (Wheel.push w ~time:(Time.sec 5) (Bytes.create 1));
-  Wheel.cancel w h;
+  ignore (Heap.push w ~time:(Time.sec 5) (Bytes.create 1));
+  Heap.cancel w h;
   Gc.full_major ();
   check_bool "cancelled payload unreachable" true (Weak.get weak 0 = None);
-  check_bool "the handle reads the filler" true (Wheel.value h == filler);
-  check_int "the live sibling stays" 1 (Wheel.size w)
+  check_bool "the handle reads the filler" true (Heap.value h == filler);
+  check_int "the live sibling stays" 1 (Heap.size w)
 
 (* an owned entry re-arms in place after it fired: the same handle, a
    new seq, the new payload, and it pops again at its new time *)
-let test_wheel_rearm_after_fire () =
-  let w = Wheel.create "" in
-  let h = Wheel.push w ~time:10 "a" in
-  check_bool "popped" true (Wheel.take_handle w == h);
-  let h' = Wheel.rearm w h ~time:25 "b" in
+let test_heap_rearm_after_fire () =
+  let w = Heap.create "" in
+  let h = Heap.push w ~time:10 "a" in
+  check_bool "popped" true (Heap.take_handle w == h);
+  let h' = Heap.rearm w h ~time:25 "b" in
   check_bool "same entry" true (h' == h);
-  check_int "next seq" 1 (Wheel.seq h);
-  check_int "armed" 1 (Wheel.size w);
-  check_bool "pops again" true (Wheel.pop w = Some (25, "b"));
-  check_bool "then empty" true (Wheel.is_empty w)
+  check_int "next seq" 1 (Heap.seq h);
+  check_int "armed" 1 (Heap.size w);
+  check_bool "pops again" true (Heap.pop w = Some (25, "b"));
+  check_bool "then empty" true (Heap.is_empty w)
 
-(* a cancel unlinks its entry at once: dropped by its holder, it is
-   garbage while its live sibling still shares its slot. Re-armed, a
+(* a cancel removes its entry at once: dropped by its holder, it is
+   garbage while its live sibling, due at the same time, stays. Re-armed, a
    cancelled entry takes the next seq, so it pops after a sibling it was
    pushed before. *)
 let[@inline never] push_dropped w weak =
-  let h = Wheel.push w ~time:(Time.sec 2) "dropped" in
+  let h = Heap.push w ~time:(Time.sec 2) "dropped" in
   Weak.set weak 0 (Some h);
-  Wheel.cancel w h
+  Heap.cancel w h
 
-let test_wheel_rearm_after_cancel () =
-  let w = Wheel.create "" in
+let test_heap_rearm_after_cancel () =
+  let w = Heap.create "" in
   let weak = Weak.create 1 in
-  let h = Wheel.push w ~time:(Time.sec 2) "owned" in
+  let h = Heap.push w ~time:(Time.sec 2) "owned" in
   push_dropped w weak;
-  ignore (Wheel.push w ~time:(Time.sec 2) "sibling");
-  Wheel.cancel w h;
+  ignore (Heap.push w ~time:(Time.sec 2) "sibling");
+  Heap.cancel w h;
   Gc.full_major ();
-  check_bool "cancelled entry unlinked at once" true (Weak.get weak 0 = None);
-  check_int "only the sibling left" 1 (Wheel.size w);
-  check_bool "same entry" true (Wheel.rearm w h ~time:(Time.sec 2) "owned again" == h);
-  check_bool "sibling first" true (Wheel.pop w = Some (Time.sec 2, "sibling"));
-  check_bool "then the re-armed entry" true (Wheel.pop w = Some (Time.sec 2, "owned again"));
-  check_bool "then empty" true (Wheel.is_empty w)
+  check_bool "cancelled entry removed at once" true (Weak.get weak 0 = None);
+  check_int "only the sibling left" 1 (Heap.size w);
+  check_bool "same entry" true (Heap.rearm w h ~time:(Time.sec 2) "owned again" == h);
+  check_bool "sibling first" true (Heap.pop w = Some (Time.sec 2, "sibling"));
+  check_bool "then the re-armed entry" true (Heap.pop w = Some (Time.sec 2, "owned again"));
+  check_bool "then empty" true (Heap.is_empty w)
 
-(* [clear] leaves every entry off its lists, so a handle taken before it
+(* [clear] leaves every entry in no heap, so a handle taken before it
    re-arms in place, under the restarted seqs *)
-let test_wheel_rearm_after_clear () =
-  let w = Wheel.create "" in
-  let h = Wheel.push w ~time:30 "a" in
-  ignore (Wheel.push w ~time:30 "b");
-  Wheel.clear w;
-  check_bool "same entry" true (Wheel.rearm w h ~time:5 "c" == h);
-  check_int "seqs restart" 0 (Wheel.seq h);
-  check_bool "pops" true (Wheel.pop w = Some (5, "c"));
-  check_bool "then empty" true (Wheel.is_empty w)
-
-(* a cancelled far-heap entry stays in the heap until it surfaces, so
-   re-arming it takes a fresh entry; the old one never pops *)
-let test_wheel_rearm_far () =
-  let w = Wheel.create "" in
-  let far = Time.sec 3_600 in
-  let h = Wheel.push w ~time:far "far" in
-  Wheel.cancel w h;
-  let h' = Wheel.rearm w h ~time:far "fresh" in
-  check_bool "a fresh entry" true (h' != h);
-  check_bool "the old one reads the filler" true (Wheel.value h = "");
-  check_int "one armed" 1 (Wheel.size w);
-  check_bool "only the fresh one pops" true (Wheel.pop w = Some (far, "fresh"));
-  check_bool "then empty" true (Wheel.pop w = None)
+let test_heap_rearm_after_clear () =
+  let w = Heap.create "" in
+  let h = Heap.push w ~time:30 "a" in
+  ignore (Heap.push w ~time:30 "b");
+  Heap.clear w;
+  check_bool "same entry" true (Heap.rearm w h ~time:5 "c" == h);
+  check_int "seqs restart" 0 (Heap.seq h);
+  check_bool "pops" true (Heap.pop w = Some (5, "c"));
+  check_bool "then empty" true (Heap.is_empty w)
 
 let suite =
   [
@@ -719,12 +711,11 @@ let suite =
       ] );
     ( "sim.wheel",
       [
-        Alcotest.test_case "cancel frees the payload" `Quick test_wheel_cancel_frees_payload;
-        Alcotest.test_case "re-arm after fire" `Quick test_wheel_rearm_after_fire;
+        Alcotest.test_case "cancel frees the payload" `Quick test_heap_cancel_frees_payload;
+        Alcotest.test_case "re-arm after fire" `Quick test_heap_rearm_after_fire;
         Alcotest.test_case "re-arm after cancel unlinks at once" `Quick
-          test_wheel_rearm_after_cancel;
-        Alcotest.test_case "re-arm after clear" `Quick test_wheel_rearm_after_clear;
-        Alcotest.test_case "re-arm a cancelled far entry" `Quick test_wheel_rearm_far;
+          test_heap_rearm_after_cancel;
+        Alcotest.test_case "re-arm after clear" `Quick test_heap_rearm_after_clear;
       ] );
     ( "sim.heap",
       [
@@ -753,7 +744,7 @@ let suite =
     ( "sim.alloc",
       [
         Alcotest.test_case "engine post + step" `Quick test_alloc_post_step;
-        Alcotest.test_case "wheel push, next_time_or, take_or" `Quick test_alloc_wheel;
+        Alcotest.test_case "wheel push, next_time_or, take_or" `Quick test_alloc_heap;
         Alcotest.test_case "rng draws" `Quick test_alloc_rng;
         Alcotest.test_case "dist span draw" `Quick test_alloc_dist_span;
         Alcotest.test_case "re-arming an owned timer allocates nothing" `Quick test_alloc_rearm;
