@@ -30,7 +30,7 @@ let profile =
     is sent joins the queue, the backlog a fail-slow pipeline grows. *)
 let handle_client_request (b : Raft.Replica.t) ~cmd ~client_id ~seq =
   Cluster.Node.cpu_work b.node profile.cost_parse;
-  if not (Raft.Server.is_leader b) then Raft.Server.not_leader b
+  if not (Raft.Server.is_leader b) then Some (Raft.Server.not_leader b)
   else begin
     let p = Raft.Server.pending b ~cmd ~client:client_id ~seq in
     (* depfast-lint: allow unbounded-growth — deliberate baseline defect: no
@@ -86,7 +86,7 @@ let send_append (b : Raft.Replica.t) ?(leader = b) ~dst entries =
          term = b.term;
          leader = Raft.Server.id leader;
          prev_index;
-         prev_term = Option.value ~default:0 (Raft.Rlog.term_at b.rlog prev_index);
+         prev_term = Int.max 0 (Raft.Rlog.term_of b.rlog prev_index);
          (* baselines ship a copied batch, wrapped as an owned view *)
          entries = view_of_array entries;
          commit = leader.commit_index;
@@ -110,7 +110,7 @@ let build sched ~n ~cfg ?mem_soft_cap ?mem_hard_cap ~make ~handle () =
       Cluster.Rpc.serve b.rpc ~node:b.node ~handler:(fun ~src:_ req ->
           match req with
           | Client_request { cmd; client_id; seq } ->
-            Some (handle_client_request b ~cmd ~client_id ~seq)
+            handle_client_request b ~cmd ~client_id ~seq
           | req -> handle t b req);
       Raft.Server.run b)
     g.Raft.Group.servers;

@@ -1,6 +1,6 @@
 type ('req, 'resp) frame =
   | Req of { id : int; body : 'req }
-  | Resp of { id : int; body : 'resp }
+  | Resp of { id : int; body : 'resp option }  (* the handler's [Some], as built *)
   | Vacant  (* an empty ring slot of the network; never sent *)
 
 (* A call is live until it is responded or abandoned; while live it is in
@@ -99,8 +99,7 @@ let handle_frame t me ~src frame =
       Node.spawn me ~name:"rpc.handler" (fun () ->
           match handler ~src body with
           | None -> ()
-          | Some resp ->
-            Net.send t.net ~units:0 ~src:(Node.id me) ~dst:src (Resp { id; body = resp })))
+          | resp -> Net.send t.net ~units:0 ~src:(Node.id me) ~dst:src (Resp { id; body = resp })))
   | Resp { id; body } -> (
     match Hashtbl.find t.book.calls id with
     | exception Not_found -> discard t
@@ -108,7 +107,7 @@ let handle_frame t me ~src frame =
       finish call;
       if Depfast.Event.is_abandoned call.ev then discard t
       else begin
-        call.resp <- Some body;
+        call.resp <- body;
         Depfast.Event.fire call.ev
       end)
   | Vacant -> ()

@@ -41,7 +41,11 @@ val serve :
   ('req, 'resp) t -> node:Node.t -> handler:(src:int -> 'req -> 'resp option) -> unit
 (** Install the node's request handler; it runs in a fresh coroutine per
     request on the node, costs nothing unless it performs waits/CPU work,
-    and replies iff it returns [Some _]. Re-installing replaces. *)
+    and replies iff it returns [Some _]. The reply frame carries that
+    option as the handler built it, and delivery stores the same value as
+    the call's {!response}: a reply is boxed once, by the handler, and a
+    handler that answers with a shared [Some] boxes nothing.
+    Re-installing replaces. *)
 
 val call :
   ('req, 'resp) t -> src:Node.t -> dst:int -> ?bytes:int -> 'req -> 'resp call
@@ -52,6 +56,7 @@ val id : 'resp call -> int
 
 val event : 'resp call -> Depfast.Event.t
 val response : 'resp call -> 'resp option
+(** [None] until the reply arrives; then the handler's own option. *)
 
 val abandon : 'resp call -> unit
 (** Give up on the call: its buffer is freed and the rpc forgets it, so

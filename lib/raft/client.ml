@@ -81,7 +81,8 @@ let rec attempt t cmd seq k =
       match Cluster.Rpc.response call with
       | Some (Client_resp { ok = true; leader_hint; value; _ }) ->
         t.leader_hint <- leader_hint;
-        Committed value
+        (* a write's [Committed None] is a constant *)
+        (match value with None -> Committed None | Some _ -> Committed value)
       | Some (Client_resp { shed = true; leader_hint; _ }) ->
         t.shed <- t.shed + 1;
         t.leader_hint <- leader_hint;

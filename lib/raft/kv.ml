@@ -83,7 +83,10 @@ let replace t k v =
   end;
   if put t.keys t.vals k v then t.n_keys <- t.n_keys + 1
 
-let last_seq t ~client_id = Option.value ~default:(-1) (Hashtbl.find_opt t.sessions client_id)
+(* -1 for a session not seen; [find] rather than [find_opt], so that a
+   known session's lookup boxes nothing *)
+let last_seq t ~client_id =
+  match Hashtbl.find t.sessions client_id with s -> s | exception Not_found -> -1
 
 let bump t ~client_id ~seq =
   if client_id >= 0 then Hashtbl.replace t.sessions client_id seq;

@@ -22,7 +22,9 @@ val apply : t -> Types.entry -> string option
 val apply_cmd : t -> cmd:Types.command -> client_id:int -> seq:int -> string option
 (** Apply one command under the given session identity — the per-element
     entry point the leader's batched apply/reply fan-out uses. [apply] of a
-    [Batch] entry is exactly [apply_cmd] over its elements in order. *)
+    [Batch] entry is exactly [apply_cmd] over its elements in order. The
+    session lookup boxes nothing: a [Put] from a known session to a bound
+    key allocates nothing. *)
 
 val get : t -> string -> string option
 (** Direct lookup (used by leader reads after commit). *)

@@ -66,6 +66,7 @@ type t = {
   mutable last_contact : Time.t;
   mutable leader : int option;
   self_hint : int option;  (* [Some] of this node's id, the hint a leader replies with *)
+  ack : Types.resp option;  (* the one reply to a committed request without a value *)
   (* leader-side state *)
   pending_q : pending Queue.t;  (* admission queue *)
   by_index : (index, pending array) Hashtbl.t;  (* a sealed batch, at its first command's index *)

@@ -26,10 +26,12 @@ let last_index t = t.len
 
 let last_term t = if t.len = 0 then 0 else t.entries.(t.len - 1).Types.term
 
+let term_of t i =
+  if i = 0 then 0 else if i < 0 || i > t.len then -1 else t.entries.(i - 1).Types.term
+
 let term_at t i =
-  if i = 0 then Some 0
-  else if i < 0 || i > t.len then None
-  else Some t.entries.(i - 1).Types.term
+  let tm = term_of t i in
+  if tm < 0 then None else Some tm
 
 let get t i = if i < 1 || i > t.len then None else Some t.entries.(i - 1)
 
@@ -66,7 +68,8 @@ let slice_array t ~from ~max =
 let length t = t.len
 
 let matches t ~prev_index ~prev_term =
-  match term_at t prev_index with Some tm -> tm = prev_term | None -> false
+  let tm = term_of t prev_index in
+  tm >= 0 && tm = prev_term
 
 module View = struct
   type nonrec t = Types.eview

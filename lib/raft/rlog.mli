@@ -11,7 +11,7 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 512) pre-sizes the backing store; it lands on the
+(** [capacity] (default 1024) pre-sizes the backing store; it lands on the
     major heap and grows 4x, so steady-state appends never copy. *)
 
 val reset : t -> unit
@@ -21,8 +21,14 @@ val reset : t -> unit
 val last_index : t -> Types.index
 val last_term : t -> Types.term
 
+val term_of : t -> Types.index -> Types.term
+(** The term at an index, boxing nothing: -1 beyond the end (and below
+    0); 0 at index 0. The hot paths (the follower's append and
+    consistency check, the commit rule, the senders' [prev_term]) read
+    this. *)
+
 val term_at : t -> Types.index -> Types.term option
-(** [None] beyond the end; [Some 0] at index 0. *)
+(** {!term_of} as an option: [None] beyond the end; [Some 0] at index 0. *)
 
 val get : t -> Types.index -> Types.entry option
 
@@ -68,4 +74,5 @@ val length : t -> int
 (** Number of real entries ([last_index]). *)
 
 val matches : t -> prev_index:Types.index -> prev_term:Types.term -> bool
-(** The AppendEntries consistency check. *)
+(** The AppendEntries consistency check, through {!term_of}: it
+    allocates nothing. *)

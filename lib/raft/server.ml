@@ -46,12 +46,14 @@ let persist t entries =
 let append_entries t entries =
   Array.iter
     (fun e ->
-      match Rlog.term_at t.rlog e.index with
-      | Some tm when tm = e.term -> ()
-      | Some _ ->
+      let tm = Rlog.term_of t.rlog e.index in
+      if tm < 0 then begin
+        if e.index = Rlog.last_index t.rlog + 1 then Rlog.append t.rlog e
+      end
+      else if tm <> e.term then begin
         Rlog.truncate_from t.rlog e.index;
         Rlog.append t.rlog e
-      | None -> if e.index = Rlog.last_index t.rlog + 1 then Rlog.append t.rlog e)
+      end)
     entries
 
 (* a follower's commit advance: up to the leader's commit point, within
@@ -153,25 +155,28 @@ let take_batch t ~max ~index =
 let not_leader t = Client_resp { ok = false; shed = false; leader_hint = t.leader; value = None }
 
 (* the client path past admission: wait for the queued request's commit,
-   pay its reply and answer *)
+   pay its reply and answer; a committed request without a value gets the
+   server's shared acknowledgement *)
 let await_reply t p =
   let outcome = Depfast.Sched.wait_timeout t.sched p.p_done t.cfg.Config.client_timeout in
   cpu_work t t.profile.cost_reply;
   match outcome with
-  | Depfast.Sched.Ready ->
-    Client_resp { ok = p.p_ok; shed = false; leader_hint = t.self_hint; value = p.p_value }
-  | Depfast.Sched.Timed_out -> not_leader t
+  | Depfast.Sched.Ready -> (
+    match p.p_value with
+    | None when p.p_ok -> t.ack
+    | value -> Some (Client_resp { ok = p.p_ok; shed = false; leader_hint = t.self_hint; value }))
+  | Depfast.Sched.Timed_out -> Some (not_leader t)
 
 let handle_client_request t ~cmd ~client_id ~seq =
   cpu_work t t.profile.cost_parse;
-  if t.role <> Leader then not_leader t
+  if t.role <> Leader then Some (not_leader t)
   else if t.cfg.Config.admission_depth <= Queue.length t.pending_q then begin
     (* bounded admission: shed at the door with an explicit fail-fast reply
        instead of joining a backlog that a fail-slow disk would grow without
        bound (the paper's §2 RethinkDB root cause, inverted) *)
     t.shed_count <- t.shed_count + 1;
     cpu_work t t.profile.cost_reply;
-    Client_resp { ok = false; shed = true; leader_hint = t.self_hint; value = None }
+    Some (Client_resp { ok = false; shed = true; leader_hint = t.self_hint; value = None })
   end
   else await_reply t (enqueue t ~cmd ~client:client_id ~seq)
 
@@ -300,11 +305,11 @@ let advance_commit t =
     let candidate = quorum_index t ~own:t.wal_done_index in
     let rec settle n =
       if n > t.commit_index then
-        match Rlog.term_at t.rlog n with
-        | Some tm when tm = t.term ->
+        if Rlog.term_of t.rlog n = t.term then begin
           t.commit_index <- n;
           Depfast.Condvar.broadcast t.commit_cv
-        | Some _ | None -> settle (n - 1)
+        end
+        else settle (n - 1)
     in
     settle candidate
   end
@@ -353,7 +358,7 @@ let send_append t fs =
   let batch = Rlog.view t.rlog ~from ~max:Config.batch_max in
   let n = Rlog.View.length batch in
   let prev_index = from - 1 in
-  let prev_term = Option.value ~default:0 (Rlog.term_at t.rlog prev_index) in
+  let prev_term = Int.max 0 (Rlog.term_of t.rlog prev_index) in
   let bytes = 256 + Rlog.View.bytes batch in
   (* ship cost is per batch, not per entry — the zero-copy win *)
   if n > 0 then cpu_work t Config.cost_ship_view;
@@ -797,8 +802,7 @@ let handle t (req : Types.req) : Types.resp option =
     | None -> None
     | Some entries ->
       Some (handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~commit))
-  | Client_request { cmd; client_id; seq } ->
-    Some (handle_client_request t ~cmd ~client_id ~seq)
+  | Client_request { cmd; client_id; seq } -> handle_client_request t ~cmd ~client_id ~seq
   | Transfer_leadership { target } ->
     transfer_leadership t ~target;
     Some Ack
@@ -845,6 +849,7 @@ let reset t =
 
 let create ?profile ?leader rpc node ~peers ~cfg =
   let sched = Cluster.Node.sched node in
+  let self_hint = Some (Cluster.Node.id node) in
   let t =
     {
       rpc;
@@ -865,7 +870,8 @@ let create ?profile ?leader rpc node ~peers ~cfg =
       kv = Kv.create ();
       last_contact = Time.zero;
       leader = None;
-      self_hint = Some (Cluster.Node.id node);
+      self_hint;
+      ack = Some (Client_resp { ok = true; shed = false; leader_hint = self_hint; value = None });
       pending_q = Queue.create ();
       by_index = Hashtbl.create 16;
       replies = [||];

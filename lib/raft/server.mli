@@ -44,7 +44,7 @@ val handle : t -> Types.req -> Types.resp option
     (CPU, append, WAL persist and commit advance under the append lock),
     leadership transfer, and DepFastRaft's client path: requests past
     [cfg]'s admission depth are shed, the rest queued and answered by
-    {!await_reply}. *)
+    {!await_reply}, whose shared acknowledgement it returns as is. *)
 
 val reset : t -> unit
 (** Back to {!create}'s state for a world reused across runs, after its
@@ -74,10 +74,13 @@ val kv : t -> Kv.t
 val pending : t -> cmd:Types.command -> client:int -> seq:int -> Replica.pending
 (** A client request as the leader queues it, stamped now. *)
 
-val await_reply : t -> Replica.pending -> Types.resp
+val await_reply : t -> Replica.pending -> Types.resp option
 (** The client path past admission: wait for the queued request's commit
     (up to {!Config.client_timeout}), pay the profile's reply cost and
-    answer, naming this node as leader. *)
+    answer, naming this node as leader. Every committed request without a
+    value is answered with one shared, immutable acknowledgement
+    ([Replica.t]'s [ack], built at {!create}), so the reply builds
+    nothing; a read, a failed request and a timeout build their own. *)
 
 val not_leader : t -> Types.resp
 (** The failed reply that points the client at the known leader. *)

@@ -673,12 +673,12 @@ let test_rpc_abandon_forgets () =
   check_int "no reply, nothing discarded" 0 (Cluster.Rpc.discarded_responses rpc)
 
 (* Allocation pin: a warm call with its reply allocates its two frames,
-   the reply's options, the call's event and record, the handler's spawn
-   closure and fire wake, the call table's bucket and the caller's
-   continuation; the abandon path and the handler's node tag add
-   nothing. One round read 56.0 minor words with an abandon observer and
-   its cons per call (7), a boxed node tag per spawn (2) and the call's
-   [done_] flag (1), and 46.0 without; the ceiling sits between. *)
+   the handler's reply option (delivered as built), the call's event and
+   record, the handler's spawn closure and fire wake, the call table's
+   bucket and the caller's continuation; the abandon path and the
+   handler's node tag add nothing. One round reads 44.0 minor words, and
+   46.0 while delivery boxed the reply in a second option; the ceiling
+   sits between. *)
 let rpc_roundtrip_words () =
   let s, rpc, a, b = rpc_pair () in
   Cluster.Rpc.serve rpc ~node:b ~handler:(fun ~src:_ req -> Some req);
@@ -702,8 +702,8 @@ let rpc_roundtrip_words () =
 
 let test_rpc_roundtrip_alloc () =
   let words = rpc_roundtrip_words () in
-  if words > 50.0 then
-    Alcotest.failf "rpc round trip: %.2f minor words > ceiling 50 (per-call bookkeeping?)" words
+  if words > 45.0 then
+    Alcotest.failf "rpc round trip: %.2f minor words > ceiling 45 (per-call bookkeeping?)" words
 
 (* Allocation pin: a spawn on a node (an rpc handler's, per request)
    costs what a spawn with a constant node tag does: 5 words, its fire

@@ -35,24 +35,14 @@ let test_runner_depfast_cell () =
 
 (* End-to-end allocation ceilings: minor and promoted words per committed
    op of a small healthy DepFastRaft cell ([Params.quick]'s keyspace and
-   clients over a short window), set-up included. Minor: 1 043.8 with a
-   list-slot timer wheel, a [Queue] ready queue, per-job station closures
-   and a boxed RNG state; 740.9 without them (730.2 later); 589.4 once a
-   wait parks in the event's waiter slot and an RPC call and a batch seal
-   build no throwaway closures, lists or twin records; 564.9 once the
-   latency, penalty and workload draws box no float and the KV store
-   binds without a cell per key; 427.2 once station servers, network
-   links and coroutines re-arm the timer each owns, a coroutine's context
-   is built once without [let rec], and a partition check builds no
-   tuple; 331.9 once finished coroutine contexts are pooled, a basic
-   event is 9 words and the AppendEntries timeout holds only the call's
-   id (331.4 later); 256.8 once a waited CPU charge parks in the station
-   with its job instead of on a fresh completion event. Promoted: 179.1 while a cancelled timeout kept its thunk, and
-   with it the waiter's whole context, alive until it would have come
-   due; 91.5 once a cancel releases the payload and a level compacts its
-   cancels (88.5 later); 73.9 with owned timers; 58.5 with pooled
-   contexts and the id-only AppendEntries timeout. Each ceiling sits
-   between the last two readings. *)
+   clients over a short window), set-up included. Minor reads 178.2, and
+   200.0 while a committed write's reply, its two options and the
+   client's outcome were built per request and the session and log-term
+   lookups boxed an option. Promoted depends on what the process ran
+   before: 41.8 run alone and 40.9 in the whole suite, against 42.3 and
+   41.3 before. Each ceiling sits between the last two readings (the
+   promoted one between the readings run alone). CHANGES.md keeps the
+   history. *)
 let cell_words_per_op () =
   let params =
     { Harness.Params.quick with warmup = Sim.Time.ms 100; duration = Sim.Time.ms 400 }
@@ -72,9 +62,9 @@ let cell_words_per_op () =
 
 let test_cell_alloc_ceiling () =
   let minor, promoted = cell_words_per_op () in
-  if minor > 295.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 295" minor;
-  if promoted > 66.0 then
-    Alcotest.failf "%.1f promoted words per committed op > ceiling 66" promoted
+  if minor > 190.0 then Alcotest.failf "%.1f minor words per committed op > ceiling 190" minor;
+  if promoted > 42.0 then
+    Alcotest.failf "%.1f promoted words per committed op > ceiling 42" promoted
 
 let test_runner_all_systems_build () =
   List.iter

@@ -534,6 +534,81 @@ let test_idle_leader_heap_flat () =
   if growth > 1_000 then Alcotest.failf "live heap grew by %d words from 15 s to 60 s" growth;
   ignore (Sys.opaque_identity g)
 
+(* A committed write is answered with the leader's one shared
+   acknowledgement: two Puts get the physically same reply, option and
+   all, while a read, a shed request and a follower's redirect each build
+   their own, carrying their value or hint *)
+let test_committed_writes_share_one_reply () =
+  let client_resp = function
+    | Some (Raft.Types.Client_resp { ok; shed; leader_hint; value }) -> (ok, shed, leader_hint, value)
+    | _ -> Alcotest.fail "not a client reply"
+  in
+  let request s cmd seq =
+    Raft.Server.handle s (Raft.Types.Client_request { cmd; client_id = 7; seq })
+  in
+  let sched = make_env () in
+  let g = Raft.Group.create sched ~n:3 () in
+  in_coroutine sched (fun () ->
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
+      let id = Some (Raft.Server.id leader) in
+      let r1 = request leader (Raft.Types.Put { key = "a"; value = "1" }) 1 in
+      let r2 = request leader (Raft.Types.Put { key = "b"; value = "2" }) 2 in
+      check_bool "two writes, one reply" true (r1 == r2);
+      check_bool "an acknowledgement naming the leader" true
+        (client_resp r1 = (true, false, id, None));
+      check_bool "a read carries its value" true
+        (client_resp (request leader (Raft.Types.Get { key = "a" }) 3)
+        = (true, false, id, Some "1"));
+      let follower = List.find (fun s -> not (Raft.Server.is_leader s)) g.servers in
+      check_bool "a follower points at the leader" true
+        (client_resp (request follower (Raft.Types.Put { key = "c"; value = "3" }) 4)
+        = (false, false, id, None)));
+  (* no admission slot: every request is shed at the door *)
+  let sched = make_env () in
+  let cfg = { Raft.Config.default with Raft.Config.admission_depth = 0 } in
+  let g = Raft.Group.create sched ~cfg ~n:3 () in
+  in_coroutine sched (fun () ->
+      let leader = Option.get (Raft.Group.wait_for_leader g) in
+      check_bool "a shed reply names the leader" true
+        (client_resp (request leader (Raft.Types.Put { key = "a"; value = "1" }) 1)
+        = (false, true, Some (Raft.Server.id leader), None)))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation pins: the log and session lookups on the apply and append
+   paths box nothing *)
+
+let words_per = Test_sim.words_per
+let check_words = Test_sim.check_words
+
+(* a Put from a session the store knows, to a key it binds: the session
+   lookup, the dedup check, the store write and the session bump *)
+let test_kv_known_put_alloc () =
+  let kv = Raft.Kv.create () in
+  let cmd = Raft.Types.Put { key = "k"; value = "v" } in
+  ignore (Raft.Kv.apply_cmd kv ~cmd ~client_id:3 ~seq:0);
+  check_words "Kv.apply_cmd, a known session's Put" 0.0
+    (words_per 10_000 (fun seq -> ignore (Raft.Kv.apply_cmd kv ~cmd ~client_id:3 ~seq)));
+  check_int "every Put applied" 10_001 (Raft.Kv.applied_count kv)
+
+(* the follower's consistency check and the term lookup, inside the log
+   and past it *)
+let test_rlog_lookup_alloc () =
+  let log = Raft.Rlog.create () in
+  for index = 1 to 100 do
+    Raft.Rlog.append log
+      { Raft.Types.term = 1 + (index / 40); index; cmd = Raft.Types.Nop; client_id = -1; seq = 0 }
+  done;
+  let acc = ref 0 in
+  check_words "Rlog.term_of" 0.0
+    (words_per 10_000 (fun i -> acc := !acc + Raft.Rlog.term_of log (i mod 120)));
+  check_words "Rlog.matches" 0.0
+    (words_per 10_000 (fun i ->
+         if Raft.Rlog.matches log ~prev_index:(i mod 120) ~prev_term:2 then incr acc));
+  check_int "term past the log" (-1) (Raft.Rlog.term_of log 101);
+  check_int "term at the sentinel" 0 (Raft.Rlog.term_of log 0);
+  check_int "term inside" 3 (Raft.Rlog.term_of log 100);
+  check_bool "no match past the log" false (Raft.Rlog.matches log ~prev_index:101 ~prev_term:(-1))
+
 let test_safety_randomized () =
   List.iter safety_run [ 11L; 23L; 47L ]
 
@@ -561,6 +636,14 @@ let suite =
           test_admission_shed_fail_fast;
         Alcotest.test_case "an idle leader's heap stays flat" `Quick
           test_idle_leader_heap_flat;
+        Alcotest.test_case "committed writes share one reply" `Quick
+          test_committed_writes_share_one_reply;
+      ] );
+    ( "raft.alloc",
+      [
+        Alcotest.test_case "a known session's Put allocates nothing" `Quick
+          test_kv_known_put_alloc;
+        Alcotest.test_case "log term lookups allocate nothing" `Quick test_rlog_lookup_alloc;
       ] );
     ( "raft.safety",
       [ Alcotest.test_case "randomized partitions" `Slow test_safety_randomized ] );
