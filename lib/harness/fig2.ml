@@ -20,17 +20,9 @@ let run () =
   let sched = Depfast.Sched.create ~trace engine in
   let cfg = { Raft.Config.default with enable_hiccups = false } in
   (* three independent raft groups: s1-s3, s4-s6, s7-s9 (node ids 0-8) *)
-  let groups =
-    List.map
-      (fun shard -> Raft.Group.create sched ~n:3 ~cfg ~first_node_id:(3 * shard) ())
-      [ 0; 1; 2 ]
-  in
-  List.iteri
-    (fun shard g ->
-      Depfast.Sched.spawn sched ~name:"bootstrap" (fun () ->
-          Raft.Group.elect g (3 * shard)))
-    groups;
-  Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
+  let store = Raft.Sharded.create sched ~shards:3 ~replicas:3 ~cfg () in
+  Raft.Sharded.bootstrap store;
+  let groups = Raft.Sharded.groups store in
   (* one client per shard (node ids 100-102 -> c1-c3) *)
   let clients =
     List.mapi

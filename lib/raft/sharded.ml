@@ -10,20 +10,20 @@ let create sched ~shards ~replicas ?(cfg = Config.default) () =
     Array.init shards (fun s ->
         Group.create sched ~n:replicas ~cfg ~first_node_id:(s * replicas) ())
   in
-  {
-    sched;
-    groups;
-    cfg;
-    next_session_node = (shards * replicas) + 1000;
-  }
+  { sched; groups; cfg; next_session_node = (shards * replicas) + 1000 }
 
+(* shard [s]'s node [s * replicas] must win, as [Runner.bootstrap]'s node 0 *)
 let bootstrap t =
+  let first s = s * List.length t.groups.(s).Group.nodes in
+  let elect s g = Depfast.Sched.spawn t.sched ~name:"bootstrap" (fun () -> Group.elect g (first s)) in
+  Array.iteri elect t.groups;
+  Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now t.sched) (Sim.Time.sec 1)) t.sched;
   Array.iteri
     (fun s g ->
-      Depfast.Sched.spawn t.sched ~name:"bootstrap" (fun () ->
-          Group.elect g (s * List.length g.Group.nodes)))
-    t.groups;
-  Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now t.sched) (Sim.Time.sec 1)) t.sched
+      match Group.leader g with
+      | Some l when Server.id l = first s -> ()
+      | _ -> failwith (Printf.sprintf "Sharded.bootstrap: shard %d did not elect node %d" s (first s)))
+    t.groups
 
 let groups t = Array.to_list t.groups
 let shard_of t key = Hashtbl.hash key mod Array.length t.groups
@@ -103,15 +103,15 @@ let phase2 s participants cmd =
 let txn s ~writes =
   match by_shard s writes with
   | [] -> Committed
-  | [ (shard, ws) ] ->
-    (* single-shard fast path: one replicated multi-key prepare+commit
-       collapses to a plain transactional write *)
+  | [ (shard, ws) ] as participants ->
+    (* one shard: its prepare is awaited directly, then the same phase 2;
+       an abort releases whatever a prepare applied but unanswered holds *)
     let txid = fresh_txid s in
-    if prepared (Client.command s.clients.(shard) (Types.Tx_prepare { txid; writes = ws }))
-    then begin
-      phase2 s [ (shard, ws) ] (Types.Tx_commit { txid });
-      Committed
-    end
+    let reply = Client.command s.clients.(shard) (Types.Tx_prepare { txid; writes = ws }) in
+    let ok = prepared reply in
+    phase2 s participants (if ok then Types.Tx_commit { txid } else Types.Tx_abort { txid });
+    if ok then Committed
+    else if acked reply then Aborted (* a lock conflict *)
     else Failed
   | participants ->
     let txid = fresh_txid s in

@@ -19,7 +19,8 @@ val create : Depfast.Sched.t -> shards:int -> replicas:int -> ?cfg:Config.t -> u
     Call {!bootstrap} before use. *)
 
 val bootstrap : t -> unit
-(** Elect the first replica of each shard (drives the engine ~1 s). *)
+(** Elect the first replica of each shard (drives the engine ~1 s).
+    Raises [Failure] when a shard's first replica did not win. *)
 
 val groups : t -> Group.t list
 val shard_of : t -> string -> int
@@ -35,7 +36,8 @@ type outcome = Committed | Aborted | Failed
 val txn : session -> writes:(string * string) list -> outcome
 (** Atomically apply all writes (coroutine context). [Aborted] = a lock
     conflict with a concurrent transaction; [Failed] = could not reach a
-    shard's leader. Single-shard transactions skip 2PC and commit directly. *)
+    shard's leader. Either way an abort releases whatever a prepare locked.
+    Single-shard transactions await their one prepare directly. *)
 
 val read : session -> key:string -> string option option
 (** Linearizable single-key read through the owning shard's log. *)

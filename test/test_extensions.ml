@@ -143,6 +143,78 @@ let test_txn_tolerates_fail_slow_follower () =
       in
       check_bool "fast despite slow followers" true (elapsed < Sim.Time.ms 200))
 
+(* Bootstrap elects node [s * replicas] in shard [s] and says so when it
+   could not: shard 1's first node is down, so its group cannot elect it *)
+let test_bootstrap_fails_loudly () =
+  let engine = Sim.Engine.create ~seed:3L () in
+  let sched = Depfast.Sched.create engine in
+  let store = Raft.Sharded.create sched ~shards:3 ~replicas:3 () in
+  Cluster.Node.crash (List.hd (List.nth (Raft.Sharded.groups store) 1).Raft.Group.nodes);
+  match Raft.Sharded.bootstrap store with
+  | () -> Alcotest.fail "bootstrap returned with shard 1's first node down"
+  | exception Failure msg ->
+    Alcotest.(check string) "names the shard" "Sharded.bootstrap: shard 1 did not elect node 3" msg
+
+let owner_group store key = List.nth (Raft.Sharded.groups store) (Raft.Sharded.shard_of store key)
+
+(* A single-shard transaction on a key another transaction's prepare holds
+   aborts, as a multi-shard one does, and leaves that lock alone *)
+let test_single_shard_conflict_aborts () =
+  let sched, store = make_store () in
+  let g = owner_group store "held" in
+  (* the owning group's own client, outside any session *)
+  let holder = List.hd (Raft.Group.make_clients g ~count:1 ~first_node_id:500 ()) in
+  let took = ref None in
+  Cluster.Node.spawn (Raft.Client.node holder) ~name:"holder" (fun () ->
+      took :=
+        Some
+          (Raft.Client.command holder
+             (Raft.Types.Tx_prepare { txid = 777; writes = [ ("held", "theirs") ] })));
+  Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now sched) (Sim.Time.sec 1)) sched;
+  check_bool "the other prepare holds the key" true (!took = Some (Some (Some "ok")));
+  in_session sched store ~id:8 (fun s ->
+      match Raft.Sharded.txn s ~writes:[ ("held", "mine") ] with
+      | Raft.Sharded.Aborted -> ()
+      | Raft.Sharded.Committed -> Alcotest.fail "committed over a held lock"
+      | Raft.Sharded.Failed -> Alcotest.fail "a lock conflict reported as Failed");
+  List.iter
+    (fun srv -> check_int "the holder's prepare stays staged" 1 (Raft.Kv.staged_count (Raft.Server.kv srv)))
+    g.Raft.Group.servers
+
+(* A prepare applied on the shard whose reply never arrives: the session is
+   cut off from the shard from the moment the leader stages it, so every
+   retry is lost too. The transaction fails, and its abort, let through
+   from its second attempt on, releases the staged writes on every
+   replica. Drops are counted on the shard's network: the prepare's reply
+   and its seven retries, then the abort's first attempt *)
+let test_single_shard_lost_reply_aborts () =
+  let sched, store = make_store () in
+  let key = "lost" in
+  let g = owner_group store key in
+  let s = Raft.Sharded.session store ~id:9 in
+  let me = Cluster.Node.id (Raft.Sharded.session_node s) in
+  let servers = List.map Raft.Server.id g.Raft.Group.servers in
+  let staged () =
+    List.fold_left (fun a srv -> a + Raft.Kv.staged_count (Raft.Server.kv srv)) 0 g.Raft.Group.servers
+  in
+  let dropped () = (Cluster.Rpc.net_totals g.Raft.Group.rpc).Cluster.Net.dropped in
+  let outcome = ref None in
+  Cluster.Node.spawn (Raft.Sharded.session_node s) ~name:"txn" (fun () ->
+      outcome := Some (Raft.Sharded.txn s ~writes:[ (key, "v") ]));
+  Depfast.Sched.spawn sched ~name:"cutter" (fun () ->
+      while staged () = 0 do
+        Depfast.Sched.sleep sched (Sim.Time.us 10)
+      done;
+      List.iter (fun id -> Cluster.Rpc.partition g.Raft.Group.rpc me id) servers;
+      let d0 = dropped () in
+      while dropped () - d0 < 9 do
+        Depfast.Sched.sleep sched (Sim.Time.ms 1)
+      done;
+      List.iter (fun id -> Cluster.Rpc.heal g.Raft.Group.rpc me id) servers);
+  Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now sched) (Sim.Time.sec 60)) sched;
+  check_bool "no reply: failed" true (!outcome = Some Raft.Sharded.Failed);
+  check_int "the abort released every replica's staged writes" 0 (staged ())
+
 (* ------------------------------------------------------------------ *)
 (* Detector + mitigation *)
 
@@ -261,6 +333,11 @@ let suite =
         Alcotest.test_case "no leaked locks" `Quick test_txn_no_leaked_locks;
         Alcotest.test_case "tolerates fail-slow followers" `Quick
           test_txn_tolerates_fail_slow_follower;
+        Alcotest.test_case "bootstrap fails when a shard's first node cannot win" `Quick
+          test_bootstrap_fails_loudly;
+        Alcotest.test_case "single-shard conflict aborts" `Quick test_single_shard_conflict_aborts;
+        Alcotest.test_case "single-shard lost reply aborts" `Quick
+          test_single_shard_lost_reply_aborts;
       ] );
     ( "detector",
       [
