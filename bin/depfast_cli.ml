@@ -10,23 +10,6 @@
 
 open Cmdliner
 
-let fault_conv =
-  let parse = function
-    | "cpu-slow" -> Ok (Some Cluster.Fault.Cpu_slow)
-    | "cpu-contention" -> Ok (Some Cluster.Fault.Cpu_contention)
-    | "disk-slow" -> Ok (Some Cluster.Fault.Disk_slow)
-    | "disk-contention" -> Ok (Some Cluster.Fault.Disk_contention)
-    | "mem-contention" -> Ok (Some Cluster.Fault.Mem_contention)
-    | "net-slow" -> Ok (Some Cluster.Fault.Net_slow)
-    | "none" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown fault %S" s))
-  in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with None -> "none" | Some k -> Cluster.Fault.name k)
-  in
-  Arg.conv (parse, print)
-
 (* ---- run ---- *)
 
 let run_cmd =
@@ -37,14 +20,14 @@ let run_cmd =
   let seconds = Arg.(value & opt int 5 & info [ "seconds"; "t" ] ~doc:"Measured duration.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Simulation seed.") in
   let fault =
+    let faults =
+      List.map (fun k -> (Cluster.Fault.key k, Some k)) Cluster.Fault.all @ [ ("none", None) ]
+    in
     Arg.(
       value
-      & opt fault_conv None
+      & opt (enum faults) None
       & info [ "fault"; "f" ]
-          ~doc:
-            "Fail-slow fault for a minority of followers: cpu-slow, \
-             cpu-contention, disk-slow, disk-contention, mem-contention, \
-             net-slow, or none.")
+          ~doc:("Fail-slow fault for a minority of followers: " ^ doc_alts_enum faults ^ "."))
   in
   let action nodes clients seconds seed fault =
     let params =

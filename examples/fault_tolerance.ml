@@ -2,57 +2,25 @@
    in miniature).
 
    Runs a short closed-loop write workload against a three-node cluster
-   three times: healthy, with a CPU fail-slow follower (the cgroup "5% CPU"
-   fault), and with a 400 ms NIC delay on a follower (`tc netem`). The
-   throughput and latency barely move — compare with what the same faults do
-   to the baseline implementations in `bench/main.exe fig1`.
+   four times: healthy, with a CPU fail-slow follower (the cgroup "5% CPU"
+   fault), with a 400 ms NIC delay on a follower (`tc netem`) and with a
+   throttled follower disk. The throughput and latency barely move —
+   compare with what the same faults do to the baseline implementations
+   in `bench/main.exe fig1`.
 
    Run with:  dune exec examples/fault_tolerance.exe *)
-
-let run_once ~fault =
-  let engine = Sim.Engine.create ~seed:7L () in
-  let sched = Depfast.Sched.create engine in
-  let g = Raft.Group.create sched ~n:3 () in
-  Depfast.Sched.spawn sched ~name:"bootstrap" (fun () -> Raft.Group.elect g 0);
-  Depfast.Sched.run ~until:(Sim.Time.sec 1) sched;
-  (match fault with
-  | None -> ()
-  | Some kind ->
-    (* victim: a follower (node 1) *)
-    let victim = List.find (fun n -> Cluster.Node.id n = 1) g.Raft.Group.nodes in
-    ignore (Cluster.Fault.inject victim kind));
-  let clients =
-    List.map
-      (fun c ->
-        {
-          Workload.Driver.node = Raft.Client.node c;
-          run_op =
-            (fun op ->
-              let outcome =
-                match op with
-                | Workload.Ycsb.Update { key; value } ->
-                  Raft.Client.submit c (Raft.Types.Put { key; value })
-                | Workload.Ycsb.Read { key } -> Raft.Client.submit c (Raft.Types.Get { key })
-              in
-              match outcome with
-              | Raft.Client.Committed _ -> Workload.Driver.Committed
-              | Raft.Client.Shed -> Workload.Driver.Shed
-              | Raft.Client.Failed -> Workload.Driver.Failed);
-        })
-      (Raft.Group.make_clients g ~count:64 ())
-  in
-  let workload = Workload.Ycsb.scaled ~records:10_000 Workload.Ycsb.update_heavy in
-  Workload.Driver.run sched ~clients ~workload ~warmup:(Sim.Time.ms 500)
-    ~duration:(Sim.Time.sec 3)
-    ~leader_node:(Raft.Server.node (Raft.Group.server g 0))
-    ()
 
 let () =
   Printf.printf "%-28s | %9s %9s %9s\n" "Scenario" "tput/s" "avg ms" "p99 ms";
   Printf.printf "%s\n" (String.make 62 '-');
   List.iter
     (fun (label, fault) ->
-      let m = run_once ~fault in
+      (* the fault, if any, lands on node 1, the first follower *)
+      let m =
+        (Harness.Runner.run_cell ~params:Harness.Params.quick
+           ~system:Harness.Runner.Depfast_raft ~n:3 ~slow_count:1 ~fault ())
+          .Harness.Runner.metrics
+      in
       Printf.printf "%-28s | %9.0f %9.2f %9.2f\n" label
         (Workload.Metrics.throughput m)
         (Workload.Metrics.mean_latency_ms m)

@@ -10,6 +10,16 @@ type kind =
 
 let all = [ Cpu_slow; Cpu_contention; Disk_slow; Disk_contention; Mem_contention; Net_slow ]
 
+let key = function
+  | Cpu_slow -> "cpu-slow"
+  | Cpu_contention -> "cpu-contention"
+  | Disk_slow -> "disk-slow"
+  | Disk_contention -> "disk-contention"
+  | Mem_contention -> "mem-contention"
+  | Net_slow -> "net-slow"
+
+let of_key s = List.find_opt (fun k -> key k = s) all
+
 let name = function
   | Cpu_slow -> "CPU (slow)"
   | Cpu_contention -> "CPU (contention)"
@@ -77,9 +87,9 @@ let inject node kind =
   let cpu = Node.cpu node and disk = Node.disk node and memory = Node.memory node in
   match kind with
   | Cpu_slow ->
-    let prev = Station.speed cpu in
-    Station.set_speed cpu (prev *. 20.0);
-    { node; undo = (fun () -> Station.set_speed cpu prev); stopped = false }
+    (* undone by its own factor: a hiccup in force at inject or clear stays *)
+    Station.set_speed cpu (Station.speed cpu *. 20.0);
+    { node; undo = (fun () -> Station.set_speed cpu (Station.speed cpu /. 20.0)); stopped = false }
   | Cpu_contention ->
     let active = { node; undo = (fun () -> ()); stopped = false } in
     start_cpu_contender active;
@@ -92,15 +102,10 @@ let inject node kind =
     start_disk_contender active;
     active
   | Mem_contention ->
-    let prev_soft = Memory.soft_cap memory in
+    let soft_cap = Memory.soft_cap memory and hard_cap = Memory.hard_cap memory in
     let used = Memory.used memory in
     Memory.set_caps memory ~soft_cap:(used / 2) ~hard_cap:(max (2 * used) (512 * mib));
-    {
-      node;
-      undo =
-        (fun () -> Memory.set_caps memory ~soft_cap:prev_soft ~hard_cap:(16 * 1024 * mib));
-      stopped = false;
-    }
+    { node; undo = (fun () -> Memory.set_caps memory ~soft_cap ~hard_cap); stopped = false }
   | Net_slow ->
     let prev = Node.nic_delay node in
     Node.set_nic_delay node (Time.ms 400);
@@ -109,3 +114,22 @@ let inject node kind =
 let clear active =
   active.stopped <- true;
   active.undo ()
+
+(* transient hiccups (GC pauses, noisy neighbours); spans in us *)
+let hiccup_interval = Dist.Exponential 400_000.0
+let hiccup_duration = Dist.Shifted (500.0, Dist.Pareto (500.0, 1.8))
+let hiccup_factor = 4.0
+
+let hiccups node rng =
+  let sched = Node.sched node and cpu = Node.cpu node in
+  let rec loop () =
+    if Node.alive node then begin
+      Depfast.Sched.sleep sched (Dist.sample_span rng hiccup_interval);
+      let duration = min (Time.ms 10) (Dist.sample_span rng hiccup_duration) in
+      Station.set_speed cpu (Station.speed cpu *. hiccup_factor);
+      Depfast.Sched.sleep sched duration;
+      Station.set_speed cpu (Station.speed cpu /. hiccup_factor);
+      loop ()
+    end
+  in
+  Node.spawn node ~name:"hiccup" loop

@@ -15,6 +15,8 @@
       node's memory; pressure slows CPU/disk, exceeding the hard cap OOMs.
     - {e Network (slow)}: `tc` adds 400 ms to the NIC.
 
+    Beside Table 1, {!hiccups} is the transient slowdown every server
+    runs (GC pauses, noisy neighbours; the paper's §2 root cause (c)).
     Injection is protocol-agnostic: the RSM code under test never observes
     the fault, only its effects. *)
 
@@ -32,6 +34,11 @@ val all : kind list
 val name : kind -> string
 (** Short name, e.g. ["CPU (slow)"]. *)
 
+val key : kind -> string
+(** Command-line name, e.g. ["cpu-slow"]. *)
+
+val of_key : string -> kind option  (** The kind {!key} names, if any. *)
+
 val paper_injection : kind -> string
 (** The paper's injection method (Table 1, column 2). *)
 
@@ -46,5 +53,12 @@ val inject : Node.t -> kind -> active
     needs them. At most one active fault per node is supported. *)
 
 val clear : active -> unit
-(** Restore the node's nominal resources and stop contenders. (A node that
-    already crashed from OOM stays crashed.) *)
+(** Undo the fault's own change and stop its contenders: a CPU-slow fault
+    divides the speed by its factor, so another slowdown in force (a
+    hiccup) stays; a memory fault restores the caps saved at inject. (A
+    node that already crashed from OOM stays crashed.) *)
+
+val hiccups : Node.t -> Sim.Rng.t -> unit
+(** Spawn the node's ["hiccup"] coroutine: after each exponential gap
+    (mean 400 ms) the CPU runs x4 slower for a Pareto-tailed pause of at
+    least 1 ms, capped at 10 ms, drawn from [rng], until the node dies. *)

@@ -38,6 +38,7 @@ let create ?(soft_cap = 16 * gib) ?(hard_cap = 16 * gib) () =
 
 let used t = t.used
 let soft_cap t = t.soft
+let hard_cap t = t.hard
 let load t = t.load
 
 let set_caps t ~soft_cap ~hard_cap =

@@ -27,6 +27,7 @@ val free : t -> int -> unit
 
 val used : t -> int
 val soft_cap : t -> int
+val hard_cap : t -> int
 
 val set_caps : t -> soft_cap:int -> hard_cap:int -> unit
 (** Used by the memory-contention fault injector. *)

@@ -23,7 +23,7 @@ type t = {
           paper's §2 RethinkDB root cause) *)
   rpc_timeout : Time.span;
   client_timeout : Time.span;
-  enable_hiccups : bool;
+  enable_hiccups : bool;  (** {!Server.run} starts {!Cluster.Fault.hiccups} *)
   replication_arity : [ `Majority | `All ];
       (** ablation knob: [`All] replaces the replication QuorumEvent's
           majority arity with wait-for-everyone — the anti-pattern *)
@@ -139,16 +139,6 @@ let cost_vote = Time.us 50
 (* storage *)
 
 let wal_entry_overhead = 48  (** bytes per entry beyond payload *)
-
-(* transient hiccups (GC pauses etc.), per node *)
-
-(** gap between hiccups, us: ~every 400 ms *)
-let hiccup_interval = Dist.Exponential 400_000.0
-
-(** hiccup length, us *)
-let hiccup_duration = Dist.Shifted (500.0, Dist.Pareto (500.0, 1.8))
-
-let hiccup_factor = 4.0  (** CPU slowdown during a hiccup *)
 
 (** Majority of a group of [n] voters. *)
 let majority n = (n / 2) + 1

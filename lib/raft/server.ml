@@ -249,21 +249,6 @@ let applier_loop t =
   in
   loop ()
 
-let hiccup_loop node rng =
-  let sched = Cluster.Node.sched node in
-  let cpu = Cluster.Node.cpu node in
-  let rec loop () =
-    if Cluster.Node.alive node then begin
-      Depfast.Sched.sleep sched (Dist.sample_span rng Config.hiccup_interval);
-      let duration = min (Time.ms 10) (Dist.sample_span rng Config.hiccup_duration) in
-      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. Config.hiccup_factor);
-      Depfast.Sched.sleep sched duration;
-      Cluster.Station.set_speed cpu (Cluster.Station.speed cpu /. Config.hiccup_factor);
-      loop ()
-    end
-  in
-  loop ()
-
 (* ---------------- DepFastRaft: terms and the commit rule ---------------- *)
 
 let election_timeout t =
@@ -902,8 +887,7 @@ let create ?profile ?leader rpc node ~peers ~cfg =
 
 let run t =
   Cluster.Node.spawn t.node ~name:"raft.applier" (fun () -> applier_loop t);
-  if t.cfg.Config.enable_hiccups then
-    Cluster.Node.spawn t.node ~name:"hiccup" (fun () -> hiccup_loop t.node t.rng)
+  if t.cfg.Config.enable_hiccups then Cluster.Fault.hiccups t.node t.rng
 
 let start t =
   Cluster.Node.spawn t.node ~name:"raft.election-timer" (fun () -> election_timer_loop t);

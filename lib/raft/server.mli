@@ -54,9 +54,9 @@ val reset : t -> unit
     {!start} again. *)
 
 val run : t -> unit
-(** Spawn the applier and, with {!Config.enable_hiccups}, transient CPU
-    slowdowns ({!Config.hiccup_factor} for a {!Config.hiccup_duration}
-    draw capped at 10 ms, every {!Config.hiccup_interval} draw). *)
+(** Spawn the applier and, with {!Config.enable_hiccups}, the node's
+    transient CPU slowdowns ({!Cluster.Fault.hiccups}, on the server's
+    stream). *)
 
 val start : t -> unit
 (** Spawn the election timer, then {!run}. *)

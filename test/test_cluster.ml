@@ -823,6 +823,66 @@ let test_fault_clear_restores () =
   Depfast.Sched.run s;
   check_int "restored" (Sim.Time.ms 1) !at
 
+(* a slowdown that starts or ends while a CPU-slow fault is in force (a
+   hiccup's x4) survives the fault's clear; nominal speed once both end *)
+let test_fault_clear_keeps_other_slowdowns () =
+  let s = make_sched () in
+  let n = Cluster.Node.create s ~id:0 ~name:"victim" () in
+  let cpu = Cluster.Node.cpu n in
+  let scale k = Cluster.Station.set_speed cpu (Cluster.Station.speed cpu *. k) in
+  (* in force at clear *)
+  let active = Cluster.Fault.inject n Cluster.Fault.Cpu_slow in
+  scale 4.0;
+  Cluster.Fault.clear active;
+  Alcotest.(check (float 0.0)) "hiccup survives the clear" 4.0 (Cluster.Station.speed cpu);
+  scale 0.25;
+  Alcotest.(check (float 0.0)) "nominal after the hiccup" 1.0 (Cluster.Station.speed cpu);
+  (* in force at inject *)
+  scale 4.0;
+  let active = Cluster.Fault.inject n Cluster.Fault.Cpu_slow in
+  scale 0.25;
+  Cluster.Fault.clear active;
+  Alcotest.(check (float 0.0)) "nominal after both" 1.0 (Cluster.Station.speed cpu)
+
+(* a node built with its own hard cap gets that cap back, not 16 GiB *)
+let test_fault_clear_restores_hard_cap () =
+  let mib = 1024 * 1024 in
+  let s = make_sched () in
+  let n = Cluster.Node.create s ~id:0 ~name:"victim" ~mem_hard_cap:(1024 * mib) () in
+  let memory = Cluster.Node.memory n in
+  Cluster.Fault.clear (Cluster.Fault.inject n Cluster.Fault.Mem_contention);
+  Cluster.Memory.alloc memory (700 * mib);
+  check_bool "under the created cap" true (Cluster.Node.alive n);
+  Cluster.Memory.alloc memory (200 * mib);
+  check_bool "over the created cap: OOM" false (Cluster.Node.alive n)
+
+(* at a fixed seed over 5 s, sampled every 100 us: the CPU is nominal or
+   x4 slower, and some hiccup is seen *)
+let test_fault_hiccups () =
+  let s = make_sched () in
+  let n = Cluster.Node.create s ~id:0 ~name:"victim" () in
+  Cluster.Fault.hiccups n (Sim.Rng.create 5L);
+  let bad = ref 0 and slow = ref 0 in
+  Depfast.Sched.spawn s ~node:0 (fun () ->
+      for _ = 1 to 50_000 do
+        Depfast.Sched.sleep s (Sim.Time.us 100);
+        match Cluster.Station.speed (Cluster.Node.cpu n) with
+        | 1.0 -> ()
+        | 4.0 -> incr slow
+        | _ -> incr bad
+      done);
+  Depfast.Sched.run ~until:(Sim.Time.sec 5) s;
+  check_int "only 1.0 or 4.0" 0 !bad;
+  check_bool "a hiccup seen" true (!slow > 0)
+
+let test_fault_keys () =
+  let keys = List.map Cluster.Fault.key Cluster.Fault.all in
+  List.iter
+    (fun k -> check_bool "round trip" true (Cluster.Fault.of_key (Cluster.Fault.key k) = Some k))
+    Cluster.Fault.all;
+  check_int "distinct" 6 (List.length (List.sort_uniq compare keys));
+  check_bool "unknown" true (Cluster.Fault.of_key "cpu-fast" = None)
+
 let test_fault_catalog_complete () =
   check_int "six fault kinds" 6 (List.length Cluster.Fault.all);
   List.iter
@@ -900,6 +960,12 @@ let suite =
         Alcotest.test_case "disk slow" `Quick test_fault_disk_slow;
         Alcotest.test_case "net slow" `Quick test_fault_net_slow;
         Alcotest.test_case "clear restores" `Quick test_fault_clear_restores;
+        Alcotest.test_case "clear keeps a concurrent slowdown" `Quick
+          test_fault_clear_keeps_other_slowdowns;
+        Alcotest.test_case "clear restores the created hard cap" `Quick
+          test_fault_clear_restores_hard_cap;
+        Alcotest.test_case "hiccups" `Quick test_fault_hiccups;
+        Alcotest.test_case "keys" `Quick test_fault_keys;
         Alcotest.test_case "catalog complete" `Quick test_fault_catalog_complete;
       ] );
   ]

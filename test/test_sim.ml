@@ -709,7 +709,7 @@ let suite =
         QCheck_alcotest.to_alcotest test_hist_quantile_vs_sorted;
         QCheck_alcotest.to_alcotest test_hist_quantile_within_one_bucket;
       ] );
-    ( "sim.wheel",
+    ( "sim.timer",
       [
         Alcotest.test_case "cancel frees the payload" `Quick test_heap_cancel_frees_payload;
         Alcotest.test_case "re-arm after fire" `Quick test_heap_rearm_after_fire;
